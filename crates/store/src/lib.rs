@@ -25,7 +25,7 @@
 //! Every stripe write goes to the *inactive* slot (A/B shadow pair):
 //!
 //! 1. store the `k+m` shard payloads and the slot footer (magic, stripe,
-//!    sequence, FNV-1a payload hash, checksum), then **persist** the slot
+//!    sequence, XXH64 payload hash, checksum), then **persist** the slot
 //!    — persist boundary #1;
 //! 2. store the stripe's 8-byte commit word — sequence + slot bit,
 //!    checksummed and mixed with the stripe index — then **persist** it —
@@ -48,6 +48,19 @@
 //! After rollback/forward, a **boot scrub** re-verifies every committed
 //! stripe with [`Dialga::scrub`], re-derives localizable corrupt shards
 //! through the decode path, and quarantines what cannot be localized.
+//!
+//! # Payload hash and layout version
+//!
+//! The footer's payload hash is XXH64 (seed 0) over the slot's `k+m`
+//! shards in order, covering every payload byte: four independent 64-bit
+//! lanes over 32-byte stripes, so hashing runs at memory speed instead of
+//! one dependent multiply per byte. Layout **version 2** marks it; a
+//! version-1 image (FNV-1a footers) is refused at
+//! [`open`](StripeStore::open) with
+//! [`BadSuperblock`](StoreError::BadSuperblock) `"unknown layout
+//! version"`. A get reads only the `k` data shards of the committed slot;
+//! parity is read by [`read_all_shards`](StripeStore::read_all_shards)
+//! and the boot scrub.
 
 use dialga::Dialga;
 use dialga_ec::EcError;
@@ -64,8 +77,12 @@ const SB_MAGIC: u64 = u64::from_le_bytes(*b"DIALGAST");
 const FOOTER_MAGIC: u64 = u64::from_le_bytes(*b"DLGASLOT");
 /// Commit-word domain separator mixed into the checksum.
 const COMMIT_MAGIC: u64 = 0xD1A1_6A5A_C0DE_C0DE;
-/// Layout version.
-const VERSION: u64 = 1;
+/// Layout version: 2 = XXH64 payload hash in the slot footer (1 was
+/// FNV-1a; such images are refused).
+const VERSION: u64 = 2;
+/// Largest commit sequence: the commit word carries 31 sequence bits and
+/// 0 means "never committed".
+const SEQ_MAX: u32 = 0x7FFF_FFFF;
 
 /// splitmix64 finalizer: the store's checksum mixer.
 fn mix64(mut x: u64) -> u64 {
@@ -74,21 +91,131 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// FNV-1a over a byte slice, continued from `h` (seed with
-/// [`FNV_OFFSET`]).
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 fn le64(bytes: &[u8]) -> u64 {
     let mut w = [0u8; 8];
     w.copy_from_slice(&bytes[..8]);
     u64::from_le_bytes(w)
+}
+
+const XXH_P1: u64 = 0x9E37_79B1_85EB_CA87;
+const XXH_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const XXH_P3: u64 = 0x1656_67B1_9E37_79F9;
+const XXH_P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const XXH_P5: u64 = 0x27D4_EB2F_1656_67C5;
+/// Bytes one [`PayloadHasher`] step consumes: one word per lane.
+const XXH_STRIPE: usize = 32;
+
+fn xxh_round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(XXH_P2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1)
+}
+
+/// Streaming XXH64 (seed 0), the slot payload hash. The four lanes are
+/// independent multiply chains, so the loop retires a 32-byte stripe in
+/// about the latency of one multiply; whole stripes stream through
+/// [`update`](Self::update) with no buffering, and only
+/// [`finish`](Self::finish) sees a partial stripe.
+struct PayloadHasher {
+    lanes: [u64; 4],
+    /// Bytes absorbed so far (a multiple of [`XXH_STRIPE`]).
+    len: u64,
+}
+
+impl PayloadHasher {
+    fn new() -> Self {
+        PayloadHasher {
+            lanes: [
+                XXH_P1.wrapping_add(XXH_P2),
+                XXH_P2,
+                0,
+                0u64.wrapping_sub(XXH_P1),
+            ],
+            len: 0,
+        }
+    }
+
+    /// Absorb the whole 32-byte stripes of `bytes` and return what is
+    /// left past the last one — empty for a shard, whose length
+    /// [`Geometry::new`] holds to a multiple of 64.
+    fn update<'a>(&mut self, bytes: &'a [u8]) -> &'a [u8] {
+        let stripes = bytes.chunks_exact(XXH_STRIPE);
+        let tail = stripes.remainder();
+        // A local copy keeps the lanes in registers across the loop.
+        let mut lanes = self.lanes;
+        for stripe in stripes {
+            for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = xxh_round(*lane, le64(word));
+            }
+        }
+        self.lanes = lanes;
+        self.len += (bytes.len() - tail.len()) as u64;
+        tail
+    }
+
+    /// Close the hash over the absorbed stripes followed by `tail`, the
+    /// under-32-byte remainder the last [`update`](Self::update) returned
+    /// (empty for a slot payload).
+    fn finish(self, tail: &[u8]) -> u64 {
+        let mut h = if self.len == 0 {
+            XXH_P5
+        } else {
+            let [a, b, c, d] = self.lanes;
+            let merged = a
+                .rotate_left(1)
+                .wrapping_add(b.rotate_left(7))
+                .wrapping_add(c.rotate_left(12))
+                .wrapping_add(d.rotate_left(18));
+            self.lanes.iter().fold(merged, |h, &lane| {
+                (h ^ xxh_round(0, lane))
+                    .wrapping_mul(XXH_P1)
+                    .wrapping_add(XXH_P4)
+            })
+        };
+        h = h.wrapping_add(self.len + tail.len() as u64);
+        let words = tail.chunks_exact(8);
+        let mut rest = words.remainder();
+        for word in words {
+            h = (h ^ xxh_round(0, le64(word)))
+                .rotate_left(27)
+                .wrapping_mul(XXH_P1)
+                .wrapping_add(XXH_P4);
+        }
+        if let Some((half, bytes)) = rest.split_first_chunk::<4>() {
+            h = (h ^ (u32::from_le_bytes(*half) as u64).wrapping_mul(XXH_P1))
+                .rotate_left(23)
+                .wrapping_mul(XXH_P2)
+                .wrapping_add(XXH_P3);
+            rest = bytes;
+        }
+        for &byte in rest {
+            h = (h ^ (byte as u64).wrapping_mul(XXH_P5))
+                .rotate_left(11)
+                .wrapping_mul(XXH_P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(XXH_P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(XXH_P3);
+        h ^ (h >> 32)
+    }
+}
+
+/// XXH64 (seed 0) of `bytes` in one shot.
+fn xxh64(bytes: &[u8]) -> u64 {
+    let mut h = PayloadHasher::new();
+    let tail = h.update(bytes);
+    h.finish(tail)
+}
+
+/// Check word over the superblock's six header words.
+fn superblock_check(sb: &[u8]) -> u64 {
+    sb.chunks_exact(8)
+        .take(6)
+        .enumerate()
+        .fold(SB_MAGIC, |check, (i, w)| {
+            mix64(check ^ le64(w).rotate_left(i as u32))
+        })
 }
 
 /// Errors from store operations.
@@ -144,6 +271,12 @@ pub enum StoreError {
         /// What was wrong.
         why: &'static str,
     },
+    /// The stripe's committed sequence is the largest the commit word can
+    /// carry; one more write would read back as "never committed".
+    SequenceExhausted {
+        /// The stripe that cannot be written again.
+        stripe: usize,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -173,6 +306,9 @@ impl fmt::Display for StoreError {
             ),
             StoreError::Coding(e) => write!(f, "erasure coding: {e}"),
             StoreError::BadStripeData { why } => write!(f, "bad stripe data: {why}"),
+            StoreError::SequenceExhausted { stripe } => {
+                write!(f, "stripe {stripe} has used all {SEQ_MAX} commit sequences")
+            }
         }
     }
 }
@@ -414,17 +550,24 @@ impl Geometry {
         Ok(geo)
     }
 
-    fn checked_image_len(&self) -> Option<u64> {
+    fn checked_image_len(&self) -> Option<usize> {
         let table = (self.stripes as u64).checked_mul(8)?;
         let table = table.checked_next_multiple_of(XPLINE)?;
-        let slot = self.slot_len().checked_mul(2)?;
+        let payload = (self.k + self.m).checked_mul(self.shard_len)? as u64;
+        let slot = payload.checked_add(CACHELINE)?.checked_mul(2)?;
         let slots = slot.checked_mul(self.stripes as u64)?;
-        XPLINE.checked_add(table)?.checked_add(slots)
+        usize::try_from(XPLINE.checked_add(table)?.checked_add(slots)?).ok()
+    }
+
+    /// One slot's shard payload: `k+m` shards (non-overflowing, validated
+    /// in `new`).
+    fn payload_len(&self) -> usize {
+        (self.k + self.m) * self.shard_len
     }
 
     /// One slot: `k+m` shards plus the footer cacheline.
     pub fn slot_len(&self) -> u64 {
-        ((self.k + self.m) * self.shard_len) as u64 + CACHELINE
+        self.payload_len() as u64 + CACHELINE
     }
 
     /// Byte offset of the stripe's 8-byte commit word.
@@ -448,7 +591,7 @@ impl Geometry {
 
     /// Byte offset of a slot's footer cacheline.
     pub fn footer_off(&self, stripe: usize, slot: u8) -> u64 {
-        self.slot_off(stripe, slot) + ((self.k + self.m) * self.shard_len) as u64
+        self.slot_off(stripe, slot) + self.payload_len() as u64
     }
 
     /// Total image bytes this geometry needs.
@@ -462,7 +605,7 @@ impl Geometry {
 /// the stripe index. An all-zero word means "never committed", so
 /// sequences start at 1.
 fn pack_commit(stripe: usize, seq: u32, slot: u8) -> u64 {
-    let payload = (seq as u64 & 0x7FFF_FFFF) | ((slot as u64) << 31);
+    let payload = (seq & SEQ_MAX) as u64 | ((slot as u64) << 31);
     let check = mix64(payload ^ ((stripe as u64) << 32) ^ COMMIT_MAGIC) >> 32;
     payload | (check << 32)
 }
@@ -477,7 +620,7 @@ fn unpack_commit(stripe: usize, word: u64) -> Option<(u32, u8)> {
     if word >> 32 != check {
         return None;
     }
-    let seq = (payload & 0x7FFF_FFFF) as u32;
+    let seq = payload as u32 & SEQ_MAX;
     if seq == 0 {
         return None;
     }
@@ -523,7 +666,7 @@ impl Footer {
             return None;
         }
         let seq = le64(&bytes[16..]);
-        if seq == 0 || seq > 0x7FFF_FFFF {
+        if seq == 0 || seq > SEQ_MAX as u64 {
             return None;
         }
         Some(Footer {
@@ -571,6 +714,8 @@ pub struct StripeStore<I> {
     active: Vec<u8>,
     /// Stripes quarantined by the boot scrub.
     quarantined: BTreeSet<usize>,
+    /// Parity scratch `write_stripe` encodes into: `m` shards.
+    parity: Vec<u8>,
     report: RecoveryReport,
 }
 
@@ -584,7 +729,6 @@ impl<I: PmImage> StripeStore<I> {
                 why: "backing image smaller than the geometry needs",
             });
         }
-        let coder = Dialga::new(geo.k, geo.m)?;
         let mut sb = vec![0u8; XPLINE as usize];
         let words = [
             SB_MAGIC,
@@ -594,22 +738,29 @@ impl<I: PmImage> StripeStore<I> {
             geo.shard_len as u64,
             geo.stripes as u64,
         ];
-        let mut check = SB_MAGIC;
         for (i, w) in words.iter().enumerate() {
             sb[i * 8..i * 8 + 8].copy_from_slice(&w.to_le_bytes());
-            check = mix64(check ^ w.rotate_left(i as u32));
         }
+        let check = superblock_check(&sb);
         sb[48..56].copy_from_slice(&check.to_le_bytes());
         image.store(0, &sb)?;
         let table_len = geo.slots_off() - XPLINE;
         image.store(XPLINE, &vec![0u8; table_len as usize])?;
         image.persist(0, geo.slots_off() as usize)?;
+        Self::over(image, geo)
+    }
+
+    /// A store over `image` with nothing committed yet. `image` is at
+    /// least `geo.image_len()` bytes, which bounds the scratch allocated
+    /// here.
+    fn over(image: I, geo: Geometry) -> Result<Self, StoreError> {
         Ok(StripeStore {
             image,
-            coder,
+            coder: Dialga::new(geo.k, geo.m)?,
             committed: vec![0; geo.stripes],
             active: vec![0; geo.stripes],
             quarantined: BTreeSet::new(),
+            parity: vec![0; geo.m * geo.shard_len],
             report: RecoveryReport {
                 stripes: geo.stripes,
                 ..RecoveryReport::default()
@@ -629,21 +780,11 @@ impl<I: PmImage> StripeStore<I> {
                 why: "image truncated below its declared geometry",
             });
         }
-        let coder = Dialga::new(geo.k, geo.m)?;
-        let mut store = StripeStore {
-            image,
-            coder,
-            committed: vec![0; geo.stripes],
-            active: vec![0; geo.stripes],
-            quarantined: BTreeSet::new(),
-            report: RecoveryReport {
-                stripes: geo.stripes,
-                ..RecoveryReport::default()
-            },
-            geo,
-        };
-        store.recover()?;
-        store.boot_scrub()?;
+        let mut store = Self::over(image, geo)?;
+        // One slot payload, read into by every roll decision and scrub.
+        let mut payload = vec![0u8; geo.payload_len()];
+        store.recover(&mut payload)?;
+        store.boot_scrub(&mut payload)?;
         store.report.committed = store.committed.iter().filter(|&&s| s > 0).count();
         store.report.recovery_ns = start.elapsed().as_nanos() as u64;
         Ok(store)
@@ -660,11 +801,7 @@ impl<I: PmImage> StripeStore<I> {
         if le64(&sb) != SB_MAGIC {
             return Err(StoreError::BadSuperblock { why: "bad magic" });
         }
-        let mut check = SB_MAGIC;
-        for i in 0..6 {
-            check = mix64(check ^ le64(&sb[i * 8..]).rotate_left(i as u32));
-        }
-        if le64(&sb[48..]) != check {
+        if le64(&sb[48..]) != superblock_check(&sb) {
             return Err(StoreError::BadSuperblock {
                 why: "checksum mismatch",
             });
@@ -684,7 +821,7 @@ impl<I: PmImage> StripeStore<I> {
 
     /// Walk the commit table, resolving each stripe per the recovery
     /// state machine in the module docs.
-    fn recover(&mut self) -> Result<(), StoreError> {
+    fn recover(&mut self, payload: &mut [u8]) -> Result<(), StoreError> {
         for stripe in 0..self.geo.stripes {
             let mut word_bytes = [0u8; 8];
             self.image
@@ -700,7 +837,7 @@ impl<I: PmImage> StripeStore<I> {
                     let shadow = 1 - slot;
                     match self.read_footer(stripe, shadow)? {
                         Some(f) if f.stripe == stripe as u64 && f.seq == seq.wrapping_add(1) => {
-                            if self.payload_hash(stripe, shadow)? == f.payload_hash {
+                            if self.payload_hash(stripe, shadow, payload)? == f.payload_hash {
                                 self.commit(stripe, f.seq, shadow)?;
                                 self.report.rolled_forward += 1;
                             } else {
@@ -723,7 +860,7 @@ impl<I: PmImage> StripeStore<I> {
                         })
                         .max_by_key(|(f, _)| f.seq);
                     if let Some((f, slot)) = best {
-                        if self.payload_hash(stripe, slot)? == f.payload_hash {
+                        if self.payload_hash(stripe, slot, payload)? == f.payload_hash {
                             self.commit(stripe, f.seq, slot)?;
                             self.report.rolled_forward += 1;
                         } else {
@@ -738,22 +875,23 @@ impl<I: PmImage> StripeStore<I> {
 
     /// Verify every committed stripe; re-derive localizable corruption
     /// through the decode path, quarantine the rest.
-    fn boot_scrub(&mut self) -> Result<(), StoreError> {
+    fn boot_scrub(&mut self, payload: &mut [u8]) -> Result<(), StoreError> {
         for stripe in 0..self.geo.stripes {
             if self.committed[stripe] == 0 {
                 continue;
             }
             let slot = self.active[stripe];
-            let shards = self.read_slot_shards(stripe, slot)?;
-            let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
-            match self.coder.scrub(&refs) {
+            self.image.read(self.geo.slot_off(stripe, slot), payload)?;
+            let shards: Vec<&[u8]> = payload.chunks_exact(self.geo.shard_len).collect();
+            match self.coder.scrub(&shards) {
                 Ok(bad) if bad.is_empty() => {}
                 Ok(bad) => {
                     // Localized: erase the bad shards and re-derive them.
-                    let mut opts: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
-                    for &i in &bad {
-                        opts[i] = None;
-                    }
+                    let mut opts: Vec<Option<Vec<u8>>> = shards
+                        .iter()
+                        .enumerate()
+                        .map(|(i, s)| (!bad.contains(&i)).then(|| s.to_vec()))
+                        .collect();
                     self.coder.decode(&mut opts)?;
                     for &i in &bad {
                         let Some(fixed) = opts[i].as_deref() else {
@@ -791,16 +929,11 @@ impl<I: PmImage> StripeStore<I> {
         Ok(Footer::decode(&bytes))
     }
 
-    /// FNV-1a over a slot's whole shard payload region.
-    fn payload_hash(&self, stripe: usize, slot: u8) -> Result<u64, StoreError> {
-        let mut h = FNV_OFFSET;
-        let mut buf = vec![0u8; self.geo.shard_len];
-        for shard in 0..self.geo.k + self.geo.m {
-            self.image
-                .read(self.geo.shard_off(stripe, slot, shard), &mut buf)?;
-            h = fnv1a(h, &buf);
-        }
-        Ok(h)
+    /// XXH64 over a slot's whole shard payload region, read into
+    /// `payload`.
+    fn payload_hash(&self, stripe: usize, slot: u8, payload: &mut [u8]) -> Result<u64, StoreError> {
+        self.image.read(self.geo.slot_off(stripe, slot), payload)?;
+        Ok(xxh64(payload))
     }
 
     /// Write + persist a commit word and update the in-memory map.
@@ -835,28 +968,32 @@ impl<I: PmImage> StripeStore<I> {
                 why: "every data shard must be shard_len bytes",
             });
         }
-        let parity = self.coder.encode_vec(data)?;
-        let seq = self.committed[stripe].wrapping_add(1);
+        if self.committed[stripe] >= SEQ_MAX {
+            return Err(StoreError::SequenceExhausted { stripe });
+        }
+        let seq = self.committed[stripe] + 1;
         let slot = if self.committed[stripe] == 0 {
             0
         } else {
             1 - self.active[stripe]
         };
+        let mut parity: Vec<&mut [u8]> = self.parity.chunks_exact_mut(geo.shard_len).collect();
+        self.coder.encode(data, &mut parity)?;
 
-        let mut h = FNV_OFFSET;
+        let mut h = PayloadHasher::new();
         for (i, shard) in data
             .iter()
             .copied()
-            .chain(parity.iter().map(|p| p.as_slice()))
+            .chain(parity.iter().map(|p| &**p))
             .enumerate()
         {
             self.image.store(geo.shard_off(stripe, slot, i), shard)?;
-            h = fnv1a(h, shard);
+            h.update(shard);
         }
         let footer = Footer {
             stripe: stripe as u64,
             seq,
-            payload_hash: h,
+            payload_hash: h.finish(&[]),
         };
         self.image
             .store(geo.footer_off(stripe, slot), &footer.encode())?;
@@ -870,13 +1007,16 @@ impl<I: PmImage> StripeStore<I> {
 
     /// Read a committed stripe's `k` data shards.
     pub fn read_stripe(&self, stripe: usize) -> Result<Vec<Vec<u8>>, StoreError> {
-        let mut all = self.read_all_shards(stripe)?;
-        all.truncate(self.geo.k);
-        Ok(all)
+        self.read_shards(stripe, self.geo.k)
     }
 
     /// Read all `k+m` shards of a committed stripe.
     pub fn read_all_shards(&self, stripe: usize) -> Result<Vec<Vec<u8>>, StoreError> {
+        self.read_shards(stripe, self.geo.k + self.geo.m)
+    }
+
+    /// Read the first `count` shards of a committed stripe.
+    fn read_shards(&self, stripe: usize, count: usize) -> Result<Vec<Vec<u8>>, StoreError> {
         if stripe >= self.geo.stripes {
             return Err(StoreError::NoSuchStripe {
                 stripe,
@@ -889,18 +1029,15 @@ impl<I: PmImage> StripeStore<I> {
         if self.committed[stripe] == 0 {
             return Err(StoreError::Unallocated { stripe });
         }
-        self.read_slot_shards(stripe, self.active[stripe])
-    }
-
-    fn read_slot_shards(&self, stripe: usize, slot: u8) -> Result<Vec<Vec<u8>>, StoreError> {
-        let mut out = Vec::with_capacity(self.geo.k + self.geo.m);
-        for shard in 0..self.geo.k + self.geo.m {
-            let mut buf = vec![0u8; self.geo.shard_len];
-            self.image
-                .read(self.geo.shard_off(stripe, slot, shard), &mut buf)?;
-            out.push(buf);
-        }
-        Ok(out)
+        let slot = self.active[stripe];
+        (0..count)
+            .map(|shard| {
+                let mut buf = vec![0u8; self.geo.shard_len];
+                self.image
+                    .read(self.geo.shard_off(stripe, slot, shard), &mut buf)?;
+                Ok(buf)
+            })
+            .collect()
     }
 
     /// The store's geometry.
@@ -936,5 +1073,259 @@ impl<I: PmImage> StripeStore<I> {
     /// Unwrap the backing image.
     pub fn into_image(self) -> I {
         self.image
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dialga_testkit::Rng;
+    use std::cell::RefCell;
+
+    #[test]
+    fn xxh64_matches_published_vectors() {
+        for (input, want) in [
+            ("", 0xEF46_DB37_51D8_E999u64),
+            ("a", 0xD24E_C4F1_A98C_6E5B),
+            ("abc", 0x44BC_2CF5_AD77_0999),
+            (
+                "Nobody inspects the spammish repetition",
+                0xFBCE_A83C_8A37_8BF1,
+            ),
+        ] {
+            assert_eq!(xxh64(input.as_bytes()), want, "xxh64({input:?})");
+        }
+    }
+
+    #[test]
+    fn streaming_over_shards_equals_one_shot() {
+        let mut rng = Rng::new(0x5EED);
+        for (shards, shard_len) in [(6, 64), (9, 4096), (14, 65536)] {
+            let payload = rng.bytes(shards * shard_len);
+            let mut h = PayloadHasher::new();
+            for shard in payload.chunks_exact(shard_len) {
+                assert!(h.update(shard).is_empty());
+            }
+            assert_eq!(h.finish(&[]), xxh64(&payload));
+        }
+    }
+
+    /// A torn slot is some cachelines of one epoch among the lines of
+    /// another (or of a never-written slot); any single such line, and
+    /// any single flipped bit, must move the hash.
+    #[test]
+    fn any_single_cacheline_change_moves_the_hash() {
+        const LINE: usize = CACHELINE as usize;
+        let mut rng = Rng::new(0xC0FFEE);
+        for (k, m) in [(4, 2), (6, 3), (10, 4)] {
+            for shard_len in [64, 512, 4096, 65536] {
+                let new = rng.bytes((k + m) * shard_len);
+                let old = rng.bytes(new.len());
+                let want = xxh64(&new);
+                for _ in 0..6 {
+                    let at = rng.range(0, new.len() / LINE) * LINE;
+                    let flipped: Vec<u8> = {
+                        let mut line = new[at..at + LINE].to_vec();
+                        line[rng.range(0, LINE)] ^= 1 << rng.range(0, 8);
+                        line
+                    };
+                    for line in [&old[at..at + LINE], &[0u8; LINE], &flipped] {
+                        let mut torn = new.clone();
+                        torn[at..at + LINE].copy_from_slice(line);
+                        assert_ne!(
+                            xxh64(&torn),
+                            want,
+                            "({k},{m}) x {shard_len} B, line at {at}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Sizes of every call the store made into its image.
+    #[derive(Default)]
+    struct Calls {
+        reads: Vec<usize>,
+        stores: Vec<usize>,
+        persists: usize,
+    }
+
+    struct Counting {
+        inner: MemImage,
+        calls: RefCell<Calls>,
+    }
+
+    impl Counting {
+        fn new(inner: MemImage) -> Self {
+            Counting {
+                inner,
+                calls: RefCell::default(),
+            }
+        }
+    }
+
+    impl PmImage for Counting {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn read(&self, offset: u64, out: &mut [u8]) -> Result<(), StoreError> {
+            self.calls.borrow_mut().reads.push(out.len());
+            self.inner.read(offset, out)
+        }
+        fn store(&mut self, offset: u64, bytes: &[u8]) -> Result<(), StoreError> {
+            self.calls.get_mut().stores.push(bytes.len());
+            self.inner.store(offset, bytes)
+        }
+        fn persist(&mut self, offset: u64, len: usize) -> Result<(), StoreError> {
+            self.calls.get_mut().persists += 1;
+            self.inner.persist(offset, len)
+        }
+    }
+
+    fn stripe_data(rng: &mut Rng, geo: &Geometry) -> Vec<Vec<u8>> {
+        (0..geo.k).map(|_| rng.bytes(geo.shard_len)).collect()
+    }
+
+    fn refs(data: &[Vec<u8>]) -> Vec<&[u8]> {
+        data.iter().map(|d| d.as_slice()).collect()
+    }
+
+    #[test]
+    fn image_calls_per_put_get_and_clean_open_are_pinned() {
+        let geo = Geometry::new(4, 2, 512, 5).unwrap();
+        let (k, n) = (geo.k, geo.k + geo.m);
+        let image = Counting::new(MemImage::new(geo.image_len()));
+        let mut store = StripeStore::format(image, geo).unwrap();
+        let mut rng = Rng::new(7);
+        let data = stripe_data(&mut rng, &geo);
+        store.image().calls.take();
+
+        // A put: k+m shards, the footer, the commit word; two boundaries.
+        for stripe in [0, 1, 3, 3] {
+            store.write_stripe(stripe, &refs(&data)).unwrap();
+            let calls = store.image().calls.take();
+            let mut want = vec![geo.shard_len; n];
+            want.extend([CACHELINE as usize, 8]);
+            assert_eq!(calls.stores, want);
+            assert_eq!(calls.persists, 2);
+            assert!(calls.reads.is_empty());
+        }
+
+        // A get reads the k data shards; only read_all_shards reads parity.
+        assert_eq!(store.read_stripe(3).unwrap(), data);
+        assert_eq!(store.image().calls.take().reads, vec![geo.shard_len; k]);
+        assert_eq!(store.read_all_shards(3).unwrap()[..k], data[..]);
+        assert_eq!(store.image().calls.take().reads, vec![geo.shard_len; n]);
+
+        // A clean open: the superblock, then per stripe its commit word and
+        // shadow footer (both footers where nothing is committed), then one
+        // whole-payload read per committed stripe for the scrub.
+        let reopened = StripeStore::open(Counting::new(store.into_image().inner)).unwrap();
+        assert_eq!(reopened.recovery_report().committed, 3);
+        let calls = reopened.image().calls.take();
+        let count = |len: usize| calls.reads.iter().filter(|&&l| l == len).count();
+        assert_eq!(count(XPLINE as usize), 1);
+        assert_eq!(count(8), geo.stripes);
+        assert_eq!(count(CACHELINE as usize), 3 + 2 * 2);
+        assert_eq!(count(geo.payload_len()), 3);
+        assert_eq!(calls.reads.len(), 1 + 3 * geo.stripes);
+        assert!(calls.stores.is_empty());
+        assert_eq!(calls.persists, 0);
+    }
+
+    /// Overwrite one superblock header word and re-seal the check word, as
+    /// anyone holding the image can (mix64 is not a secret).
+    fn forge_superblock(image: &mut MemImage, word: usize, value: u64) {
+        let sb = &mut image.bytes_mut()[..XPLINE as usize];
+        sb[word * 8..word * 8 + 8].copy_from_slice(&value.to_le_bytes());
+        let check = superblock_check(sb);
+        sb[48..56].copy_from_slice(&check.to_le_bytes());
+    }
+
+    #[test]
+    fn overflowing_geometry_is_a_typed_error() {
+        const OVERFLOWS: &str = "layout overflows the address space";
+        for (k, m, shard_len) in [(10, 6, 1 << 60), (1, 1, 1 << 62), (100, 100, 1 << 57)] {
+            assert!(
+                matches!(
+                    Geometry::new(k, m, shard_len, 1),
+                    Err(StoreError::BadGeometry { why: OVERFLOWS })
+                ),
+                "({k},{m}) x {shard_len}"
+            );
+        }
+
+        // The same geometry arriving in a superblock with a valid check word.
+        let geo = Geometry::new(10, 6, 64, 1).unwrap();
+        let mut image = StripeStore::format(MemImage::new(geo.image_len()), geo)
+            .unwrap()
+            .into_image();
+        forge_superblock(&mut image, 4, 1 << 60);
+        assert!(matches!(
+            StripeStore::open(image),
+            Err(StoreError::BadGeometry { why: OVERFLOWS })
+        ));
+    }
+
+    #[test]
+    fn version_1_image_is_refused() {
+        let geo = Geometry::new(4, 2, 64, 2).unwrap();
+        let mut image = StripeStore::format(MemImage::new(geo.image_len()), geo)
+            .unwrap()
+            .into_image();
+        forge_superblock(&mut image, 1, 1);
+        assert!(matches!(
+            StripeStore::open(image),
+            Err(StoreError::BadSuperblock {
+                why: "unknown layout version"
+            })
+        ));
+    }
+
+    #[test]
+    fn last_sequence_commits_and_the_next_write_is_refused() {
+        let geo = Geometry::new(4, 2, 64, 2).unwrap();
+        let mut rng = Rng::new(31);
+        let mut store = StripeStore::format(MemImage::new(geo.image_len()), geo).unwrap();
+        store
+            .write_stripe(0, &refs(&stripe_data(&mut rng, &geo)))
+            .unwrap();
+
+        // Re-stamp stripe 0's committed slot one short of the last sequence.
+        let mut image = store.into_image();
+        let bytes = image.bytes_mut();
+        let at = geo.footer_off(0, 0) as usize;
+        let footer = Footer {
+            seq: SEQ_MAX - 1,
+            ..Footer::decode(&bytes[at..]).unwrap()
+        };
+        bytes[at..at + CACHELINE as usize].copy_from_slice(&footer.encode());
+        let at = geo.commit_word_off(0) as usize;
+        bytes[at..at + 8].copy_from_slice(&pack_commit(0, SEQ_MAX - 1, 0).to_le_bytes());
+
+        let mut store = StripeStore::open(image).unwrap();
+        assert_eq!(store.committed_seq(0), SEQ_MAX - 1);
+        let last = stripe_data(&mut rng, &geo);
+        store.write_stripe(0, &refs(&last)).unwrap();
+        assert_eq!(store.committed_seq(0), SEQ_MAX);
+
+        // The last sequence survives a reopen; the write after it touches
+        // nothing and says why.
+        let mut store = StripeStore::open(Counting::new(store.into_image())).unwrap();
+        assert_eq!(store.committed_seq(0), SEQ_MAX);
+        store.image().calls.take();
+        let err = store
+            .write_stripe(0, &refs(&stripe_data(&mut rng, &geo)))
+            .unwrap_err();
+        assert!(matches!(err, StoreError::SequenceExhausted { stripe: 0 }));
+        assert_eq!(
+            err.to_string(),
+            "stripe 0 has used all 2147483647 commit sequences"
+        );
+        let calls = store.image().calls.take();
+        assert!(calls.stores.is_empty() && calls.persists == 0);
+        assert_eq!(store.read_stripe(0).unwrap(), last);
+        store.write_stripe(1, &refs(&last)).unwrap();
     }
 }

@@ -25,6 +25,12 @@ race:
 chaos:
     cargo test -q --test chaos --test integrity
 
+# The store crate's own unit + integration tests: XXH64 vectors, image
+# call counts per put/get/open, hostile superblock, sequence limit
+# (a stage of `just lint`)
+store-test:
+    cargo test -q -p dialga-store
+
 # Crash-point recovery sweep: exhaustive persist-boundary enumeration on
 # (4,2) plus seeded random crash sweeps on (6,3)/(10,4). Deterministic;
 # CRASH_SEEDS widens the random sweeps.

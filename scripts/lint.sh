@@ -29,6 +29,9 @@ cargo run -q -p dialga-bench --bin xor_opt -- --smoke
 echo "== chaos smoke (fixed-seed fault plans + stripe integrity) =="
 cargo test -q --test chaos --test integrity
 
+echo "== store unit tests (hash vectors, image call counts, hostile superblock, sequence limit) =="
+cargo test -q -p dialga-store
+
 echo "== crash smoke (every (4,2) persist boundary, sampled wide-code sweeps) =="
 # Exhaustive enumeration for the smallest code; CRASH_SEEDS stays at its
 # small default here. `just crash` runs the widened sweep.
