@@ -13,9 +13,7 @@
 //!   pattern with XOR-derived compute costs — see DESIGN.md).
 //! * **DIALGA** — the adaptive scheduler (or a pinned Fig. 18 variant).
 
-use dialga::pool::{split_ranges, EncodePool};
 use dialga::source::{DialgaSource, Variant};
-use dialga::Dialga;
 use dialga_ec::xor::{XorCode, XorFlavor};
 use dialga_memsim::{MachineConfig, RunReport};
 use dialga_pipeline::cost::{CostModel, Simd};
@@ -278,193 +276,6 @@ pub fn lrc_report(system: System, spec: &Spec, l: usize) -> Option<RunReport> {
     Some(run_source(&cfg, spec.threads, &mut src))
 }
 
-/// Real-host dispatch ablation: per-stripe cost of the persistent encode
-/// pool versus spawning (and joining) a fresh set of scoped threads per
-/// stripe — the pre-pool design. Both sides run the identical chunking
-/// ([`split_ranges`]) and the identical kernel, so the difference is pure
-/// dispatch overhead.
-#[derive(Debug, Clone, Copy)]
-pub struct DispatchReport {
-    /// Worker threads used.
-    pub threads: usize,
-    /// Stripes encoded per side.
-    pub stripes: u64,
-    /// Persistent-pool nanoseconds per stripe.
-    pub pool_ns_per_stripe: f64,
-    /// Spawn-per-stripe nanoseconds per stripe.
-    pub spawn_ns_per_stripe: f64,
-}
-
-impl DispatchReport {
-    /// Spawn-per-stripe cost relative to the pool (>1 means the pool wins).
-    pub fn speedup(&self) -> f64 {
-        self.spawn_ns_per_stripe / self.pool_ns_per_stripe
-    }
-}
-
-/// Encode one stripe by spawning a scoped thread per chunk (the old
-/// per-call dispatch), with the same chunk boundaries the pool uses.
-fn spawn_encode(coder: &Dialga, data: &[&[u8]], parity: &mut [&mut [u8]], threads: usize) {
-    let len = data.first().map_or(0, |d| d.len());
-    let ranges = split_ranges(len, threads);
-    if ranges.len() <= 1 {
-        coder.encode(data, parity).expect("encode");
-        return;
-    }
-    let mut parity_chunks: Vec<Vec<&mut [u8]>> = ranges.iter().map(|_| Vec::new()).collect();
-    for p in parity.iter_mut() {
-        let mut rest: &mut [u8] = p;
-        for (i, r) in ranges.iter().enumerate() {
-            let (head, tail) = rest.split_at_mut(r.len().min(rest.len()));
-            parity_chunks[i].push(head);
-            rest = tail;
-        }
-    }
-    std::thread::scope(|scope| {
-        for (range, mut chunk) in ranges.iter().cloned().zip(parity_chunks) {
-            let data_slices: Vec<&[u8]> = data.iter().map(|d| &d[range.clone()]).collect();
-            scope.spawn(move || coder.encode(&data_slices, &mut chunk).expect("encode"));
-        }
-    });
-}
-
-/// Measure pool vs spawn-per-stripe dispatch at one (k, m, block, threads)
-/// point, `stripes` stripes per side.
-pub fn dispatch_ablation(
-    k: usize,
-    m: usize,
-    block: usize,
-    threads: usize,
-    stripes: u64,
-) -> DispatchReport {
-    let coder = Dialga::new(k, m).expect("geometry");
-    let data: Vec<Vec<u8>> = (0..k)
-        .map(|i| (0..block).map(|j| ((i * 31 + j * 7) % 256) as u8).collect())
-        .collect();
-    let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-    let mut parity = vec![vec![0u8; block]; m];
-
-    let pool = EncodePool::new(threads);
-    let mut time_side = |encode: &mut dyn FnMut(&mut [&mut [u8]])| {
-        let mut prefs: Vec<&mut [u8]> = parity.iter_mut().map(|p| p.as_mut_slice()).collect();
-        encode(&mut prefs); // warm up (pool spin-up, page faults)
-        let t = std::time::Instant::now();
-        for _ in 0..stripes {
-            encode(&mut prefs);
-        }
-        t.elapsed().as_nanos() as f64 / stripes as f64
-    };
-    let pool_ns = time_side(&mut |prefs| {
-        pool.encode(&coder, &refs, prefs).expect("encode");
-    });
-    let spawn_ns = time_side(&mut |prefs| {
-        spawn_encode(&coder, &refs, prefs, threads);
-    });
-    DispatchReport {
-        threads,
-        stripes,
-        pool_ns_per_stripe: pool_ns,
-        spawn_ns_per_stripe: spawn_ns,
-    }
-}
-
-/// Repair one block by spawning a scoped thread per chunk (per-call
-/// dispatch), with the same chunk boundaries and [`dialga::RepairPlan`]
-/// kernel the pool uses.
-fn spawn_repair(
-    coder: &Dialga,
-    shards: &[Option<Vec<u8>>],
-    target: usize,
-    threads: usize,
-) -> Vec<u8> {
-    let k = coder.params().k;
-    let survivors: Vec<usize> = (0..shards.len())
-        .filter(|&i| i != target && shards[i].is_some())
-        .take(k)
-        .collect();
-    let plan = coder.repair_plan(&survivors, target).expect("plan");
-    let srcs: Vec<&[u8]> = plan
-        .survivors()
-        .iter()
-        .map(|&i| shards[i].as_deref().expect("survivor present"))
-        .collect();
-    let len = srcs[0].len();
-    let d = coder.prefetch_distance();
-    let mut out = vec![0u8; len];
-    let ranges = split_ranges(len, threads);
-    if ranges.len() <= 1 {
-        plan.apply(&srcs, &mut out, d, false).expect("repair");
-        return out;
-    }
-    let mut chunks: Vec<&mut [u8]> = Vec::with_capacity(ranges.len());
-    let mut rest: &mut [u8] = &mut out;
-    for r in &ranges {
-        let (head, tail) = rest.split_at_mut(r.len().min(rest.len()));
-        chunks.push(head);
-        rest = tail;
-    }
-    std::thread::scope(|scope| {
-        for (range, chunk) in ranges.iter().cloned().zip(chunks) {
-            let sub: Vec<&[u8]> = srcs.iter().map(|s| &s[range.clone()]).collect();
-            let plan = &plan;
-            scope.spawn(move || plan.apply(&sub, chunk, d, false).expect("repair"));
-        }
-    });
-    out
-}
-
-/// Measure pool vs spawn-per-call single-block repair dispatch at one
-/// (k, m, block, threads) point, `repairs` degraded reads per side. The
-/// `DispatchReport` "stripe" fields count repair calls here.
-pub fn repair_dispatch_ablation(
-    k: usize,
-    m: usize,
-    block: usize,
-    threads: usize,
-    repairs: u64,
-) -> DispatchReport {
-    let coder = Dialga::new(k, m).expect("geometry");
-    let data: Vec<Vec<u8>> = (0..k)
-        .map(|i| {
-            (0..block)
-                .map(|j| ((i * 29 + j * 13) % 256) as u8)
-                .collect()
-        })
-        .collect();
-    let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-    let parity = coder.encode_vec(&refs).expect("encode");
-    let mut shards: Vec<Option<Vec<u8>>> = data
-        .into_iter()
-        .map(Some)
-        .chain(parity.into_iter().map(Some))
-        .collect();
-    let target = 0usize;
-    shards[target] = None;
-    let expected = {
-        let mut s = shards.clone();
-        coder.decode(&mut s).expect("decode");
-        s[target].take().expect("repaired")
-    };
-
-    let pool = EncodePool::new(threads);
-    let time_side = |repair: &mut dyn FnMut() -> Vec<u8>| {
-        assert_eq!(repair(), expected); // warm up + correctness
-        let t = std::time::Instant::now();
-        for _ in 0..repairs {
-            std::hint::black_box(repair());
-        }
-        t.elapsed().as_nanos() as f64 / repairs as f64
-    };
-    let pool_ns = time_side(&mut || pool.repair(&coder, &shards, target).expect("repair"));
-    let spawn_ns = time_side(&mut || spawn_repair(&coder, &shards, target, threads));
-    DispatchReport {
-        threads,
-        stripes: repairs,
-        pool_ns_per_stripe: pool_ns,
-        spawn_ns_per_stripe: spawn_ns,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,24 +323,6 @@ mod tests {
             let r = decode_report(sys, &spec(8, 4), 2).expect("decode result");
             assert!(r.throughput_gbs() > 0.0, "{sys:?}");
         }
-    }
-
-    #[test]
-    fn dispatch_ablation_times_both_sides() {
-        let r = dispatch_ablation(6, 2, 4096, 2, 10);
-        assert_eq!(r.threads, 2);
-        assert!(r.pool_ns_per_stripe > 0.0);
-        assert!(r.spawn_ns_per_stripe > 0.0);
-        assert!(r.speedup() > 0.0);
-    }
-
-    #[test]
-    fn repair_dispatch_ablation_times_both_sides() {
-        let r = repair_dispatch_ablation(6, 2, 4096, 2, 10);
-        assert_eq!(r.threads, 2);
-        assert!(r.pool_ns_per_stripe > 0.0);
-        assert!(r.spawn_ns_per_stripe > 0.0);
-        assert!(r.speedup() > 0.0);
     }
 
     #[test]

@@ -28,21 +28,18 @@
 //! * [`source::DialgaSource`] — the *timed* coupling to the PM simulator,
 //!   used by every figure reproduction.
 //!
-//! Multi-threaded encoding goes through the persistent worker pool of
-//! [`pool::EncodePool`] (long-lived workers, per-worker queues, batch
-//! submission, live coordinator-driven knob propagation); [`parallel`]
-//! keeps the old one-call surface on top of a cached pool.
+//! Multi-threaded encoding goes through the persistent executor pool of
+//! [`pool::EncodePool`] (the submitting thread plus long-lived workers,
+//! batch submission, live coordinator-driven knob propagation).
 
 pub mod coordinator;
 pub mod encoder;
 pub mod hillclimb;
 pub mod operator;
-pub mod parallel;
 pub mod pool;
 pub mod source;
 
 pub use coordinator::{Coordinator, CoordinatorSnapshot, Policy, PressureState};
 pub use encoder::{DecodePlan, Dialga, RepairPlan};
-pub use parallel::{encode_parallel, encode_parallel_vec};
 pub use pool::{DecodeJob, EncodePool, PoolStats, StripeJob};
 pub use source::{DialgaSource, Variant};

@@ -1,36 +1,31 @@
-//! Persistent worker-pool encoding engine.
+//! Persistent worker-pool encoding engine: one `Plan → run_jobs` pipeline
+//! whose first executor is the calling thread.
 //!
-//! The paper encodes with up to 18 concurrent threads (§5), and its
-//! coordinator samples counters at 1 kHz to retune the prefetcher knobs
-//! (§4.1). Neither works if every stripe pays for a fresh set of OS
-//! threads: at the paper's default 4 KiB blocks, thread spawn/join costs
-//! dwarf the encode itself, and the coordinator never sees a steady-state
-//! worker to observe. This module replaces the old scope-per-call design
-//! with long-lived workers:
+//! The paper encodes with up to 18 threads (§5), runs its "lightweight
+//! operator" (§4.2) on the calling thread at no per-call cost, and samples
+//! counters at 1 kHz to retune the prefetcher knobs (§4.1). All three need
+//! long-lived executors: at the paper's 4 KiB blocks a thread spawn — or
+//! even a queue hand-off — costs as much as the encode itself.
 //!
-//! * **per-worker task queues** — each worker owns an MPSC receiver and
-//!   chunks are dealt round-robin, so submission never contends on a
-//!   single shared queue;
-//! * **batch submission** — [`EncodePool::encode_batch`] accepts many
-//!   stripes in one call and keeps every worker busy across stripe
-//!   boundaries;
-//! * **even chunk distribution** — [`split_ranges`] spreads the remainder
-//!   across workers (the old `next_multiple_of` rounding left workers
-//!   idle; see the module tests);
-//! * **live coordinator** — a pool built with
-//!   [`EncodePool::with_coordinator`] drives [`Coordinator::on_tick`] from
-//!   the workers themselves, and updated [`Knobs`] propagate to in-flight
-//!   workers at chunk granularity through a packed atomic cell;
-//! * **decode and repair** — decoding shares the encode load pattern
-//!   (§4.1), so [`EncodePool::decode`]/[`EncodePool::decode_batch`], the
-//!   single-block [`EncodePool::repair`] fast path and LRC
-//!   [`EncodePool::repair_local`] run through the same workers, the same
-//!   [`split_ranges`] chunking and the same knob cell: every path bottoms
-//!   out in one apply-tables kernel, and the coordinator's `d`/shuffle
-//!   retuning reaches in-flight decode workers exactly as it does encode
-//!   workers.
+//! * **Plans.** Every public operation (encode, decode, repair, LRC local
+//!   repair, verify; `_vec` / `_batch` are thin adapters) validates its
+//!   input and reduces to [`RawJob`]s: apply these nibble tables to these
+//!   sources, into these outputs. Nothing else differs between them.
+//! * **One submit path.** [`EncodePool::run_jobs`] owns everything after
+//!   that: [`split_ranges`] chunking, the detached spans, dealing, the
+//!   completion latch, the watchdog, healing and bounded retry.
+//! * **Executor 0 is the caller.** A pool of `n` executors owns `n − 1`
+//!   worker threads. Chunks are dealt round-robin over the `n` executors;
+//!   the submitting thread sends the workers their shares, runs its own
+//!   through the same [`run_chunk`] body, and only then waits. A batch of
+//!   one chunk — and every batch on a pool of 1 — is a direct kernel
+//!   call: nothing queued, no latch allocated, no thread woken.
+//! * **Live coordinator.** [`EncodePool::with_coordinator`] drives
+//!   [`Coordinator::on_tick`] from the executors, and updated [`Knobs`]
+//!   reach every executor at chunk granularity through a packed atomic
+//!   cell — decode and repair included, since all share one kernel.
 //!
-//! Results are bit-exact with serial encoding/decoding for every thread
+//! Results are bit-exact with serial encoding/decoding for every executor
 //! count: Reed–Solomon is independent per row, so any horizontal split is
 //! exact, and scheduling knobs never change the bytes produced.
 
@@ -39,9 +34,7 @@ use crate::encoder::{Dialga, DEFAULT_BATCH_RETRIES};
 use dialga_ec::{EcError, Lrc};
 #[cfg(feature = "fault-injection")]
 use dialga_faultkit::{ChunkFault, FaultCell, FaultPlan};
-use dialga_gf::bitmatrix::W;
 use dialga_gf::tables::NibbleTables;
-use dialga_gf::xorexec::{ProgOp, TempArena, XorProgram};
 use dialga_memsim::Counters;
 use dialga_pipeline::Knobs;
 use std::ops::Range;
@@ -58,13 +51,9 @@ pub const CHUNK_ALIGN: usize = 256;
 /// Split `[0, len)` into at most `parts` ranges whose boundaries are
 /// multiples of [`CHUNK_ALIGN`], sized as evenly as the alignment allows:
 /// every range length differs from every other by at most `CHUNK_ALIGN`
-/// bytes.
-///
-/// The old splitter rounded `len / parts` *up* to the alignment, which
-/// starves the tail: `len = 2100, parts = 8` produced chunks of 512 bytes
-/// and left three of eight workers idle. Here the surplus alignment units
-/// go to the *last* ranges, so the sub-unit tail shortfall offsets one of
-/// them instead of compounding the imbalance.
+/// bytes. The surplus alignment units go to the *last* ranges, so the
+/// sub-unit tail shortfall offsets one of them instead of compounding the
+/// imbalance (rounding `len / parts` up instead leaves executors idle).
 pub fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     if len == 0 || parts == 0 {
         return Vec::new();
@@ -126,85 +115,48 @@ fn unpack_knobs(v: u64) -> Knobs {
     }
 }
 
-/// Live counters the pool accumulates; the coordinator samples these the
-/// way the paper samples PMU counters.
+/// Live counters the pool accumulates (field for field what [`PoolStats`]
+/// snapshots); the coordinator samples these the way the paper samples PMU
+/// counters. Pure monotonic tallies — no reader derives control flow from
+/// their relative order — so all `Relaxed`.
+#[derive(Default)]
 struct PoolCounters {
-    /// Row-major 64 B steps encoded (one "load" per source row read).
     loads: AtomicU64,
-    /// Nanoseconds workers spent inside encode kernels.
     busy_ns: AtomicU64,
-    /// Estimated nanoseconds of that busy time spent *stalled* on memory
-    /// rather than computing. Derived per chunk as the excess of its wall
-    /// time over the pool's best observed per-load cost
-    /// ([`PoolCounters::load_ns_floor_x1024`]): the fastest chunk ever run
-    /// defines the pure-compute baseline, and anything slower is charged
-    /// to stall. This is what [`PoolShared::counters`] reports as
-    /// `demand_stall_ns` — reporting raw `busy_ns` there inflated every
-    /// latency the coordinator tunes on by the kernel compute time.
     stall_ns: AtomicU64,
-    /// Best (lowest) observed per-load chunk cost, in 1/1024 ns fixed
-    /// point (`u64::MAX` until the first non-empty chunk lands).
-    load_ns_floor_x1024: AtomicU64,
-    /// Chunks executed.
     chunks: AtomicU64,
-    /// Stripes submitted.
     stripes: AtomicU64,
-    /// Batch submissions.
     dispatches: AtomicU64,
-    /// Times a worker observed a knob value different from its previous
-    /// chunk (policy changes that actually reached a worker mid-run).
     knob_switches: AtomicU64,
-    /// Coordinator policy changes published to the knob cell.
     policy_changes: AtomicU64,
-    /// Workers observed dead (exited or unreachable) during healing.
     worker_deaths: AtomicU64,
-    /// Workers respawned by [`EncodePool::heal_workers`].
     worker_respawns: AtomicU64,
-    /// Batches re-submitted after a worker death/panic.
     batch_retries: AtomicU64,
-}
-
-impl Default for PoolCounters {
-    fn default() -> Self {
-        PoolCounters {
-            loads: AtomicU64::new(0),
-            busy_ns: AtomicU64::new(0),
-            stall_ns: AtomicU64::new(0),
-            // `fetch_min` ratchet: MAX until the first chunk lands.
-            load_ns_floor_x1024: AtomicU64::new(u64::MAX),
-            chunks: AtomicU64::new(0),
-            stripes: AtomicU64::new(0),
-            dispatches: AtomicU64::new(0),
-            knob_switches: AtomicU64::new(0),
-            policy_changes: AtomicU64::new(0),
-            worker_deaths: AtomicU64::new(0),
-            worker_respawns: AtomicU64::new(0),
-            batch_retries: AtomicU64::new(0),
-        }
-    }
 }
 
 /// Read-only snapshot of pool activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Row-major 64 B steps encoded.
+    /// Row-major 64 B steps encoded (one "load" per source row read).
     pub loads: u64,
-    /// Nanoseconds workers spent inside encode kernels.
+    /// Nanoseconds executors spent inside encode kernels.
     pub busy_ns: u64,
-    /// Estimated nanoseconds of `busy_ns` attributable to memory stalls
-    /// rather than compute (excess over the fastest observed per-load
-    /// cost; see [`PoolStats::loads`]). This — not `busy_ns` — is what
-    /// the coordinator consumes as `demand_stall_ns`.
+    /// Estimated nanoseconds of `busy_ns` spent stalled on memory rather
+    /// than computing: per chunk, the excess of its wall time over the
+    /// fastest per-load cost the pool has observed. This — not `busy_ns`,
+    /// which charges kernel compute time to memory — is what the
+    /// coordinator consumes as `demand_stall_ns`.
     pub stall_ns: u64,
-    /// Chunks executed.
+    /// Chunks executed (by workers and by submitting threads alike).
     pub chunks: u64,
     /// Stripes submitted.
     pub stripes: u64,
     /// Batch submissions.
     pub dispatches: u64,
-    /// Knob changes observed by workers between consecutive chunks.
+    /// Knob changes observed by executors between consecutive chunks
+    /// (policy changes that actually reached an executor mid-run).
     pub knob_switches: u64,
-    /// Coordinator policy changes published to workers.
+    /// Coordinator policy changes published to executors.
     pub policy_changes: u64,
     /// Workers observed dead during healing (a worker that dies and is
     /// respawned counts once here and once in `worker_respawns`).
@@ -214,224 +166,132 @@ pub struct PoolStats {
     /// Batches re-submitted after a worker death/panic (bounded by
     /// [`crate::encoder::DialgaOptions::max_batch_retries`]).
     pub batch_retries: u64,
-    /// Workers currently alive (== [`EncodePool::threads`] unless a
-    /// worker died and could not be respawned).
+    /// Executors alive: the submitting thread plus every live worker
+    /// (== [`EncodePool::threads`] unless a dead worker awaits its respawn).
     pub workers_alive: usize,
-}
-
-/// Coordinator state guarded by one lock; workers `try_lock` it so the
-/// sampling loop never blocks the encode path.
-struct CoordState {
-    coord: Coordinator,
-    last: Counters,
 }
 
 /// State shared between the pool handle and its workers.
 struct PoolShared {
-    /// Packed current [`Knobs`] (see [`pack_knobs`]).
-    ///
-    /// # Memory-ordering contract (checked by `dialga-lint` rule R3)
-    ///
-    /// The knob word is the only cross-thread *publication* channel in the
-    /// pool, so it is the only place that needs more than `Relaxed`:
-    ///
-    /// * every **store** uses [`Ordering::Release`] — the coordinator's
-    ///   policy state is written before the packed word, and the Release
-    ///   fence makes those writes visible to any worker that observes the
-    ///   new value;
-    /// * every worker **load** uses [`Ordering::Acquire`] — a worker that
-    ///   sees a new packed value also sees everything the coordinator
-    ///   wrote before publishing it.
-    ///
-    /// The stat counters in [`PoolCounters`] are pure monotonic tallies —
-    /// no reader derives control flow from their relative order — so they
-    /// stay `Relaxed` by design.
+    /// Packed current [`Knobs`] (see [`pack_knobs`]) — the pool's only
+    /// cross-thread *publication* channel, hence the only atomic here that
+    /// needs more than `Relaxed` (lint R3): every store is `Release` (the
+    /// coordinator's policy state is written before the packed word), every
+    /// executor load `Acquire` (seeing a new word implies seeing that state).
     knobs: AtomicU64,
     stats: PoolCounters,
-    coord: Option<Mutex<CoordState>>,
+    /// Best (lowest) observed per-load chunk cost, in 1/1024 ns fixed
+    /// point — a `fetch_min` ratchet, `u64::MAX` until the first non-empty
+    /// chunk lands.
+    load_ns_floor_x1024: AtomicU64,
+    /// One lock around the coordinator; executors `try_lock` it so the
+    /// sampling loop never blocks the encode path.
+    coord: Option<Mutex<Coordinator>>,
     /// Wall-clock origin for coordinator timestamps.
     origin: Instant,
-    /// Deterministic fault-injection cell (disarmed unless a test arms
-    /// it via [`EncodePool::arm_faults`]). The cell reuses the knob-word
-    /// Release/Acquire protocol, so a disarmed hook costs one `Acquire`
-    /// load of zero on the worker path.
+    /// Deterministic fault-injection cell, disarmed unless a test arms it
+    /// ([`EncodePool::arm_faults`]); a disarmed hook is one `Acquire` load.
     #[cfg(feature = "fault-injection")]
     fault: Arc<FaultCell>,
 }
 
 impl PoolShared {
-    /// Synthesize a [`Counters`] view of the pool's own activity. Loads and
-    /// stall time are the two inputs the coordinator's thresholds and hill
-    /// climber consume; the prefetch counters stay zero on real hardware
-    /// (no PMU access here), which the thresholds tolerate.
+    /// The pool's own activity as [`Counters`]: loads and stall time are the
+    /// inputs the coordinator's thresholds and hill climber consume; the
+    /// prefetch counters stay zero (no PMU here), which they tolerate.
     fn counters(&self) -> Counters {
         Counters {
             loads: self.stats.loads.load(Ordering::Relaxed),
-            // The *stall estimate*, not raw `busy_ns`: feeding total chunk
-            // wall time here inflated `avg_load_latency_ns` (and the hill
-            // climber's row latency) by pure kernel compute time, so a
-            // compute-heavy, stall-free workload read as high-latency.
+            // The stall *estimate*, not `busy_ns` (see `PoolStats::stall_ns`).
             demand_stall_ns: self.stats.stall_ns.load(Ordering::Relaxed) as f64,
             ..Default::default()
         }
     }
 
     /// Drive one coordinator tick if the sampling interval elapsed. Called
-    /// by workers after each chunk; `try_lock` keeps it contention-free.
+    /// by executors after their chunks; `try_lock` keeps it contention-free.
     fn maybe_tick(&self) {
-        let Some(coord) = &self.coord else { return };
-        let Ok(mut state) = coord.try_lock() else {
+        let Some(Ok(mut coord)) = self.coord.as_ref().map(Mutex::try_lock) else {
             return;
         };
         let now_ns = self.origin.elapsed().as_nanos() as f64;
-        let counters = self.counters();
-        state.last = counters;
-        if let Some(knobs) = state.coord.on_tick(now_ns, &counters) {
+        if let Some(knobs) = coord.on_tick(now_ns, &self.counters()) {
             self.knobs.store(pack_knobs(&knobs), Ordering::Release);
             self.stats.policy_changes.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
-/// `Send`-able view of a borrowed `&[NibbleTables]`, shared read-only by
-/// every chunk of a job.
+/// `Send`-able read-only view of a borrowed `&[T]`: one source block (or a
+/// chunk of it), or the nibble tables every chunk of a job shares.
 ///
 /// The submission protocol is what makes the detached lifetime sound:
-/// [`EncodePool::run_jobs`] blocks in [`BatchState::wait`] until every
-/// chunk of the batch has completed (even when enqueueing fails part-way),
-/// so the slice this span was built from — borrowed by the caller of
-/// `encode*`/`decode*`/`repair*` or owned by their stack frames — strictly
-/// outlives every dereference.
+/// [`EncodePool::run_jobs_once`] neither returns nor unwinds between
+/// handing a chunk to a worker and the latch reporting every such chunk
+/// accounted for, so the slice a span was built from (borrowed by, or owned
+/// by a frame of, the public operation) outlives every worker dereference;
+/// the submitting thread's own chunks are dereferenced inside that frame.
 #[derive(Clone, Copy)]
-struct TabSpan {
-    ptr: NonNull<NibbleTables>,
+struct ReadSpan<T> {
+    ptr: NonNull<T>,
     len: usize,
 }
 
-// SAFETY: a read-only view; the referent outlives all dereferences per the
-// submission protocol documented on the type.
-unsafe impl Send for TabSpan {}
+type SrcSpan = ReadSpan<u8>;
+type TabSpan = ReadSpan<NibbleTables>;
 
-impl TabSpan {
-    fn new(tables: &[NibbleTables]) -> Self {
+// SAFETY: a read-only view (workers only ever build `&[T]` from it, hence
+// `T: Sync`); the referent outlives all dereferences per the submission
+// protocol documented on the type.
+unsafe impl<T: Sync> Send for ReadSpan<T> {}
+
+impl<T> ReadSpan<T> {
+    fn new(slice: &[T]) -> Self {
         // SAFETY: slice pointers are never null (empty slices use a
         // dangling, still non-null pointer).
-        let ptr = unsafe { NonNull::new_unchecked(tables.as_ptr().cast_mut()) };
-        TabSpan {
-            ptr,
-            len: tables.len(),
-        }
-    }
-
-    /// Rebuild the table slice on the worker.
-    ///
-    /// # Safety
-    /// The slice passed to [`TabSpan::new`] must still be live, i.e. the
-    /// submitting thread must still be blocked in [`BatchState::wait`].
-    unsafe fn as_slice<'a>(self) -> &'a [NibbleTables] {
-        // SAFETY: caller upholds liveness; `ptr`/`len` came from a real
-        // slice, and workers only read.
-        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
-    }
-}
-
-/// `Send`-able view of a borrowed `&[ProgOp]` — the lowered XOR program a
-/// batch of XOR chunks shares, exactly as [`TabSpan`] shares the nibble
-/// tables of a GF batch. Same liveness contract: the submitting thread
-/// blocks in [`BatchState::wait`] until every chunk completes, so the
-/// program slice outlives every worker dereference.
-#[derive(Clone, Copy)]
-struct ProgSpan {
-    ptr: NonNull<ProgOp>,
-    len: usize,
-}
-
-// SAFETY: a read-only view; the referent outlives all dereferences per the
-// submission protocol documented on the type.
-unsafe impl Send for ProgSpan {}
-
-impl ProgSpan {
-    fn new(ops: &[ProgOp]) -> Self {
-        // SAFETY: slice pointers are never null (empty slices use a
-        // dangling, still non-null pointer).
-        let ptr = unsafe { NonNull::new_unchecked(ops.as_ptr().cast_mut()) };
-        ProgSpan {
-            ptr,
-            len: ops.len(),
-        }
-    }
-
-    /// Rebuild the op slice on the worker.
-    ///
-    /// # Safety
-    /// The slice passed to [`ProgSpan::new`] must still be live, i.e. the
-    /// submitting thread must still be blocked in [`BatchState::wait`].
-    unsafe fn as_slice<'a>(self) -> &'a [ProgOp] {
-        // SAFETY: caller upholds liveness; `ptr`/`len` came from a real
-        // slice, and workers only read.
-        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
-    }
-}
-
-/// `Send`-able read-only view of one source block (or a chunk of it).
-#[derive(Clone, Copy)]
-struct SrcSpan {
-    ptr: NonNull<u8>,
-    len: usize,
-}
-
-// SAFETY: read-only view; liveness per the submission protocol (see
-// [`TabSpan`]), and workers never write through it.
-unsafe impl Send for SrcSpan {}
-
-impl SrcSpan {
-    fn new(block: &[u8]) -> Self {
-        // SAFETY: slice pointers are never null.
-        let ptr = unsafe { NonNull::new_unchecked(block.as_ptr().cast_mut()) };
-        SrcSpan {
-            ptr,
-            len: block.len(),
-        }
+        let ptr = unsafe { NonNull::new_unchecked(slice.as_ptr().cast_mut()) };
+        let len = slice.len();
+        ReadSpan { ptr, len }
     }
 
     /// Sub-span `[start, start + len)` of this span.
     ///
     /// # Safety
     /// `start + len <= self.len` (the chunker derives both from
-    /// [`split_ranges`] over the common block length).
+    /// [`split_ranges`] over the job's common block length).
     unsafe fn sub(self, start: usize, len: usize) -> Self {
         debug_assert!(start + len <= self.len);
         // SAFETY: in-bounds offset within the span's allocation per the
         // caller contract.
         let ptr = unsafe { NonNull::new_unchecked(self.ptr.as_ptr().add(start)) };
-        SrcSpan { ptr, len }
+        ReadSpan { ptr, len }
     }
 
-    /// Rebuild the source slice on the worker.
+    /// Rebuild the slice on the executor.
     ///
     /// # Safety
-    /// The block this span was derived from must still be live (submitting
-    /// thread blocked in [`BatchState::wait`]).
-    unsafe fn as_slice<'a>(self) -> &'a [u8] {
-        // SAFETY: caller upholds liveness; bounds per construction.
+    /// The slice passed to [`ReadSpan::new`] must still be live, i.e. the
+    /// submitting thread still inside [`EncodePool::run_jobs_once`].
+    unsafe fn as_slice<'a>(&self) -> &'a [T] {
+        // SAFETY: caller upholds liveness; `ptr`/`len` came from a real
+        // slice (or an in-bounds part of one), and executors only read.
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 }
 
 /// `Send`-able mutable view of one output block (or a chunk of it).
-///
 /// Exclusivity is structural: [`split_ranges`] yields non-overlapping
 /// ranges, and the chunker derives every `OutSpan` of one output block
-/// from exactly one range each — so no two chunks (hence no two workers)
-/// ever hold spans over the same bytes, and the submitting thread does not
-/// touch the output borrows until the batch completes.
+/// from exactly one range each — so no two chunks (hence no two executors)
+/// ever hold spans over the same bytes, and the submitting thread touches
+/// the output borrows only through the chunks it runs itself.
 #[derive(Clone, Copy)]
 struct OutSpan {
     ptr: NonNull<u8>,
     len: usize,
 }
 
-// SAFETY: liveness per the submission protocol (see [`TabSpan`]) and
+// SAFETY: liveness per the submission protocol (see [`ReadSpan`]) and
 // write-exclusivity per the disjoint-range construction documented on the
 // type: each span's byte range is owned by exactly one chunk.
 unsafe impl Send for OutSpan {}
@@ -440,10 +300,8 @@ impl OutSpan {
     fn new(block: &mut [u8]) -> Self {
         // SAFETY: slice pointers are never null.
         let ptr = unsafe { NonNull::new_unchecked(block.as_mut_ptr()) };
-        OutSpan {
-            ptr,
-            len: block.len(),
-        }
+        let len = block.len();
+        OutSpan { ptr, len }
     }
 
     /// Sub-span `[start, start + len)` of this span.
@@ -460,12 +318,12 @@ impl OutSpan {
         OutSpan { ptr, len }
     }
 
-    /// Rebuild the mutable output slice on the worker.
+    /// Rebuild the mutable output slice on the executor.
     ///
     /// # Safety
-    /// The block must still be live (submitting thread blocked in
-    /// [`BatchState::wait`]) and this span's range disjoint from every
-    /// other chunk's, per the construction contract above.
+    /// The block must still be live (submitting thread inside
+    /// [`EncodePool::run_jobs_once`]) and this span's range disjoint from
+    /// every other chunk's, per the construction contract above.
     unsafe fn as_mut_slice<'a>(self) -> &'a mut [u8] {
         // SAFETY: caller upholds liveness and exclusive ownership of the
         // range; bounds per construction.
@@ -473,75 +331,150 @@ impl OutSpan {
     }
 }
 
-/// What a chunk computes over its source/output sub-spans: the fused GF
-/// apply-tables kernel, or a lowered XOR program run through the batched
-/// schedule executor ([`dialga_gf::xorexec`]). Both bottom out in the same
-/// §4.2/§4.3 prefetch-distance machinery, so the coordinator's knob cell
-/// steers either kind identically.
-#[derive(Clone, Copy)]
-enum ChunkWork {
-    /// `outputs[i] = sum_j tables[i * sources.len() + j] * sources[j]`.
-    Gf { tables: TabSpan },
-    /// Run `prog` over per-packet sub-spans (`sources`/`outputs` are the
-    /// program's `n_data`/`n_parity` packets, not whole blocks).
-    Xor { prog: ProgSpan, n_temps: usize },
-}
-
-/// One job over full-length blocks (or packets), before chunking.
-///
-/// Encode, decode stages, single-block repair and XOR-program encode all
-/// reduce to this shape, so the pool has exactly one submission path.
-/// Detached spans (not borrows) so jobs built from mixed origins (caller
-/// slices, shard vectors, plan tables) share it; see
-/// [`TabSpan`]/[`OutSpan`] for the safety contract.
-struct RawJob {
-    work: ChunkWork,
+/// The work of one job, or of one chunk of it:
+/// `outputs[i] = sum_j tables[i * sources.len() + j] * sources[j]`.
+/// `Send` because the spans are (they carry the safety argument).
+struct Work {
+    tables: TabSpan,
     sources: Vec<SrcSpan>,
     outputs: Vec<OutSpan>,
-    /// Common block length (every source/output).
-    len: usize,
     /// Distance fallback when the knob cell carries no override.
     default_d: u32,
     /// §4.3 long-distance fallback when the knob cell carries no override.
     default_bf: Option<u32>,
 }
 
-/// One unit of worker work: run `work` over `sources[range]` →
-/// `outputs[range]`. `Send` because every field is (the spans carry the
-/// safety argument on their own `unsafe impl Send`).
+/// One job over full-length blocks, before chunking. Encode, both decode
+/// stages, single-block repair, LRC local repair and verify all reduce to
+/// this shape, which is why the pool has exactly one submission path.
+struct RawJob {
+    work: Work,
+    /// Common length of every source and output (checked by [`RawJob::new`]).
+    len: usize,
+}
+
+/// The prefetch distances a coder's jobs fall back to.
+fn distances(coder: &Dialga) -> (u32, Option<u32>) {
+    (coder.prefetch_distance(), coder.bf_first_distance())
+}
+
+impl RawJob {
+    /// The one constructor the plan builders use. Checks the fact every
+    /// `.sub` in [`EncodePool::run_jobs_once`] relies on — all sources and
+    /// outputs span exactly `len` bytes — so no entry point can forget it.
+    fn new(
+        tables: &[NibbleTables],
+        sources: Vec<SrcSpan>,
+        outputs: Vec<OutSpan>,
+        (default_d, default_bf): (u32, Option<u32>),
+    ) -> Result<Self, EcError> {
+        let len = sources.first().map_or(0, |s| s.len);
+        let lens = sources.iter().map(|s| s.len);
+        if let Some(got) = lens
+            .chain(outputs.iter().map(|o| o.len))
+            .find(|&l| l != len)
+        {
+            return Err(EcError::BlockLength { expected: len, got });
+        }
+        let work = Work {
+            tables: TabSpan::new(tables),
+            sources,
+            outputs,
+            default_d,
+            default_bf,
+        };
+        Ok(RawJob { work, len })
+    }
+
+    /// Plan: parity of one stripe from its data (also what verify
+    /// recomputes into scratch).
+    fn encode(coder: &Dialga, data: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<Self, EcError> {
+        let params = coder.params();
+        check_count(params.k, data.len())?;
+        check_count(params.m, parity.len())?;
+        RawJob::new(
+            coder.tables(),
+            data.iter().map(|d| SrcSpan::new(d)).collect(),
+            parity.iter_mut().map(|p| OutSpan::new(p)).collect(),
+            distances(coder),
+        )
+    }
+
+    /// Plan: the shards at `outputs` from the shards at `sources` (one
+    /// decode stage, or a single-block repair into `spare`).
+    fn from_shards(
+        coder: &Dialga,
+        tables: &[NibbleTables],
+        shards: &[Option<Vec<u8>>],
+        sources: &[usize],
+        outputs: Vec<OutSpan>,
+    ) -> Result<Self, EcError> {
+        let sources = sources
+            .iter()
+            .map(|&i| dialga_ec::present_shard(shards, i, "plan source shard absent"))
+            .map(|v| v.map(|v| SrcSpan::new(v)))
+            .collect::<Result<_, _>>()?;
+        RawJob::new(tables, sources, outputs, distances(coder))
+    }
+}
+
+fn check_count(expected: usize, got: usize) -> Result<(), EcError> {
+    let counts = EcError::BlockCount { expected, got };
+    (expected == got).then_some(()).ok_or(counts)
+}
+
+/// `shards` must be a full stripe and `target` one of its indices.
+fn check_target(coder: &Dialga, shards: usize, target: usize) -> Result<(), EcError> {
+    let expected = coder.params().k + coder.params().m;
+    check_count(expected, shards)?;
+    let out_of_stripe = EcError::BlockCount {
+        expected,
+        got: target,
+    };
+    (target < expected).then_some(()).ok_or(out_of_stripe)
+}
+
+/// Detached mutable spans over the shards at `idx` (each must be present).
+fn out_spans(shards: &mut [Option<Vec<u8>>], idx: &[usize]) -> Result<Vec<OutSpan>, EcError> {
+    idx.iter()
+        .map(|&i| {
+            dialga_ec::present_shard_mut(shards, i, "plan output shard absent")
+                .map(|v| OutSpan::new(v))
+        })
+        .collect()
+}
+
+/// One unit of *worker* work: a [`Work`] plus its seat on the batch latch
+/// (the submitting thread's own chunks stay plain [`Work`]s; their result
+/// is a local of [`EncodePool::run_jobs_once`]).
 ///
-/// Every chunk reports to its batch latch exactly once: through
-/// [`Chunk::finish`] after running, or through `Drop` (as a failure) if it
-/// never reaches a worker — a send that fails, or a queue torn down by a
-/// worker exiting with work still enqueued. Without the `Drop` path those
-/// chunks would vanish and [`BatchState::wait`] would block forever.
+/// Every chunk reports to its latch exactly once: through [`Chunk::finish`]
+/// after running, or through `Drop` (as a failure) if it never runs — a
+/// failed send, a queue torn down by an exiting worker. Without the `Drop`
+/// path those chunks would vanish and the submitter would block forever.
 struct Chunk {
-    work: ChunkWork,
-    sources: Vec<SrcSpan>,
-    outputs: Vec<OutSpan>,
-    default_d: u32,
-    default_bf: Option<u32>,
+    work: Work,
     batch: Arc<BatchState>,
     finished: bool,
 }
 
 impl Chunk {
     /// Report this chunk's kernel result to the batch latch.
-    fn finish(mut self, result: Result<(), ()>) {
+    fn finish(mut self, result: Result<(), ChunkFailed>) {
         self.finished = true;
-        self.batch.complete(result);
+        self.batch.complete(result.is_ok());
     }
 }
 
 impl Drop for Chunk {
     fn drop(&mut self) {
         if !self.finished {
-            self.batch.complete(Err(()));
+            self.batch.complete(false);
         }
     }
 }
 
-/// Completion latch for one submitted batch.
+/// Completion latch for the worker-run chunks of one submitted batch.
 struct BatchState {
     inner: Mutex<BatchInner>,
     done: Condvar,
@@ -549,7 +482,7 @@ struct BatchState {
 
 struct BatchInner {
     remaining: usize,
-    panicked: bool,
+    failed: bool,
 }
 
 impl BatchState {
@@ -557,20 +490,18 @@ impl BatchState {
         Arc::new(BatchState {
             inner: Mutex::new(BatchInner {
                 remaining: chunks,
-                panicked: false,
+                failed: false,
             }),
             done: Condvar::new(),
         })
     }
 
-    fn complete(&self, result: Result<(), ()>) {
+    fn complete(&self, ok: bool) {
         // Poisoning carries no information here: the latch state is a
         // counter plus a flag, both updated atomically under the lock, so
         // recover the guard — a stuck latch would deadlock the submitter.
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if result.is_err() {
-            inner.panicked = true;
-        }
+        inner.failed |= !ok;
         inner.remaining -= 1;
         if inner.remaining == 0 {
             self.done.notify_all();
@@ -582,39 +513,27 @@ impl BatchState {
     ///
     /// On `Clean`/`Failed` the batch is fully quiesced: every chunk
     /// reported through `finish` or `Drop`, so the caller's borrows are
-    /// safe to release (and `Failed` batches are safe to retry — the
-    /// kernel overwrites outputs). `TimedOut` can only happen if a chunk
-    /// was *lost* — neither run, nor dropped — which the latch/Drop
-    /// protocol rules out on every known path; the watchdog exists so a
-    /// future regression in that protocol degrades into an error instead
-    /// of blocking the submitter forever. After a timeout the borrows are
-    /// formally released while a stuck worker could still hold spans, so
+    /// safe to release (and `Failed` batches safe to retry — the kernel
+    /// overwrites outputs). `TimedOut` means a chunk was *lost* — neither
+    /// run nor dropped — which the latch/Drop protocol rules out on every
+    /// known path; the watchdog turns a regression there into an error
+    /// instead of a hang. A stuck worker could then still hold spans, so
     /// the caller must surface the error and must NOT retry.
     fn wait_with_deadline(&self, watchdog: Option<Duration>) -> BatchWait {
         let start = Instant::now();
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         while inner.remaining > 0 {
-            match watchdog {
-                None => {
-                    inner = self
-                        .done
-                        .wait(inner)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                Some(limit) => {
-                    let elapsed = start.elapsed();
-                    if elapsed >= limit {
-                        return BatchWait::TimedOut;
-                    }
-                    inner = self
-                        .done
-                        .wait_timeout(inner, limit - elapsed)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                }
+            // Without a watchdog: wake hourly, find work outstanding, wait on.
+            let left = watchdog.map_or(Duration::from_secs(3600), |limit| {
+                limit.saturating_sub(start.elapsed())
+            });
+            if left.is_zero() {
+                return BatchWait::TimedOut;
             }
+            let woken = self.done.wait_timeout(inner, left);
+            inner = woken.unwrap_or_else(PoisonError::into_inner).0;
         }
-        if inner.panicked {
+        if inner.failed {
             BatchWait::Failed
         } else {
             BatchWait::Clean
@@ -622,13 +541,23 @@ impl BatchState {
     }
 }
 
+/// How a batch ended (see [`BatchState::wait_with_deadline`]).
+enum BatchWait {
+    /// Every chunk completed cleanly.
+    Clean,
+    /// Every chunk is accounted for, but at least one failed (kernel
+    /// panic, dead worker, dropped send). Safe to retry.
+    Failed,
+    /// The watchdog expired with chunks unaccounted for — a lost-completion
+    /// bug. NOT safe to retry (spans may still be referenced).
+    TimedOut,
+}
+
 enum Msg {
     Run(Chunk),
-    /// Liveness probe: healing sends one to distinguish "thread still
-    /// winding down" from "alive" without blocking (a send to a dropped
-    /// receiver fails immediately). Workers ignore it.
+    /// Liveness probe from healing: a send to a worker that dropped its
+    /// receiver but is still winding down fails at once. Workers ignore it.
     Ping,
-    Shutdown,
 }
 
 /// One worker: its queue's send half plus the thread handle, kept
@@ -638,21 +567,9 @@ struct WorkerSlot {
     handle: JoinHandle<()>,
 }
 
-/// How a batch wait ended (see [`BatchState::wait_with_deadline`]).
-enum BatchWait {
-    /// Every chunk completed cleanly.
-    Clean,
-    /// Every chunk is accounted for, but at least one failed (kernel
-    /// panic, dead worker, dropped send). Safe to retry.
-    Failed,
-    /// The watchdog deadline expired with chunks still unaccounted for —
-    /// a lost-completion bug. NOT safe to retry (spans may still be
-    /// referenced); surfaced as [`EcError::Internal`] instead of a hang.
-    TimedOut,
-}
-
-/// A persistent pool of encoding workers with per-worker task queues and
-/// an optional live [`Coordinator`].
+/// A persistent pool of `n` encoding executors — the submitting thread
+/// plus `n − 1` workers with per-worker task queues — and an optional live
+/// [`Coordinator`].
 ///
 /// # Examples
 ///
@@ -669,47 +586,49 @@ enum BatchWait {
 /// ```
 pub struct EncodePool {
     shared: Arc<PoolShared>,
-    /// The worker slots. Submission clones the senders out under this
-    /// lock; healing replaces dead slots in place under it, so a slot
-    /// index is a stable worker identity across respawns.
+    /// The `threads − 1` worker slots; slot `i` is executor `i + 1`.
+    /// Submission clones the senders out under this lock; healing replaces
+    /// dead slots in place under it (executor indices survive respawns).
     slots: Mutex<Vec<WorkerSlot>>,
-    /// Nominal worker count (slot count never changes after build).
+    /// Executor count: the submitting thread plus the worker slots.
     threads: usize,
-    /// Round-robin cursor so consecutive small submissions spread over
+    /// Round-robin cursor so consecutive multi-chunk submissions start on
     /// different workers.
     next_worker: AtomicU64,
-    /// Watchdog deadline for one batch wait, in nanoseconds; 0 disables
-    /// the watchdog. Nanosecond storage keeps sub-millisecond deadlines
-    /// exact (millisecond storage silently rounded them). Not a counter:
-    /// read/written with Acquire/Release.
+    /// The knob word executor 0 last applied (a worker keeps its own in a
+    /// local). Feeds only the `knob_switches` tally, so `Relaxed`.
+    last_knobs: AtomicU64,
+    /// Watchdog deadline for one batch wait, in nanoseconds (so that
+    /// sub-millisecond deadlines stay exact); 0 disables the watchdog.
+    /// Not a counter: read/written with Acquire/Release.
     watchdog_ns: AtomicU64,
 }
 
-/// Default batch watchdog: generous — a batch is chunks of at most a few
-/// MiB each, so half a minute only elapses if completions were *lost*,
-/// not merely slow.
+/// Default batch watchdog: a batch is chunks of at most a few MiB each, so
+/// half a minute only elapses if completions were *lost*, not merely slow.
 const DEFAULT_WATCHDOG: Duration = Duration::from_secs(30);
 
-/// Spawn one worker thread for `slot`. Respawned workers reuse the slot
-/// index (stable identity for stats and fault plans) and read the live
-/// knob word from `shared` on their first chunk — a healed worker starts
-/// at the coordinator's *current* policy, not the policy at pool build.
-fn spawn_worker(slot: usize, shared: Arc<PoolShared>) -> std::io::Result<WorkerSlot> {
+/// Spawn the worker thread for `executor` (≥ 1). A respawned worker reuses
+/// the index (stable identity for fault plans) and reads the live knob
+/// word on its first chunk: it starts at the coordinator's *current* policy.
+fn spawn_worker(executor: usize, shared: Arc<PoolShared>) -> std::io::Result<WorkerSlot> {
     let (tx, rx) = channel::<Msg>();
     let handle = std::thread::Builder::new()
-        .name(format!("dialga-enc-{slot}"))
-        .spawn(move || worker_loop(slot, rx, shared))?;
+        .name(format!("dialga-enc-{executor}"))
+        .spawn(move || worker_loop(executor, rx, shared))?;
     Ok(WorkerSlot { sender: tx, handle })
 }
 
 impl EncodePool {
-    /// Spawn a pool of `threads` persistent workers (at least one).
+    /// A pool of `threads` executors (at least one): the submitting thread
+    /// plus `threads − 1` persistent workers. `new(1)` spawns nothing and
+    /// every operation on it is a direct kernel call.
     pub fn new(threads: usize) -> Self {
         Self::build(threads, None)
     }
 
-    /// Spawn a pool whose workers drive `coordinator` ticks: knob updates
-    /// published by the coordinator reach workers on their next chunk.
+    /// A pool whose executors drive `coordinator` ticks: knob updates
+    /// published by the coordinator reach executors on their next chunk.
     pub fn with_coordinator(threads: usize, coordinator: Coordinator) -> Self {
         Self::build(threads, Some(coordinator))
     }
@@ -730,37 +649,33 @@ impl EncodePool {
         let shared = Arc::new(PoolShared {
             knobs: AtomicU64::new(initial),
             stats: PoolCounters::default(),
-            coord: coordinator.map(|coord| {
-                Mutex::new(CoordState {
-                    coord,
-                    last: Counters::default(),
-                })
-            }),
+            load_ns_floor_x1024: AtomicU64::new(u64::MAX),
+            coord: coordinator.map(Mutex::new),
             origin: Instant::now(),
             #[cfg(feature = "fault-injection")]
             fault,
         });
-        let mut slots = Vec::with_capacity(threads);
-        for i in 0..threads {
-            slots.push(
-                spawn_worker(i, Arc::clone(&shared))
+        let slots = (1..threads)
+            .map(|executor| {
+                spawn_worker(executor, Arc::clone(&shared))
                     // A host that cannot spawn threads cannot make progress
                     // anyway; submission tolerates dead workers (`run_jobs`).
                     // lint:allow(panic-path): no Result channel at construction
-                    .expect("spawn encode worker"),
-            );
-        }
+                    .expect("spawn encode worker")
+            })
+            .collect();
         EncodePool {
             shared,
             slots: Mutex::new(slots),
             threads,
             next_worker: AtomicU64::new(0),
+            last_knobs: AtomicU64::new(initial),
             watchdog_ns: AtomicU64::new(DEFAULT_WATCHDOG.as_nanos() as u64),
         }
     }
 
-    /// Number of worker slots (alive or not; see
-    /// [`PoolStats::workers_alive`] for liveness).
+    /// Number of executors a batch is split over: the submitting thread
+    /// plus the worker slots (for liveness see [`PoolStats::workers_alive`]).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -771,13 +686,10 @@ impl EncodePool {
         self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Set the per-batch watchdog deadline (`None` disables it). The
-    /// default is [`DEFAULT_WATCHDOG`] — far above any real batch, so
-    /// it only ever fires on a lost-completion bug.
-    ///
-    /// Stored in nanoseconds, so sub-millisecond deadlines survive
-    /// exactly (a zero-length deadline clamps to 1 ns rather than
-    /// colliding with the "disabled" sentinel).
+    /// Set the per-batch watchdog deadline (`None` disables it; a zero
+    /// deadline clamps to 1 ns rather than reading as "disabled"). The
+    /// default, [`DEFAULT_WATCHDOG`], is far above any real batch, so it
+    /// only ever fires on a lost-completion bug.
     pub fn set_watchdog(&self, deadline: Option<Duration>) {
         let ns = deadline.map_or(0, |d| {
             u64::try_from(d.as_nanos()).unwrap_or(u64::MAX).max(1)
@@ -786,17 +698,17 @@ impl EncodePool {
     }
 
     fn watchdog(&self) -> Option<Duration> {
-        match self.watchdog_ns.load(Ordering::Acquire) {
-            0 => None,
-            ns => Some(Duration::from_nanos(ns)),
-        }
+        let ns = self.watchdog_ns.load(Ordering::Acquire);
+        (ns != 0).then(|| Duration::from_nanos(ns))
     }
 
     /// Arm a deterministic fault plan against this pool (and its
-    /// coordinator, when one is attached). Replaces any plan already
-    /// armed; scripted faults fire on the matching hook crossings until
-    /// [`Self::disarm_faults`] (worker indices in the plan are slot
-    /// indices, stable across respawns).
+    /// coordinator, when attached), replacing any armed plan; scripted
+    /// faults fire on the matching hook crossings until
+    /// [`Self::disarm_faults`]. Worker indices in the plan are executor
+    /// indices, stable across respawns. Index 0 is the submitting thread:
+    /// a scripted panic there is caught like a worker's, a scripted exit
+    /// skips the chunk (failing the batch) without killing anything.
     #[cfg(feature = "fault-injection")]
     pub fn arm_faults(&self, plan: &FaultPlan) {
         self.shared.fault.arm(plan, self.threads);
@@ -818,11 +730,9 @@ impl EncodePool {
 
     /// Snapshot of pool activity counters.
     pub fn stats(&self) -> PoolStats {
-        let workers_alive = self
-            .lock_slots()
-            .iter()
-            .filter(|slot| !slot.handle.is_finished())
-            .count();
+        let workers = self.lock_slots();
+        let live = workers.iter().filter(|s| !s.handle.is_finished()).count();
+        drop(workers);
         let s = &self.shared.stats;
         PoolStats {
             loads: s.loads.load(Ordering::Relaxed),
@@ -836,41 +746,34 @@ impl EncodePool {
             worker_deaths: s.worker_deaths.load(Ordering::Relaxed),
             worker_respawns: s.worker_respawns.load(Ordering::Relaxed),
             batch_retries: s.batch_retries.load(Ordering::Relaxed),
-            workers_alive,
+            workers_alive: 1 + live,
         }
     }
 
-    /// The knobs workers currently apply.
+    /// The knobs executors currently apply.
     pub fn current_knobs(&self) -> Knobs {
         unpack_knobs(self.shared.knobs.load(Ordering::Acquire))
     }
 
+    /// Run `f` on the attached coordinator (`None` without one). Tick
+    /// state stays consistent under panic (plain counters), so a poisoned
+    /// lock is recovered rather than propagated.
+    fn with_coord<R>(&self, f: impl FnOnce(&Coordinator) -> R) -> Option<R> {
+        let coord = self.shared.coord.as_ref()?;
+        Some(f(&coord.lock().unwrap_or_else(PoisonError::into_inner)))
+    }
+
     /// Samples the coordinator has taken (0 without a coordinator).
     pub fn coordinator_samples(&self) -> u64 {
-        // Tick state stays consistent under panic (plain counters), so a
-        // poisoned lock is recovered rather than propagated.
-        self.shared.coord.as_ref().map_or(0, |coord| {
-            coord
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .coord
-                .samples()
-        })
+        self.with_coord(Coordinator::samples).unwrap_or(0)
     }
 
     /// Stat snapshot of the attached coordinator (`None` without one).
-    /// Timestamps inside the snapshot are on the [`EncodePool::clock_ns`]
-    /// timeline, so `clock_ns() - snapshot.last_change_ns` is the age of
-    /// the newest policy change — the workload harness uses exactly this
-    /// to measure re-convergence time after a mid-run workload shift.
+    /// Its timestamps are on the [`EncodePool::clock_ns`] timeline, so
+    /// `clock_ns() - snapshot.last_change_ns` is the age of the newest
+    /// policy change (how the workload harness measures re-convergence).
     pub fn coordinator_snapshot(&self) -> Option<crate::coordinator::CoordinatorSnapshot> {
-        self.shared.coord.as_ref().map(|coord| {
-            coord
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .coord
-                .snapshot()
-        })
+        self.with_coord(Coordinator::snapshot)
     }
 
     /// Nanoseconds since this pool's construction — the clock that stamps
@@ -883,13 +786,7 @@ impl EncodePool {
     /// Timestamped policy changes the coordinator recorded (empty without a
     /// coordinator).
     pub fn policy_log(&self) -> Vec<(f64, crate::coordinator::Policy)> {
-        self.shared.coord.as_ref().map_or_else(Vec::new, |coord| {
-            coord
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .coord
-                .policy_log()
-        })
+        self.with_coord(Coordinator::policy_log).unwrap_or_default()
     }
 
     /// Encode one stripe across the pool. Blocks until the stripe is done;
@@ -900,77 +797,24 @@ impl EncodePool {
         data: &[&[u8]],
         parity: &mut [&mut [u8]],
     ) -> Result<(), EcError> {
-        let mut stripes = [StripeJob { data, parity }];
-        self.encode_batch(coder, &mut stripes)
+        self.encode_batch(coder, &mut [StripeJob { data, parity }])
     }
 
     /// Encode a batch of stripes across the pool in one submission.
     ///
-    /// All stripes are validated up front (nothing is enqueued when any
-    /// stripe is malformed), then chunked with [`split_ranges`] and dealt
-    /// round-robin to the per-worker queues. Blocks until the whole batch
-    /// completes.
+    /// All stripes are validated up front (nothing runs when any stripe is
+    /// malformed), then chunked with [`split_ranges`] and dealt round-robin
+    /// over the executors. Blocks until the whole batch completes.
     pub fn encode_batch(
         &self,
         coder: &Dialga,
         stripes: &mut [StripeJob<'_, '_>],
     ) -> Result<(), EcError> {
-        let params = coder.params();
-        for s in stripes.iter() {
-            if s.data.len() != params.k {
-                return Err(EcError::BlockCount {
-                    expected: params.k,
-                    got: s.data.len(),
-                });
-            }
-            if s.parity.len() != params.m {
-                return Err(EcError::BlockCount {
-                    expected: params.m,
-                    got: s.parity.len(),
-                });
-            }
-            let len = s.data.first().map_or(0, |d| d.len());
-            for d in s.data.iter() {
-                if d.len() != len {
-                    return Err(EcError::BlockLength {
-                        expected: len,
-                        got: d.len(),
-                    });
-                }
-            }
-            for p in s.parity.iter() {
-                if p.len() != len {
-                    return Err(EcError::BlockLength {
-                        expected: len,
-                        got: p.len(),
-                    });
-                }
-            }
-        }
-
-        // Build one apply-tables job per stripe; `run_jobs` chunks them.
-        let tables = coder.tables();
-        let default_d = coder.prefetch_distance();
-        let default_bf = coder.bf_first_distance();
-        let mut jobs: Vec<RawJob> = Vec::with_capacity(stripes.len());
-        for s in stripes.iter_mut() {
-            let len = s.data.first().map_or(0, |d| d.len());
-            jobs.push(RawJob {
-                work: ChunkWork::Gf {
-                    tables: TabSpan::new(tables),
-                },
-                sources: s.data.iter().map(|d| SrcSpan::new(d)).collect(),
-                outputs: s.parity.iter_mut().map(|p| OutSpan::new(p)).collect(),
-                len,
-                default_d,
-                default_bf,
-            });
-        }
-        self.shared
-            .stats
-            .stripes
-            .fetch_add(stripes.len() as u64, Ordering::Relaxed);
-        self.shared.stats.dispatches.fetch_add(1, Ordering::Relaxed);
+        let jobs: Vec<RawJob> = stripes
+            .iter_mut()
+            .map(|s| RawJob::encode(coder, s.data, s.parity))
+            .collect::<Result<_, _>>()?;
+        self.count_dispatch(stripes.len());
         self.run_jobs(&jobs, coder.max_batch_retries())
     }
 
@@ -983,301 +827,93 @@ impl EncodePool {
         Ok(parity)
     }
 
-    /// Encode one stripe through a lowered XOR program (a bitmatrix
-    /// schedule from `dialga-ec`, optimized or not) across the pool.
-    /// Blocks until the stripe is done; bit-exact with the serial
-    /// schedule executors.
-    pub fn encode_xor(
-        &self,
-        prog: &XorProgram,
-        data: &[&[u8]],
-        parity: &mut [&mut [u8]],
-    ) -> Result<(), EcError> {
-        let mut stripes = [StripeJob { data, parity }];
-        self.encode_xor_batch(prog, &mut stripes)
-    }
-
-    /// Encode a batch of stripes through one lowered XOR program.
-    ///
-    /// Mirrors [`EncodePool::encode_batch`] for the schedule-driven path:
-    /// every stripe is validated up front, then each block is split into
-    /// its `W` bit packets and the *packet* range is chunked with
-    /// [`split_ranges`] — XOR ops are byte-wise, so any horizontal split of
-    /// the packet range is exact. Workers run the chunks through the
-    /// batched executor ([`dialga_gf::xorexec::execute_ops`]) with the
-    /// live coordinator knobs steering the §4.2/§4.3 prefetch distances
-    /// exactly as on the fused-RS path (the shuffle is stripped by the
-    /// executor: schedule ops carry dependencies).
-    pub fn encode_xor_batch(
-        &self,
-        prog: &XorProgram,
-        stripes: &mut [StripeJob<'_, '_>],
-    ) -> Result<(), EcError> {
-        let (k, m) = (prog.n_data / W, prog.n_parity / W);
-        if !prog.n_data.is_multiple_of(W) || !prog.n_parity.is_multiple_of(W) {
-            return Err(EcError::Internal {
-                what: "XOR program packet counts are not multiples of W",
-            });
-        }
-        for s in stripes.iter() {
-            if s.data.len() != k {
-                return Err(EcError::BlockCount {
-                    expected: k,
-                    got: s.data.len(),
-                });
-            }
-            if s.parity.len() != m {
-                return Err(EcError::BlockCount {
-                    expected: m,
-                    got: s.parity.len(),
-                });
-            }
-            let len = s.data.first().map_or(0, |d| d.len());
-            if !len.is_multiple_of(W) {
-                return Err(EcError::BlockLength {
-                    expected: len.next_multiple_of(W),
-                    got: len,
-                });
-            }
-            for d in s.data.iter() {
-                if d.len() != len {
-                    return Err(EcError::BlockLength {
-                        expected: len,
-                        got: d.len(),
-                    });
-                }
-            }
-            for p in s.parity.iter() {
-                if p.len() != len {
-                    return Err(EcError::BlockLength {
-                        expected: len,
-                        got: p.len(),
-                    });
-                }
-            }
-        }
-
-        // One job per stripe over *packet* spans: flat packet index
-        // `block * W + packet` maps to the block's packet sub-slice, the
-        // same layout the serial executors use. `job.len` is the packet
-        // length, so the existing chunker applies unchanged.
-        //
-        // Default prefetch distance: one op-step per source stream (`k`),
-        // mirroring the fused path's streams-default; the knob cell
-        // overrides it live.
-        let default_d = (k as u32).max(1);
-        let mut jobs: Vec<RawJob> = Vec::with_capacity(stripes.len());
-        for s in stripes.iter_mut() {
-            let len = s.data.first().map_or(0, |d| d.len());
-            let psize = len / W;
-            let mut sources = Vec::with_capacity(prog.n_data);
-            for d in s.data.iter() {
-                for p in 0..W {
-                    sources.push(SrcSpan::new(&d[p * psize..(p + 1) * psize]));
-                }
-            }
-            let mut outputs = Vec::with_capacity(prog.n_parity);
-            for blk in s.parity.iter_mut() {
-                for p in 0..W {
-                    outputs.push(OutSpan::new(&mut blk[p * psize..(p + 1) * psize]));
-                }
-            }
-            jobs.push(RawJob {
-                work: ChunkWork::Xor {
-                    prog: ProgSpan::new(&prog.ops),
-                    n_temps: prog.n_temps,
-                },
-                sources,
-                outputs,
-                len: psize,
-                default_d,
-                default_bf: None,
-            });
-        }
-        self.shared
-            .stats
-            .stripes
-            .fetch_add(stripes.len() as u64, Ordering::Relaxed);
-        self.shared.stats.dispatches.fetch_add(1, Ordering::Relaxed);
-        self.run_jobs(&jobs, DEFAULT_BATCH_RETRIES)
-    }
-
-    /// Convenience wrapper allocating the parity blocks for
-    /// [`EncodePool::encode_xor`].
-    pub fn encode_xor_vec(
-        &self,
-        prog: &XorProgram,
-        data: &[&[u8]],
-    ) -> Result<Vec<Vec<u8>>, EcError> {
-        let len = data.first().map_or(0, |d| d.len());
-        let mut parity = vec![vec![0u8; len]; prog.n_parity / W];
-        let mut refs: Vec<&mut [u8]> = parity.iter_mut().map(|p| p.as_mut_slice()).collect();
-        self.encode_xor(prog, data, &mut refs)?;
-        Ok(parity)
-    }
-
     /// Reconstruct missing shards in place across the pool. Blocks until
     /// the stripe is repaired; bit-exact with [`Dialga::decode`].
     pub fn decode(&self, coder: &Dialga, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
-        let mut jobs = [DecodeJob { shards }];
-        self.decode_batch(coder, &mut jobs)
+        self.decode_batch(coder, &mut [DecodeJob { shards }])
     }
 
     /// Decode a batch of stripes across the pool in one submission.
     ///
     /// All stripes are planned and validated up front (survivor selection,
     /// per-present-shard length checks, decode-matrix inversion — nothing
-    /// is enqueued or mutated when any stripe is malformed), then the two
-    /// reconstruction stages run chunked over the workers: lost data from
-    /// survivors, then lost parity rows from the completed data. Workers
-    /// pick up coordinator knob changes per chunk exactly as on the encode
-    /// path.
+    /// runs or is mutated when any stripe is malformed), then the two
+    /// reconstruction stages run chunked over the executors: lost data
+    /// from survivors, then lost parity rows from the completed data.
     pub fn decode_batch(
         &self,
         coder: &Dialga,
         stripes: &mut [DecodeJob<'_>],
     ) -> Result<(), EcError> {
-        let default_d = coder.prefetch_distance();
-        let default_bf = coder.bf_first_distance();
         let plans: Vec<crate::encoder::DecodePlan> = stripes
             .iter()
             .map(|s| coder.decode_plan(s.shards))
             .collect::<Result<_, _>>()?;
-
         // Give every lost shard its zeroed buffer before taking pointers.
         for (s, plan) in stripes.iter_mut().zip(&plans) {
             for &l in plan.lost_data().iter().chain(plan.lost_parity()) {
                 s.shards[l] = Some(vec![0u8; plan.shard_len()]);
             }
         }
-        self.shared
-            .stats
-            .stripes
-            .fetch_add(stripes.len() as u64, Ordering::Relaxed);
-        self.shared.stats.dispatches.fetch_add(1, Ordering::Relaxed);
-
-        // Stage 1: lost data blocks from the k survivors.
-        let mut jobs: Vec<RawJob> = Vec::new();
-        for (s, plan) in stripes.iter_mut().zip(&plans) {
-            if plan.lost_data().is_empty() {
-                continue;
+        self.count_dispatch(stripes.len());
+        // Stage 1 rebuilds lost data from the k survivors; stage 2 lost
+        // parity rows from the (now complete) data blocks — the stage-1
+        // wait orders the reconstructed data before the stage-2 reads.
+        let data_idx: Vec<usize> = (0..coder.params().k).collect();
+        for stage in 0..2 {
+            let mut jobs: Vec<RawJob> = Vec::new();
+            for (s, plan) in stripes.iter_mut().zip(&plans) {
+                let (tables, sources, lost) = match stage {
+                    0 => (plan.data_tables(), plan.survivors(), plan.lost_data()),
+                    _ => (plan.parity_tables(), &data_idx[..], plan.lost_parity()),
+                };
+                if !lost.is_empty() {
+                    let outputs = out_spans(s.shards, lost)?;
+                    jobs.push(RawJob::from_shards(
+                        coder, tables, s.shards, sources, outputs,
+                    )?);
+                }
             }
-            let mut sources = Vec::with_capacity(plan.survivors().len());
-            for &i in plan.survivors() {
-                let v = dialga_ec::present_shard(s.shards, i, "decode-plan survivor absent")?;
-                sources.push(SrcSpan::new(v));
-            }
-            let mut outputs = Vec::with_capacity(plan.lost_data().len());
-            for &i in plan.lost_data() {
-                let v = dialga_ec::present_shard_mut(s.shards, i, "lost-data buffer absent")?;
-                outputs.push(OutSpan::new(v));
-            }
-            jobs.push(RawJob {
-                work: ChunkWork::Gf {
-                    tables: TabSpan::new(plan.data_tables()),
-                },
-                sources,
-                outputs,
-                len: plan.shard_len(),
-                default_d,
-                default_bf,
-            });
+            self.run_jobs(&jobs, coder.max_batch_retries())?;
         }
-        self.run_jobs(&jobs, coder.max_batch_retries())?;
-
-        // Stage 2: lost parity rows from the (now complete) data blocks.
-        // The stage-1 wait orders the reconstructed data before these reads.
-        let k = coder.params().k;
-        jobs.clear();
-        for (s, plan) in stripes.iter_mut().zip(&plans) {
-            if plan.lost_parity().is_empty() {
-                continue;
-            }
-            let mut sources = Vec::with_capacity(k);
-            for i in 0..k {
-                let v = dialga_ec::present_shard(s.shards, i, "data shard absent after rebuild")?;
-                sources.push(SrcSpan::new(v));
-            }
-            let mut outputs = Vec::with_capacity(plan.lost_parity().len());
-            for &i in plan.lost_parity() {
-                let v = dialga_ec::present_shard_mut(s.shards, i, "lost-parity buffer absent")?;
-                outputs.push(OutSpan::new(v));
-            }
-            jobs.push(RawJob {
-                work: ChunkWork::Gf {
-                    tables: TabSpan::new(plan.parity_tables()),
-                },
-                sources,
-                outputs,
-                len: plan.shard_len(),
-                default_d,
-                default_bf,
-            });
-        }
-        self.run_jobs(&jobs, coder.max_batch_retries())
+        Ok(())
     }
 
     /// Single-block repair fast path (degraded read): reconstruct shard
     /// `target` from k survivors without mutating `shards` or decoding the
     /// rest of the stripe — one composed-coefficient kernel pass, chunked
-    /// across the workers.
+    /// across the executors.
     pub fn repair(
         &self,
         coder: &Dialga,
         shards: &[Option<Vec<u8>>],
         target: usize,
     ) -> Result<Vec<u8>, EcError> {
+        check_target(coder, shards.len(), target)?;
         let params = coder.params();
         let (k, m) = (params.k, params.m);
-        if shards.len() != k + m {
-            return Err(EcError::BlockCount {
-                expected: k + m,
-                got: shards.len(),
-            });
-        }
-        if target >= k + m {
-            return Err(EcError::BlockCount {
-                expected: k + m,
-                got: target,
-            });
-        }
         let survivors: Vec<usize> = (0..k + m)
             .filter(|&i| i != target && shards[i].is_some())
             .take(k)
             .collect();
         if survivors.len() < k {
-            let lost = (0..k + m).filter(|&i| shards[i].is_none()).count().max(1);
+            let lost = shards.iter().filter(|s| s.is_none()).count().max(1);
             return Err(EcError::TooManyErasures { lost, tolerance: m });
         }
-        let len = dialga_ec::present_shard(shards, survivors[0], "repair survivor absent")?.len();
-        for s in shards.iter().flatten() {
-            if s.len() != len {
-                return Err(EcError::BlockLength {
-                    expected: len,
-                    got: s.len(),
-                });
-            }
+        // Every present shard must agree on length, not just the survivors.
+        let len = shards.iter().flatten().next().map_or(0, Vec::len);
+        if let Some(bad) = shards.iter().flatten().find(|s| s.len() != len) {
+            return Err(EcError::BlockLength {
+                expected: len,
+                got: bad.len(),
+            });
         }
         let plan = coder.repair_plan(&survivors, target)?;
         let mut out = vec![0u8; len];
-        let mut sources = Vec::with_capacity(survivors.len());
-        for &i in &survivors {
-            let v = dialga_ec::present_shard(shards, i, "repair survivor absent")?;
-            sources.push(SrcSpan::new(v));
-        }
-        let job = RawJob {
-            work: ChunkWork::Gf {
-                tables: TabSpan::new(plan.tables()),
-            },
-            sources,
-            outputs: vec![OutSpan::new(&mut out)],
-            len,
-            default_d: coder.prefetch_distance(),
-            default_bf: coder.bf_first_distance(),
-        };
-        self.shared.stats.stripes.fetch_add(1, Ordering::Relaxed);
-        self.shared.stats.dispatches.fetch_add(1, Ordering::Relaxed);
-        self.run_jobs(std::slice::from_ref(&job), coder.max_batch_retries())?;
+        let spare = vec![OutSpan::new(&mut out)];
+        let job = RawJob::from_shards(coder, plan.tables(), shards, &survivors, spare)?;
+        self.count_dispatch(1);
+        self.run_jobs(&[job], coder.max_batch_retries())?;
         Ok(out)
     }
 
@@ -1299,91 +935,44 @@ impl EncodePool {
                 got: lost,
             });
         }
-        if group_data.len() != gs - 1 {
-            return Err(EcError::BlockCount {
-                expected: gs - 1,
-                got: group_data.len(),
-            });
-        }
-        let len = local_parity.len();
-        for d in group_data {
-            if d.len() != len {
-                return Err(EcError::BlockLength {
-                    expected: len,
-                    got: d.len(),
-                });
-            }
-        }
+        check_count(gs - 1, group_data.len())?;
         // XOR is GF multiply by 1: one identity coefficient per source.
+        // The local parity leads so its length is the one peers are held to.
         let tables = vec![NibbleTables::new(1); gs];
-        let mut out = vec![0u8; len];
-        let mut sources: Vec<SrcSpan> = group_data.iter().map(|d| SrcSpan::new(d)).collect();
-        sources.push(SrcSpan::new(local_parity));
-        let job = RawJob {
-            work: ChunkWork::Gf {
-                tables: TabSpan::new(&tables),
-            },
-            sources,
-            outputs: vec![OutSpan::new(&mut out)],
-            len,
-            default_d: gs as u32,
-            default_bf: None,
-        };
-        self.shared.stats.stripes.fetch_add(1, Ordering::Relaxed);
-        self.shared.stats.dispatches.fetch_add(1, Ordering::Relaxed);
-        self.run_jobs(std::slice::from_ref(&job), DEFAULT_BATCH_RETRIES)?;
+        let mut out = vec![0u8; local_parity.len()];
+        let sources = std::iter::once(local_parity).chain(group_data.iter().copied());
+        let job = RawJob::new(
+            &tables,
+            sources.map(SrcSpan::new).collect(),
+            vec![OutSpan::new(&mut out)],
+            (gs as u32, None),
+        )?;
+        self.count_dispatch(1);
+        self.run_jobs(&[job], DEFAULT_BATCH_RETRIES)?;
         Ok(out)
     }
 
-    /// Verify stripe integrity on the workers: recompute all m parity
+    /// Verify stripe integrity on the executors: recompute all m parity
     /// rows from `data` (chunked across the pool like an encode) and
     /// compare against the stored `parity`. On mismatch returns
     /// [`EcError::Corrupt`] naming the disagreeing parity rows (indices
     /// `k..k+m`) — evidence of inconsistency, not a localization (a
     /// corrupt data shard trips every row; see [`Dialga::scrub`]).
     pub fn verify(&self, coder: &Dialga, data: &[&[u8]], parity: &[&[u8]]) -> Result<(), EcError> {
-        let params = coder.params();
-        let (k, m) = (params.k, params.m);
-        if data.len() != k {
-            return Err(EcError::BlockCount {
-                expected: k,
-                got: data.len(),
-            });
-        }
-        if parity.len() != m {
-            return Err(EcError::BlockCount {
-                expected: m,
-                got: parity.len(),
-            });
-        }
+        let k = coder.params().k;
+        check_count(k, data.len())?;
+        check_count(coder.params().m, parity.len())?;
         let len = data.first().map_or(0, |d| d.len());
-        for b in data.iter().chain(parity.iter()) {
-            if b.len() != len {
-                return Err(EcError::BlockLength {
-                    expected: len,
-                    got: b.len(),
-                });
-            }
+        if let Some(bad) = data.iter().chain(parity).find(|b| b.len() != len) {
+            return Err(EcError::BlockLength {
+                expected: len,
+                got: bad.len(),
+            });
         }
-        let mut scratch = vec![vec![0u8; len]; m];
-        {
-            let job = RawJob {
-                work: ChunkWork::Gf {
-                    tables: TabSpan::new(coder.tables()),
-                },
-                sources: data.iter().map(|d| SrcSpan::new(d)).collect(),
-                outputs: scratch.iter_mut().map(|o| OutSpan::new(o)).collect(),
-                len,
-                default_d: coder.prefetch_distance(),
-                default_bf: coder.bf_first_distance(),
-            };
-            self.shared.stats.stripes.fetch_add(1, Ordering::Relaxed);
-            self.shared.stats.dispatches.fetch_add(1, Ordering::Relaxed);
-            self.run_jobs(std::slice::from_ref(&job), coder.max_batch_retries())?;
-        }
-        let bad: Vec<usize> = scratch
+        let recomputed = self.encode_vec(coder, data)?;
+        let bad: Vec<usize> = recomputed
             .iter()
-            .zip(parity.iter())
+            .zip(parity)
             .enumerate()
             .filter(|(_, (got, want))| got.as_slice() != **want)
             .map(|(r, _)| k + r)
@@ -1395,17 +984,14 @@ impl EncodePool {
         }
     }
 
-    /// [`Self::decode`] plus an integrity check of the completed stripe
-    /// on the same workers. A corrupted *survivor* silently poisons a
-    /// plain decode (the decode matrix trusts every present byte);
-    /// here the full stripe is re-verified after reconstruction and a
-    /// corrupt survivor is rejected with [`EcError::Corrupt`] naming it
-    /// (localized by leave-one-out re-decode over the original
-    /// survivors when the erasure budget allows, the mismatching parity
-    /// rows as evidence otherwise).
-    ///
-    /// On `Err`, reconstructed shard contents are unspecified (they were
-    /// derived from corrupt input).
+    /// [`Self::decode`] plus an integrity check of the completed stripe.
+    /// A corrupted *survivor* silently poisons a plain decode (the decode
+    /// matrix trusts every present byte); here the full stripe is
+    /// re-verified after reconstruction and a corrupt survivor rejected
+    /// with [`EcError::Corrupt`] naming it (localized by leave-one-out
+    /// re-decode when the erasure budget allows, the mismatching parity
+    /// rows as evidence otherwise). On `Err`, reconstructed shard contents
+    /// are unspecified (they were derived from corrupt input).
     pub fn decode_verified(
         &self,
         coder: &Dialga,
@@ -1413,34 +999,23 @@ impl EncodePool {
     ) -> Result<(), EcError> {
         let params = coder.params();
         let (k, m) = (params.k, params.m);
-        let lost: Vec<usize> = (0..shards.len())
-            .filter(|&i| shards.get(i).is_some_and(|s| s.is_none()))
-            .collect();
+        let lost: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
         self.decode(coder, shards)?;
-        let data: Vec<&[u8]> = (0..k)
-            .map(|i| dialga_ec::present_shard(shards, i, "data shard absent after decode"))
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .map(|v| v.as_slice())
-            .collect();
-        let parity: Vec<&[u8]> = (k..k + m)
-            .map(|i| dialga_ec::present_shard(shards, i, "parity shard absent after decode"))
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .map(|v| v.as_slice())
-            .collect();
-        let evidence = match self.verify(coder, &data, &parity) {
+        let full: Vec<&[u8]> = (0..k + m)
+            .map(|i| dialga_ec::present_shard(shards, i, "shard absent after decode"))
+            .map(|v| v.map(Vec::as_slice))
+            .collect::<Result<_, _>>()?;
+        let evidence = match self.verify(coder, &full[..k], &full[k..]) {
             Ok(()) => return Ok(()),
             Err(EcError::Corrupt { shards }) => shards,
             Err(e) => return Err(e),
         };
         // Localize: re-decode with one original survivor additionally
         // erased; the trial that comes back consistent names the corrupt
-        // survivor (unique for one corrupt shard by the MDS distance
-        // bound). Needs a *spare* parity constraint beyond the trial's
-        // erasures — with `lost + 1 == m` every remaining shard becomes a
-        // survivor and any trial decode is trivially consistent, so the
-        // corruption is detectable but not localizable.
+        // survivor (unique for one corrupt shard by the MDS distance bound).
+        // Needs a *spare* parity constraint: with `lost + 1 == m` every
+        // remaining shard is a survivor and any trial is trivially
+        // consistent — the corruption is detectable but not localizable.
         if lost.len() + 1 < m {
             for s in (0..k + m).filter(|i| !lost.contains(i)) {
                 let mut trial: Vec<Option<Vec<u8>>> = shards.to_vec();
@@ -1462,31 +1037,16 @@ impl EncodePool {
 
     /// [`Self::repair`] plus an integrity check: reconstruct shard
     /// `target` *and* verify the stripe it came from, rejecting corrupt
-    /// survivors with [`EcError::Corrupt`] (a plain repair would fold a
-    /// corrupted survivor straight into the rebuilt shard). Decodes the
-    /// whole stripe on the workers to make the cross-check possible —
-    /// the verified path trades the degraded-read fast path for
-    /// end-to-end integrity.
+    /// survivors with [`EcError::Corrupt`] (a plain repair would fold one
+    /// straight into the rebuilt shard). Decodes the whole stripe to make
+    /// the cross-check possible: integrity in exchange for the fast path.
     pub fn repair_verified(
         &self,
         coder: &Dialga,
         shards: &[Option<Vec<u8>>],
         target: usize,
     ) -> Result<Vec<u8>, EcError> {
-        let params = coder.params();
-        let (k, m) = (params.k, params.m);
-        if shards.len() != k + m {
-            return Err(EcError::BlockCount {
-                expected: k + m,
-                got: shards.len(),
-            });
-        }
-        if target >= k + m {
-            return Err(EcError::BlockCount {
-                expected: k + m,
-                got: target,
-            });
-        }
+        check_target(coder, shards.len(), target)?;
         let mut trial: Vec<Option<Vec<u8>>> = shards.to_vec();
         // Erasing a present target re-derives (and thus verifies) it too.
         trial[target] = None;
@@ -1496,71 +1056,63 @@ impl EncodePool {
         })
     }
 
-    /// Run a batch with healing and bounded retry: submit via
-    /// [`Self::run_jobs_once`]; when the batch fails (worker death,
-    /// kernel panic, dropped send), respawn any dead workers and — up to
-    /// `retries` times — resubmit the whole batch. Resubmission is
-    /// idempotent: the fused kernel *overwrites* its outputs and the
-    /// batch latch quiesced every chunk of the failed attempt first, so
-    /// no byte of a previous attempt can land after (or interleave with)
-    /// the retry. Watchdog timeouts are never retried (see
-    /// [`BatchWait::TimedOut`]).
-    ///
-    /// Healing runs even when `retries` is 0 or exhausted, so the pool
-    /// returns to full capacity for the *next* submission either way.
+    /// Count one submission of `stripes` stripes (however many stages).
+    fn count_dispatch(&self, stripes: usize) {
+        let s = &self.shared.stats;
+        s.stripes.fetch_add(stripes as u64, Ordering::Relaxed);
+        s.dispatches.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Run a batch with healing and bounded retry: when
+    /// [`Self::run_jobs_once`] fails (worker death, kernel panic, dropped
+    /// send), respawn any dead workers and — up to `retries` times —
+    /// resubmit the whole batch. Resubmission is idempotent: the kernel
+    /// *overwrites* its outputs and the failed attempt was fully quiesced,
+    /// so no byte of it can land after (or interleave with) the retry.
+    /// Watchdog timeouts are never retried ([`BatchWait::TimedOut`]).
+    /// Healing runs even when `retries` is 0 or exhausted, so the pool is
+    /// back at full capacity for the *next* submission either way.
     fn run_jobs(&self, jobs: &[RawJob], retries: u32) -> Result<(), EcError> {
         let mut attempt = 0u32;
         loop {
-            match self.run_jobs_once(jobs) {
+            let what = match self.run_jobs_once(jobs) {
                 BatchWait::Clean => return Ok(()),
-                BatchWait::TimedOut => {
-                    return Err(EcError::Internal {
-                        what: "encode pool batch watchdog expired (lost chunk completion)",
-                    });
-                }
+                BatchWait::TimedOut => "encode pool batch watchdog expired (lost chunk completion)",
                 BatchWait::Failed => {
                     self.heal_workers();
-                    if attempt >= retries {
-                        return Err(EcError::Internal {
-                            what: "encode pool worker panicked or exited mid-batch",
-                        });
+                    if attempt < retries {
+                        attempt += 1;
+                        let stats = &self.shared.stats;
+                        stats.batch_retries.fetch_add(1, Ordering::Relaxed);
+                        continue;
                     }
-                    attempt += 1;
-                    self.shared
-                        .stats
-                        .batch_retries
-                        .fetch_add(1, Ordering::Relaxed);
+                    "encode pool worker panicked or exited mid-batch"
                 }
-            }
+            };
+            return Err(EcError::Internal { what });
         }
     }
 
-    /// Respawn every dead worker slot in place (fresh queue, same slot
+    /// Respawn every dead worker slot in place (fresh queue, same executor
     /// index; the replacement reads the current knob word on its first
-    /// chunk). Returns how many workers were respawned. A slot whose
-    /// respawn fails (thread spawn error) stays dead and is retried on
-    /// the next heal.
-    fn heal_workers(&self) -> usize {
+    /// chunk). A slot whose respawn fails (thread spawn error) stays dead
+    /// and is retried on the next heal.
+    fn heal_workers(&self) {
         let mut slots = self.lock_slots();
-        let mut healed = 0;
         for (i, slot) in slots.iter_mut().enumerate() {
-            // `is_finished` covers a fully-exited thread; the ping probe
-            // covers the window where the receiver is already dropped but
-            // the thread has not finished tearing down.
+            // `is_finished` covers a fully-exited thread, the ping probe a
+            // receiver already dropped by a thread still tearing down.
             // Probe-and-replace must be atomic per slot (a dispatch in
-            // between would clone a dead sender), and the unbounded std
-            // channel makes this send non-blocking, so holding `slots`
-            // across the probe is deliberate:
+            // between would clone a dead sender) and the unbounded channel
+            // never blocks a send, so holding `slots` here is deliberate:
             // lint:allow(lock-order): non-blocking ping probe; the slot swap must be atomic with it
             let dead = slot.handle.is_finished() || slot.sender.send(Msg::Ping).is_err();
             if !dead {
                 continue;
             }
-            self.shared
-                .stats
-                .worker_deaths
-                .fetch_add(1, Ordering::Relaxed);
-            let Ok(fresh) = spawn_worker(i, Arc::clone(&self.shared)) else {
+            let stats = &self.shared.stats;
+            stats.worker_deaths.fetch_add(1, Ordering::Relaxed);
+            let Ok(fresh) = spawn_worker(i + 1, Arc::clone(&self.shared)) else {
                 continue;
             };
             let old = std::mem::replace(slot, fresh);
@@ -1568,110 +1120,114 @@ impl EncodePool {
             // the thread, and cannot block: its loop has already returned.
             drop(old.sender);
             let _ = old.handle.join();
-            self.shared
-                .stats
-                .worker_respawns
-                .fetch_add(1, Ordering::Relaxed);
-            healed += 1;
+            stats.worker_respawns.fetch_add(1, Ordering::Relaxed);
         }
-        healed
     }
 
-    /// Chunk every job with [`split_ranges`], deal the chunks round-robin
-    /// to the per-worker queues, and block until all complete (or the
-    /// watchdog expires). Jobs with zero-length blocks contribute no
-    /// chunks.
+    /// Chunk every job with [`split_ranges`], deal chunk `i` of the batch
+    /// to executor `i % threads` (0 being this thread), send the workers'
+    /// shares, run this thread's share, and block until the workers' are
+    /// complete or the watchdog expires. Zero-length jobs yield no chunks.
     ///
-    /// This function MUST NOT return (or unwind) before every chunk of the
-    /// batch is accounted for: the chunks carry detached spans into the
-    /// caller's borrows, and a worker may already be executing one while
-    /// later sends are still in flight. A failed send (worker died, its
-    /// receiver dropped) therefore does not bail out — the unsent chunk is
-    /// marked failed on the latch and submission continues, so
-    /// [`BatchState::wait_with_deadline`] still quiesces the whole batch
-    /// before the borrows are released. (The single exception is the
-    /// watchdog path, documented on [`BatchWait::TimedOut`].)
+    /// From the first send to the end of the latch wait this function MUST
+    /// NOT return or unwind: sent chunks carry detached spans into the
+    /// caller's borrows, and a worker may be executing one at any point in
+    /// that window (the watchdog path, see [`BatchWait::TimedOut`], is the
+    /// one exception). So
+    ///
+    /// * a failed send (worker died, receiver dropped) does not bail out —
+    ///   the unsent chunk's `Drop` fails it on the latch and sending goes on;
+    /// * this thread's own chunks run under [`run_chunk`]'s `catch_unwind`
+    ///   and their failure (kernel panic, scripted fault) is only
+    ///   *recorded*, to be folded into the result after the wait;
+    /// * the coordinator tick this thread owes for its chunks is paid after
+    ///   the wait, where a panic in it can harm nobody.
+    ///
+    /// A batch whose chunks all land on executor 0 — any one-chunk batch,
+    /// anything on a pool of 1 — never reaches the send half: no latch, no
+    /// sender clone, no worker index.
     fn run_jobs_once(&self, jobs: &[RawJob]) -> BatchWait {
-        let mut chunks: Vec<Chunk> = Vec::new();
-        // Latch count is known only after chunking; build chunk protos
-        // first so the batch starts exact.
-        let mut protos: Vec<(usize, Range<usize>)> = Vec::new();
-        for (j, job) in jobs.iter().enumerate() {
-            for r in split_ranges(job.len, self.threads()) {
-                protos.push((j, r));
+        let mut mine: Vec<Work> = Vec::new();
+        let mut theirs: Vec<Work> = Vec::new();
+        for job in jobs {
+            for r in split_ranges(job.len, self.threads) {
+                let (whole, dealt) = (&job.work, mine.len() + theirs.len());
+                // SAFETY: `r` came from `split_ranges(job.len, _)`, so it
+                // lies within `[0, job.len)`; every source and output of a
+                // job spans `job.len` bytes (checked by `RawJob::new`); and
+                // each range goes to exactly one chunk, which gives every
+                // output sub-span exactly one owner.
+                let part = unsafe {
+                    Work {
+                        sources: whole
+                            .sources
+                            .iter()
+                            .map(|s| s.sub(r.start, r.len()))
+                            .collect(),
+                        outputs: whole
+                            .outputs
+                            .iter()
+                            .map(|o| o.sub(r.start, r.len()))
+                            .collect(),
+                        ..*whole
+                    }
+                };
+                if dealt.is_multiple_of(self.threads) {
+                    mine.push(part);
+                } else {
+                    theirs.push(part);
+                }
             }
         }
-        if protos.is_empty() {
-            return BatchWait::Clean;
-        }
-        let batch = BatchState::new(protos.len());
-        for (j, r) in protos {
-            let job = &jobs[j];
-            // SAFETY: `r` came from `split_ranges(job.len, _)`, so it lies
-            // within `[0, job.len)`, every source and output of a job spans
-            // `job.len` bytes (validated by the public entry points), and
-            // each range is handed to exactly one chunk.
-            let sources = job
-                .sources
-                .iter()
-                .map(|s| unsafe { s.sub(r.start, r.len()) })
-                .collect();
-            // SAFETY: as above; disjoint ranges give each output sub-span
-            // to exactly one chunk.
-            let outputs = job
-                .outputs
-                .iter()
-                .map(|o| unsafe { o.sub(r.start, r.len()) })
-                .collect();
-            chunks.push(Chunk {
-                work: job.work,
-                sources,
-                outputs,
-                default_d: job.default_d,
-                default_bf: job.default_bf,
-                batch: Arc::clone(&batch),
-                finished: false,
-            });
-        }
-        // Senders are cloned out so the slot lock is not held across the
-        // batch wait (healing and other submitters stay unblocked). A
-        // concurrent heal can invalidate a cloned sender mid-submission;
-        // the send then fails and the chunk's Drop closes the latch, so
-        // the batch still quiesces and the retry loop recovers.
-        let senders: Vec<Sender<Msg>> =
-            self.lock_slots().iter().map(|s| s.sender.clone()).collect();
-        let start = self.next_worker.fetch_add(1, Ordering::Relaxed) as usize;
-        for (i, chunk) in chunks.into_iter().enumerate() {
-            let w = (start + i) % senders.len();
-            // Scripted fault: drop this send as if the queue were gone.
-            #[cfg(feature = "fault-injection")]
-            if self.shared.fault.on_send() {
-                drop(chunk);
-                continue;
+        let latch = (!theirs.is_empty()).then(|| BatchState::new(theirs.len()));
+        if let Some(latch) = &latch {
+            // Senders are cloned out so the slot lock is not held across
+            // the batch (healing and other submitters stay unblocked). A
+            // concurrent heal can invalidate a clone; that send then fails
+            // like any other, and the retry loop recovers.
+            let senders: Vec<Sender<Msg>> =
+                self.lock_slots().iter().map(|s| s.sender.clone()).collect();
+            let start = self.next_worker.fetch_add(1, Ordering::Relaxed) as usize;
+            for (i, work) in theirs.into_iter().enumerate() {
+                let chunk = Chunk {
+                    work,
+                    batch: Arc::clone(latch),
+                    finished: false,
+                };
+                // Scripted fault: drop this send as if the queue were gone.
+                #[cfg(feature = "fault-injection")]
+                if self.shared.fault.on_send() {
+                    continue;
+                }
+                // A failed send means the worker is gone and its queue will
+                // never drain; dropping the returned chunk marks it failed
+                // on the latch so it still closes.
+                let _ = senders[(start + i) % senders.len()].send(Msg::Run(chunk));
             }
-            // A failed send means the worker is gone and its queue will
-            // never drain; dropping the returned chunk marks it failed on
-            // the latch so it still closes. The old `.expect` here unwound
-            // the submitting frame while live workers held spans into it
-            // (a use-after-free window).
-            let _ = senders[w].send(Msg::Run(chunk));
         }
-        batch.wait_with_deadline(self.watchdog())
+        let mut seen = self.last_knobs.load(Ordering::Relaxed);
+        let mut failed = false;
+        for work in &mine {
+            failed |= run_chunk(&self.shared, 0, &mut seen, work).is_err();
+        }
+        self.last_knobs.store(seen, Ordering::Relaxed);
+        let waited = latch.map_or(BatchWait::Clean, |l| l.wait_with_deadline(self.watchdog()));
+        if !mine.is_empty() {
+            self.shared.maybe_tick();
+        }
+        match waited {
+            BatchWait::Clean if failed => BatchWait::Failed,
+            waited => waited,
+        }
     }
 }
 
 impl Drop for EncodePool {
     fn drop(&mut self) {
-        // Drain the slots out of the lock first: `&mut self` means no
-        // healer or dispatcher can race the teardown, and signalling +
-        // joining outside the critical section keeps the shutdown path
-        // clean under R8 (no channel ops while holding `slots`).
+        // `&mut self`: no submitter holds a cloned sender, so dropping a
+        // slot's sender closes its queue and the worker's `recv` loop ends.
+        // Joining outside the lock keeps R8 clean (no blocking under `slots`).
         let slots: Vec<WorkerSlot> = self.lock_slots().drain(..).collect();
-        for slot in &slots {
-            // A worker that already exited (or panicked) has dropped its
-            // receiver; nothing to signal then.
-            let _ = slot.sender.send(Msg::Shutdown);
-        }
         for slot in slots {
             drop(slot.sender);
             let _ = slot.handle.join();
@@ -1679,130 +1235,126 @@ impl Drop for EncodePool {
     }
 }
 
-/// Worker body for slot `index`. The slot index is the worker's stable
-/// identity: a respawned worker runs the same loop with the same index,
-/// so scripted faults keyed on a worker keep matching across respawns
-/// (their per-slot counters live in the shared [`FaultCell`], not here).
-fn worker_loop(index: usize, rx: Receiver<Msg>, shared: Arc<PoolShared>) {
+/// Why [`run_chunk`] did not produce its chunk's bytes.
+enum ChunkFailed {
+    /// The kernel (or a scripted fault standing in for it) panicked; the
+    /// panic was caught and the executor lives on.
+    Panicked,
+    /// Scripted: exit instead of running the chunk (a worker leaves its
+    /// loop, the submitting thread just moves on).
+    #[cfg(feature = "fault-injection")]
+    Exit,
+}
+
+/// The chunk body every executor runs — workers from [`worker_loop`], the
+/// submitting thread from [`EncodePool::run_jobs_once`]: fault hook,
+/// `Acquire` knob load, the kernel under `catch_unwind`, loads/busy/stall
+/// accounting. `last_knobs` is the knob word this executor applied to its
+/// previous chunk. Never unwinds.
+fn run_chunk(
+    shared: &PoolShared,
+    executor: usize,
+    last_knobs: &mut u64,
+    work: &Work,
+) -> Result<(), ChunkFailed> {
     #[cfg(not(feature = "fault-injection"))]
-    let _ = index;
+    let _ = executor;
+    #[cfg(feature = "fault-injection")]
+    let scripted_panic = match shared.fault.on_worker_chunk(executor) {
+        ChunkFault::None => false,
+        ChunkFault::Panic => true,
+        ChunkFault::Exit => return Err(ChunkFailed::Exit),
+    };
+
+    let packed = shared.knobs.load(Ordering::Acquire);
+    if packed != *last_knobs {
+        shared.stats.knob_switches.fetch_add(1, Ordering::Relaxed);
+        *last_knobs = packed;
+    }
+    let knobs = unpack_knobs(packed);
+
+    let started = Instant::now();
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        // Scripted fault: die exactly where a kernel bug would, inside
+        // the catch_unwind that guards real kernel panics.
+        #[cfg(feature = "fault-injection")]
+        if scripted_panic {
+            // lint:allow(panic-path): deliberate scripted executor fault
+            panic!("injected executor panic (executor {executor})");
+        }
+        // SAFETY: the submitting thread stays inside `run_jobs_once`
+        // until this chunk (and its whole batch) completes, so all spans
+        // are live; output sub-spans of distinct chunks never alias (see
+        // `OutSpan`).
+        let sources: Vec<&[u8]> = work
+            .sources
+            .iter()
+            .map(|s| unsafe { s.as_slice() })
+            .collect();
+        // SAFETY: as above, plus range-exclusivity per `OutSpan`.
+        let mut outputs: Vec<&mut [u8]> = work
+            .outputs
+            .iter()
+            .map(|o| unsafe { o.as_mut_slice() })
+            .collect();
+        // SAFETY: tables outlive the batch (see `ReadSpan`).
+        let tables: &[NibbleTables] = unsafe { work.tables.as_slice() };
+        // The coordinator's live knobs win; the job's defaults fill in
+        // when the knob cell carries no override.
+        let sched = dialga_gf::sched::FusedSched {
+            d: Some(knobs.sw_distance.unwrap_or(work.default_d)),
+            d_long: knobs.bf_first_distance.or(work.default_bf),
+            shuffle: knobs.shuffle,
+        };
+        crate::encoder::apply_tables(tables, &sources, &mut outputs, sched);
+    }));
+
+    let len = work.sources.first().map_or(0, |s| s.len);
+    // `div_ceil`: a ragged tail still touches a full cache line, and the
+    // coordinator's latency estimate divides by these `loads`.
+    let rows = len.div_ceil(dialga_gf::CACHELINE) as u64 * work.sources.len() as u64;
+    let elapsed_ns = started.elapsed().as_nanos() as u64;
+    let s = &shared.stats;
+    s.loads.fetch_add(rows, Ordering::Relaxed);
+    s.busy_ns.fetch_add(elapsed_ns, Ordering::Relaxed);
+    // Stall estimate: no PMU here, so the cheapest per-load chunk ever
+    // observed is taken as the pure-compute floor and each chunk's excess
+    // over it charged to memory stall (the first chunk defines its own
+    // floor: zero stall). Fixed point ×1024 keeps sub-ns per-load costs
+    // from truncating to zero on large chunks.
+    if let Some(per_load_x1024) = elapsed_ns.saturating_mul(1024).checked_div(rows) {
+        let prev = shared
+            .load_ns_floor_x1024
+            .fetch_min(per_load_x1024, Ordering::Relaxed);
+        let floor = prev.min(per_load_x1024);
+        let compute_ns = floor.saturating_mul(rows) / 1024;
+        s.stall_ns
+            .fetch_add(elapsed_ns.saturating_sub(compute_ns), Ordering::Relaxed);
+    }
+    s.chunks.fetch_add(1, Ordering::Relaxed);
+    result.map_err(|_| ChunkFailed::Panicked)
+}
+
+/// Worker body for `executor` (≥ 1). A respawned worker runs the same loop
+/// with the same index, so scripted faults keyed on it keep matching (their
+/// per-executor counters live in the shared [`FaultCell`], not here).
+fn worker_loop(executor: usize, rx: Receiver<Msg>, shared: Arc<PoolShared>) {
     let mut last_knobs = shared.knobs.load(Ordering::Acquire);
-    // Per-worker temp arena for XOR-program chunks: tile-sized buffers,
-    // allocated once and reused for the worker's lifetime (satellite of the
-    // schedule-optimizer PR — the old naive path allocated per stripe).
-    let mut arena = TempArena::new();
     while let Ok(msg) = rx.recv() {
         let chunk = match msg {
             Msg::Run(chunk) => chunk,
             // Liveness probe from `heal_workers`; nothing to do.
             Msg::Ping => continue,
-            Msg::Shutdown => break,
         };
+        let result = run_chunk(&shared, executor, &mut last_knobs, &chunk.work);
+        // Leaving without running the chunk drops it (and everything still
+        // queued), which completes the latch with a failure — exactly like
+        // a worker that died between recv and finish.
         #[cfg(feature = "fault-injection")]
-        let scripted_panic = match shared.fault.on_worker_chunk(index) {
-            ChunkFault::None => false,
-            ChunkFault::Panic => true,
-            ChunkFault::Exit => {
-                // Dropping the chunk before running it completes the
-                // latch with a failure (Chunk::drop), exactly like a
-                // worker that died between recv and finish.
-                drop(chunk);
-                return;
-            }
-        };
-
-        let packed = shared.knobs.load(Ordering::Acquire);
-        if packed != last_knobs {
-            shared.stats.knob_switches.fetch_add(1, Ordering::Relaxed);
-            last_knobs = packed;
+        if matches!(result, Err(ChunkFailed::Exit)) {
+            return;
         }
-        let knobs = unpack_knobs(packed);
-
-        let started = Instant::now();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // Scripted fault: die exactly where a kernel bug would, inside
-            // the catch_unwind that guards real kernel panics.
-            #[cfg(feature = "fault-injection")]
-            if scripted_panic {
-                // Only reachable with the fault-injection feature and an
-                // armed plan; caught by the surrounding catch_unwind.
-                // lint:allow(panic-path): deliberate scripted worker fault
-                panic!("injected worker panic (slot {index})");
-            }
-            // SAFETY: the submitting thread blocks in `BatchState::wait`
-            // until this chunk (and its whole batch) completes, so all
-            // spans are live; output sub-spans of distinct chunks never
-            // alias (see `OutSpan`).
-            let sources: Vec<&[u8]> = chunk
-                .sources
-                .iter()
-                .map(|s| unsafe { s.as_slice() })
-                .collect();
-            // SAFETY: as above, plus range-exclusivity per `OutSpan`.
-            let mut outputs: Vec<&mut [u8]> = chunk
-                .outputs
-                .iter()
-                .map(|o| unsafe { o.as_mut_slice() })
-                .collect();
-            // The coordinator's live knobs win; the job's defaults fill in
-            // when the knob cell carries no override.
-            let sched = dialga_gf::sched::FusedSched {
-                d: Some(knobs.sw_distance.unwrap_or(chunk.default_d)),
-                d_long: knobs.bf_first_distance.or(chunk.default_bf),
-                shuffle: knobs.shuffle,
-            };
-            match chunk.work {
-                ChunkWork::Gf { tables } => {
-                    // SAFETY: tables outlive the batch wait (see `TabSpan`).
-                    let tables: &[NibbleTables] = unsafe { tables.as_slice() };
-                    crate::encoder::apply_tables(tables, &sources, &mut outputs, sched);
-                }
-                ChunkWork::Xor { prog, n_temps } => {
-                    // SAFETY: the program outlives the batch wait (see
-                    // `ProgSpan`).
-                    let ops: &[ProgOp] = unsafe { prog.as_slice() };
-                    // The executor strips the shuffle itself (schedule ops
-                    // carry dependencies); distances apply as-is.
-                    dialga_gf::xorexec::execute_ops(
-                        ops,
-                        n_temps,
-                        &sources,
-                        &mut outputs,
-                        &mut arena,
-                        sched,
-                    );
-                }
-            }
-        }));
-
-        let len = chunk.sources.first().map_or(0, |s| s.len);
-        // `div_ceil`, not `/`: a ragged tail still touches a full cache
-        // line, and truncating undercounted the `loads` the coordinator's
-        // latency estimate divides by.
-        let rows = len.div_ceil(dialga_gf::CACHELINE) as u64 * chunk.sources.len() as u64;
-        let elapsed_ns = started.elapsed().as_nanos() as u64;
-        let s = &shared.stats;
-        s.loads.fetch_add(rows, Ordering::Relaxed);
-        s.busy_ns.fetch_add(elapsed_ns, Ordering::Relaxed);
-        // Stall estimate: no PMU access here, so treat the cheapest
-        // per-load chunk ever observed as the pure-compute floor and
-        // charge each chunk's excess over that floor to memory stall.
-        // The first chunk defines its own floor (zero stall); warm-up
-        // outliers only raise the floor they are judged against, never
-        // a later, lower one. Fixed point ×1024 keeps sub-ns per-load
-        // costs from truncating to zero on large chunks.
-        if let Some(per_load_x1024) = elapsed_ns.saturating_mul(1024).checked_div(rows) {
-            let prev = s
-                .load_ns_floor_x1024
-                .fetch_min(per_load_x1024, Ordering::Relaxed);
-            let floor = prev.min(per_load_x1024);
-            let compute_ns = floor.saturating_mul(rows) / 1024;
-            s.stall_ns
-                .fetch_add(elapsed_ns.saturating_sub(compute_ns), Ordering::Relaxed);
-        }
-        s.chunks.fetch_add(1, Ordering::Relaxed);
-
-        chunk.finish(result.map_err(|_| ()));
+        chunk.finish(result);
         shared.maybe_tick();
     }
 }
@@ -1817,6 +1369,12 @@ mod tests {
             .collect()
     }
 
+    /// Kill worker slot `slot`: closing its queue ends its loop, and the
+    /// receiver-less sender left in the slot fails every later send.
+    fn kill_worker(pool: &EncodePool, slot: usize) {
+        pool.lock_slots()[slot].sender = channel().0;
+    }
+
     #[test]
     fn knob_packing_roundtrips() {
         for knobs in [
@@ -1825,13 +1383,12 @@ mod tests {
                 sw_distance: Some(0),
                 bf_first_distance: Some(4096),
                 shuffle: true,
-                xpline_expand: false,
+                ..Knobs::default()
             },
             Knobs {
                 sw_distance: Some(12),
-                bf_first_distance: None,
-                shuffle: false,
                 xpline_expand: true,
+                ..Knobs::default()
             },
         ] {
             assert_eq!(unpack_knobs(pack_knobs(&knobs)), knobs);
@@ -1839,237 +1396,40 @@ mod tests {
     }
 
     #[test]
-    fn split_ranges_covers_exactly_and_evenly() {
-        for (len, parts) in [
-            (2100usize, 8usize),
-            (256, 1),
-            (256, 8),
-            (257, 8),
-            (1 << 20, 7),
-            (3 * 256 + 1, 3),
-            (64 * 1024 + 192, 5),
-        ] {
-            let ranges = split_ranges(len, parts);
-            assert!(!ranges.is_empty());
-            assert_eq!(ranges[0].start, 0);
-            assert_eq!(ranges.last().unwrap().end, len);
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].end, w[1].start, "gap in {len}/{parts}");
-            }
-            for r in &ranges[..ranges.len() - 1] {
-                assert_eq!(r.start % CHUNK_ALIGN, 0, "unaligned chunk in {len}/{parts}");
-            }
-            let min = ranges.iter().map(|r| r.len()).min().unwrap();
-            let max = ranges.iter().map(|r| r.len()).max().unwrap();
-            assert!(
-                max - min <= CHUNK_ALIGN,
-                "uneven split for len={len} parts={parts}: min={min} max={max}"
-            );
+    fn pool_of_n_owns_n_minus_one_threads() {
+        for n in [0usize, 1, 2, 5] {
+            let pool = EncodePool::new(n);
+            assert_eq!(pool.threads(), n.max(1));
+            assert_eq!(pool.lock_slots().len(), n.max(1) - 1);
+            assert_eq!(pool.stats().workers_alive, pool.threads());
         }
     }
 
     #[test]
-    fn split_ranges_uses_all_workers_with_remainder_tail() {
-        // The old `next_multiple_of` splitter left 3 of 8 workers idle
-        // here (chunks of 512 B); every worker must now get a chunk.
-        let threads = 8;
-        let len = threads * CHUNK_ALIGN + 52; // small unaligned tail
-        let ranges = split_ranges(len, threads);
-        assert_eq!(ranges.len(), threads, "all workers busy");
-        assert!(ranges.iter().all(|r| !r.is_empty()));
-    }
-
-    #[test]
-    fn split_ranges_degenerate_inputs() {
-        assert!(split_ranges(0, 4).is_empty());
-        assert!(split_ranges(100, 0).is_empty());
-        assert_eq!(split_ranges(100, 4), vec![0..100]);
-    }
-
-    #[test]
-    fn pool_matches_serial_encode() {
-        let coder = Dialga::new(12, 4).unwrap();
-        let data = make_data(12, 64 * 1024 + 192); // unaligned tail
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let serial = coder.encode_vec(&refs).unwrap();
-        for threads in [1usize, 2, 3, 4, 8] {
-            let pool = EncodePool::new(threads);
-            let par = pool.encode_vec(&coder, &refs).unwrap();
-            assert_eq!(par, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn pool_batch_matches_serial() {
-        let coder = Dialga::new(6, 3).unwrap();
-        let pool = EncodePool::new(4);
-        let stripes_data: Vec<Vec<Vec<u8>>> =
-            (0..5).map(|s| make_data(6, 4096 + s * 300)).collect();
-        let mut expected = Vec::new();
-        let mut parity: Vec<Vec<Vec<u8>>> = Vec::new();
-        for sd in &stripes_data {
-            let refs: Vec<&[u8]> = sd.iter().map(|d| d.as_slice()).collect();
-            expected.push(coder.encode_vec(&refs).unwrap());
-            parity.push(vec![vec![0u8; sd[0].len()]; 3]);
-        }
-        {
-            let data_refs: Vec<Vec<&[u8]>> = stripes_data
-                .iter()
-                .map(|sd| sd.iter().map(|d| d.as_slice()).collect())
-                .collect();
-            let mut parity_refs: Vec<Vec<&mut [u8]>> = parity
-                .iter_mut()
-                .map(|sp| sp.iter_mut().map(|p| p.as_mut_slice()).collect())
-                .collect();
-            let mut jobs: Vec<StripeJob<'_, '_>> = data_refs
-                .iter()
-                .zip(parity_refs.iter_mut())
-                .map(|(d, p)| StripeJob {
-                    data: d.as_slice(),
-                    parity: p.as_mut_slice(),
-                })
-                .collect();
-            pool.encode_batch(&coder, &mut jobs).unwrap();
-        }
-        assert_eq!(parity, expected);
-        assert_eq!(pool.stats().stripes, 5);
-        assert_eq!(pool.stats().dispatches, 1);
-    }
-
-    #[test]
-    fn pool_xor_program_matches_serial() {
-        use dialga_ec::xor::{XorCode, XorFlavor};
-        let code = XorCode::new(6, 3, XorFlavor::Cerasure).unwrap();
-        // Multiple of W, packet length not CHUNK_ALIGN-aligned: ragged
-        // chunking over the packet range.
-        let data = make_data(6, W * 1200);
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let serial = code.encode_vec(&refs).unwrap();
-        let naive = code.schedule().to_program().unwrap();
-        let opt = code.optimized_schedule().unwrap().to_program().unwrap();
-        for threads in [1usize, 2, 4] {
-            let pool = EncodePool::new(threads);
-            assert_eq!(
-                pool.encode_xor_vec(&naive, &refs).unwrap(),
-                serial,
-                "naive threads={threads}"
-            );
-            assert_eq!(
-                pool.encode_xor_vec(&opt, &refs).unwrap(),
-                serial,
-                "optimized threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn pool_xor_rejects_bad_geometry_before_enqueue() {
-        use dialga_ec::xor::{XorCode, XorFlavor};
-        let code = XorCode::new(4, 2, XorFlavor::Plain).unwrap();
-        let prog = code.schedule().to_program().unwrap();
-        let pool = EncodePool::new(2);
-        // Wrong block count.
-        let data = make_data(3, W * 64);
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        assert!(matches!(
-            pool.encode_xor_vec(&prog, &refs),
-            Err(EcError::BlockCount { .. })
-        ));
-        // Length not a multiple of W.
-        let data = make_data(4, W * 64 + 3);
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        assert!(matches!(
-            pool.encode_xor_vec(&prog, &refs),
-            Err(EcError::BlockLength { .. })
-        ));
-        assert_eq!(pool.stats().chunks, 0, "nothing must reach the queues");
-    }
-
-    #[test]
-    fn pool_xor_batch_matches_serial() {
-        use dialga_ec::xor::{XorCode, XorFlavor};
-        let code = XorCode::new(5, 2, XorFlavor::Cerasure).unwrap();
-        let prog = code.schedule().to_program().unwrap();
-        let pool = EncodePool::new(3);
-        let stripes_data: Vec<Vec<Vec<u8>>> =
-            (0..4).map(|s| make_data(5, W * (512 + s * 37))).collect();
-        let mut expected = Vec::new();
-        let mut parity: Vec<Vec<Vec<u8>>> = Vec::new();
-        for sd in &stripes_data {
-            let refs: Vec<&[u8]> = sd.iter().map(|d| d.as_slice()).collect();
-            expected.push(code.encode_vec(&refs).unwrap());
-            parity.push(vec![vec![0u8; sd[0].len()]; 2]);
-        }
-        {
-            let data_refs: Vec<Vec<&[u8]>> = stripes_data
-                .iter()
-                .map(|sd| sd.iter().map(|d| d.as_slice()).collect())
-                .collect();
-            let mut parity_refs: Vec<Vec<&mut [u8]>> = parity
-                .iter_mut()
-                .map(|sp| sp.iter_mut().map(|p| p.as_mut_slice()).collect())
-                .collect();
-            let mut jobs: Vec<StripeJob<'_, '_>> = data_refs
-                .iter()
-                .zip(parity_refs.iter_mut())
-                .map(|(d, p)| StripeJob {
-                    data: d.as_slice(),
-                    parity: p.as_mut_slice(),
-                })
-                .collect();
-            pool.encode_xor_batch(&prog, &mut jobs).unwrap();
-        }
-        assert_eq!(parity, expected);
-        assert_eq!(pool.stats().stripes, 4);
-        assert_eq!(pool.stats().dispatches, 1);
-    }
-
-    #[test]
-    fn pool_rejects_bad_geometry_before_enqueue() {
+    fn one_chunk_job_never_touches_a_worker_queue() {
+        // Every worker of an 8-executor pool is dead, so anything queued
+        // would fail its send, fail the batch and show up as a retry and
+        // as healed deaths. A one-chunk job must not notice.
         let coder = Dialga::new(4, 2).unwrap();
-        let pool = EncodePool::new(2);
-        let data = make_data(3, 4096); // wrong k
+        let pool = EncodePool::new(8);
+        for slot in 0..7 {
+            kill_worker(&pool, slot);
+        }
+        let data = make_data(4, CHUNK_ALIGN);
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        assert!(matches!(
-            pool.encode_vec(&coder, &refs),
-            Err(EcError::BlockCount { .. })
-        ));
-        assert_eq!(pool.stats().chunks, 0, "nothing must reach the queues");
-    }
-
-    #[test]
-    fn stats_count_full_lines_for_ragged_tails() {
-        // Regression: `len / CACHELINE` truncated ragged tails — a 255 B
-        // chunk counted 3 lines, not the 4 it actually touches — and the
-        // undercounted `loads` skewed every per-load latency downstream.
-        let coder = Dialga::new(4, 2).unwrap();
-        let pool = EncodePool::new(1);
-        let data = make_data(4, 255);
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        pool.encode_vec(&coder, &refs).unwrap();
-        let lines = 255usize.div_ceil(dialga_gf::CACHELINE) as u64;
-        assert_eq!(lines, 4);
-        assert_eq!(pool.stats().loads, lines * 4, "4 sources x 4 lines");
-
-        // Multi-chunk split with a ragged final chunk: interior chunk
-        // boundaries are CHUNK_ALIGN-aligned (a multiple of the cache
-        // line), so per-chunk ceilings must sum to the global ceiling.
-        let pool = EncodePool::new(2);
-        let len = 2 * CHUNK_ALIGN + 100;
-        let data = make_data(4, len);
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        pool.encode_vec(&coder, &refs).unwrap();
         assert_eq!(
-            pool.stats().loads,
-            len.div_ceil(dialga_gf::CACHELINE) as u64 * 4
+            pool.encode_vec(&coder, &refs).unwrap(),
+            coder.encode_vec(&refs).unwrap()
         );
+        let stats = pool.stats();
+        assert_eq!((stats.chunks, stats.batch_retries), (1, 0));
+        assert_eq!((stats.worker_deaths, stats.worker_respawns), (0, 0));
     }
 
     #[test]
     fn watchdog_keeps_submillisecond_deadlines() {
-        // Regression: the deadline was stored in whole milliseconds, so
-        // sub-millisecond (and fractional-millisecond) deadlines were
-        // silently rounded to the nearest whole millisecond.
+        // The deadline is stored in nanoseconds: whole-millisecond storage
+        // silently rounded sub- and fractional-millisecond deadlines.
         let pool = EncodePool::new(1);
         pool.set_watchdog(Some(Duration::from_micros(500)));
         assert_eq!(pool.watchdog(), Some(Duration::from_micros(500)));
@@ -2084,11 +1444,9 @@ mod tests {
 
     #[test]
     fn compute_heavy_workload_does_not_read_as_stalled() {
-        // Regression: `PoolShared::counters()` reported cumulative
-        // `busy_ns` (total chunk wall time, compute included) as
-        // `demand_stall_ns`, so a pure-compute, stall-free workload fed
-        // the coordinator an inflated latency and could trip the 110%
-        // contention threshold with no memory pressure at all.
+        // `counters()` must report the stall *estimate*: cumulative
+        // `busy_ns` there read a pure-compute workload as high-latency and
+        // could trip the 110% contention threshold with no memory pressure.
         let coder = Dialga::new(8, 4).unwrap();
         let pool = EncodePool::new(1);
         let data = make_data(8, 256 * 1024);
@@ -2098,275 +1456,34 @@ mod tests {
         }
         let stats = pool.stats();
         assert!(stats.busy_ns > 0);
-        assert!(
-            stats.stall_ns <= stats.busy_ns / 2,
-            "uniform compute-bound run must not attribute most busy time \
-             to stall (stall {} ns vs busy {} ns)",
-            stats.stall_ns,
-            stats.busy_ns
-        );
-        // The coordinator-facing view consumes the stall estimate, not
-        // raw busy time.
+        assert!(stats.stall_ns <= stats.busy_ns / 2, "{stats:?}");
         let counters = pool.shared.counters();
         assert_eq!(counters.loads, stats.loads);
         assert_eq!(counters.demand_stall_ns as u64, stats.stall_ns);
     }
 
     #[test]
-    fn pool_handles_zero_length_blocks() {
-        let coder = Dialga::new(4, 2).unwrap();
-        let pool = EncodePool::new(2);
-        let data = vec![vec![]; 4];
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let parity = pool.encode_vec(&coder, &refs).unwrap();
-        assert_eq!(parity, vec![Vec::<u8>::new(); 2]);
-    }
-
-    fn encode_shards(coder: &Dialga, data: &[Vec<u8>]) -> Vec<Option<Vec<u8>>> {
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let parity = coder.encode_vec(&refs).unwrap();
-        data.iter()
-            .cloned()
-            .map(Some)
-            .chain(parity.into_iter().map(Some))
-            .collect()
-    }
-
-    #[test]
-    fn pool_decode_matches_serial() {
-        let coder = Dialga::new(10, 4).unwrap();
-        let data = make_data(10, 8 * 1024 + 100); // unaligned tail
-        let full = encode_shards(&coder, &data);
-        let mut erased = full.clone();
-        erased[0] = None;
-        erased[7] = None; // data
-        erased[11] = None; // parity
-        erased[13] = None; // parity
-        let mut serial = erased.clone();
-        coder.decode(&mut serial).unwrap();
-        assert_eq!(serial, full);
-        for threads in [1usize, 2, 3, 4, 8] {
-            let pool = EncodePool::new(threads);
-            let mut shards = erased.clone();
-            pool.decode(&coder, &mut shards).unwrap();
-            assert_eq!(shards, full, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn pool_fused_dispatch_is_bit_exact_under_full_schedule() {
-        // Encode AND decode through the fused dispatch with every schedule
-        // knob active (d, §4.3 long distance, shuffle) must match the
-        // unscheduled serial reference — prefetch scheduling may move
-        // hints, never bytes.
-        let plain = Dialga::new(10, 4).unwrap();
-        let tuned = Dialga::with_options(
-            10,
-            4,
-            crate::encoder::DialgaOptions {
-                prefetch_distance: Some(10),
-                bf_first_distance: Some(14),
-                shuffle: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let data = make_data(10, 16 * 1024 + 100); // unaligned tail
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let want_parity = plain.encode_vec(&refs).unwrap();
-        let full = encode_shards(&plain, &data);
-        for threads in [1usize, 2, 4, 8] {
-            let pool = EncodePool::new(threads);
-            assert_eq!(
-                pool.encode_vec(&tuned, &refs).unwrap(),
-                want_parity,
-                "encode threads={threads}"
-            );
-            let mut shards = full.clone();
-            shards[2] = None; // data
-            shards[9] = None; // data
-            shards[12] = None; // parity
-            pool.decode(&tuned, &mut shards).unwrap();
-            assert_eq!(shards, full, "decode threads={threads}");
-        }
-    }
-
-    #[test]
-    fn pool_decode_batch_repairs_every_stripe() {
-        let coder = Dialga::new(6, 3).unwrap();
-        let pool = EncodePool::new(4);
-        let fulls: Vec<Vec<Option<Vec<u8>>>> = (0..4)
-            .map(|s| encode_shards(&coder, &make_data(6, 2048 + s * 300)))
-            .collect();
-        let mut stripes: Vec<Vec<Option<Vec<u8>>>> = fulls.clone();
-        // Different erasure patterns per stripe: data-only, parity-only,
-        // mixed, none.
-        stripes[0][1] = None;
-        stripes[0][4] = None;
-        stripes[1][6] = None;
-        stripes[1][8] = None;
-        stripes[2][0] = None;
-        stripes[2][7] = None;
-        {
-            let mut jobs: Vec<DecodeJob<'_>> = stripes
-                .iter_mut()
-                .map(|s| DecodeJob {
-                    shards: s.as_mut_slice(),
-                })
-                .collect();
-            pool.decode_batch(&coder, &mut jobs).unwrap();
-        }
-        assert_eq!(stripes, fulls);
-        assert_eq!(pool.stats().stripes, 4);
-        assert_eq!(pool.stats().dispatches, 1);
-    }
-
-    #[test]
-    fn pool_decode_rejects_mismatched_shards_before_mutation() {
-        let coder = Dialga::new(4, 2).unwrap();
-        let pool = EncodePool::new(2);
-        let mut shards = encode_shards(&coder, &make_data(4, 4096));
-        shards[0] = None;
-        shards[3].as_mut().unwrap().truncate(100);
-        let before = shards.clone();
-        assert!(matches!(
-            pool.decode(&coder, &mut shards),
-            Err(EcError::BlockLength { .. })
-        ));
-        assert_eq!(shards, before, "failed decode must not mutate shards");
-        assert_eq!(pool.stats().chunks, 0, "nothing must reach the queues");
-    }
-
-    #[test]
-    fn pool_repair_single_block_matches_stripe() {
-        let coder = Dialga::new(8, 3).unwrap();
-        let data = make_data(8, 4096 + 60);
-        let full = encode_shards(&coder, &data);
-        let pool = EncodePool::new(4);
-        // Degraded read of each block in turn, with a second unrelated
-        // erasure present.
-        for target in 0..11usize {
-            let mut shards = full.clone();
-            shards[target] = None;
-            shards[(target + 5) % 11] = None;
-            let got = pool.repair(&coder, &shards, target).unwrap();
-            assert_eq!(&got, full[target].as_ref().unwrap(), "target {target}");
-        }
-        // Too few survivors.
-        let mut shards = full.clone();
-        for s in shards.iter_mut().take(4) {
-            *s = None;
-        }
-        assert!(matches!(
-            pool.repair(&coder, &shards, 0),
-            Err(EcError::TooManyErasures { .. })
-        ));
-    }
-
-    #[test]
-    fn pool_repair_local_matches_lrc() {
-        let lrc = Lrc::new(12, 4, 2).unwrap();
-        let data = make_data(12, 8192 + 30);
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let parity = lrc.encode_vec(&refs).unwrap();
-        let plan = lrc.local_repair_plan(3).unwrap();
-        let peers: Vec<&[u8]> = plan.peers.iter().map(|&i| refs[i]).collect();
-        let serial = lrc
-            .repair_local(3, &peers, &parity[plan.parity_index])
-            .unwrap();
-        assert_eq!(serial, data[3]);
-        for threads in [1usize, 2, 4, 8] {
-            let pool = EncodePool::new(threads);
-            let got = pool
-                .repair_local(&lrc, 3, &peers, &parity[plan.parity_index])
-                .unwrap();
-            assert_eq!(got, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn dead_worker_surfaces_error_instead_of_unwinding_submitter() {
-        // Regression (PR 1): the old submission path `.expect`ed every
-        // send, so a dead worker unwound `run_jobs` while live workers
-        // still held spans into the submitting frame (use-after-free
-        // window). Since the self-healing pool, the failed attempt still
-        // quiesces, the dead slot is respawned, and the retry succeeds —
-        // so the submission now *recovers* instead of erroring, and the
-        // pool returns to full capacity.
-        let coder = Dialga::new(4, 2).unwrap();
-        let pool = EncodePool::new(2);
-        {
-            let slots = pool.lock_slots();
-            slots[0].sender.send(Msg::Shutdown).unwrap();
-            // The worker tears its queue down when it exits; wait for that.
-            while slots[0].sender.send(Msg::Shutdown).is_ok() {
-                std::thread::yield_now();
-            }
-        }
-        let data = make_data(4, 4096);
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let expected = coder.encode_vec(&refs).unwrap();
-        assert_eq!(
-            pool.encode_vec(&coder, &refs).unwrap(),
-            expected,
-            "healing + retry must recover from a dead worker"
-        );
-        let stats = pool.stats();
-        assert_eq!(stats.workers_alive, pool.threads(), "slot 0 respawned");
-        assert!(stats.worker_deaths >= 1);
-        assert_eq!(stats.worker_respawns, stats.worker_deaths);
-        assert!(stats.batch_retries >= 1);
-        // With retries disabled the same failure surfaces as an error —
-        // but the pool must still heal for the *next* submission.
-        let pool0 = {
-            let opts = crate::encoder::DialgaOptions {
-                max_batch_retries: Some(0),
-                ..Default::default()
-            };
-            let coder0 = Dialga::with_options(4, 2, opts).unwrap();
-            let pool0 = EncodePool::new(2);
-            {
-                let slots = pool0.lock_slots();
-                slots[0].sender.send(Msg::Shutdown).unwrap();
-                while slots[0].sender.send(Msg::Shutdown).is_ok() {
-                    std::thread::yield_now();
-                }
-            }
-            assert!(matches!(
-                pool0.encode_vec(&coder0, &refs),
-                Err(EcError::Internal { .. })
-            ));
-            assert_eq!(pool0.encode_vec(&coder0, &refs).unwrap(), expected);
-            pool0
-        };
-        assert_eq!(pool0.stats().workers_alive, pool0.threads());
-    }
-
-    #[test]
-    fn worker_kernel_panic_surfaces_as_internal_error() {
-        // A malformed job (zero tables for one output × one source) makes
-        // `apply_tables` panic inside the worker; the pool must report
-        // `EcError::Internal` — not hang, not unwind the submitter — and
-        // keep serving later submissions. The panic is deterministic, so
-        // retries cannot mask it (retries=0 keeps the test tight).
+    fn kernel_panic_on_any_executor_surfaces_as_internal_error() {
+        // A malformed job (no tables for one output × one source) makes
+        // `apply_tables` panic in both chunks, the submitting thread's and
+        // the worker's. The pool must report `EcError::Internal` — not
+        // hang, not unwind the submitter — and keep serving. (The panic is
+        // deterministic, so retries cannot mask it: retries = 0.)
         let pool = EncodePool::new(2);
         let src = vec![0u8; 1024];
         let mut out = vec![0u8; 1024];
-        let tables: Vec<NibbleTables> = Vec::new();
-        let job = RawJob {
-            work: ChunkWork::Gf {
-                tables: TabSpan::new(&tables),
-            },
-            sources: vec![SrcSpan::new(&src)],
-            outputs: vec![OutSpan::new(&mut out)],
-            len: 1024,
-            default_d: 4,
-            default_bf: None,
-        };
+        let job = RawJob::new(
+            &[],
+            vec![SrcSpan::new(&src)],
+            vec![OutSpan::new(&mut out)],
+            (4, None),
+        )
+        .unwrap();
         assert!(matches!(
-            pool.run_jobs(std::slice::from_ref(&job), 0),
+            pool.run_jobs(&[job], 0),
             Err(EcError::Internal { .. })
         ));
+        assert_eq!(pool.stats().chunks, 2, "both executors ran their chunk");
         let coder = Dialga::new(4, 2).unwrap();
         let data = make_data(4, 4096);
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
@@ -2375,75 +1492,9 @@ mod tests {
             coder.encode_vec(&refs).unwrap(),
             "pool must survive a kernel panic"
         );
-        // The panic is caught inside the worker, so no thread died.
+        // The panics were caught where they happened, so no thread died.
         let stats = pool.stats();
         assert_eq!(stats.workers_alive, pool.threads());
         assert_eq!(stats.worker_deaths, 0);
-    }
-
-    #[test]
-    fn policy_log_snapshots_stay_consistent_under_concurrent_ticks() {
-        // Audit of the `try_lock` race (robustness PR): `maybe_tick`
-        // (worker side, `try_lock`) and `policy_log()` (observer side,
-        // `lock`) guard the coordinator — log ring buffer included —
-        // with the *same* Mutex, so a snapshot can never observe a torn
-        // entry; a tick that loses the race is skipped, not corrupted.
-        // Pin that: hammer snapshots from observer threads while encodes
-        // drive ticks, and check every snapshot is internally ordered
-        // and a prefix-extension of the previous one.
-        let cfg = dialga_memsim::MachineConfig::pm();
-        let mut coord = crate::Coordinator::new(4, 2, 4096, 2, &cfg);
-        // Aggressive interval so real ticks land during the test.
-        coord.set_sample_interval(10_000.0);
-        let pool = std::sync::Arc::new(EncodePool::with_coordinator(2, coord));
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let observers: Vec<_> = (0..2)
-            .map(|_| {
-                let pool = std::sync::Arc::clone(&pool);
-                let stop = std::sync::Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut prev: Vec<(f64, crate::coordinator::Policy)> = Vec::new();
-                    while !stop.load(Ordering::Acquire) {
-                        let snap = pool.policy_log();
-                        for w in snap.windows(2) {
-                            assert!(w[0].0 < w[1].0, "timestamps must increase");
-                        }
-                        assert!(snap.len() >= prev.len(), "log only grows (below cap)");
-                        for (a, b) in prev.iter().zip(snap.iter()) {
-                            assert_eq!(a, b, "snapshot must extend the previous one");
-                        }
-                        prev = snap;
-                    }
-                })
-            })
-            .collect();
-        let coder = Dialga::new(4, 2).unwrap();
-        let data = make_data(4, 8192);
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let expected = coder.encode_vec(&refs).unwrap();
-        for _ in 0..200 {
-            assert_eq!(pool.encode_vec(&coder, &refs).unwrap(), expected);
-        }
-        stop.store(true, Ordering::Release);
-        for o in observers {
-            o.join().unwrap();
-        }
-        assert!(
-            pool.coordinator_samples() > 0,
-            "ticks must make progress despite concurrent snapshots"
-        );
-    }
-
-    #[test]
-    fn pool_is_reusable_across_many_submissions() {
-        let coder = Dialga::new(4, 2).unwrap();
-        let pool = EncodePool::new(3);
-        let data = make_data(4, 4096);
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let expected = coder.encode_vec(&refs).unwrap();
-        for _ in 0..50 {
-            assert_eq!(pool.encode_vec(&coder, &refs).unwrap(), expected);
-        }
-        assert_eq!(pool.stats().dispatches, 50);
     }
 }

@@ -22,10 +22,10 @@
 //! | R4 | `panic-path` | no `unwrap()`/`expect()`/`panic!` on library paths of `core`, `ec`, `gf`, `pipeline` (tests/benches/bins exempt) |
 //! | R5 | `raw-ptr` | raw-pointer arithmetic and `from_raw_parts` only in whitelisted kernel modules |
 //! | R6 | `const-drift` | no bare `256` (`CHUNK_ALIGN`/`XPLINE`) or `64` (`CACHELINE`) literals in geometry-bearing library code outside the constants' defining modules |
-//! | R7 | `chunk-provenance` | raw-span `.sub(start, len)` calls in the chunk dispatch files take `<range>.start`/`<range>.len()` of a binder traced to `split_ranges` output (directly, or via a pushed proto buffer) |
+//! | R7 | `chunk-provenance` | raw-span `.sub(start, len)` calls in the chunk dispatch files take `<range>.start`/`<range>.len()` of a binder traced to `split_ranges` output (directly, or via a pushed proto buffer) — one site today, the chunker in `EncodePool::run_jobs_once` |
 //! | R8 | `lock-order` | the declared Mutex acquisition graph is acyclic across the workspace; no channel `send`/`recv` under a held lock; every acquisition in the pool/service/fault paths resolves to a declared lock |
 //! | R9 | `atomic-protocol` | every atomic in protocol scope has a declared role — `knob` (store Release / load Acquire), `counter` (Relaxed only), `latch` (fetch_add/fetch_sub AcqRel\|Release + load Acquire), `flag` (store Release / load Acquire / RMW Acquire\|Release\|AcqRel) — and each op follows its role |
-//! | R10 | `latch-complete` | batch-latch participants complete exactly once: every `.complete(..)` routes through `finish()` or the type's `Drop`, `finish()` flips the completion guard, `Drop` consults it |
+//! | R10 | `latch-complete` | batch-latch participants complete exactly once: every `.complete(..)` routes through `finish()` or the type's `Drop`, `finish()` flips the completion guard, `Drop` consults it — one participant (`Chunk`, a worker-run chunk; the submitting thread's own chunks never sit on the latch) |
 //!
 //! Per-site suppressions use `// lint:allow(<key>): <justification>` on the
 //! finding's line or the line above; the justification lives in the source
@@ -149,6 +149,8 @@ pub fn workspace_config() -> Config {
                 flag("commit_word"),
             ];
             // `PoolCounters` stats plus the round-robin dispatch cursor,
+            // executor 0's last-applied knob word (feeds only the
+            // `knob_switches` tally — the published word is `knobs`),
             // the `fetch_min` load-cost ratchet, faultkit's arm-generation
             // stamp, dialga-service tallies (ServiceCounters), the
             // service-wide submission sequence, the lock-free shard
@@ -170,6 +172,7 @@ pub fn workspace_config() -> Config {
                 "worker_respawns",
                 "batch_retries",
                 "next_worker",
+                "last_knobs",
                 "generation",
                 "submitted",
                 "completed",
@@ -226,11 +229,6 @@ pub fn workspace_config() -> Config {
                 helpers: vec![],
             },
             LockDecl {
-                name: "pools".to_string(),
-                receivers: s(&["pools"]),
-                helpers: vec![],
-            },
-            LockDecl {
                 name: "queue".to_string(),
                 receivers: s(&["queue"]),
                 helpers: s(&["lock_queue"]),
@@ -260,9 +258,10 @@ pub fn workspace_config() -> Config {
             "crates/service/src/",
             "crates/faultkit/src/",
         ]),
-        // R10: the pool's per-chunk latch participant. `Chunk::finish`
-        // flips `finished` and completes; `Drop` completes with an error
-        // exactly when `finished` is still false.
+        // R10: the pool's one latch participant, a chunk handed to a
+        // worker. `Chunk::finish` flips `finished` and completes; `Drop`
+        // completes with an error exactly when `finished` is still false.
+        // Chunks the submitting thread runs itself hold no latch seat.
         latches: vec![LatchDecl {
             file: "crates/core/src/pool.rs".to_string(),
             type_name: "Chunk".to_string(),
@@ -292,7 +291,7 @@ pub fn workspace_config() -> Config {
                 defining_modules: s(&["crates/gf/src/lib.rs", "crates/memsim/src/lib.rs"]),
             },
         ],
-        // R7: the persistent pool's chunk dispatch is the only place
+        // R7: the pool's chunker (`run_jobs_once`) is the one place
         // raw-span `.sub` offsets are minted; every offset must trace to
         // `split_ranges` output.
         provenance_files: s(&["crates/core/src/pool.rs"]),

@@ -4,19 +4,17 @@
 //! The PM model is the core of the substitution: a 64 B read that misses
 //! the read buffer fetches the whole 256 B XPLine from media (*implicit
 //! load*, §2.1/Fig. 1), so media traffic is counted in XPLines. The buffer
-//! is per-channel LRU; evicting an XPLine whose lines were never all read
-//! is the read-buffer-thrashing signal of Obs. 5.
+//! is per channel, with pseudo-random replacement; evicting an XPLine whose
+//! lines were never all read is the read-buffer-thrashing signal of Obs. 5.
 
 use crate::config::MachineConfig;
 use crate::counters::Counters;
 use crate::CACHELINE;
-use std::collections::HashMap;
 
 /// One media-unit slot in the on-DIMM read buffer.
 #[derive(Debug, Clone, Copy)]
 struct BufSlot {
     xp: u64,
-    lru: u64,
     /// Which cachelines of the unit have been read since the fetch
     /// (units hold at most 64 lines).
     used_mask: u64,
@@ -37,9 +35,11 @@ struct Channel {
     media_slots: Vec<f64>,
     /// Read-buffer slots (PM only).
     buffer: Vec<BufSlot>,
-    /// XPLine fetches currently in flight: completion time per XPLine.
-    /// Merges concurrent reads of one XPLine into one media fetch.
-    inflight: HashMap<u64, f64>,
+    /// XPLine fetches currently in flight, as `(xpline, completion time)`.
+    /// Merges concurrent reads of one XPLine into one media fetch. Entries
+    /// are unique per XPLine and retired as soon as their completion time
+    /// has passed, so there are only ever a few: a scan beats hashing.
+    inflight: Vec<(u64, f64)>,
     tick: u64,
 }
 
@@ -150,14 +150,12 @@ impl MemorySystem {
         let xp = addr / pm.unit_bytes;
         let line_in_xp = (addr / CACHELINE) % lines_per_unit;
         c.tick += 1;
-        let tick = c.tick;
 
         // Merge with an in-flight fetch of the same XPLine.
-        c.inflight.retain(|_, &mut done| done > now_ns);
-        if let Some(&done) = c.inflight.get(&xp) {
+        c.inflight.retain(|&(_, done)| done > now_ns);
+        if let Some(&(_, done)) = c.inflight.iter().find(|&&(x, _)| x == xp) {
             if let Some(slot) = c.buffer.iter_mut().find(|s| s.xp == xp) {
                 slot.used_mask |= 1 << line_in_xp;
-                slot.lru = tick;
             }
             ctr.buffer_hits += 1;
             return done.max(now_ns) + pm.buffer_bus_ns;
@@ -166,7 +164,6 @@ impl MemorySystem {
         // Read-buffer hit: a 64 B transfer over the bus at buffer latency.
         if let Some(slot) = c.buffer.iter_mut().find(|s| s.xp == xp) {
             slot.used_mask |= 1 << line_in_xp;
-            slot.lru = tick;
             let delay = c.bus_access(now_ns, pm.buffer_bus_ns);
             ctr.buffer_hits += 1;
             return now_ns + delay + pm.buffer_hit_ns;
@@ -198,7 +195,7 @@ impl MemorySystem {
         let done = start + pm.media_latency_ns + spike_ns;
         ctr.media_read_bytes += pm.unit_bytes;
         ctr.xpline_fetches += 1;
-        c.inflight.insert(xp, done);
+        c.inflight.push((xp, done));
 
         // Install into the buffer. Replacement is pseudo-random (xorshift
         // on the access tick): round-robin scans over a working set just
@@ -220,7 +217,6 @@ impl MemorySystem {
         }
         c.buffer.push(BufSlot {
             xp,
-            lru: tick,
             used_mask: 1 << line_in_xp,
         });
         done

@@ -133,11 +133,15 @@ impl std::fmt::Debug for Chunk {
 // ---------------------------------------------------------------------------
 // Real model 1: pool-latch quiesce.
 //
-// A submitter fans a 2-chunk batch out to two workers; one worker's
-// channel is already dead (worker death), so that send fails and the
-// returned chunk's Drop closes its latch slot. The submitter must wait
-// for the latch before releasing the shared frame; the live worker
-// asserts the frame is still alive when it touches it.
+// A submitter — executor 0 of a 3-executor pool — fans the other two
+// chunks of a batch out to two workers; one worker's channel is already
+// dead (worker death), so that send fails and the returned chunk's Drop
+// closes its latch slot. Between "send" and "wait" the submitter runs its
+// own chunk, whose result is a local, not a latch seat: the latch protocol
+// is the one from before the submitter did any work, with one more
+// schedule point inside the window. The submitter must wait for the latch
+// before releasing the shared frame — whatever its own chunk did — and the
+// live worker asserts the frame is still alive when it touches it.
 // ---------------------------------------------------------------------------
 
 fn pool_latch_model(wait_before_free: bool) {
@@ -162,6 +166,8 @@ fn pool_latch_model(wait_before_free: bool) {
         drop(dead); // SendError carries the chunk back; Drop closes the latch
     }
     tx_a.send(Chunk::new(&batch)).expect("worker A is alive");
+    // Executor 0's own chunk reads the frame it is about to wait on.
+    assert!(frame.load(Ordering::Acquire), "submitter owns the frame");
 
     if wait_before_free {
         let clean = batch.wait();

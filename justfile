@@ -25,6 +25,13 @@ race:
 chaos:
     cargo test -q --test chaos --test integrity
 
+# The scheduler crate's own tests (pool, coordinator, encoder; with the
+# fault hooks compiled in) and the service's — neither runs under the
+# root `cargo test` (a stage of `just lint`)
+core-test:
+    cargo test -q -p dialga --features fault-injection
+    cargo test -q -p dialga-service
+
 # The store crate's own unit + integration tests: XXH64 vectors, image
 # call counts per put/get/open, hostile superblock, sequence limit
 # (a stage of `just lint`)
@@ -41,15 +48,9 @@ crash:
 figures:
     cargo run --release -p dialga-bench --bin all_figures
 
-# Dispatch ablation for the persistent encode pool
-pool:
-    cargo run --release -p dialga-bench --bin pool -- --quick
-
-# Repair-path smoke: simulated + host repair tables and the pool-decode
-# dispatch ablation, on tiny inputs
+# Repair-path smoke: simulated + host repair tables, on tiny inputs
 repair-bench:
     cargo run --release -p dialga-bench --bin repair_path -- --quick
-    cargo run --release -p dialga-bench --bin pool_decode -- --quick
 
 # Host microbenchmarks (in-tree harness, no external deps)
 bench:

@@ -29,6 +29,12 @@ cargo run -q -p dialga-bench --bin xor_opt -- --smoke
 echo "== chaos smoke (fixed-seed fault plans + stripe integrity) =="
 cargo test -q --test chaos --test integrity
 
+echo "== core tests (pool, coordinator, encoder; fault hooks compiled in) =="
+cargo test -q -p dialga --features fault-injection
+
+echo "== service tests (admission, DRR, coalescing over the shard pools) =="
+cargo test -q -p dialga-service
+
 echo "== store unit tests (hash vectors, image call counts, hostile superblock, sequence limit) =="
 cargo test -q -p dialga-store
 

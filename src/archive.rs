@@ -10,7 +10,7 @@
 //! parity) next to the manifest `<stem>.dialga`.
 
 use dialga::encoder::Dialga;
-use dialga::parallel::encode_parallel_vec;
+use dialga::pool::EncodePool;
 use dialga_service::{ServiceConfig, StripeService};
 use std::fmt;
 use std::fs;
@@ -232,7 +232,8 @@ fn write_archive(
 }
 
 /// Encode `input` into `k`+`m` shards in `out_dir`; returns the manifest
-/// path. `threads` > 1 uses the parallel encoder.
+/// path. The stripe is split over a pool of `threads` executors (this
+/// thread included, so `threads` ≤ 1 encodes in place).
 pub fn encode_file(
     input: &Path,
     out_dir: &Path,
@@ -243,11 +244,7 @@ pub fn encode_file(
     let (padded, file_len, shard_len) = read_padded(input, k)?;
     let data: Vec<&[u8]> = padded.chunks(shard_len as usize).collect();
     let coder = Dialga::new(k, m)?;
-    let parity = if threads > 1 {
-        encode_parallel_vec(&coder, &data, threads)?
-    } else {
-        coder.encode_vec(&data)?
-    };
+    let parity = EncodePool::new(threads).encode_vec(&coder, &data)?;
     write_archive(
         out_dir,
         &manifest_for(input, k, m, file_len, shard_len),
@@ -549,12 +546,20 @@ mod tests {
 
     #[test]
     fn encode_verify_restore_roundtrip() {
-        let dir = tmpdir("roundtrip");
-        let input = sample_file(&dir, 100_000);
-        let manifest = encode_file(&input, &dir, 6, 3, 2).unwrap();
-        assert!(verify(&manifest).unwrap().healthy());
-        let out = restore(&manifest, Some(&dir.join("restored.bin"))).unwrap();
-        assert_eq!(fs::read(&input).unwrap(), fs::read(out).unwrap());
+        // `threads` executors, the encoding thread included: 0 and 1 both
+        // encode in place, 4 splits the stripe over three workers as well.
+        let mut parity = Vec::new();
+        for threads in [0usize, 1, 4] {
+            let dir = tmpdir(&format!("roundtrip-{threads}"));
+            let input = sample_file(&dir, 100_000);
+            let manifest = encode_file(&input, &dir, 6, 3, threads).unwrap();
+            assert!(verify(&manifest).unwrap().healthy());
+            let out = restore(&manifest, Some(&dir.join("restored.bin"))).unwrap();
+            assert_eq!(fs::read(&input).unwrap(), fs::read(out).unwrap());
+            let layout = Manifest::load(&manifest).unwrap();
+            parity.push(fs::read(layout.shard_path(&manifest, 8)).unwrap());
+        }
+        assert!(parity.windows(2).all(|w| w[0] == w[1]), "same bytes");
     }
 
     #[test]
