@@ -311,6 +311,54 @@ pub fn dot_prod_fused(
 /// rows.
 pub const VERIFY_WINDOW: usize = 256 * CACHELINE;
 
+/// The window loop behind [`dot_prod_verify`] and [`dot_prod_syndromes`]:
+/// recompute `sum_j tables[i*k + j] · sources[j]` one [`VERIFY_WINDOW`] at
+/// a time through [`dot_prod_fused`] and hand `visit` each window's start
+/// offset and recomputed rows; `visit` returns `false` to stop the scan.
+///
+/// # Panics
+/// Panics when `tables.len() != sources.len() * expected.len()` or any
+/// source/expected length differs from the first expected row's.
+fn for_each_verify_window(
+    tables: &[NibbleTables],
+    sources: &[&[u8]],
+    expected: &[&[u8]],
+    sched: FusedSched,
+    mut visit: impl FnMut(usize, &[&mut [u8]]) -> bool,
+) {
+    let k = sources.len();
+    let n_out = expected.len();
+    assert_eq!(
+        tables.len(),
+        k * n_out,
+        "dot_prod_verify table geometry mismatch"
+    );
+    if n_out == 0 {
+        return;
+    }
+    let len = expected[0].len();
+    for e in expected.iter() {
+        assert_eq!(e.len(), len, "dot_prod_verify length mismatch");
+    }
+    for s in sources {
+        assert_eq!(s.len(), len, "dot_prod_verify length mismatch");
+    }
+
+    let window = VERIFY_WINDOW.min(len).max(1);
+    let mut scratch: Vec<Vec<u8>> = (0..n_out).map(|_| vec![0u8; window]).collect();
+    let mut start = 0usize;
+    while start < len {
+        let end = (start + window).min(len);
+        let srcs: Vec<&[u8]> = sources.iter().map(|s| &s[start..end]).collect();
+        let mut outs: Vec<&mut [u8]> = scratch.iter_mut().map(|b| &mut b[..end - start]).collect();
+        dot_prod_fused(tables, &srcs, &mut outs, sched);
+        if !visit(start, &outs) {
+            return;
+        }
+        start = end;
+    }
+}
+
 /// Syndrome check on the fused path: recompute
 /// `sum_j tables[i*k + j] · sources[j]` window-by-window through
 /// [`dot_prod_fused`] and compare against `expected[i]`, returning the
@@ -335,45 +383,82 @@ pub fn dot_prod_verify(
     expected: &[&[u8]],
     sched: FusedSched,
 ) -> Vec<usize> {
-    let k = sources.len();
-    let n_out = expected.len();
-    assert_eq!(
-        tables.len(),
-        k * n_out,
-        "dot_prod_verify table geometry mismatch"
-    );
-    if n_out == 0 {
-        return Vec::new();
-    }
-    let len = expected[0].len();
-    for e in expected.iter() {
-        assert_eq!(e.len(), len, "dot_prod_verify length mismatch");
-    }
-    for s in sources {
-        assert_eq!(s.len(), len, "dot_prod_verify length mismatch");
-    }
-
-    let window = VERIFY_WINDOW.min(len).max(1);
-    let mut scratch: Vec<Vec<u8>> = (0..n_out).map(|_| vec![0u8; window]).collect();
-    let mut bad = vec![false; n_out];
-    let mut start = 0usize;
-    while start < len && !bad.iter().all(|&b| b) {
-        let end = (start + window).min(len);
-        let w = end - start;
-        let srcs: Vec<&[u8]> = sources.iter().map(|s| &s[start..end]).collect();
-        let mut outs: Vec<&mut [u8]> = scratch.iter_mut().map(|b| &mut b[..w]).collect();
-        dot_prod_fused(tables, &srcs, &mut outs, sched);
+    let mut bad = vec![false; expected.len()];
+    for_each_verify_window(tables, sources, expected, sched, |start, outs| {
         for (i, out) in outs.iter().enumerate() {
-            if !bad[i] && out[..] != expected[i][start..end] {
+            if !bad[i] && out[..] != expected[i][start..start + out.len()] {
                 bad[i] = true;
             }
         }
-        start = end;
-    }
+        !bad.iter().all(|&b| b)
+    });
     bad.iter()
         .enumerate()
         .filter_map(|(i, &b)| b.then_some(i))
         .collect()
+}
+
+/// Where a stripe's syndromes are non-zero, and what they are there: the
+/// result of [`dot_prod_syndromes`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Support {
+    /// Byte positions at which some row's syndrome is non-zero, ascending.
+    pub positions: Vec<usize>,
+    /// The `expected.len()` syndrome bytes at each position, row order
+    /// within a position, positions in the order of `positions`.
+    pub syndromes: Vec<u8>,
+}
+
+/// The collecting form of [`dot_prod_verify`]: the same kernel over the
+/// same windows with no early exit, returning the *support* of the
+/// syndromes `S_i = expected[i] ^ sum_j tables[i*k + j] · sources[j]` —
+/// every byte position where some `S_i` is non-zero — and all
+/// `expected.len()` syndrome bytes at each. An empty support is a clean
+/// stripe; a torn cacheline is at most 64 columns.
+///
+/// The support is all a locator needs: which shards are corrupt, and by
+/// what, is decided on these small columns instead of on the payload.
+///
+/// # Panics
+/// As [`dot_prod_verify`].
+pub fn dot_prod_syndromes(
+    tables: &[NibbleTables],
+    sources: &[&[u8]],
+    expected: &[&[u8]],
+    sched: FusedSched,
+) -> Support {
+    let mut support = Support::default();
+    for_each_verify_window(tables, sources, expected, sched, |start, outs| {
+        let end = start + outs[0].len();
+        let differs = |from: usize, to: usize| {
+            outs.iter()
+                .zip(expected)
+                .any(|(out, exp)| out[from - start..to - start] != exp[from..to])
+        };
+        if !differs(start, end) {
+            return true;
+        }
+        // Narrow a dirty window to its dirty cachelines before going byte
+        // by byte: a tear dirties one line of the 256.
+        for line in (start..end).step_by(CACHELINE) {
+            let line_end = (line + CACHELINE).min(end);
+            if !differs(line, line_end) {
+                continue;
+            }
+            for at in line..line_end {
+                let column = outs
+                    .iter()
+                    .zip(expected)
+                    .map(|(o, e)| o[at - start] ^ e[at]);
+                if column.clone().any(|s| s != 0) {
+                    support.positions.push(at);
+                    support.syndromes.extend(column);
+                }
+            }
+        }
+        true
+    });
+    support
 }
 
 /// Monomorphize a group pass over the runtime group width (1..=6 by
@@ -743,6 +828,69 @@ mod tests {
                 vec![0, 1, 2]
             );
         }
+    }
+
+    #[test]
+    fn syndromes_collect_exactly_the_nonzero_columns() {
+        // A ragged length spanning three windows; damage in the first and
+        // the last window, in a row and in a source, plus one position hit
+        // twice — and one source byte whose syndromes the row flips cancel
+        // back to zero, which must not appear.
+        let k = 4;
+        let n_out = 3;
+        let len = 2 * VERIFY_WINDOW + 200;
+        let data: Vec<Vec<u8>> = (0..k).map(|j| pattern(len, j as u8 + 11)).collect();
+        let tables: Vec<NibbleTables> = (0..n_out * k)
+            .map(|i| NibbleTables::new((i as u8).wrapping_mul(31).wrapping_add(7)))
+            .collect();
+        let mut rows = vec![vec![0u8; len]; n_out];
+        {
+            let sources: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+            let mut row_refs: Vec<&mut [u8]> = rows.iter_mut().map(|o| o.as_mut_slice()).collect();
+            reference_dot(&tables, &sources, &mut row_refs);
+        }
+        let sched = FusedSched {
+            d: Some(7),
+            d_long: Some(13),
+            shuffle: true,
+        };
+        let clean_src: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+        let clean_rows: Vec<&[u8]> = rows.iter().map(|r| r.as_slice()).collect();
+        assert_eq!(
+            dot_prod_syndromes(&tables, &clean_src, &clean_rows, sched),
+            Support::default()
+        );
+
+        let mut bad_data = data.clone();
+        let mut bad_rows = rows.clone();
+        bad_rows[1][5] ^= 0x40;
+        bad_data[2][5] ^= 0x03;
+        bad_data[0][len - 1] ^= 0x80;
+        // Cancelled: every row absorbs what the source flip adds to it.
+        let at = VERIFY_WINDOW + 9;
+        bad_data[3][at] ^= 0x55;
+        for (i, row) in bad_rows.iter_mut().enumerate() {
+            row[at] ^= tables[i * k + 3].mul(0x55);
+        }
+        let sources: Vec<&[u8]> = bad_data.iter().map(|d| d.as_slice()).collect();
+        let expected: Vec<&[u8]> = bad_rows.iter().map(|r| r.as_slice()).collect();
+        let got = dot_prod_syndromes(&tables, &sources, &expected, sched);
+        assert_eq!(got.positions, vec![5, len - 1]);
+        let t = &tables;
+        let column = |src: usize, flip: u8| (0..n_out).map(move |i| t[i * k + src].mul(flip));
+        let mut want: Vec<u8> = column(2, 0x03).collect();
+        want[1] ^= 0x40;
+        want.extend(column(0, 0x80));
+        assert_eq!(got.syndromes, want);
+        // Same rows condemned as the early-exit form, on any schedule.
+        assert_eq!(
+            dot_prod_verify(&tables, &sources, &expected, sched),
+            vec![0, 1, 2]
+        );
+        assert_eq!(
+            dot_prod_syndromes(&tables, &sources, &expected, FusedSched::plain()),
+            got
+        );
     }
 
     #[test]

@@ -47,7 +47,9 @@
 //!
 //! After rollback/forward, a **boot scrub** re-verifies every committed
 //! stripe with [`Dialga::scrub`], re-derives localizable corrupt shards
-//! through the decode path, and quarantines what cannot be localized.
+//! from the stripe's other shards — persisting the repair only if the
+//! repaired payload hashes to what the slot footer committed — and
+//! quarantines what cannot be localized.
 //!
 //! # Payload hash and layout version
 //!
@@ -695,7 +697,15 @@ pub struct RecoveryReport {
     /// Per-stripe repaired shard sets: `(stripe, shard indices)`.
     pub repaired: Vec<(usize, Vec<usize>)>,
     /// Per-stripe unlocalizable corruption evidence: `(stripe, shards)`.
+    /// A repair the slot footer's payload hash refused is listed here with
+    /// the shards the scrub had named.
     pub corrupt: Vec<(usize, Vec<usize>)>,
+    /// Of `recovery_ns`, nanoseconds in [`Dialga::scrub`] on the stripes it
+    /// did not find clean: detection plus localization (0 on a clean open).
+    pub localize_ns: u64,
+    /// Of `recovery_ns`, nanoseconds re-deriving, hash-checking, storing
+    /// and persisting the shards those scrubs named (0 on a clean open).
+    pub repair_ns: u64,
 }
 
 /// A crash-consistent erasure-coded stripe store over a [`PmImage`].
@@ -874,7 +884,7 @@ impl<I: PmImage> StripeStore<I> {
     }
 
     /// Verify every committed stripe; re-derive localizable corruption
-    /// through the decode path, quarantine the rest.
+    /// from the stripe's other shards, quarantine the rest.
     fn boot_scrub(&mut self, payload: &mut [u8]) -> Result<(), StoreError> {
         for stripe in 0..self.geo.stripes {
             if self.committed[stripe] == 0 {
@@ -883,43 +893,82 @@ impl<I: PmImage> StripeStore<I> {
             let slot = self.active[stripe];
             self.image.read(self.geo.slot_off(stripe, slot), payload)?;
             let shards: Vec<&[u8]> = payload.chunks_exact(self.geo.shard_len).collect();
-            match self.coder.scrub(&shards) {
-                Ok(bad) if bad.is_empty() => {}
-                Ok(bad) => {
-                    // Localized: erase the bad shards and re-derive them.
-                    let mut opts: Vec<Option<Vec<u8>>> = shards
-                        .iter()
-                        .enumerate()
-                        .map(|(i, s)| (!bad.contains(&i)).then(|| s.to_vec()))
-                        .collect();
-                    self.coder.decode(&mut opts)?;
-                    for &i in &bad {
-                        let Some(fixed) = opts[i].as_deref() else {
-                            return Err(StoreError::Coding(EcError::Internal {
-                                what: "decode left a repaired shard absent",
-                            }));
-                        };
-                        self.image
-                            .store(self.geo.shard_off(stripe, slot, i), fixed)?;
-                    }
-                    // The footer's payload hash covers the *original*
-                    // payload, which the repair just restored bit-exact;
-                    // one persist makes the repair durable.
-                    self.image.persist(
-                        self.geo.slot_off(stripe, slot),
-                        self.geo.slot_len() as usize,
-                    )?;
-                    self.report.shards_repaired += bad.len();
-                    self.report.repaired.push((stripe, bad));
-                }
-                Err(EcError::Corrupt { shards }) => {
-                    self.quarantined.insert(stripe);
-                    self.report.corrupt.push((stripe, shards));
-                }
-                Err(e) => return Err(StoreError::Coding(e)),
+            let scrub_start = Instant::now();
+            let verdict = self.coder.scrub(&shards);
+            if matches!(&verdict, Ok(bad) if bad.is_empty()) {
+                continue;
             }
+            self.report.localize_ns += scrub_start.elapsed().as_nanos() as u64;
+            let evidence = match verdict {
+                Ok(bad) => {
+                    let repair_start = Instant::now();
+                    let restored = self.repair_shards(stripe, slot, &shards, &bad)?;
+                    self.report.repair_ns += repair_start.elapsed().as_nanos() as u64;
+                    if restored {
+                        self.report.shards_repaired += bad.len();
+                        self.report.repaired.push((stripe, bad));
+                        continue;
+                    }
+                    bad
+                }
+                Err(EcError::Corrupt { shards }) => shards,
+                Err(e) => return Err(StoreError::Coding(e)),
+            };
+            self.quarantined.insert(stripe);
+            self.report.corrupt.push((stripe, evidence));
         }
         Ok(())
+    }
+
+    /// Re-derive the shards the scrub named from `k` of the others and make
+    /// them durable — if that restores the committed bytes. The slot footer
+    /// still holds the hash of the payload as it was committed: a repaired
+    /// payload that hashes to anything else is a miscorrection (more
+    /// corrupt shards than the code can tell apart, aliasing to a smaller
+    /// consistent set), so nothing is stored and `false` sends the stripe
+    /// to quarantine with the evidence intact. A footer that does not
+    /// decode is itself torn and cannot vouch either way; the parity
+    /// check stands alone then.
+    fn repair_shards(
+        &mut self,
+        stripe: usize,
+        slot: u8,
+        shards: &[&[u8]],
+        bad: &[usize],
+    ) -> Result<bool, StoreError> {
+        let geo = self.geo;
+        let footer = self.read_footer(stripe, slot)?;
+        let survivors: Vec<usize> = (0..shards.len())
+            .filter(|i| !bad.contains(i))
+            .take(geo.k)
+            .collect();
+        let sources: Vec<&[u8]> = survivors.iter().map(|&s| shards[s]).collect();
+        // The scrub names fewer than `m` shards, so the parity scratch holds
+        // them all.
+        let mut fixed: Vec<&mut [u8]> = self.parity.chunks_exact_mut(geo.shard_len).collect();
+        for (&target, out) in bad.iter().zip(&mut fixed) {
+            let plan = self.coder.repair_plan(&survivors, target)?;
+            plan.apply(&sources, out, self.coder.prefetch_distance(), false)?;
+        }
+        if let Some(footer) = footer {
+            let mut h = PayloadHasher::new();
+            for (i, &shard) in shards.iter().enumerate() {
+                h.update(match bad.iter().position(|&b| b == i) {
+                    Some(n) => &*fixed[n],
+                    None => shard,
+                });
+            }
+            if h.finish(&[]) != footer.payload_hash {
+                return Ok(false);
+            }
+        }
+        for (&i, bytes) in bad.iter().zip(&fixed) {
+            self.image.store(geo.shard_off(stripe, slot, i), bytes)?;
+        }
+        // One persist makes the repair durable.
+        self.image
+            .persist(geo.slot_off(stripe, slot), geo.slot_len() as usize)?;
+        Ok(true)
     }
 
     fn read_footer(&self, stripe: usize, slot: u8) -> Result<Option<Footer>, StoreError> {
@@ -1193,7 +1242,7 @@ mod tests {
 
     #[test]
     fn image_calls_per_put_get_and_clean_open_are_pinned() {
-        let geo = Geometry::new(4, 2, 512, 5).unwrap();
+        let geo = Geometry::new(4, 3, 512, 5).unwrap();
         let (k, n) = (geo.k, geo.k + geo.m);
         let image = Counting::new(MemImage::new(geo.image_len()));
         let mut store = StripeStore::format(image, geo).unwrap();
@@ -1232,6 +1281,67 @@ mod tests {
         assert_eq!(calls.reads.len(), 1 + 3 * geo.stripes);
         assert!(calls.stores.is_empty());
         assert_eq!(calls.persists, 0);
+
+        // A dirty open: over the clean one, each repaired stripe costs its
+        // footer read, a store per named shard and one persist — the payload
+        // the scrub read is the payload the repair works from.
+        let mut image = reopened.into_image().inner;
+        for (stripe, shard) in [(0, 1), (1, 2), (1, 5)] {
+            let at = geo.shard_off(stripe, 0, shard) as usize + CACHELINE as usize;
+            rng.fill(&mut image.bytes_mut()[at..at + CACHELINE as usize]);
+        }
+        let repaired = StripeStore::open(Counting::new(image)).unwrap();
+        assert_eq!(
+            repaired.recovery_report().repaired,
+            vec![(0, vec![1]), (1, vec![2, 5])]
+        );
+        let calls = repaired.image().calls.take();
+        let count = |len: usize| calls.reads.iter().filter(|&&l| l == len).count();
+        assert_eq!(count(CACHELINE as usize), 3 + 2 * 2 + 2);
+        assert_eq!(count(geo.payload_len()), 3);
+        assert_eq!(calls.reads.len(), 1 + 3 * geo.stripes + 2);
+        assert_eq!(calls.stores, vec![geo.shard_len; 3]);
+        assert_eq!(calls.persists, 2);
+        assert_eq!(repaired.read_stripe(0).unwrap(), data);
+        assert_eq!(repaired.read_stripe(1).unwrap(), data);
+    }
+
+    /// A boot repair is checked against the committed hash before it is
+    /// written. Forge the footer (its check word is no secret) to claim a
+    /// different payload: the localized, parity-consistent repair of a torn
+    /// shard no longer restores "the committed bytes", so nothing is stored
+    /// and the stripe is quarantined with the image as found.
+    #[test]
+    fn a_repair_the_footer_hash_refuses_is_not_written() {
+        let geo = Geometry::new(4, 2, 512, 2).unwrap();
+        let mut store = StripeStore::format(MemImage::new(geo.image_len()), geo).unwrap();
+        let mut rng = Rng::new(23);
+        let data = stripe_data(&mut rng, &geo);
+        for stripe in 0..2 {
+            store.write_stripe(stripe, &refs(&data)).unwrap();
+        }
+        let mut image = store.into_image();
+        let bytes = image.bytes_mut();
+        let at = geo.shard_off(0, 0, 2) as usize;
+        rng.fill(&mut bytes[at..at + CACHELINE as usize]);
+        let at = geo.footer_off(0, 0) as usize;
+        let mut footer = Footer::decode(&bytes[at..]).unwrap();
+        footer.payload_hash ^= 1;
+        bytes[at..at + CACHELINE as usize].copy_from_slice(&footer.encode());
+        let found = bytes.to_vec();
+
+        let store = StripeStore::open(Counting::new(image)).unwrap();
+        let calls = store.image().calls.take();
+        assert!(calls.stores.is_empty() && calls.persists == 0);
+        let report = store.recovery_report();
+        assert_eq!(report.corrupt, vec![(0, vec![2])]);
+        assert!(report.repaired.is_empty() && report.shards_repaired == 0);
+        assert!(matches!(
+            store.read_stripe(0),
+            Err(StoreError::Quarantined { stripe: 0 })
+        ));
+        assert_eq!(store.read_stripe(1).unwrap(), data);
+        assert_eq!(store.into_image().inner.into_bytes(), found);
     }
 
     /// Overwrite one superblock header word and re-seal the check word, as

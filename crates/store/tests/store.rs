@@ -108,6 +108,7 @@ fn clean_reopen_recovers_everything_with_no_rolls() {
     assert_eq!(report.rolled_back + report.rolled_forward, 0);
     assert_eq!(report.shards_repaired, 0);
     assert!(report.corrupt.is_empty());
+    assert_eq!((report.localize_ns, report.repair_ns), (0, 0));
     for (stripe, data) in written.iter().enumerate() {
         assert_eq!(&store.read_stripe(stripe).unwrap(), data);
     }
@@ -222,10 +223,15 @@ fn boot_scrub_repairs_localized_corruption() {
     assert_eq!(report.shards_repaired, 2);
     assert_eq!(report.repaired, vec![(0usize, vec![1usize, 4])]);
     assert!(report.corrupt.is_empty());
+    // The dirty stripe's share of the boot is attributed, and is a share.
+    assert!(report.localize_ns > 0 && report.repair_ns > 0);
+    assert!(report.localize_ns + report.repair_ns <= report.recovery_ns);
     assert_eq!(store.read_stripe(0).unwrap(), data);
     // And the repair was written back: a second reopen is clean.
     let store = StripeStore::open(store.into_image()).unwrap();
-    assert_eq!(store.recovery_report().shards_repaired, 0);
+    let report = store.recovery_report();
+    assert_eq!(report.shards_repaired, 0);
+    assert_eq!((report.localize_ns, report.repair_ns), (0, 0));
 }
 
 /// Unlocalizable corruption (more than m-1 shards) quarantines the
@@ -247,6 +253,9 @@ fn boot_scrub_quarantines_unlocalizable_corruption() {
     assert_eq!(report.corrupt.len(), 1);
     assert_eq!(report.corrupt[0].0, 1);
     assert!(!report.corrupt[0].1.is_empty());
+    // Time went into failing to localize, none into a repair.
+    assert!(report.localize_ns > 0 && report.localize_ns <= report.recovery_ns);
+    assert_eq!(report.repair_ns, 0);
     assert!(matches!(
         store.read_stripe(1),
         Err(StoreError::Quarantined { stripe: 1 })

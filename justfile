@@ -25,18 +25,17 @@ race:
 chaos:
     cargo test -q --test chaos --test integrity
 
-# The scheduler crate's own tests (pool, coordinator, encoder; with the
-# fault hooks compiled in) and the service's — neither runs under the
-# root `cargo test` (a stage of `just lint`)
+# The scheduler crate's own tests (pool, coordinator, encoder) with the
+# fault hooks compiled in (a stage of `just lint`)
 core-test:
     cargo test -q -p dialga --features fault-injection
-    cargo test -q -p dialga-service
 
-# The store crate's own unit + integration tests: XXH64 vectors, image
-# call counts per put/get/open, hostile superblock, sequence limit
+# Every crate's unit, integration and doc tests — gf, ec, memsim,
+# pipeline, service, store, workload, testkit and the lint fixtures run
+# nowhere else; the root `cargo test` is the facade package only
 # (a stage of `just lint`)
-store-test:
-    cargo test -q -p dialga-store
+workspace-test:
+    cargo test -q --workspace
 
 # Crash-point recovery sweep: exhaustive persist-boundary enumeration on
 # (4,2) plus seeded random crash sweeps on (6,3)/(10,4). Deterministic;

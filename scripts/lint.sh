@@ -32,11 +32,8 @@ cargo test -q --test chaos --test integrity
 echo "== core tests (pool, coordinator, encoder; fault hooks compiled in) =="
 cargo test -q -p dialga --features fault-injection
 
-echo "== service tests (admission, DRR, coalescing over the shard pools) =="
-cargo test -q -p dialga-service
-
-echo "== store unit tests (hash vectors, image call counts, hostile superblock, sequence limit) =="
-cargo test -q -p dialga-store
+echo "== workspace tests (every crate's unit, integration and doc tests, the lint fixtures included) =="
+cargo test -q --workspace
 
 echo "== crash smoke (every (4,2) persist boundary, sampled wide-code sweeps) =="
 # Exhaustive enumeration for the smallest code; CRASH_SEEDS stays at its

@@ -193,17 +193,38 @@ fn committed_image(k: usize, m: usize) -> (Geometry, Vec<u8>, Vec<Vec<Vec<u8>>>)
     (geo, store.into_image().into_bytes(), data)
 }
 
+/// What a torn shard holds instead of its bytes.
+#[derive(Debug, Clone, Copy)]
+enum Tear {
+    /// One cacheline per victim, each at its own offset.
+    Scattered,
+    /// One cacheline per victim, all at the same offset: every damaged
+    /// byte column carries as many errors as there are victims.
+    SameOffset,
+    /// The whole shard.
+    WholeShard,
+}
+
 /// Tear `victims` of stripe 0's committed slot (first writes land in
-/// slot 0): one cacheline of each victim shard is overwritten with a
+/// slot 0): the torn bytes of each victim shard are overwritten with a
 /// distinct stale-looking pattern, the way a lost flush leaves bytes
 /// from an older epoch.
-fn tear_shards(image: &mut [u8], geo: &Geometry, victims: &[usize]) {
+fn tear_shards_as(image: &mut [u8], geo: &Geometry, victims: &[usize], how: Tear) {
     for (n, &victim) in victims.iter().enumerate() {
-        let off = geo.shard_off(0, 0, victim) as usize + (victim * 64) % (STORE_SHARD - 64);
-        for (i, b) in image[off..off + 64].iter_mut().enumerate() {
+        let (at, len) = match how {
+            Tear::Scattered => ((victim * 64) % (STORE_SHARD - 64), 64),
+            Tear::SameOffset => (128, 64),
+            Tear::WholeShard => (0, STORE_SHARD),
+        };
+        let off = geo.shard_off(0, 0, victim) as usize + at;
+        for (i, b) in image[off..off + len].iter_mut().enumerate() {
             *b = ((n * 151 + i * 3 + 0xA5) % 256) as u8;
         }
     }
+}
+
+fn tear_shards(image: &mut [u8], geo: &Geometry, victims: &[usize]) {
+    tear_shards_as(image, geo, victims, Tear::Scattered);
 }
 
 /// Every single-shard tear, on every geometry and every shard position,
@@ -248,7 +269,9 @@ fn boot_scrub_repairs_every_single_shard_tear() {
 }
 
 /// Multi-shard tears within the scrub's localization budget (at most
-/// m - 1 shards) are repaired with the exact shard set.
+/// m - 1 shards) are repaired with the exact shard set: pairs wherever
+/// m >= 3, every triple of (10,4), as scattered cachelines, as cachelines
+/// at one offset and as whole shards of garbage.
 #[test]
 fn boot_scrub_repairs_localizable_multi_shard_tears() {
     for (k, m) in GEOMETRIES {
@@ -256,24 +279,35 @@ fn boot_scrub_repairs_localizable_multi_shard_tears() {
             continue; // m - 1 < 2: pairs are beyond this code's budget
         }
         let (geo, image, data) = committed_image(k, m);
-        let pairs = [(0usize, 1usize), (1, k), (k, k + m - 1), (2, k - 1)];
-        for (a, b) in pairs {
-            let mut torn = image.clone();
-            tear_shards(&mut torn, &geo, &[a, b]);
-            let store = StripeStore::open(MemImage::from_bytes(torn)).unwrap();
-            let report = store.recovery_report();
-            let mut want = vec![a, b];
-            want.sort_unstable();
-            assert_eq!(
-                report.repaired,
-                vec![(0, want)],
-                "k={k} m={m} pair ({a},{b}): wrong repair set"
-            );
-            assert_eq!(
-                store.read_stripe(0).unwrap(),
-                data[0],
-                "repair not bit-exact"
-            );
+        let mut sets: Vec<Vec<usize>> = [(0usize, 1usize), (1, k), (k, k + m - 1), (2, k - 1)]
+            .into_iter()
+            .map(|(a, b)| vec![a, b])
+            .collect();
+        if m >= 4 {
+            let n = k + m;
+            sets.extend((0..n).flat_map(|a| {
+                (a + 1..n).flat_map(move |b| (b + 1..n).map(move |c| vec![a, b, c]))
+            }));
+        }
+        for victims in sets {
+            for how in [Tear::Scattered, Tear::SameOffset, Tear::WholeShard] {
+                let mut torn = image.clone();
+                tear_shards_as(&mut torn, &geo, &victims, how);
+                let store = StripeStore::open(MemImage::from_bytes(torn)).unwrap();
+                let report = store.recovery_report();
+                let mut want = victims.clone();
+                want.sort_unstable();
+                assert_eq!(
+                    report.repaired,
+                    vec![(0, want)],
+                    "k={k} m={m} {victims:?} {how:?}: wrong repair set"
+                );
+                assert_eq!(
+                    store.read_stripe(0).unwrap(),
+                    data[0],
+                    "k={k} m={m} {victims:?} {how:?}: repair not bit-exact"
+                );
+            }
         }
     }
 }
