@@ -1,11 +1,5 @@
-//! Minimal wall-clock micro-benchmark harness.
-//!
-//! The bench targets are plain `harness = false` binaries so the workspace
-//! carries no external benchmarking dependency. The API mirrors the shape
-//! of the usual group/function benchmarking crates: a [`Group`] times
-//! closures with a warm-up phase and repeated fixed-size batches, and
-//! reports the best batch (least interference) in ns/iter plus GB/s when a
-//! throughput is declared.
+//! Minimal wall-clock timing loop for the host-timed `xor_opt` table (the
+//! workspace carries no external benchmarking dependency).
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -14,84 +8,30 @@ use std::time::{Duration, Instant};
 const BATCH: Duration = Duration::from_millis(40);
 /// Warm-up duration before timing starts.
 const WARMUP: Duration = Duration::from_millis(10);
-/// Timed batches per benchmark; the fastest is reported.
+/// Timed batches per measurement; the fastest is reported.
 const BATCHES: usize = 5;
 
-/// One result line.
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    /// `group/name` identifier.
-    pub id: String,
-    /// Best-batch nanoseconds per iteration.
-    pub ns_per_iter: f64,
-    /// Bytes processed per iteration (0 when not declared).
-    pub bytes_per_iter: u64,
-}
-
-impl Measurement {
-    /// Throughput in GB/s, when a per-iteration byte count was declared.
-    pub fn throughput_gbs(&self) -> Option<f64> {
-        (self.bytes_per_iter > 0).then(|| self.bytes_per_iter as f64 / self.ns_per_iter)
+/// Nanoseconds per call of `f`: after a warm-up that also sizes the batch,
+/// the best of [`BATCHES`] fixed-size batches (least interference).
+pub fn best_ns_per_iter<R>(mut f: impl FnMut() -> R) -> f64 {
+    let warm_start = Instant::now();
+    let mut warm_iters = 0u64;
+    while warm_start.elapsed() < WARMUP {
+        black_box(f());
+        warm_iters += 1;
     }
-}
+    let est = warm_start.elapsed().as_nanos() as f64 / warm_iters as f64;
+    let iters = ((BATCH.as_nanos() as f64 / est).ceil() as u64).max(1);
 
-/// A named group of benchmarks sharing a throughput declaration.
-pub struct Group {
-    name: String,
-    bytes: u64,
-    /// Results accumulated so far (also printed as they complete).
-    pub results: Vec<Measurement>,
-}
-
-/// Open a benchmark group.
-pub fn group(name: &str) -> Group {
-    Group {
-        name: name.to_string(),
-        bytes: 0,
-        results: Vec::new(),
-    }
-}
-
-impl Group {
-    /// Declare the bytes processed per iteration (enables GB/s reporting).
-    pub fn throughput_bytes(&mut self, bytes: u64) -> &mut Self {
-        self.bytes = bytes;
-        self
-    }
-
-    /// Time `f`, print one aligned result line, and record it.
-    pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) -> &mut Self {
-        // Warm-up: also calibrates the per-iteration cost.
-        let warm_start = Instant::now();
-        let mut warm_iters = 0u64;
-        while warm_start.elapsed() < WARMUP {
+    let mut best = f64::INFINITY;
+    for _ in 0..BATCHES {
+        let t = Instant::now();
+        for _ in 0..iters {
             black_box(f());
-            warm_iters += 1;
         }
-        let est = warm_start.elapsed().as_nanos() as f64 / warm_iters as f64;
-        let iters = ((BATCH.as_nanos() as f64 / est).ceil() as u64).max(1);
-
-        let mut best = f64::INFINITY;
-        for _ in 0..BATCHES {
-            let t = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            best = best.min(t.elapsed().as_nanos() as f64 / iters as f64);
-        }
-
-        let m = Measurement {
-            id: format!("{}/{}", self.name, name),
-            ns_per_iter: best,
-            bytes_per_iter: self.bytes,
-        };
-        match m.throughput_gbs() {
-            Some(gbs) => println!("{:<44} {:>14.1} ns/iter {:>9.3} GB/s", m.id, best, gbs),
-            None => println!("{:<44} {:>14.1} ns/iter", m.id, best),
-        }
-        self.results.push(m);
-        self
+        best = best.min(t.elapsed().as_nanos() as f64 / iters as f64);
     }
+    best
 }
 
 #[cfg(test)]
@@ -99,19 +39,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_measures_and_reports() {
-        let mut g = group("t");
-        g.throughput_bytes(1024);
-        g.bench("spin", || {
-            let mut acc = 0u64;
-            for i in 0..100u64 {
-                acc = acc.wrapping_add(i * i);
-            }
-            acc
-        });
-        let m = &g.results[0];
-        assert!(m.ns_per_iter > 0.0);
-        assert_eq!(m.id, "t/spin");
-        assert!(m.throughput_gbs().unwrap() > 0.0);
+    fn times_a_closure() {
+        let ns = best_ns_per_iter(|| (0..100u64).fold(0u64, |acc, i| acc.wrapping_add(i * i)));
+        assert!(ns > 0.0 && ns.is_finite());
     }
 }

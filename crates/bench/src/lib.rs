@@ -1,51 +1,19 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-//! Shared machinery for the figure-regeneration binaries.
+//! The paper-figure tables of the DIALGA reproduction.
 //!
-//! Every figure of the paper's evaluation (Figs. 3–19) has a binary in
-//! `src/bin/` that prints the figure's series as an aligned table and,
-//! with `--csv`, writes `results/figNN.csv`. This library provides the
-//! systems-under-test constructors ([`systems`]) and the output helpers
-//! ([`table`]).
+//! Every table of the paper's evaluation (Figs. 3–19) and of this
+//! repository's extension experiments is one function in [`figures`]
+//! behind one static registry; the `figures` binary prints them, writes
+//! them to `results/<name>.csv` (`--csv`) or checks the committed CSVs
+//! against a fresh run (`--check`). [`systems`] maps each compared library
+//! onto a simulated task source, [`table`] renders rows, and [`harness`]
+//! times the one host-clocked XOR-schedule table.
 
+pub mod figures;
 pub mod harness;
 pub mod systems;
 pub mod table;
 
+pub use figures::{Figure, FIGURES};
 pub use systems::{Spec, System};
-pub use table::Table;
-
-/// Parse common CLI flags: `--bytes <n>` scales the per-thread footprint,
-/// `--csv` writes results/<name>.csv alongside the printed table.
-pub struct Args {
-    /// Per-thread data footprint in bytes.
-    pub bytes_per_thread: u64,
-    /// Write CSV output.
-    pub csv: bool,
-}
-
-impl Args {
-    /// Parse from `std::env::args`, with a figure-appropriate default
-    /// footprint.
-    pub fn parse(default_bytes: u64) -> Args {
-        let mut args = Args {
-            bytes_per_thread: default_bytes,
-            csv: false,
-        };
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--bytes" => {
-                    args.bytes_per_thread = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--bytes needs a number");
-                }
-                "--csv" => args.csv = true,
-                "--quick" => args.bytes_per_thread = args.bytes_per_thread.min(1 << 20),
-                other => panic!("unknown flag {other} (expected --bytes N | --csv | --quick)"),
-            }
-        }
-        args
-    }
-}

@@ -1,84 +1,47 @@
-//! Aligned-table and CSV output for the figure binaries.
+//! Aligned-table and CSV rendering for the figure tables.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::path::Path;
 
-/// A simple column-aligned results table that can also serialize to CSV.
-pub struct Table {
-    name: String,
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
+/// One table body: stringified cells, one `Vec` per row.
+pub type Rows = Vec<Vec<String>>;
+
+/// The column-aligned form printed to the terminal: a `== name ==` title,
+/// the header, then the rows, each column right-aligned to its widest
+/// cell.
+pub fn render(name: &str, header: &[&str], rows: &[Vec<String>]) -> String {
+    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
+    for row in rows {
+        for (w, c) in widths.iter_mut().zip(row) {
+            *w = (*w).max(c.len());
+        }
+    }
+    let mut out = format!("== {name} ==\n");
+    push_aligned(&mut out, &widths, header.iter().copied());
+    for row in rows {
+        push_aligned(&mut out, &widths, row.iter().map(String::as_str));
+    }
+    out
 }
 
-impl Table {
-    /// Start a table for figure `name` with the given column headers.
-    pub fn new(name: &str, header: &[&str]) -> Table {
-        Table {
-            name: name.to_string(),
-            header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
+fn push_aligned<'a>(out: &mut String, widths: &[usize], cells: impl Iterator<Item = &'a str>) {
+    let mut line = String::new();
+    for (c, w) in cells.zip(widths) {
+        let _ = write!(line, "{c:>w$}  ");
     }
+    out.push_str(line.trim_end());
+    out.push('\n');
+}
 
-    /// Append one row (stringified cells).
-    pub fn row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.header.len(), "column count mismatch");
-        self.rows.push(cells);
-    }
-
-    /// Print the table, preceded by the figure name and a config line.
-    pub fn print(&self, config_digest: &str) {
-        println!("== {} ==", self.name);
-        println!("config: {config_digest}");
-        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (w, c) in widths.iter_mut().zip(row) {
-                *w = (*w).max(c.len());
-            }
-        }
-        let fmt_row = |cells: &[String]| {
-            let mut line = String::new();
-            for (c, w) in cells.iter().zip(&widths) {
-                let _ = write!(line, "{c:>w$}  ", w = w);
-            }
-            line.trim_end().to_string()
-        };
-        println!("{}", fmt_row(&self.header));
-        for row in &self.rows {
-            println!("{}", fmt_row(row));
-        }
-        println!();
-    }
-
-    /// Write `results/<name>.csv`.
-    pub fn write_csv(&self) -> std::io::Result<()> {
-        let dir = Path::new("results");
-        fs::create_dir_all(dir)?;
-        let mut out = String::new();
-        out.push_str(&self.header.join(","));
+/// The committed form (`results/<name>.csv`): the header line, then one
+/// comma-joined line per row.
+pub fn csv(header: &[&str], rows: &[Vec<String>]) -> String {
+    let mut out = header.join(",");
+    out.push('\n');
+    for row in rows {
+        out.push_str(&row.join(","));
         out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        fs::write(dir.join(format!("{}.csv", self.name)), out)
     }
-
-    /// Finish: print and optionally write CSV.
-    pub fn finish(&self, config_digest: &str, csv: bool) {
-        self.print(config_digest);
-        if csv {
-            if let Err(e) = self.write_csv() {
-                eprintln!("csv write failed: {e}");
-            }
-        }
-    }
-
-    /// Access rows (for tests).
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
+    out
 }
 
 /// Format a GB/s value.
@@ -96,17 +59,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_roundtrip() {
-        let mut t = Table::new("figtest", &["a", "b"]);
-        t.row(vec!["1".into(), "2".into()]);
-        assert_eq!(t.rows().len(), 1);
-        t.print("cfg");
+    fn csv_is_header_then_comma_joined_rows() {
+        let rows = vec![vec!["1".to_string(), "2.50".to_string()]];
+        assert_eq!(csv(&["a", "b"], &rows), "a,b\n1,2.50\n");
+        assert_eq!(csv(&["a", "b"], &[]), "a,b\n");
     }
 
     #[test]
-    #[should_panic(expected = "column count mismatch")]
-    fn column_mismatch_panics() {
-        let mut t = Table::new("figtest", &["a", "b"]);
-        t.row(vec!["1".into()]);
+    fn render_right_aligns_to_the_widest_cell() {
+        let rows = vec![vec!["wide-cell".to_string(), "2".to_string()]];
+        assert_eq!(
+            render("t", &["a", "b"], &rows),
+            "== t ==\n        a  b\nwide-cell  2\n"
+        );
     }
 }

@@ -127,8 +127,7 @@ fn passes_never_worsen_cost() {
 #[test]
 fn optimizer_reduces_xors_on_most_families() {
     // The PR 9 acceptance bar, as a test: >= 3 zoo families must strictly
-    // shrink. (BENCH_PR9.json records the same fact for the trajectory
-    // gate.)
+    // shrink (`figures xor_opt` prints the counts).
     let improved = zoo()
         .iter()
         .filter(|(_, naive, optimized)| optimized.cost().xors < naive.cost().xors)

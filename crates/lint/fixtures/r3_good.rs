@@ -10,7 +10,7 @@ fn consume(shared: &Shared) -> u64 {
 }
 
 fn look_alikes(v: &mut Vec<u8>, engine: &mut Engine) {
-    // No `Ordering::` argument: not atomic calls, out of R3's scope.
+    // No `Ordering::` argument: not atomic calls, out of R9's scope.
     v.swap(0, 1);
     engine.load(0x1000);
 }

@@ -18,14 +18,17 @@
 //! |----|-----|--------|
 //! | R1 | `safety-comment` | every `unsafe` block/fn/impl has a `SAFETY:` comment within 10 lines |
 //! | R2 | `unsafe-confine` | `unsafe` only in whitelisted kernel modules; other crate roots `#![forbid(unsafe_code)]`, kernel crates `#![deny(unsafe_op_in_unsafe_fn)]` |
-//! | R3 | `atomic-order` | packed knob word: `store(Release)` / `load(Acquire)` only; `Relaxed` only on declared stat counters |
 //! | R4 | `panic-path` | no `unwrap()`/`expect()`/`panic!` on library paths of `core`, `ec`, `gf`, `pipeline` (tests/benches/bins exempt) |
 //! | R5 | `raw-ptr` | raw-pointer arithmetic and `from_raw_parts` only in whitelisted kernel modules |
 //! | R6 | `const-drift` | no bare `256` (`CHUNK_ALIGN`/`XPLINE`) or `64` (`CACHELINE`) literals in geometry-bearing library code outside the constants' defining modules |
 //! | R7 | `chunk-provenance` | raw-span `.sub(start, len)` calls in the chunk dispatch files take `<range>.start`/`<range>.len()` of a binder traced to `split_ranges` output (directly, or via a pushed proto buffer) — one site today, the chunker in `EncodePool::run_jobs_once` |
 //! | R8 | `lock-order` | the declared Mutex acquisition graph is acyclic across the workspace; no channel `send`/`recv` under a held lock; every acquisition in the pool/service/fault paths resolves to a declared lock |
-//! | R9 | `atomic-protocol` | every atomic in protocol scope has a declared role — `knob` (store Release / load Acquire), `counter` (Relaxed only), `latch` (fetch_add/fetch_sub AcqRel\|Release + load Acquire), `flag` (store Release / load Acquire / RMW Acquire\|Release\|AcqRel) — and each op follows its role |
+//! | R9 | `atomic-protocol` | every atomic in protocol scope has a declared role — `knob` (store Release / load Acquire), `counter` (Relaxed only), `latch` (fetch_add/fetch_sub AcqRel\|Release + load Acquire), `flag` (store Release / load Acquire / RMW Acquire\|Release\|AcqRel) — and each op follows its role; the knob arm is checked in every scanned file, tests included |
 //! | R10 | `latch-complete` | batch-latch participants complete exactly once: every `.complete(..)` routes through `finish()` or the type's `Drop`, `finish()` flips the completion guard, `Drop` consults it — one participant (`Chunk`, a worker-run chunk; the submitting thread's own chunks never sit on the latch) |
+//!
+//! Rule ids are stable: R3 (`atomic-order`, the knob-word check) was one
+//! arm of R9's role table and is folded into it, and nothing was
+//! renumbered.
 //!
 //! Per-site suppressions use `// lint:allow(<key>): <justification>` on the
 //! finding's line or the line above; the justification lives in the source
@@ -34,7 +37,7 @@
 //! ## Known lexical limits
 //!
 //! The scanner is comment- and string-exact but does not parse. Receiver
-//! resolution for R3/R9 is the identifier before `.op(` (walking back
+//! resolution for R9 is the identifier before `.op(` (walking back
 //! through one `[index]` group), so rebinding an atomic field to a
 //! differently-named local escapes the check; R8's guard-lifetime model is
 //! binder-traced per function body, so a guard returned from a non-helper
@@ -106,7 +109,7 @@ pub fn workspace_config() -> Config {
             "crates/service/src/",
             "crates/store/src/",
         ]),
-        // The declared-atomic registry (R3 knobs, R9 everything): each
+        // The declared-atomic registry (R9): each
         // entry is a field name plus the ordering protocol its role
         // implies. DESIGN.md's "Concurrency protocols" appendix tabulates
         // the same registry with per-field rationale.

@@ -1,5 +1,5 @@
-//! The rule engine: R1–R10 over scanned source files, with per-rule inline
-//! allow directives.
+//! The rule engine: R1–R10 (R3 is folded into R9) over scanned source
+//! files, with per-rule inline allow directives.
 //!
 //! Every rule reports `file:line`, a rule id and a rationale. A finding may
 //! be suppressed at a specific site with a justification comment on the
@@ -11,9 +11,8 @@
 //! ```
 //!
 //! The directive names the rule key (`safety-comment`, `unsafe-confine`,
-//! `atomic-order`, `panic-path`, `raw-ptr`, `const-drift`,
-//! `chunk-provenance`, `lock-order`, `atomic-protocol`,
-//! `latch-complete`), never a
+//! `panic-path`, `raw-ptr`, `const-drift`, `chunk-provenance`,
+//! `lock-order`, `atomic-protocol`, `latch-complete`), never a
 //! blanket "allow all" — suppressions stay per-rule and per-site, and the
 //! justification text travels with the site in the source.
 //!
@@ -39,9 +38,6 @@ pub enum Rule {
     /// roots carry `#![forbid(unsafe_code)]` (whitelisted crates carry
     /// `#![deny(unsafe_op_in_unsafe_fn)]`).
     UnsafeConfine,
-    /// R3: knob-word stores are `Release`, loads are `Acquire`; `Relaxed`
-    /// only on declared stat counters.
-    AtomicOrder,
     /// R4: no `unwrap()`/`expect()`/`panic!` on library code paths.
     PanicPath,
     /// R5: raw-pointer arithmetic only inside whitelisted kernel modules.
@@ -62,7 +58,9 @@ pub enum Rule {
     LockOrder,
     /// R9: every atomic in protocol scope carries a declared role
     /// (`knob` | `counter` | `latch` | `flag`) and each of its
-    /// load/store/RMW sites follows that role's ordering protocol.
+    /// load/store/RMW sites follows that role's ordering protocol. The
+    /// knob arm (formerly R3 `atomic-order`) applies in every scanned
+    /// file, not only in protocol scope.
     AtomicProtocol,
     /// R10: batch-latch participants complete exactly once — every
     /// `.complete(..)` call on the latch lives inside the participant
@@ -73,12 +71,11 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// Display id, e.g. `R3 atomic-order`.
+    /// Display id, e.g. `R9 atomic-protocol`.
     pub fn id(self) -> &'static str {
         match self {
             Rule::SafetyComment => "R1 safety-comment",
             Rule::UnsafeConfine => "R2 unsafe-confine",
-            Rule::AtomicOrder => "R3 atomic-order",
             Rule::PanicPath => "R4 panic-path",
             Rule::RawPtr => "R5 raw-ptr",
             Rule::ConstDrift => "R6 const-drift",
@@ -94,7 +91,6 @@ impl Rule {
         match self {
             Rule::SafetyComment => "safety-comment",
             Rule::UnsafeConfine => "unsafe-confine",
-            Rule::AtomicOrder => "atomic-order",
             Rule::PanicPath => "panic-path",
             Rule::RawPtr => "raw-ptr",
             Rule::ConstDrift => "const-drift",
@@ -157,8 +153,8 @@ pub struct Config {
     /// library paths are listed, and `#[cfg(test)]` items are skipped.
     pub panic_free_prefixes: Vec<String>,
     /// Every declared atomic in the workspace, with its protocol role
-    /// (R3 checks `Knob` members; R9 checks the rest and requires every
-    /// atomic op in scope to resolve to a declaration).
+    /// (R9: `Knob` members are checked everywhere, the rest in scope,
+    /// where every atomic op must also resolve to a declaration).
     pub atomics: Vec<AtomicDecl>,
     /// Path prefixes where R9 runs: library code whose atomics must all
     /// carry declared roles. Test harness crates (`testkit`, `bench`) and
@@ -182,12 +178,12 @@ pub struct Config {
     pub provenance_files: Vec<String>,
 }
 
-/// Protocol role of a declared atomic (R3/R9). Each role is an ordering
+/// Protocol role of a declared atomic (R9). Each role is an ordering
 /// contract, not a type: the same `AtomicU64` shape serves all four.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AtomicRole {
     /// Published policy word: `store(Release)` by the coordinator,
-    /// `load(Acquire)` by workers, nothing else (checked by R3).
+    /// `load(Acquire)` by workers, nothing else.
     Knob,
     /// Advisory statistic: every access is `Relaxed`; cross-thread
     /// ordering must come from a lock or a knob/flag edge, never from
@@ -203,8 +199,8 @@ pub enum AtomicRole {
     Flag,
 }
 
-/// One declared atomic field and its role (R3/R9). Resolution is
-/// lexer-grade like R3's: the receiver identifier before `.op(`, with
+/// One declared atomic field and its role (R9). Resolution is
+/// lexer-grade: the receiver identifier before `.op(`, with
 /// `bucket[i].op(..)`-style indexing walked back through the brackets.
 #[derive(Debug, Clone)]
 pub struct AtomicDecl {
@@ -262,7 +258,7 @@ pub struct LiteralGuard {
     pub defining_modules: Vec<String>,
 }
 
-/// Atomic methods whose call sites R3 inspects. A call only counts as
+/// Atomic methods whose call sites R9 inspects. A call only counts as
 /// atomic if an `Ordering::` token appears among its arguments, which
 /// keeps `Vec::swap`, simulator `load` methods etc. out of scope.
 const ATOMIC_OPS: &[&str] = &[
@@ -348,7 +344,6 @@ fn check_one(
 
     rule_safety_comment(path, &s, &mut out);
     rule_unsafe_confine(path, &s, cfg, whitelisted, &mut out);
-    rule_atomic_order(path, &s, cfg, &mut out);
     rule_panic_path(path, &s, cfg, &test_regions, &mut out);
     rule_raw_ptr(path, &s, whitelisted, &unsafe_regions, &mut out);
     rule_const_drift(path, &s, cfg, &test_regions, &mut out);
@@ -515,45 +510,6 @@ fn atomic_call_at(s: &Scanned, i: usize) -> Option<(String, String, Vec<String>,
         return None; // not an atomic call (no explicit Ordering argument)
     }
     Some((op.to_string(), recv, orderings, s.tokens[i].line))
-}
-
-/// R3: knob-word protocol — `store` = Release, `load` = Acquire, nothing
-/// else, on every atomic declared with the `Knob` role. The other roles
-/// (counter/latch/flag) and the undeclared-atomic check live in R9,
-/// which is scope-limited; R3 stays global because a mis-ordered knob
-/// word is wrong wherever it appears.
-fn rule_atomic_order(path: &str, s: &Scanned, cfg: &Config, out: &mut Vec<Finding>) {
-    for i in 0..s.tokens.len() {
-        let Some((op, recv, orderings, line)) = atomic_call_at(s, i) else {
-            continue;
-        };
-        let is_knob = cfg
-            .atomics
-            .iter()
-            .any(|a| a.field == recv && a.role == AtomicRole::Knob);
-        if !is_knob {
-            continue;
-        }
-        let ok = match op.as_str() {
-            "store" => orderings.iter().all(|o| o == "Release"),
-            "load" => orderings.iter().all(|o| o == "Acquire"),
-            _ => false,
-        };
-        if !ok {
-            out.push(Finding {
-                path: path.to_string(),
-                line,
-                rule: Rule::AtomicOrder,
-                message: format!(
-                    "knob word `{recv}` must be published with `store(…, Release)` \
-                     and consumed with `load(Acquire)`; `{op}({})` breaks the \
-                     coordinator→worker protocol",
-                    orderings.join(", ")
-                ),
-                notes: Vec::new(),
-            });
-        }
-    }
 }
 
 /// R4: `unwrap()`, `expect()` and panic macros on library code paths.
@@ -731,7 +687,7 @@ fn rule_const_drift(
 ///    `split_ranges` loop, then `for (j, r) in protos`).
 ///
 /// Carrier membership is computed to a fixed point so chains of
-/// buffering hops resolve in any textual order. Like R3, resolution is
+/// buffering hops resolve in any textual order. Like R9, resolution is
 /// lexer-grade: rebinding a range to a fresh name through anything other
 /// than a `for` pattern or a `push` escapes the trace and is flagged —
 /// the fix is to keep the dispatch idiom direct, or justify the site with
@@ -1318,10 +1274,12 @@ fn dfs_cycles<'a>(
     }
 }
 
-/// R9: atomic-protocol dataflow. In protocol scope every atomic op with
-/// an `Ordering::` argument must resolve to a declared atomic, and the
-/// orderings must satisfy the declared role's contract. Knob members are
-/// skipped here — R3 owns them (globally, not just in scope).
+/// R9: atomic-protocol dataflow. Every atomic op with an `Ordering::`
+/// argument on a declared atomic must satisfy the declared role's
+/// contract. The knob word is checked in every scanned file, test regions
+/// included — a mis-ordered knob access is wrong wherever it appears; the
+/// other roles, and the requirement that an atomic be declared at all,
+/// apply to non-test code in protocol scope.
 fn rule_atomic_protocol(
     path: &str,
     s: &Scanned,
@@ -1329,22 +1287,21 @@ fn rule_atomic_protocol(
     test_regions: &[(u32, u32)],
     out: &mut Vec<Finding>,
 ) {
-    if !cfg
+    let in_scope = cfg
         .atomic_scope_prefixes
         .iter()
-        .any(|p| path.starts_with(p.as_str()))
-    {
-        return;
-    }
+        .any(|p| path.starts_with(p.as_str()));
     for i in 0..s.tokens.len() {
         let Some((op, recv, orderings, line)) = atomic_call_at(s, i) else {
             continue;
         };
-        if in_any_region(line, test_regions) {
+        let decl = cfg.atomics.iter().find(|a| a.field == recv);
+        let is_knob = decl.is_some_and(|a| a.role == AtomicRole::Knob);
+        if !is_knob && (!in_scope || in_any_region(line, test_regions)) {
             continue;
         }
         let ords = orderings.join(", ");
-        let Some(decl) = cfg.atomics.iter().find(|a| a.field == recv) else {
+        let Some(decl) = decl else {
             out.push(Finding {
                 path: path.to_string(),
                 line,
@@ -1366,7 +1323,15 @@ fn rule_atomic_protocol(
             continue;
         };
         let (ok, contract) = match decl.role {
-            AtomicRole::Knob => continue, // R3 owns the knob protocol
+            AtomicRole::Knob => (
+                match op.as_str() {
+                    "store" => orderings.iter().all(|o| o == "Release"),
+                    "load" => orderings.iter().all(|o| o == "Acquire"),
+                    _ => false,
+                },
+                "the knob word is published with `store(…, Release)` and consumed with \
+                 `load(Acquire)`; anything else breaks the coordinator→worker protocol",
+            ),
             AtomicRole::Counter => (
                 orderings.iter().all(|o| o == "Relaxed"),
                 "counters are advisory statistics: every access is `Relaxed`; \

@@ -61,30 +61,53 @@ fn r2_fires_on_crate_root_missing_forbid() {
     assert!(fired.contains(&Rule::UnsafeConfine), "{fired:?}");
 }
 
+// `r3_*.rs` are the knob-word fixtures of the former R3 `atomic-order`,
+// now the knob arm of R9.
 #[test]
-fn r3_fires_on_protocol_violations() {
+fn r9_knob_arm_fires_on_protocol_violations() {
     let findings = findings_for(LIB_EC, "r3_bad.rs");
-    let r3: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == Rule::AtomicOrder)
-        .collect();
-    assert_eq!(r3.len(), 2, "{findings:?}");
-    assert!(r3[0].message.contains("Release"), "{}", r3[0].message);
-    assert!(r3[1].message.contains("Acquire"), "{}", r3[1].message);
-    // The undeclared-atomic case moved from R3 to R9 when roles landed:
-    // `mystery` now fails the role-registry check instead.
     let r9: Vec<_> = findings
         .iter()
         .filter(|f| f.rule == Rule::AtomicProtocol)
         .collect();
-    assert_eq!(r9.len(), 1, "{findings:?}");
-    assert!(r9[0].message.contains("mystery"), "{}", r9[0].message);
+    assert_eq!(r9.len(), 3, "{findings:?}");
+    assert!(
+        r9[0].message.contains("store(Relaxed)"),
+        "{}",
+        r9[0].message
+    );
+    assert!(r9[1].message.contains("load(Relaxed)"), "{}", r9[1].message);
+    assert!(r9[2].message.contains("mystery"), "{}", r9[2].message);
 }
 
 #[test]
-fn r3_accepts_protocol_and_ignores_non_atomic_lookalikes() {
-    let fired = rules_fired(LIB_EC, "r3_good.rs");
-    assert!(!fired.contains(&Rule::AtomicOrder), "{fired:?}");
+fn r9_knob_arm_is_not_scope_limited() {
+    // Outside the protocol-scope prefixes, and inside a test region, the
+    // two knob-word findings still fire; only the undeclared `mystery`
+    // (scope-limited since roles landed) goes quiet.
+    let wrapped = format!("#[cfg(test)]\nmod tests {{\n{}}}\n", fixture("r3_bad.rs"));
+    for source in [fixture("r3_bad.rs"), wrapped] {
+        let findings = check_source(
+            "crates/bench/src/bin/figures.rs",
+            &source,
+            &workspace_config(),
+        );
+        let messages: Vec<&str> = findings
+            .iter()
+            .filter(|f| f.rule == Rule::AtomicProtocol)
+            .map(|f| f.message.as_str())
+            .collect();
+        assert_eq!(messages.len(), 2, "{findings:?}");
+        assert!(messages.iter().all(|m| m.contains("knob `knobs`")));
+    }
+}
+
+#[test]
+fn r9_knob_arm_accepts_protocol_and_ignores_non_atomic_lookalikes() {
+    for path in [LIB_EC, "crates/bench/src/bin/figures.rs"] {
+        let fired = rules_fired(path, "r3_good.rs");
+        assert!(!fired.contains(&Rule::AtomicProtocol), "{path}: {fired:?}");
+    }
 }
 
 #[test]
@@ -97,7 +120,7 @@ fn r4_fires_on_library_panic_paths() {
     assert_eq!(r4, 3, "unwrap + expect + panic!: {findings:?}");
     // The same file outside the panic-free prefixes is exempt (benches,
     // bins, non-library crates).
-    let fired = rules_fired("crates/bench/src/bin/fig03.rs", "r4_bad.rs");
+    let fired = rules_fired("crates/bench/src/bin/figures.rs", "r4_bad.rs");
     assert!(!fired.contains(&Rule::PanicPath), "{fired:?}");
 }
 

@@ -71,7 +71,7 @@ impl CostModel {
     /// Compute cycles for the same row on the unfused per-slice path: one
     /// kernel call per (output, source) pair, each re-streaming the source
     /// line and reloading/restoring the destination. This is the baseline
-    /// the `kernel_fusion` ablation measures against.
+    /// the fused kernel's cost is stated against.
     pub fn rs_row_cycles_per_slice(&self, k: usize, m: usize) -> f64 {
         (k * m) as f64 * (self.gf_mad_cycles * self.simd.width_factor() + self.call_overhead_cycles)
             + self.row_overhead_cycles

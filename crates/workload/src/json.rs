@@ -1,11 +1,12 @@
-//! Minimal std-only JSON value, parser and string escaping.
+//! Minimal std-only JSON value and reader.
 //!
-//! Exists so `BENCH_PRn.json` artifacts can be *validated* — by the
-//! `workload_bench` self-check, the `trajectory` binary and the repo
-//! lint stage — without pulling serde into a container that pins its
-//! dependency set. Covers exactly the JSON this workspace emits: objects
-//! with string keys, arrays, finite numbers, strings without exotic
-//! escapes, booleans and null.
+//! Exists so JSON this repository writes — `BENCHMARK.json`, the
+//! benchmark's span dumps — can be read back in tests without pulling
+//! serde into a container that pins its dependency set. Covers exactly
+//! that JSON: objects with string keys, arrays, finite numbers, strings
+//! without exotic escapes, booleans and null. Input is untrusted: a
+//! malformed document is a [`ParseError`], and nesting is capped at
+//! [`MAX_DEPTH`] so a hostile one cannot exhaust the stack.
 
 use std::fmt;
 
@@ -66,12 +67,16 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The reader recurses once
+/// per level; nothing this tree emits nests deeper than a handful.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).
+/// garbage rejected, nesting beyond [`MAX_DEPTH`] rejected).
 pub fn parse(src: &str) -> Result<Json, ParseError> {
     let bytes = src.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing characters after document"));
@@ -118,7 +123,8 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), ParseError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+/// `depth` is the number of arrays/objects open around this value.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
@@ -126,8 +132,9 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
         Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'{') => parse_object(bytes, pos),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(err(*pos, "nesting too deep")),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
         Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
         Some(_) => Err(err(*pos, "unexpected character")),
     }
@@ -194,7 +201,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     *pos += 1; // [
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -203,7 +210,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -216,7 +223,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     *pos += 1; // {
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -235,7 +242,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
             return Err(err(*pos, "expected `:`"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -247,23 +254,6 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
             _ => return Err(err(*pos, "expected `,` or `}`")),
         }
     }
-}
-
-/// Escape a string for embedding in emitted JSON.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -308,35 +298,49 @@ mod tests {
     }
 
     #[test]
-    fn escape_round_trips_through_parse() {
-        let original = "line\n\"quoted\"\tand \\ slash";
-        let doc = format!("{{\"s\": \"{}\"}}", escape(original));
-        let parsed = parse(&doc).expect("parse escaped");
-        assert_eq!(parsed.get("s").and_then(Json::as_str), Some(original));
+    fn string_escapes_are_decoded() {
+        let doc = parse(r#"{"s": "line\n\"quoted\"\tand \\ slash"}"#).expect("parse");
+        assert_eq!(
+            doc.get("s").and_then(Json::as_str),
+            Some("line\n\"quoted\"\tand \\ slash")
+        );
     }
 
     #[test]
-    fn parses_real_bench_artifacts_from_this_repo() {
-        // The exact shapes trajectory must consume.
-        let pr6 = r#"{
-          "bench": "service_bench",
-          "k": 6, "m": 3, "block_bytes": 16384, "tenants": 8,
-          "unit": "ops/s, GiB/s, us",
-          "results": [
-            {"shards": 1, "ops": 320, "ops_per_s": 19394.8, "p99_us": 3827.8}
-          ]
-        }"#;
-        let doc = parse(pr6).expect("pr6 shape");
-        assert_eq!(
-            doc.get("bench").and_then(Json::as_str),
-            Some("service_bench")
-        );
-        assert_eq!(
-            doc.get("results")
-                .and_then(Json::as_arr)
-                .and_then(|r| r[0].get("ops_per_s"))
-                .and_then(Json::as_f64),
-            Some(19394.8)
-        );
+    fn parses_the_benchmark_declaration() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCHMARK.json");
+        let text = std::fs::read_to_string(path).expect("BENCHMARK.json");
+        let doc = parse(&text).expect("BENCHMARK.json parses");
+        let workloads = doc.get("workloads").and_then(Json::as_arr).expect("array");
+        assert!(workloads
+            .iter()
+            .any(|w| w.get("name").and_then(Json::as_str) == Some("sim_paper")));
+    }
+
+    /// `open` repeated `depth` times around a `1`, closed again.
+    fn nested(open: &[&str], close: &[&str], depth: usize) -> String {
+        let opens: String = (0..depth).map(|i| open[i % open.len()]).collect();
+        let closes: String = (0..depth).rev().map(|i| close[i % close.len()]).collect();
+        format!("{opens}1{closes}")
+    }
+
+    #[test]
+    fn nesting_is_accepted_up_to_the_cap_and_refused_past_it() {
+        let shapes: [(&[&str], &[&str]); 3] = [
+            (&["["], &["]"]),
+            (&["{\"a\":"], &["}"]),
+            (&["[", "{\"a\":"], &["]", "}"]),
+        ];
+        for (open, close) in shapes {
+            assert!(parse(&nested(open, close, MAX_DEPTH)).is_ok(), "{open:?}");
+            let e = parse(&nested(open, close, MAX_DEPTH + 1)).expect_err("past the cap");
+            assert_eq!(e.msg, "nesting too deep", "{open:?}");
+        }
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 }

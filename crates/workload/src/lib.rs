@@ -14,16 +14,16 @@
 //!   and stripes, open- or closed-loop arrivals, on/off burst shaping,
 //!   and per-phase block sizes so a mid-run phase boundary is a genuine
 //!   workload *shift* that forces coordinator re-convergence;
-//! * [`replay`] — the replayer: drives a [`StripeService`] (or the raw
-//!   [`EncodePool`]) from a testkit-seeded RNG, phase by phase, arming
-//!   phase-scoped [`FaultSchedule`] chaos when the `fault-injection`
-//!   feature is on, and measuring client-observed latency per op class;
+//! * [`replay`] — the replayer: drives a [`StripeService`] from a
+//!   testkit-seeded RNG, phase by phase, arming phase-scoped
+//!   [`FaultSchedule`] chaos when the `fault-injection` feature is on, and
+//!   measuring client-observed latency per op class;
 //! * [`report`] — the run report: throughput plus p50/p99/p999 per op
-//!   class, integrity-scrub outcomes, coordinator convergence time after
-//!   each shift, and the `BENCH_PRn.json` emission/validation used by
-//!   `workload_bench` and `just trajectory`;
-//! * [`json`] — the std-only JSON value/parser backing schema validation
-//!   (the container pins no serde; artifacts must stay checkable).
+//!   class, integrity-scrub outcomes and coordinator convergence time
+//!   after each shift;
+//! * [`json`] — the std-only JSON value and reader (the container pins no
+//!   serde); the benchmark's tests read `BENCHMARK.json` and span dumps
+//!   through it.
 //!
 //! Determinism: every random choice (tenant, op, stripe, hole positions,
 //! corruption, burst jitter) flows from one `dialga_testkit::Rng` seeded
@@ -31,7 +31,6 @@
 //! trace-for-trace; wall-clock timings of course vary with the host.
 //!
 //! [`StripeService`]: dialga_service::StripeService
-//! [`EncodePool`]: dialga::pool::EncodePool
 //! [`FaultSchedule`]: dialga_faultkit::FaultSchedule
 
 pub mod json;
@@ -40,7 +39,7 @@ pub mod report;
 pub mod spec;
 mod zipf;
 
-pub use replay::{replay_pool, replay_service};
-pub use report::{ClassReport, PhaseReport, PoolReport, RunReport, ScrubOutcomes, ServiceSummary};
+pub use replay::replay_service;
+pub use report::{ClassReport, PhaseReport, RunReport, ScrubOutcomes, ServiceSummary};
 pub use spec::{Arrival, Burst, Mix, Phase, WorkloadSpec};
 pub use zipf::Zipf;

@@ -12,17 +12,11 @@
 //!    on/off bursts — measuring **client-observed** latency per class,
 //! 4. drains, disarms, and closes the books: throughput, scrub
 //!    outcomes, rejections, worker deaths, convergence.
-//!
-//! [`replay_pool`] is the service-free baseline: fused encode batches
-//! submitted closed-loop straight into an [`EncodePool`].
 
-use crate::report::{
-    ClassReport, PhaseReport, PoolReport, RunReport, ScrubOutcomes, ServiceSummary,
-};
+use crate::report::{ClassReport, PhaseReport, RunReport, ScrubOutcomes, ServiceSummary};
 use crate::spec::{Arrival, Phase, WorkloadSpec};
 use crate::zipf::Zipf;
 use dialga::encoder::Dialga;
-use dialga::pool::{EncodePool, StripeJob};
 use dialga_ec::EcError;
 use dialga_faultkit::{flip_byte, FaultSchedule};
 use dialga_service::{OpKind, ServiceConfig, ServiceError, StripeService, Ticket};
@@ -412,8 +406,8 @@ pub fn replay_service(
     let wall_s = run_start.elapsed().as_secs_f64().max(1e-9);
     let stats = svc.stats();
     // Per-class reports plus an "all" aggregate over every completed op,
-    // so consumers that want one combined p50/p99 (service_bench's PR 6
-    // schema) don't have to merge quantiles approximately.
+    // so consumers that want one combined p50/p99 don't have to merge
+    // quantiles approximately.
     let mut all_ns: Vec<u64> = overall_ns.iter().flatten().copied().collect();
     let mut classes: Vec<ClassReport> = OpKind::ALL
         .iter()
@@ -447,68 +441,6 @@ pub fn replay_service(
     };
     report.fold_phases();
     Ok(report)
-}
-
-/// Closed-loop fused-batch encode replay against a raw [`EncodePool`] —
-/// the service-free baseline row of the artifact.
-pub fn replay_pool(
-    seed: u64,
-    k: usize,
-    m: usize,
-    threads: usize,
-    block_bytes: usize,
-    ops: u64,
-    batch: usize,
-) -> Result<PoolReport, EcError> {
-    let coder = Dialga::new(k, m)?;
-    let pool = EncodePool::new(threads.max(1));
-    let mut rng = Rng::new(seed);
-    let stripes = build_working_set(&coder, &mut rng, 8, block_bytes)?;
-    let batch = batch.max(1);
-    let mut batch_ns: Vec<u64> = Vec::new();
-    let mut done = 0u64;
-    let start = Instant::now();
-    while done < ops {
-        let n = batch.min((ops - done) as usize);
-        let mut parities: Vec<Vec<Vec<u8>>> = vec![vec![vec![0u8; block_bytes]; m]; n];
-        let data_refs: Vec<Vec<&[u8]>> = (0..n)
-            .map(|i| {
-                stripes[(done as usize + i) % stripes.len()]
-                    .data
-                    .iter()
-                    .map(Vec::as_slice)
-                    .collect()
-            })
-            .collect();
-        let mut parity_refs: Vec<Vec<&mut [u8]>> = parities
-            .iter_mut()
-            .map(|p| p.iter_mut().map(Vec::as_mut_slice).collect())
-            .collect();
-        let mut jobs: Vec<StripeJob<'_, '_>> = data_refs
-            .iter()
-            .zip(parity_refs.iter_mut())
-            .map(|(d, p)| StripeJob {
-                data: d.as_slice(),
-                parity: p.as_mut_slice(),
-            })
-            .collect();
-        let t0 = Instant::now();
-        pool.encode_batch(&coder, &mut jobs)?;
-        batch_ns.push(t0.elapsed().as_nanos() as u64);
-        done += n as u64;
-    }
-    let wall_s = start.elapsed().as_secs_f64().max(1e-9);
-    let lat = ClassReport::from_samples("batch", &mut batch_ns);
-    Ok(PoolReport {
-        ops: done,
-        batch,
-        wall_s,
-        ops_per_s: done as f64 / wall_s,
-        mib_s: (done as f64 * k as f64 * block_bytes as f64) / wall_s / (1024.0 * 1024.0),
-        p50_batch_us: lat.p50_us,
-        p99_batch_us: lat.p99_us,
-        worker_deaths: pool.stats().worker_deaths,
-    })
 }
 
 #[cfg(test)]
@@ -573,15 +505,5 @@ mod tests {
         assert_eq!(a.scrubs, b.scrubs);
         let counts = |r: &RunReport| -> Vec<u64> { r.classes.iter().map(|c| c.count).collect() };
         assert_eq!(counts(&a), counts(&b));
-    }
-
-    #[test]
-    fn pool_replay_reports_throughput() {
-        let report = replay_pool(3, 4, 2, 2, 4096, 64, 8).expect("pool replay");
-        assert_eq!(report.ops, 64);
-        assert!(report.ops_per_s > 0.0);
-        assert!(report.mib_s > 0.0);
-        assert!(report.p50_batch_us <= report.p99_batch_us);
-        assert_eq!(report.worker_deaths, 0);
     }
 }

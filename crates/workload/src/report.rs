@@ -1,15 +1,9 @@
-//! Run reports and the `BENCH_PRn.json` artifact schema.
+//! Run reports: what [`replay_service`] returns for one replayed profile —
+//! throughput, exact client-observed latency quantiles per op class,
+//! integrity-scrub outcomes, coordinator convergence after each phase
+//! shift, and the final service counters.
 //!
-//! One [`RunReport`] per replayed profile; [`bench_json`] assembles the
-//! full artifact (`"bench": "workload"`). [`validate_workload`] is the
-//! schema gate: `workload_bench` self-checks its own emission through
-//! it, and `just trajectory` / `scripts/lint.sh` refuse artifacts that
-//! drift. [`validate_artifact`] additionally understands the two legacy
-//! artifact kinds already in the repo root (`kernel_fusion` from PR 4,
-//! `service_bench` from PR 6) so the trajectory spans every PR that
-//! ever emitted numbers.
-
-use crate::json::{escape, Json};
+//! [`replay_service`]: crate::replay::replay_service
 
 /// Client-observed latency summary for one op class (exact quantiles
 /// over the recorded samples, unlike the service's bucketed histogram).
@@ -58,19 +52,6 @@ impl ClassReport {
             max_us: samples[n - 1] as f64 / 1_000.0,
         }
     }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"op\": \"{}\", \"count\": {}, \"mean_us\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"p999_us\": {:.1}, \"max_us\": {:.1}}}",
-            escape(&self.op),
-            self.count,
-            self.mean_us,
-            self.p50_us,
-            self.p99_us,
-            self.p999_us,
-            self.max_us
-        )
-    }
 }
 
 /// Integrity-scrub outcome tallies.
@@ -90,13 +71,6 @@ impl ScrubOutcomes {
         self.clean += other.clean;
         self.corrupt_detected += other.corrupt_detected;
         self.missed += other.missed;
-    }
-
-    fn to_json(self) -> String {
-        format!(
-            "{{\"clean\": {}, \"corrupt_detected\": {}, \"missed\": {}}}",
-            self.clean, self.corrupt_detected, self.missed
-        )
     }
 }
 
@@ -129,26 +103,6 @@ pub struct PhaseReport {
     pub classes: Vec<ClassReport>,
 }
 
-impl PhaseReport {
-    fn to_json(&self) -> String {
-        let classes: Vec<String> = self.classes.iter().map(ClassReport::to_json).collect();
-        format!(
-            "{{\"name\": \"{}\", \"ops_done\": {}, \"rejected\": {}, \"expired\": {}, \"wall_s\": {:.4}, \"ops_per_s\": {:.1}, \"mib_s\": {:.2}, \"convergence_ms\": {}, \"worker_deaths\": {}, \"scrubs\": {}, \"classes\": [{}]}}",
-            escape(&self.name),
-            self.ops_done,
-            self.rejected,
-            self.expired,
-            self.wall_s,
-            self.ops_per_s,
-            self.mib_s,
-            fmt_opt(self.convergence_ms),
-            self.worker_deaths,
-            self.scrubs.to_json(),
-            classes.join(", ")
-        )
-    }
-}
-
 /// Final service-side counter snapshot for one profile run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceSummary {
@@ -170,24 +124,6 @@ pub struct ServiceSummary {
     pub fallbacks: u64,
     /// Queue-depth high-water mark per shard.
     pub queue_peak: Vec<usize>,
-}
-
-impl ServiceSummary {
-    fn to_json(&self) -> String {
-        let peaks: Vec<String> = self.queue_peak.iter().map(usize::to_string).collect();
-        format!(
-            "{{\"submitted\": {}, \"completed\": {}, \"rejected\": {}, \"expired\": {}, \"spilled\": {}, \"batches\": {}, \"coalesced\": {}, \"fallbacks\": {}, \"queue_peak\": [{}]}}",
-            self.submitted,
-            self.completed,
-            self.rejected,
-            self.expired,
-            self.spilled,
-            self.batches,
-            self.coalesced,
-            self.fallbacks,
-            peaks.join(", ")
-        )
-    }
 }
 
 /// The complete result of replaying one profile.
@@ -249,473 +185,11 @@ impl RunReport {
             self.ops_per_s = self.ops as f64 / self.wall_s;
         }
     }
-
-    /// This profile's JSON object (one element of the artifact's
-    /// `profiles` array).
-    pub fn to_json(&self) -> String {
-        let classes: Vec<String> = self.classes.iter().map(ClassReport::to_json).collect();
-        let phases: Vec<String> = self.phases.iter().map(PhaseReport::to_json).collect();
-        format!(
-            "    {{\n      \"profile\": \"{}\", \"seed\": {}, \"k\": {}, \"m\": {}, \"shards\": {}, \"threads_per_shard\": {}, \"tenants\": {},\n      \"ops\": {}, \"wall_s\": {:.4}, \"ops_per_s\": {:.1}, \"mib_s\": {:.2},\n      \"convergence_after_shift_ms\": {},\n      \"scrubs\": {},\n      \"classes\": [\n        {}\n      ],\n      \"phases\": [\n        {}\n      ],\n      \"service\": {}\n    }}",
-            escape(&self.profile),
-            self.seed,
-            self.k,
-            self.m,
-            self.shards,
-            self.threads_per_shard,
-            self.tenants,
-            self.ops,
-            self.wall_s,
-            self.ops_per_s,
-            self.mib_s,
-            fmt_opt(self.convergence_after_shift_ms),
-            self.scrubs.to_json(),
-            classes.join(",\n        "),
-            phases.join(",\n        "),
-            self.service.to_json()
-        )
-    }
-}
-
-fn fmt_opt(v: Option<f64>) -> String {
-    match v {
-        Some(x) => format!("{x:.2}"),
-        None => "null".to_string(),
-    }
-}
-
-/// Results of the raw-pool replay (no service layer): fused encode
-/// batches driven closed-loop straight into an [`EncodePool`].
-///
-/// [`EncodePool`]: dialga::pool::EncodePool
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PoolReport {
-    /// Stripes encoded.
-    pub ops: u64,
-    /// Stripes per fused batch.
-    pub batch: usize,
-    /// Wall-clock, seconds.
-    pub wall_s: f64,
-    /// Stripes per second.
-    pub ops_per_s: f64,
-    /// Data throughput, MiB/s.
-    pub mib_s: f64,
-    /// Median fused-batch latency, µs.
-    pub p50_batch_us: f64,
-    /// 99th-percentile fused-batch latency, µs.
-    pub p99_batch_us: f64,
-    /// Worker deaths over the run (non-zero only under chaos).
-    pub worker_deaths: u64,
-}
-
-impl PoolReport {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"ops\": {}, \"batch\": {}, \"wall_s\": {:.4}, \"ops_per_s\": {:.1}, \"mib_s\": {:.2}, \"p50_batch_us\": {:.1}, \"p99_batch_us\": {:.1}, \"worker_deaths\": {}}}",
-            self.ops,
-            self.batch,
-            self.wall_s,
-            self.ops_per_s,
-            self.mib_s,
-            self.p50_batch_us,
-            self.p99_batch_us,
-            self.worker_deaths
-        )
-    }
-}
-
-/// Assemble the full `BENCH_PRn.json` artifact for a set of profile
-/// runs, plus the optional raw-pool baseline row.
-pub fn bench_json(
-    pr: u32,
-    smoke: bool,
-    profiles: &[RunReport],
-    pool: Option<&PoolReport>,
-) -> String {
-    let rows: Vec<String> = profiles.iter().map(RunReport::to_json).collect();
-    let pool_row = match pool {
-        Some(p) => format!(",\n  \"pool\": {}", p.to_json()),
-        None => String::new(),
-    };
-    format!(
-        "{{\n  \"bench\": \"workload\",\n  \"pr\": {},\n  \"smoke\": {},\n  \"unit\": \"ops/s, MiB/s, us\",\n  \"profiles\": [\n{}\n  ]{}\n}}\n",
-        pr,
-        smoke,
-        rows.join(",\n"),
-        pool_row
-    )
-}
-
-/// One crash-recovery sweep row: a single geometry driven through many
-/// seeded crash points, each followed by a timed `StripeStore::open`
-/// (recovery + boot scrub). Emitted under `"bench": "recovery"`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RecoveryRow {
-    /// Data shards per stripe.
-    pub k: usize,
-    /// Parity shards per stripe.
-    pub m: usize,
-    /// Stripes in the store image.
-    pub stripes: usize,
-    /// Shard payload length, bytes.
-    pub shard_len: usize,
-    /// Crash points injected (one recovery per crash).
-    pub crashes: u64,
-    /// Persist boundaries in one full write cycle (the crash-point space).
-    pub boundaries: u64,
-    /// Mean `recovery_ns` across all recoveries of this row.
-    pub recovery_ns_mean: f64,
-    /// Worst `recovery_ns` across all recoveries of this row.
-    pub recovery_ns_max: u64,
-    /// Stripes rolled back (torn shadow slot discarded) across the sweep.
-    pub stripes_rolled_back: u64,
-    /// Stripes rolled forward (intact slot re-committed) across the sweep.
-    pub stripes_rolled_forward: u64,
-    /// Shards re-derived by the boot scrub across the sweep.
-    pub shards_repaired: u64,
-    /// Recovered images that were neither the old nor the new stripe —
-    /// must be zero; non-zero means the commit protocol tore.
-    pub torn_hybrid: u64,
-}
-
-impl RecoveryRow {
-    fn to_json(&self) -> String {
-        format!(
-            "    {{\"k\": {}, \"m\": {}, \"stripes\": {}, \"shard_len\": {}, \"crashes\": {}, \"boundaries\": {}, \"recovery_ns_mean\": {:.1}, \"recovery_ns_max\": {}, \"stripes_rolled_back\": {}, \"stripes_rolled_forward\": {}, \"shards_repaired\": {}, \"torn_hybrid\": {}}}",
-            self.k,
-            self.m,
-            self.stripes,
-            self.shard_len,
-            self.crashes,
-            self.boundaries,
-            self.recovery_ns_mean,
-            self.recovery_ns_max,
-            self.stripes_rolled_back,
-            self.stripes_rolled_forward,
-            self.shards_repaired,
-            self.torn_hybrid
-        )
-    }
-}
-
-/// Assemble a `"bench": "recovery"` artifact (`BENCH_PR10.json`).
-pub fn recovery_json(pr: u32, smoke: bool, rows: &[RecoveryRow]) -> String {
-    let body: Vec<String> = rows.iter().map(RecoveryRow::to_json).collect();
-    format!(
-        "{{\n  \"bench\": \"recovery\",\n  \"pr\": {},\n  \"smoke\": {},\n  \"unit\": \"ns, crash counts\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        pr,
-        smoke,
-        body.join(",\n")
-    )
-}
-
-fn want_num(obj: &Json, key: &str, ctx: &str) -> Result<f64, String> {
-    obj.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("{ctx}: missing numeric `{key}`"))
-}
-
-fn want_str<'j>(obj: &'j Json, key: &str, ctx: &str) -> Result<&'j str, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{ctx}: missing string `{key}`"))
-}
-
-fn want_arr<'j>(obj: &'j Json, key: &str, ctx: &str) -> Result<&'j [Json], String> {
-    obj.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{ctx}: missing array `{key}`"))
-}
-
-fn check_class(class: &Json, ctx: &str) -> Result<(), String> {
-    let op = want_str(class, "op", ctx)?;
-    let ctx = format!("{ctx} class `{op}`");
-    want_num(class, "count", &ctx)?;
-    want_num(class, "mean_us", &ctx)?;
-    let p50 = want_num(class, "p50_us", &ctx)?;
-    let p99 = want_num(class, "p99_us", &ctx)?;
-    let p999 = want_num(class, "p999_us", &ctx)?;
-    want_num(class, "max_us", &ctx)?;
-    if p50 > p99 || p99 > p999 {
-        return Err(format!(
-            "{ctx}: quantiles not monotone (p50 {p50}, p99 {p99}, p999 {p999})"
-        ));
-    }
-    Ok(())
-}
-
-/// Validate a `"bench": "workload"` artifact against the PR 7 schema.
-/// Returns the profile names on success.
-pub fn validate_workload(doc: &Json) -> Result<Vec<String>, String> {
-    if want_str(doc, "bench", "root")? != "workload" {
-        return Err("root: `bench` is not \"workload\"".to_string());
-    }
-    want_num(doc, "pr", "root")?;
-    if !matches!(doc.get("smoke"), Some(Json::Bool(_))) {
-        return Err("root: missing boolean `smoke`".to_string());
-    }
-    let profiles = want_arr(doc, "profiles", "root")?;
-    if profiles.is_empty() {
-        return Err("root: `profiles` is empty".to_string());
-    }
-    let mut names = Vec::new();
-    for profile in profiles {
-        let name = want_str(profile, "profile", "profile")?.to_string();
-        let ctx = format!("profile `{name}`");
-        for key in ["seed", "k", "m", "shards", "threads_per_shard", "tenants"] {
-            want_num(profile, key, &ctx)?;
-        }
-        want_num(profile, "ops", &ctx)?;
-        want_num(profile, "wall_s", &ctx)?;
-        want_num(profile, "ops_per_s", &ctx)?;
-        want_num(profile, "mib_s", &ctx)?;
-        match profile.get("convergence_after_shift_ms") {
-            Some(v) if v.is_null() || v.as_f64().is_some() => {}
-            _ => return Err(format!("{ctx}: missing `convergence_after_shift_ms`")),
-        }
-        let scrubs = profile
-            .get("scrubs")
-            .ok_or_else(|| format!("{ctx}: missing `scrubs`"))?;
-        for key in ["clean", "corrupt_detected", "missed"] {
-            want_num(scrubs, key, &format!("{ctx} scrubs"))?;
-        }
-        let classes = want_arr(profile, "classes", &ctx)?;
-        if classes.is_empty() {
-            return Err(format!("{ctx}: `classes` is empty"));
-        }
-        for class in classes {
-            check_class(class, &ctx)?;
-        }
-        let phases = want_arr(profile, "phases", &ctx)?;
-        if phases.is_empty() {
-            return Err(format!("{ctx}: `phases` is empty"));
-        }
-        for phase in phases {
-            let pname = want_str(phase, "name", &format!("{ctx} phase"))?;
-            let pctx = format!("{ctx} phase `{pname}`");
-            for key in ["ops_done", "wall_s", "ops_per_s", "mib_s"] {
-                want_num(phase, key, &pctx)?;
-            }
-        }
-        profile
-            .get("service")
-            .ok_or_else(|| format!("{ctx}: missing `service`"))?;
-        names.push(name);
-    }
-    if let Some(pool) = doc.get("pool") {
-        for key in ["ops", "ops_per_s", "mib_s", "p50_batch_us", "p99_batch_us"] {
-            want_num(pool, key, "pool")?;
-        }
-    }
-    Ok(names)
-}
-
-/// One trajectory row distilled from any known artifact kind.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrajectoryRow {
-    /// The artifact's `bench` kind.
-    pub kind: String,
-    /// Headline throughput for cross-PR comparison.
-    pub headline: String,
-    /// Tail-latency summary when the kind records one.
-    pub tail: String,
-}
-
-/// Validate any known artifact kind and distill its trajectory row.
-/// Unknown kinds and schema drift are hard errors — that is the point.
-pub fn validate_artifact(doc: &Json) -> Result<TrajectoryRow, String> {
-    let kind = want_str(doc, "bench", "root")?.to_string();
-    match kind.as_str() {
-        "kernel_fusion" => {
-            let results = want_arr(doc, "results", "root")?;
-            if results.is_empty() {
-                return Err("kernel_fusion: empty `results`".to_string());
-            }
-            let mut best = 0.0f64;
-            let mut sum = 0.0;
-            for row in results {
-                let fused = want_num(row, "fused_gibs", "kernel_fusion result")?;
-                want_num(row, "per_row_gibs", "kernel_fusion result")?;
-                want_num(row, "speedup", "kernel_fusion result")?;
-                best = best.max(fused);
-                sum += fused;
-            }
-            Ok(TrajectoryRow {
-                kind,
-                headline: format!(
-                    "fused {:.1} GiB/s mean, {best:.1} peak ({} configs)",
-                    sum / results.len() as f64,
-                    results.len()
-                ),
-                tail: "-".to_string(),
-            })
-        }
-        "service_bench" => {
-            let results = want_arr(doc, "results", "root")?;
-            if results.is_empty() {
-                return Err("service_bench: empty `results`".to_string());
-            }
-            let mut best_ops = 0.0f64;
-            let mut p99_at_best = 0.0f64;
-            for row in results {
-                let ops = want_num(row, "ops_per_s", "service_bench result")?;
-                let p99 = want_num(row, "p99_us", "service_bench result")?;
-                if ops > best_ops {
-                    best_ops = ops;
-                    p99_at_best = p99;
-                }
-            }
-            Ok(TrajectoryRow {
-                kind,
-                headline: format!("best {best_ops:.0} ops/s"),
-                tail: format!("p99 {p99_at_best:.0} us at best shard count"),
-            })
-        }
-        "workload" => {
-            let names = validate_workload(doc)?;
-            let profiles = want_arr(doc, "profiles", "root")?;
-            let mut parts = Vec::new();
-            let mut tails = Vec::new();
-            for profile in profiles {
-                let name = want_str(profile, "profile", "profile")?;
-                let ops = want_num(profile, "ops_per_s", "profile")?;
-                parts.push(format!("{name} {ops:.0} ops/s"));
-                if let Some(classes) = profile.get("classes").and_then(Json::as_arr) {
-                    for class in classes {
-                        if class.get("op").and_then(Json::as_str) == Some("encode") {
-                            if let Some(p99) = class.get("p99_us").and_then(Json::as_f64) {
-                                tails.push(format!("{name} enc p99 {p99:.0} us"));
-                            }
-                        }
-                    }
-                }
-            }
-            let _ = names;
-            Ok(TrajectoryRow {
-                kind,
-                headline: parts.join(", "),
-                tail: tails.join(", "),
-            })
-        }
-        "xor_opt" => {
-            let results = want_arr(doc, "results", "root")?;
-            if results.is_empty() {
-                return Err("xor_opt: empty `results`".to_string());
-            }
-            let mut improved = 0usize;
-            let mut total_naive = 0.0f64;
-            let mut total_opt = 0.0f64;
-            let mut best_gibs = 0.0f64;
-            for row in results {
-                let family = want_str(row, "family", "xor_opt result")?;
-                let ctx = format!("xor_opt `{family}`");
-                want_num(row, "k", &ctx)?;
-                want_num(row, "m", &ctx)?;
-                let naive_xors = want_num(row, "naive_xors", &ctx)?;
-                let opt_xors = want_num(row, "opt_xors", &ctx)?;
-                want_num(row, "naive_gibs", &ctx)?;
-                let opt_gibs = want_num(row, "opt_gibs", &ctx)?;
-                match row.get("fused_rs_gibs") {
-                    Some(v) if v.is_null() || v.as_f64().is_some() => {}
-                    _ => return Err(format!("{ctx}: missing `fused_rs_gibs`")),
-                }
-                // The optimizer must never make a schedule worse: its
-                // candidate set includes the input schedule.
-                if opt_xors > naive_xors {
-                    return Err(format!(
-                        "{ctx}: optimizer increased XOR count ({naive_xors} -> {opt_xors})"
-                    ));
-                }
-                if opt_xors < naive_xors {
-                    improved += 1;
-                }
-                total_naive += naive_xors;
-                total_opt += opt_xors;
-                best_gibs = best_gibs.max(opt_gibs);
-            }
-            // PR 9 acceptance: the pass pipeline must strictly reduce the
-            // XOR count on at least three zoo families.
-            if improved < 3 {
-                return Err(format!(
-                    "xor_opt: only {improved} families improved (need >= 3)"
-                ));
-            }
-            let reduction = 100.0 * (1.0 - total_opt / total_naive.max(1.0));
-            Ok(TrajectoryRow {
-                kind,
-                headline: format!(
-                    "xor count -{reduction:.1}% over {} families, opt peak {best_gibs:.1} GiB/s",
-                    results.len()
-                ),
-                tail: format!("{improved}/{} families strictly improved", results.len()),
-            })
-        }
-        "recovery" => {
-            let results = want_arr(doc, "results", "root")?;
-            if results.is_empty() {
-                return Err("recovery: empty `results`".to_string());
-            }
-            let mut crashes = 0u64;
-            let mut rolled_back = 0u64;
-            let mut rolled_forward = 0u64;
-            let mut repaired = 0u64;
-            let mut worst_ns = 0.0f64;
-            for row in results {
-                let k = want_num(row, "k", "recovery result")?;
-                let m = want_num(row, "m", "recovery result")?;
-                let ctx = format!("recovery ({k},{m})");
-                want_num(row, "stripes", &ctx)?;
-                want_num(row, "shard_len", &ctx)?;
-                let row_crashes = want_num(row, "crashes", &ctx)?;
-                want_num(row, "boundaries", &ctx)?;
-                let mean = want_num(row, "recovery_ns_mean", &ctx)?;
-                let max = want_num(row, "recovery_ns_max", &ctx)?;
-                rolled_back += want_num(row, "stripes_rolled_back", &ctx)? as u64;
-                rolled_forward += want_num(row, "stripes_rolled_forward", &ctx)? as u64;
-                repaired += want_num(row, "shards_repaired", &ctx)? as u64;
-                let torn = want_num(row, "torn_hybrid", &ctx)?;
-                // Correctness gates, not schema: any hybrid image means the
-                // commit-record protocol failed, and a row with no crashes
-                // measured nothing.
-                if torn != 0.0 {
-                    return Err(format!("{ctx}: {torn} torn-hybrid recoveries (must be 0)"));
-                }
-                if row_crashes <= 0.0 {
-                    return Err(format!("{ctx}: zero crashes injected"));
-                }
-                if mean > max {
-                    return Err(format!(
-                        "{ctx}: recovery_ns_mean {mean} exceeds recovery_ns_max {max}"
-                    ));
-                }
-                crashes += row_crashes as u64;
-                worst_ns = worst_ns.max(max);
-            }
-            // A sweep where recovery never rolled a stripe either way never
-            // actually exercised the protocol.
-            if rolled_back + rolled_forward == 0 {
-                return Err("recovery: no stripe ever rolled back or forward".to_string());
-            }
-            Ok(TrajectoryRow {
-                kind,
-                headline: format!(
-                    "{crashes} crashes over {} geometries, 0 hybrid images",
-                    results.len()
-                ),
-                tail: format!(
-                    "rolled back {rolled_back} / forward {rolled_forward}, {repaired} shards re-derived, worst recovery {:.0} us",
-                    worst_ns / 1_000.0
-                ),
-            })
-        }
-        other => Err(format!("unknown bench kind `{other}`")),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
 
     fn sample_report() -> RunReport {
         let mut encode_ns = vec![10_000u64, 20_000, 30_000, 900_000];
@@ -763,148 +237,6 @@ mod tests {
         let e = ClassReport::from_samples("scrub", &mut empty);
         assert_eq!(e.count, 0);
         assert_eq!(e.p999_us, 0.0);
-    }
-
-    #[test]
-    fn emitted_artifact_validates_round_trip() {
-        let artifact = bench_json(7, true, &[sample_report()], None);
-        let doc = parse(&artifact).expect("own emission must parse");
-        let names = validate_workload(&doc).expect("own emission must validate");
-        assert_eq!(names, vec!["steady".to_string()]);
-        let row = validate_artifact(&doc).expect("trajectory row");
-        assert_eq!(row.kind, "workload");
-        assert!(row.headline.contains("steady"));
-    }
-
-    #[test]
-    fn validation_rejects_schema_drift() {
-        let good = bench_json(7, false, &[sample_report()], None);
-        // Drop a required field and the validator must complain.
-        let missing_scrubs = good.replace("\"scrubs\"", "\"scrubz\"");
-        let doc = parse(&missing_scrubs).expect("still JSON");
-        assert!(validate_workload(&doc).is_err(), "renamed field accepted");
-        // Non-monotone quantiles are semantic drift, also rejected.
-        let bad_q = good.replace("\"p99_us\": 900.0", "\"p99_us\": 1.0");
-        let doc = parse(&bad_q).expect("still JSON");
-        assert!(
-            validate_workload(&doc).is_err(),
-            "non-monotone quantiles accepted"
-        );
-    }
-
-    #[test]
-    fn legacy_artifact_kinds_produce_trajectory_rows() {
-        let pr4 = parse(
-            r#"{"bench": "kernel_fusion", "results": [
-                {"k": 4, "m": 2, "block_bytes": 4096, "per_row_gibs": 3.4, "fused_gibs": 9.6, "speedup": 2.8}
-            ]}"#,
-        )
-        .expect("pr4");
-        let row = validate_artifact(&pr4).expect("kernel_fusion row");
-        assert!(row.headline.contains("peak"));
-
-        let pr6 = parse(
-            r#"{"bench": "service_bench", "results": [
-                {"shards": 1, "ops_per_s": 19394.8, "p99_us": 3827.8},
-                {"shards": 4, "ops_per_s": 21253.4, "p99_us": 790.3}
-            ]}"#,
-        )
-        .expect("pr6");
-        let row = validate_artifact(&pr6).expect("service_bench row");
-        assert!(row.headline.contains("21253"));
-        assert!(validate_artifact(&parse(r#"{"bench": "mystery"}"#).expect("doc")).is_err());
-    }
-
-    #[test]
-    fn xor_opt_artifact_validates_and_gates() {
-        let good = r#"{"bench": "xor_opt", "pr": 9, "smoke": false, "results": [
-            {"family": "cauchy-rs(8,4)", "k": 8, "m": 4, "naive_xors": 900, "opt_xors": 600, "naive_gibs": 3.0, "opt_gibs": 4.1, "fused_rs_gibs": 9.0},
-            {"family": "raid6(10)", "k": 10, "m": 2, "naive_xors": 300, "opt_xors": 260, "naive_gibs": 5.0, "opt_gibs": 5.6, "fused_rs_gibs": 8.0},
-            {"family": "lrc(12,2,2)", "k": 12, "m": 4, "naive_xors": 700, "opt_xors": 540, "naive_gibs": 3.5, "opt_gibs": 4.0, "fused_rs_gibs": null},
-            {"family": "wide-cauchy(20,4)", "k": 20, "m": 4, "naive_xors": 2400, "opt_xors": 2400, "naive_gibs": 2.0, "opt_gibs": 2.0, "fused_rs_gibs": 7.0}
-        ]}"#;
-        let row = validate_artifact(&parse(good).expect("doc")).expect("xor_opt row");
-        assert_eq!(row.kind, "xor_opt");
-        assert!(row.headline.contains("xor count -"), "{}", row.headline);
-        assert!(row.tail.contains("3/4"), "{}", row.tail);
-
-        // An optimizer that *increases* the XOR count is schema-valid data
-        // but a broken pass pipeline: hard error.
-        let worse = good.replace("\"opt_xors\": 600", "\"opt_xors\": 901");
-        assert!(validate_artifact(&parse(&worse).expect("doc")).is_err());
-
-        // Fewer than three strictly-improved families fails the PR gate.
-        let flat = good
-            .replace("\"opt_xors\": 600", "\"opt_xors\": 900")
-            .replace("\"opt_xors\": 260", "\"opt_xors\": 300");
-        assert!(validate_artifact(&parse(&flat).expect("doc")).is_err());
-
-        // Missing per-family field is schema drift.
-        let drift = good.replace("\"naive_gibs\"", "\"naive_gibz\"");
-        assert!(validate_artifact(&parse(&drift).expect("doc")).is_err());
-    }
-
-    #[test]
-    fn recovery_artifact_validates_and_gates() {
-        let rows = vec![
-            RecoveryRow {
-                k: 4,
-                m: 2,
-                stripes: 8,
-                shard_len: 256,
-                crashes: 64,
-                boundaries: 4,
-                recovery_ns_mean: 41_000.0,
-                recovery_ns_max: 90_000,
-                stripes_rolled_back: 11,
-                stripes_rolled_forward: 20,
-                shards_repaired: 0,
-                torn_hybrid: 0,
-            },
-            RecoveryRow {
-                k: 10,
-                m: 4,
-                stripes: 4,
-                shard_len: 512,
-                crashes: 32,
-                boundaries: 4,
-                recovery_ns_mean: 120_000.0,
-                recovery_ns_max: 300_000,
-                stripes_rolled_back: 5,
-                stripes_rolled_forward: 9,
-                shards_repaired: 6,
-                torn_hybrid: 0,
-            },
-        ];
-        let good = recovery_json(10, false, &rows);
-        let row = validate_artifact(&parse(&good).expect("doc")).expect("recovery row");
-        assert_eq!(row.kind, "recovery");
-        assert!(row.headline.contains("96 crashes"), "{}", row.headline);
-        assert!(row.tail.contains("6 shards"), "{}", row.tail);
-
-        // A hybrid image is a protocol failure, not data: hard error.
-        let hybrid = good.replace("\"torn_hybrid\": 0}", "\"torn_hybrid\": 1}");
-        assert!(validate_artifact(&parse(&hybrid).expect("doc")).is_err());
-
-        // A sweep that never rolled a stripe exercised nothing.
-        let inert = good
-            .replace("\"stripes_rolled_back\": 11", "\"stripes_rolled_back\": 0")
-            .replace(
-                "\"stripes_rolled_forward\": 20",
-                "\"stripes_rolled_forward\": 0",
-            )
-            .replace("\"stripes_rolled_back\": 5", "\"stripes_rolled_back\": 0")
-            .replace(
-                "\"stripes_rolled_forward\": 9",
-                "\"stripes_rolled_forward\": 0",
-            );
-        assert!(validate_artifact(&parse(&inert).expect("doc")).is_err());
-
-        // Zero crashes and missing fields are both drift.
-        let idle = good.replace("\"crashes\": 64", "\"crashes\": 0");
-        assert!(validate_artifact(&parse(&idle).expect("doc")).is_err());
-        let drift = good.replace("\"recovery_ns_mean\"", "\"recovery_ms_mean\"");
-        assert!(validate_artifact(&parse(&drift).expect("doc")).is_err());
     }
 
     #[test]

@@ -228,8 +228,7 @@ impl WorkloadSpec {
     }
 
     /// Profile `steady`: one uniform closed-loop phase, encode-heavy
-    /// with all four classes represented — the baseline row of the
-    /// trajectory.
+    /// with all four classes represented — the baseline profile.
     pub fn steady(seed: u64) -> WorkloadSpec {
         WorkloadSpec::new(seed).phase(
             Phase::new("steady", 960, Mix::new(8, 3, 1, 2))

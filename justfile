@@ -1,7 +1,8 @@
 # Developer entry points. `just` is optional — every recipe is a one-line
 # shell command you can paste, and scripts/lint.sh works without just.
 
-# Build + tests (tier-1 verify)
+# Build + every crate's tests (tier-1 verify is the root package only:
+# `cargo build --release && cargo test -q`)
 test:
     cargo build --release && cargo test -q --workspace
 
@@ -43,48 +44,13 @@ workspace-test:
 crash:
     CRASH_SEEDS=16 cargo test -q --test crash
 
-# Figure tables (see crates/bench/src/bin)
+# Regenerate every figure table (crates/bench/src/figures.rs) and rewrite
+# results/*.csv (~3 min; name tables after `--csv` to run only those)
 figures:
-    cargo run --release -p dialga-bench --bin all_figures
+    cargo run --release -p dialga-bench --bin figures -- --csv
 
-# Repair-path smoke: simulated + host repair tables, on tiny inputs
-repair-bench:
-    cargo run --release -p dialga-bench --bin repair_path -- --quick
-
-# Host microbenchmarks (in-tree harness, no external deps)
-bench:
-    cargo bench -p dialga-bench
-
-# Kernel-fusion ablation (fused vs per-row GF dot-product), full sweep,
-# committed as BENCH_PR4.json
-kernel-bench:
-    cargo run --release -p dialga-bench --bin kernel_fusion -- --json BENCH_PR4.json
-
-# Sharded stripe-service load generator: closed-loop mixed
-# encode/decode/repair over a 1→8 shard sweep, committed as BENCH_PR6.json
-service-bench:
-    cargo run --release -p dialga-bench --bin service_bench -- --json BENCH_PR6.json
-
-# Trace-driven production workload replay: steady / skewed+bursty /
-# chaos-armed profiles plus the raw-pool baseline, committed as
-# BENCH_PR7.json (the artifact self-validates before it is written)
-workload-bench:
-    cargo run --release -p dialga-bench --features fault-injection --bin workload_bench -- --json BENCH_PR7.json
-
-# XOR-schedule optimizer over the code zoo: naive vs optimized schedules
-# through the tiled executor, fused-RS reference for MDS families,
-# committed as BENCH_PR9.json
-xor-bench:
-    cargo run --release -p dialga-bench --bin xor_opt -- --json BENCH_PR9.json
-
-# Seeded power-fail sweeps over the journaled stripe store: timed
-# recovery (commit-table walk + boot scrub) per crash, roll tallies,
-# committed as BENCH_PR10.json (self-validated before the write; the
-# gate hard-fails any torn-hybrid recovery)
-recovery-bench:
-    cargo run --release -p dialga-bench --bin recovery_bench -- --json BENCH_PR10.json
-
-# Cross-PR latency/throughput trajectory over every committed
-# BENCH_PRn.json; exits non-zero on any schema drift
-trajectory:
-    cargo run --release -p dialga-bench --bin trajectory
+# Regenerate every simulated table at its default size and compare with
+# the committed results/*.csv byte for byte (~3 min; a stage of `just lint`
+# runs the sub-second tables only)
+figures-check:
+    cargo run --release -p dialga-bench --bin figures -- --check

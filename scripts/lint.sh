@@ -20,12 +20,6 @@ echo "== race smoke (seeded interleaving models, bounded schedule budget) =="
 # 1000-schedule sweep.
 RACE_SCHEDULES=64 cargo test -q -p dialga-race
 
-echo "== kernel_fusion smoke (fused/per-row bit-exactness gate) =="
-cargo run -q -p dialga-bench --bin kernel_fusion -- --smoke
-
-echo "== xor_opt smoke (schedule optimizer bit-exactness + monotonicity gate) =="
-cargo run -q -p dialga-bench --bin xor_opt -- --smoke
-
 echo "== chaos smoke (fixed-seed fault plans + stripe integrity) =="
 cargo test -q --test chaos --test integrity
 
@@ -40,14 +34,12 @@ echo "== crash smoke (every (4,2) persist boundary, sampled wide-code sweeps) ==
 # small default here. `just crash` runs the widened sweep.
 cargo test -q --test crash
 
-echo "== recovery smoke (seeded power-fail + timed reopen, torn-hybrid gate) =="
-cargo run -q -p dialga-bench --bin recovery_bench -- --smoke
-
-echo "== workload smoke (trace replay over all profiles, artifact self-check) =="
-cargo run -q --release -p dialga-bench --features fault-injection \
-    --bin workload_bench -- --smoke --json target/BENCH_SMOKE.json
-
-echo "== trajectory (schema gate over committed BENCH_*.json artifacts) =="
-cargo run -q --release -p dialga-bench --bin trajectory
+echo "== figures --check (the sub-second simulated tables against results/*.csv) =="
+# Byte-for-byte: a model change that moves a committed number fails here
+# until results/ and EXPERIMENTS.md are regenerated. `just figures-check`
+# covers the five slow tables (fig10-fig14, ~3 min) as well.
+cargo run -q --release -p dialga-bench --bin figures -- --check \
+    fig03 fig05 fig06 fig16 fig17 fig18 fig19 generality \
+    ablation_switch ablation_eq1 ablation_distance update_path repair_path
 
 echo "lint OK"

@@ -12,6 +12,7 @@
 use dialga::encoder::Dialga;
 use dialga::pool::EncodePool;
 use dialga_service::{ServiceConfig, StripeService};
+use std::ffi::OsStr;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -123,7 +124,22 @@ impl Manifest {
         if manifest.k == 0 || manifest.m == 0 || manifest.k + manifest.m > 255 {
             return Err(ArchiveError::Manifest("invalid geometry".into()));
         }
-        Ok(manifest)
+        // `restore` writes next to the manifest under this name: anything
+        // but one plain component (`..`, a separator, an absolute path)
+        // would let a manifest choose where the file lands.
+        if Path::new(&manifest.file_name).file_name() != Some(OsStr::new(&manifest.file_name)) {
+            return Err(ArchiveError::Manifest(
+                "file_name is not a plain file name".into(),
+            ));
+        }
+        // The file is the first `file_len` bytes of the `k` data shards.
+        match (manifest.k as u64).checked_mul(manifest.shard_len) {
+            None => Err(ArchiveError::Manifest("k x shard_len overflows".into())),
+            Some(capacity) if manifest.file_len > capacity => Err(ArchiveError::Manifest(
+                "file_len exceeds k x shard_len".into(),
+            )),
+            Some(_) => Ok(manifest),
+        }
     }
 
     /// Path of shard `i` (0..k+m) next to the manifest.
@@ -736,6 +752,76 @@ mod tests {
             let out = restore(&manifest, Some(&dir.join(format!("o{len}.bin")))).unwrap();
             assert_eq!(fs::read(&p).unwrap(), fs::read(out).unwrap(), "len={len}");
         }
+    }
+
+    /// Everything under `dir`, sorted, with file lengths.
+    fn listing(dir: &Path) -> Vec<(PathBuf, u64)> {
+        let mut out = Vec::new();
+        for entry in fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                out.extend(listing(&path));
+            } else {
+                out.push((path.clone(), fs::metadata(&path).unwrap().len()));
+            }
+        }
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn hostile_manifest_is_refused_and_nothing_is_written() {
+        let root = tmpdir("hostile");
+        let dir = root.join("in").join("sub");
+        fs::create_dir_all(&dir).unwrap();
+        let manifest_path = encode_file(&sample_file(&dir, 5_000), &dir, 4, 2, 1).unwrap();
+        let good = fs::read_to_string(&manifest_path).unwrap();
+        let honest = Manifest::load(&manifest_path).unwrap();
+        let capacity = honest.k as u64 * honest.shard_len;
+        assert!(honest.file_len < capacity, "padding exists to forge into");
+
+        let mut hostile: Vec<String> = ["../../escaped.bin", "/abs/x", "a/b", "a/", "..", ".", ""]
+            .iter()
+            .map(|name| good.replace("file_name=sample.bin", &format!("file_name={name}")))
+            .collect();
+        let len_line = format!("file_len={}", honest.file_len);
+        hostile.push(good.replace(&len_line, &format!("file_len={}", capacity + 1)));
+        hostile.push(good.replace(&len_line, "file_len=999999"));
+        // A forged shard_len whose product with k overflows u64.
+        hostile.push(good.replace(
+            &format!("shard_len={}", honest.shard_len),
+            &format!("shard_len={}", u64::MAX / 2),
+        ));
+
+        for text in hostile {
+            assert_ne!(text, good, "the forgery must change the manifest");
+            fs::write(&manifest_path, &text).unwrap();
+            let before = listing(&root);
+            assert!(
+                matches!(
+                    Manifest::load(&manifest_path),
+                    Err(ArchiveError::Manifest(_))
+                ),
+                "{text}"
+            );
+            assert!(matches!(
+                verify(&manifest_path),
+                Err(ArchiveError::Manifest(_))
+            ));
+            assert!(matches!(
+                repair(&manifest_path),
+                Err(ArchiveError::Manifest(_))
+            ));
+            assert!(matches!(
+                restore(&manifest_path, None),
+                Err(ArchiveError::Manifest(_))
+            ));
+            assert_eq!(listing(&root), before, "{text}");
+        }
+
+        // The honest upper bound — a file that fills its shards — loads.
+        let full = good.replace(&len_line, &format!("file_len={capacity}"));
+        assert!(Manifest::from_text(&full).is_ok());
     }
 
     #[test]

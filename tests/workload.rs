@@ -1,11 +1,9 @@
 //! Workload-harness integration tests (PR 7): service latency accounting
-//! under injected delay, fixed-seed replay reporting, and chaos-armed
-//! integrity-scrub outcomes.
+//! under injected delay, fixed-seed replay reporting, the three canonical
+//! profiles, and chaos-armed integrity-scrub outcomes.
 
 use dialga_faultkit::FaultSchedule;
 use dialga_service::{ServiceConfig, StripeService};
-use dialga_workload::json::parse;
-use dialga_workload::report::{bench_json, validate_workload};
 use dialga_workload::{replay_service, Mix, Phase, WorkloadSpec};
 use std::time::{Duration, Instant};
 
@@ -83,8 +81,7 @@ fn per_class_latency_brackets_injected_service_delay() {
     );
 }
 
-/// A fixed-seed replay must produce an internally consistent report that
-/// round-trips through the artifact emitter and schema validator.
+/// A fixed-seed replay must produce an internally consistent report.
 #[test]
 fn fixed_seed_replay_report_is_consistent_and_schema_valid() {
     let mut spec = WorkloadSpec::new(42);
@@ -119,11 +116,28 @@ fn fixed_seed_replay_report_is_consistent_and_schema_valid() {
         );
     }
     assert_eq!(report.scrubs.missed, 0);
+}
 
-    let artifact = bench_json(7, true, &[report], None);
-    let doc = parse(&artifact).expect("artifact parses");
-    let profiles = validate_workload(&doc).expect("artifact passes schema validation");
-    assert_eq!(profiles.len(), 1);
+/// Each canonical profile, shrunk: every op is accounted to a phase and no
+/// scrub passes a corrupted stripe (`chaos` corrupts 30 % of its storm
+/// phase's scrub targets even with no fault plan armed).
+#[test]
+fn canonical_profiles_replay_without_a_missed_scrub() {
+    let seed = 0xD1A1_6A07;
+    for (name, spec) in [
+        ("steady", WorkloadSpec::steady(seed)),
+        ("skewed_bursty", WorkloadSpec::skewed_bursty(seed)),
+        ("chaos", WorkloadSpec::chaos(seed)),
+    ] {
+        let report = replay_service(name, &spec.smoke(8), &FaultSchedule::new()).expect("replay");
+        assert_eq!(report.scrubs.missed, 0, "{name}: {:?}", report.scrubs);
+        let phase_ops: u64 = report.phases.iter().map(|p| p.ops_done).sum();
+        assert_eq!(
+            report.ops, phase_ops,
+            "{name}: ops must equal the phase sum"
+        );
+        assert!(report.ops > 0, "{name}: nothing completed");
+    }
 }
 
 /// The chaos profile with a seeded fault schedule armed: scripted stripe
