@@ -32,7 +32,7 @@ pub const SHUFFLE_WINDOW: u64 = 64;
 pub const LINES_PER_XPLINE: u64 = 4;
 
 /// Greatest common divisor.
-fn gcd(a: u64, b: u64) -> u64 {
+const fn gcd(a: u64, b: u64) -> u64 {
     if b == 0 {
         a
     } else {
@@ -42,7 +42,7 @@ fn gcd(a: u64, b: u64) -> u64 {
 
 /// Stride for the shuffle permutation within a window of `w` rows: coprime
 /// to `w`, avoiding +1/−1 deltas where possible.
-fn pick_stride(w: u64) -> u64 {
+const fn pick_stride(w: u64) -> u64 {
     if w <= 2 {
         return 1;
     }
@@ -56,20 +56,74 @@ fn pick_stride(w: u64) -> u64 {
     w - 1
 }
 
+/// [`pick_stride`] of every window length a pass can meet, so no row pays
+/// for the search.
+const STRIDES: [u8; SHUFFLE_WINDOW as usize + 1] = {
+    let mut t = [0u8; SHUFFLE_WINDOW as usize + 1];
+    let mut w = 0;
+    while w < t.len() {
+        t[w] = pick_stride(w as u64) as u8;
+        w += 1;
+    }
+    t
+};
+
+/// The mapping inside a full [`SHUFFLE_WINDOW`]: constant divisors only.
+#[inline(always)]
+fn full_window_row(r: u64) -> u64 {
+    let x = r % SHUFFLE_WINDOW;
+    r - x + x * STRIDES[SHUFFLE_WINDOW as usize] as u64 % SHUFFLE_WINDOW
+}
+
 /// The static shuffle mapping: a bijection on row indices, applied within
 /// windows of at most [`SHUFFLE_WINDOW`] rows (one 4 KiB page) so no
 /// in-page access ever follows its predecessor at delta +1.
 pub fn shuffle_row(r: u64, rows: u64) -> u64 {
-    let w = rows.clamp(1, SHUFFLE_WINDOW);
-    let window = r / w;
-    let x = r % w;
-    let base = window * w;
+    let tail_base = rows / SHUFFLE_WINDOW * SHUFFLE_WINDOW;
+    if r < tail_base {
+        return full_window_row(r);
+    }
     // The last window may be short; permute within its actual size.
-    let wlen = w.min(rows - base);
+    let wlen = rows - tail_base;
     if wlen <= 1 {
         return r;
     }
-    base + (x % wlen) * pick_stride(wlen) % wlen
+    tail_base + (r - tail_base) * STRIDES[wlen as usize] as u64 % wlen
+}
+
+/// [`shuffle_row`] for one `rows`, with the short last window tabulated:
+/// a pass maps every row and every prefetch target, and must not divide by
+/// the window length each time.
+struct RowMap {
+    tail_base: u64,
+    tail: [u8; SHUFFLE_WINDOW as usize],
+}
+
+impl RowMap {
+    fn new(rows: u64) -> Self {
+        let tail_base = rows / SHUFFLE_WINDOW * SHUFFLE_WINDOW;
+        let wlen = (rows - tail_base) as usize;
+        let mut tail = [0u8; SHUFFLE_WINDOW as usize];
+        // x * stride % wlen, one step at a time (stride < wlen, or both 1).
+        let (stride, mut at) = (STRIDES[wlen] as usize, 0);
+        for slot in &mut tail[..wlen] {
+            *slot = at as u8;
+            at += stride;
+            if at >= wlen {
+                at -= wlen;
+            }
+        }
+        RowMap { tail_base, tail }
+    }
+
+    #[inline(always)]
+    fn row(&self, r: u64) -> u64 {
+        if r < self.tail_base {
+            full_window_row(r)
+        } else {
+            self.tail_base + self.tail[(r - self.tail_base) as usize] as u64
+        }
+    }
 }
 
 /// Scheduling inputs of one fused dot-product pass: everything DIALGA's
@@ -105,12 +159,99 @@ impl FusedSched {
     }
 }
 
-#[inline]
-fn physical_row(vrow: u64, rows: u64, shuffle: bool) -> u64 {
-    if shuffle {
-        shuffle_row(vrow, rows)
-    } else {
-        vrow
+/// One pass's schedule with everything that depends only on `(k, rows,
+/// sched)` worked out once: the shuffle's tail window and each distance as
+/// `(rows ahead, blocks ahead)`. The row loop then adds and compares.
+pub(crate) struct PassSched {
+    k: usize,
+    rows: u64,
+    map: Option<RowMap>,
+    /// `(d / k, d % k)`; `None` = no prefetching.
+    short: Option<(u64, usize)>,
+    /// The same split of `d_long`, when the §4.3 arm is live.
+    long: Option<(u64, usize)>,
+}
+
+impl PassSched {
+    pub(crate) fn new(k: usize, rows: u64, sched: &FusedSched) -> Self {
+        let split = |d: u32| (d as u64 / k as u64, d as usize % k);
+        let live = k > 0 && rows > 0;
+        PassSched {
+            k,
+            rows,
+            map: sched.shuffle.then(|| RowMap::new(rows)),
+            short: sched.d.filter(|_| live).map(split),
+            // BF split only applies without shuffle (see module docs).
+            long: sched.d_long.filter(|_| live && !sched.shuffle).map(split),
+        }
+    }
+
+    /// Rows (cachelines per block) of the pass.
+    #[inline(always)]
+    pub(crate) fn rows(&self) -> u64 {
+        self.rows
+    }
+
+    /// The physical row the pass works on at visual row `vr`.
+    #[inline(always)]
+    pub(crate) fn row(&self, vr: u64) -> u64 {
+        match &self.map {
+            Some(map) => map.row(vr),
+            None => vr,
+        }
+    }
+
+    /// [`for_each_prefetch_target`] for visual row `vr` of this pass.
+    #[inline(always)]
+    pub(crate) fn for_each_target(&self, vr: u64, mut visit: impl FnMut(usize, u64)) {
+        let Some((q, r)) = self.short else { return };
+        let (k, rows) = (self.k, self.rows);
+        match self.long {
+            None => {
+                // §4.2: two-group branchless construction. Step n + d lands
+                // on block (j + r) mod k, row vr + q (+1 when j + r wraps):
+                // one bounds test and one row mapping per group.
+                let tr = vr + q;
+                if tr < rows {
+                    let prow = self.row(tr);
+                    (r..k).for_each(|block| visit(block, prow));
+                }
+                if tr + 1 < rows {
+                    let prow = self.row(tr + 1);
+                    (0..r).for_each(|block| visit(block, prow));
+                }
+            }
+            Some((ql, rl)) => {
+                // §4.3: each future step covered exactly once — by the long
+                // distance when it starts an XPLine, by the short one
+                // otherwise. Source j's short target is followed by its long
+                // one; each distance's targets wrap into the next row at its
+                // own cut, so between cuts both rows (and whether they are
+                // issued at all) are fixed and only the blocks advance.
+                let issued = |t: u64, long: bool| {
+                    (t < rows && t.is_multiple_of(LINES_PER_XPLINE) == long).then_some(t)
+                };
+                let short_rows = [issued(vr + q, false), issued(vr + q + 1, false)];
+                let long_rows = [issued(vr + ql, true), issued(vr + ql + 1, true)];
+                let (cut_s, cut_l) = (k - r, k - rl);
+                let mut j = 0;
+                for end in [cut_s.min(cut_l), cut_s.max(cut_l), k] {
+                    let (wrap_s, wrap_l) = (j >= cut_s, j >= cut_l);
+                    let (ts, tl) = (short_rows[wrap_s as usize], long_rows[wrap_l as usize]);
+                    let bs = if wrap_s { j - cut_s } else { j + r };
+                    let bl = if wrap_l { j - cut_l } else { j + rl };
+                    for i in 0..end - j {
+                        if let Some(t) = ts {
+                            visit(bs + i, t);
+                        }
+                        if let Some(t) = tl {
+                            visit(bl + i, t);
+                        }
+                    }
+                    j = end;
+                }
+            }
+        }
     }
 }
 
@@ -120,66 +261,132 @@ fn physical_row(vrow: u64, rows: u64, shuffle: bool) -> u64 {
 /// Implements the §4.2 two-group construction and the §4.3 long/short
 /// split described in the module docs; targets past the stripe are
 /// skipped (the plain-kernel tail). Rows are *physical*: the shuffle
-/// mapping is already applied.
+/// mapping is already applied. A caller that walks many rows of one pass
+/// builds the crate's `PassSched` once instead.
 #[inline]
 pub fn for_each_prefetch_target(
     vr: u64,
     k: usize,
     rows: u64,
     sched: &FusedSched,
-    mut visit: impl FnMut(usize, u64),
+    visit: impl FnMut(usize, u64),
 ) {
-    let Some(d) = sched.d else { return };
-    if k == 0 || rows == 0 {
-        return;
-    }
-    let k64 = k as u64;
-    let d = d as u64;
-    // BF split only applies without shuffle (see module docs).
-    let df = if sched.shuffle {
-        None
-    } else {
-        sched.d_long.map(u64::from)
-    };
-    match df {
-        None => {
-            // §4.2: two-group branchless construction. Step n + d lands on
-            // block (j + r) mod k, row vr + q (+1 when j + r wraps).
-            let (q, r) = (d / k64, d % k64);
-            for j in 0..k64 {
-                let (tj, tr) = if j + r < k64 {
-                    (j + r, vr + q)
-                } else {
-                    (j + r - k64, vr + q + 1)
-                };
-                if tr < rows {
-                    visit(tj as usize, physical_row(tr, rows, sched.shuffle));
-                }
-            }
-        }
-        Some(df) => {
-            // §4.3: each future step covered exactly once — by the long
-            // distance when it starts an XPLine, by the short one otherwise.
-            let total = rows * k64;
-            let n0 = vr * k64;
-            for j in 0..k64 {
-                let n = n0 + j;
-                let t1 = n + d;
-                if t1 < total && !(t1 / k64).is_multiple_of(LINES_PER_XPLINE) {
-                    visit((t1 % k64) as usize, t1 / k64);
-                }
-                let t2 = n + df;
-                if t2 < total && (t2 / k64).is_multiple_of(LINES_PER_XPLINE) {
-                    visit((t2 % k64) as usize, t2 / k64);
-                }
-            }
-        }
-    }
+    PassSched::new(k, rows, sched).for_each_target(vr, visit);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The definitional shuffle mapping, stride search and all.
+    fn shuffle_row_reference(r: u64, rows: u64) -> u64 {
+        let w = rows.clamp(1, SHUFFLE_WINDOW);
+        let window = r / w;
+        let x = r % w;
+        let base = window * w;
+        // The last window may be short; permute within its actual size.
+        let wlen = w.min(rows - base);
+        if wlen <= 1 {
+            return r;
+        }
+        base + (x % wlen) * pick_stride(wlen) % wlen
+    }
+
+    /// The definitional targets: `n + d` decomposed per source.
+    fn targets_reference(vr: u64, k: usize, rows: u64, sched: &FusedSched) -> Vec<(usize, u64)> {
+        let mut out = Vec::new();
+        let Some(d) = sched.d else { return out };
+        if k == 0 || rows == 0 {
+            return out;
+        }
+        let k64 = k as u64;
+        let d = d as u64;
+        let df = if sched.shuffle {
+            None
+        } else {
+            sched.d_long.map(u64::from)
+        };
+        match df {
+            None => {
+                let (q, r) = (d / k64, d % k64);
+                for j in 0..k64 {
+                    let (tj, tr) = if j + r < k64 {
+                        (j + r, vr + q)
+                    } else {
+                        (j + r - k64, vr + q + 1)
+                    };
+                    if tr < rows {
+                        let prow = if sched.shuffle {
+                            shuffle_row_reference(tr, rows)
+                        } else {
+                            tr
+                        };
+                        out.push((tj as usize, prow));
+                    }
+                }
+            }
+            Some(df) => {
+                let total = rows * k64;
+                let n0 = vr * k64;
+                for j in 0..k64 {
+                    let n = n0 + j;
+                    let t1 = n + d;
+                    if t1 < total && !(t1 / k64).is_multiple_of(LINES_PER_XPLINE) {
+                        out.push(((t1 % k64) as usize, t1 / k64));
+                    }
+                    let t2 = n + df;
+                    if t2 < total && (t2 / k64).is_multiple_of(LINES_PER_XPLINE) {
+                        out.push(((t2 % k64) as usize, t2 / k64));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn hoisted_schedule_equals_the_definitional_one() {
+        for rows in [0u64, 1, 2, 63, 64, 65, 130, 4096] {
+            for vr in 0..rows {
+                assert_eq!(shuffle_row(vr, rows), shuffle_row_reference(vr, rows));
+            }
+            for k in [1usize, 3, 4, 6, 10, 12, 28] {
+                for d in [1u32, 2, 5, 7, 12, 40, 1000] {
+                    for d_long in [None, Some(13), Some(34)] {
+                        for shuffle in [false, true] {
+                            let sched = FusedSched {
+                                d: Some(d),
+                                d_long,
+                                shuffle,
+                            };
+                            let pass = PassSched::new(k, rows, &sched);
+                            for vr in 0..rows {
+                                let mut got = Vec::new();
+                                pass.for_each_target(vr, |b, r| got.push((b, r)));
+                                assert_eq!(
+                                    got,
+                                    targets_reference(vr, k, rows, &sched),
+                                    "k={k} rows={rows} vr={vr} {sched:?}"
+                                );
+                                assert_eq!(pass.row(vr), {
+                                    if shuffle {
+                                        shuffle_row_reference(vr, rows)
+                                    } else {
+                                        vr
+                                    }
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // No distance, or an empty stripe: no targets, and no division by k.
+        let mut none = Vec::new();
+        for_each_prefetch_target(0, 4, 8, &FusedSched::plain(), |b, r| none.push((b, r)));
+        for_each_prefetch_target(0, 0, 8, &FusedSched::distance(3), |b, r| none.push((b, r)));
+        assert!(none.is_empty());
+    }
 
     fn targets(vr: u64, k: usize, rows: u64, sched: &FusedSched) -> Vec<(usize, u64)> {
         let mut out = Vec::new();

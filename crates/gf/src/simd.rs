@@ -1,12 +1,14 @@
-//! SIMD GF(2^8) kernels: the real `pshufb` split-nibble technique of
-//! ISA-L/Plank [FAST'13], runtime-dispatched, plus the fused multi-output
-//! dot-product kernels the paper's prefetch scheduling lives in.
+//! SIMD GF(2^8) kernels: the `pshufb` split-nibble technique of
+//! ISA-L/Plank [FAST'13] and ISA-L's `vgf2p8affineqb` form, runtime-
+//! dispatched, plus the fused multi-output dot-product kernels the paper's
+//! prefetch scheduling lives in.
 //!
 //! A GF multiply by a constant `c` is two 16-entry table lookups (low and
-//! high nibble) and an XOR. `pshufb`/`vpshufb` perform 16/32 such lookups
-//! per instruction, so one 64 B cacheline takes a handful of vector ops —
-//! the exact kernel shape the paper's compute-cost model charges 2 cycles
-//! per line for.
+//! high nibble) and an XOR — `pshufb`/`vpshufb` perform 16/32 such lookups
+//! per instruction — or one 8x8 bit-matrix product per byte, which
+//! `vgf2p8affineqb` does for a whole 64 B cacheline at once. Every tier is
+//! one impl of the private `Lanes` trait; the multiply-accumulate and the
+//! fused group pass are each written once over it.
 //!
 //! ## Fused kernels
 //!
@@ -22,12 +24,12 @@
 //!
 //! Feature detection runs once per process ([`detected_kernel`] caches in
 //! a `OnceLock`); [`set_kernel_override`] can force an equal-or-*lower*
-//! tier so portable paths stay coverable on AVX2 hosts.
+//! tier so every lower path stays coverable on the widest host.
 //!
 //! The portable kernels in [`crate::slice`] remain the reference; these
 //! accelerated paths are verified byte-for-byte against them.
 
-use crate::sched::{for_each_prefetch_target, shuffle_row, FusedSched};
+use crate::sched::{FusedSched, PassSched};
 use crate::slice::prefetch_read;
 use crate::tables::NibbleTables;
 use crate::CACHELINE;
@@ -43,30 +45,28 @@ pub enum Kernel {
     Ssse3,
     /// 32-byte `vpshufb` path.
     Avx2,
+    /// 64-byte `vgf2p8affineqb` path (AVX-512F + GFNI).
+    Avx512Gfni,
 }
 
 impl Kernel {
-    fn tier(self) -> u8 {
-        match self {
-            Kernel::Portable => 0,
-            Kernel::Ssse3 => 1,
-            Kernel::Avx2 => 2,
-        }
-    }
+    /// Every tier, lowest first: a tier's rank is its index here.
+    pub const ALL: [Kernel; 4] = [
+        Kernel::Portable,
+        Kernel::Ssse3,
+        Kernel::Avx2,
+        Kernel::Avx512Gfni,
+    ];
 
-    fn from_tier(t: u8) -> Kernel {
-        match t {
-            0 => Kernel::Portable,
-            1 => Kernel::Ssse3,
-            _ => Kernel::Avx2,
-        }
+    fn tier(self) -> u8 {
+        Kernel::ALL.iter().position(|&k| k == self).unwrap_or(0) as u8
     }
 }
 
 /// Cached CPU feature detection — computed on first use, then free.
 static DETECTED: OnceLock<Kernel> = OnceLock::new();
 
-/// Test/bench downgrade request: 0 = none, otherwise `tier + 1`.
+/// Test/bench downgrade request: 0 = none, otherwise the tier's rank + 1.
 static KERNEL_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 /// The best kernel available on this CPU. Feature detection runs once per
@@ -75,6 +75,11 @@ pub fn detected_kernel() -> Kernel {
     *DETECTED.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
+            if std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("gfni")
+            {
+                return Kernel::Avx512Gfni;
+            }
             if std::arch::is_x86_feature_detected!("avx2") {
                 return Kernel::Avx2;
             }
@@ -89,10 +94,10 @@ pub fn detected_kernel() -> Kernel {
 /// Force the dispatchers onto `k` (or back to auto with `None`).
 ///
 /// Test/bench hook: requests are clamped to the *detected* tier, so a
-/// lower tier (e.g. `Portable` on an AVX2 host) is always honoured and a
-/// higher one can never select instructions the CPU lacks. Affects the
-/// whole process; tests that sweep tiers should do so from a single test
-/// body rather than racing overrides across threads.
+/// lower tier (e.g. `Avx2` on a GFNI host) is always honoured and a higher
+/// one selects the detected tier, never instructions the CPU lacks. Affects
+/// the whole process; tests that sweep tiers should do so from a single
+/// test body rather than racing overrides across threads.
 pub fn set_kernel_override(k: Option<Kernel>) {
     let v = k.map_or(0, |k| k.tier() + 1);
     KERNEL_OVERRIDE.store(v, Ordering::Release);
@@ -104,7 +109,7 @@ pub fn selected_kernel() -> Kernel {
     let detected = detected_kernel();
     match KERNEL_OVERRIDE.load(Ordering::Acquire) {
         0 => detected,
-        v => Kernel::from_tier((v - 1).min(detected.tier())),
+        v => Kernel::ALL[(v - 1).min(detected.tier()) as usize],
     }
 }
 
@@ -115,106 +120,24 @@ pub fn selected_kernel() -> Kernel {
 pub fn mul_add_slice_simd(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
     assert_eq!(src.len(), dst.len(), "mul_add_slice_simd length mismatch");
     match selected_kernel() {
+        // SAFETY (all three arms): `selected_kernel` returns a tier only when
+        // `is_x86_feature_detected!` confirmed every feature its entry point
+        // enables (overrides only lower it); lengths were asserted equal.
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `selected_kernel` returns `Avx2` only when detection (run
-        // via `is_x86_feature_detected!("avx2")`) confirmed the CPU supports
-        // the instructions the callee compiles to — overrides can only lower
-        // the tier; slice lengths were asserted equal above.
-        Kernel::Avx2 => unsafe { mul_add_avx2(t, src, dst) },
+        Kernel::Avx512Gfni => unsafe { x86::mul_add_gfni(t, src, dst) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — `Ssse3` is selected only when
-        // `is_x86_feature_detected!("ssse3")` held on this CPU.
-        Kernel::Ssse3 => unsafe { mul_add_ssse3(t, src, dst) },
+        Kernel::Avx2 => unsafe { x86::mul_add_avx2(t, src, dst) },
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Ssse3 => unsafe { x86::mul_add_ssse3(t, src, dst) },
         _ => crate::slice::mul_add_slice_tab(t, src, dst),
-    }
-}
-
-/// 16-byte `pshufb` kernel.
-///
-/// # Safety
-/// The CPU must support SSSE3 (callers establish this via
-/// `is_x86_feature_detected!("ssse3")`), and `src.len() == dst.len()`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "ssse3")]
-unsafe fn mul_add_ssse3(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
-    use std::arch::x86_64::*;
-    let n = src.len() / 16 * 16;
-    let mut i = 0;
-    // SAFETY: the nibble tables are 16-byte arrays, so the unaligned table
-    // loads read exactly 16 in-bounds bytes. The loop reads/writes 16-byte
-    // windows at `i < n <= len - 15`, all inside the live `src`/`dst`
-    // slices (equal length per the caller contract); unaligned load/store
-    // intrinsics impose no alignment requirement.
-    unsafe {
-        let lo_tab = _mm_loadu_si128(t.low.as_ptr() as *const __m128i);
-        let hi_tab = _mm_loadu_si128(t.high.as_ptr() as *const __m128i);
-        let mask = _mm_set1_epi8(0x0F);
-        while i < n {
-            let s = _mm_loadu_si128(src.as_ptr().add(i) as *const __m128i);
-            let lo = _mm_and_si128(s, mask);
-            let hi = _mm_and_si128(_mm_srli_epi64(s, 4), mask);
-            let prod = _mm_xor_si128(_mm_shuffle_epi8(lo_tab, lo), _mm_shuffle_epi8(hi_tab, hi));
-            let d = _mm_loadu_si128(dst.as_ptr().add(i) as *const __m128i);
-            _mm_storeu_si128(
-                dst.as_mut_ptr().add(i) as *mut __m128i,
-                _mm_xor_si128(d, prod),
-            );
-            i += 16;
-        }
-    }
-    if n < src.len() {
-        crate::slice::mul_add_slice_tab(t, &src[n..], &mut dst[n..]);
-    }
-}
-
-/// 32-byte `vpshufb` kernel.
-///
-/// # Safety
-/// The CPU must support AVX2 (callers establish this via
-/// `is_x86_feature_detected!("avx2")`), and `src.len() == dst.len()`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn mul_add_avx2(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
-    use std::arch::x86_64::*;
-    let n = src.len() / 32 * 32;
-    let mut i = 0;
-    // SAFETY: the nibble tables are 16-byte arrays, so the unaligned table
-    // loads read exactly 16 in-bounds bytes before broadcasting. The loop
-    // reads/writes 32-byte windows at `i < n <= len - 31`, all inside the
-    // live `src`/`dst` slices (equal length per the caller contract);
-    // unaligned load/store intrinsics impose no alignment requirement.
-    unsafe {
-        // Broadcast the 16-entry tables into both 128-bit lanes.
-        let lo128 = _mm_loadu_si128(t.low.as_ptr() as *const __m128i);
-        let hi128 = _mm_loadu_si128(t.high.as_ptr() as *const __m128i);
-        let lo_tab = _mm256_broadcastsi128_si256(lo128);
-        let hi_tab = _mm256_broadcastsi128_si256(hi128);
-        let mask = _mm256_set1_epi8(0x0F);
-        while i < n {
-            let s = _mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i);
-            let lo = _mm256_and_si256(s, mask);
-            let hi = _mm256_and_si256(_mm256_srli_epi64(s, 4), mask);
-            let prod = _mm256_xor_si256(
-                _mm256_shuffle_epi8(lo_tab, lo),
-                _mm256_shuffle_epi8(hi_tab, hi),
-            );
-            let d = _mm256_loadu_si256(dst.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_si256(
-                dst.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_xor_si256(d, prod),
-            );
-            i += 32;
-        }
-    }
-    if n < src.len() {
-        crate::slice::mul_add_slice_tab(t, &src[n..], &mut dst[n..]);
     }
 }
 
 /// Outputs per register-blocked fused pass: six parity accumulators is the
 /// classic ISA-L `gf_6vect_dot_prod` register budget (accumulators, source,
 /// nibble masks and table registers fit the 16 ymm/xmm architectural
-/// registers). Wider output sets split into groups of this size.
+/// registers). Wider output sets split into groups of this size on every
+/// tier: it is the pass count the simulator prices.
 pub const FUSED_GROUP: usize = 6;
 
 /// Fused multi-output GF(2^8) dot product:
@@ -264,8 +187,9 @@ pub fn dot_prod_fused(
         assert_eq!(s.len(), len, "dot_prod_fused length mismatch");
     }
 
-    let rows = (len / CACHELINE) as u64;
+    let rows = len / CACHELINE;
     let kern = selected_kernel();
+    let pass = PassSched::new(k, rows as u64, &sched);
     for (g, outs) in outputs.chunks_mut(FUSED_GROUP).enumerate() {
         let base = g * FUSED_GROUP * k;
         let tabs = &tables[base..base + outs.len() * k];
@@ -273,26 +197,23 @@ pub fn dot_prod_fused(
         // lines the first pass already pulled in.
         let prefetch = g == 0 && sched.d.is_some();
         match kern {
+            // SAFETY (all three arms): `selected_kernel` returns a tier only
+            // when runtime detection confirmed every feature its entry point
+            // enables (overrides only lower it); `tabs` holds `outs.len() * k`
+            // tables, `outs.len() <= FUSED_GROUP`, and every source/output
+            // was asserted to hold the pass's `rows * CACHELINE` bytes above.
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `selected_kernel` returns `Avx2` only when runtime
-            // detection confirmed AVX2 on this CPU (overrides only lower
-            // the tier); every source/output was asserted to hold at least
-            // `rows * CACHELINE` bytes above.
-            Kernel::Avx2 => unsafe {
-                dispatch_group!(group_pass_avx2, tabs, sources, outs, rows, sched, prefetch)
-            },
+            Kernel::Avx512Gfni => unsafe { x86::fused_gfni(tabs, sources, outs, &pass, prefetch) },
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above — `Ssse3` is selected only when runtime
-            // detection confirmed SSSE3 on this CPU.
-            Kernel::Ssse3 => unsafe {
-                dispatch_group!(group_pass_ssse3, tabs, sources, outs, rows, sched, prefetch)
-            },
-            _ => group_pass_portable(tabs, sources, outs, rows, sched, prefetch),
+            Kernel::Avx2 => unsafe { x86::fused_avx2(tabs, sources, outs, &pass, prefetch) },
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ssse3 => unsafe { x86::fused_ssse3(tabs, sources, outs, &pass, prefetch) },
+            _ => group_pass_portable(tabs, sources, outs, &pass, prefetch),
         }
     }
 
     // Tail: the partial final cacheline reverts to the standard kernel.
-    let tail = rows as usize * CACHELINE;
+    let tail = rows * CACHELINE;
     if tail < len {
         for (i, out) in outputs.iter_mut().enumerate() {
             let dst = &mut out[tail..];
@@ -461,167 +382,249 @@ pub fn dot_prod_syndromes(
     support
 }
 
-/// Monomorphize a group pass over the runtime group width (1..=6 by
-/// construction of `chunks_mut(FUSED_GROUP)`).
+/// The vector tiers: one [`Lanes`] impl each, the two loop bodies written
+/// over the trait, and the `#[target_feature]` frames they inline into.
 #[cfg(target_arch = "x86_64")]
-macro_rules! dispatch_group {
-    ($pass:ident, $tabs:expr, $sources:expr, $outs:expr, $rows:expr, $sched:expr, $pf:expr) => {
-        match $outs.len() {
-            1 => $pass::<1>($tabs, $sources, $outs, $rows, $sched, $pf),
-            2 => $pass::<2>($tabs, $sources, $outs, $rows, $sched, $pf),
-            3 => $pass::<3>($tabs, $sources, $outs, $rows, $sched, $pf),
-            4 => $pass::<4>($tabs, $sources, $outs, $rows, $sched, $pf),
-            5 => $pass::<5>($tabs, $sources, $outs, $rows, $sched, $pf),
-            _ => $pass::<6>($tabs, $sources, $outs, $rows, $sched, $pf),
-        }
-    };
-}
-#[cfg(target_arch = "x86_64")]
-use dispatch_group;
-
-/// Issue the §4.2/§4.3 prefetch pointers for visual row `vr` (safe: the
-/// prefetch hint cannot fault and every target row is `< rows`).
-#[inline(always)]
-fn issue_row_prefetches(vr: u64, k: usize, rows: u64, sched: &FusedSched, sources: &[&[u8]]) {
-    for_each_prefetch_target(vr, k, rows, sched, |block, prow| {
-        prefetch_read(sources[block][prow as usize * CACHELINE..].as_ptr());
-    });
-}
-
-/// Fused `N`-output pass over the whole 64 B rows of the buffers (AVX2,
-/// 32-byte halves): each source line is loaded once per group and folded
-/// into `N` register accumulators.
-///
-/// # Safety
-/// The CPU must support AVX2; `outputs.len() == N`, `tables.len() ==
-/// N * sources.len()`, and every source/output holds at least
-/// `rows * CACHELINE` bytes (callers validate all of this).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn group_pass_avx2<const N: usize>(
-    tables: &[NibbleTables],
-    sources: &[&[u8]],
-    outputs: &mut [&mut [u8]],
-    rows: u64,
-    sched: FusedSched,
-    prefetch: bool,
-) {
+mod x86 {
+    use super::{prefetch_read, NibbleTables, PassSched, CACHELINE, FUSED_GROUP};
     use std::arch::x86_64::*;
-    debug_assert_eq!(outputs.len(), N);
-    let k = sources.len();
-    // SAFETY: nibble tables are 16-byte arrays, so table loads read exactly
-    // 16 in-bounds bytes before broadcasting. Row offsets satisfy
-    // `off + CACHELINE <= rows * CACHELINE <= len` for every source and
-    // output (caller contract; `row < rows` because `shuffle_row` is a
-    // bijection on `0..rows`), so each 32-byte load/store stays inside the
-    // live slices; unaligned intrinsics impose no alignment requirement.
-    unsafe {
-        let mask = _mm256_set1_epi8(0x0F);
-        for vr in 0..rows {
-            let row = if sched.shuffle {
-                shuffle_row(vr, rows)
-            } else {
-                vr
-            } as usize;
-            if prefetch {
-                issue_row_prefetches(vr, k, rows, &sched, sources);
+
+    /// One register width of the constant-coefficient GF(2^8) multiply; the
+    /// implementing type is the register, and all-zero bytes are a valid one.
+    ///
+    /// # Safety
+    /// Every method compiles to its tier's instructions: call them only
+    /// from (code inlined into) that tier's `#[target_feature]` entry point.
+    /// `load`/`store` touch `WIDTH` bytes at `p`, which must lie inside a
+    /// live allocation; no alignment is required.
+    trait Lanes: Copy {
+        unsafe fn load(p: *const u8) -> Self;
+        unsafe fn store(self, p: *mut u8);
+        unsafe fn split(self) -> Self::Src;
+        /// `self ^ c · s` bytewise, `c` the coefficient `t` was prepared for.
+        unsafe fn mul_acc(self, t: &NibbleTables, s: Self::Src) -> Self;
+        /// Bytes per vector; divides `CACHELINE`.
+        const WIDTH: usize;
+        /// A source vector in the form the multiply consumes, so work shared
+        /// by a group's outputs (the nibble split) is done once per load.
+        type Src: Copy;
+    }
+
+    /// 16-byte `pshufb` lanes (SSSE3; the rest is baseline SSE2).
+    impl Lanes for __m128i {
+        const WIDTH: usize = CACHELINE / 4;
+        type Src = (__m128i, __m128i);
+        // SAFETY (load, store): 16 accessible bytes at `p` (trait contract).
+        #[inline(always)]
+        unsafe fn load(p: *const u8) -> Self {
+            unsafe { _mm_loadu_si128(p as *const __m128i) }
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut u8) {
+            unsafe { _mm_storeu_si128(p as *mut __m128i, self) }
+        }
+        #[inline(always)]
+        unsafe fn split(self) -> Self::Src {
+            // SAFETY: SSE2 is baseline x86_64; register-only.
+            unsafe {
+                let mask = _mm_set1_epi8(0x0F);
+                let hi = _mm_and_si128(_mm_srli_epi64(self, 4), mask);
+                (_mm_and_si128(self, mask), hi)
             }
-            let off = row * CACHELINE;
-            let mut half = 0;
-            while half < CACHELINE {
-                let at = off + half;
-                let mut acc = [_mm256_setzero_si256(); N];
-                for (j, src) in sources.iter().enumerate() {
-                    let s = _mm256_loadu_si256(src.as_ptr().add(at) as *const __m256i);
-                    let lo = _mm256_and_si256(s, mask);
-                    let hi = _mm256_and_si256(_mm256_srli_epi64(s, 4), mask);
-                    for i in 0..N {
-                        let t = &tables[i * k + j];
-                        let lo_tab = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-                            t.low.as_ptr() as *const __m128i
-                        ));
-                        let hi_tab = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-                            t.high.as_ptr() as *const __m128i
-                        ));
-                        acc[i] = _mm256_xor_si256(
-                            acc[i],
-                            _mm256_xor_si256(
-                                _mm256_shuffle_epi8(lo_tab, lo),
-                                _mm256_shuffle_epi8(hi_tab, hi),
-                            ),
-                        );
-                    }
-                }
-                for i in 0..N {
-                    _mm256_storeu_si256(outputs[i].as_mut_ptr().add(at) as *mut __m256i, acc[i]);
-                }
-                half += 32;
+        }
+        #[inline(always)]
+        unsafe fn mul_acc(self, t: &NibbleTables, (lo, hi): Self::Src) -> Self {
+            // SAFETY: SSSE3 is on (trait contract); both nibble tables are
+            // 16-byte arrays, read exactly.
+            unsafe {
+                let lo = _mm_shuffle_epi8(Self::load(t.low.as_ptr()), lo);
+                let hi = _mm_shuffle_epi8(Self::load(t.high.as_ptr()), hi);
+                _mm_xor_si128(self, _mm_xor_si128(lo, hi))
             }
         }
     }
-}
 
-/// Fused `N`-output pass (SSSE3, 16-byte quarters). Same contract as
-/// [`group_pass_avx2`].
-///
-/// # Safety
-/// The CPU must support SSSE3; geometry/length contract as for
-/// [`group_pass_avx2`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "ssse3")]
-unsafe fn group_pass_ssse3<const N: usize>(
-    tables: &[NibbleTables],
-    sources: &[&[u8]],
-    outputs: &mut [&mut [u8]],
-    rows: u64,
-    sched: FusedSched,
-    prefetch: bool,
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(outputs.len(), N);
-    let k = sources.len();
-    // SAFETY: same argument as `group_pass_avx2`, with 16-byte windows:
-    // `at + 16 <= off + CACHELINE <= len` for every slice touched.
-    unsafe {
-        let mask = _mm_set1_epi8(0x0F);
-        for vr in 0..rows {
-            let row = if sched.shuffle {
-                shuffle_row(vr, rows)
-            } else {
-                vr
-            } as usize;
-            if prefetch {
-                issue_row_prefetches(vr, k, rows, &sched, sources);
+    /// 32-byte `vpshufb` lanes: the 16-entry tables broadcast to both
+    /// 128-bit halves.
+    impl Lanes for __m256i {
+        const WIDTH: usize = CACHELINE / 2;
+        type Src = (__m256i, __m256i);
+        // SAFETY (load, store): 32 accessible bytes at `p` (trait contract).
+        #[inline(always)]
+        unsafe fn load(p: *const u8) -> Self {
+            unsafe { _mm256_loadu_si256(p as *const __m256i) }
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut u8) {
+            unsafe { _mm256_storeu_si256(p as *mut __m256i, self) }
+        }
+        #[inline(always)]
+        unsafe fn split(self) -> Self::Src {
+            // SAFETY: AVX2 is on (trait contract); register-only.
+            unsafe {
+                let mask = _mm256_set1_epi8(0x0F);
+                let hi = _mm256_and_si256(_mm256_srli_epi64(self, 4), mask);
+                (_mm256_and_si256(self, mask), hi)
             }
-            let off = row * CACHELINE;
-            let mut quarter = 0;
-            while quarter < CACHELINE {
-                let at = off + quarter;
-                let mut acc = [_mm_setzero_si128(); N];
-                for (j, src) in sources.iter().enumerate() {
-                    let s = _mm_loadu_si128(src.as_ptr().add(at) as *const __m128i);
-                    let lo = _mm_and_si128(s, mask);
-                    let hi = _mm_and_si128(_mm_srli_epi64(s, 4), mask);
-                    for i in 0..N {
-                        let t = &tables[i * k + j];
-                        let lo_tab = _mm_loadu_si128(t.low.as_ptr() as *const __m128i);
-                        let hi_tab = _mm_loadu_si128(t.high.as_ptr() as *const __m128i);
-                        acc[i] = _mm_xor_si128(
-                            acc[i],
-                            _mm_xor_si128(
-                                _mm_shuffle_epi8(lo_tab, lo),
-                                _mm_shuffle_epi8(hi_tab, hi),
-                            ),
-                        );
-                    }
-                }
-                for i in 0..N {
-                    _mm_storeu_si128(outputs[i].as_mut_ptr().add(at) as *mut __m128i, acc[i]);
-                }
-                quarter += 16;
+        }
+        #[inline(always)]
+        unsafe fn mul_acc(self, t: &NibbleTables, (lo, hi): Self::Src) -> Self {
+            // SAFETY: AVX2 is on (trait contract); both nibble tables are
+            // 16-byte arrays, read exactly.
+            unsafe {
+                let lo_tab = _mm256_broadcastsi128_si256(__m128i::load(t.low.as_ptr()));
+                let hi_tab = _mm256_broadcastsi128_si256(__m128i::load(t.high.as_ptr()));
+                let prod = _mm256_xor_si256(
+                    _mm256_shuffle_epi8(lo_tab, lo),
+                    _mm256_shuffle_epi8(hi_tab, hi),
+                );
+                _mm256_xor_si256(self, prod)
             }
         }
     }
+
+    /// 64-byte `vgf2p8affineqb` lanes (AVX-512F + GFNI): a whole cacheline
+    /// per multiply, the coefficient one broadcast qword, the source used
+    /// as loaded.
+    impl Lanes for __m512i {
+        const WIDTH: usize = CACHELINE;
+        type Src = __m512i;
+        // SAFETY (load, store): 64 accessible bytes at `p` (trait contract).
+        #[inline(always)]
+        unsafe fn load(p: *const u8) -> Self {
+            unsafe { _mm512_loadu_si512(p as *const __m512i) }
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut u8) {
+            unsafe { _mm512_storeu_si512(p as *mut __m512i, self) }
+        }
+        #[inline(always)]
+        unsafe fn split(self) -> Self {
+            self
+        }
+        // SAFETY: AVX-512F and GFNI are on (trait contract); register-only.
+        #[inline(always)]
+        unsafe fn mul_acc(self, t: &NibbleTables, s: Self) -> Self {
+            unsafe {
+                let matrix = _mm512_set1_epi64(t.affine as i64);
+                _mm512_xor_si512(self, _mm512_gf2p8affine_epi64_epi8::<0>(s, matrix))
+            }
+        }
+    }
+
+    /// `dst[i] ^= c · src[i]`: whole vectors through `L`, the rest through
+    /// the table kernel.
+    ///
+    /// # Safety
+    /// [`Lanes`] contract for `L`, and `src.len() == dst.len()`.
+    #[inline(always)]
+    unsafe fn mul_add<L: Lanes>(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
+        let n = src.len() / L::WIDTH * L::WIDTH;
+        for i in (0..n).step_by(L::WIDTH) {
+            // SAFETY: `i + WIDTH <= n <= len` of both slices (equal per the
+            // caller contract), so every vector access is in bounds; the CPU
+            // features are the caller's contract.
+            unsafe {
+                let s = L::load(src.as_ptr().add(i)).split();
+                let d = L::load(dst.as_ptr().add(i));
+                d.mul_acc(t, s).store(dst.as_mut_ptr().add(i));
+            }
+        }
+        crate::slice::mul_add_slice_tab(t, &src[n..], &mut dst[n..]);
+    }
+
+    /// Fused `N`-output pass over the whole 64 B rows of the buffers: each
+    /// source line is loaded (and split) once per group and folded into `N`
+    /// register accumulators.
+    ///
+    /// # Safety
+    /// [`Lanes`] contract for `L`; `outputs.len() == N`, `tables.len() ==
+    /// N * sources.len()`, and every source/output holds at least
+    /// `pass.rows() * CACHELINE` bytes.
+    #[inline(always)]
+    unsafe fn group_pass<L: Lanes, const N: usize>(
+        tables: &[NibbleTables],
+        sources: &[&[u8]],
+        outputs: &mut [&mut [u8]],
+        pass: &PassSched,
+        prefetch: bool,
+    ) {
+        debug_assert_eq!(outputs.len(), N);
+        let (k, rows) = (sources.len(), pass.rows());
+        for vr in 0..rows {
+            let off = pass.row(vr) as usize * CACHELINE;
+            if prefetch {
+                // §4.2/§4.3 pointers: a hint cannot fault, the slicing checks.
+                pass.for_each_target(vr, |b, r| {
+                    prefetch_read(sources[b][r as usize * CACHELINE..].as_ptr())
+                });
+            }
+            for lane in 0..CACHELINE / L::WIDTH {
+                let at = off + lane * L::WIDTH;
+                // SAFETY: `pass.row` is a bijection on `0..rows`, so `at +
+                // WIDTH <= off + CACHELINE <= rows * CACHELINE <= len` of
+                // every source and output (caller contract): each vector
+                // access stays inside its slice. CPU features: the caller's.
+                // All-zero is a valid `L` (trait contract).
+                unsafe {
+                    let mut acc = [std::mem::zeroed::<L>(); N];
+                    for (j, src) in sources.iter().enumerate() {
+                        let s = L::load(src.as_ptr().add(at)).split();
+                        for i in 0..N {
+                            acc[i] = acc[i].mul_acc(&tables[i * k + j], s);
+                        }
+                    }
+                    for i in 0..N {
+                        acc[i].store(outputs[i].as_mut_ptr().add(at));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The two `#[target_feature]` frames of one tier — the only place its
+    /// instructions are enabled, and what the generic bodies inline into.
+    /// `$fused` monomorphizes [`group_pass`] over the runtime group width.
+    macro_rules! tier_entries {
+        ($lanes:ty, $features:literal, $mul_add:ident, $fused:ident) => {
+            /// # Safety
+            /// This tier's CPU features (callers establish them via
+            /// `detected_kernel`), and `src.len() == dst.len()`.
+            #[target_feature(enable = $features)]
+            pub(super) unsafe fn $mul_add(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
+                // SAFETY: this function's contract is the callee's.
+                unsafe { mul_add::<$lanes>(t, src, dst) }
+            }
+
+            /// # Safety
+            /// This tier's CPU features; `outs.len() <= FUSED_GROUP`, and
+            /// the rest of [`group_pass`]'s contract for `N = outs.len()`.
+            #[target_feature(enable = $features)]
+            pub(super) unsafe fn $fused(
+                tabs: &[NibbleTables],
+                srcs: &[&[u8]],
+                outs: &mut [&mut [u8]],
+                pass: &PassSched,
+                pf: bool,
+            ) {
+                debug_assert!(outs.len() <= FUSED_GROUP);
+                // SAFETY: this function's contract, `N` the matched length.
+                unsafe {
+                    match outs.len() {
+                        1 => group_pass::<$lanes, 1>(tabs, srcs, outs, pass, pf),
+                        2 => group_pass::<$lanes, 2>(tabs, srcs, outs, pass, pf),
+                        3 => group_pass::<$lanes, 3>(tabs, srcs, outs, pass, pf),
+                        4 => group_pass::<$lanes, 4>(tabs, srcs, outs, pass, pf),
+                        5 => group_pass::<$lanes, 5>(tabs, srcs, outs, pass, pf),
+                        _ => group_pass::<$lanes, 6>(tabs, srcs, outs, pass, pf),
+                    }
+                }
+            }
+        };
+    }
+    tier_entries!(__m128i, "ssse3", mul_add_ssse3, fused_ssse3);
+    tier_entries!(__m256i, "avx2", mul_add_avx2, fused_avx2);
+    tier_entries!(__m512i, "avx512f,gfni", mul_add_gfni, fused_gfni);
 }
 
 /// Portable fused pass: same row walk, shuffle and prefetch schedule as the
@@ -632,21 +635,17 @@ fn group_pass_portable(
     tables: &[NibbleTables],
     sources: &[&[u8]],
     outputs: &mut [&mut [u8]],
-    rows: u64,
-    sched: FusedSched,
+    pass: &PassSched,
     prefetch: bool,
 ) {
-    let k = sources.len();
+    let (k, rows) = (sources.len(), pass.rows());
     for vr in 0..rows {
-        let row = if sched.shuffle {
-            shuffle_row(vr, rows)
-        } else {
-            vr
-        } as usize;
+        let off = pass.row(vr) as usize * CACHELINE;
         if prefetch {
-            issue_row_prefetches(vr, k, rows, &sched, sources);
+            pass.for_each_target(vr, |b, r| {
+                prefetch_read(sources[b][r as usize * CACHELINE..].as_ptr())
+            });
         }
-        let off = row * CACHELINE;
         for (i, out) in outputs.iter_mut().enumerate() {
             let dst = &mut out[off..off + CACHELINE];
             dst.fill(0);
@@ -665,6 +664,15 @@ fn group_pass_portable(
 mod tests {
     use super::*;
     use crate::slice::mul_add_slice_tab;
+
+    /// Restores auto selection when a test leaves, by return or by panic:
+    /// the override is process-global and the other tests share it.
+    struct AutoOnDrop;
+    impl Drop for AutoOnDrop {
+        fn drop(&mut self) {
+            set_kernel_override(None);
+        }
+    }
 
     fn pattern(len: usize, seed: u8) -> Vec<u8> {
         (0..len)
@@ -706,14 +714,21 @@ mod tests {
 
     #[test]
     fn override_clamps_to_detected_tier() {
-        // Requesting above the detected tier must not escalate; requesting
-        // Portable always lands. Restore auto selection afterwards.
-        set_kernel_override(Some(Kernel::Avx2));
-        assert!(selected_kernel().tier() <= detected_kernel().tier());
-        set_kernel_override(Some(Kernel::Portable));
-        assert_eq!(selected_kernel(), Kernel::Portable);
+        // Requesting tier T selects min(T, detected): never above the CPU,
+        // and a request above it lands on the detected tier, not below.
+        let _auto = AutoOnDrop;
+        let detected = detected_kernel();
+        for want in Kernel::ALL {
+            set_kernel_override(Some(want));
+            let expect = if want.tier() <= detected.tier() {
+                want
+            } else {
+                detected
+            };
+            assert_eq!(selected_kernel(), expect, "requested {want:?}");
+        }
         set_kernel_override(None);
-        assert_eq!(selected_kernel(), detected_kernel());
+        assert_eq!(selected_kernel(), detected);
     }
 
     #[test]

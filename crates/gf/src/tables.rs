@@ -82,30 +82,74 @@ pub static LOG: [u8; 256] = build_log();
 /// `INV[a] = a^-1` for `a != 0`; `INV[0]` is 0 and must not be used.
 pub static INV: [u8; 256] = build_inv();
 
-/// Split-nibble multiplication tables, the layout ISA-L feeds to `vpshufb`.
+/// One coefficient prepared for the data-plane kernels: the split-nibble
+/// tables ISA-L feeds to `vpshufb`, and the same multiplication as the bit
+/// matrix `vgf2p8affineqb` takes.
 ///
-/// For a constant coefficient `c`, `LOW[c][x & 0xF] ^ HIGH[c][x >> 4]`
-/// equals `c * x`. The data-plane kernels in [`crate::slice`] use these to
-/// process a 64-byte line with two table lookups per byte, exactly the
-/// access pattern of ISA-L's AVX512 `gf_vect_mad` kernels.
+/// For a constant coefficient `c`, `low[x & 0xF] ^ high[x >> 4]` equals
+/// `c * x`. The kernels in [`crate::slice`] and the SSSE3/AVX2 tiers of
+/// [`crate::simd`] process a 64-byte line with two table lookups per byte;
+/// the AVX-512 + GFNI tier does it with one affine transform per line.
+///
+/// 16-byte aligned so neither table load of the `pshufb` tiers straddles a
+/// cacheline in a `[NibbleTables]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, align(16))]
 pub struct NibbleTables {
     /// `low[v] = c * v` for v in 0..16 (low nibble contribution).
     pub low: [u8; 16],
     /// `high[v] = c * (v << 4)` for v in 0..16 (high nibble contribution).
     pub high: [u8; 16],
+    /// Multiplication by `c` as an 8x8 matrix over GF(2), in the operand
+    /// layout of `GF2P8AFFINEQB`: byte `7 - i` is the mask of input bits
+    /// whose parity is output bit `i`. (`GF2P8MULB` is hard-wired to the
+    /// AES polynomial 0x11B; the affine form carries [`PRIMITIVE_POLY`].)
+    pub affine: u64,
 }
 
-impl NibbleTables {
-    /// Build the pair of 16-entry tables for coefficient `c`.
-    pub fn new(c: u8) -> Self {
-        let mut low = [0u8; 16];
-        let mut high = [0u8; 16];
-        for v in 0..16u8 {
-            low[v as usize] = mul_notable(c, v);
-            high[v as usize] = mul_notable(c, v << 4);
+const fn build_coefficient(c: u8) -> NibbleTables {
+    let mut low = [0u8; 16];
+    let mut high = [0u8; 16];
+    let mut v = 0;
+    while v < 16 {
+        low[v] = mul_notable(c, v as u8);
+        high[v] = mul_notable(c, (v as u8) << 4);
+        v += 1;
+    }
+    // Column j of the matrix is c * 2^j; output bit i collects bit i of
+    // every column whose input bit is set.
+    let mut affine = 0u64;
+    let mut j = 0;
+    while j < 8 {
+        let col = mul_notable(c, 1 << j);
+        let mut i = 0;
+        while i < 8 {
+            affine |= (((col >> i) & 1) as u64) << ((7 - i) * 8 + j);
+            i += 1;
         }
-        NibbleTables { low, high }
+        j += 1;
+    }
+    NibbleTables { low, high, affine }
+}
+
+const fn build_coefficients() -> [NibbleTables; FIELD_SIZE] {
+    let mut t = [build_coefficient(0); FIELD_SIZE];
+    let mut c = 1;
+    while c < FIELD_SIZE {
+        t[c] = build_coefficient(c as u8);
+        c += 1;
+    }
+    t
+}
+
+/// Every coefficient's prepared form, so [`NibbleTables::new`] is a copy.
+static COEFFICIENTS: [NibbleTables; FIELD_SIZE] = build_coefficients();
+
+impl NibbleTables {
+    /// The prepared tables for coefficient `c`.
+    #[inline]
+    pub fn new(c: u8) -> Self {
+        COEFFICIENTS[c as usize]
     }
 
     /// Multiply a single byte through the tables.
@@ -151,10 +195,40 @@ mod tests {
 
     #[test]
     fn nibble_tables_match_reference() {
-        for c in [0u8, 1, 2, 3, 0x1D, 0x53, 0xFF] {
+        for c in 0..=255u8 {
             let t = NibbleTables::new(c);
             for x in 0..=255u8 {
                 assert_eq!(t.mul(x), mul_notable(c, x), "c={c} x={x}");
+            }
+        }
+    }
+
+    #[test]
+    fn const_table_equals_the_bit_serial_construction() {
+        for c in 0..=255u8 {
+            let t = NibbleTables::new(c);
+            for v in 0..16u8 {
+                assert_eq!(t.low[v as usize], mul_notable(c, v), "c={c}");
+                assert_eq!(t.high[v as usize], mul_notable(c, v << 4), "c={c}");
+            }
+        }
+    }
+
+    /// `GF2P8AFFINEQB` with a zero constant, one byte, in portable code:
+    /// output bit `i` is the parity of `x` under matrix byte `7 - i`.
+    fn affine_byte(matrix: u64, x: u8) -> u8 {
+        (0..8).fold(0, |y, i| {
+            let mask = (matrix >> ((7 - i) * 8)) as u8;
+            y | (((mask & x).count_ones() as u8 & 1) << i)
+        })
+    }
+
+    #[test]
+    fn affine_matrix_multiplies_like_the_reference() {
+        for c in 0..=255u8 {
+            let m = NibbleTables::new(c).affine;
+            for x in 0..=255u8 {
+                assert_eq!(affine_byte(m, x), mul_notable(c, x), "c={c} x={x}");
             }
         }
     }

@@ -24,7 +24,7 @@
 //! per-packet slices, and same-array aliasing (parity read while writing
 //! another parity) is resolved with `split_at_mut`.
 
-use crate::sched::{for_each_prefetch_target, FusedSched};
+use crate::sched::{FusedSched, PassSched};
 use crate::slice::{prefetch_read, xor_slice};
 use crate::CACHELINE;
 
@@ -254,10 +254,11 @@ pub fn execute_ops(
     while start < plen {
         let tlen = tile.min(plen - start);
         let lines = tlen.div_ceil(CACHELINE);
+        let pass = PassSched::new(lines, n_ops, &sched);
         for (n, op) in ops.iter().enumerate() {
             // §4.2/§4.3 exactly-once construction over the op × tile-line
             // stream: prefetch the source lines of the ops `d` steps ahead.
-            for_each_prefetch_target(n as u64, lines, n_ops, &sched, |j, target_op| {
+            pass.for_each_target(n as u64, |j, target_op| {
                 let offset = start + j * CACHELINE;
                 if let Some(ptr) =
                     prefetch_src_ptr(ops, sources, outputs, target_op as usize, offset)

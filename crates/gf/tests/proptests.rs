@@ -142,7 +142,10 @@ fn bitmatrix_inverse_roundtrip() {
 // ---------------------------------------------------------------------------
 
 use dialga_gf::sched::FusedSched;
-use dialga_gf::simd::{dot_prod_fused, set_kernel_override, Kernel, FUSED_GROUP};
+use dialga_gf::simd::{
+    dot_prod_fused, dot_prod_syndromes, dot_prod_verify, mul_add_slice_simd, selected_kernel,
+    set_kernel_override, Kernel, Support, FUSED_GROUP, VERIFY_WINDOW,
+};
 use dialga_gf::tables::NibbleTables;
 
 /// Scalar, table-free-of-SIMD reference: `out[r][i] = XOR_b tab[r*k+b](src[b][i])`.
@@ -181,7 +184,10 @@ fn sched_variants(k: usize) -> Vec<FusedSched> {
     ]
 }
 
-fn check_fused_case(k: usize, n_out: usize, len: usize, sched: FusedSched) {
+/// One fused case against the scalar reference. Every source and output
+/// starts `skew` bytes into its allocation: a 64 B lane straddles
+/// cachelines on any `Vec<u8>`, so the kernels must not care.
+fn check_fused_case(k: usize, n_out: usize, len: usize, sched: FusedSched, skew: usize) {
     let tables: Vec<NibbleTables> = (0..n_out * k)
         .map(|i| {
             // Deterministic coefficients including 0 and 1.
@@ -190,48 +196,155 @@ fn check_fused_case(k: usize, n_out: usize, len: usize, sched: FusedSched) {
         })
         .collect();
     let srcs: Vec<Vec<u8>> = (0..k)
-        .map(|b| (0..len).map(|i| ((b * 31 + i * 7) & 0xFF) as u8).collect())
+        .map(|b| {
+            (0..skew + len)
+                .map(|i| ((b * 31 + i * 7) & 0xFF) as u8)
+                .collect()
+        })
         .collect();
-    let src_refs: Vec<&[u8]> = srcs.iter().map(|s| s.as_slice()).collect();
+    let src_refs: Vec<&[u8]> = srcs.iter().map(|s| &s[skew..]).collect();
 
     // Prefill with garbage so accumulate-instead-of-overwrite bugs show.
-    let mut got: Vec<Vec<u8>> = (0..n_out).map(|r| vec![r as u8 ^ 0xA5; len]).collect();
-    let mut want: Vec<Vec<u8>> = (0..n_out).map(|r| vec![r as u8 ^ 0x5A; len]).collect();
+    let mut got: Vec<Vec<u8>> = (0..n_out)
+        .map(|r| vec![r as u8 ^ 0xA5; skew + len])
+        .collect();
+    let mut want = got.clone();
     {
-        let mut got_refs: Vec<&mut [u8]> = got.iter_mut().map(|o| o.as_mut_slice()).collect();
+        let mut got_refs: Vec<&mut [u8]> = got.iter_mut().map(|o| &mut o[skew..]).collect();
         dot_prod_fused(&tables, &src_refs, &mut got_refs, sched);
-        let mut want_refs: Vec<&mut [u8]> = want.iter_mut().map(|o| o.as_mut_slice()).collect();
+        let mut want_refs: Vec<&mut [u8]> = want.iter_mut().map(|o| &mut o[skew..]).collect();
         reference_dot_prod(&tables, &src_refs, &mut want_refs);
     }
+    // Whole allocations: the bytes before `skew` must be untouched.
     assert_eq!(
         got, want,
-        "fused != reference for k={k} n_out={n_out} len={len} sched={sched:?}"
+        "fused != reference for k={k} n_out={n_out} len={len} sched={sched:?} skew={skew}"
     );
 }
 
-/// Every kernel tier × output counts spanning a group boundary × tail
-/// shapes (empty, sub-cacheline, exact lines, ragged tails, exactly one
-/// XPLine = 256 B) × every schedule branch. Tier overrides are process
-/// global, so the whole sweep lives in one test body.
+/// `mul_add_slice_simd` against the bit-serial multiplier: every
+/// coefficient, lengths around every lane width, unaligned starts.
+fn check_mul_add_all_coefficients() {
+    let lens = [
+        0usize, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255,
+    ];
+    for c in 0..=255u8 {
+        let t = NibbleTables::new(c);
+        for (len, skew) in lens.iter().flat_map(|&l| [0usize, 1, 17].map(|s| (l, s))) {
+            let src: Vec<u8> = (0..skew + len).map(|i| (i * 37 + 5) as u8).collect();
+            let mut dst: Vec<u8> = (0..skew + len).map(|i| (i * 11 + 9) as u8).collect();
+            let mut want = dst.clone();
+            for (w, &x) in want[skew..].iter_mut().zip(&src[skew..]) {
+                *w ^= mul_notable(c, x);
+            }
+            mul_add_slice_simd(&t, &src[skew..], &mut dst[skew..]);
+            assert_eq!(dst, want, "c={c} len={len} skew={skew}");
+        }
+    }
+}
+
+/// `dot_prod_verify` / `dot_prod_syndromes` over three windows with a
+/// ragged tail, damage in the first and the last window, in a stored row
+/// and in a source — against syndromes worked out by the scalar reference.
+fn check_verify_and_syndromes() {
+    let (k, n_out, len) = (4usize, 3usize, 2 * VERIFY_WINDOW + 200);
+    let tables: Vec<NibbleTables> = (0..n_out * k)
+        .map(|i| NibbleTables::new((i as u8).wrapping_mul(31).wrapping_add(7)))
+        .collect();
+    let mut data: Vec<Vec<u8>> = (0..k)
+        .map(|j| (0..len).map(|i| (i * 37 + j + 11) as u8).collect())
+        .collect();
+    let mut stored = vec![vec![0u8; len]; n_out];
+    let reference = |data: &[Vec<u8>], rows: &mut [Vec<u8>]| {
+        let srcs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+        let mut refs: Vec<&mut [u8]> = rows.iter_mut().map(|o| o.as_mut_slice()).collect();
+        reference_dot_prod(&tables, &srcs, &mut refs);
+    };
+    reference(&data, &mut stored);
+    let sched = FusedSched {
+        d: Some(7),
+        d_long: Some(13),
+        shuffle: false,
+    };
+    let run = |data: &[Vec<u8>], stored: &[Vec<u8>]| {
+        let srcs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+        let exp: Vec<&[u8]> = stored.iter().map(|r| r.as_slice()).collect();
+        (
+            dot_prod_verify(&tables, &srcs, &exp, sched),
+            dot_prod_syndromes(&tables, &srcs, &exp, sched),
+        )
+    };
+    assert_eq!(run(&data, &stored), (vec![], Support::default()));
+
+    stored[1][5] ^= 0x40;
+    data[2][5] ^= 0x03;
+    data[0][len - 1] ^= 0x80;
+    stored[2][VERIFY_WINDOW + 9] ^= 0x01;
+    let mut recomputed = vec![vec![0u8; len]; n_out];
+    reference(&data, &mut recomputed);
+    let mut want = Support::default();
+    for at in 0..len {
+        let column = (0..n_out).map(|i| stored[i][at] ^ recomputed[i][at]);
+        if column.clone().any(|s| s != 0) {
+            want.positions.push(at);
+            want.syndromes.extend(column);
+        }
+    }
+    assert_eq!(want.positions, vec![5, VERIFY_WINDOW + 9, len - 1]);
+    assert_eq!(run(&data, &stored), (vec![0, 1, 2], want));
+}
+
+/// Run `body` under every tier this CPU has, lowest first, and say which
+/// were run and which were not: a green run on a narrower CPU must not
+/// read as covering the top tier. The override is process-global, so this
+/// is called from one test body per binary; auto selection is restored on
+/// every way out, a failed assert included.
+fn for_each_available_tier(mut body: impl FnMut()) {
+    struct AutoOnDrop;
+    impl Drop for AutoOnDrop {
+        fn drop(&mut self) {
+            set_kernel_override(None);
+        }
+    }
+    let _auto = AutoOnDrop;
+    let (mut run, mut skipped) = (Vec::new(), Vec::new());
+    for tier in Kernel::ALL {
+        set_kernel_override(Some(tier));
+        if selected_kernel() == tier {
+            body();
+            run.push(tier);
+        } else {
+            skipped.push(tier);
+        }
+    }
+    println!("tiers run: {run:?} / skipped (not on this CPU): {skipped:?}");
+}
+
+/// Every kernel tier the CPU has × output counts spanning a group boundary
+/// × tail shapes (empty, sub-cacheline, exact lines, ragged tails, exactly
+/// one XPLine = 256 B) × every schedule branch × aligned and unaligned
+/// starts, then the multiply-add and the verify/syndrome scans on the same
+/// tier. Tier overrides are process global, so the whole sweep lives in one
+/// test body.
 #[test]
 fn fused_matches_reference_for_all_tiers_and_tail_shapes() {
     let lens = [0usize, 1, 63, 64, 65, 192, 256, 257, 320, 1000];
-    for tier in [Kernel::Portable, Kernel::Ssse3, Kernel::Avx2] {
-        // Clamped to the detected tier: on a host without AVX2 the Avx2
-        // request re-checks the best available kernel instead.
-        set_kernel_override(Some(tier));
-        for &len in &lens {
-            for n_out in 1..=(FUSED_GROUP + 2) {
-                for sched in sched_variants(5) {
-                    check_fused_case(5, n_out, len, sched);
+    for_each_available_tier(|| {
+        for skew in [0usize, 1, 17] {
+            for &len in &lens {
+                for n_out in 1..=(FUSED_GROUP + 2) {
+                    for sched in sched_variants(5) {
+                        check_fused_case(5, n_out, len, sched, skew);
+                    }
                 }
             }
         }
         // k = 0 must zero-fill; k = 1 exercises the single-source path.
-        check_fused_case(0, 3, 256, FusedSched::plain());
-        check_fused_case(1, 2, 257, FusedSched::distance(4));
-    }
-    set_kernel_override(None);
+        check_fused_case(0, 3, 256, FusedSched::plain(), 0);
+        check_fused_case(1, 2, 257, FusedSched::distance(4), 0);
+        check_mul_add_all_coefficients();
+        check_verify_and_syndromes();
+    });
 }
 
 /// Randomized geometry sweep on the auto-selected kernel. The assertion

@@ -4,8 +4,8 @@
 //!
 //! DIALGA's performance rests on a small, deliberate unsafe surface: the
 //! raw-span chunk handoff in the persistent pool (`core/src/pool.rs`), the
-//! AVX2/SSSE3 GF kernels (`gf/src/simd.rs`) and the prefetch hint
-//! (`gf/src/slice.rs`). PR 2 proved that surface bites when its invariants
+//! SSSE3 / AVX2 / AVX-512+GFNI GF kernels (`gf/src/simd.rs`) and the
+//! prefetch hint (`gf/src/slice.rs`). PR 2 proved that surface bites when its invariants
 //! are conventions rather than checked facts (a truncated survivor shard
 //! reached the unsafe kernel). This crate machine-checks the conventions.
 //! It is std-only and offline: a lexer-grade scanner ([`scan`]) plus a

@@ -31,6 +31,13 @@ chaos:
 core-test:
     cargo test -q -p dialga --features fault-injection
 
+# Every GF kernel tier this CPU has, against the scalar reference and end
+# to end through core; prints which tiers ran and which the CPU lacks
+# (a stage of `just lint`)
+tier-sweep:
+    cargo test -q -p dialga-gf --test proptests fused_matches_reference_for_all_tiers_and_tail_shapes -- --nocapture
+    cargo test -q -p dialga --test tiers -- --nocapture
+
 # Every crate's unit, integration and doc tests — gf, ec, memsim,
 # pipeline, service, store, workload, testkit and the lint fixtures run
 # nowhere else; the root `cargo test` is the facade package only

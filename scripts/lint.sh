@@ -26,6 +26,12 @@ cargo test -q --test chaos --test integrity
 echo "== core tests (pool, coordinator, encoder; fault hooks compiled in) =="
 cargo test -q -p dialga --features fault-injection
 
+echo "== kernel tier sweep (every GF tier this CPU has against the scalar reference, then end to end; prints the tiers run / skipped) =="
+# A green gate on a CPU without GFNI must say so rather than pass the top
+# tier unseen; the workspace stage below runs the same two tests quietly.
+cargo test -q -p dialga-gf --test proptests fused_matches_reference_for_all_tiers_and_tail_shapes -- --nocapture
+cargo test -q -p dialga --test tiers -- --nocapture
+
 echo "== workspace tests (every crate's unit, integration and doc tests, the lint fixtures included) =="
 cargo test -q --workspace
 
