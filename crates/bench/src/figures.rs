@@ -16,7 +16,7 @@ use dialga::{Dialga, EncodePool};
 use dialga_ec::zoo::{self, ZooEntry};
 use dialga_ec::{Lrc, ReedSolomon, XorScratch};
 use dialga_gf::bitmatrix::W;
-use dialga_gf::sched::FusedSched;
+use dialga_gf::sched::{FusedSched, LINES_PER_XPLINE};
 use dialga_gf::simd::dot_prod_fused;
 use dialga_gf::tables::NibbleTables;
 use dialga_gf::xorexec::{execute_packets, TempArena, XorProgram};
@@ -760,11 +760,8 @@ fn ablation_switch(bytes: u64) -> Rows {
     let cost = CostModel::default();
     let layout = ablation_layout(bytes);
     let threads = 16;
-    let hp_knobs = Knobs {
-        sw_distance: Some(ABLATION_K as u32),
-        xpline_expand: true,
-        ..Default::default()
-    };
+    let hp_knobs = Knobs::distance(ABLATION_K as u32);
+    let hp_source = |knobs| IsalSource::new(layout, cost, knobs, threads).with_xpline_expand(true);
     fn row<S: TaskSource>(label: &str, threads: usize, mut src: S) -> Vec<String> {
         let r = run_source(&MachineConfig::pm(), threads, &mut src);
         vec![
@@ -775,31 +772,23 @@ fn ablation_switch(bytes: u64) -> Rows {
     }
     // MSR arm: prefetcher held off for the whole call, but each call
     // boundary costs two privileged toggles.
-    let steps_per_stripe = (layout.rows_per_block() / 4) * ABLATION_K as u64;
+    let steps_per_stripe = (layout.rows_per_block() / LINES_PER_XPLINE) * ABLATION_K as u64;
     let shuffled = Knobs {
         shuffle: true,
         ..hp_knobs
     };
     vec![
-        row(
-            "none (HW PF uncontrolled)",
-            threads,
-            IsalSource::new(layout, cost, hp_knobs, threads),
-        ),
+        row("none (HW PF uncontrolled)", threads, hp_source(hp_knobs)),
         row(
             "MSR toggle per call",
             threads,
             MsrToggled {
-                inner: IsalSource::new(layout, cost, hp_knobs, threads),
+                inner: hp_source(hp_knobs),
                 period: steps_per_stripe,
                 count: vec![0; threads],
             },
         ),
-        row(
-            "shuffle mapping (DIALGA)",
-            threads,
-            IsalSource::new(layout, cost, shuffled, threads),
-        ),
+        row("shuffle mapping (DIALGA)", threads, hp_source(shuffled)),
     ]
 }
 
@@ -824,8 +813,7 @@ fn ablation_eq1(bytes: u64) -> Rows {
     .map(|(label, d)| {
         let knobs = Knobs {
             shuffle: true,
-            sw_distance: Some(d),
-            ..Default::default()
+            ..Knobs::distance(d)
         };
         let mut src = IsalSource::new(layout, CostModel::default(), knobs, threads);
         let r = run_source(&cfg, threads, &mut src);
@@ -849,11 +837,11 @@ fn ablation_distance(bytes: u64) -> Rows {
     let mut rows = Rows::new();
     let mut best_fixed = 0.0f64;
     for d in [4u32, 8, 16, 28, 56, 112, 224] {
-        let knobs = Knobs {
-            sw_distance: Some(d),
-            ..Default::default()
-        };
-        let r = run_source(&cfg, 1, &mut IsalSource::new(layout, cost, knobs, 1));
+        let r = run_source(
+            &cfg,
+            1,
+            &mut IsalSource::new(layout, cost, Knobs::distance(d), 1),
+        );
         best_fixed = best_fixed.max(r.throughput_gbs());
         rows.push(vec![format!("fixed {d}"), gbs(r.throughput_gbs())]);
     }
@@ -913,9 +901,9 @@ fn repair_path(bytes: u64) -> Rows {
     let repair = |reads: usize, d: Option<u32>| {
         let layout = StripeLayout::sized_for(reads, 1, 1024, bytes);
         let knobs = Knobs {
-            sw_distance: d,
-            bf_first_distance: d.map(|x| 4 * x),
-            ..Default::default()
+            d,
+            d_long: d.map(|x| 4 * x),
+            shuffle: false,
         };
         let mut src = IsalSource::new(layout, CostModel::default(), knobs, 1);
         let r = run_source(&cfg, 1, &mut src);

@@ -258,21 +258,16 @@ pub fn decode_report(system: System, spec: &Spec, lost: usize) -> Option<RunRepo
 pub fn lrc_report(system: System, spec: &Spec, l: usize) -> Option<RunReport> {
     let layout = StripeLayout::sized_for(spec.k, spec.m + l, spec.block, spec.bytes_per_thread);
     let cost = spec.cost();
-    let knobs = match system {
-        System::Dialga => Knobs {
-            sw_distance: Some(spec.k as u32),
-            bf_first_distance: Some(spec.k as u32 + 4),
-            ..Default::default()
-        },
-        System::Isal => Knobs::default(),
-        System::IsalNoPf => Knobs::default(),
+    let sw_distance = match system {
+        System::Dialga => Some(spec.k as u32),
+        System::Isal | System::IsalNoPf => None,
         _ => return None,
     };
     let mut cfg = spec.cfg.clone();
     if system == System::IsalNoPf {
         cfg.prefetcher.enabled = false;
     }
-    let mut src = LrcSource::new(layout, cost, spec.m, l, knobs, spec.threads);
+    let mut src = LrcSource::new(layout, cost, spec.m, l, sw_distance, spec.threads);
     Some(run_source(&cfg, spec.threads, &mut src))
 }
 

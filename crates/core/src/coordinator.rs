@@ -99,9 +99,10 @@ pub struct CoordinatorSnapshot {
 #[derive(Debug, Clone)]
 pub struct Coordinator {
     k: usize,
-    threads: usize,
     wide_stripe: bool,
-    small_block: bool,
+    /// More than [`THREAD_THRESHOLD`] threads: the hardware prefetcher stays
+    /// suppressed and tasks are 256 B-expanded, for the coordinator's life.
+    high_threads: bool,
     d_max: u32,
     l2_hit_ns: f64,
     /// Sampling interval (simulated ns).
@@ -135,9 +136,8 @@ impl Coordinator {
     /// Build a coordinator for one encoding configuration. The static
     /// I/O-pattern rules of §4.1 pick the initial policy; sampling then
     /// adapts it.
-    pub fn new(k: usize, _m: usize, block_bytes: u64, threads: usize, cfg: &MachineConfig) -> Self {
+    pub fn new(k: usize, _m: usize, _block: u64, threads: usize, cfg: &MachineConfig) -> Self {
         let wide_stripe = k > cfg.prefetcher.streams;
-        let small_block = block_bytes < 4096;
         let high_threads = threads > THREAD_THRESHOLD;
         let d_max = eq1_max_distance(threads, k, cfg.pm.read_buffer_bytes, cfg.pm.unit_bytes);
         let climber = HillClimber::new(k as u32, 4, d_max.max(4));
@@ -152,22 +152,20 @@ impl Coordinator {
         //   the buffer-friendly per-XPLine distance split.
         let hw_suppressed = high_threads;
         let knobs = Knobs {
-            sw_distance: Some(climber.current()),
+            d: Some(climber.current()),
             // Initial first-cacheline distance k + 4 (§4.3.2); the sampler
             // then scales it with the climbed distance.
-            bf_first_distance: if high_threads {
+            d_long: if high_threads {
                 None
             } else {
                 Some((k as u32 + 4).min(d_max))
             },
             shuffle: hw_suppressed,
-            xpline_expand: high_threads,
         };
         Coordinator {
             k,
-            threads,
             wide_stripe,
-            small_block,
+            high_threads,
             d_max,
             l2_hit_ns: cfg.l2.hit_ns,
             sample_interval_ns: SAMPLE_INTERVAL_NS,
@@ -210,6 +208,12 @@ impl Coordinator {
         self.policy
     }
 
+    /// Whether tasks run at 256 B (XPLine) granularity (§4.3.3): decided by
+    /// the thread count alone, so a source takes it once, when it is built.
+    pub fn xpline_expand(&self) -> bool {
+        self.high_threads
+    }
+
     /// Eq. (1) bound in effect.
     pub fn d_max(&self) -> u32 {
         self.d_max
@@ -228,7 +232,7 @@ impl Coordinator {
             policy_changes: self.changes,
             last_change_ns: self.last_change_ns,
             d_max: self.d_max,
-            sw_distance: self.policy.knobs.sw_distance,
+            sw_distance: self.policy.knobs.d,
             hw_suppressed: self.policy.hw_suppressed,
         }
     }
@@ -277,18 +281,13 @@ impl Coordinator {
         if !self.wide_stripe {
             if pressure.contended && pressure.prefetcher_inefficient {
                 hw_suppressed = true;
-            } else if !pressure.contended && self.threads <= THREAD_THRESHOLD {
-                // Small blocks keep the prefetcher despite inefficiency:
-                // amplified traffic under low pressure is harmless (§4.1).
-                let _ = self.small_block;
+            } else if !pressure.contended && !self.high_threads {
+                // Whatever the block size — small blocks keep the prefetcher
+                // despite inefficiency: amplified traffic under low pressure
+                // is harmless (§4.1).
                 hw_suppressed = false;
             }
         }
-        // Task-granularity expansion is a high-pressure tool (§4.3.3): it
-        // stays on above the concurrency threshold, and kicks in under
-        // measured contention once it has been engaged.
-        let expand = self.threads > THREAD_THRESHOLD
-            || (self.policy.knobs.xpline_expand && pressure.contended);
 
         // Hill-climb the prefetch distance on the mean row latency
         // (the per-sub-task objective of §4.1).
@@ -297,18 +296,17 @@ impl Coordinator {
         let d = self.climber.observe(row_latency).min(self.d_max);
 
         let knobs = Knobs {
-            sw_distance: Some(d),
+            d: Some(d),
             // XPLine-first lines pay media (not buffer) latency, so their
             // distance is scaled up from the climbed value (§4.3.2). The
             // split is a low-pressure tool: it widens the simultaneously
             // touched XPLine set, so it is dropped under contention.
-            bf_first_distance: if hw_suppressed || expand || pressure.contended {
+            d_long: if hw_suppressed || self.high_threads || pressure.contended {
                 None
             } else {
                 Some((4 * d).max(d + 4).min(self.d_max))
             },
             shuffle: hw_suppressed,
-            xpline_expand: expand,
         };
         let changed = knobs != self.policy.knobs;
         self.policy = Policy {
@@ -412,9 +410,9 @@ mod tests {
         let p = c.policy();
         assert!(!p.hw_suppressed);
         assert!(!p.knobs.shuffle);
-        assert!(!p.knobs.xpline_expand);
-        assert_eq!(p.knobs.sw_distance, Some(12));
-        assert_eq!(p.knobs.bf_first_distance, Some(16)); // k + 4
+        assert!(!c.xpline_expand());
+        assert_eq!(p.knobs.d, Some(12));
+        assert_eq!(p.knobs.d_long, Some(16)); // k + 4
     }
 
     #[test]
@@ -423,15 +421,15 @@ mod tests {
         let p = c.policy();
         assert!(p.hw_suppressed, "threads > 12 must suppress HW prefetch");
         assert!(p.knobs.shuffle);
-        assert!(p.knobs.xpline_expand);
-        assert!(p.knobs.bf_first_distance.is_none());
+        assert!(c.xpline_expand());
+        assert!(p.knobs.d_long.is_none());
     }
 
     #[test]
     fn wide_stripe_needs_no_management() {
         let c = Coordinator::new(48, 4, 1024, 1, &cfg());
         assert!(!c.policy().hw_suppressed, "prefetcher silences itself");
-        assert!(c.policy().knobs.sw_distance.is_some());
+        assert!(c.policy().knobs.d.is_some());
     }
 
     #[test]
@@ -475,7 +473,7 @@ mod tests {
             ctr.loads += 2800;
             ctr.demand_stall_ns += 280_000.0;
             c.on_tick(1000.0 * i as f64 + 500.0, &ctr);
-            if let Some(d) = c.policy().knobs.sw_distance {
+            if let Some(d) = c.policy().knobs.d {
                 assert!(d <= c.d_max(), "d={d} exceeds Eq.1 bound {}", c.d_max());
             }
         }
@@ -570,7 +568,7 @@ mod tests {
             assert_eq!(snap.last_change_ns, Some(3000.0));
         }
         assert_eq!(snap.hw_suppressed, c.policy().hw_suppressed);
-        assert_eq!(snap.sw_distance, c.policy().knobs.sw_distance);
+        assert_eq!(snap.sw_distance, c.policy().knobs.d);
     }
 
     #[test]

@@ -165,8 +165,7 @@ impl DecodePlan {
         &self,
         survivors: &[&[u8]],
         outputs: &mut [&mut [u8]],
-        d: u32,
-        shuffle: bool,
+        sched: FusedSched,
     ) -> Result<(), EcError> {
         check_apply(
             self.survivors.len(),
@@ -174,16 +173,7 @@ impl DecodePlan {
             survivors,
             outputs,
         )?;
-        apply_tables(
-            &self.data_tables,
-            survivors,
-            outputs,
-            FusedSched {
-                d: Some(d),
-                d_long: None,
-                shuffle,
-            },
-        );
+        apply_tables(&self.data_tables, survivors, outputs, sched);
         Ok(())
     }
 
@@ -193,20 +183,10 @@ impl DecodePlan {
         &self,
         data: &[&[u8]],
         outputs: &mut [&mut [u8]],
-        d: u32,
-        shuffle: bool,
+        sched: FusedSched,
     ) -> Result<(), EcError> {
         check_apply(self.survivors.len(), self.lost_parity.len(), data, outputs)?;
-        apply_tables(
-            &self.parity_tables,
-            data,
-            outputs,
-            FusedSched {
-                d: Some(d),
-                d_long: None,
-                shuffle,
-            },
-        );
+        apply_tables(&self.parity_tables, data, outputs, sched);
         Ok(())
     }
 }
@@ -235,7 +215,8 @@ impl RepairPlan {
     }
 
     /// Reconstruct the target block (or any equal-length horizontal chunk
-    /// of it) from survivor slices in plan order.
+    /// of it) from survivor slices in plan order, prefetching `d` steps
+    /// ahead (no §4.3 split) in natural or shuffled row order.
     pub fn apply(
         &self,
         sources: &[&[u8]],
@@ -245,16 +226,9 @@ impl RepairPlan {
     ) -> Result<(), EcError> {
         let mut outputs = [out];
         check_apply(self.survivors.len(), 1, sources, &outputs)?;
-        apply_tables(
-            &self.tables,
-            sources,
-            &mut outputs,
-            FusedSched {
-                d: Some(d),
-                d_long: None,
-                shuffle,
-            },
-        );
+        let mut sched = FusedSched::distance(d);
+        sched.shuffle = shuffle;
+        apply_tables(&self.tables, sources, &mut outputs, sched);
         Ok(())
     }
 }
@@ -335,19 +309,14 @@ impl Dialga {
         self.d
     }
 
-    /// The §4.3 long distance for XPLine-first cachelines, if enabled.
-    pub fn bf_first_distance(&self) -> Option<u32> {
-        self.d_long
-    }
-
     /// Bound on pool batch retries after worker death/panic healing.
     pub fn max_batch_retries(&self) -> u32 {
         self.max_batch_retries
     }
 
-    /// The schedule the non-override paths ([`Self::encode`],
-    /// [`Self::encode_vec`], [`Self::decode`]) run with.
-    fn sched(&self) -> FusedSched {
+    /// The schedule this coder's kernels run with — serially, and on a pool
+    /// that has no coordinator to publish another.
+    pub(crate) fn sched(&self) -> FusedSched {
         FusedSched {
             d: Some(self.d),
             d_long: self.d_long,
@@ -393,41 +362,6 @@ impl Dialga {
 
     /// Encode the k data blocks into the m parity blocks.
     pub fn encode(&self, data: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<(), EcError> {
-        self.encode_sched(data, parity, self.sched())
-    }
-
-    /// Encode with explicit scheduling overrides, ignoring the distance and
-    /// shuffle the coder was built with.
-    ///
-    /// This is the entry point the persistent encode pool uses: the
-    /// coordinator retunes `d`/`shuffle` at its sampling interval and
-    /// workers pick up the current values per chunk, without rebuilding the
-    /// coder (the tables only depend on the code, not the schedule).
-    /// Scheduling never changes the bytes produced.
-    pub fn encode_with(
-        &self,
-        data: &[&[u8]],
-        parity: &mut [&mut [u8]],
-        d: u32,
-        shuffle: bool,
-    ) -> Result<(), EcError> {
-        self.encode_sched(
-            data,
-            parity,
-            FusedSched {
-                d: Some(d),
-                d_long: None,
-                shuffle,
-            },
-        )
-    }
-
-    fn encode_sched(
-        &self,
-        data: &[&[u8]],
-        parity: &mut [&mut [u8]],
-        sched: FusedSched,
-    ) -> Result<(), EcError> {
         let len = self.check(data, parity.len())?;
         for p in parity.iter() {
             if p.len() != len {
@@ -437,7 +371,7 @@ impl Dialga {
                 });
             }
         }
-        apply_tables(&self.tables, data, parity, sched);
+        apply_tables(&self.tables, data, parity, self.sched());
         Ok(())
     }
 
@@ -569,19 +503,6 @@ impl Dialga {
     /// [`ReedSolomon::decode`]); lost blocks are rebuilt with the
     /// pipelined kernel — decoding shares the encode load pattern (§4.1).
     pub fn decode(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
-        self.decode_with(shards, self.d, self.shuffle)
-    }
-
-    /// Decode with explicit scheduling overrides, ignoring the distance
-    /// and shuffle the coder was built with (mirrors [`Self::encode_with`];
-    /// the persistent pool's workers pick up coordinator-retuned values per
-    /// chunk through this). Scheduling never changes the bytes produced.
-    pub fn decode_with(
-        &self,
-        shards: &mut [Option<Vec<u8>>],
-        d: u32,
-        shuffle: bool,
-    ) -> Result<(), EcError> {
         let plan = self.decode_plan(shards)?;
         if plan.is_noop() {
             return Ok(());
@@ -599,7 +520,7 @@ impl Dialga {
                 .collect::<Result<_, _>>()?;
             let mut outs = vec![vec![0u8; len]; plan.lost_data().len()];
             let mut refs: Vec<&mut [u8]> = outs.iter_mut().map(|o| o.as_mut_slice()).collect();
-            plan.apply_data(&srcs, &mut refs, d, shuffle)?;
+            plan.apply_data(&srcs, &mut refs, self.sched())?;
             for (&ld, out) in plan.lost_data().iter().zip(outs) {
                 shards[ld] = Some(out);
             }
@@ -613,7 +534,7 @@ impl Dialga {
                 .collect::<Result<_, _>>()?;
             let mut outs = vec![vec![0u8; len]; plan.lost_parity().len()];
             let mut refs: Vec<&mut [u8]> = outs.iter_mut().map(|o| o.as_mut_slice()).collect();
-            plan.apply_parity(&data_refs, &mut refs, d, shuffle)?;
+            plan.apply_parity(&data_refs, &mut refs, self.sched())?;
             for (&lp, out) in plan.lost_parity().iter().zip(outs) {
                 shards[lp] = Some(out);
             }
@@ -1087,19 +1008,33 @@ mod tests {
     }
 
     #[test]
-    fn decode_with_overrides_are_bit_exact() {
-        let dialga = Dialga::new(8, 3).unwrap();
+    fn decode_is_bit_exact_under_any_schedule() {
         let data = make_data(8, 2048 + 40);
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let parity = dialga.encode_vec(&refs).unwrap();
+        let parity = Dialga::new(8, 3).unwrap().encode_vec(&refs).unwrap();
         let reference = shards_of(&data, &parity);
-        for (d, shuffle) in [(1u32, false), (8, true), (100, false), (10_000, true)] {
+        // The long distance is live only without the shuffle; decode applies
+        // the coder's whole schedule, as encode does.
+        for (d, d_long, shuffle) in [
+            (1u32, None, false),
+            (8, Some(12), true),
+            (100, Some(400), false),
+            (10_000, None, true),
+        ] {
+            let opts = DialgaOptions {
+                prefetch_distance: Some(d),
+                bf_first_distance: d_long,
+                shuffle,
+                ..Default::default()
+            };
+            let dialga = Dialga::with_options(8, 3, opts).unwrap();
+            assert_eq!(dialga.sched().d_long, d_long);
             let mut shards = shards_of(&data, &parity);
             shards[2] = None;
             shards[5] = None;
             shards[9] = None;
-            dialga.decode_with(&mut shards, d, shuffle).unwrap();
-            assert_eq!(shards, reference, "d={d} shuffle={shuffle}");
+            dialga.decode(&mut shards).unwrap();
+            assert_eq!(shards, reference, "{opts:?}");
         }
     }
 

@@ -91,27 +91,36 @@ pub struct DecodeJob<'a> {
     pub shards: &'a mut [Option<Vec<u8>>],
 }
 
-/// Sentinel meaning "no distance override" in the packed knob cell.
-const KNOB_NONE: u64 = 0xFFFF;
+/// A distance field of the packed knob word that holds no distance.
+const NO_DISTANCE: u64 = 0xFFFF;
 
+/// The knob word of a pool without a coordinator: nothing is published,
+/// every chunk runs its coder's own schedule. No [`pack_knobs`] result.
+const NO_KNOBS: u64 = u64::MAX;
+
+/// The whole schedule in one word: `d` in bits 0–15, `d_long` in 16–31
+/// (distances saturate below [`NO_DISTANCE`]), `shuffle` in bit 32.
 fn pack_knobs(k: &Knobs) -> u64 {
-    let sw = k
-        .sw_distance
-        .map_or(KNOB_NONE, |d| (d as u64).min(KNOB_NONE - 1));
-    let bf = k
-        .bf_first_distance
-        .map_or(KNOB_NONE, |d| (d as u64).min(KNOB_NONE - 1));
-    sw | (bf << 16) | ((k.shuffle as u64) << 32) | ((k.xpline_expand as u64) << 33)
+    let field = |d: Option<u32>| d.map_or(NO_DISTANCE, |d| (d as u64).min(NO_DISTANCE - 1));
+    field(k.d) | (field(k.d_long) << 16) | ((k.shuffle as u64) << 32)
 }
 
 fn unpack_knobs(v: u64) -> Knobs {
-    let sw = v & 0xFFFF;
-    let bf = (v >> 16) & 0xFFFF;
+    let field = |f: u64| (f & 0xFFFF != NO_DISTANCE).then_some((f & 0xFFFF) as u32);
     Knobs {
-        sw_distance: (sw != KNOB_NONE).then_some(sw as u32),
-        bf_first_distance: (bf != KNOB_NONE).then_some(bf as u32),
+        d: field(v),
+        d_long: field(v >> 16),
         shuffle: v & (1 << 32) != 0,
-        xpline_expand: v & (1 << 33) != 0,
+    }
+}
+
+/// The schedule a chunk runs, whole: the coordinator's published word when
+/// the pool has one, else the coder's own — never a mix of the two.
+fn chunk_sched(word: u64, coder: Knobs) -> Knobs {
+    if word == NO_KNOBS {
+        coder
+    } else {
+        unpack_knobs(word)
     }
 }
 
@@ -173,11 +182,12 @@ pub struct PoolStats {
 
 /// State shared between the pool handle and its workers.
 struct PoolShared {
-    /// Packed current [`Knobs`] (see [`pack_knobs`]) — the pool's only
-    /// cross-thread *publication* channel, hence the only atomic here that
-    /// needs more than `Relaxed` (lint R3): every store is `Release` (the
-    /// coordinator's policy state is written before the packed word), every
-    /// executor load `Acquire` (seeing a new word implies seeing that state).
+    /// Packed current [`Knobs`] (see [`pack_knobs`]; [`NO_KNOBS`] on a pool
+    /// without a coordinator) — the pool's only cross-thread *publication*
+    /// channel, hence the only atomic here that needs more than `Relaxed`
+    /// (lint R9): every store is `Release` (the coordinator's policy state
+    /// is written before the packed word), every executor load `Acquire`
+    /// (seeing a new word implies seeing that state).
     knobs: AtomicU64,
     stats: PoolCounters,
     /// Best (lowest) observed per-load chunk cost, in 1/1024 ns fixed
@@ -338,10 +348,8 @@ struct Work {
     tables: TabSpan,
     sources: Vec<SrcSpan>,
     outputs: Vec<OutSpan>,
-    /// Distance fallback when the knob cell carries no override.
-    default_d: u32,
-    /// §4.3 long-distance fallback when the knob cell carries no override.
-    default_bf: Option<u32>,
+    /// The coder's own schedule (see [`chunk_sched`]).
+    sched: Knobs,
 }
 
 /// One job over full-length blocks, before chunking. Encode, both decode
@@ -353,11 +361,6 @@ struct RawJob {
     len: usize,
 }
 
-/// The prefetch distances a coder's jobs fall back to.
-fn distances(coder: &Dialga) -> (u32, Option<u32>) {
-    (coder.prefetch_distance(), coder.bf_first_distance())
-}
-
 impl RawJob {
     /// The one constructor the plan builders use. Checks the fact every
     /// `.sub` in [`EncodePool::run_jobs_once`] relies on — all sources and
@@ -366,7 +369,7 @@ impl RawJob {
         tables: &[NibbleTables],
         sources: Vec<SrcSpan>,
         outputs: Vec<OutSpan>,
-        (default_d, default_bf): (u32, Option<u32>),
+        sched: Knobs,
     ) -> Result<Self, EcError> {
         let len = sources.first().map_or(0, |s| s.len);
         let lens = sources.iter().map(|s| s.len);
@@ -380,8 +383,7 @@ impl RawJob {
             tables: TabSpan::new(tables),
             sources,
             outputs,
-            default_d,
-            default_bf,
+            sched,
         };
         Ok(RawJob { work, len })
     }
@@ -396,7 +398,7 @@ impl RawJob {
             coder.tables(),
             data.iter().map(|d| SrcSpan::new(d)).collect(),
             parity.iter_mut().map(|p| OutSpan::new(p)).collect(),
-            distances(coder),
+            coder.sched(),
         )
     }
 
@@ -414,7 +416,7 @@ impl RawJob {
             .map(|&i| dialga_ec::present_shard(shards, i, "plan source shard absent"))
             .map(|v| v.map(|v| SrcSpan::new(v)))
             .collect::<Result<_, _>>()?;
-        RawJob::new(tables, sources, outputs, distances(coder))
+        RawJob::new(tables, sources, outputs, coder.sched())
     }
 }
 
@@ -635,10 +637,9 @@ impl EncodePool {
 
     fn build(threads: usize, coordinator: Option<Coordinator>) -> Self {
         let threads = threads.max(1);
-        let initial = coordinator.as_ref().map_or_else(
-            || pack_knobs(&Knobs::default()),
-            |c| pack_knobs(&c.policy().knobs),
-        );
+        let initial = coordinator
+            .as_ref()
+            .map_or(NO_KNOBS, |c| pack_knobs(&c.policy().knobs));
         #[cfg(feature = "fault-injection")]
         let fault: Arc<FaultCell> = Arc::new(FaultCell::new());
         #[cfg(feature = "fault-injection")]
@@ -750,9 +751,11 @@ impl EncodePool {
         }
     }
 
-    /// The knobs executors currently apply.
-    pub fn current_knobs(&self) -> Knobs {
-        unpack_knobs(self.shared.knobs.load(Ordering::Acquire))
+    /// The knobs the coordinator has executors apply (`None` without a
+    /// coordinator: each job then runs its coder's own schedule).
+    pub fn current_knobs(&self) -> Option<Knobs> {
+        let word = self.shared.knobs.load(Ordering::Acquire);
+        (word != NO_KNOBS).then(|| unpack_knobs(word))
     }
 
     /// Run `f` on the attached coordinator (`None` without one). Tick
@@ -945,7 +948,7 @@ impl EncodePool {
             &tables,
             sources.map(SrcSpan::new).collect(),
             vec![OutSpan::new(&mut out)],
-            (gs as u32, None),
+            Knobs::distance(gs as u32),
         )?;
         self.count_dispatch(1);
         self.run_jobs(&[job], DEFAULT_BATCH_RETRIES)?;
@@ -1271,7 +1274,7 @@ fn run_chunk(
         shared.stats.knob_switches.fetch_add(1, Ordering::Relaxed);
         *last_knobs = packed;
     }
-    let knobs = unpack_knobs(packed);
+    let sched = chunk_sched(packed, work.sched);
 
     let started = Instant::now();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1299,13 +1302,6 @@ fn run_chunk(
             .collect();
         // SAFETY: tables outlive the batch (see `ReadSpan`).
         let tables: &[NibbleTables] = unsafe { work.tables.as_slice() };
-        // The coordinator's live knobs win; the job's defaults fill in
-        // when the knob cell carries no override.
-        let sched = dialga_gf::sched::FusedSched {
-            d: Some(knobs.sw_distance.unwrap_or(work.default_d)),
-            d_long: knobs.bf_first_distance.or(work.default_bf),
-            shuffle: knobs.shuffle,
-        };
         crate::encoder::apply_tables(tables, &sources, &mut outputs, sched);
     }));
 
@@ -1380,19 +1376,45 @@ mod tests {
         for knobs in [
             Knobs::default(),
             Knobs {
-                sw_distance: Some(0),
-                bf_first_distance: Some(4096),
+                d: Some(0),
+                d_long: Some(4096),
                 shuffle: true,
-                ..Knobs::default()
             },
-            Knobs {
-                sw_distance: Some(12),
-                xpline_expand: true,
-                ..Knobs::default()
-            },
+            Knobs::distance(12),
         ] {
-            assert_eq!(unpack_knobs(pack_knobs(&knobs)), knobs);
+            let word = pack_knobs(&knobs);
+            assert_ne!(word, NO_KNOBS);
+            assert_eq!(word >> 33, 0, "three fields, 33 bits");
+            assert_eq!(unpack_knobs(word), knobs);
         }
+    }
+
+    /// The overlay is whole-word. Field by field it was wrong both ways: a
+    /// pool without a coordinator dropped the coder's shuffle, and a
+    /// coordinator's "no §4.3 split" was refilled from the coder.
+    #[test]
+    fn a_chunk_runs_the_coordinators_word_or_the_coders_schedule_never_a_mix() {
+        let plain = Dialga::new(4, 2).unwrap().sched();
+        let opts = crate::encoder::DialgaOptions {
+            prefetch_distance: Some(9),
+            bf_first_distance: Some(20),
+            shuffle: true,
+            ..Default::default()
+        };
+        let tuned = Dialga::with_options(4, 2, opts).unwrap().sched();
+        assert_eq!(
+            (tuned.d, tuned.d_long, tuned.shuffle),
+            (Some(9), Some(20), true)
+        );
+        // No coordinator: the coder's schedule, shuffle and long distance included.
+        assert_eq!(chunk_sched(NO_KNOBS, plain), plain);
+        assert_eq!(chunk_sched(NO_KNOBS, tuned), tuned);
+        // A coordinator's word wins whole: its `d_long: None` stays `None`.
+        let word = Knobs::distance(6);
+        assert_eq!(chunk_sched(pack_knobs(&word), tuned), word);
+        assert_eq!(chunk_sched(pack_knobs(&word), plain), word);
+        // And end to end: a pool without a coordinator publishes nothing.
+        assert_eq!(EncodePool::new(1).current_knobs(), None);
     }
 
     #[test]
@@ -1476,7 +1498,7 @@ mod tests {
             &[],
             vec![SrcSpan::new(&src)],
             vec![OutSpan::new(&mut out)],
-            (4, None),
+            Knobs::distance(4),
         )
         .unwrap();
         assert!(matches!(

@@ -27,28 +27,22 @@ pub enum Variant {
 impl Variant {
     /// Static knobs for the non-adaptive variants.
     pub fn knobs(self, k: usize) -> Knobs {
+        let d = k as u32;
         match self {
             Variant::Vanilla => Knobs {
                 shuffle: true,
-                ..Default::default()
+                ..Knobs::default()
             },
             Variant::Sw => Knobs {
                 shuffle: true,
-                sw_distance: Some(k as u32),
-                ..Default::default()
+                ..Knobs::distance(d)
             },
-            Variant::SwHw => Knobs {
-                shuffle: false,
-                sw_distance: Some(k as u32),
-                ..Default::default()
-            },
+            Variant::SwHw => Knobs::distance(d),
             Variant::SwHwBf => Knobs {
-                shuffle: false,
-                sw_distance: Some(k as u32),
                 // First cacheline of each XPLine is prefetched much
                 // earlier: it pays media (not buffer) latency (§4.3.2).
-                bf_first_distance: Some(4 * k as u32),
-                ..Default::default()
+                d_long: Some(4 * d),
+                ..Knobs::distance(d)
             },
             Variant::Adaptive => Knobs::default(), // replaced by the coordinator
         }
@@ -80,7 +74,8 @@ impl DialgaSource {
         match variant {
             Variant::Adaptive => {
                 let coord = Coordinator::new(layout.k, layout.m, layout.block_bytes, threads, cfg);
-                let inner = IsalSource::new(layout, cost, coord.policy().knobs, threads);
+                let inner = IsalSource::new(layout, cost, coord.policy().knobs, threads)
+                    .with_xpline_expand(coord.xpline_expand());
                 DialgaSource {
                     inner,
                     coord: Some(coord),
@@ -228,7 +223,7 @@ mod tests {
         let cfg = MachineConfig::pm();
         let mut src = DialgaSource::new(layout(28, 4, 1024), CostModel::default(), 16, &cfg);
         assert!(src.knobs().shuffle, "initial policy at 16 threads shuffles");
-        assert!(src.knobs().xpline_expand);
+        assert!(src.inner.xpline_expand(), "and runs 256 B tasks");
         let r = run_source(&cfg, 16, &mut src);
         assert_eq!(r.counters.hw_prefetches, 0, "shuffle must silence HW PF");
     }

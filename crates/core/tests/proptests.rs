@@ -148,12 +148,12 @@ fn coordinator_robust_to_arbitrary_counters() {
             now += 150.0;
             coord.on_tick(now, &ctr);
             let p = coord.policy();
-            if let Some(d) = p.knobs.sw_distance {
+            if let Some(d) = p.knobs.d {
                 assert!(d <= coord.d_max(), "d {} > bound {}", d, coord.d_max());
             }
             // BF split and shuffle are mutually exclusive by construction.
             if p.knobs.shuffle {
-                assert!(p.knobs.bf_first_distance.is_none());
+                assert!(p.knobs.d_long.is_none());
             }
         }
     });
@@ -459,7 +459,7 @@ fn pool_coordinator_propagates_policy_changes_to_workers() {
     let mut coord = Coordinator::new(k, m, 4096, threads, &cfg);
     // Sample (wall-clock ns here) aggressively so a short run takes many
     // samples; the hill climber's Reference -> Probing transition then
-    // changes sw_distance deterministically within a few samples.
+    // changes the distance deterministically within a few samples.
     coord.set_sample_interval(10_000.0); // 10 us
     let pool = EncodePool::with_coordinator(threads, coord);
 

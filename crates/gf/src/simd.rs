@@ -163,6 +163,58 @@ pub fn dot_prod_fused(
     outputs: &mut [&mut [u8]],
     sched: FusedSched,
 ) {
+    fused_on(tables, sources, outputs, sched, &mut ());
+}
+
+/// One access of the fused row walk: a prefetch or load of source `.0`'s
+/// line, or the store of output `.0`'s, at physical row `.1`.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    Prefetch(usize, u64),
+    Load(usize, u64),
+    Store(usize, u64),
+}
+
+/// Where the portable row walk reports its accesses: nowhere in production
+/// (`()`), into a trace under test — which pins the pass to that tier.
+trait AccessSink {
+    const TIER: Option<Kernel> = None;
+    #[inline(always)]
+    fn on(&mut self, _: Access) {}
+}
+
+impl AccessSink for () {}
+
+impl AccessSink for Vec<Access> {
+    const TIER: Option<Kernel> = Some(Kernel::Portable);
+    fn on(&mut self, access: Access) {
+        self.push(access);
+    }
+}
+
+/// [`dot_prod_fused`] on the portable tier, returning the row walk it
+/// executed: `dialga-pipeline`'s differential test holds that sequence
+/// against the simulator's `RowTask` stream.
+#[doc(hidden)]
+pub fn dot_prod_fused_traced(
+    tables: &[NibbleTables],
+    sources: &[&[u8]],
+    outputs: &mut [&mut [u8]],
+    sched: FusedSched,
+) -> Vec<Access> {
+    let mut trace = Vec::new();
+    fused_on(tables, sources, outputs, sched, &mut trace);
+    trace
+}
+
+fn fused_on<S: AccessSink>(
+    tables: &[NibbleTables],
+    sources: &[&[u8]],
+    outputs: &mut [&mut [u8]],
+    sched: FusedSched,
+    sink: &mut S,
+) {
     let k = sources.len();
     let n_out = outputs.len();
     assert_eq!(
@@ -188,7 +240,7 @@ pub fn dot_prod_fused(
     }
 
     let rows = len / CACHELINE;
-    let kern = selected_kernel();
+    let kern = S::TIER.unwrap_or_else(selected_kernel);
     let pass = PassSched::new(k, rows as u64, &sched);
     for (g, outs) in outputs.chunks_mut(FUSED_GROUP).enumerate() {
         let base = g * FUSED_GROUP * k;
@@ -208,7 +260,7 @@ pub fn dot_prod_fused(
             Kernel::Avx2 => unsafe { x86::fused_avx2(tabs, sources, outs, &pass, prefetch) },
             #[cfg(target_arch = "x86_64")]
             Kernel::Ssse3 => unsafe { x86::fused_ssse3(tabs, sources, outs, &pass, prefetch) },
-            _ => group_pass_portable(tabs, sources, outs, &pass, prefetch),
+            _ => group_pass_portable(tabs, sources, outs, g * FUSED_GROUP, &pass, prefetch, sink),
         }
     }
 
@@ -628,34 +680,39 @@ mod x86 {
 }
 
 /// Portable fused pass: same row walk, shuffle and prefetch schedule as the
-/// vector passes (so scheduling is exercised on every tier), with the
-/// per-line accumulation done by the table kernel. Sources stay L1-resident
-/// across the group's outputs, preserving the single-streaming shape.
+/// vector passes (so scheduling is exercised on every tier) and the same
+/// shape — each source line folded once into the group's accumulators, each
+/// output line stored once — the per-line multiply done by the table
+/// kernel. `out0` is the group's first output, for the sink.
 fn group_pass_portable(
     tables: &[NibbleTables],
     sources: &[&[u8]],
     outputs: &mut [&mut [u8]],
+    out0: usize,
     pass: &PassSched,
     prefetch: bool,
+    sink: &mut impl AccessSink,
 ) {
     let (k, rows) = (sources.len(), pass.rows());
     for vr in 0..rows {
-        let off = pass.row(vr) as usize * CACHELINE;
+        let row = pass.row(vr);
+        let line = row as usize * CACHELINE..(row as usize + 1) * CACHELINE;
         if prefetch {
             pass.for_each_target(vr, |b, r| {
+                sink.on(Access::Prefetch(b, r));
                 prefetch_read(sources[b][r as usize * CACHELINE..].as_ptr())
             });
         }
-        for (i, out) in outputs.iter_mut().enumerate() {
-            let dst = &mut out[off..off + CACHELINE];
-            dst.fill(0);
-            for (j, src) in sources.iter().enumerate() {
-                crate::slice::mul_add_slice_tab(
-                    &tables[i * k + j],
-                    &src[off..off + CACHELINE],
-                    dst,
-                );
+        let mut acc = [[0u8; CACHELINE]; FUSED_GROUP];
+        for (j, src) in sources.iter().enumerate() {
+            sink.on(Access::Load(j, row));
+            for (i, acc) in acc[..outputs.len()].iter_mut().enumerate() {
+                crate::slice::mul_add_slice_tab(&tables[i * k + j], &src[line.clone()], acc);
             }
+        }
+        for (i, out) in outputs.iter_mut().enumerate() {
+            sink.on(Access::Store(out0 + i, row));
+            out[line.clone()].copy_from_slice(&acc[i]);
         }
     }
 }

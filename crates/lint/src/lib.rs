@@ -127,7 +127,8 @@ pub fn workspace_config() -> Config {
                 role: AtomicRole::Flag,
             };
             let mut v = vec![
-                // Packed coordinator policy word (dialga::pool).
+                // The coordinator's packed schedule word — `d`, `d_long`,
+                // `shuffle`, published whole (dialga::pool).
                 knob("knobs"),
                 // Watchdog deadline word: published by set_watchdog,
                 // consumed by dispatch — same publish/observe shape.

@@ -1,5 +1,5 @@
-//! The ISA-L-style table-driven encode/decode access pattern, with DIALGA's
-//! scheduling knobs.
+//! The ISA-L-style table-driven encode/decode access pattern, under
+//! DIALGA's schedule.
 //!
 //! One *row task* is one iteration of the `ec_encode_data` dot-product
 //! loop: load one 64 B line from each of the k data blocks, fold them into
@@ -7,37 +7,23 @@
 //! advance in lockstep — the structure behind the paper's prefetch-window
 //! analysis (Obs. 3) and behind DIALGA's Fig. 9 pipelined prefetch.
 //!
-//! The [`Knobs`] struct exposes everything DIALGA's coordinator schedules:
-//!
-//! * `sw_distance` — pipelined software prefetch distance `d` in row-major
-//!   cacheline steps (Fig. 9; tail steps revert to the plain kernel);
-//! * `bf_first_distance` — the longer distance applied to the first
-//!   cacheline of each XPLine (§4.3.2, initial value k+4);
-//! * `shuffle` — the static shuffle mapping that defeats the L2 stream
-//!   detector (the lightweight HW-prefetcher "off switch" of §4.2);
-//! * `xpline_expand` — 256 B task-granularity expansion (§4.3.3).
+//! [`Knobs`] — distance `d`, §4.3.2 long distance `d_long`, `shuffle` — is
+//! the host kernels' own schedule struct, and a row task's software
+//! prefetches are whatever [`for_each_prefetch_target`] visits for its row:
+//! the simulated pattern and the shipped kernel share one definition
+//! (`tests/differential.rs` holds the two sequences against each other).
+//! 256 B task-granularity expansion (§4.3.3) is not part of the schedule: it
+//! changes what a task *is*, so it is fixed when the source is built
+//! ([`IsalSource::with_xpline_expand`]) and exists in the simulator only.
 
 use crate::cost::CostModel;
 use crate::layout::StripeLayout;
+use dialga_gf::sched::{for_each_prefetch_target, LINES_PER_XPLINE};
 use dialga_memsim::{Counters, RowTask, TaskSource};
 
-/// DIALGA's per-task scheduling knobs (all off = plain ISA-L).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Knobs {
-    /// Pipelined software prefetch distance, in row-major cacheline steps.
-    pub sw_distance: Option<u32>,
-    /// Longer prefetch distance for XPLine-first cachelines. Only applied
-    /// when `sw_distance` is set and `shuffle` is off.
-    pub bf_first_distance: Option<u32>,
-    /// Shuffle the row order to de-train the hardware stream prefetcher.
-    pub shuffle: bool,
-    /// Expand loop tasks to 256 B (XPLine) granularity.
-    pub xpline_expand: bool,
-}
-
-// The shuffle mapping is shared with the real-bytes fused kernels — one
-// definition in `dialga_gf::sched`, re-exported here for the simulator.
-pub use dialga_gf::sched::shuffle_row;
+// The schedule and the shuffle mapping are the real-bytes fused kernels'
+// own — one definition in `dialga_gf::sched`, re-exported for the simulator.
+pub use dialga_gf::sched::{shuffle_row, FusedSched as Knobs};
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Cursor {
@@ -56,6 +42,7 @@ pub struct IsalSource {
     layout: StripeLayout,
     cost: CostModel,
     knobs: Knobs,
+    expand: bool,
     cur: Vec<Cursor>,
     threads: usize,
 }
@@ -67,9 +54,27 @@ impl IsalSource {
             layout,
             cost,
             knobs,
+            expand: false,
             cur: vec![Cursor::default(); threads],
             threads,
         }
+    }
+
+    /// Expand loop tasks to 256 B (XPLine) granularity (§4.3.3). Set when
+    /// the source is built, never after: it decides the unit the cursor
+    /// counts in. Blocks that are not whole XPLines keep row tasks.
+    pub fn with_xpline_expand(mut self, expand: bool) -> Self {
+        self.expand = expand
+            && self
+                .layout
+                .rows_per_block()
+                .is_multiple_of(LINES_PER_XPLINE);
+        self
+    }
+
+    /// Whether tasks are 256 B-expanded.
+    pub fn xpline_expand(&self) -> bool {
+        self.expand
     }
 
     /// Replace the knobs (DIALGA's coordinator does this between samples).
@@ -87,30 +92,19 @@ impl IsalSource {
         &self.layout
     }
 
-    fn expanded(&self) -> bool {
-        self.knobs.xpline_expand && self.layout.rows_per_block().is_multiple_of(4)
-    }
-
     fn steps_per_stripe(&self) -> u64 {
-        if self.expanded() {
-            (self.layout.rows_per_block() / 4) * self.layout.k as u64
+        if self.expand {
+            (self.layout.rows_per_block() / LINES_PER_XPLINE) * self.layout.k as u64
         } else {
             self.layout.rows_per_block()
         }
     }
 
-    fn row_of(&self, visual: u64) -> u64 {
+    /// Visual index `visual` of `n` rows (or XPLine groups) in the
+    /// schedule's row order.
+    fn in_order(&self, visual: u64, n: u64) -> u64 {
         if self.knobs.shuffle {
-            shuffle_row(visual, self.layout.rows_per_block())
-        } else {
-            visual
-        }
-    }
-
-    fn group_of(&self, visual: u64) -> u64 {
-        let groups = self.layout.rows_per_block() / 4;
-        if self.knobs.shuffle {
-            shuffle_row(visual, groups)
+            shuffle_row(visual, n)
         } else {
             visual
         }
@@ -119,56 +113,12 @@ impl IsalSource {
     fn fill_normal(&self, tid: usize, c: Cursor, task: &mut RowTask) {
         let (k, m) = (self.layout.k, self.layout.m);
         let rows = self.layout.rows_per_block();
-        let vr = c.step;
-        let row = self.row_of(vr);
+        let row = self.in_order(c.step, rows);
 
-        if let Some(d) = self.knobs.sw_distance {
-            let total = rows * k as u64;
-            let d = d as u64;
-            // BF split only applies without shuffle (see module docs).
-            let df = if self.knobs.shuffle {
-                None
-            } else {
-                self.knobs.bf_first_distance.map(u64::from)
-            };
-            for j in 0..k as u64 {
-                let n = vr * k as u64 + j;
-                match df {
-                    None => {
-                        let t = n + d;
-                        if t < total {
-                            let (tr, tj) = (self.row_of(t / k as u64), (t % k as u64) as usize);
-                            task.sw_prefetches
-                                .push(self.layout.data_line(tid, c.stripe, tj, tr));
-                        }
-                    }
-                    Some(df) => {
-                        // Each future step is covered exactly once: by the
-                        // long distance if it starts an XPLine, by the short
-                        // one otherwise.
-                        let t1 = n + d;
-                        if t1 < total && !(t1 / k as u64).is_multiple_of(4) {
-                            task.sw_prefetches.push(self.layout.data_line(
-                                tid,
-                                c.stripe,
-                                (t1 % k as u64) as usize,
-                                t1 / k as u64,
-                            ));
-                        }
-                        let t2 = n + df;
-                        if t2 < total && (t2 / k as u64).is_multiple_of(4) {
-                            task.sw_prefetches.push(self.layout.data_line(
-                                tid,
-                                c.stripe,
-                                (t2 % k as u64) as usize,
-                                t2 / k as u64,
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-
+        for_each_prefetch_target(c.step, k, rows, &self.knobs, |block, prow| {
+            task.sw_prefetches
+                .push(self.layout.data_line(tid, c.stripe, block, prow));
+        });
         for j in 0..k {
             task.loads
                 .push(self.layout.data_line(tid, c.stripe, j, row));
@@ -180,37 +130,34 @@ impl IsalSource {
         }
     }
 
+    /// The simulator-only 256 B variant: one task is the `LINES_PER_XPLINE`
+    /// lines of one XPLine of one block, so its prefetch distance counts in
+    /// those steps and does not go through `for_each_prefetch_target`.
     fn fill_expanded(&self, tid: usize, c: Cursor, task: &mut RowTask) {
         let (k, m) = (self.layout.k, self.layout.m);
-        let vg = c.step / k as u64;
+        let groups = self.layout.rows_per_block() / LINES_PER_XPLINE;
         let j = (c.step % k as u64) as usize;
-        let g = self.group_of(vg);
+        let g = self.in_order(c.step / k as u64, groups);
+        let lines = |g: u64| (0..LINES_PER_XPLINE).map(move |l| g * LINES_PER_XPLINE + l);
 
-        if let Some(d) = self.knobs.sw_distance {
-            // One expanded step covers 4 row-major lines of one block;
-            // translate the line distance into steps.
-            let de = (d as u64 / 4).max(1);
-            let t = c.step + de;
+        if let Some(d) = self.knobs.d {
+            // Translate the line distance into expanded steps.
+            let t = c.step + (d as u64 / LINES_PER_XPLINE).max(1);
             if t < self.steps_per_stripe() {
-                let (tg, tj) = (self.group_of(t / k as u64), (t % k as u64) as usize);
-                for l in 0..4 {
-                    task.sw_prefetches
-                        .push(self.layout.data_line(tid, c.stripe, tj, tg * 4 + l));
-                }
+                let (tg, tj) = (self.in_order(t / k as u64, groups), (t % k as u64) as usize);
+                task.sw_prefetches
+                    .extend(lines(tg).map(|r| self.layout.data_line(tid, c.stripe, tj, r)));
             }
         }
 
-        for l in 0..4 {
-            task.loads
-                .push(self.layout.data_line(tid, c.stripe, j, g * 4 + l));
-        }
-        task.compute_cycles = 4.0 * self.cost.rs_line_cycles(m) + self.cost.row_overhead_cycles;
+        task.loads
+            .extend(lines(g).map(|r| self.layout.data_line(tid, c.stripe, j, r)));
+        task.compute_cycles =
+            LINES_PER_XPLINE as f64 * self.cost.rs_line_cycles(m) + self.cost.row_overhead_cycles;
         if j == k - 1 {
             for i in 0..m {
-                for l in 0..4 {
-                    task.stores
-                        .push(self.layout.parity_line(tid, c.stripe, i, g * 4 + l));
-                }
+                task.stores
+                    .extend(lines(g).map(|r| self.layout.parity_line(tid, c.stripe, i, r)));
             }
         }
     }
@@ -228,7 +175,7 @@ impl TaskSource for IsalSource {
         if c.stripe >= self.layout.stripes_per_thread {
             return false;
         }
-        if self.expanded() {
+        if self.expand {
             self.fill_expanded(tid, c, task);
         } else {
             self.fill_normal(tid, c, task);
@@ -322,11 +269,8 @@ mod tests {
     #[test]
     fn sw_prefetch_targets_d_steps_ahead() {
         let layout = StripeLayout::new(4, 2, 1024, 1);
-        let knobs = Knobs {
-            sw_distance: Some(4), // exactly one row ahead when k=4
-            ..Default::default()
-        };
-        let mut src = IsalSource::new(layout, CostModel::default(), knobs, 1);
+        // Exactly one row ahead when k = 4.
+        let mut src = IsalSource::new(layout, CostModel::default(), Knobs::distance(4), 1);
         let tasks = collect_tasks(&mut src, 0, 2);
         // Row 0's prefetches are row 1's loads.
         assert_eq!(tasks[0].sw_prefetches, tasks[1].loads);
@@ -335,11 +279,7 @@ mod tests {
     #[test]
     fn sw_prefetch_skips_tail() {
         let layout = StripeLayout::new(4, 2, 1024, 1); // 16 rows
-        let knobs = Knobs {
-            sw_distance: Some(8),
-            ..Default::default()
-        };
-        let mut src = IsalSource::new(layout, CostModel::default(), knobs, 1);
+        let mut src = IsalSource::new(layout, CostModel::default(), Knobs::distance(8), 1);
         let tasks = collect_tasks(&mut src, 0, 16);
         // Last two rows (steps 56..64 of 64) have no prefetches at d=8.
         assert!(tasks[15].sw_prefetches.is_empty());
@@ -351,9 +291,9 @@ mod tests {
     fn bf_split_covers_each_step_once() {
         let layout = StripeLayout::new(4, 2, 1024, 1);
         let knobs = Knobs {
-            sw_distance: Some(6),
-            bf_first_distance: Some(10),
-            ..Default::default()
+            d: Some(6),
+            d_long: Some(10),
+            shuffle: false,
         };
         let mut src = IsalSource::new(layout, CostModel::default(), knobs, 1);
         let tasks = collect_tasks(&mut src, 0, 16);
@@ -374,11 +314,8 @@ mod tests {
     #[test]
     fn expanded_mode_visits_all_lines_and_stores_once() {
         let layout = StripeLayout::new(3, 2, 1024, 1);
-        let knobs = Knobs {
-            xpline_expand: true,
-            ..Default::default()
-        };
-        let mut src = IsalSource::new(layout, CostModel::default(), knobs, 1);
+        let mut src = IsalSource::new(layout, CostModel::default(), Knobs::default(), 1)
+            .with_xpline_expand(true);
         let tasks = collect_tasks(&mut src, 0, 1000);
         // 16 rows / 4 = 4 groups x 3 blocks = 12 tasks.
         assert_eq!(tasks.len(), 12);

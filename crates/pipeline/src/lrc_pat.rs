@@ -8,6 +8,7 @@
 use crate::cost::CostModel;
 use crate::isal::Knobs;
 use crate::layout::StripeLayout;
+use dialga_gf::sched::for_each_prefetch_target;
 use dialga_memsim::{Counters, RowTask, TaskSource};
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -24,19 +25,21 @@ pub struct LrcSource {
     cost: CostModel,
     m_global: usize,
     l: usize,
-    knobs: Knobs,
+    /// The pipelined prefetch over the k read streams (distance only).
+    sched: Knobs,
     cur: Vec<Cursor>,
     threads: usize,
 }
 
 impl LrcSource {
-    /// Build a source for LRC(k, m_global, l).
+    /// Build a source for LRC(k, m_global, l); `sw_distance` enables
+    /// DIALGA-style pipelined prefetching over the data streams.
     pub fn new(
         layout: StripeLayout,
         cost: CostModel,
         m_global: usize,
         l: usize,
-        knobs: Knobs,
+        sw_distance: Option<u32>,
         threads: usize,
     ) -> Self {
         assert_eq!(
@@ -50,7 +53,10 @@ impl LrcSource {
             cost,
             m_global,
             l,
-            knobs,
+            sched: Knobs {
+                d: sw_distance,
+                ..Knobs::default()
+            },
             cur: vec![Cursor::default(); threads],
             threads,
         }
@@ -77,21 +83,10 @@ impl TaskSource for LrcSource {
         let k = self.layout.k;
         let rows = self.layout.rows_per_block();
 
-        if let Some(d) = self.knobs.sw_distance {
-            let total = rows * k as u64;
-            for j in 0..k as u64 {
-                let t = c.row * k as u64 + j + d as u64;
-                if t < total {
-                    task.sw_prefetches.push(self.layout.data_line(
-                        tid,
-                        c.stripe,
-                        (t % k as u64) as usize,
-                        t / k as u64,
-                    ));
-                }
-            }
-        }
-
+        for_each_prefetch_target(c.row, k, rows, &self.sched, |block, prow| {
+            task.sw_prefetches
+                .push(self.layout.data_line(tid, c.stripe, block, prow));
+        });
         for j in 0..k {
             task.loads
                 .push(self.layout.data_line(tid, c.stripe, j, c.row));
@@ -126,7 +121,7 @@ mod tests {
     #[test]
     fn task_shape_includes_local_parity_stores() {
         let layout = StripeLayout::new(12, 4 + 2, 1024, 1);
-        let mut src = LrcSource::new(layout, CostModel::default(), 4, 2, Knobs::default(), 1);
+        let mut src = LrcSource::new(layout, CostModel::default(), 4, 2, None, 1);
         let ctr = Counters::default();
         let mut task = RowTask::default();
         assert!(src.next_task(0, 0.0, &ctr, &mut task));
@@ -140,7 +135,7 @@ mod tests {
         let rs_layout = StripeLayout::sized_for(12, 4, 1024, 1 << 20);
         let lrc_layout = StripeLayout::sized_for(12, 6, 1024, 1 << 20);
         let mut rs = crate::isal::IsalSource::new(rs_layout, cost, Knobs::default(), 1);
-        let mut lrc = LrcSource::new(lrc_layout, cost, 4, 2, Knobs::default(), 1);
+        let mut lrc = LrcSource::new(lrc_layout, cost, 4, 2, None, 1);
         let mut e1 = Engine::new(MachineConfig::pm(), 1);
         let r_rs = e1.run(&mut rs);
         let mut e2 = Engine::new(MachineConfig::pm(), 1);
@@ -157,6 +152,6 @@ mod tests {
     #[should_panic(expected = "layout.m must cover")]
     fn layout_parity_mismatch_panics() {
         let layout = StripeLayout::new(12, 4, 1024, 1);
-        LrcSource::new(layout, CostModel::default(), 4, 2, Knobs::default(), 1);
+        LrcSource::new(layout, CostModel::default(), 4, 2, None, 1);
     }
 }

@@ -261,7 +261,7 @@ mod tests {
         };
         let shuffled_sw = Knobs {
             shuffle: true,
-            sw_distance: Some((2 * k) as u32),
+            d: Some((2 * k) as u32),
             ..Default::default()
         };
         let mut a = isal(k, 4, 1024, 4 << 20, shuffled, 1);
@@ -282,17 +282,12 @@ mod tests {
     #[test]
     fn xpline_expansion_reduces_thrashing() {
         let threads = 16;
-        let base = Knobs {
+        let knobs = Knobs {
             shuffle: true,
             ..Default::default()
         };
-        let expanded = Knobs {
-            shuffle: true,
-            xpline_expand: true,
-            ..Default::default()
-        };
-        let mut a = isal(28, 4, 1024, 1 << 20, base, threads);
-        let mut b = isal(28, 4, 1024, 1 << 20, expanded, threads);
+        let mut a = isal(28, 4, 1024, 1 << 20, knobs, threads);
+        let mut b = isal(28, 4, 1024, 1 << 20, knobs, threads).with_xpline_expand(true);
         let ra = run_source(&MachineConfig::pm(), threads, &mut a);
         let rb = run_source(&MachineConfig::pm(), threads, &mut b);
         let amp_a = ra.counters.media_read_amplification();

@@ -9,7 +9,9 @@
 //! software prefetch helps again.
 
 use crate::cost::CostModel;
+use crate::isal::Knobs;
 use crate::layout::StripeLayout;
+use dialga_gf::sched::for_each_prefetch_target;
 use dialga_memsim::{Counters, RowTask, TaskSource};
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -23,8 +25,8 @@ struct Cursor {
 pub struct UpdateSource {
     layout: StripeLayout,
     cost: CostModel,
-    /// Software prefetch distance over the (m+1)-stream row walk, if any.
-    sw_distance: Option<u32>,
+    /// The pipelined prefetch over the (m+1)-stream row walk (distance only).
+    sched: Knobs,
     cur: Vec<Cursor>,
     threads: usize,
 }
@@ -41,7 +43,10 @@ impl UpdateSource {
         UpdateSource {
             layout,
             cost,
-            sw_distance,
+            sched: Knobs {
+                d: sw_distance,
+                ..Knobs::default()
+            },
             cur: vec![Cursor::default(); threads],
             threads,
         }
@@ -52,11 +57,17 @@ impl UpdateSource {
         1 + self.layout.m
     }
 
+    /// Line `r` of read stream `j`: the updated block (block 0 of the
+    /// stripe, a deterministic choice), then the m parities.
+    fn stream_line(&self, tid: usize, s: u64, j: usize, r: u64) -> u64 {
+        match j.checked_sub(1) {
+            None => self.layout.data_line(tid, s, 0, r),
+            Some(i) => self.layout.parity_line(tid, s, i, r),
+        }
+    }
+
     fn row_addrs(&self, tid: usize, s: u64, r: u64) -> impl Iterator<Item = u64> + '_ {
-        // Updated block is block 0 of the stripe (deterministic choice).
-        let data = std::iter::once(self.layout.data_line(tid, s, 0, r));
-        let parity = (0..self.layout.m).map(move |i| self.layout.parity_line(tid, s, i, r));
-        data.chain(parity)
+        (0..self.read_streams()).map(move |j| self.stream_line(tid, s, j, r))
     }
 }
 
@@ -75,23 +86,10 @@ impl TaskSource for UpdateSource {
         let m = self.layout.m;
         let rows = self.layout.rows_per_block();
 
-        if let Some(d) = self.sw_distance {
-            let width = (1 + m) as u64;
-            let total = rows * width;
-            for j in 0..width {
-                let t = c.row * width + j + d as u64;
-                if t < total {
-                    let (tr, tj) = (t / width, (t % width) as usize);
-                    let addr = if tj == 0 {
-                        self.layout.data_line(tid, c.stripe, 0, tr)
-                    } else {
-                        self.layout.parity_line(tid, c.stripe, tj - 1, tr)
-                    };
-                    task.sw_prefetches.push(addr);
-                }
-            }
-        }
-
+        for_each_prefetch_target(c.row, 1 + m, rows, &self.sched, |stream, prow| {
+            task.sw_prefetches
+                .push(self.stream_line(tid, c.stripe, stream, prow));
+        });
         task.loads.extend(self.row_addrs(tid, c.stripe, c.row));
         // delta XOR + m GF multiply-accumulates per row.
         task.compute_cycles = self.cost.xor_lines_cycles(1)

@@ -43,12 +43,9 @@ fn main() {
             "on"
         }
     );
-    println!("  software prefetch d : {:?}", policy.knobs.sw_distance);
-    println!(
-        "  XPLine-first dist.  : {:?}",
-        policy.knobs.bf_first_distance
-    );
-    println!("  256B task expansion : {}", policy.knobs.xpline_expand);
+    println!("  software prefetch d : {:?}", policy.knobs.d);
+    println!("  XPLine-first dist.  : {:?}", policy.knobs.d_long);
+    println!("  256B task expansion : {}", coord.xpline_expand());
     println!("  Eq.(1) max distance : {}", coord.d_max());
     println!();
 
@@ -97,12 +94,11 @@ fn main() {
             );
             for (t, p) in log.iter().take(6) {
                 println!(
-                    "  t={:7.0}us  d={:?} first={:?} shuffle={} expand={} contended={}",
+                    "  t={:7.0}us  d={:?} first={:?} shuffle={} contended={}",
                     t / 1000.0,
-                    p.knobs.sw_distance,
-                    p.knobs.bf_first_distance,
+                    p.knobs.d,
+                    p.knobs.d_long,
                     p.knobs.shuffle,
-                    p.knobs.xpline_expand,
                     p.pressure.contended,
                 );
             }

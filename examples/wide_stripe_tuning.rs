@@ -41,10 +41,7 @@ fn main() {
             r_dialga.throughput_gbs(),
             100.0 * (r_dialga.throughput_gbs() / r_isal.throughput_gbs() - 1.0),
             r_isal.counters.hw_prefetches as f64 / mib,
-            dialga
-                .knobs()
-                .sw_distance
-                .map_or("-".to_string(), |d| d.to_string()),
+            dialga.knobs().d.map_or("-".to_string(), |d| d.to_string()),
         );
     }
     println!();

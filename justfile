@@ -57,7 +57,7 @@ figures:
     cargo run --release -p dialga-bench --bin figures -- --csv
 
 # Regenerate every simulated table at its default size and compare with
-# the committed results/*.csv byte for byte (~3 min; a stage of `just lint`
-# runs the sub-second tables only)
+# the committed results/*.csv byte for byte (~2 min, 111 s measured on the
+# 2-vCPU box; a stage of `just lint` runs the sub-second tables only)
 figures-check:
     cargo run --release -p dialga-bench --bin figures -- --check

@@ -43,7 +43,8 @@ cargo test -q --test crash
 echo "== figures --check (the sub-second simulated tables against results/*.csv) =="
 # Byte-for-byte: a model change that moves a committed number fails here
 # until results/ and EXPERIMENTS.md are regenerated. `just figures-check`
-# covers the five slow tables (fig10-fig14, ~3 min) as well.
+# covers the five slow tables (fig10-fig14) as well: all 21 in ~2 min
+# (111 s measured on this 2-vCPU box).
 cargo run -q --release -p dialga-bench --bin figures -- --check \
     fig03 fig05 fig06 fig16 fig17 fig18 fig19 generality \
     ablation_switch ablation_eq1 ablation_distance update_path repair_path
