@@ -22,7 +22,7 @@
 //! | R5 | `raw-ptr` | raw-pointer arithmetic and `from_raw_parts` only in whitelisted kernel modules |
 //! | R6 | `const-drift` | no bare `256` (`CHUNK_ALIGN`/`XPLINE`) or `64` (`CACHELINE`) literals in geometry-bearing library code outside the constants' defining modules |
 //! | R7 | `chunk-provenance` | raw-span `.sub(start, len)` calls in the chunk dispatch files take `<range>.start`/`<range>.len()` of a binder traced to `split_ranges` output (directly, or via a pushed proto buffer) — one site today, the chunker in `EncodePool::run_jobs_once` |
-//! | R8 | `lock-order` | the declared Mutex acquisition graph is acyclic across the workspace; no channel `send`/`recv` under a held lock; every acquisition in the pool/service/fault paths resolves to a declared lock |
+//! | R8 | `lock-order` | the declared Mutex acquisition graph is acyclic across the workspace; no channel `send`/`recv` under a held lock, directly or through same-file calls; every acquisition in the pool/service/fault paths resolves to a declared lock |
 //! | R9 | `atomic-protocol` | every atomic in protocol scope has a declared role — `knob` (store Release / load Acquire), `counter` (Relaxed only), `latch` (fetch_add/fetch_sub AcqRel\|Release + load Acquire), `flag` (store Release / load Acquire / RMW Acquire\|Release\|AcqRel) — and each op follows its role; the knob arm is checked in every scanned file, tests included |
 //! | R10 | `latch-complete` | batch-latch participants complete exactly once: every `.complete(..)` routes through `finish()` or the type's `Drop`, `finish()` flips the completion guard, `Drop` consults it — one participant (`Chunk`, a worker-run chunk; the submitting thread's own chunks never sit on the latch) |
 //!
@@ -126,6 +126,10 @@ pub fn workspace_config() -> Config {
                 field: f.to_string(),
                 role: AtomicRole::Flag,
             };
+            let latch = |f: &str| AtomicDecl {
+                field: f.to_string(),
+                role: AtomicRole::Latch,
+            };
             let mut v = vec![
                 // The coordinator's packed schedule word — `d`, `d_long`,
                 // `shuffle`, published whole (dialga::pool).
@@ -151,6 +155,14 @@ pub fn workspace_config() -> Config {
                 // workspace, and so the dialga-race model that mirrors it
                 // cites a declared role.
                 flag("commit_word"),
+                // dialga-service's two retirement tallies (moved here from
+                // the counter list in PR 23): a request retires with
+                // `fetch_add(Release)` after the admission that counted it
+                // in `submitted`; `stats()` loads them `Acquire` and only
+                // then `submitted`, so no snapshot shows
+                // `completed + expired > submitted`.
+                latch("completed"),
+                latch("expired"),
             ];
             // `PoolCounters` stats plus the round-robin dispatch cursor,
             // executor 0's last-applied knob word (feeds only the
@@ -179,9 +191,7 @@ pub fn workspace_config() -> Config {
                 "last_knobs",
                 "generation",
                 "submitted",
-                "completed",
                 "rejected",
-                "expired",
                 "spilled",
                 "batches",
                 "coalesced",

@@ -889,14 +889,14 @@ struct Held {
 /// channel peer turns a held lock into a convoy or a deadlock.
 const CHANNEL_OPS: &[&str] = &["send", "recv", "try_recv", "recv_timeout"];
 
-/// Every `fn` body in the file as a token-index range `(open_brace,
-/// close_brace)`. The name requirement (`fn` followed by an identifier)
-/// keeps `fn(..)` pointer types out; bodyless trait methods are skipped.
-fn fn_bodies(s: &Scanned) -> Vec<(usize, usize)> {
+/// Every `fn` in the file as `(name, open_brace, close_brace)` token
+/// indices. The name requirement (`fn` followed by an identifier) keeps
+/// `fn(..)` pointer types out; bodyless trait methods are skipped.
+fn fn_bodies(s: &Scanned) -> Vec<(&str, usize, usize)> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < s.tokens.len() {
-        if s.is_ident(i, "fn") && s.ident(i + 1).is_some() {
+        if let (true, Some(name)) = (s.is_ident(i, "fn"), s.ident(i + 1)) {
             let mut j = i + 2;
             let mut nest = 0i64;
             let mut open = None;
@@ -920,7 +920,7 @@ fn fn_bodies(s: &Scanned) -> Vec<(usize, usize)> {
             }
             if let Some(open) = open {
                 if let Some(close) = s.matching_brace(open) {
-                    out.push((open, close));
+                    out.push((name, open, close));
                     i = open + 1; // descend: nested fns get their own walk
                     continue;
                 }
@@ -929,6 +929,60 @@ fn fn_bodies(s: &Scanned) -> Vec<(usize, usize)> {
         i += 1;
     }
     out
+}
+
+/// The channel method called at token `i` (`.send(`, `.recv(`, …), if any.
+fn channel_op_at(s: &Scanned, i: usize) -> Option<&str> {
+    let id = s.ident(i)?;
+    (CHANNEL_OPS.contains(&id) && s.is_punct(i.wrapping_sub(1), '.') && s.is_punct(i + 1, '('))
+        .then_some(id)
+}
+
+/// Is token `i` a call of `name` — `name(` or `.name(`, not its `fn`
+/// definition?
+fn is_call(s: &Scanned, i: usize, name: &str) -> bool {
+    s.is_ident(i, name) && s.is_punct(i + 1, '(') && !s.is_ident(i.wrapping_sub(1), "fn")
+}
+
+/// The file's functions from which a channel op is reachable through
+/// same-file calls, each with the step that gets it there (`.send(..)`
+/// itself, or the callee it goes through). Resolution is by bare name
+/// within one file: coarse, but it is what lets R8 see that a `dispatch`
+/// three calls above `done.send` must not run under a lock. The argument
+/// of a `spawn(..)` runs on another thread and is not followed.
+fn channel_reaching_fns<'a>(
+    s: &'a Scanned,
+    bodies: &[(&'a str, usize, usize)],
+) -> std::collections::BTreeMap<&'a str, String> {
+    let spawned: Vec<(usize, usize)> = (0..s.tokens.len())
+        .filter(|&i| s.is_ident(i, "spawn"))
+        .filter_map(|i| Some((i + 1, matching_paren(s, i + 1)?)))
+        .collect();
+    let here = |open: usize, close: usize| {
+        let spawned = &spawned;
+        (open..close).filter(move |&i| !spawned.iter().any(|&(a, b)| a < i && i < b))
+    };
+    let mut reach = std::collections::BTreeMap::new();
+    for &(name, open, close) in bodies {
+        if let Some(op) = here(open, close).find_map(|i| channel_op_at(s, i)) {
+            reach.insert(name, format!("`.{op}(..)`"));
+        }
+    }
+    loop {
+        let grown = bodies.iter().find_map(|&(name, open, close)| {
+            if reach.contains_key(name) {
+                return None;
+            }
+            let via = reach
+                .keys()
+                .find(|callee| here(open, close).any(|i| is_call(s, i, callee)))?;
+            Some((name, format!("`{via}`, which reaches {}", reach[via])))
+        });
+        match grown {
+            Some((name, how)) => reach.insert(name, how),
+            None => return reach,
+        };
+    }
 }
 
 /// R8: lock-order discipline over the declared Mutex graph.
@@ -944,8 +998,10 @@ fn fn_bodies(s: &Scanned) -> Vec<(usize, usize)> {
 /// before returning, so the model matches the runtime.
 ///
 /// Violations at a site: acquiring a lock already held (std Mutex is not
-/// reentrant), any channel send/recv while holding a lock, and `.lock()`
-/// on an undeclared receiver in scope (the graph must stay total).
+/// reentrant), any channel send/recv while holding a lock — directly, or
+/// by calling a same-file function a channel op is reachable from
+/// ([`channel_reaching_fns`]) — and `.lock()` on an undeclared receiver in
+/// scope (the graph must stay total).
 /// Acquiring a *different* lock records a [`LockEdge`]; cycles over the
 /// whole batch are reported by [`check_sources`]. Edge suppression:
 /// `lint:allow(lock-order)` on the inner acquisition line.
@@ -966,7 +1022,9 @@ fn rule_lock_order(
     {
         return;
     }
-    for (open, close) in fn_bodies(s) {
+    let bodies = fn_bodies(s);
+    let reaching = channel_reaching_fns(s, &bodies);
+    for &(_, open, close) in &bodies {
         if in_any_region(s.tokens[open].line, test_regions) {
             continue; // tests lock freely (local mutexes, induced hangs)
         }
@@ -994,11 +1052,7 @@ fn rule_lock_order(
                             held.retain(|h| h.binder.as_deref() != Some(b));
                         }
                     }
-                    if CHANNEL_OPS.contains(&id.as_str())
-                        && s.is_punct(i.wrapping_sub(1), '.')
-                        && s.is_punct(i + 1, '(')
-                        && !held.is_empty()
-                    {
+                    if channel_op_at(s, i).is_some() && !held.is_empty() {
                         let line = s.tokens[i].line;
                         let names: Vec<String> =
                             held.iter().map(|h| format!("`{}`", h.name)).collect();
@@ -1023,6 +1077,29 @@ fn rule_lock_order(
                                     )
                                 })
                                 .collect(),
+                        });
+                    }
+                    // A same-file call that gets to a channel op (one named
+                    // like a channel op was reported just above).
+                    let reached = reaching
+                        .get(id.as_str())
+                        .filter(|_| is_call(s, i, id) && !CHANNEL_OPS.contains(&id.as_str()));
+                    if let (Some(how), Some(h)) = (reached, held.first()) {
+                        out.push(Finding {
+                            path: path.to_string(),
+                            line: s.tokens[i].line,
+                            rule: Rule::LockOrder,
+                            message: format!(
+                                "`{id}(..)` called while holding `{}` — it reaches \
+                                 channel {how}, so the lock is held across a \
+                                 channel op; release the guard before the call \
+                                 or justify with `// lint:allow(lock-order): <why>`",
+                                h.name
+                            ),
+                            notes: vec![format!(
+                                "holding `{}` since line {} (acquired via {})",
+                                h.name, h.line, h.via
+                            )],
                         });
                     }
                     if let Some((decl, via)) = acquisition_at(s, i, cfg) {

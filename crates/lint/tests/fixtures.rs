@@ -273,6 +273,35 @@ fn r8_respects_per_site_allow_directive() {
 }
 
 #[test]
+fn r8_follows_same_file_calls_to_the_channel_op() {
+    // PR 23: `dispatch` reaches `done.send` through `dispatch_encodes` and
+    // `complete`; calling it with `queue` held is the hand-off bug.
+    let findings = findings_for(LIB_SVC, "r8_dispatch_bad.rs");
+    let r8: Vec<_> = findings
+        .iter()
+        .filter(|f| f.rule == Rule::LockOrder)
+        .collect();
+    assert_eq!(r8.len(), 1, "{findings:?}");
+    let rendered = r8[0].to_string();
+    assert!(
+        rendered.contains("`dispatch(..)` called while holding `queue`"),
+        "{rendered}"
+    );
+    assert!(
+        rendered
+            .contains("`dispatch_encodes`, which reaches `complete`, which reaches `.send(..)`"),
+        "{rendered}"
+    );
+    assert!(
+        rendered.contains("acquired via `.lock_queue()`"),
+        "{rendered}"
+    );
+    // The shipped shape — claim under the lock, dispatch after — is clean.
+    let fired = rules_fired(LIB_SVC, "r8_dispatch_good.rs");
+    assert!(!fired.contains(&Rule::LockOrder), "{fired:?}");
+}
+
+#[test]
 fn r8_findings_carry_held_lock_trace() {
     // Satellite: diagnostics print the binder trace, not just file:line.
     let findings = findings_for(LIB_SVC, "r8_bad.rs");
@@ -295,9 +324,10 @@ fn r8_findings_carry_held_lock_trace() {
     assert!(rendered.contains("= note:"), "{rendered}");
 }
 
-/// Workspace config extended with a latch-role atomic: the live
-/// workspace has no atomic latch (the pool's batch latch is a
-/// Mutex+Condvar pair, which is R10's department), so the latch leg of
+/// Workspace config extended with a latch-role atomic of the fixtures'
+/// own: the live workspace's only latch-role atomics are the service's
+/// two retirement tallies, which never `fetch_sub` (the pool's batch latch
+/// is a Mutex+Condvar pair, R10's department), so the whole latch leg of
 /// the role taxonomy is exercised here.
 fn cfg_with_latch_atomic() -> dialga_lint::Config {
     let mut cfg = workspace_config();

@@ -2,10 +2,11 @@
 //!
 //! Each *real* model mirrors a protocol that ships in `crates/core` /
 //! `crates/service` (the pool batch latch, `heal_workers` respawn, the
-//! shard DRR admission queue, and the stats-vs-admit lock order) and must
+//! shard DRR admission queue with its submitter/master dispatch hand-off,
+//! and the stats-vs-admit lock order) and must
 //! stay clean across the full seeded sweep (`RACE_SCHEDULES`, default
 //! 1000). Each *bug* model re-introduces one of the three PR 3 pool bugs
-//! and must be caught by the explorer under a fixed seed within a bounded
+//! (or, since, a protocol's load-bearing step left out) and must be caught by the explorer under a fixed seed within a bounded
 //! schedule budget — these are the proof the harness has teeth.
 //!
 //! Run the full sweep with `just race`; `scripts/lint.sh` runs the same
@@ -332,82 +333,196 @@ fn heal_respawn_model_clean() {
 }
 
 // ---------------------------------------------------------------------------
-// Real model 3: DRR admission accounting.
+// Real model 3: DRR admission accounting and the dispatch hand-off.
 //
-// Two producers admit jobs into a shard queue (occupancy bumped under
-// the queue lock, like `Shard::admit`); a master drains it
-// (`Shard::next_batch`). At quiesce, occupancy is zero and every
-// admitted job was completed exactly once.
+// Two submitters (one tenant each, two jobs each) meet a shard queue. A
+// submitter that finds the shard idle — queue empty, not paused, nothing
+// in flight — takes `active` under the queue lock and dispatches its job
+// itself (`Shard::claim_idle`); otherwise it queues (occupancy bumped
+// under the lock, like `Shard::admit`) and the master, which bumps
+// `active` on pick (`Shard::next_batch`), dispatches it. A third thread
+// toggles pause. Invariants: every job is dispatched exactly once, no
+// dispatch *starts* while paused, at most one submitter-run dispatch at a
+// time, no job overtakes an earlier job of its tenant, and at quiesce
+// occupancy and `active` are zero.
 // ---------------------------------------------------------------------------
+
+const TENANTS: u64 = 2;
+const JOBS_PER_TENANT: u64 = 2;
 
 struct QueueState {
     q: VecDeque<u64>,
+    active: u64,
+    paused: bool,
     closed: bool,
+}
+
+impl QueueState {
+    fn idle(&self) -> bool {
+        self.q.is_empty() && self.active == 0 && !self.paused && !self.closed
+    }
+}
+
+struct ShardModel {
+    queue: Mutex<QueueState>,
+    cv: Condvar,
+    occupancy: AtomicU64,
+    /// Submitter-run dispatches in flight.
+    inline_running: AtomicU64,
+    /// Dispatch count per job id (`tenant * JOBS_PER_TENANT + j`).
+    dispatched: Vec<AtomicU64>,
+}
+
+impl ShardModel {
+    /// Begin dispatching `job`; the caller holds `queue` (this is the pick
+    /// / claim point) and has already bumped `active`.
+    fn begin(&self, g: &QueueState, job: u64) {
+        assert!(!g.paused || g.closed, "dispatch started while paused");
+        let earlier = (job - job % JOBS_PER_TENANT)..job;
+        for e in earlier {
+            let seen = self.dispatched[e as usize].load(Ordering::Relaxed);
+            assert_eq!(seen, 1, "job {job} overtook its tenant's job {e}");
+        }
+        let before = self.dispatched[job as usize].fetch_add(1, Ordering::Relaxed);
+        assert_eq!(before, 0, "job {job} dispatched twice");
+    }
+
+    /// `Drop for ActiveGuard`: one dispatch is no longer in flight.
+    fn release(&self) {
+        self.queue.lock().active -= 1;
+    }
+
+    /// `StripeService::submit` for one job. `test_under_lock = false`
+    /// re-introduces the bug: the idle test is made before the lock is
+    /// taken and trusted after.
+    fn submit(&self, job: u64, test_under_lock: bool) {
+        let stale = (!test_under_lock).then(|| self.queue.lock().idle());
+        let mut g = self.queue.lock();
+        if stale.unwrap_or_else(|| g.idle()) {
+            g.active += 1;
+            self.begin(&g, job);
+            drop(g);
+            let others = self.inline_running.fetch_add(1, Ordering::Relaxed);
+            assert_eq!(others, 0, "two submitter-run dispatches at once");
+            self.inline_running.fetch_sub(1, Ordering::Relaxed);
+            self.release();
+        } else {
+            g.q.push_back(job);
+            self.occupancy.fetch_add(1, Ordering::Relaxed);
+            drop(g);
+            self.cv.notify_one();
+        }
+    }
+
+    /// `master_loop`: pick while unpaused (or closing), dispatch, release.
+    fn master(&self) {
+        loop {
+            let mut g = self.queue.lock();
+            let job = loop {
+                if !g.paused || g.closed {
+                    if let Some(job) = g.q.pop_front() {
+                        break job;
+                    }
+                }
+                if g.closed {
+                    return;
+                }
+                g = self.cv.wait(g);
+            };
+            // Occupancy and `active` mutate under the queue lock, as in
+            // Shard::next_batch.
+            self.occupancy.fetch_sub(1, Ordering::Relaxed);
+            g.active += 1;
+            self.begin(&g, job);
+            drop(g);
+            self.release();
+        }
+    }
+
+    fn set_paused(&self, paused: bool) {
+        self.queue.lock().paused = paused;
+        self.cv.notify_all();
+    }
+}
+
+fn handoff_model(test_under_lock: bool) {
+    let shard = Arc::new(ShardModel {
+        queue: Mutex::named(
+            "queue",
+            QueueState {
+                q: VecDeque::new(),
+                active: 0,
+                paused: false,
+                closed: false,
+            },
+        ),
+        cv: Condvar::new(),
+        occupancy: AtomicU64::new(0),
+        inline_running: AtomicU64::new(0),
+        dispatched: (0..TENANTS * JOBS_PER_TENANT)
+            .map(|_| AtomicU64::new(0))
+            .collect(),
+    });
+
+    let master = {
+        let shard = Arc::clone(&shard);
+        spawn(move || shard.master())
+    };
+    let pauser = {
+        let shard = Arc::clone(&shard);
+        spawn(move || {
+            shard.set_paused(true);
+            shard.set_paused(false);
+        })
+    };
+    let submitters: Vec<_> = (0..TENANTS)
+        .map(|tenant| {
+            let shard = Arc::clone(&shard);
+            spawn(move || {
+                for j in 0..JOBS_PER_TENANT {
+                    shard.submit(tenant * JOBS_PER_TENANT + j, test_under_lock);
+                }
+            })
+        })
+        .collect();
+
+    for s in submitters {
+        s.join().expect("submitter exits cleanly");
+    }
+    pauser.join().expect("pauser exits cleanly");
+    shard.queue.lock().closed = true;
+    shard.cv.notify_all();
+    master.join().expect("master exits cleanly");
+
+    assert_eq!(shard.occupancy.load(Ordering::Relaxed), 0, "occupancy leak");
+    assert_eq!(shard.queue.lock().active, 0, "shard never idle again");
+    for (job, n) in shard.dispatched.iter().enumerate() {
+        assert_eq!(n.load(Ordering::Relaxed), 1, "job {job} lost or doubled");
+    }
 }
 
 #[test]
 fn drr_admission_model_clean() {
-    let report = Explorer::pct(0xD1A7_0003, budget()).run(|| {
-        let queue = Arc::new(Mutex::named(
-            "queue",
-            QueueState {
-                q: VecDeque::new(),
-                closed: false,
-            },
-        ));
-        let cv = Arc::new(Condvar::new());
-        let occupancy = Arc::new(AtomicU64::new(0));
-        let completed = Arc::new(AtomicU64::new(0));
+    Explorer::pct(0xD1A7_0003, budget())
+        .run(|| handoff_model(true))
+        .assert_clean();
+}
 
-        let master = {
-            let (queue, cv) = (Arc::clone(&queue), Arc::clone(&cv));
-            let (occupancy, completed) = (Arc::clone(&occupancy), Arc::clone(&completed));
-            spawn(move || loop {
-                let mut g = queue.lock();
-                loop {
-                    if let Some(_job) = g.q.pop_front() {
-                        // Occupancy mutates under the queue lock, as in
-                        // Shard::next_batch.
-                        occupancy.fetch_sub(1, Ordering::Relaxed);
-                        drop(g);
-                        completed.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                    if g.closed {
-                        return;
-                    }
-                    g = cv.wait(g);
-                }
-            })
-        };
-
-        let producers: Vec<_> = (0..2u64)
-            .map(|p| {
-                let (queue, cv) = (Arc::clone(&queue), Arc::clone(&cv));
-                let occupancy = Arc::clone(&occupancy);
-                spawn(move || {
-                    for j in 0..2u64 {
-                        let mut g = queue.lock();
-                        g.q.push_back(p * 10 + j);
-                        occupancy.fetch_add(1, Ordering::Relaxed);
-                        drop(g);
-                        cv.notify_one();
-                    }
-                })
-            })
-            .collect();
-
-        for p in producers {
-            p.join().expect("producer exits cleanly");
-        }
-        queue.lock().closed = true;
-        cv.notify_all();
-        master.join().expect("master exits cleanly");
-
-        assert_eq!(occupancy.load(Ordering::Relaxed), 0, "occupancy leak");
-        assert_eq!(completed.load(Ordering::Relaxed), 4, "lost or doubled job");
-    });
-    report.assert_clean();
+/// The hand-off bug the queue lock excludes: the idle test made outside
+/// the lock. Two submitters both see an idle shard and both dispatch
+/// (or one starts under a pause that landed in between).
+#[test]
+fn bug_model_idle_test_outside_lock_is_caught() {
+    let report = Explorer::pct(0xBAD_0006, 500).run(|| handoff_model(false));
+    let v = report
+        .violation
+        .expect("explorer must catch the unlocked idle test");
+    assert_eq!(v.kind, ViolationKind::Panic);
+    assert!(
+        v.message.contains("at once") || v.message.contains("while paused"),
+        "{}",
+        v.message
+    );
 }
 
 // ---------------------------------------------------------------------------

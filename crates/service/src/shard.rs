@@ -12,7 +12,7 @@ use dialga::encoder::Dialga;
 use dialga::pool::{DecodeJob, EncodePool, PoolStats, StripeJob};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 #[cfg(feature = "fault-injection")]
@@ -20,6 +20,35 @@ use dialga_faultkit::FaultPlan;
 
 /// Capacity of the per-shard dispatch trace ring.
 const TRACE_CAP: usize = 256;
+
+/// Largest request (payload bytes) a submitter serves itself on an idle
+/// shard: `gen.wake_rtt_us` (≈ 4 µs, the hop it saves) × `gf.fused_gibs`
+/// (13–22 GiB/s) ≈ 64 KiB, the payload whose compute equals one wake.
+/// Above it the queue hands `submit` back before the work is done, which
+/// fan-out clients (`archive::encode_file_sharded`) rely on. DESIGN §7.
+const INLINE_MAX_BYTES: usize = 64 * 1024;
+
+/// What a request resolves to.
+pub(crate) type Reply = Result<Vec<Vec<u8>>, ServiceError>;
+
+/// Where a request's reply goes.
+pub(crate) enum Done {
+    /// Queued request: the ticket's channel.
+    Queued(mpsc::Sender<Reply>),
+    /// Request served by its submitter, which reads the slot back as soon
+    /// as its own `dispatch` returns — no channel is built.
+    Inline(Arc<OnceLock<Reply>>),
+}
+
+impl Done {
+    fn send(&self, reply: Reply) {
+        // A ticket dropped before its reply arrives is not an error.
+        let _delivered = match self {
+            Done::Queued(tx) => tx.send(reply).is_ok(),
+            Done::Inline(slot) => slot.set(reply).is_ok(),
+        };
+    }
+}
 
 /// Which operation a request (or trace entry) carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,7 +167,7 @@ pub(crate) struct Pending {
     pub(crate) op: OpPayload,
     pub(crate) submitted: Instant,
     pub(crate) deadline: Option<Duration>,
-    pub(crate) done: mpsc::Sender<Result<Vec<Vec<u8>>, ServiceError>>,
+    pub(crate) done: Done,
 }
 
 /// Per-tenant FIFO plus its deficit-round-robin credit.
@@ -151,9 +180,14 @@ struct TenantQueue {
 /// Queue state guarded by the shard lock. Invariant: every entry of
 /// `tenants` has a non-empty `pending` (empty tenants are removed, which
 /// also forfeits their deficit — classic DRR).
+#[derive(Default)]
 struct QueueState {
     tenants: Vec<TenantQueue>,
     rr_cursor: usize,
+    /// Dispatches in flight: the master's batch, a submitter-run request.
+    active: usize,
+    /// Requests claimed by their submitter so far.
+    inline: u64,
     paused: bool,
     shutdown: bool,
 }
@@ -217,12 +251,7 @@ impl Shard {
         Shard {
             index,
             pool,
-            queue: Mutex::new(QueueState {
-                tenants: Vec::new(),
-                rr_cursor: 0,
-                paused: false,
-                shutdown: false,
-            }),
+            queue: Mutex::new(QueueState::default()),
             cv: Condvar::new(),
             occupancy: AtomicU64::new(0),
             occupancy_peak: AtomicU64::new(0),
@@ -241,14 +270,37 @@ impl Shard {
         self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Current queued-request count.
+    /// Current queued-request count (submitter-run requests never queue).
     pub(crate) fn occupancy(&self) -> usize {
         self.occupancy.load(Ordering::Relaxed) as usize
+    }
+
+    /// Requests served by their submitter since construction.
+    pub(crate) fn inline(&self) -> u64 {
+        self.lock_queue().inline
     }
 
     /// Deepest the admission queue has been since construction.
     pub(crate) fn queue_peak(&self) -> usize {
         self.occupancy_peak.load(Ordering::Relaxed) as usize
+    }
+
+    /// Claim an idle shard — not paused, not shutting down, nothing queued,
+    /// nothing in flight — for one small request the calling thread will
+    /// `dispatch` itself. Test and claim are one critical section: a second
+    /// submitter arriving during the run sees a busy shard and queues.
+    pub(crate) fn claim_idle(&self, cost: usize) -> Option<ActiveGuard<'_>> {
+        if cost > INLINE_MAX_BYTES {
+            return None;
+        }
+        let mut q = self.lock_queue();
+        if q.paused || q.shutdown || q.active > 0 || !q.tenants.is_empty() {
+            return None;
+        }
+        q.active += 1;
+        q.inline += 1;
+        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        Some(ActiveGuard(self))
     }
 
     /// Admit one request, or return the observed depth when full (the
@@ -275,6 +327,8 @@ impl Shard {
                 });
             }
         }
+        // Counted where admission is decided: never after the completion.
+        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
         let now = self.occupancy.fetch_add(1, Ordering::Relaxed) + 1;
         self.occupancy_peak.fetch_max(now, Ordering::Relaxed);
         self.cv.notify_one();
@@ -327,7 +381,8 @@ impl Shard {
     /// Block until a batch is available (or `None` on shutdown with an
     /// empty queue — shutdown drains what was admitted first). While
     /// paused, nothing is picked unless the shard is also shutting down.
-    fn next_batch(&self, limit: usize, quantum: usize) -> Option<Vec<Pending>> {
+    /// A picked batch counts as in flight until its guard drops.
+    fn next_batch(&self, limit: usize, quantum: usize) -> Option<(Vec<Pending>, ActiveGuard<'_>)> {
         let mut q = self.lock_queue();
         loop {
             if !q.paused || q.shutdown {
@@ -335,7 +390,8 @@ impl Shard {
                 if !batch.is_empty() {
                     self.occupancy
                         .fetch_sub(batch.len() as u64, Ordering::Relaxed);
-                    return Some(batch);
+                    q.active += 1;
+                    return Some((batch, ActiveGuard(self)));
                 }
             }
             if q.shutdown {
@@ -363,28 +419,24 @@ impl Shard {
     /// Complete one request: record its per-class service latency
     /// (submit → response) in the shared histogram, bump the completion
     /// tally, and deliver the result.
-    fn complete(
-        &self,
-        class: OpKind,
-        submitted: Instant,
-        done: &mpsc::Sender<Result<Vec<Vec<u8>>, ServiceError>>,
-        result: Result<Vec<Vec<u8>>, ServiceError>,
-    ) {
-        self.counters.completed.fetch_add(1, Ordering::Relaxed);
+    fn complete(&self, class: OpKind, submitted: Instant, done: &Done, result: Reply) {
+        self.counters.completed.fetch_add(1, Ordering::Release);
         self.counters
             .class(class)
             .record(submitted.elapsed().as_nanos() as u64);
-        let _ = done.send(result);
+        done.send(result);
     }
 
-    /// Expire, trace, partition by operation, and dispatch one batch.
-    fn dispatch(&self, coder: &Dialga, batch: Vec<Pending>) {
+    /// Expire, trace, partition by operation, and dispatch one batch — on
+    /// the master, or (a batch of one) on a submitter that holds
+    /// [`Shard::claim_idle`]'s guard. Never with `queue` held (lint R8).
+    pub(crate) fn dispatch(&self, coder: &Dialga, batch: Vec<Pending>) {
         let mut live = Vec::with_capacity(batch.len());
         for pending in batch {
             let waited = pending.submitted.elapsed();
             if pending.deadline.is_some_and(|d| waited > d) {
-                self.counters.expired.fetch_add(1, Ordering::Relaxed);
-                let _ = pending.done.send(Err(ServiceError::Expired { waited }));
+                self.counters.expired.fetch_add(1, Ordering::Release);
+                pending.done.send(Err(ServiceError::Expired { waited }));
                 continue;
             }
             self.record_trace(&pending, waited);
@@ -626,8 +678,18 @@ fn drr_pick(q: &mut QueueState, limit: usize, quantum: usize) -> Vec<Pending> {
 /// work, picks a DRR batch, dispatches it fused, repeats; exits when the
 /// shard shuts down and its queue has drained.
 pub(crate) fn master_loop(shard: Arc<Shard>, coder: Arc<Dialga>, limit: usize, quantum: usize) {
-    while let Some(batch) = shard.next_batch(limit, quantum) {
+    while let Some((batch, _active)) = shard.next_batch(limit, quantum) {
         shard.dispatch(&coder, batch);
+    }
+}
+
+/// One in-flight dispatch on a shard. Released on drop, so a panic inside
+/// `dispatch` cannot leave the shard "never idle again".
+pub(crate) struct ActiveGuard<'a>(&'a Shard);
+
+impl Drop for ActiveGuard<'_> {
+    fn drop(&mut self) {
+        self.0.lock_queue().active -= 1;
     }
 }
 
@@ -639,6 +701,7 @@ mod tests {
         // The receiver drops immediately; DRR tests never complete
         // requests, so nothing is ever sent on `tx`.
         let (tx, _rx) = mpsc::channel();
+        let done = Done::Queued(tx);
         Pending {
             seq,
             tenant,
@@ -648,17 +711,12 @@ mod tests {
             },
             submitted: Instant::now(),
             deadline: None,
-            done: tx,
+            done,
         }
     }
 
     fn queue_of(entries: &[(u32, u64, usize)]) -> QueueState {
-        let mut q = QueueState {
-            tenants: Vec::new(),
-            rr_cursor: 0,
-            paused: false,
-            shutdown: false,
-        };
+        let mut q = QueueState::default();
         for &(tenant, seq, cost) in entries {
             match q.tenants.iter_mut().find(|t| t.tenant == tenant) {
                 Some(t) => t.pending.push_back(pending(tenant, seq, cost)),

@@ -10,7 +10,13 @@
 //!    deadline-carrying requests expire instead of being served late —
 //!    the service never blocks a submitter;
 //! 4. **chaos isolation**: a fault plan armed inside one shard leaves the
-//!    other shards serving bit-exact results.
+//!    other shards serving bit-exact results;
+//! 5. **who dispatches** (PR 23): four clients on one shard are bit-exact
+//!    with both the submitter-run and the queued path taken, no `stats()`
+//!    snapshot shows a request retired before it was submitted, per-tenant
+//!    order is submission order across the two paths, and a kernel panic
+//!    inside a submitter-run dispatch resolves the ticket and releases
+//!    the shard.
 
 use dialga_faultkit::{Fault, FaultPlan};
 use dialga_repro::scheduler::encoder::Dialga;
@@ -259,4 +265,212 @@ fn faults_in_one_shard_leave_other_shards_serving() {
     let want = coder.encode_vec(&refs).unwrap();
     let got = svc.submit_encode(9, data, None).unwrap().wait().unwrap();
     assert_eq!(got, want);
+}
+
+/// One reference stripe and every answer the direct coder gives for it.
+struct Reference {
+    data: Vec<Vec<u8>>,
+    parity: Vec<Vec<u8>>,
+    full: Vec<Vec<u8>>,
+}
+
+fn reference(coder: &Dialga, len: usize, salt: usize) -> Reference {
+    let data = make_stripe(len, salt);
+    let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+    let parity = coder.encode_vec(&refs).unwrap();
+    let full = data.iter().chain(parity.iter()).cloned().collect();
+    Reference { data, parity, full }
+}
+
+/// Submit op number `i` over `r` and return the ticket with its expected reply.
+fn submit_mixed(
+    svc: &StripeService,
+    tenant: u32,
+    r: &Reference,
+    i: usize,
+) -> (dialga_repro::service::Ticket, Vec<Vec<u8>>) {
+    let holes = |lost: &[usize]| -> Vec<Option<Vec<u8>>> {
+        let mut shards: Vec<Option<Vec<u8>>> = r.full.iter().cloned().map(Some).collect();
+        for &l in lost {
+            shards[l] = None;
+        }
+        shards
+    };
+    match i % 4 {
+        0 => (
+            svc.submit_encode(tenant, r.data.clone(), None).unwrap(),
+            r.parity.clone(),
+        ),
+        1 => (
+            svc.submit_decode(tenant, holes(&[1, K + 1]), None).unwrap(),
+            r.full.clone(),
+        ),
+        2 => (
+            svc.submit_repair(tenant, holes(&[4]), 4, None).unwrap(),
+            vec![r.full[4].clone()],
+        ),
+        _ => (
+            svc.submit_scrub(tenant, r.full.clone(), None).unwrap(),
+            Vec::new(),
+        ),
+    }
+}
+
+#[test]
+fn four_clients_on_one_shard_bit_exact_on_both_paths_with_sane_counters() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const CLIENTS: usize = 4;
+    const OPS: usize = 2_000;
+    let coder = Dialga::new(K, M).unwrap();
+    // Small stripes (inline when the shard is idle) and, one op in sixteen,
+    // a 96 KiB one: over the inline cap, so queued by construction.
+    let small: Vec<Reference> = (0..6)
+        .map(|s| reference(&coder, 512 << (s % 3), s))
+        .collect();
+    let large = reference(&coder, 16 * 1024, 99);
+    let svc = StripeService::new(ServiceConfig {
+        queue_depth: 4 * CLIENTS,
+        ..cfg(1)
+    })
+    .unwrap();
+
+    // The shard is idle here, so this one is inline for certain.
+    let (first, want) = submit_mixed(&svc, 0, &small[0], 0);
+    assert_eq!(first.wait().unwrap(), want);
+    assert_eq!(svc.stats().inline, 1);
+
+    let running = AtomicBool::new(true);
+    std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            let mut snapshots = 0u64;
+            while running.load(Ordering::Relaxed) {
+                let s = svc.stats();
+                assert!(
+                    s.completed + s.expired <= s.submitted,
+                    "snapshot shows a request retired before it was submitted: {s:?}"
+                );
+                snapshots += 1;
+            }
+            snapshots
+        });
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (svc, small, large) = (&svc, &small, &large);
+                scope.spawn(move || {
+                    for i in 0..OPS {
+                        let r = if i % 16 == 7 {
+                            large
+                        } else {
+                            &small[(i + c) % small.len()]
+                        };
+                        let (ticket, want) = submit_mixed(svc, c as u32, r, i + c);
+                        assert_eq!(ticket.wait().unwrap(), want, "client {c} op {i}");
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().unwrap();
+        }
+        running.store(false, Ordering::Relaxed);
+        assert!(reader.join().unwrap() > 0);
+    });
+
+    let s = svc.stats();
+    assert_eq!(s.submitted, (CLIENTS * OPS + 1) as u64);
+    assert_eq!(s.completed + s.expired, s.submitted);
+    assert_eq!((s.expired, s.rejected), (0, 0));
+    assert!(s.inline >= 1 && s.inline <= s.batches, "{s:?}");
+    assert!(s.batches > s.inline, "the master dispatched the large ops");
+    assert_eq!(s.shard_occupancy, vec![0]);
+}
+
+#[test]
+fn per_tenant_order_holds_across_inline_and_queued_requests() {
+    // Two tenants, one thread each, one shard. Every third encode is over
+    // the inline cap (queued); the small ones are inline whenever the
+    // shard is idle. A request is only ever inline when nothing earlier is
+    // queued or in flight, so dispatch order — the trace ring — and
+    // completion order are submission order per tenant.
+    let svc = StripeService::new(cfg(1)).unwrap();
+    std::thread::scope(|scope| {
+        for tenant in 0..2u32 {
+            let svc = &svc;
+            scope.spawn(move || {
+                let mut tickets = Vec::new();
+                for i in 0..60 {
+                    let len = if i % 3 == 1 { 16 * 1024 } else { 1024 };
+                    let ticket = svc.submit_encode(tenant, make_stripe(len, i), None);
+                    tickets.push(ticket.unwrap());
+                }
+                // Once the newest has completed, every older one has.
+                let newest = tickets.pop().unwrap();
+                newest.wait().unwrap();
+                for (i, older) in tickets.iter().enumerate() {
+                    let done = older.wait_timeout(Duration::ZERO);
+                    assert!(
+                        done.is_some_and(|r| r.is_ok()),
+                        "tenant {tenant}: request {i} overtaken by a later one"
+                    );
+                }
+            });
+        }
+    });
+    let stats = svc.stats();
+    assert!(
+        stats.inline > 0 && stats.batches > stats.inline,
+        "{stats:?}"
+    );
+    let traces = svc.shard_traces(0).unwrap();
+    assert_eq!(traces.len(), 120);
+    for tenant in 0..2u32 {
+        let seqs: Vec<u64> = traces
+            .iter()
+            .filter(|t| t.tenant == tenant)
+            .map(|t| t.seq)
+            .collect();
+        assert_eq!(seqs.len(), 60);
+        assert!(
+            seqs.windows(2).all(|w| w[0] < w[1]),
+            "tenant {tenant} dispatched out of submission order: {seqs:?}"
+        );
+    }
+}
+
+#[test]
+fn kernel_panic_during_an_inline_run_resolves_and_releases_the_shard() {
+    let coder = Dialga::new(K, M).unwrap();
+    let r = reference(&coder, 1024, 5);
+    // One executor: the submitting thread is executor 0 of the shard's
+    // pool, so the scripted panics fire inside the inline run itself —
+    // first attempt and retries alike.
+    let svc = StripeService::new(ServiceConfig {
+        threads_per_shard: 1,
+        ..cfg(1)
+    })
+    .unwrap();
+    let mut plan = FaultPlan::new();
+    for nth_chunk in 0..3 {
+        plan = plan.with(Fault::WorkerPanic {
+            worker: 0,
+            nth_chunk,
+        });
+    }
+    assert!(svc.arm_shard_faults(0, &plan));
+
+    let ticket = svc.submit_encode(1, r.data.clone(), None).unwrap();
+    match ticket.wait_timeout(Duration::ZERO) {
+        // The pool retried (or the per-request fallback ran) past the fault…
+        Some(Ok(parity)) => assert_eq!(parity, r.parity),
+        // …or gave up with a typed error; never a hang, never an unwind.
+        Some(Err(ServiceError::Coding(_))) => {}
+        other => panic!("inline ticket must be resolved at submit, got {other:?}"),
+    }
+    assert!(svc.shard_pool_stats(0).unwrap().batch_retries > 0);
+    assert_eq!(svc.stats().inline, 1);
+
+    assert!(svc.disarm_shard_faults(0));
+    let ticket = svc.submit_encode(1, r.data.clone(), None).unwrap();
+    assert_eq!(ticket.wait_timeout(Duration::ZERO), Some(Ok(r.parity)));
+    assert_eq!(svc.stats().inline, 2, "the shard is idle again");
 }
