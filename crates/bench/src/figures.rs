@@ -6,20 +6,14 @@
 //! the numbers come from the host clock live in the registry entry. The
 //! simulated tables repeat to the byte, so their committed form
 //! (`results/<name>.csv`) is checked against a fresh run by
-//! `figures --check`; the two host-timed tables are printed only.
+//! `figures --check`; the one host-timed table is printed only.
 
-use crate::harness::best_ns_per_iter;
 use crate::systems::{decode_report, encode_report, lrc_report, Spec, System, FIG_SAMPLE_NS};
 use crate::table::{gbs, pct, Rows};
 use dialga::source::{DialgaSource, Variant};
 use dialga::{Dialga, EncodePool};
-use dialga_ec::zoo::{self, ZooEntry};
-use dialga_ec::{Lrc, ReedSolomon, XorScratch};
-use dialga_gf::bitmatrix::W;
-use dialga_gf::sched::{FusedSched, LINES_PER_XPLINE};
-use dialga_gf::simd::dot_prod_fused;
-use dialga_gf::tables::NibbleTables;
-use dialga_gf::xorexec::{execute_packets, TempArena, XorProgram};
+use dialga_ec::Lrc;
+use dialga_gf::sched::LINES_PER_XPLINE;
 use dialga_memsim::{Counters, MachineConfig, RowTask, RunReport, TaskSource};
 use dialga_pipeline::cost::{CostModel, Simd};
 use dialga_pipeline::isal::{IsalSource, Knobs};
@@ -254,24 +248,6 @@ pub static FIGURES: &[Figure] = &[
             &["task", "reads", "serial_ns", "pool_ns", "speedup"],
             4 << 20,
             repair_path_host,
-        )
-    },
-    Figure {
-        host_timed: true,
-        ..table(
-            "xor_opt",
-            &[
-                "family",
-                "k",
-                "m",
-                "naive_xors",
-                "opt_xors",
-                "naive_gibs",
-                "opt_gibs",
-                "fused_rs_gibs",
-            ],
-            64 << 10,
-            xor_opt,
         )
     },
 ];
@@ -1019,121 +995,6 @@ fn repair_path_host(bytes: u64) -> Rows {
                 format!("{:.2}x", serial_ns / pool_ns),
             ]
         })
-        .collect()
-}
-
-/// Run one lowered XOR program over whole blocks through the tiled
-/// executor.
-fn run_program(
-    prog: &XorProgram,
-    data: &[Vec<u8>],
-    parity: &mut [Vec<u8>],
-    arena: &mut TempArena,
-    d: u32,
-) {
-    let psize = data[0].len() / W;
-    let srcs: Vec<&[u8]> = data.iter().flat_map(|b| b.chunks(psize)).collect();
-    let mut outs: Vec<&mut [u8]> = parity
-        .iter_mut()
-        .flat_map(|b| b.chunks_mut(psize))
-        .collect();
-    execute_packets(prog, &srcs, &mut outs, arena, FusedSched::distance(d));
-}
-
-/// One `xor_opt` row. Before any number is reported the naive and the
-/// optimized program must agree byte for byte with the serial staging
-/// executor, and the optimizer must not have increased the XOR count (its
-/// candidate set includes the input schedule).
-fn xor_opt_row(entry: &ZooEntry, block: usize) -> Vec<String> {
-    const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
-    let params = entry.code.params();
-    let (k, m) = (params.k, params.m);
-    let d = k as u32;
-
-    let naive = entry.code.naive_schedule();
-    let opt = entry
-        .code
-        .optimized_schedule()
-        .expect("optimizer on a valid schedule");
-    let (ncost, ocost) = (naive.cost(), opt.cost());
-    assert!(
-        ocost.xors <= ncost.xors,
-        "{}: optimizer increased XOR count ({} -> {})",
-        entry.name,
-        ncost.xors,
-        ocost.xors
-    );
-    let nprog = naive.to_program().expect("lower naive schedule");
-    let oprog = opt.to_program().expect("lower optimized schedule");
-
-    let data: Vec<Vec<u8>> = (0..k)
-        .map(|b| {
-            (0..block)
-                .map(|i| ((b * 131 + i * 29 + 17) & 0xFF) as u8)
-                .collect()
-        })
-        .collect();
-    let refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
-
-    let want = entry
-        .code
-        .encode_vec_with(&refs, &mut XorScratch::new())
-        .expect("serial encode");
-    let mut arena = TempArena::new();
-    let mut got_n = vec![vec![0u8; block]; m];
-    let mut got_o = vec![vec![0u8; block]; m];
-    run_program(&nprog, &data, &mut got_n, &mut arena, d);
-    run_program(&oprog, &data, &mut got_o, &mut arena, d);
-    assert_eq!(want, got_n, "{}: naive program mismatch", entry.name);
-    assert_eq!(want, got_o, "{}: optimized program mismatch", entry.name);
-
-    // GiB/s of stripe data through a kernel that takes `ns` per stripe.
-    let gibs = |ns: f64| format!("{:.2}", (k * block) as f64 / ns * 1e9 / GIB);
-    let naive_gibs = gibs(best_ns_per_iter(|| {
-        run_program(&nprog, &data, &mut got_n, &mut arena, d)
-    }));
-    let opt_gibs = gibs(best_ns_per_iter(|| {
-        run_program(&oprog, &data, &mut got_o, &mut arena, d)
-    }));
-    let fused_rs_gibs = if entry.mds {
-        let rs = ReedSolomon::new(k, m).expect("zoo geometry");
-        let pm = rs.parity_matrix();
-        let tables: Vec<NibbleTables> = (0..m)
-            .flat_map(|i| (0..k).map(move |j| NibbleTables::new(pm[(i, j)].0)))
-            .collect();
-        let mut fused_out = vec![vec![0u8; block]; m];
-        gibs(best_ns_per_iter(|| {
-            let mut outs: Vec<&mut [u8]> = fused_out.iter_mut().map(|o| o.as_mut_slice()).collect();
-            dot_prod_fused(&tables, &refs, &mut outs, FusedSched::distance(d));
-        }))
-    } else {
-        "-".to_string()
-    };
-    vec![
-        entry.name.to_string(),
-        k.to_string(),
-        m.to_string(),
-        ncost.xors.to_string(),
-        ocost.xors.to_string(),
-        naive_gibs,
-        opt_gibs,
-        fused_rs_gibs,
-    ]
-}
-
-/// The XOR-schedule optimizer over the code zoo (Uezato's result,
-/// PAPERS.md): naive (greedy, one op per set bit) vs optimized (cross-row
-/// CSE + cache-aware reorder) schedules per family — XOR counts, and host
-/// GiB/s through the batched tiled executor (`dialga_gf::xorexec`), with
-/// the fused table-driven RS kernel at the same geometry as the reference
-/// for MDS families. The footprint is the block length.
-fn xor_opt(bytes: u64) -> Rows {
-    // Whole 64 B cachelines per packet, at least one.
-    let block = (bytes as usize / (64 * W)).max(1) * 64 * W;
-    zoo::code_zoo()
-        .expect("code zoo")
-        .iter()
-        .map(|entry| xor_opt_row(entry, block))
         .collect()
 }
 

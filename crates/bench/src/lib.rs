@@ -7,11 +7,9 @@
 //! behind one static registry; the `figures` binary prints them, writes
 //! them to `results/<name>.csv` (`--csv`) or checks the committed CSVs
 //! against a fresh run (`--check`). [`systems`] maps each compared library
-//! onto a simulated task source, [`table`] renders rows, and [`harness`]
-//! times the one host-clocked XOR-schedule table.
+//! onto a simulated task source and [`table`] renders rows.
 
 pub mod figures;
-pub mod harness;
 pub mod systems;
 pub mod table;
 

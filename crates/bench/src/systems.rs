@@ -115,21 +115,11 @@ impl System {
 /// XOR codes are expensive to construct (matrix search + scheduling);
 /// cache them per (k, m, flavor).
 fn xor_code(k: usize, m: usize, flavor: XorFlavor) -> XorCode {
-    type CodeCache = HashMap<(usize, usize, u8), XorCode>;
+    type CodeCache = HashMap<(usize, usize, XorFlavor), XorCode>;
     static CACHE: Mutex<Option<CodeCache>> = Mutex::new(None);
-    let key = (
-        k,
-        m,
-        match flavor {
-            XorFlavor::Plain => 0,
-            XorFlavor::Zerasure => 1,
-            XorFlavor::Cerasure => 2,
-            XorFlavor::Matrix => 3,
-        },
-    );
     let mut guard = CACHE.lock().unwrap();
     let map = guard.get_or_insert_with(HashMap::new);
-    map.entry(key)
+    map.entry((k, m, flavor))
         .or_insert_with(|| XorCode::new(k, m, flavor).expect("valid geometry"))
         .clone()
 }

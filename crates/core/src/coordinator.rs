@@ -8,7 +8,7 @@ use std::collections::VecDeque;
 
 /// Latency threshold: contention is declared when the interval's average
 /// load latency exceeds 110 % of the low-pressure baseline (§4.1, after
-/// MT^2 [33]).
+/// MT^2 \[33\]).
 pub const LATENCY_THRESHOLD: f64 = 1.10;
 /// Useless-prefetch threshold: the hardware prefetcher is declared
 /// inefficient when the interval's useless-prefetch count exceeds 150 % of
@@ -19,7 +19,7 @@ pub const USELESS_THRESHOLD: f64 = 1.50;
 /// derived from the 96 KiB read buffer in §4.3.3).
 pub const THREAD_THRESHOLD: usize = 12;
 /// Default sampling interval: 1 kHz, the rate the paper samples PMU
-/// counters at to stay low-overhead (§4.1, after Shim [32]).
+/// counters at to stay low-overhead (§4.1, after Shim \[32\]).
 pub const SAMPLE_INTERVAL_NS: f64 = 1_000_000.0;
 
 /// Interval pressure assessment.

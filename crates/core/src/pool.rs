@@ -9,15 +9,15 @@
 //!
 //! * **Plans.** Every public operation (encode, decode, repair, LRC local
 //!   repair, verify; `_vec` / `_batch` are thin adapters) validates its
-//!   input and reduces to [`RawJob`]s: apply these nibble tables to these
+//!   input and reduces to `RawJob`s: apply these nibble tables to these
 //!   sources, into these outputs. Nothing else differs between them.
-//! * **One submit path.** [`EncodePool::run_jobs`] owns everything after
+//! * **One submit path.** `EncodePool::run_jobs` owns everything after
 //!   that: [`split_ranges`] chunking, the detached spans, dealing, the
 //!   completion latch, the watchdog, healing and bounded retry.
 //! * **Executor 0 is the caller.** A pool of `n` executors owns `n − 1`
 //!   worker threads. Chunks are dealt round-robin over the `n` executors;
 //!   the submitting thread sends the workers their shares, runs its own
-//!   through the same [`run_chunk`] body, and only then waits. A batch of
+//!   through the same `run_chunk` body, and only then waits. A batch of
 //!   one chunk — and every batch on a pool of 1 — is a direct kernel
 //!   call: nothing queued, no latch allocated, no thread woken.
 //! * **Live coordinator.** [`EncodePool::with_coordinator`] drives
@@ -689,7 +689,7 @@ impl EncodePool {
 
     /// Set the per-batch watchdog deadline (`None` disables it; a zero
     /// deadline clamps to 1 ns rather than reading as "disabled"). The
-    /// default, [`DEFAULT_WATCHDOG`], is far above any real batch, so it
+    /// default, `DEFAULT_WATCHDOG`, is far above any real batch, so it
     /// only ever fires on a lost-completion bug.
     pub fn set_watchdog(&self, deadline: Option<Duration>) {
         let ns = deadline.map_or(0, |d| {

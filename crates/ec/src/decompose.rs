@@ -10,10 +10,8 @@
 //! traffic and parity reloading the paper charges against this strategy
 //! (§5.2.1, §5.7).
 
-use crate::xor::{execute_schedule, XorScratch};
-use crate::{CodeParams, EcError, GfMatrix, ReedSolomon, Schedule};
-use dialga_gf::bitmatrix::BitMatrix;
-use dialga_gf::slice::{mul_add_slice, xor_slice};
+use crate::{CodeParams, EcError, ReedSolomon};
+use dialga_gf::slice::mul_add_slice;
 
 /// A decomposed wide-stripe encoder built on a full-width RS code.
 #[derive(Debug, Clone)]
@@ -95,61 +93,6 @@ impl DecomposedRs {
                 for j in range.clone() {
                     mul_add_slice(pm[(i, j)].0, data[j], p);
                 }
-            }
-        }
-        Ok(parity)
-    }
-
-    /// One XOR schedule per sub-stripe pass: pass `p` encodes the
-    /// `m x |range_p|` column slice of the parity matrix as a bitmatrix
-    /// schedule over that pass's data blocks. This composes the wide-stripe
-    /// decomposition with the schedule optimizer — each (narrow) pass
-    /// schedule can be optimized independently, and execution XOR-
-    /// accumulates the partial parities exactly like the table-driven path.
-    pub fn xor_pass_schedules(&self) -> Result<Vec<Schedule>, EcError> {
-        let params = self.inner.params();
-        let pm = self.inner.parity_matrix();
-        self.pass_ranges()
-            .into_iter()
-            .map(|range| {
-                let rows: Vec<Vec<dialga_gf::Gf8>> = (0..params.m)
-                    .map(|i| range.clone().map(|j| pm[(i, j)]).collect())
-                    .collect();
-                let sub = GfMatrix::from_rows(rows);
-                let bm = BitMatrix::from_gf_matrix(&sub.to_rows());
-                let s = Schedule::smart_from_bitmatrix(&bm, range.len(), params.m);
-                s.validate()?;
-                Ok(s)
-            })
-            .collect()
-    }
-
-    /// Encode through the per-pass XOR schedules (bit-identical to the
-    /// single-pass XOR encode of the full parity matrix, i.e.
-    /// `XorCode::from_parity_matrix(inner.parity_matrix())` — the XOR path
-    /// emits the same code in bit-sliced symbol layout, so it is compared
-    /// against the XOR path, not the table-driven bytes): each pass executes
-    /// its schedule into a scratch stripe which is then XOR-folded into the
-    /// accumulated parity — the same parity-reload traffic shape the
-    /// decomposition charges on the table-driven path.
-    pub fn encode_xor_vec(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>, EcError> {
-        let params = self.inner.params();
-        if data.len() != params.k {
-            return Err(EcError::BlockCount {
-                expected: params.k,
-                got: data.len(),
-            });
-        }
-        let len = data[0].len();
-        let mut parity = vec![vec![0u8; len]; params.m];
-        let mut partial = vec![vec![0u8; len]; params.m];
-        let mut scratch = XorScratch::new();
-        let schedules = self.xor_pass_schedules()?;
-        for (range, schedule) in self.pass_ranges().into_iter().zip(&schedules) {
-            let srcs: Vec<&[u8]> = data[range].to_vec();
-            execute_schedule(schedule, &srcs, &mut partial, len, &mut scratch)?;
-            for (acc, part) in parity.iter_mut().zip(&partial) {
-                xor_slice(part, acc);
             }
         }
         Ok(parity)

@@ -17,9 +17,6 @@
 //!   partial parities with extra parity reloads.
 //! * [`lrc`] — Azure-style Locally Repairable Codes LRC(k, m, l) (§4.1
 //!   "Other Coding Tasks" and Fig. 16).
-//! * [`zoo`] — the widened code zoo (Cauchy-RS bitmatrix, RAID-6 P+Q, LRC
-//!   bitmatrix, wide stripes) exercising the [`schedule::opt`] optimizer
-//!   across genuinely different matrix densities.
 //!
 //! All encoders/decoders operate on real bytes and are verified by unit,
 //! integration and property tests; the timing behaviour on persistent
@@ -32,14 +29,13 @@ pub mod matrix;
 pub mod rs;
 pub mod schedule;
 pub mod xor;
-pub mod zoo;
 
 pub use error::{present_shard, present_shard_mut, EcError};
 pub use lrc::{LocalRepairPlan, Lrc};
 pub use matrix::GfMatrix;
 pub use rs::ReedSolomon;
-pub use schedule::{Schedule, ScheduleCost};
-pub use xor::{execute_schedule, XorCode, XorScratch};
+pub use schedule::Schedule;
+pub use xor::{execute_schedule, XorCode};
 
 /// Stripe geometry shared by every code in this crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

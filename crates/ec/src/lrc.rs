@@ -87,37 +87,6 @@ impl Lrc {
         &self.global
     }
 
-    /// The full `(m + l) x k` parity matrix this LRC realizes: `m` global
-    /// RS rows followed by `l` local rows with ones on each group's
-    /// columns. This is the Azure-style *bitmatrix* view of the code —
-    /// [`Lrc::bitmatrix_code`] turns it into one XOR schedule producing
-    /// global and local parities together.
-    pub fn combined_parity_matrix(&self) -> crate::GfMatrix {
-        let k = self.global.params().k;
-        let m = self.global.params().m;
-        let gs = self.group_size();
-        let mut rows = self.global.parity_matrix().to_rows();
-        for g in 0..self.l {
-            let mut row = vec![dialga_gf::Gf8::ZERO; k];
-            for cell in &mut row[g * gs..(g + 1) * gs] {
-                *cell = dialga_gf::Gf8::ONE;
-            }
-            rows.push(row);
-        }
-        debug_assert_eq!(rows.len(), m + self.l);
-        crate::GfMatrix::from_rows(rows)
-    }
-
-    /// The whole LRC encode (global + local parities) as a single XOR
-    /// schedule over the combined parity matrix. Local rows are sparse
-    /// (pure XOR), global rows dense — exactly the mixed-density shape the
-    /// schedule optimizer's CSE and reordering passes are built for. Note
-    /// the resulting code is *not* MDS over `m + l` parities, so decode via
-    /// the XOR code's MDS machinery does not apply; use [`Lrc::decode`].
-    pub fn bitmatrix_code(&self) -> Result<crate::XorCode, EcError> {
-        crate::XorCode::from_parity_matrix(self.combined_parity_matrix())
-    }
-
     /// Encode: returns `m` global parities followed by `l` local parities.
     pub fn encode_vec(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>, EcError> {
         let k = self.global.params().k;

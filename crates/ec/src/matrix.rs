@@ -101,29 +101,6 @@ impl GfMatrix {
         p
     }
 
-    /// RAID-6 P+Q parity matrix: P is the plain XOR of all data blocks
-    /// (all-ones row) and Q uses powers of the generator `g = 2`
-    /// (`Q = sum g^j * d_j`) — the classic Anvin construction. MDS for any
-    /// `k <= 253`: the 1x1 minors are nonzero and every 2x2 minor
-    /// `g^j - g^i` is nonzero because the generator's powers are distinct
-    /// within one period of GF(2^8)*.
-    pub fn raid6_parity(k: usize) -> Result<Self, EcError> {
-        if k == 0 || k + 2 > 255 {
-            return Err(EcError::InvalidParams {
-                k,
-                m: 2,
-                reason: "RAID-6 needs 1 <= k <= 253",
-            });
-        }
-        let g = Gf8(2);
-        let mut p = Self::zero(2, k);
-        for j in 0..k {
-            p[(0, j)] = Gf8::ONE;
-            p[(1, j)] = g.pow(j as u32);
-        }
-        Ok(p)
-    }
-
     /// Vandermonde-derived systematic parity matrix, mirroring ISA-L's
     /// `gf_gen_rs_matrix`: build the (k+m) x k Vandermonde matrix
     /// `V[i][j] = i^j`, reduce the top k x k block to identity by column

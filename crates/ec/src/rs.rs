@@ -102,16 +102,6 @@ impl ReedSolomon {
         self.params.k * self.params.m
     }
 
-    /// The same code as an XOR/bitmatrix schedule (Cauchy-RS bitmatrix
-    /// construction): expand this RS code's parity matrix into its binary
-    /// companion form and smart-schedule it. Output is bit-identical to the
-    /// table-driven path modulo the bit-sliced packet layout, which lets
-    /// the schedule optimizer compete head-to-head with the fused kernels
-    /// on the exact same code.
-    pub fn bitmatrix_code(&self) -> Result<crate::XorCode, EcError> {
-        crate::XorCode::from_parity_matrix(self.parity.clone())
-    }
-
     fn check_blocks(&self, count_expected: usize, blocks: &[&[u8]]) -> Result<usize, EcError> {
         if blocks.len() != count_expected {
             return Err(EcError::BlockCount {

@@ -9,10 +9,9 @@
 
 use crate::{EcError, GfMatrix};
 use dialga_gf::bitmatrix::{BitMatrix, W};
-use dialga_gf::xorexec::{Operand, ProgOp, XorProgram};
 use dialga_gf::Gf8;
 use dialga_testkit::Rng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Source operand of a XOR op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -44,40 +43,6 @@ pub struct XorOp {
     pub src: Src,
     /// `true` for the first write to `dst` (a copy, not an accumulate).
     pub init: bool,
-}
-
-/// Static cost of a [`Schedule`]: the quantities the optimizer passes in
-/// [`opt`] trade against each other. Compute cost is `xors`; memory-traffic
-/// quality is `distinct_reads` (how many different packets are touched at
-/// all) and `src_switches` (how often consecutive ops change source — each
-/// switch is a potential cache-line re-fetch); footprint is
-/// `peak_live_temps`/`n_temps`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduleCost {
-    /// Total packet operations (copies + XORs).
-    pub xors: usize,
-    /// Distinct source operands read at least once.
-    pub distinct_reads: usize,
-    /// Adjacent op pairs reading *different* sources (0 for a perfectly
-    /// source-grouped schedule).
-    pub src_switches: usize,
-    /// Maximum number of temps simultaneously live (first write → last use).
-    pub peak_live_temps: usize,
-    /// Temp buffers the schedule declares.
-    pub n_temps: usize,
-}
-
-impl ScheduleCost {
-    /// Lexicographic comparison key: XOR count dominates, then locality
-    /// (source switches), then scratch footprint.
-    pub fn key(&self) -> (usize, usize, usize, usize) {
-        (
-            self.xors,
-            self.src_switches,
-            self.peak_live_temps,
-            self.n_temps,
-        )
-    }
 }
 
 /// An executable XOR schedule for a (k, m) bitmatrix code.
@@ -175,55 +140,6 @@ impl Schedule {
             .count()
     }
 
-    /// Static cost report (see [`ScheduleCost`]); used by [`opt::optimize`]
-    /// to pick the best schedule variant per code.
-    pub fn cost(&self) -> ScheduleCost {
-        let distinct_reads = self
-            .ops
-            .iter()
-            .map(|op| op.src)
-            .collect::<HashSet<Src>>()
-            .len();
-        let src_switches = self.ops.windows(2).filter(|w| w[0].src != w[1].src).count();
-        // Live range of each temp: first write → last touch (read or write).
-        let mut first = vec![usize::MAX; self.n_temps];
-        let mut last = vec![0usize; self.n_temps];
-        for (i, op) in self.ops.iter().enumerate() {
-            let mut touch = |t: usize| {
-                if first[t] == usize::MAX {
-                    first[t] = i;
-                }
-                last[t] = i;
-            };
-            if let Dst::Temp(t) = op.dst {
-                touch(t);
-            }
-            if let Src::Temp(t) = op.src {
-                touch(t);
-            }
-        }
-        let mut delta = vec![0i64; self.ops.len() + 1];
-        for t in 0..self.n_temps {
-            if first[t] != usize::MAX {
-                delta[first[t]] += 1;
-                delta[last[t] + 1] -= 1;
-            }
-        }
-        let mut live = 0i64;
-        let mut peak = 0i64;
-        for d in delta {
-            live += d;
-            peak = peak.max(live);
-        }
-        ScheduleCost {
-            xors: self.ops.len(),
-            distinct_reads,
-            src_switches,
-            peak_live_temps: peak as usize,
-            n_temps: self.n_temps,
-        }
-    }
-
     /// Check the schedule is well-formed: every operand in range, every
     /// `Temp`/`Parity` read strictly after its `init` write, every
     /// accumulate (`init == false`) preceded by an `init` to the same
@@ -305,35 +221,6 @@ impl Schedule {
             });
         }
         Ok(())
-    }
-
-    /// Lower to the flat packet-index program the batched executor
-    /// ([`dialga_gf::xorexec`]) and the encode pool run. Validates first —
-    /// only well-formed schedules reach execution.
-    pub fn to_program(&self) -> Result<XorProgram, EcError> {
-        self.validate()?;
-        let ops = self
-            .ops
-            .iter()
-            .map(|op| ProgOp {
-                dst: match op.dst {
-                    Dst::Parity(r) => Operand::Parity(r as u32),
-                    Dst::Temp(t) => Operand::Temp(t as u32),
-                },
-                src: match op.src {
-                    Src::Data(c) => Operand::Data(c as u32),
-                    Src::Parity(r) => Operand::Parity(r as u32),
-                    Src::Temp(t) => Operand::Temp(t as u32),
-                },
-                init: op.init,
-            })
-            .collect();
-        Ok(XorProgram {
-            n_data: self.k * W,
-            n_parity: self.m * W,
-            n_temps: self.n_temps,
-            ops,
-        })
     }
 }
 
@@ -426,241 +313,6 @@ fn emit_schedule(k: usize, m: usize, rows: &[Vec<Src>], temp_defs: &[(Src, Src)]
         m,
         n_temps: temp_defs.len(),
         ops,
-    }
-}
-
-/// Schedule-optimization pass pipeline (Uezato [SC'21]: a schedule is a
-/// *program*, so optimize it like one).
-///
-/// Three pieces compose:
-///
-/// 1. [`eliminate_common_subexpressions`] — flatten the schedule back to
-///    per-parity operand sets (exact GF(2) semantics, so it works on *any*
-///    well-formed schedule, not just fresh bitmatrix ones) and re-run
-///    greedy pair-frequency CSE across rows, hoisting repeated `Src`
-///    subsets into temps.
-/// 2. [`reorder_for_reuse`] — re-emit ops grouped by source packet: each
-///    data packet is streamed once while every consumer folds it in, and a
-///    temp's consumers run the moment it completes. Short temp live-ranges
-///    let physical temp slots be recycled, shrinking `n_temps`.
-/// 3. [`optimize`] — runs both passes, scores every variant with
-///    [`Schedule::cost`](super::Schedule::cost), validates, and returns the
-///    cheapest.
-pub mod opt {
-    use super::{cse_rows, emit_schedule, Dst, EcError, HashSet, Schedule, Src, XorOp, W};
-
-    /// Flatten a schedule to the set of data columns each parity row XORs,
-    /// by symbolic execution over GF(2) (symmetric difference of column
-    /// sets). This is exact: any interleaving of temps, parity re-reads and
-    /// re-inits reduces to one set per parity.
-    fn flatten(s: &Schedule) -> Result<Vec<Vec<usize>>, EcError> {
-        s.validate()?;
-        let np = s.m * W;
-        let mut temps: Vec<HashSet<usize>> = vec![HashSet::new(); s.n_temps];
-        let mut pars: Vec<HashSet<usize>> = vec![HashSet::new(); np];
-        for op in &s.ops {
-            let src_set: HashSet<usize> = match op.src {
-                Src::Data(c) => [c].into_iter().collect(),
-                Src::Parity(r) => pars[r].clone(),
-                Src::Temp(t) => temps[t].clone(),
-            };
-            let dst = match op.dst {
-                Dst::Parity(r) => &mut pars[r],
-                Dst::Temp(t) => &mut temps[t],
-            };
-            if op.init {
-                *dst = src_set;
-            } else {
-                for c in src_set {
-                    // XOR toggles membership.
-                    if !dst.remove(&c) {
-                        dst.insert(c);
-                    }
-                }
-            }
-        }
-        Ok(pars
-            .into_iter()
-            .map(|set| {
-                let mut cols: Vec<usize> = set.into_iter().collect();
-                cols.sort_unstable();
-                cols
-            })
-            .collect())
-    }
-
-    /// Pass 1 — cross-row CSE: flatten, then greedily hoist the most
-    /// frequent co-occurring operand pairs into temps (see
-    /// [`Schedule::smart_from_bitmatrix`](super::Schedule::smart_from_bitmatrix);
-    /// this is the same greedy applied to an arbitrary schedule's semantics
-    /// rather than a bitmatrix). Never increases XOR count beyond the
-    /// flattened baseline.
-    pub fn eliminate_common_subexpressions(s: &Schedule) -> Result<Schedule, EcError> {
-        let mut rows: Vec<Vec<Src>> = flatten(s)?
-            .into_iter()
-            .map(|cols| cols.into_iter().map(Src::Data).collect())
-            .collect();
-        let temp_defs = cse_rows(&mut rows);
-        let out = emit_schedule(s.k, s.m, &rows, &temp_defs);
-        out.validate()?;
-        Ok(out)
-    }
-
-    /// Pass 2 — cache-reuse reordering with temp recycling. Ops are
-    /// re-emitted *source-major*: data packets are processed in ascending
-    /// order, and all ops reading a packet are emitted back-to-back, so each
-    /// data line is read once per group while hot. A temp whose inputs are
-    /// all emitted completes, and its consumers are emitted immediately
-    /// (depth-first), keeping live ranges short; physical temp slots are
-    /// assigned on first write and recycled after last read, which shrinks
-    /// `n_temps` to the peak concurrency.
-    ///
-    /// The pass preserves the op multiset (same XOR count, same semantics —
-    /// XOR accumulation is commutative). Schedules it cannot safely reorder
-    /// (parity-reading ops or mid-stream re-inits, which impose ordering
-    /// beyond the temp dependency graph) are returned unchanged.
-    pub fn reorder_for_reuse(s: &Schedule) -> Result<Schedule, EcError> {
-        s.validate()?;
-        let nd = s.k * W;
-        let np = s.m * W;
-        let n_dst = s.n_temps + np;
-        let key = |d: Dst| match d {
-            Dst::Temp(t) => t,
-            Dst::Parity(r) => s.n_temps + r,
-        };
-        // Bail (semantics-preserving no-op) on shapes the dependency model
-        // below doesn't cover.
-        let mut seen_init = vec![false; n_dst];
-        for op in &s.ops {
-            if matches!(op.src, Src::Parity(_)) {
-                return Ok(s.clone());
-            }
-            let dk = key(op.dst);
-            if op.init {
-                if seen_init[dk] {
-                    return Ok(s.clone()); // re-init: order-sensitive
-                }
-                seen_init[dk] = true;
-            }
-        }
-
-        // Edge lists: which destinations consume each source.
-        let mut data_consumers: Vec<Vec<usize>> = vec![Vec::new(); nd];
-        let mut temp_consumers: Vec<Vec<usize>> = vec![Vec::new(); s.n_temps];
-        let mut pending = vec![0usize; s.n_temps]; // unemitted input edges
-        for op in &s.ops {
-            let dk = key(op.dst);
-            match op.src {
-                Src::Data(c) => data_consumers[c].push(dk),
-                Src::Temp(t) => temp_consumers[t].push(dk),
-                // Already bailed above; keep the pass total anyway.
-                Src::Parity(_) => return Ok(s.clone()),
-            }
-            if let Dst::Temp(t) = op.dst {
-                pending[t] += 1;
-            }
-        }
-
-        let mut ops_out: Vec<XorOp> = Vec::with_capacity(s.ops.len());
-        let mut initialized = vec![false; n_dst];
-        let mut slot_of: Vec<Option<usize>> = vec![None; s.n_temps];
-        let mut free_slots: Vec<usize> = Vec::new();
-        let mut next_slot = 0usize;
-        // Temps whose inputs are complete, ready to stream to consumers.
-        let mut ready: Vec<usize> = Vec::new();
-
-        // Emit every consumer edge of one source, completing temps as their
-        // input counts drain.
-        let mut emit_source = |src: Src,
-                               consumers: &[usize],
-                               slot_of: &mut Vec<Option<usize>>,
-                               free_slots: &mut Vec<usize>,
-                               ready: &mut Vec<usize>,
-                               ops_out: &mut Vec<XorOp>| {
-            for &dk in consumers {
-                let dst = if dk < s.n_temps {
-                    let slot = *slot_of[dk].get_or_insert_with(|| {
-                        free_slots.pop().unwrap_or_else(|| {
-                            next_slot += 1;
-                            next_slot - 1
-                        })
-                    });
-                    Dst::Temp(slot)
-                } else {
-                    Dst::Parity(dk - s.n_temps)
-                };
-                let init = !initialized[dk];
-                initialized[dk] = true;
-                ops_out.push(XorOp { dst, src, init });
-                if dk < s.n_temps {
-                    pending[dk] -= 1;
-                    if pending[dk] == 0 {
-                        ready.push(dk);
-                    }
-                }
-            }
-        };
-
-        for (c, consumers) in data_consumers.iter().enumerate().take(nd) {
-            emit_source(
-                Src::Data(c),
-                consumers,
-                &mut slot_of,
-                &mut free_slots,
-                &mut ready,
-                &mut ops_out,
-            );
-            // Drain completed temps depth-first: their consumers run while
-            // the temp is still hot, then the slot frees.
-            while let Some(t) = ready.pop() {
-                let Some(slot) = slot_of[t] else {
-                    // A temp with no writes: nothing to stream.
-                    continue;
-                };
-                emit_source(
-                    Src::Temp(slot),
-                    &temp_consumers[t],
-                    &mut slot_of,
-                    &mut free_slots,
-                    &mut ready,
-                    &mut ops_out,
-                );
-                // Every consumer has folded the temp in; recycle its slot.
-                free_slots.push(slot);
-            }
-        }
-
-        if ops_out.len() != s.ops.len() {
-            // Unreachable for schedules grounded in data (no cycles), but
-            // stay semantics-preserving if one slips through.
-            return Ok(s.clone());
-        }
-        let out = Schedule {
-            k: s.k,
-            m: s.m,
-            n_temps: next_slot,
-            ops: ops_out,
-        };
-        out.validate()?;
-        Ok(out)
-    }
-
-    /// The full pipeline: CSE, then reordering, scored by
-    /// [`Schedule::cost`](super::Schedule::cost). Every candidate (including
-    /// the input itself) is validated and the cheapest by
-    /// [`ScheduleCost::key`](super::ScheduleCost::key) wins, so the result
-    /// is never worse than the input on any key metric.
-    pub fn optimize(s: &Schedule) -> Result<Schedule, EcError> {
-        s.validate()?;
-        let cse = eliminate_common_subexpressions(s)?;
-        let reordered = reorder_for_reuse(&cse)?;
-        let mut best = s.clone();
-        for cand in [cse, reordered] {
-            if cand.cost().key() < best.cost().key() {
-                best = cand;
-            }
-        }
-        Ok(best)
     }
 }
 
@@ -952,5 +604,74 @@ mod tests {
         let b = anneal_xy(5, 3, 500, 7).unwrap();
         assert_eq!(a.xs, b.xs);
         assert_eq!(a.ys, b.ys);
+    }
+
+    #[test]
+    fn validate_rejects_malformed_schedules() {
+        // Read-before-init temp.
+        let s = Schedule {
+            k: 1,
+            m: 1,
+            n_temps: 1,
+            ops: (0..W)
+                .map(|r| XorOp {
+                    dst: Dst::Parity(r),
+                    src: Src::Temp(0),
+                    init: true,
+                })
+                .collect(),
+        };
+        assert!(s.validate().is_err(), "uninitialized temp read accepted");
+
+        // Out-of-range data column.
+        let s = Schedule {
+            k: 1,
+            m: 1,
+            n_temps: 0,
+            ops: (0..W)
+                .map(|r| XorOp {
+                    dst: Dst::Parity(r),
+                    src: Src::Data(W + r),
+                    init: true,
+                })
+                .collect(),
+        };
+        assert!(s.validate().is_err(), "out-of-range column accepted");
+
+        // Accumulate into a parity packet that was never initialized.
+        let s = Schedule {
+            k: 1,
+            m: 1,
+            n_temps: 0,
+            ops: (0..W)
+                .map(|r| XorOp {
+                    dst: Dst::Parity(r),
+                    src: Src::Data(0),
+                    init: false,
+                })
+                .collect(),
+        };
+        assert!(s.validate().is_err(), "accumulate-before-init accepted");
+
+        // A parity packet left unwritten.
+        let mut ops: Vec<XorOp> = (0..W - 1)
+            .map(|r| XorOp {
+                dst: Dst::Parity(r),
+                src: Src::Data(0),
+                init: true,
+            })
+            .collect();
+        ops.push(XorOp {
+            dst: Dst::Temp(0),
+            src: Src::Data(0),
+            init: true,
+        });
+        let s = Schedule {
+            k: 1,
+            m: 1,
+            n_temps: 1,
+            ops,
+        };
+        assert!(s.validate().is_err(), "unwritten parity accepted");
     }
 }

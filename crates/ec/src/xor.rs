@@ -1,6 +1,6 @@
 //! XOR/bitmatrix erasure coding (the Jerasure / Zerasure / Cerasure family).
 //!
-//! Blocks are split into [`W`](dialga_gf::bitmatrix::W) = 8 packets; every
+//! Blocks are split into [`W`] = 8 packets; every
 //! GF(2^8) coefficient becomes an 8x8 binary block, and encoding executes a
 //! [`Schedule`] of packet XORs. Compared with the table-driven RS path this
 //! trades fewer "multiplications" for many more packet reads — the memory
@@ -12,7 +12,7 @@ use dialga_gf::bitmatrix::{BitMatrix, W};
 use dialga_gf::slice::xor_slice;
 
 /// Which schedule/matrix optimization pipeline built this code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum XorFlavor {
     /// Canonical Cauchy matrix, naive schedule (plain Jerasure).
     Plain,
@@ -21,43 +21,20 @@ pub enum XorFlavor {
     Zerasure,
     /// Greedy X/Y matrix search + smart schedule (Cerasure-like).
     Cerasure,
-    /// Externally supplied parity matrix (Cauchy-RS, RAID-6, LRC, ...) +
-    /// smart schedule — the code-zoo constructor
-    /// [`XorCode::from_parity_matrix`].
-    Matrix,
-}
-
-/// Reusable scratch for schedule execution: temp packets plus the staging
-/// packet the naive executor copies sources through. Keep one per thread
-/// and repeated encodes allocate nothing.
-#[derive(Debug, Default)]
-pub struct XorScratch {
-    temps: Vec<Vec<u8>>,
-    packet: Vec<u8>,
-}
-
-impl XorScratch {
-    /// Empty scratch; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// Execute a schedule over packetized blocks: `sources` are the schedule's
 /// `k` source blocks, `outputs` its `m` destination blocks, all of `len`
 /// bytes (`len` must be a multiple of 8 so packets are equal-sized).
-/// `scratch` is reused across calls — repeated executions allocate nothing
-/// once the buffers have grown to size.
 ///
 /// The schedule is validated first ([`Schedule::validate`]); a malformed
 /// schedule is rejected instead of silently producing garbage (it would
-/// otherwise read stale scratch bytes).
+/// otherwise read a temp packet before anything was written to it).
 pub fn execute_schedule(
     schedule: &Schedule,
     sources: &[&[u8]],
     outputs: &mut [Vec<u8>],
     len: usize,
-    scratch: &mut XorScratch,
 ) -> Result<(), EcError> {
     schedule.validate()?;
     if !len.is_multiple_of(W) {
@@ -95,21 +72,12 @@ pub fn execute_schedule(
         }
     }
     let psize = len / W;
-    let XorScratch { temps, packet } = scratch;
-    if temps.len() < schedule.n_temps {
-        temps.resize_with(schedule.n_temps, Vec::new);
-    }
-    for t in &mut temps[..schedule.n_temps] {
-        if t.len() < psize {
-            t.resize(psize, 0);
-        }
-    }
-    packet.resize(psize, 0);
+    let mut temps = vec![vec![0u8; psize]; schedule.n_temps];
+    let mut packet = vec![0u8; psize];
     for op in &schedule.ops {
         // Stage the source packet (borrow-safety: source and dest can alias
         // only between parity packets; the staging copy keeps this simple
-        // and matches the packet-movement cost anyway). The staging buffer
-        // lives in `scratch`, so this allocates nothing per op.
+        // and matches the packet-movement cost anyway).
         match op.src {
             Src::Data(c) => {
                 let (b, p) = (c / W, c % W);
@@ -119,24 +87,24 @@ pub fn execute_schedule(
                 let (b, p) = (r / W, r % W);
                 packet.copy_from_slice(&outputs[b][p * psize..(p + 1) * psize]);
             }
-            Src::Temp(t) => packet.copy_from_slice(&temps[t][..psize]),
+            Src::Temp(t) => packet.copy_from_slice(&temps[t]),
         }
         match op.dst {
             Dst::Parity(r) => {
                 let (b, p) = (r / W, r % W);
                 let dst = &mut outputs[b][p * psize..(p + 1) * psize];
                 if op.init {
-                    dst.copy_from_slice(packet);
+                    dst.copy_from_slice(&packet);
                 } else {
-                    xor_slice(packet, dst);
+                    xor_slice(&packet, dst);
                 }
             }
             Dst::Temp(t) => {
-                let dst = &mut temps[t][..psize];
+                let dst = &mut temps[t];
                 if op.init {
-                    dst.copy_from_slice(packet);
+                    dst.copy_from_slice(&packet);
                 } else {
-                    xor_slice(packet, dst);
+                    xor_slice(&packet, dst);
                 }
             }
         }
@@ -167,8 +135,6 @@ pub struct XorCode {
     params: CodeParams,
     /// The m x k GF parity matrix this code realizes.
     parity_matrix: GfMatrix,
-    /// Its bitmatrix expansion.
-    bitmatrix: BitMatrix,
     /// The encode schedule.
     schedule: Schedule,
     flavor: XorFlavor,
@@ -183,56 +149,24 @@ impl XorCode {
     pub fn new(k: usize, m: usize, flavor: XorFlavor) -> Result<Self, EcError> {
         let params = CodeParams::new(k, m)?;
         let parity_matrix = match flavor {
-            XorFlavor::Plain | XorFlavor::Matrix => GfMatrix::cauchy_parity(k, m),
+            XorFlavor::Plain => GfMatrix::cauchy_parity(k, m),
             XorFlavor::Zerasure => crate::schedule::anneal_xy(k, m, 4000, 0x5EED)?.parity,
             XorFlavor::Cerasure => crate::schedule::greedy_xy(k, m)?.parity,
         };
         let bitmatrix = BitMatrix::from_gf_matrix(&parity_matrix.to_rows());
         let schedule = match flavor {
             XorFlavor::Plain => Schedule::from_bitmatrix(&bitmatrix, k, m),
-            _ => Schedule::smart_from_bitmatrix(&bitmatrix, k, m),
+            XorFlavor::Zerasure | XorFlavor::Cerasure => {
+                Schedule::smart_from_bitmatrix(&bitmatrix, k, m)
+            }
         };
         schedule.validate()?;
         Ok(XorCode {
             params,
             parity_matrix,
-            bitmatrix,
             schedule,
             flavor,
         })
-    }
-
-    /// Build a code from an arbitrary `m x k` parity matrix — the code-zoo
-    /// entry point (Cauchy-RS via [`ReedSolomon::bitmatrix_code`], RAID-6
-    /// P+Q, LRC bitmatrix variants, ...). Applies smart (CSE) scheduling;
-    /// callers wanting the fully optimized form run
-    /// [`XorCode::optimized_schedule`].
-    pub fn from_parity_matrix(parity_matrix: GfMatrix) -> Result<Self, EcError> {
-        let (m, k) = (parity_matrix.rows(), parity_matrix.cols());
-        let params = CodeParams::new(k, m)?;
-        let bitmatrix = BitMatrix::from_gf_matrix(&parity_matrix.to_rows());
-        let schedule = Schedule::smart_from_bitmatrix(&bitmatrix, k, m);
-        schedule.validate()?;
-        Ok(XorCode {
-            params,
-            parity_matrix,
-            bitmatrix,
-            schedule,
-            flavor: XorFlavor::Matrix,
-        })
-    }
-
-    /// The naive (per-row, no-reuse) schedule for this code's bitmatrix —
-    /// the greedy baseline the optimizer is measured against.
-    pub fn naive_schedule(&self) -> Schedule {
-        Schedule::from_bitmatrix(&self.bitmatrix, self.params.k, self.params.m)
-    }
-
-    /// Run the [`crate::schedule::opt`] pass pipeline on this code's
-    /// schedule and return the best (validated) variant. Computed on
-    /// demand — construction stays cheap for callers that never execute.
-    pub fn optimized_schedule(&self) -> Result<Schedule, EcError> {
-        crate::schedule::opt::optimize(&self.schedule)
     }
 
     /// Code geometry.
@@ -255,26 +189,8 @@ impl XorCode {
         &self.parity_matrix
     }
 
-    /// The bitmatrix expansion.
-    pub fn bitmatrix(&self) -> &BitMatrix {
-        &self.bitmatrix
-    }
-
     /// Encode the k data blocks into m freshly allocated parity blocks.
-    ///
-    /// Allocates a fresh [`XorScratch`] per call; hot paths should keep one
-    /// and use [`XorCode::encode_vec_with`].
     pub fn encode_vec(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>, EcError> {
-        self.encode_vec_with(data, &mut XorScratch::new())
-    }
-
-    /// Encode with caller-provided scratch: repeated encodes reuse the temp
-    /// arena instead of allocating per stripe.
-    pub fn encode_vec_with(
-        &self,
-        data: &[&[u8]],
-        scratch: &mut XorScratch,
-    ) -> Result<Vec<Vec<u8>>, EcError> {
         if data.len() != self.params.k {
             return Err(EcError::BlockCount {
                 expected: self.params.k,
@@ -283,7 +199,7 @@ impl XorCode {
         }
         let len = data[0].len();
         let mut parity = vec![vec![0u8; len]; self.params.m];
-        execute_schedule(&self.schedule, data, &mut parity, len, scratch)?;
+        execute_schedule(&self.schedule, data, &mut parity, len)?;
         Ok(parity)
     }
 
@@ -292,43 +208,41 @@ impl XorCode {
     /// generator rows) and cannot be optimized like the encode matrix — it
     /// is dense, so the schedule is long. We still apply smart scheduling,
     /// mirroring what the libraries do, but the density dominates.
+    ///
+    /// Every `lost` index must name a data block (`< k`) — parity is
+    /// re-encoded, not scheduled — and every survivor a block of the stripe
+    /// (`< k + m`); the first index that does not is returned in
+    /// [`EcError::BlockCount`].
     pub fn decode_schedule(
         &self,
         survivors: &[usize],
         lost: &[usize],
     ) -> Result<Schedule, EcError> {
+        let (k, n) = (self.params.k, self.params.n());
+        let out_of_range = |idx: &[usize], bound: usize| {
+            idx.iter()
+                .find(|&&i| i >= bound)
+                .map(|&i| EcError::BlockCount {
+                    expected: bound,
+                    got: i,
+                })
+        };
+        if let Some(e) = out_of_range(survivors, n).or_else(|| out_of_range(lost, k)) {
+            return Err(e);
+        }
         let rs = ReedSolomon::from_parity_matrix(self.parity_matrix.clone())?;
         let dec = rs.decode_matrix(survivors)?;
         // Rows of `dec` reconstruct data blocks from survivors; select the
         // lost data rows.
-        let rows: Vec<Vec<dialga_gf::Gf8>> = lost
-            .iter()
-            .map(|&l| {
-                assert!(l < self.params.k, "decode_schedule repairs data blocks");
-                dec.row(l).to_vec()
-            })
-            .collect();
+        let rows: Vec<Vec<dialga_gf::Gf8>> = lost.iter().map(|&l| dec.row(l).to_vec()).collect();
         let sub = GfMatrix::from_rows(rows);
         let bm = BitMatrix::from_gf_matrix(&sub.to_rows());
-        Ok(Schedule::smart_from_bitmatrix(
-            &bm,
-            self.params.k,
-            lost.len(),
-        ))
+        Ok(Schedule::smart_from_bitmatrix(&bm, k, lost.len()))
     }
 
     /// Reconstruct missing blocks in place (same contract as
     /// [`ReedSolomon::decode`]).
     pub fn decode(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
-        self.decode_with(shards, &mut XorScratch::new())
-    }
-
-    /// [`XorCode::decode`] with caller-provided scratch.
-    pub fn decode_with(
-        &self,
-        shards: &mut [Option<Vec<u8>>],
-        scratch: &mut XorScratch,
-    ) -> Result<(), EcError> {
         let (k, m) = (self.params.k, self.params.m);
         if shards.len() != k + m {
             return Err(EcError::BlockCount {
@@ -361,7 +275,7 @@ impl XorCode {
                 })
                 .collect::<Result<_, _>>()?;
             let mut outs = vec![vec![0u8; len]; lost_data.len()];
-            execute_schedule(&schedule, &srcs, &mut outs, len, scratch)?;
+            execute_schedule(&schedule, &srcs, &mut outs, len)?;
             for (&ld, out) in lost_data.iter().zip(outs) {
                 shards[ld] = Some(out);
             }
@@ -500,6 +414,30 @@ mod tests {
             dec_ops_per_out > enc_ops_per_out,
             "decode {dec_ops_per_out} <= encode {enc_ops_per_out}"
         );
+    }
+
+    #[test]
+    fn decode_schedule_refuses_out_of_range_indices() {
+        let xc = XorCode::new(6, 3, XorFlavor::Cerasure).unwrap();
+        let survivors = [1, 2, 3, 4, 5, 7];
+        for lost in [6, 8, 9, usize::MAX] {
+            assert_eq!(
+                xc.decode_schedule(&survivors, &[0, lost]).unwrap_err(),
+                EcError::BlockCount {
+                    expected: 6,
+                    got: lost
+                },
+                "lost = {lost}"
+            );
+        }
+        assert_eq!(
+            xc.decode_schedule(&[1, 2, 3, 4, 5, 9], &[0]).unwrap_err(),
+            EcError::BlockCount {
+                expected: 9,
+                got: 9
+            }
+        );
+        assert!(xc.decode_schedule(&survivors, &[0]).is_ok());
     }
 
     #[test]

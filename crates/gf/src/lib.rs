@@ -8,7 +8,7 @@
 //! * scalar field operations over GF(2^8) with the AES-adjacent primitive
 //!   polynomial `x^8 + x^4 + x^3 + x^2 + 1` (0x11D), the polynomial used by
 //!   Intel ISA-L and Jerasure;
-//! * data-plane slice kernels ([`slice`]) mirroring ISA-L's
+//! * data-plane slice kernels ([`mod@slice`]) mirroring ISA-L's
 //!   `gf_vect_mul`/`gf_vect_mad` split-nibble lookup scheme (the scheme the
 //!   paper's Figure 2 calls the "lookup table approach");
 //! * bitmatrix expansion ([`bitmatrix`]) used by XOR-based codes
@@ -25,7 +25,6 @@ pub mod sched;
 pub mod simd;
 pub mod slice;
 pub mod tables;
-pub mod xorexec;
 
 pub use arith::Gf8;
 pub use bitmatrix::BitMatrix;

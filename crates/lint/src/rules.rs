@@ -48,7 +48,7 @@ pub enum Rule {
     ConstDrift,
     /// R7: every raw-span `.sub(start, len)` call in the configured chunk
     /// dispatch files takes `<range>.start` / `<range>.len()` of a range
-    /// binder whose provenance traces to [`split_ranges`] — directly
+    /// binder whose provenance traces to `split_ranges` — directly
     /// (bound by a `for` over a `split_ranges(..)` expression) or through
     /// a carrier collection fed only by such binders.
     ChunkProvenance,

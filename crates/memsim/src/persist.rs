@@ -9,8 +9,8 @@
 //!   store/flush/fence state machine. A store is *visible* immediately
 //!   (program order) but becomes *durable* only once its cacheline has
 //!   been flushed **and** a subsequent fence completed. `crash()` — or a
-//!   scripted [`CrashPoint`](dialga_faultkit::Fault::CrashPoint) fault
-//!   delivered at a fence — freezes the domain to its crash image:
+//!   scripted `dialga_faultkit::Fault::CrashPoint` fault delivered at a
+//!   fence — freezes the domain to its crash image:
 //!   everything fenced, plus an arbitrary seeded subset of the lines that
 //!   were flushed but not yet fenced. Tearing is at [`CACHELINE`] (64 B)
 //!   granularity inside the [`XPLINE`] (256 B) media granularity, so an

@@ -89,19 +89,6 @@ impl CostModel {
     pub fn xor_lines_cycles(&self, lines: u64) -> f64 {
         lines as f64 * self.xor_cycles * self.simd.width_factor() + 1.0
     }
-
-    /// Compute cycles to execute a whole XOR schedule over `lines` 64 B
-    /// lines per packet, from its static cost summary
-    /// ([`dialga_ec::ScheduleCost`]): every XOR op streams `lines` lines,
-    /// and every *source switch* in the op stream pays the per-call
-    /// dispatch overhead (a switch defeats the L1-resident reuse the
-    /// reorder pass maximizes — this is the term that makes the optimizer's
-    /// cache-aware ordering visible to the planner, not just its XOR
-    /// count).
-    pub fn xor_schedule_cycles(&self, cost: &dialga_ec::ScheduleCost, lines: u64) -> f64 {
-        cost.xors as f64 * self.xor_lines_cycles(lines)
-            + cost.src_switches as f64 * self.call_overhead_cycles
-    }
 }
 
 impl Default for CostModel {
@@ -151,22 +138,6 @@ mod tests {
         // m = 6 is a single group.
         let one = c.rs_row_cycles(10, 6) - c.row_overhead_cycles;
         assert!((one - (10 * 6) as f64 * c.gf_mad_cycles).abs() < 1e-12);
-    }
-
-    #[test]
-    fn optimized_schedule_never_costs_more() {
-        use dialga_ec::xor::{XorCode, XorFlavor};
-        let c = CostModel::default();
-        for (k, m) in [(6usize, 3usize), (8, 4)] {
-            let code = XorCode::new(k, m, XorFlavor::Cerasure).unwrap();
-            let naive = code.naive_schedule();
-            let opt = code.optimized_schedule().unwrap();
-            let (nc, oc) = (naive.cost(), opt.cost());
-            assert!(
-                c.xor_schedule_cycles(&oc, 64) <= c.xor_schedule_cycles(&nc, 64),
-                "({k},{m}): opt {oc:?} vs naive {nc:?}"
-            );
-        }
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //!
 //! Architecture, per shard:
 //!
-//! * its **own** [`EncodePool`] and (optionally) its own
-//!   [`Coordinator`](dialga::coordinator::Coordinator) — shards tune their
-//!   prefetch policy independently for their own traffic, the NUMA-style
-//!   worker/buffer partitioning of the paper's multi-instance deployments;
+//! * its **own** [`EncodePool`] and (optionally) its own [`Coordinator`] —
+//!   shards tune their prefetch policy independently for their own
+//!   traffic, the NUMA-style worker/buffer partitioning of the paper's
+//!   multi-instance deployments;
 //! * a **bounded admission queue** ([`ServiceConfig::queue_depth`]) of
 //!   per-tenant FIFOs; [`StripeService::submit_encode`] and friends return
 //!   [`ServiceError::Rejected`] when the shard is full instead of blocking

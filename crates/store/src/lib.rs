@@ -7,7 +7,7 @@
 //! *survived* it: nothing guaranteed a stripe is readable after power
 //! fails mid-write. This crate closes that gap with a shadow-write +
 //! atomic-commit-record protocol layered over any [`PmImage`] backing —
-//! [`PersistMem`](dialga_memsim::PersistMem) for crash-injected tests,
+//! [`PersistMem`] for crash-injected tests,
 //! [`MemImage`]/[`FileImage`] for the archive CLI.
 //!
 //! # On-image layout

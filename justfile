@@ -6,9 +6,15 @@
 test:
     cargo build --release && cargo test -q --workspace
 
-# Formatting + clippy + dialga-lint, hard-failing (tier-1.5 verify)
+# Formatting, clippy, rustdoc, dialga-lint, the smokes, every crate's
+# tests and the figure record check, all hard-failing (tier-1.5 verify)
 lint:
     sh scripts/lint.sh
+
+# Rustdoc over every crate with warnings as errors: a doc comment that
+# links a private, renamed or deleted item fails (a stage of `just lint`)
+doc:
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Self-tests of the in-tree static analyzer (fixtures + live-workspace scan)
 lint-fixtures:

@@ -1,6 +1,8 @@
 #!/usr/bin/env sh
-# Tier-1.5 verify: formatting and lints, both hard-failing.
-# Run from the repository root (or via `just lint`).
+# Tier-1.5 verify, eleven stages, every one hard-failing: formatting,
+# clippy, rustdoc, the in-tree static analyzer, the race / chaos / crash
+# smokes, the core, tier-sweep and workspace test runs, and the figure
+# record check. Run from the repository root (or via `just lint`).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -10,6 +12,9 @@ cargo fmt --check
 
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (workspace, -D warnings: no link to a private, renamed or deleted item) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== dialga-lint (unsafe surface, atomic/lock/latch protocols, panic paths, const drift) =="
 cargo run -q -p dialga-lint
