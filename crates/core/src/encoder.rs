@@ -586,33 +586,38 @@ impl Dialga {
         }
     }
 
-    /// Localize corrupt shards in a full stripe (`shards.len() == k + m`,
-    /// data first). Returns the corrupt shard indices, sorted (empty =
-    /// stripe consistent). Localizes any corruption of up to `m - 1`
-    /// shards; [`EcError::Corrupt`] with the mismatching parity rows as
-    /// evidence when the corruption is beyond that (or ambiguous).
-    ///
-    /// Localization is syndrome decoding. Mismatching parity rows `S`
-    /// with `|S| < m` can only come from corrupt parity shards — a corrupt
-    /// data byte trips *every* row, since every MDS parity coefficient is
-    /// nonzero — so the corrupt set is exactly `S`. When `|S| == m`, one
-    /// more pass over the stripe collects the *support*: the byte columns
-    /// where some syndrome `S_i = parity_i ^ sum_j c_ij · data_j` is
-    /// non-zero, with the `m` syndrome bytes of each (64 columns for a
-    /// torn cacheline). Candidate corrupt sets are then tried in ascending
-    /// cardinality on those columns alone — no shard is cloned, decoded or
-    /// re-verified (`syndromes_fit`). The unique fitting set at the
-    /// smallest cardinality that has one is the corrupt set (unique for
-    /// single-shard corruption by the MDS distance bound: two codewords
-    /// cannot differ in fewer than `m + 1` positions); two at one
-    /// cardinality are ambiguous.
+    /// Localize corrupt shards in a full stripe: [`Self::locate`] with
+    /// nothing erased.
     pub fn scrub(&self, shards: &[&[u8]]) -> Result<Vec<usize>, EcError> {
+        self.locate(shards, &[])
+    }
+
+    /// Localize corrupt shards in a full stripe (data first) whose
+    /// `erased` shards were just rebuilt from the others, so are untrusted.
+    /// Returns the corrupt shards outside `erased`, sorted (empty = stripe
+    /// consistent); [`EcError::Corrupt`] with the mismatching parity rows
+    /// as evidence when the corruption is ambiguous or more than
+    /// `max(m - 1, 1) - |erased|` shards.
+    ///
+    /// Syndrome decoding. With nothing erased, `|S| < m` mismatching rows
+    /// can only be corrupt parity shards (a corrupt data byte trips *every*
+    /// row: MDS coefficients are nonzero). Otherwise one more pass collects
+    /// the *support* — the byte columns where some syndrome `S_i =
+    /// parity_i ^ sum_j c_ij · data_j` is non-zero, with their `m` bytes;
+    /// rebuilding the erased shards first keeps their clean columns out —
+    /// and candidates `erased ∪ X` are tried on it alone in ascending
+    /// `|X|` (`syndromes_fit`: nothing is cloned, decoded or re-verified).
+    /// The unique fitting `X` at the smallest size is the answer (unique
+    /// for one corrupt shard: MDS codewords differ in `m + 1` positions or
+    /// more); two at one size are ambiguous.
+    pub fn locate(&self, shards: &[&[u8]], erased: &[usize]) -> Result<Vec<usize>, EcError> {
         let params = self.params();
         let (k, m) = (params.k, params.m);
-        if shards.len() != k + m {
+        let outside = erased.iter().copied().find(|&e| e >= k + m);
+        if shards.len() != k + m || outside.is_some() {
             return Err(EcError::BlockCount {
                 expected: k + m,
-                got: shards.len(),
+                got: outside.unwrap_or(shards.len()),
             });
         }
         let (data, parity) = shards.split_at(k);
@@ -620,30 +625,33 @@ impl Dialga {
         if syndromes.is_empty() {
             return Ok(Vec::new());
         }
-        if syndromes.len() < m {
+        if erased.is_empty() && syndromes.len() < m {
             // Data must be clean, so the mismatching rows are themselves
             // the corrupt shards.
             return Ok(syndromes.into_iter().map(|r| k + r).collect());
         }
-        // Every row mismatches: at least one data shard is suspect.
         let corrupt = || EcError::Corrupt {
             shards: syndromes.iter().map(|&r| k + r).collect(),
         };
         let support = dot_prod_syndromes(&self.tables, data, parity, self.sched());
-        let max_t = m.saturating_sub(1).max(1);
-        for t in 1..=max_t {
+        let (forced, rest): (Vec<usize>, Vec<usize>) = (0..k + m).partition(|i| erased.contains(i));
+        // The empty set never explains a non-zero syndrome.
+        for t in forced.len().max(1)..=m.saturating_sub(1).max(1) {
             let mut found: Option<Vec<usize>> = None;
-            let mut candidate: Vec<usize> = (0..t).collect();
+            let mut pick: Vec<usize> = (0..t - forced.len()).collect();
             loop {
-                if self.syndromes_fit(&support.syndromes, &candidate) {
+                let named = || pick.iter().map(|&i| rest[i]);
+                let mut candidate: Vec<usize> = forced.iter().copied().chain(named()).collect();
+                candidate.sort_unstable();
+                if self.syndromes_fit(&support.syndromes, &candidate, &forced) {
                     if found.is_some() {
                         // Two consistent candidates at one cardinality:
                         // the corruption cannot be localized.
                         return Err(corrupt());
                     }
-                    found = Some(candidate.clone());
+                    found = Some(named().collect());
                 }
-                if !next_subset(&mut candidate, k + m) {
+                if !next_subset(&mut pick, rest.len()) {
                     break;
                 }
             }
@@ -655,8 +663,8 @@ impl Dialga {
     }
 
     /// Do errors confined to the shards in `candidate` (ascending) explain
-    /// `syndromes` (`m` bytes per support column), with every member in
-    /// error at some column?
+    /// `syndromes` (`m` bytes per support column), with every member
+    /// outside `forced` in error at some column?
     ///
     /// Split the candidate into data members `D` and parity members `P`.
     /// A parity member's error is free — it absorbs whatever its own row
@@ -667,7 +675,7 @@ impl Dialga {
     /// remaining `m - |candidate|` rows agree. The first inconsistent
     /// column rejects, which for a wrong candidate is almost always the
     /// first; only a fitting candidate walks the whole support.
-    fn syndromes_fit(&self, syndromes: &[u8], candidate: &[usize]) -> bool {
+    fn syndromes_fit(&self, syndromes: &[u8], candidate: &[usize], forced: &[usize]) -> bool {
         let params = self.params();
         let (k, m) = (params.k, params.m);
         let coeff = self.rs.parity_matrix();
@@ -711,7 +719,10 @@ impl Dialga {
                 *seen |= residual(p - k) != Gf8::ZERO;
             }
         }
-        in_error.iter().all(|&seen| seen)
+        candidate
+            .iter()
+            .zip(&in_error)
+            .all(|(c, &seen)| seen || forced.contains(c))
     }
 }
 
@@ -730,11 +741,12 @@ fn next_subset(subset: &mut [usize], n: usize) -> bool {
 }
 
 /// The erase-decode-reverify search [`Dialga::scrub`] used before it
-/// localized from the syndromes: kept as the reference the tests hold the
-/// syndrome localizer to.
+/// localized from the syndromes, and the pool's verified decode and the
+/// archive used next to missing shards: kept as the reference the tests
+/// hold [`Dialga::locate`] to.
 #[cfg(test)]
 impl Dialga {
-    fn scrub_reference(&self, shards: &[&[u8]]) -> Result<Vec<usize>, EcError> {
+    fn scrub_reference(&self, shards: &[&[u8]], erased: &[usize]) -> Result<Vec<usize>, EcError> {
         let params = self.params();
         let (k, m) = (params.k, params.m);
         if shards.len() != k + m {
@@ -747,21 +759,22 @@ impl Dialga {
         if syndromes.is_empty() {
             return Ok(Vec::new());
         }
-        if syndromes.len() < m {
+        if erased.is_empty() && syndromes.len() < m {
             // Data must be clean, so the mismatching rows are themselves
             // the corrupt shards.
             return Ok(syndromes.into_iter().map(|r| k + r).collect());
         }
-        // Every row mismatches: at least one data shard is suspect. Erase
-        // candidate subsets, re-decode, and keep candidates whose fixed
-        // stripe is a codeword again and whose members all actually
-        // changed (otherwise a smaller subset explains the stripe).
+        // Erase `erased` plus candidate subsets of the rest, re-decode,
+        // and keep candidates whose fixed stripe is a codeword again and
+        // whose members all actually changed (otherwise a smaller subset
+        // explains the stripe).
         let evidence: Vec<usize> = syndromes.iter().map(|&r| k + r).collect();
+        let forced: Vec<usize> = (0..k + m).filter(|i| erased.contains(i)).collect();
         let max_t = m.saturating_sub(1).max(1);
-        for t in 1..=max_t {
+        for t in forced.len().max(1)..=max_t {
             let mut found: Option<Vec<usize>> = None;
-            let mut candidate = vec![0usize; t];
-            if !self.scrub_candidates(shards, &mut candidate, 0, 0, &mut found)? {
+            let mut candidate = vec![0usize; t - forced.len()];
+            if !self.scrub_candidates(shards, &forced, &mut candidate, 0, 0, &mut found)? {
                 // Ambiguous at this cardinality: more than one consistent
                 // candidate — the corruption cannot be localized.
                 return Err(EcError::Corrupt { shards: evidence });
@@ -773,12 +786,14 @@ impl Dialga {
         Err(EcError::Corrupt { shards: evidence })
     }
 
-    /// Depth-first sweep over `t`-subsets (positions `depth..` filled from
-    /// `from..k+m`) for [`Self::scrub`]. Returns `false` the moment two
-    /// distinct consistent candidates exist (ambiguous).
+    /// Depth-first sweep over `t`-subsets of the shards outside `forced`
+    /// (positions `depth..` filled from `from..k+m`) for
+    /// [`Self::scrub_reference`]. Returns `false` the moment two distinct
+    /// consistent candidates exist (ambiguous).
     fn scrub_candidates(
         &self,
         shards: &[&[u8]],
+        forced: &[usize],
         candidate: &mut Vec<usize>,
         depth: usize,
         from: usize,
@@ -786,7 +801,7 @@ impl Dialga {
     ) -> Result<bool, EcError> {
         let n = shards.len();
         if depth == candidate.len() {
-            if !self.scrub_candidate_fits(shards, candidate)? {
+            if !self.scrub_candidate_fits(shards, forced, candidate)? {
                 return Ok(true);
             }
             if found.is_some() {
@@ -795,21 +810,26 @@ impl Dialga {
             *found = Some(candidate.clone());
             return Ok(true);
         }
-        for i in from..n {
+        for i in (from..n).filter(|i| !forced.contains(i)) {
             candidate[depth] = i;
-            if !self.scrub_candidates(shards, candidate, depth + 1, i + 1, found)? {
+            if !self.scrub_candidates(shards, forced, candidate, depth + 1, i + 1, found)? {
                 return Ok(false);
             }
         }
         Ok(true)
     }
 
-    /// Does erasing `candidate` and re-decoding yield a consistent stripe
-    /// in which every candidate member actually changed?
-    fn scrub_candidate_fits(&self, shards: &[&[u8]], candidate: &[usize]) -> Result<bool, EcError> {
+    /// Does erasing `forced` and `candidate` and re-decoding yield a
+    /// consistent stripe in which every candidate member actually changed?
+    fn scrub_candidate_fits(
+        &self,
+        shards: &[&[u8]],
+        forced: &[usize],
+        candidate: &[usize],
+    ) -> Result<bool, EcError> {
         let k = self.params().k;
         let mut trial: Vec<Option<Vec<u8>>> = shards.iter().map(|s| Some(s.to_vec())).collect();
-        for &c in candidate {
+        for &c in forced.iter().chain(candidate) {
             trial[c] = None;
         }
         if self.decode(&mut trial).is_err() {
@@ -1169,19 +1189,22 @@ mod tests {
     }
 
     /// The syndrome localizer is the search it replaced: on every
-    /// geometry, shard length and corruption shape — single bytes, whole
-    /// cachelines at one shared offset and at scattered ones, whole-shard
-    /// garbage, mixed over 0..=m shards — `scrub` and the erase-decode-
-    /// reverify reference return the same `Ok(indices)` or the same
+    /// geometry, shard length, erasure set E (|E| in 0..m, data and parity,
+    /// rebuilt from the damaged survivors as every caller does) and
+    /// corruption shape — single bytes, whole cachelines at one shared
+    /// offset and at scattered ones, whole-shard garbage, mixed over
+    /// 0..=m - |E| survivors — `locate` and the erase-decode-reverify
+    /// reference return the same `Ok(indices)` or the same
     /// `Err(Corrupt { shards })`.
     ///
     /// The reference decodes a stripe per candidate, 0.7 ms each
     /// unoptimized, and a (12,8) stripe past localizing has C(20, 1..=7) =
     /// 137 k candidates: a debug build skips the cases whose search passes
     /// 2 000 (4..=8 corrupt shards of (12,8); (3,6) reaches the same depth
-    /// on 9 shards), `cargo test --release` runs them all in 13 s.
+    /// on 9 shards). `scripts/lint.sh` runs them all in release
+    /// (`just locate-sweep`).
     #[test]
-    fn scrub_is_the_reference_search_on_every_corruption_shape() {
+    fn locate_is_the_reference_search_on_every_erasure_and_corruption_shape() {
         let budget = if cfg!(debug_assertions) {
             2_000
         } else {
@@ -1189,40 +1212,53 @@ mod tests {
         };
         for (k, m) in [(4usize, 1usize), (4, 2), (6, 3), (10, 4), (12, 8), (3, 6)] {
             let dialga = Dialga::new(k, m).unwrap();
+            let n = k + m;
             for len in [CACHELINE, 1024 + 37] {
                 let clean = encoded_stripe(&dialga, len);
-                for corrupt in 0..=m {
-                    // Every cardinality up to the corrupt set's is swept.
-                    let choose = |t: usize| (0..t).fold(1, |c, i| c * (k + m - i) / (i + 1));
-                    let searched: usize = (1..=corrupt.min((m - 1).max(1))).map(choose).sum();
-                    if searched > budget {
-                        break;
-                    }
-                    run_cases(if m == 8 { 1 } else { 4 }, |rng| {
-                        let mut stripe = clean.clone();
-                        let mut victims: Vec<usize> = (0..k + m).collect();
-                        rng.shuffle(&mut victims);
-                        victims.truncate(corrupt);
-                        let shared = rng.range(0, len / CACHELINE) * CACHELINE;
-                        for &v in &victims {
-                            let shard = &mut stripe[v];
-                            match rng.range(0, 4) {
-                                0 => shard[rng.range(0, len)] ^= rng.u8() | 1,
-                                1 => rng.fill(&mut shard[shared..shared + CACHELINE]),
-                                2 => {
-                                    let at = rng.range(0, len / CACHELINE) * CACHELINE;
-                                    rng.fill(&mut shard[at..at + CACHELINE]);
-                                }
-                                _ => rng.fill(shard),
-                            }
+                for erased in 0..m {
+                    for corrupt in 0..=m - erased {
+                        // Every size of X up to the corrupt set's is swept.
+                        let choose =
+                            |t: usize| (0..t).fold(1, |c, i| c * (n - erased - i) / (i + 1));
+                        let deepest = corrupt.min((m - 1).max(1).saturating_sub(erased));
+                        let searched: usize = (0..=deepest).map(choose).sum();
+                        if searched > budget {
+                            break;
                         }
-                        let refs: Vec<&[u8]> = stripe.iter().map(|s| s.as_slice()).collect();
-                        assert_eq!(
-                            dialga.scrub(&refs),
-                            dialga.scrub_reference(&refs),
-                            "k={k} m={m} len={len} victims={victims:?}"
-                        );
-                    });
+                        run_cases(if m == 8 { 1 } else { 4 }, |rng| {
+                            let mut stripe = clean.clone();
+                            let mut order: Vec<usize> = (0..n).collect();
+                            rng.shuffle(&mut order);
+                            let (lost, rest) = order.split_at(erased);
+                            let victims = &rest[..corrupt];
+                            let shared = rng.range(0, len / CACHELINE) * CACHELINE;
+                            for &v in victims {
+                                let shard = &mut stripe[v];
+                                match rng.range(0, 4) {
+                                    0 => shard[rng.range(0, len)] ^= rng.u8() | 1,
+                                    1 => rng.fill(&mut shard[shared..shared + CACHELINE]),
+                                    2 => {
+                                        let at = rng.range(0, len / CACHELINE) * CACHELINE;
+                                        rng.fill(&mut shard[at..at + CACHELINE]);
+                                    }
+                                    _ => rng.fill(shard),
+                                }
+                            }
+                            let mut holed: Vec<Option<Vec<u8>>> =
+                                stripe.into_iter().map(Some).collect();
+                            for &l in lost {
+                                holed[l] = None;
+                            }
+                            dialga.decode(&mut holed).unwrap();
+                            let refs: Vec<&[u8]> =
+                                holed.iter().flatten().map(Vec::as_slice).collect();
+                            assert_eq!(
+                                dialga.locate(&refs, lost),
+                                dialga.scrub_reference(&refs, lost),
+                                "k={k} m={m} len={len} erased={lost:?} victims={victims:?}"
+                            );
+                        });
+                    }
                 }
             }
         }
@@ -1245,5 +1281,13 @@ mod tests {
         bad[5][1] ^= 0x02;
         let refs: Vec<&[u8]> = bad.iter().map(|s| s.as_slice()).collect();
         assert!(matches!(dialga.scrub(&refs), Err(EcError::Corrupt { .. })));
+        // An erased index outside the stripe is a geometry error too.
+        assert_eq!(
+            dialga.locate(&refs, &[1, 6]),
+            Err(EcError::BlockCount {
+                expected: 6,
+                got: 6
+            })
+        );
     }
 }

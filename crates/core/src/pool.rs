@@ -989,53 +989,28 @@ impl EncodePool {
 
     /// [`Self::decode`] plus an integrity check of the completed stripe.
     /// A corrupted *survivor* silently poisons a plain decode (the decode
-    /// matrix trusts every present byte); here the full stripe is
-    /// re-verified after reconstruction and a corrupt survivor rejected
-    /// with [`EcError::Corrupt`] naming it (localized by leave-one-out
-    /// re-decode when the erasure budget allows, the mismatching parity
-    /// rows as evidence otherwise). On `Err`, reconstructed shard contents
-    /// are unspecified (they were derived from corrupt input).
+    /// matrix trusts every present byte); here [`Dialga::locate`] checks
+    /// the full stripe after reconstruction, the rebuilt shards as forced
+    /// erasures, and corrupt survivors are rejected with
+    /// [`EcError::Corrupt`] naming them (up to `m - 1 - lost`; the
+    /// mismatching parity rows as evidence beyond that). On `Err`,
+    /// reconstructed shard contents are unspecified (they were derived
+    /// from corrupt input).
     pub fn decode_verified(
         &self,
         coder: &Dialga,
         shards: &mut [Option<Vec<u8>>],
     ) -> Result<(), EcError> {
-        let params = coder.params();
-        let (k, m) = (params.k, params.m);
         let lost: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
         self.decode(coder, shards)?;
-        let full: Vec<&[u8]> = (0..k + m)
+        let full: Vec<&[u8]> = (0..shards.len())
             .map(|i| dialga_ec::present_shard(shards, i, "shard absent after decode"))
             .map(|v| v.map(Vec::as_slice))
             .collect::<Result<_, _>>()?;
-        let evidence = match self.verify(coder, &full[..k], &full[k..]) {
-            Ok(()) => return Ok(()),
-            Err(EcError::Corrupt { shards }) => shards,
-            Err(e) => return Err(e),
-        };
-        // Localize: re-decode with one original survivor additionally
-        // erased; the trial that comes back consistent names the corrupt
-        // survivor (unique for one corrupt shard by the MDS distance bound).
-        // Needs a *spare* parity constraint: with `lost + 1 == m` every
-        // remaining shard is a survivor and any trial is trivially
-        // consistent — the corruption is detectable but not localizable.
-        if lost.len() + 1 < m {
-            for s in (0..k + m).filter(|i| !lost.contains(i)) {
-                let mut trial: Vec<Option<Vec<u8>>> = shards.to_vec();
-                for &l in &lost {
-                    trial[l] = None;
-                }
-                trial[s] = None;
-                if coder.decode(&mut trial).is_err() {
-                    continue;
-                }
-                let fixed: Vec<&[u8]> = trial.iter().flatten().map(|v| v.as_slice()).collect();
-                if fixed.len() == k + m && coder.verify(&fixed[..k], &fixed[k..]).is_ok() {
-                    return Err(EcError::Corrupt { shards: vec![s] });
-                }
-            }
+        match coder.locate(&full, &lost)? {
+            bad if bad.is_empty() => Ok(()),
+            bad => Err(EcError::Corrupt { shards: bad }),
         }
-        Err(EcError::Corrupt { shards: evidence })
     }
 
     /// [`Self::repair`] plus an integrity check: reconstruct shard

@@ -164,6 +164,8 @@ impl ReedSolomon {
     /// Build the k x k decode matrix for a set of surviving block indices
     /// (0..k are data blocks, k..k+m parity). Exposed for the timing model
     /// and for the XOR baseline (which expands it to a dense bitmatrix).
+    /// A survivor outside the stripe (`>= k + m`) is
+    /// [`EcError::BlockCount`].
     pub fn decode_matrix(&self, survivors: &[usize]) -> Result<GfMatrix, EcError> {
         if survivors.len() != self.params.k {
             return Err(EcError::BlockCount {
@@ -177,8 +179,13 @@ impl ReedSolomon {
                 let mut row = vec![Gf8::ZERO; self.params.k];
                 row[s] = Gf8::ONE;
                 rows.push(row);
-            } else {
+            } else if s < self.params.n() {
                 rows.push(self.parity.row(s - self.params.k).to_vec());
+            } else {
+                return Err(EcError::BlockCount {
+                    expected: self.params.n(),
+                    got: s,
+                });
             }
         }
         GfMatrix::from_rows(rows).inverse()
@@ -373,6 +380,23 @@ mod tests {
                 tolerance: 2
             })
         ));
+    }
+
+    #[test]
+    fn decode_matrix_refuses_a_survivor_outside_the_stripe() {
+        // Regression: `parity.row(s - k)` used to panic for s >= k + m.
+        let rs = ReedSolomon::new(4, 2).unwrap();
+        for s in [6, 7, usize::MAX] {
+            assert_eq!(
+                rs.decode_matrix(&[0, 1, 2, s]).unwrap_err(),
+                EcError::BlockCount {
+                    expected: 6,
+                    got: s
+                },
+                "survivor {s}"
+            );
+        }
+        assert!(rs.decode_matrix(&[0, 1, 4, 5]).is_ok());
     }
 
     #[test]

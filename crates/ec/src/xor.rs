@@ -218,19 +218,15 @@ impl XorCode {
         survivors: &[usize],
         lost: &[usize],
     ) -> Result<Schedule, EcError> {
-        let (k, n) = (self.params.k, self.params.n());
-        let out_of_range = |idx: &[usize], bound: usize| {
-            idx.iter()
-                .find(|&&i| i >= bound)
-                .map(|&i| EcError::BlockCount {
-                    expected: bound,
-                    got: i,
-                })
-        };
-        if let Some(e) = out_of_range(survivors, n).or_else(|| out_of_range(lost, k)) {
-            return Err(e);
+        let k = self.params.k;
+        if let Some(&l) = lost.iter().find(|&&l| l >= k) {
+            return Err(EcError::BlockCount {
+                expected: k,
+                got: l,
+            });
         }
         let rs = ReedSolomon::from_parity_matrix(self.parity_matrix.clone())?;
+        // Refuses a survivor outside the stripe.
         let dec = rs.decode_matrix(survivors)?;
         // Rows of `dec` reconstruct data blocks from survivors; select the
         // lost data rows.

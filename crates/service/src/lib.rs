@@ -646,8 +646,9 @@ impl StripeService {
     /// Submit an integrity scrub: `shards` is the full `k + m` stripe
     /// (data first, then parity). A clean stripe resolves to an empty
     /// vector; corruption resolves to
-    /// [`ServiceError::Coding`]`(`[`EcError::Corrupt`]`)` carrying the
-    /// localized shard evidence.
+    /// [`ServiceError::Coding`]`(`[`EcError::Corrupt`]`)` naming the
+    /// corrupt shards as `Dialga::scrub` localizes them (the mismatching
+    /// parity rows when the corruption is beyond localizing).
     pub fn submit_scrub(
         &self,
         tenant: u32,
@@ -913,6 +914,29 @@ mod tests {
             .wait()
             .unwrap();
         assert_eq!(rebuilt, vec![full[2].clone()]);
+    }
+
+    #[test]
+    fn scrub_names_the_corrupt_data_shard() {
+        let svc = StripeService::new(small_cfg()).unwrap();
+        let coder = Dialga::new(4, 2).unwrap();
+        let data = make_stripe(4, 1024, 5);
+        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+        let parity = coder.encode_vec(&refs).unwrap();
+        let mut full: Vec<Vec<u8>> = data.iter().chain(parity.iter()).cloned().collect();
+        let clean = svc.submit_scrub(1, full.clone(), None).unwrap().wait();
+        assert_eq!(clean, Ok(Vec::new()));
+        // A corrupt data shard trips both parity rows; the reply names
+        // the shard, not the rows.
+        let victim = 2;
+        full[victim][300] ^= 0x10;
+        let reply = svc.submit_scrub(1, full, None).unwrap().wait();
+        assert_eq!(
+            reply,
+            Err(ServiceError::Coding(EcError::Corrupt {
+                shards: vec![victim]
+            }))
+        );
     }
 
     #[test]

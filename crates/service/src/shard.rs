@@ -10,6 +10,7 @@
 use crate::{ServiceCounters, ServiceError};
 use dialga::encoder::Dialga;
 use dialga::pool::{DecodeJob, EncodePool, PoolStats, StripeJob};
+use dialga_ec::EcError;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
@@ -606,10 +607,12 @@ impl Shard {
         }
     }
 
-    /// Scrubs run per-request through the pool's windowed syndrome kernel.
-    /// A clean stripe resolves to an empty payload; corruption surfaces as
-    /// [`ServiceError::Coding`] wrapping `EcError::Corrupt` with the
-    /// localized shard evidence.
+    /// Scrubs run per-request as a pool verify (the parity re-encoded
+    /// across the executors, then compared). A clean stripe resolves to an
+    /// empty payload; on a mismatch [`Dialga::scrub`] localizes, and the
+    /// request resolves to [`ServiceError::Coding`] wrapping
+    /// `EcError::Corrupt` naming the corrupt shards (the mismatching
+    /// parity rows when the corruption is beyond localizing).
     fn dispatch_scrubs(&self, coder: &Dialga, reqs: Vec<Pending>) {
         let k = coder.params().k;
         for pending in reqs {
@@ -622,11 +625,15 @@ impl Shard {
             if let OpPayload::Scrub { shards } = op {
                 let refs: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
                 let (data, parity) = refs.split_at(k.min(refs.len()));
-                let result = self
-                    .pool
-                    .verify(coder, data, parity)
-                    .map(|()| Vec::new())
-                    .map_err(ServiceError::Coding);
+                let result = match self.pool.verify(coder, data, parity) {
+                    Ok(()) => Ok(Vec::new()),
+                    Err(EcError::Corrupt { .. }) => match coder.scrub(&refs) {
+                        Ok(shards) => Err(EcError::Corrupt { shards }),
+                        Err(e) => Err(e),
+                    },
+                    Err(e) => Err(e),
+                }
+                .map_err(ServiceError::Coding);
                 self.complete(OpKind::Scrub, submitted, &done, result);
             }
         }

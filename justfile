@@ -37,6 +37,12 @@ chaos:
 core-test:
     cargo test -q -p dialga --features fault-injection
 
+# Dialga::locate against the erase-decode-reverify reference in release,
+# the deep (12,8) / (3,6) cases a debug build skips included (~25 s with
+# the build; a stage of `just lint`)
+locate-sweep:
+    cargo test -q --release -p dialga --lib locate_is_the_reference
+
 # Every GF kernel tier this CPU has, against the scalar reference and end
 # to end through core; prints which tiers ran and which the CPU lacks
 # (a stage of `just lint`)

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
-# Tier-1.5 verify, eleven stages, every one hard-failing: formatting,
+# Tier-1.5 verify, twelve stages, every one hard-failing: formatting,
 # clippy, rustdoc, the in-tree static analyzer, the race / chaos / crash
-# smokes, the core, tier-sweep and workspace test runs, and the figure
-# record check. Run from the repository root (or via `just lint`).
+# smokes, the core, locate-sweep, tier-sweep and workspace test runs, and
+# the figure record check. Run from the repository root (or via `just lint`).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -30,6 +30,11 @@ cargo test -q --test chaos --test integrity
 
 echo "== core tests (pool, coordinator, encoder; fault hooks compiled in) =="
 cargo test -q -p dialga --features fault-injection
+
+echo "== locate sweep (Dialga::locate against the erase-decode-reverify reference, every case; release) =="
+# A debug build skips the cases whose reference search passes 2 000
+# candidates — the deep (12,8) and (3,6) ones; only this stage runs them.
+cargo test -q --release -p dialga --lib locate_is_the_reference
 
 echo "== kernel tier sweep (every GF tier this CPU has against the scalar reference, then end to end; prints the tiers run / skipped) =="
 # A green gate on a CPU without GFNI must say so rather than pass the top

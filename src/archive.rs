@@ -369,90 +369,65 @@ impl ArchiveStatus {
     }
 }
 
-/// A stripe in memory: `None` marks a missing/erased shard.
-type Shards = Vec<Option<Vec<u8>>>;
-
-/// Outcome of trial-rebuilding a stripe with a set of shards erased.
-enum Rebuild {
-    /// Decoded stripe re-verified clean end to end.
-    Verified(Shards),
-    /// Decoded, but parity still disagrees: the mismatching parity
-    /// rows (as shard indices) are the evidence.
-    Tainted(Vec<usize>),
+/// Every shard of a decoded stripe, borrowed.
+fn stripe_refs(shards: &[Option<Vec<u8>>]) -> Result<Vec<&[u8]>, dialga_ec::EcError> {
+    (0..shards.len())
+        .map(|i| dialga_ec::present_shard(shards, i, "archive shard absent after decode"))
+        .map(|s| s.map(Vec::as_slice))
+        .collect()
 }
 
-/// Erase `erase`, decode, and re-verify the full stripe. Never writes.
-fn rebuild_verified(
+/// Decode the `missing` shards in place, then name the corrupt survivors
+/// with [`Dialga::locate`], the rebuilt shards as forced erasures.
+/// `Err(Corrupt)` when parity cannot pin the corruption down.
+fn decode_and_locate(
     coder: &Dialga,
-    shards: &[Option<Vec<u8>>],
-    erase: &[usize],
-) -> Result<Rebuild, ArchiveError> {
-    let mut trial: Vec<Option<Vec<u8>>> = shards.to_vec();
-    for &i in erase {
-        trial[i] = None;
-    }
-    coder.decode(&mut trial)?;
-    let k = coder.params().k;
-    let refs: Vec<&[u8]> = trial
-        .iter()
-        .map(|s| s.as_ref().unwrap().as_slice())
-        .collect();
-    match coder.verify(&refs[..k], &refs[k..]) {
-        Ok(()) => Ok(Rebuild::Verified(trial)),
-        Err(dialga_ec::EcError::Corrupt { shards: rows }) => Ok(Rebuild::Tainted(rows)),
-        Err(e) => Err(e.into()),
-    }
+    shards: &mut [Option<Vec<u8>>],
+    missing: &[usize],
+) -> Result<Vec<usize>, dialga_ec::EcError> {
+    coder.decode(shards)?;
+    coder.locate(&stripe_refs(shards)?, missing)
 }
 
 /// Verify an archive: all shards present and parity consistent.
 ///
-/// With every shard on disk this runs the full `Dialga::scrub`, so a
-/// single altered shard — data *or* parity — is named exactly. With
-/// shards missing (but recoverable) the survivors are integrity-checked
-/// by a trial decode plus full-stripe re-verify; corruption found that
-/// way is reported as `unlocalized` (localization is `repair`'s job).
+/// Recoverable missing shards are decoded first, then `Dialga::locate`
+/// names every corrupt shard — data *or* parity, next to missing ones as
+/// well — up to `m - 1` shards unusable in all; corruption beyond that is
+/// reported as `unlocalized`.
 pub fn verify(manifest_path: &Path) -> Result<ArchiveStatus, ArchiveError> {
     let manifest = Manifest::load(manifest_path)?;
-    let shards = read_shards(&manifest, manifest_path)?;
+    let mut shards = read_shards(&manifest, manifest_path)?;
     let missing: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
-    let mut corrupt = Vec::new();
-    let mut unlocalized = false;
-    if missing.is_empty() {
+    let mut status = ArchiveStatus {
+        missing,
+        corrupt: Vec::new(),
+        unlocalized: false,
+    };
+    if status.missing.len() <= manifest.m {
         let coder = Dialga::new(manifest.k, manifest.m)?;
-        let refs: Vec<&[u8]> = shards
-            .iter()
-            .map(|s| s.as_ref().unwrap().as_slice())
-            .collect();
-        match coder.scrub(&refs) {
-            Ok(bad) => corrupt = bad,
-            Err(dialga_ec::EcError::Corrupt { .. }) => unlocalized = true,
+        match decode_and_locate(&coder, &mut shards, &status.missing) {
+            Ok(bad) => status.corrupt = bad,
+            Err(dialga_ec::EcError::Corrupt { .. }) => status.unlocalized = true,
             Err(e) => return Err(e.into()),
         }
-    } else if missing.len() <= manifest.m {
-        let coder = Dialga::new(manifest.k, manifest.m)?;
-        if let Rebuild::Tainted(_) = rebuild_verified(&coder, &shards, &missing)? {
-            unlocalized = true;
-        }
     }
-    Ok(ArchiveStatus {
-        missing,
-        corrupt,
-        unlocalized,
-    })
+    Ok(status)
 }
 
 /// Rebuild missing shard files — and, where parity can localize them,
 /// byte-corrupted shard files — in place; returns how many were
 /// rewritten.
 ///
-/// Nothing is written unless the repaired stripe re-verifies clean end
-/// to end: corruption the code cannot pin down surfaces as
-/// [`dialga_ec::EcError::Corrupt`] and leaves the archive untouched,
-/// rather than silently folding bad bytes into the rebuilt shards.
+/// Decode the missing shards, locate the corrupt survivors, decode again
+/// with both erased, verify once and only then write: corruption the
+/// code cannot pin down surfaces as [`dialga_ec::EcError::Corrupt`] and
+/// leaves the archive untouched, rather than silently folding bad bytes
+/// into the rebuilt shards.
 pub fn repair(manifest_path: &Path) -> Result<usize, ArchiveError> {
     let manifest = Manifest::load(manifest_path)?;
-    let shards = read_shards(&manifest, manifest_path)?;
-    let m = manifest.m;
+    let mut shards = read_shards(&manifest, manifest_path)?;
+    let (k, m) = (manifest.k, manifest.m);
     let missing: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
     if missing.len() > m {
         return Err(ArchiveError::Unrecoverable {
@@ -460,62 +435,26 @@ pub fn repair(manifest_path: &Path) -> Result<usize, ArchiveError> {
             tolerance: m,
         });
     }
-    let coder = Dialga::new(manifest.k, m)?;
-    let mut suspects = missing.clone();
-    if suspects.is_empty() {
-        let refs: Vec<&[u8]> = shards
-            .iter()
-            .map(|s| s.as_ref().unwrap().as_slice())
-            .collect();
-        // Err(Corrupt) here means the scrub itself could not localize.
-        suspects = coder.scrub(&refs)?;
-        if suspects.is_empty() {
-            return Ok(0);
-        }
+    let coder = Dialga::new(k, m)?;
+    let named = decode_and_locate(&coder, &mut shards, &missing)?;
+    let mut rebuilt: Vec<usize> = missing.into_iter().chain(named.iter().copied()).collect();
+    if rebuilt.is_empty() {
+        return Ok(0);
     }
-    let evidence = match rebuild_verified(&coder, &shards, &suspects)? {
-        Rebuild::Verified(trial) => return persist(&manifest, manifest_path, &trial, &suspects),
-        Rebuild::Tainted(rows) => rows,
-    };
-    // A survivor is corrupt alongside the missing shards. Localize by
-    // erasing one extra survivor at a time, accepting only a *uniquely*
-    // verifying fix — which needs a spare parity constraint, the same
-    // `lost + 1 < m` bound as the pool's verified decode.
-    if missing.len() + 1 < m {
-        let mut fix: Option<(Shards, Vec<usize>)> = None;
-        for s in (0..shards.len()).filter(|i| !missing.contains(i)) {
-            let mut erase = missing.clone();
-            erase.push(s);
-            erase.sort_unstable();
-            if let Rebuild::Verified(trial) = rebuild_verified(&coder, &shards, &erase)? {
-                if fix.is_some() {
-                    fix = None; // ambiguous — refuse rather than guess
-                    break;
-                }
-                fix = Some((trial, erase));
-            }
+    if !named.is_empty() {
+        // The first decode read the corrupt survivors: redo it without.
+        rebuilt.sort_unstable();
+        for &i in &rebuilt {
+            shards[i] = None;
         }
-        if let Some((trial, rebuilt)) = fix {
-            return persist(&manifest, manifest_path, &trial, &rebuilt);
-        }
+        coder.decode(&mut shards)?;
     }
-    Err(dialga_ec::EcError::Corrupt { shards: evidence }.into())
-}
-
-/// Write the named rebuilt shards of a verified trial stripe to disk.
-/// Each shard lands atomically (temp + rename), so an interrupted repair
-/// can corrupt no shard it did not fully rebuild.
-fn persist(
-    manifest: &Manifest,
-    manifest_path: &Path,
-    trial: &[Option<Vec<u8>>],
-    rebuilt: &[usize],
-) -> Result<usize, ArchiveError> {
-    for &i in rebuilt {
-        write_file_atomic(
-            &manifest.shard_path(manifest_path, i),
-            trial[i].as_ref().unwrap(),
-        )?;
+    let refs = stripe_refs(&shards)?;
+    coder.verify(&refs[..k], &refs[k..])?;
+    // Each shard lands atomically (temp + rename): an interrupted repair
+    // can corrupt no shard it did not fully rebuild.
+    for &i in &rebuilt {
+        write_file_atomic(&manifest.shard_path(manifest_path, i), refs[i])?;
     }
     Ok(rebuilt.len())
 }
@@ -674,11 +613,12 @@ mod tests {
         let mut bytes = fs::read(&victim).unwrap();
         bytes[10] ^= 0x08;
         fs::write(&victim, bytes).unwrap();
-        // verify flags the corruption without pinning it; repair's
-        // leave-one-out pass (missing + 1 < m) rebuilds both shards.
+        // With missing + 1 < m a spare parity constraint is left: verify
+        // names the corrupt survivor and repair rebuilds both shards.
         let status = verify(&manifest_path).unwrap();
         assert_eq!(status.missing, vec![1]);
-        assert!(status.unlocalized);
+        assert_eq!(status.corrupt, vec![4]);
+        assert!(!status.unlocalized);
         assert_eq!(repair(&manifest_path).unwrap(), 2);
         assert!(verify(&manifest_path).unwrap().healthy());
         let out = restore(&manifest_path, Some(&dir.join("r.bin"))).unwrap();

@@ -54,45 +54,74 @@ fn scrub_localizes_every_single_shard_corruption() {
     }
 }
 
+/// Every erasure set of `size` shards out of `n`, ascending.
+fn erasure_sets(n: usize, size: usize) -> Vec<Vec<usize>> {
+    let mut sets = vec![Vec::new()];
+    for _ in 0..size {
+        sets = sets
+            .into_iter()
+            .flat_map(|set: Vec<usize>| {
+                let from = set.last().map_or(0, |&l| l + 1);
+                (from..n).map(move |i| [set.clone(), vec![i]].concat())
+            })
+            .collect();
+    }
+    sets
+}
+
 /// The pool's verified decode must reject a corrupted survivor with
-/// `EcError::Corrupt` naming exactly that shard — for every survivor
-/// position, with a data and a parity shard erased in turn. (One
-/// erasure for an m = 3 code leaves the spare parity constraint
-/// single-error localization needs.)
+/// `EcError::Corrupt` naming exactly that shard: every single erasure ×
+/// every corrupt survivor on (6,3) and (10,4), and every erased pair ×
+/// every corrupt survivor on (10,4) — |E| + 2 <= m leaves the spare
+/// parity constraint localization needs. One erasure more (|E| + 1 == m)
+/// is beyond the budget: still `Corrupt`, carrying the mismatching parity
+/// rows of the decoded stripe as evidence, never a name. `missed` counts
+/// corrupt survivors that decoded `Ok`, `wrong` any other answer; both
+/// must end at zero.
 #[test]
 fn decode_verified_names_the_corrupt_survivor() {
-    let coder = Dialga::new(6, 3).unwrap();
     let pool = EncodePool::new(4);
-    let clean = stripe(&coder, 2048 + 5, 3);
-    for lost in [0usize, 7] {
-        for corrupt in (0..9).filter(|&c| c != lost) {
-            let mut shards: Vec<Option<Vec<u8>>> = clean.iter().cloned().map(Some).collect();
-            shards[lost] = None;
-            if let Some(s) = shards[corrupt].as_mut() {
-                flip_byte(s, 1000, 0x20);
-            }
-            match pool.decode_verified(&coder, &mut shards) {
-                Err(EcError::Corrupt { shards: bad }) => {
-                    assert_eq!(bad, vec![corrupt], "lost={lost}: wrong localization");
+    let (mut missed, mut wrong) = (Vec::new(), Vec::new());
+    for (k, m) in [(6usize, 3usize), (10, 4)] {
+        let coder = Dialga::new(k, m).unwrap();
+        let n = k + m;
+        let clean = stripe(&coder, 2048 + 5, 3);
+        for size in 1..m {
+            let localizable = size + 2 <= m;
+            for lost in erasure_sets(n, size) {
+                for corrupt in (0..n).filter(|c| !lost.contains(c)) {
+                    let mut shards: Vec<Option<Vec<u8>>> =
+                        clean.iter().cloned().map(Some).collect();
+                    for &l in &lost {
+                        shards[l] = None;
+                    }
+                    if let Some(s) = shards[corrupt].as_mut() {
+                        flip_byte(s, 1000, 0x20);
+                    }
+                    let got = pool.decode_verified(&coder, &mut shards);
+                    let want = if localizable {
+                        Err(EcError::Corrupt {
+                            shards: vec![corrupt],
+                        })
+                    } else {
+                        let full: Vec<&[u8]> = shards.iter().flatten().map(Vec::as_slice).collect();
+                        coder.verify(&full[..k], &full[k..])
+                    };
+                    let case = format!("k={k} m={m} lost={lost:?} corrupt={corrupt}: {got:?}");
+                    if got.is_ok() {
+                        missed.push(case);
+                    } else if got != want {
+                        wrong.push(case);
+                    }
                 }
-                other => panic!("lost={lost}: corrupt survivor {corrupt} not rejected: {other:?}"),
             }
         }
     }
-    // At `lost + 1 == m` the corruption is detectable but cannot be
-    // localized: every leave-one-out trial uses all remaining shards as
-    // survivors, so Corrupt carries the parity-row evidence instead.
-    let mut shards: Vec<Option<Vec<u8>>> = clean.iter().cloned().map(Some).collect();
-    shards[0] = None;
-    shards[7] = None;
-    if let Some(s) = shards[2].as_mut() {
-        flip_byte(s, 77, 0x10);
-    }
-    assert!(matches!(
-        pool.decode_verified(&coder, &mut shards),
-        Err(EcError::Corrupt { .. })
-    ));
+    assert!(missed.is_empty(), "not rejected: {missed:?}");
+    assert!(wrong.is_empty(), "wrong localization: {wrong:?}");
     // And a clean stripe decodes verified, bit-exactly.
+    let coder = Dialga::new(6, 3).unwrap();
+    let clean = stripe(&coder, 2048 + 5, 3);
     let mut shards: Vec<Option<Vec<u8>>> = clean.iter().cloned().map(Some).collect();
     shards[0] = None;
     shards[7] = None;
