@@ -70,13 +70,11 @@ pub fn eq1_max_distance(threads: usize, k: usize, buffer_bytes: u64, unit_bytes:
     d.clamp((k as u64).min(CEILING), CEILING) as u32
 }
 
-/// Read-only snapshot of coordinator activity, consumed by telemetry and
-/// the workload harness's convergence-after-shift reporting: a workload
-/// shift is "converged" once no further policy change lands, so the
-/// interesting quantities are how many changes have happened and when the
-/// newest one did (on the owning pool's [`clock_ns`] timeline).
-///
-/// [`clock_ns`]: crate::pool::EncodePool::clock_ns
+/// Read-only snapshot of coordinator activity, read by the benchmark's
+/// `core.coordinator.*` metrics: the coordinator has settled once no
+/// further policy change lands, so the interesting quantities are how many
+/// changes have happened and when the newest one did (nanoseconds since
+/// the owning pool's construction; `settle_ms`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoordinatorSnapshot {
     /// Samples taken so far.
@@ -224,8 +222,8 @@ impl Coordinator {
         self.samples
     }
 
-    /// Stat snapshot for telemetry and the workload harness's
-    /// convergence-after-shift measurement (see [`CoordinatorSnapshot`]).
+    /// Stat snapshot for telemetry and the benchmark's
+    /// `core.coordinator.*` metrics (see [`CoordinatorSnapshot`]).
     pub fn snapshot(&self) -> CoordinatorSnapshot {
         CoordinatorSnapshot {
             samples: self.samples,

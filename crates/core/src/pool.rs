@@ -772,18 +772,11 @@ impl EncodePool {
     }
 
     /// Stat snapshot of the attached coordinator (`None` without one).
-    /// Its timestamps are on the [`EncodePool::clock_ns`] timeline, so
-    /// `clock_ns() - snapshot.last_change_ns` is the age of the newest
-    /// policy change (how the workload harness measures re-convergence).
+    /// Its timestamps are nanoseconds since this pool's construction, so
+    /// `last_change_ns` is how long after start the newest policy change
+    /// landed (the benchmark's `core.coordinator.settle_ms`).
     pub fn coordinator_snapshot(&self) -> Option<crate::coordinator::CoordinatorSnapshot> {
         self.with_coord(Coordinator::snapshot)
-    }
-
-    /// Nanoseconds since this pool's construction — the clock that stamps
-    /// coordinator ticks, policy-log entries and
-    /// [`EncodePool::coordinator_snapshot`] timestamps.
-    pub fn clock_ns(&self) -> f64 {
-        self.shared.origin.elapsed().as_nanos() as f64
     }
 
     /// Timestamped policy changes the coordinator recorded (empty without a

@@ -172,64 +172,6 @@ impl FaultPlan {
     }
 }
 
-/// A phase-scoped chaos script: named workload phases, each with its own
-/// [`FaultPlan`]. The workload replayer arms the matching plan when a
-/// phase begins and disarms at the phase boundary, so every injected
-/// fault stays attributable to the phase that scripted it. Phases with
-/// no entry (or an empty plan) run clean.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultSchedule {
-    phases: Vec<(String, FaultPlan)>,
-}
-
-impl FaultSchedule {
-    /// An empty schedule (every phase runs clean).
-    pub fn new() -> Self {
-        FaultSchedule::default()
-    }
-
-    /// Builder-style: script `plan` for the phase named `phase`. A
-    /// repeated name replaces the earlier plan.
-    pub fn with_phase(mut self, phase: &str, plan: FaultPlan) -> Self {
-        match self.phases.iter_mut().find(|(name, _)| name == phase) {
-            Some((_, existing)) => *existing = plan,
-            None => self.phases.push((phase.to_string(), plan)),
-        }
-        self
-    }
-
-    /// The plan scripted for `phase`, if a non-empty one exists.
-    pub fn plan_for(&self, phase: &str) -> Option<&FaultPlan> {
-        self.phases
-            .iter()
-            .find(|(name, _)| name == phase)
-            .map(|(_, plan)| plan)
-            .filter(|plan| !plan.is_empty())
-    }
-
-    /// True when no phase scripts any fault.
-    pub fn is_empty(&self) -> bool {
-        self.phases.iter().all(|(_, plan)| plan.is_empty())
-    }
-
-    /// Scheduled `(phase, plan)` pairs in insertion order.
-    pub fn phases(&self) -> impl Iterator<Item = (&str, &FaultPlan)> {
-        self.phases.iter().map(|(n, p)| (n.as_str(), p))
-    }
-
-    /// Derive a deterministic schedule from `seed`: one seeded pool plan
-    /// per named phase, each drawn from an independent substream so
-    /// adding or renaming one phase does not reshuffle the others.
-    pub fn seeded(seed: u64, workers: usize, phase_names: &[&str]) -> Self {
-        let mut sched = FaultSchedule::new();
-        for (i, name) in phase_names.iter().enumerate() {
-            let sub = seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            sched = sched.with_phase(name, FaultPlan::seeded(sub, workers));
-        }
-        sched
-    }
-}
-
 /// Counter state for an armed plan. Lives behind the cell's mutex, so
 /// plain integers suffice; hooks only reach here after observing a
 /// non-zero generation word.
@@ -577,43 +519,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn schedule_scopes_plans_to_named_phases() {
-        let spike = FaultPlan::new().with(Fault::SampleSpike {
-            nth_sample: 0,
-            factor: 2.0,
-        });
-        let sched = FaultSchedule::new()
-            .with_phase("burst", spike.clone())
-            .with_phase("steady", FaultPlan::new());
-        assert_eq!(sched.plan_for("burst"), Some(&spike));
-        assert_eq!(sched.plan_for("steady"), None, "empty plan = clean phase");
-        assert_eq!(sched.plan_for("absent"), None);
-        assert!(!sched.is_empty());
-        assert_eq!(sched.phases().count(), 2);
-        // Re-scripting a phase replaces, never duplicates.
-        let replaced = sched.with_phase("burst", FaultPlan::new());
-        assert_eq!(replaced.plan_for("burst"), None);
-        assert!(replaced.is_empty());
-    }
-
-    #[test]
-    fn seeded_schedules_are_deterministic_with_independent_phases() {
-        let a = FaultSchedule::seeded(9, 4, &["warm", "shift", "drain"]);
-        let b = FaultSchedule::seeded(9, 4, &["warm", "shift", "drain"]);
-        assert_eq!(a, b);
-        assert!(a.plan_for("warm").is_some());
-        // Truncating the phase list must not reshuffle surviving phases.
-        let shorter = FaultSchedule::seeded(9, 4, &["warm", "shift"]);
-        assert_eq!(shorter.plan_for("warm"), a.plan_for("warm"));
-        assert_eq!(shorter.plan_for("shift"), a.plan_for("shift"));
-        assert_ne!(
-            FaultSchedule::seeded(10, 4, &["warm"]).plan_for("warm"),
-            a.plan_for("warm"),
-            "different seeds should disagree somewhere"
-        );
     }
 
     #[test]

@@ -85,8 +85,7 @@ pub fn workspace_config() -> Config {
             // The service layer composes pool submissions; all raw-span
             // handling stays inside the pool it drives.
             "crates/service/src/lib.rs",
-            // The workload harness is pure trace generation + replay over
-            // the service/pool public APIs; nothing in it touches spans.
+            // The benchmark tests' JSON reader: string parsing only.
             "crates/workload/src/lib.rs",
             // The journaled stripe store is pure byte-slice code over the
             // PmImage trait; crash consistency comes from the protocol,
@@ -219,7 +218,6 @@ pub fn workspace_config() -> Config {
             "crates/ec/src/",
             "crates/memsim/src/",
             "crates/pipeline/src/",
-            "crates/workload/src/",
             "crates/store/src/",
         ]),
         // The R8 lock graph: every Mutex in the pool/service/fault paths,

@@ -221,8 +221,8 @@ const LAT_BUCKETS: usize = 128;
 /// `Relaxed` tallies by the same protocol as the pool counters (lint R3).
 /// Quantiles resolve to the *upper bound* of the crossing bucket, so a
 /// reported p99 over-estimates by at most one half-octave (≤ 50 %) —
-/// ample resolution for the regime classification the workload harness
-/// performs, at zero cost on the completion path.
+/// ample resolution for the per-class quantiles [`StripeService::stats`]
+/// reports, at zero cost on the completion path.
 pub(crate) struct LatencyHist {
     bucket: [AtomicU64; LAT_BUCKETS],
     count: AtomicU64,
@@ -792,13 +792,6 @@ impl StripeService {
         self.shards
             .get(shard)
             .and_then(|s| s.coordinator_snapshot())
-    }
-
-    /// Monotonic nanoseconds on one shard's pool clock — the clock that
-    /// [`dialga::CoordinatorSnapshot::last_change_ns`] timestamps are
-    /// measured on (`None` if out of range).
-    pub fn shard_clock_ns(&self, shard: usize) -> Option<f64> {
-        self.shards.get(shard).map(|s| s.clock_ns())
     }
 
     /// Arm a deterministic fault plan inside one shard's pool; other

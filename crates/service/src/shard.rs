@@ -234,8 +234,8 @@ pub(crate) struct Shard {
     /// Queued-request count, readable without the lock (shard selection
     /// and spill decisions poll it from other threads).
     occupancy: AtomicU64,
-    /// High-water mark of `occupancy` since construction (queue-depth
-    /// telemetry for the workload harness; advisory, `Relaxed`).
+    /// High-water mark of `occupancy` since construction (the benchmark's
+    /// `service.queue_peak`; advisory, `Relaxed`).
     occupancy_peak: AtomicU64,
     queue_depth: usize,
     counters: Arc<ServiceCounters>,
@@ -356,10 +356,6 @@ impl Shard {
 
     pub(crate) fn coordinator_snapshot(&self) -> Option<dialga::CoordinatorSnapshot> {
         self.pool.coordinator_snapshot()
-    }
-
-    pub(crate) fn clock_ns(&self) -> f64 {
-        self.pool.clock_ns()
     }
 
     pub(crate) fn traces(&self) -> Vec<TraceEntry> {

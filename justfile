@@ -51,8 +51,8 @@ tier-sweep:
     cargo test -q -p dialga --test tiers -- --nocapture
 
 # Every crate's unit, integration and doc tests — gf, ec, memsim,
-# pipeline, service, store, workload, testkit and the lint fixtures run
-# nowhere else; the root `cargo test` is the facade package only
+# pipeline, service, store, testkit, the JSON reader and the lint fixtures
+# run nowhere else; the root `cargo test` is the facade package only
 # (a stage of `just lint`)
 workspace-test:
     cargo test -q --workspace
@@ -70,6 +70,7 @@ figures:
 
 # Regenerate every simulated table at its default size and compare with
 # the committed results/*.csv byte for byte (~2 min, 111 s measured on the
-# 2-vCPU box; a stage of `just lint` runs the sub-second tables only)
+# 2-vCPU box; a stage of `just lint` runs all but the six slow ones,
+# fig10-fig15)
 figures-check:
     cargo run --release -p dialga-bench --bin figures -- --check

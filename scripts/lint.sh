@@ -50,13 +50,13 @@ echo "== crash smoke (every (4,2) persist boundary, sampled wide-code sweeps) ==
 # small default here. `just crash` runs the widened sweep.
 cargo test -q --test crash
 
-echo "== figures --check (the sub-second simulated tables against results/*.csv) =="
+echo "== figures --check (15 of the 21 simulated tables against results/*.csv) =="
 # Byte-for-byte: a model change that moves a committed number fails here
-# until results/ and EXPERIMENTS.md are regenerated. `just figures-check`
-# covers the five slow tables (fig10-fig14) as well: all 21 in ~2 min
-# (111 s measured on this 2-vCPU box).
+# until results/ and EXPERIMENTS.md are regenerated. Every table here takes
+# under 2 s; `just figures-check` covers the six slow ones (fig10-fig15,
+# 12-90 s each) as well: all 21 in ~2 min (111 s on a 2-vCPU host).
 cargo run -q --release -p dialga-bench --bin figures -- --check \
-    fig03 fig05 fig06 fig16 fig17 fig18 fig19 generality \
+    fig03 fig04 fig05 fig06 fig07 fig16 fig17 fig18 fig19 generality \
     ablation_switch ablation_eq1 ablation_distance update_path repair_path
 
 echo "lint OK"

@@ -12,12 +12,17 @@
 //!    capacity**: the follow-up succeeds, matches the reference, and
 //!    `workers_alive` is back to `threads()`.
 //!
+//! The same plans armed inside a `StripeService`'s shards must never let
+//! a scrub pass a corrupted stripe.
+//!
 //! The corpus is fixed so failures replay exactly; the whole suite is
 //! sized to stay well under the 5 s `just chaos` budget.
 
-use dialga_faultkit::{Fault, FaultPlan};
+use dialga_faultkit::{flip_byte, Fault, FaultPlan};
+use dialga_repro::ec::EcError;
 use dialga_repro::scheduler::encoder::Dialga;
 use dialga_repro::scheduler::{Coordinator, EncodePool};
+use dialga_repro::service::{ServiceConfig, ServiceError, StripeService};
 
 const K: usize = 6;
 const M: usize = 3;
@@ -152,4 +157,96 @@ fn coordinator_sample_spike_does_not_change_bytes() {
     }
     assert!(pool.coordinator_samples() > 0, "the coordinator ticked");
     assert_recovered(&pool, &coder, &refs, &parity);
+}
+
+/// Pool fault plans armed on every shard of a service: a scrub of a
+/// corrupted stripe resolves to an error (`Corrupt` naming the victim, or
+/// the fault's own typed error) and never to `Ok`; a clean one is never
+/// reported corrupt. Disarmed, both answers are exact again.
+#[test]
+fn chaos_armed_scrubs_never_pass_a_corrupted_stripe() {
+    let coder = Dialga::new(K, M).unwrap();
+    let data = make_data(31);
+    let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+    let parity = coder.encode_vec(&refs).unwrap();
+    let full: Vec<Vec<u8>> = data.iter().chain(parity.iter()).cloned().collect();
+    let corrupted = |victim: usize| {
+        let mut shards = full.clone();
+        flip_byte(&mut shards[victim], 97 * victim, 0x5A);
+        shards
+    };
+    // Two data victims and two parity victims.
+    let victims = [1usize, K - 1, K, K + M - 1];
+    let svc = StripeService::new(ServiceConfig {
+        shards: 2,
+        threads_per_shard: 2,
+        k: K,
+        m: M,
+        block_bytes: LEN as u64,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let retries = || -> u64 {
+        (0..svc.shards())
+            .filter_map(|s| svc.shard_pool_stats(s))
+            .map(|p| p.batch_retries)
+            .sum()
+    };
+
+    // The seeded corpus, plus one plan that outlasts the pool's retries:
+    // both executors panic on their first six chunks, so the first scrubs
+    // resolve to the fault's own error rather than to a verdict.
+    let exhausting = (0..2)
+        .flat_map(|worker| (0..6).map(move |nth_chunk| Fault::WorkerPanic { worker, nth_chunk }))
+        .fold(FaultPlan::new(), FaultPlan::with);
+    let plans = SEEDS
+        .iter()
+        .map(|&seed| FaultPlan::seeded(seed, 2))
+        .chain([exhausting]);
+    let mut fault_errors = 0;
+
+    for (p, plan) in plans.enumerate() {
+        let retries_before = retries();
+        for shard in 0..svc.shards() {
+            assert!(svc.arm_shard_faults(shard, &plan));
+        }
+        let mut tickets = Vec::new();
+        for (tenant, &victim) in victims.iter().enumerate() {
+            let tenant = tenant as u32;
+            tickets.push((None, svc.submit_scrub(tenant, full.clone(), None)));
+            tickets.push((
+                Some(victim),
+                svc.submit_scrub(tenant, corrupted(victim), None),
+            ));
+        }
+        for (victim, ticket) in tickets {
+            let reply = ticket.unwrap().wait();
+            match (victim, reply) {
+                (Some(v), Ok(_)) => panic!("plan {p}: corrupted shard {v} passed the scrub"),
+                (Some(v), Err(ServiceError::Coding(EcError::Corrupt { shards }))) => {
+                    assert_eq!(shards, vec![v], "plan {p}: wrong shard named");
+                }
+                (None, Err(ServiceError::Coding(EcError::Corrupt { shards }))) => {
+                    panic!("plan {p}: clean stripe reported corrupt at {shards:?}")
+                }
+                (_, Err(_)) => fault_errors += 1,
+                (None, Ok(_)) => {}
+            }
+        }
+
+        assert!(retries() > retries_before, "plan {p}: no fault fired");
+        for shard in 0..svc.shards() {
+            assert!(svc.disarm_shard_faults(shard));
+        }
+        let clean = svc.submit_scrub(0, full.clone(), None).unwrap().wait();
+        assert_eq!(clean, Ok(Vec::new()), "plan {p}");
+        for &victim in &victims {
+            let reply = svc.submit_scrub(0, corrupted(victim), None).unwrap().wait();
+            let named = EcError::Corrupt {
+                shards: vec![victim],
+            };
+            assert_eq!(reply, Err(ServiceError::Coding(named)), "plan {p}");
+        }
+    }
+    assert!(fault_errors > 0, "no plan outlasted the pool's retries");
 }

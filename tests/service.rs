@@ -8,7 +8,8 @@
 //!    the saturator's whole backlog;
 //! 3. **backpressure**: a full admission queue rejects at submit time and
 //!    deadline-carrying requests expire instead of being served late —
-//!    the service never blocks a submitter;
+//!    the service never blocks a submitter, and the per-class latency
+//!    quantiles include time spent queued;
 //! 4. **chaos isolation**: a fault plan armed inside one shard leaves the
 //!    other shards serving bit-exact results;
 //! 5. **who dispatches** (PR 23): four clients on one shard are bit-exact
@@ -21,7 +22,7 @@
 use dialga_faultkit::{Fault, FaultPlan};
 use dialga_repro::scheduler::encoder::Dialga;
 use dialga_repro::service::{ServiceConfig, ServiceError, StripeService};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const K: usize = 6;
 const M: usize = 3;
@@ -203,6 +204,57 @@ fn backpressure_rejects_and_expires_instead_of_blocking() {
     // The shard is still healthy for fresh traffic.
     let fresh = svc.submit_encode(1, make_stripe(512, 99), None).unwrap();
     assert!(fresh.wait().is_ok());
+}
+
+/// Pause dispatch, park a batch of encodes behind the pause for a known
+/// delay, then resume: every op's latency includes the delay, so the
+/// encode class's p50 and p99 must bracket it (lower bound: the delay
+/// itself; upper bound: a generous 8x for the drain).
+#[test]
+fn per_class_latency_brackets_injected_service_delay() {
+    let svc = StripeService::new(ServiceConfig {
+        threads_per_shard: 1,
+        queue_depth: 64,
+        ..cfg(1)
+    })
+    .unwrap();
+    let delay = Duration::from_millis(60);
+
+    svc.set_paused(true);
+    let tickets: Vec<_> = (0..12)
+        .map(|i| {
+            svc.submit_encode(i % 4, make_stripe(4096, i as usize), None)
+                .expect("paused submits are queued, not rejected")
+        })
+        .collect();
+    let parked_at = Instant::now();
+    std::thread::sleep(delay);
+    svc.set_paused(false);
+    for ticket in tickets {
+        ticket.wait().expect("encode completes after resume");
+    }
+    let drained = parked_at.elapsed();
+
+    let stats = svc.stats();
+    let encode = stats
+        .classes
+        .iter()
+        .find(|c| c.op == "encode")
+        .expect("encode class present");
+    assert_eq!(encode.count, 12, "every encode recorded exactly once");
+    let delay_us = delay.as_secs_f64() * 1e6;
+    let ceiling_us = (drained.as_secs_f64() * 1e6 * 8.0).max(8.0 * delay_us);
+    assert!(
+        encode.p50_us >= delay_us,
+        "p50 {:.1} us cannot undercut the {delay_us:.0} us injected delay",
+        encode.p50_us
+    );
+    assert!(
+        encode.p50_us <= encode.p99_us && encode.p99_us <= ceiling_us,
+        "p50 {:.1} us, p99 {:.1} us: not monotone or past the {ceiling_us:.0} us bracket",
+        encode.p50_us,
+        encode.p99_us
+    );
 }
 
 #[test]
