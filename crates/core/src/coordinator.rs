@@ -70,11 +70,11 @@ pub fn eq1_max_distance(threads: usize, k: usize, buffer_bytes: u64, unit_bytes:
     d.clamp((k as u64).min(CEILING), CEILING) as u32
 }
 
-/// Read-only snapshot of coordinator activity, read by the benchmark's
-/// `core.coordinator.*` metrics: the coordinator has settled once no
-/// further policy change lands, so the interesting quantities are how many
-/// changes have happened and when the newest one did (nanoseconds since
-/// the owning pool's construction; `settle_ms`).
+/// Read-only snapshot of coordinator activity (the benchmark's
+/// `memsim.policy_changes` sums its `policy_changes` over the simulated
+/// points): the coordinator has settled once no further policy change
+/// lands, so the interesting quantities are how many changes have happened
+/// and when the newest one did.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoordinatorSnapshot {
     /// Samples taken so far.
@@ -120,11 +120,6 @@ pub struct Coordinator {
     /// Timestamped policy changes (ring buffer of the most recent
     /// [`LOG_CAP`]), for tracing/telemetry.
     log: VecDeque<(f64, Policy)>,
-    /// Deterministic fault cell shared with the owning pool (see
-    /// [`crate::pool::EncodePool::arm_faults`]); scripted sample spikes
-    /// multiply the observed load latency to provoke policy churn.
-    #[cfg(feature = "fault-injection")]
-    fault: Option<std::sync::Arc<dialga_faultkit::FaultCell>>,
 }
 
 /// Maximum retained policy-log entries (oldest are evicted first).
@@ -134,7 +129,7 @@ impl Coordinator {
     /// Build a coordinator for one encoding configuration. The static
     /// I/O-pattern rules of §4.1 pick the initial policy; sampling then
     /// adapts it.
-    pub fn new(k: usize, _m: usize, _block: u64, threads: usize, cfg: &MachineConfig) -> Self {
+    pub fn new(k: usize, threads: usize, cfg: &MachineConfig) -> Self {
         let wide_stripe = k > cfg.prefetcher.streams;
         let high_threads = threads > THREAD_THRESHOLD;
         let d_max = eq1_max_distance(threads, k, cfg.pm.read_buffer_bytes, cfg.pm.unit_bytes);
@@ -182,17 +177,7 @@ impl Coordinator {
             changes: 0,
             last_change_ns: None,
             log: VecDeque::new(),
-            #[cfg(feature = "fault-injection")]
-            fault: None,
         }
-    }
-
-    /// Attach the pool's shared fault cell so scripted sample spikes
-    /// reach this coordinator. Hooks stay one disarmed atomic load when
-    /// no plan is armed.
-    #[cfg(feature = "fault-injection")]
-    pub fn set_fault_cell(&mut self, cell: std::sync::Arc<dialga_faultkit::FaultCell>) {
-        self.fault = Some(cell);
     }
 
     /// Change the sampling interval (and realign the next sample).
@@ -252,14 +237,7 @@ impl Coordinator {
         if delta.loads == 0 {
             return None;
         }
-        #[allow(unused_mut)]
-        let mut latency = delta.avg_load_latency_ns(self.l2_hit_ns);
-        // Scripted fault: inflate this sample's observed latency, as a PM
-        // pressure transient would, and let the policy react.
-        #[cfg(feature = "fault-injection")]
-        if let Some(factor) = self.fault.as_ref().and_then(|f| f.on_sample()) {
-            latency *= factor;
-        }
+        let latency = delta.avg_load_latency_ns(self.l2_hit_ns);
         let useless = (delta.useless_prefetches + delta.late_prefetches) as f64;
 
         // First sample establishes the low-pressure baselines (§4.1).
@@ -404,7 +382,7 @@ mod tests {
 
     #[test]
     fn initial_policy_low_pressure() {
-        let c = Coordinator::new(12, 4, 1024, 1, &cfg());
+        let c = Coordinator::new(12, 1, &cfg());
         let p = c.policy();
         assert!(!p.hw_suppressed);
         assert!(!p.knobs.shuffle);
@@ -415,7 +393,7 @@ mod tests {
 
     #[test]
     fn initial_policy_high_concurrency() {
-        let c = Coordinator::new(28, 4, 1024, 16, &cfg());
+        let c = Coordinator::new(28, 16, &cfg());
         let p = c.policy();
         assert!(p.hw_suppressed, "threads > 12 must suppress HW prefetch");
         assert!(p.knobs.shuffle);
@@ -425,14 +403,14 @@ mod tests {
 
     #[test]
     fn wide_stripe_needs_no_management() {
-        let c = Coordinator::new(48, 4, 1024, 1, &cfg());
+        let c = Coordinator::new(48, 1, &cfg());
         assert!(!c.policy().hw_suppressed, "prefetcher silences itself");
         assert!(c.policy().knobs.d.is_some());
     }
 
     #[test]
     fn sampling_detects_contention_and_suppresses_hw() {
-        let mut c = Coordinator::new(12, 4, 1024, 4, &cfg());
+        let mut c = Coordinator::new(12, 4, &cfg());
         c.sample_interval_ns = 1000.0;
         c.next_sample_ns = 1000.0;
         // Baseline interval: calm (100 ns/load).
@@ -463,7 +441,7 @@ mod tests {
 
     #[test]
     fn distance_respects_eq1_under_many_threads() {
-        let mut c = Coordinator::new(28, 4, 1024, 16, &cfg());
+        let mut c = Coordinator::new(28, 16, &cfg());
         c.sample_interval_ns = 1000.0;
         c.next_sample_ns = 1000.0;
         let mut ctr = Counters::default();
@@ -480,7 +458,7 @@ mod tests {
 
     #[test]
     fn policy_log_records_changes_with_timestamps() {
-        let mut c = Coordinator::new(12, 4, 1024, 4, &cfg());
+        let mut c = Coordinator::new(12, 4, &cfg());
         c.set_sample_interval(1000.0);
         let mut ctr = Counters {
             loads: 1000,
@@ -503,7 +481,7 @@ mod tests {
 
     #[test]
     fn policy_log_retains_newest_past_capacity() {
-        let mut c = Coordinator::new(12, 4, 1024, 4, &cfg());
+        let mut c = Coordinator::new(12, 4, &cfg());
         c.set_sample_interval(1000.0);
         let mut ctr = Counters::default();
         let mut now = 0.0;
@@ -541,7 +519,7 @@ mod tests {
 
     #[test]
     fn snapshot_tracks_change_count_and_newest_timestamp() {
-        let mut c = Coordinator::new(12, 4, 1024, 4, &cfg());
+        let mut c = Coordinator::new(12, 4, &cfg());
         c.set_sample_interval(1000.0);
         let snap = c.snapshot();
         assert_eq!(snap.samples, 0);
@@ -571,7 +549,7 @@ mod tests {
 
     #[test]
     fn no_sample_before_interval() {
-        let mut c = Coordinator::new(12, 4, 1024, 1, &cfg());
+        let mut c = Coordinator::new(12, 1, &cfg());
         let ctr = Counters::default();
         assert!(c.on_tick(10.0, &ctr).is_none());
         assert_eq!(c.samples(), 0);

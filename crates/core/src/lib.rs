@@ -11,7 +11,7 @@
 //!   size, thread count) and switches prefetch strategy with threshold
 //!   heuristics (110 % load-latency threshold, 150 % useless-prefetch
 //!   threshold, 12-thread concurrency threshold) plus hill climbing
-//!   ([`hillclimb`]) for the software prefetch distance;
+//!   ([`hillclimb`]) for the software prefetch distance — on the simulator;
 //! * the **lightweight operator** ([`operator`]) — the static shuffle
 //!   mapping that silences the L2 stream prefetcher from userspace, and the
 //!   branchless prefetch-pointer construction of Fig. 9;
@@ -26,11 +26,12 @@
 //!   (bit-exact with `dialga-ec`), whose kernels really are row-pipelined
 //!   and emit real `prefetcht0` hints on x86-64;
 //! * [`source::DialgaSource`] — the *timed* coupling to the PM simulator,
-//!   used by every figure reproduction.
+//!   used by every figure reproduction, and the only place the coordinator
+//!   runs: it samples PMU counters on PM, and the host has neither.
 //!
 //! Multi-threaded encoding goes through the persistent executor pool of
 //! [`pool::EncodePool`] (the submitting thread plus long-lived workers,
-//! batch submission, live coordinator-driven knob propagation).
+//! batch submission; every chunk runs its coder's schedule).
 
 pub mod coordinator;
 pub mod encoder;

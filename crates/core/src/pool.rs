@@ -1,9 +1,8 @@
 //! Persistent worker-pool encoding engine: one `Plan → run_jobs` pipeline
 //! whose first executor is the calling thread.
 //!
-//! The paper encodes with up to 18 threads (§5), runs its "lightweight
-//! operator" (§4.2) on the calling thread at no per-call cost, and samples
-//! counters at 1 kHz to retune the prefetcher knobs (§4.1). All three need
+//! The paper encodes with up to 18 threads (§5) and runs its "lightweight
+//! operator" (§4.2) on the calling thread at no per-call cost. Both need
 //! long-lived executors: at the paper's 4 KiB blocks a thread spawn — or
 //! even a queue hand-off — costs as much as the encode itself.
 //!
@@ -20,22 +19,21 @@
 //!   through the same `run_chunk` body, and only then waits. A batch of
 //!   one chunk — and every batch on a pool of 1 — is a direct kernel
 //!   call: nothing queued, no latch allocated, no thread woken.
-//! * **Live coordinator.** [`EncodePool::with_coordinator`] drives
-//!   [`Coordinator::on_tick`] from the executors, and updated [`Knobs`]
-//!   reach every executor at chunk granularity through a packed atomic
-//!   cell — decode and repair included, since all share one kernel.
+//! * **The coder's schedule.** Every chunk runs the [`Knobs`] its job's
+//!   coder carries (`Dialga::sched()`); the pool has no schedule of its
+//!   own. The paper's coordinator (§4.1) retunes that schedule from PMU
+//!   counters on PM; the host has neither, so the coordinator runs on the
+//!   simulator ([`crate::source::DialgaSource`]).
 //!
 //! Results are bit-exact with serial encoding/decoding for every executor
 //! count: Reed–Solomon is independent per row, so any horizontal split is
 //! exact, and scheduling knobs never change the bytes produced.
 
-use crate::coordinator::Coordinator;
 use crate::encoder::{Dialga, DEFAULT_BATCH_RETRIES};
 use dialga_ec::{EcError, Lrc};
 #[cfg(feature = "fault-injection")]
 use dialga_faultkit::{ChunkFault, FaultCell, FaultPlan};
 use dialga_gf::tables::NibbleTables;
-use dialga_memsim::Counters;
 use dialga_pipeline::Knobs;
 use std::ops::Range;
 use std::ptr::NonNull;
@@ -91,53 +89,16 @@ pub struct DecodeJob<'a> {
     pub shards: &'a mut [Option<Vec<u8>>],
 }
 
-/// A distance field of the packed knob word that holds no distance.
-const NO_DISTANCE: u64 = 0xFFFF;
-
-/// The knob word of a pool without a coordinator: nothing is published,
-/// every chunk runs its coder's own schedule. No [`pack_knobs`] result.
-const NO_KNOBS: u64 = u64::MAX;
-
-/// The whole schedule in one word: `d` in bits 0–15, `d_long` in 16–31
-/// (distances saturate below [`NO_DISTANCE`]), `shuffle` in bit 32.
-fn pack_knobs(k: &Knobs) -> u64 {
-    let field = |d: Option<u32>| d.map_or(NO_DISTANCE, |d| (d as u64).min(NO_DISTANCE - 1));
-    field(k.d) | (field(k.d_long) << 16) | ((k.shuffle as u64) << 32)
-}
-
-fn unpack_knobs(v: u64) -> Knobs {
-    let field = |f: u64| (f & 0xFFFF != NO_DISTANCE).then_some((f & 0xFFFF) as u32);
-    Knobs {
-        d: field(v),
-        d_long: field(v >> 16),
-        shuffle: v & (1 << 32) != 0,
-    }
-}
-
-/// The schedule a chunk runs, whole: the coordinator's published word when
-/// the pool has one, else the coder's own — never a mix of the two.
-fn chunk_sched(word: u64, coder: Knobs) -> Knobs {
-    if word == NO_KNOBS {
-        coder
-    } else {
-        unpack_knobs(word)
-    }
-}
-
-/// Live counters the pool accumulates (field for field what [`PoolStats`]
-/// snapshots); the coordinator samples these the way the paper samples PMU
-/// counters. Pure monotonic tallies — no reader derives control flow from
-/// their relative order — so all `Relaxed`.
+/// Live counters the pool accumulates (what [`PoolStats`] snapshots).
+/// Pure monotonic tallies — no reader derives control flow from their
+/// relative order — so all `Relaxed`.
 #[derive(Default)]
 struct PoolCounters {
     loads: AtomicU64,
     busy_ns: AtomicU64,
-    stall_ns: AtomicU64,
     chunks: AtomicU64,
     stripes: AtomicU64,
     dispatches: AtomicU64,
-    knob_switches: AtomicU64,
-    policy_changes: AtomicU64,
     worker_deaths: AtomicU64,
     worker_respawns: AtomicU64,
     batch_retries: AtomicU64,
@@ -150,11 +111,9 @@ pub struct PoolStats {
     pub loads: u64,
     /// Nanoseconds executors spent inside encode kernels.
     pub busy_ns: u64,
-    /// Estimated nanoseconds of `busy_ns` spent stalled on memory rather
-    /// than computing: per chunk, the excess of its wall time over the
-    /// fastest per-load cost the pool has observed. This — not `busy_ns`,
-    /// which charges kernel compute time to memory — is what the
-    /// coordinator consumes as `demand_stall_ns`.
+    /// Always 0: the pool measures no memory stall (it has no PMU). The
+    /// field stays only because the benchmark still reads it; ROADMAP.md
+    /// item 1e deletes that read, and then this field.
     pub stall_ns: u64,
     /// Chunks executed (by workers and by submitting threads alike).
     pub chunks: u64,
@@ -162,11 +121,11 @@ pub struct PoolStats {
     pub stripes: u64,
     /// Batch submissions.
     pub dispatches: u64,
-    /// Knob changes observed by executors between consecutive chunks
-    /// (policy changes that actually reached an executor mid-run).
+    /// Always 0: every chunk runs its coder's schedule, so no executor
+    /// ever switches knobs mid-run. The field stays only because the
+    /// benchmark still reads it; ROADMAP.md item 1e deletes that read, and
+    /// then this field.
     pub knob_switches: u64,
-    /// Coordinator policy changes published to executors.
-    pub policy_changes: u64,
     /// Workers observed dead during healing (a worker that dies and is
     /// respawned counts once here and once in `worker_respawns`).
     pub worker_deaths: u64,
@@ -182,54 +141,11 @@ pub struct PoolStats {
 
 /// State shared between the pool handle and its workers.
 struct PoolShared {
-    /// Packed current [`Knobs`] (see [`pack_knobs`]; [`NO_KNOBS`] on a pool
-    /// without a coordinator) — the pool's only cross-thread *publication*
-    /// channel, hence the only atomic here that needs more than `Relaxed`
-    /// (lint R9): every store is `Release` (the coordinator's policy state
-    /// is written before the packed word), every executor load `Acquire`
-    /// (seeing a new word implies seeing that state).
-    knobs: AtomicU64,
     stats: PoolCounters,
-    /// Best (lowest) observed per-load chunk cost, in 1/1024 ns fixed
-    /// point — a `fetch_min` ratchet, `u64::MAX` until the first non-empty
-    /// chunk lands.
-    load_ns_floor_x1024: AtomicU64,
-    /// One lock around the coordinator; executors `try_lock` it so the
-    /// sampling loop never blocks the encode path.
-    coord: Option<Mutex<Coordinator>>,
-    /// Wall-clock origin for coordinator timestamps.
-    origin: Instant,
     /// Deterministic fault-injection cell, disarmed unless a test arms it
     /// ([`EncodePool::arm_faults`]); a disarmed hook is one `Acquire` load.
     #[cfg(feature = "fault-injection")]
     fault: Arc<FaultCell>,
-}
-
-impl PoolShared {
-    /// The pool's own activity as [`Counters`]: loads and stall time are the
-    /// inputs the coordinator's thresholds and hill climber consume; the
-    /// prefetch counters stay zero (no PMU here), which they tolerate.
-    fn counters(&self) -> Counters {
-        Counters {
-            loads: self.stats.loads.load(Ordering::Relaxed),
-            // The stall *estimate*, not `busy_ns` (see `PoolStats::stall_ns`).
-            demand_stall_ns: self.stats.stall_ns.load(Ordering::Relaxed) as f64,
-            ..Default::default()
-        }
-    }
-
-    /// Drive one coordinator tick if the sampling interval elapsed. Called
-    /// by executors after their chunks; `try_lock` keeps it contention-free.
-    fn maybe_tick(&self) {
-        let Some(Ok(mut coord)) = self.coord.as_ref().map(Mutex::try_lock) else {
-            return;
-        };
-        let now_ns = self.origin.elapsed().as_nanos() as f64;
-        if let Some(knobs) = coord.on_tick(now_ns, &self.counters()) {
-            self.knobs.store(pack_knobs(&knobs), Ordering::Release);
-            self.stats.policy_changes.fetch_add(1, Ordering::Relaxed);
-        }
-    }
 }
 
 /// `Send`-able read-only view of a borrowed `&[T]`: one source block (or a
@@ -348,7 +264,7 @@ struct Work {
     tables: TabSpan,
     sources: Vec<SrcSpan>,
     outputs: Vec<OutSpan>,
-    /// The coder's own schedule (see [`chunk_sched`]).
+    /// The coder's schedule, which every chunk of the job runs.
     sched: Knobs,
 }
 
@@ -570,8 +486,7 @@ struct WorkerSlot {
 }
 
 /// A persistent pool of `n` encoding executors — the submitting thread
-/// plus `n − 1` workers with per-worker task queues — and an optional live
-/// [`Coordinator`].
+/// plus `n − 1` workers with per-worker task queues.
 ///
 /// # Examples
 ///
@@ -597,9 +512,6 @@ pub struct EncodePool {
     /// Round-robin cursor so consecutive multi-chunk submissions start on
     /// different workers.
     next_worker: AtomicU64,
-    /// The knob word executor 0 last applied (a worker keeps its own in a
-    /// local). Feeds only the `knob_switches` tally, so `Relaxed`.
-    last_knobs: AtomicU64,
     /// Watchdog deadline for one batch wait, in nanoseconds (so that
     /// sub-millisecond deadlines stay exact); 0 disables the watchdog.
     /// Not a counter: read/written with Acquire/Release.
@@ -611,8 +523,7 @@ pub struct EncodePool {
 const DEFAULT_WATCHDOG: Duration = Duration::from_secs(30);
 
 /// Spawn the worker thread for `executor` (≥ 1). A respawned worker reuses
-/// the index (stable identity for fault plans) and reads the live knob
-/// word on its first chunk: it starts at the coordinator's *current* policy.
+/// the index (stable identity for fault plans).
 fn spawn_worker(executor: usize, shared: Arc<PoolShared>) -> std::io::Result<WorkerSlot> {
     let (tx, rx) = channel::<Msg>();
     let handle = std::thread::Builder::new()
@@ -626,35 +537,11 @@ impl EncodePool {
     /// plus `threads − 1` persistent workers. `new(1)` spawns nothing and
     /// every operation on it is a direct kernel call.
     pub fn new(threads: usize) -> Self {
-        Self::build(threads, None)
-    }
-
-    /// A pool whose executors drive `coordinator` ticks: knob updates
-    /// published by the coordinator reach executors on their next chunk.
-    pub fn with_coordinator(threads: usize, coordinator: Coordinator) -> Self {
-        Self::build(threads, Some(coordinator))
-    }
-
-    fn build(threads: usize, coordinator: Option<Coordinator>) -> Self {
         let threads = threads.max(1);
-        let initial = coordinator
-            .as_ref()
-            .map_or(NO_KNOBS, |c| pack_knobs(&c.policy().knobs));
-        #[cfg(feature = "fault-injection")]
-        let fault: Arc<FaultCell> = Arc::new(FaultCell::new());
-        #[cfg(feature = "fault-injection")]
-        let coordinator = coordinator.map(|mut c| {
-            c.set_fault_cell(Arc::clone(&fault));
-            c
-        });
         let shared = Arc::new(PoolShared {
-            knobs: AtomicU64::new(initial),
             stats: PoolCounters::default(),
-            load_ns_floor_x1024: AtomicU64::new(u64::MAX),
-            coord: coordinator.map(Mutex::new),
-            origin: Instant::now(),
             #[cfg(feature = "fault-injection")]
-            fault,
+            fault: Arc::new(FaultCell::new()),
         });
         let slots = (1..threads)
             .map(|executor| {
@@ -670,7 +557,6 @@ impl EncodePool {
             slots: Mutex::new(slots),
             threads,
             next_worker: AtomicU64::new(0),
-            last_knobs: AtomicU64::new(initial),
             watchdog_ns: AtomicU64::new(DEFAULT_WATCHDOG.as_nanos() as u64),
         }
     }
@@ -703,10 +589,9 @@ impl EncodePool {
         (ns != 0).then(|| Duration::from_nanos(ns))
     }
 
-    /// Arm a deterministic fault plan against this pool (and its
-    /// coordinator, when attached), replacing any armed plan; scripted
-    /// faults fire on the matching hook crossings until
-    /// [`Self::disarm_faults`]. Worker indices in the plan are executor
+    /// Arm a deterministic fault plan against this pool, replacing any
+    /// armed plan; scripted faults fire on the matching hook crossings
+    /// until [`Self::disarm_faults`]. Worker indices in the plan are executor
     /// indices, stable across respawns. Index 0 is the submitting thread:
     /// a scripted panic there is caught like a worker's, a scripted exit
     /// skips the chunk (failing the batch) without killing anything.
@@ -738,51 +623,15 @@ impl EncodePool {
         PoolStats {
             loads: s.loads.load(Ordering::Relaxed),
             busy_ns: s.busy_ns.load(Ordering::Relaxed),
-            stall_ns: s.stall_ns.load(Ordering::Relaxed),
             chunks: s.chunks.load(Ordering::Relaxed),
             stripes: s.stripes.load(Ordering::Relaxed),
             dispatches: s.dispatches.load(Ordering::Relaxed),
-            knob_switches: s.knob_switches.load(Ordering::Relaxed),
-            policy_changes: s.policy_changes.load(Ordering::Relaxed),
             worker_deaths: s.worker_deaths.load(Ordering::Relaxed),
             worker_respawns: s.worker_respawns.load(Ordering::Relaxed),
             batch_retries: s.batch_retries.load(Ordering::Relaxed),
             workers_alive: 1 + live,
+            ..PoolStats::default()
         }
-    }
-
-    /// The knobs the coordinator has executors apply (`None` without a
-    /// coordinator: each job then runs its coder's own schedule).
-    pub fn current_knobs(&self) -> Option<Knobs> {
-        let word = self.shared.knobs.load(Ordering::Acquire);
-        (word != NO_KNOBS).then(|| unpack_knobs(word))
-    }
-
-    /// Run `f` on the attached coordinator (`None` without one). Tick
-    /// state stays consistent under panic (plain counters), so a poisoned
-    /// lock is recovered rather than propagated.
-    fn with_coord<R>(&self, f: impl FnOnce(&Coordinator) -> R) -> Option<R> {
-        let coord = self.shared.coord.as_ref()?;
-        Some(f(&coord.lock().unwrap_or_else(PoisonError::into_inner)))
-    }
-
-    /// Samples the coordinator has taken (0 without a coordinator).
-    pub fn coordinator_samples(&self) -> u64 {
-        self.with_coord(Coordinator::samples).unwrap_or(0)
-    }
-
-    /// Stat snapshot of the attached coordinator (`None` without one).
-    /// Its timestamps are nanoseconds since this pool's construction, so
-    /// `last_change_ns` is how long after start the newest policy change
-    /// landed (the benchmark's `core.coordinator.settle_ms`).
-    pub fn coordinator_snapshot(&self) -> Option<crate::coordinator::CoordinatorSnapshot> {
-        self.with_coord(Coordinator::snapshot)
-    }
-
-    /// Timestamped policy changes the coordinator recorded (empty without a
-    /// coordinator).
-    pub fn policy_log(&self) -> Vec<(f64, crate::coordinator::Policy)> {
-        self.with_coord(Coordinator::policy_log).unwrap_or_default()
     }
 
     /// Encode one stripe across the pool. Blocks until the stripe is done;
@@ -1065,8 +914,7 @@ impl EncodePool {
     }
 
     /// Respawn every dead worker slot in place (fresh queue, same executor
-    /// index; the replacement reads the current knob word on its first
-    /// chunk). A slot whose respawn fails (thread spawn error) stays dead
+    /// index). A slot whose respawn fails (thread spawn error) stays dead
     /// and is retried on the next heal.
     fn heal_workers(&self) {
         let mut slots = self.lock_slots();
@@ -1110,9 +958,7 @@ impl EncodePool {
     ///   the unsent chunk's `Drop` fails it on the latch and sending goes on;
     /// * this thread's own chunks run under [`run_chunk`]'s `catch_unwind`
     ///   and their failure (kernel panic, scripted fault) is only
-    ///   *recorded*, to be folded into the result after the wait;
-    /// * the coordinator tick this thread owes for its chunks is paid after
-    ///   the wait, where a panic in it can harm nobody.
+    ///   *recorded*, to be folded into the result after the wait.
     ///
     /// A batch whose chunks all land on executor 0 — any one-chunk batch,
     /// anything on a pool of 1 — never reaches the send half: no latch, no
@@ -1176,17 +1022,11 @@ impl EncodePool {
                 let _ = senders[(start + i) % senders.len()].send(Msg::Run(chunk));
             }
         }
-        let mut seen = self.last_knobs.load(Ordering::Relaxed);
         let mut failed = false;
         for work in &mine {
-            failed |= run_chunk(&self.shared, 0, &mut seen, work).is_err();
+            failed |= run_chunk(&self.shared, 0, work).is_err();
         }
-        self.last_knobs.store(seen, Ordering::Relaxed);
-        let waited = latch.map_or(BatchWait::Clean, |l| l.wait_with_deadline(self.watchdog()));
-        if !mine.is_empty() {
-            self.shared.maybe_tick();
-        }
-        match waited {
+        match latch.map_or(BatchWait::Clean, |l| l.wait_with_deadline(self.watchdog())) {
             BatchWait::Clean if failed => BatchWait::Failed,
             waited => waited,
         }
@@ -1218,16 +1058,10 @@ enum ChunkFailed {
 }
 
 /// The chunk body every executor runs — workers from [`worker_loop`], the
-/// submitting thread from [`EncodePool::run_jobs_once`]: fault hook,
-/// `Acquire` knob load, the kernel under `catch_unwind`, loads/busy/stall
-/// accounting. `last_knobs` is the knob word this executor applied to its
-/// previous chunk. Never unwinds.
-fn run_chunk(
-    shared: &PoolShared,
-    executor: usize,
-    last_knobs: &mut u64,
-    work: &Work,
-) -> Result<(), ChunkFailed> {
+/// submitting thread from [`EncodePool::run_jobs_once`]: fault hook, the
+/// kernel under `catch_unwind` with the job's schedule, loads/busy
+/// accounting. Never unwinds.
+fn run_chunk(shared: &PoolShared, executor: usize, work: &Work) -> Result<(), ChunkFailed> {
     #[cfg(not(feature = "fault-injection"))]
     let _ = executor;
     #[cfg(feature = "fault-injection")]
@@ -1236,13 +1070,6 @@ fn run_chunk(
         ChunkFault::Panic => true,
         ChunkFault::Exit => return Err(ChunkFailed::Exit),
     };
-
-    let packed = shared.knobs.load(Ordering::Acquire);
-    if packed != *last_knobs {
-        shared.stats.knob_switches.fetch_add(1, Ordering::Relaxed);
-        *last_knobs = packed;
-    }
-    let sched = chunk_sched(packed, work.sched);
 
     let started = Instant::now();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1270,31 +1097,16 @@ fn run_chunk(
             .collect();
         // SAFETY: tables outlive the batch (see `ReadSpan`).
         let tables: &[NibbleTables] = unsafe { work.tables.as_slice() };
-        crate::encoder::apply_tables(tables, &sources, &mut outputs, sched);
+        crate::encoder::apply_tables(tables, &sources, &mut outputs, work.sched);
     }));
 
     let len = work.sources.first().map_or(0, |s| s.len);
-    // `div_ceil`: a ragged tail still touches a full cache line, and the
-    // coordinator's latency estimate divides by these `loads`.
+    // `div_ceil`: a ragged tail still touches a full cache line.
     let rows = len.div_ceil(dialga_gf::CACHELINE) as u64 * work.sources.len() as u64;
-    let elapsed_ns = started.elapsed().as_nanos() as u64;
     let s = &shared.stats;
     s.loads.fetch_add(rows, Ordering::Relaxed);
-    s.busy_ns.fetch_add(elapsed_ns, Ordering::Relaxed);
-    // Stall estimate: no PMU here, so the cheapest per-load chunk ever
-    // observed is taken as the pure-compute floor and each chunk's excess
-    // over it charged to memory stall (the first chunk defines its own
-    // floor: zero stall). Fixed point ×1024 keeps sub-ns per-load costs
-    // from truncating to zero on large chunks.
-    if let Some(per_load_x1024) = elapsed_ns.saturating_mul(1024).checked_div(rows) {
-        let prev = shared
-            .load_ns_floor_x1024
-            .fetch_min(per_load_x1024, Ordering::Relaxed);
-        let floor = prev.min(per_load_x1024);
-        let compute_ns = floor.saturating_mul(rows) / 1024;
-        s.stall_ns
-            .fetch_add(elapsed_ns.saturating_sub(compute_ns), Ordering::Relaxed);
-    }
+    s.busy_ns
+        .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
     s.chunks.fetch_add(1, Ordering::Relaxed);
     result.map_err(|_| ChunkFailed::Panicked)
 }
@@ -1303,14 +1115,13 @@ fn run_chunk(
 /// with the same index, so scripted faults keyed on it keep matching (their
 /// per-executor counters live in the shared [`FaultCell`], not here).
 fn worker_loop(executor: usize, rx: Receiver<Msg>, shared: Arc<PoolShared>) {
-    let mut last_knobs = shared.knobs.load(Ordering::Acquire);
     while let Ok(msg) = rx.recv() {
         let chunk = match msg {
             Msg::Run(chunk) => chunk,
             // Liveness probe from `heal_workers`; nothing to do.
             Msg::Ping => continue,
         };
-        let result = run_chunk(&shared, executor, &mut last_knobs, &chunk.work);
+        let result = run_chunk(&shared, executor, &chunk.work);
         // Leaving without running the chunk drops it (and everything still
         // queued), which completes the latch with a failure — exactly like
         // a worker that died between recv and finish.
@@ -1319,7 +1130,6 @@ fn worker_loop(executor: usize, rx: Receiver<Msg>, shared: Arc<PoolShared>) {
             return;
         }
         chunk.finish(result);
-        shared.maybe_tick();
     }
 }
 
@@ -1337,52 +1147,6 @@ mod tests {
     /// receiver-less sender left in the slot fails every later send.
     fn kill_worker(pool: &EncodePool, slot: usize) {
         pool.lock_slots()[slot].sender = channel().0;
-    }
-
-    #[test]
-    fn knob_packing_roundtrips() {
-        for knobs in [
-            Knobs::default(),
-            Knobs {
-                d: Some(0),
-                d_long: Some(4096),
-                shuffle: true,
-            },
-            Knobs::distance(12),
-        ] {
-            let word = pack_knobs(&knobs);
-            assert_ne!(word, NO_KNOBS);
-            assert_eq!(word >> 33, 0, "three fields, 33 bits");
-            assert_eq!(unpack_knobs(word), knobs);
-        }
-    }
-
-    /// The overlay is whole-word. Field by field it was wrong both ways: a
-    /// pool without a coordinator dropped the coder's shuffle, and a
-    /// coordinator's "no §4.3 split" was refilled from the coder.
-    #[test]
-    fn a_chunk_runs_the_coordinators_word_or_the_coders_schedule_never_a_mix() {
-        let plain = Dialga::new(4, 2).unwrap().sched();
-        let opts = crate::encoder::DialgaOptions {
-            prefetch_distance: Some(9),
-            bf_first_distance: Some(20),
-            shuffle: true,
-            ..Default::default()
-        };
-        let tuned = Dialga::with_options(4, 2, opts).unwrap().sched();
-        assert_eq!(
-            (tuned.d, tuned.d_long, tuned.shuffle),
-            (Some(9), Some(20), true)
-        );
-        // No coordinator: the coder's schedule, shuffle and long distance included.
-        assert_eq!(chunk_sched(NO_KNOBS, plain), plain);
-        assert_eq!(chunk_sched(NO_KNOBS, tuned), tuned);
-        // A coordinator's word wins whole: its `d_long: None` stays `None`.
-        let word = Knobs::distance(6);
-        assert_eq!(chunk_sched(pack_knobs(&word), tuned), word);
-        assert_eq!(chunk_sched(pack_knobs(&word), plain), word);
-        // And end to end: a pool without a coordinator publishes nothing.
-        assert_eq!(EncodePool::new(1).current_knobs(), None);
     }
 
     #[test]
@@ -1430,26 +1194,6 @@ mod tests {
         // A zero-length deadline clamps to 1 ns: armed, not "disabled".
         pool.set_watchdog(Some(Duration::ZERO));
         assert_eq!(pool.watchdog(), Some(Duration::from_nanos(1)));
-    }
-
-    #[test]
-    fn compute_heavy_workload_does_not_read_as_stalled() {
-        // `counters()` must report the stall *estimate*: cumulative
-        // `busy_ns` there read a pure-compute workload as high-latency and
-        // could trip the 110% contention threshold with no memory pressure.
-        let coder = Dialga::new(8, 4).unwrap();
-        let pool = EncodePool::new(1);
-        let data = make_data(8, 256 * 1024);
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        for _ in 0..16 {
-            pool.encode_vec(&coder, &refs).unwrap();
-        }
-        let stats = pool.stats();
-        assert!(stats.busy_ns > 0);
-        assert!(stats.stall_ns <= stats.busy_ns / 2, "{stats:?}");
-        let counters = pool.shared.counters();
-        assert_eq!(counters.loads, stats.loads);
-        assert_eq!(counters.demand_stall_ns as u64, stats.stall_ns);
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl DialgaSource {
     ) -> Self {
         match variant {
             Variant::Adaptive => {
-                let coord = Coordinator::new(layout.k, layout.m, layout.block_bytes, threads, cfg);
+                let coord = Coordinator::new(layout.k, threads, cfg);
                 let inner = IsalSource::new(layout, cost, coord.policy().knobs, threads)
                     .with_xpline_expand(coord.xpline_expand());
                 DialgaSource {
@@ -230,7 +230,7 @@ mod tests {
 
     /// The adaptive coordinator must take samples during a run.
     #[test]
-    fn coordinator_samples_during_run() {
+    fn coordinator_takes_samples_during_run() {
         let cfg = MachineConfig::pm();
         let mut src = DialgaSource::new(layout(12, 4, 1024), CostModel::default(), 1, &cfg);
         src.set_sample_interval(20_000.0);

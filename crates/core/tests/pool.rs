@@ -4,11 +4,9 @@
 //! (Bit-exactness of every operation is `proptests.rs`; tests that need
 //! the pool's private parts live in `src/pool.rs`.)
 
-use dialga::coordinator::Coordinator;
 use dialga::encoder::Dialga;
 use dialga::pool::{split_ranges, DecodeJob, EncodePool, StripeJob, CHUNK_ALIGN};
 use dialga_ec::EcError;
-use dialga_memsim::MachineConfig;
 
 fn make_data(k: usize, len: usize) -> Vec<Vec<u8>> {
     (0..k)
@@ -137,77 +135,21 @@ fn stats_count_full_lines_for_ragged_tails() {
 }
 
 #[test]
-fn chunks_run_by_the_submitter_are_counted_and_sampled_like_a_workers() {
+fn chunks_run_by_the_submitter_are_counted_like_a_workers() {
     // On a pool of 1 every chunk runs on the submitting thread. The
-    // activity counters and the coordinator must see them all the same.
-    let cfg = MachineConfig::pm();
-    let mut coord = Coordinator::new(4, 2, 4096, 1, &cfg);
-    coord.set_sample_interval(10_000.0); // 10 us
-    let pool = EncodePool::with_coordinator(1, coord);
+    // activity counters must see them all the same.
+    let pool = EncodePool::new(1);
     let coder = Dialga::new(4, 2).unwrap();
     let data = make_data(4, 8192);
     let expected = coder.encode_vec(&refs(&data)).unwrap();
-    let mut ops = 0u64;
-    while ops < 3000 && (pool.stats().policy_changes == 0 || pool.stats().knob_switches == 0) {
+    let ops = 50u64;
+    for _ in 0..ops {
         assert_eq!(pool.encode_vec(&coder, &refs(&data)).unwrap(), expected);
-        ops += 1;
     }
     let stats = pool.stats();
     assert_eq!(stats.chunks, ops);
     assert_eq!(stats.loads, ops * 4 * (8192 / 64));
     assert!(stats.busy_ns > 0);
-    assert!(pool.coordinator_samples() > 0, "the submitter drove ticks");
-    assert!(stats.policy_changes >= 1, "no policy change in {ops} ops");
-    assert!(
-        stats.knob_switches >= 1,
-        "executor 0 never observed the new knobs"
-    );
-}
-
-#[test]
-fn policy_log_snapshots_stay_consistent_under_concurrent_ticks() {
-    // `maybe_tick` (executor side, `try_lock`) and `policy_log()`
-    // (observer side, `lock`) guard the coordinator — log ring buffer
-    // included — with the *same* Mutex, so a snapshot can never observe a
-    // torn entry; a tick that loses the race is skipped, not corrupted.
-    // Pin that: hammer snapshots from observer threads while encodes
-    // drive ticks, and check every snapshot is internally ordered and a
-    // prefix-extension of the previous one.
-    use std::sync::atomic::{AtomicBool, Ordering};
-    let cfg = MachineConfig::pm();
-    let mut coord = Coordinator::new(4, 2, 4096, 2, &cfg);
-    coord.set_sample_interval(10_000.0);
-    let pool = EncodePool::with_coordinator(2, coord);
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for _ in 0..2 {
-            scope.spawn(|| {
-                let mut prev = Vec::new();
-                while !stop.load(Ordering::Acquire) {
-                    let snap = pool.policy_log();
-                    for w in snap.windows(2) {
-                        assert!(w[0].0 < w[1].0, "timestamps must increase");
-                    }
-                    assert!(snap.len() >= prev.len(), "log only grows (below cap)");
-                    for (a, b) in prev.iter().zip(snap.iter()) {
-                        assert_eq!(a, b, "snapshot must extend the previous one");
-                    }
-                    prev = snap;
-                }
-            });
-        }
-        let coder = Dialga::new(4, 2).unwrap();
-        let data = make_data(4, 8192);
-        let expected = coder.encode_vec(&refs(&data)).unwrap();
-        for _ in 0..200 {
-            assert_eq!(pool.encode_vec(&coder, &refs(&data)).unwrap(), expected);
-        }
-        stop.store(true, Ordering::Release);
-    });
-    assert!(
-        pool.coordinator_samples() > 0,
-        "ticks must make progress despite concurrent snapshots"
-    );
 }
 
 #[cfg(feature = "fault-injection")]

@@ -4,8 +4,8 @@
 //!
 //! Production code cannot be trusted on its failure paths unless those
 //! paths can be *driven*: a worker thread that dies mid-batch, a queue
-//! send that fails, a coordinator sample that spikes, a PM read that
-//! suddenly pays a media-latency storm, a shard whose bytes rot. This
+//! send that fails, a PM read that suddenly pays a media-latency storm, a
+//! shard whose bytes rot. This
 //! crate scripts all of those as data — a [`FaultPlan`] is a plain list
 //! of [`Fault`]s, either hand-written or generated from a seed — and
 //! delivers them through a [`FaultCell`] that the instrumented crates
@@ -66,15 +66,6 @@ pub enum Fault {
     SendFail {
         /// 0-based global send ordinal.
         nth_send: u64,
-    },
-    /// The coordinator's `nth_sample`-th tick observes its demand-stall
-    /// latency multiplied by `factor` — a synthetic throughput
-    /// fluctuation of the kind §4.1 re-triggers the hill-climb on.
-    SampleSpike {
-        /// 0-based coordinator tick ordinal.
-        nth_sample: u64,
-        /// Multiplier applied to the sampled demand-stall time.
-        factor: f64,
     },
     /// The `nth_read`-th PM media fetch (0-based; buffer hits are not
     /// counted) pays `extra_ns` additional latency.
@@ -181,7 +172,6 @@ struct Armed {
     /// Per-worker-slot chunk ordinals (index = worker slot).
     chunks_seen: Vec<u64>,
     sends_seen: u64,
-    samples_seen: u64,
     reads_seen: u64,
     persists_seen: u64,
     injected: u64,
@@ -190,7 +180,7 @@ struct Armed {
 /// The hook cell: a generation word plus the armed plan's counters.
 ///
 /// Embedded (under `#[cfg(feature = "fault-injection")]`) in the encode
-/// pool, the coordinator and the PM simulator. See the module docs for
+/// pool and the PM simulator. See the module docs for
 /// the memory-ordering contract.
 #[derive(Debug, Default)]
 pub struct FaultCell {
@@ -226,7 +216,6 @@ impl FaultCell {
             faults: plan.faults.clone(),
             chunks_seen: vec![0; workers],
             sends_seen: 0,
-            samples_seen: 0,
             reads_seen: 0,
             persists_seen: 0,
             injected: 0,
@@ -313,26 +302,6 @@ impl FaultCell {
         hit
     }
 
-    /// Hook: the coordinator is taking a sample. Returns a multiplier
-    /// for the sampled demand-stall latency, if this tick is scripted.
-    pub fn on_sample(&self) -> Option<f64> {
-        if !self.armed() {
-            return None;
-        }
-        let mut guard = self.lock_armed();
-        let armed = guard.as_mut()?;
-        let nth = armed.samples_seen;
-        armed.samples_seen += 1;
-        let factor = armed.faults.iter().find_map(|f| match *f {
-            Fault::SampleSpike { nth_sample, factor } if nth_sample == nth => Some(factor),
-            _ => None,
-        });
-        if factor.is_some() {
-            armed.injected += 1;
-        }
-        factor
-    }
-
     /// Hook: the PM simulator is fetching a line from media. Returns
     /// extra latency in nanoseconds, if this fetch is scripted.
     pub fn on_media_read(&self) -> Option<f64> {
@@ -404,7 +373,6 @@ mod tests {
         assert!(!cell.armed());
         assert_eq!(cell.on_worker_chunk(0), ChunkFault::None);
         assert!(!cell.on_send());
-        assert_eq!(cell.on_sample(), None);
         assert_eq!(cell.on_media_read(), None);
         assert!(!cell.on_persist());
         assert_eq!(cell.injected(), 0);
@@ -448,21 +416,13 @@ mod tests {
     }
 
     #[test]
-    fn sample_and_media_hooks_return_scripted_magnitudes() {
+    fn media_hook_returns_the_scripted_magnitude() {
         let cell = FaultCell::new();
-        let plan = FaultPlan::new()
-            .with(Fault::SampleSpike {
-                nth_sample: 1,
-                factor: 5.0,
-            })
-            .with(Fault::MediaSpike {
-                nth_read: 0,
-                extra_ns: 900.0,
-            });
+        let plan = FaultPlan::new().with(Fault::MediaSpike {
+            nth_read: 0,
+            extra_ns: 900.0,
+        });
         cell.arm(&plan, 1);
-        assert_eq!(cell.on_sample(), None);
-        assert_eq!(cell.on_sample(), Some(5.0));
-        assert_eq!(cell.on_sample(), None);
         assert_eq!(cell.on_media_read(), Some(900.0));
         assert_eq!(cell.on_media_read(), None);
     }

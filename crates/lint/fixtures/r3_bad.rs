@@ -1,12 +1,12 @@
 // Fixture (never compiled): three atomic-ordering protocol violations.
-fn publish(shared: &Shared, k: &Knobs) {
+fn publish(shared: &Shared, deadline_ns: u64) {
     // Knob stores must be Release.
-    shared.knobs.store(pack_knobs(k), Ordering::Relaxed);
+    shared.watchdog_ns.store(deadline_ns, Ordering::Relaxed);
 }
 
 fn consume(shared: &Shared) -> u64 {
     // Knob loads must be Acquire.
-    shared.knobs.load(Ordering::Relaxed)
+    shared.watchdog_ns.load(Ordering::Relaxed)
 }
 
 fn count(shared: &Shared) {

@@ -130,11 +130,8 @@ pub fn workspace_config() -> Config {
                 role: AtomicRole::Latch,
             };
             let mut v = vec![
-                // The coordinator's packed schedule word — `d`, `d_long`,
-                // `shuffle`, published whole (dialga::pool).
-                knob("knobs"),
-                // Watchdog deadline word: published by set_watchdog,
-                // consumed by dispatch — same publish/observe shape.
+                // The pool's watchdog deadline word: published by
+                // set_watchdog, consumed by dispatch.
                 knob("watchdog_ns"),
                 // GF kernel-dispatch override (dialga-gf::simd).
                 knob("KERNEL_OVERRIDE"),
@@ -164,30 +161,22 @@ pub fn workspace_config() -> Config {
                 latch("expired"),
             ];
             // `PoolCounters` stats plus the round-robin dispatch cursor,
-            // executor 0's last-applied knob word (feeds only the
-            // `knob_switches` tally — the published word is `knobs`),
-            // the `fetch_min` load-cost ratchet, faultkit's arm-generation
-            // stamp, dialga-service tallies (ServiceCounters), the
-            // service-wide submission sequence, the lock-free shard
-            // occupancy gauge with its `fetch_max` high-water ratchet and
-            // the LatencyHist fields — monotone or advisory values with
-            // no cross-field consistency contract (queue consistency
-            // lives under the shard mutex).
+            // faultkit's arm-generation stamp, dialga-service tallies
+            // (ServiceCounters), the service-wide submission sequence, the
+            // lock-free shard occupancy gauge with its `fetch_max`
+            // high-water ratchet and the LatencyHist fields — monotone or
+            // advisory values with no cross-field consistency contract
+            // (queue consistency lives under the shard mutex).
             for f in [
                 "loads",
                 "busy_ns",
-                "stall_ns",
-                "load_ns_floor_x1024",
                 "chunks",
                 "stripes",
                 "dispatches",
-                "knob_switches",
-                "policy_changes",
                 "worker_deaths",
                 "worker_respawns",
                 "batch_retries",
                 "next_worker",
-                "last_knobs",
                 "generation",
                 "submitted",
                 "rejected",
@@ -229,11 +218,6 @@ pub fn workspace_config() -> Config {
                 name: "slots".to_string(),
                 receivers: s(&["slots"]),
                 helpers: s(&["lock_slots"]),
-            },
-            LockDecl {
-                name: "coord".to_string(),
-                receivers: s(&["coord"]),
-                helpers: vec![],
             },
             LockDecl {
                 name: "batch_inner".to_string(),

@@ -182,8 +182,8 @@ pub struct Config {
 /// contract, not a type: the same `AtomicU64` shape serves all four.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AtomicRole {
-    /// Published policy word: `store(Release)` by the coordinator,
-    /// `load(Acquire)` by workers, nothing else.
+    /// Published configuration word: `store(Release)` by its setter,
+    /// `load(Acquire)` by its readers, nothing else.
     Knob,
     /// Advisory statistic: every access is `Relaxed`; cross-thread
     /// ordering must come from a lock or a knob/flag edge, never from
@@ -1407,7 +1407,7 @@ fn rule_atomic_protocol(
                     _ => false,
                 },
                 "the knob word is published with `store(…, Release)` and consumed with \
-                 `load(Acquire)`; anything else breaks the coordinator→worker protocol",
+                 `load(Acquire)`; anything else breaks the setter→reader protocol",
             ),
             AtomicRole::Counter => (
                 orderings.iter().all(|o| o == "Relaxed"),

@@ -102,7 +102,7 @@ impl MemorySystem {
     /// Attach a fault cell so scripted PM media spikes reach this memory
     /// system (see `dialga-faultkit`).
     #[cfg(feature = "fault-injection")]
-    pub fn set_fault_cell(&mut self, cell: std::sync::Arc<dialga_faultkit::FaultCell>) {
+    pub fn attach_fault_cell(&mut self, cell: std::sync::Arc<dialga_faultkit::FaultCell>) {
         self.fault = Some(cell);
     }
 
@@ -300,7 +300,7 @@ mod tests {
         let run = |fault: Option<std::sync::Arc<FaultCell>>| {
             let (mut m, mut c) = pm_sys();
             if let Some(f) = fault {
-                m.set_fault_cell(f);
+                m.attach_fault_cell(f);
             }
             let t0 = m.read_line(0, 0.0, &mut c); // media fetch 0
             let tb = m.read_line(1, 500.0, &mut c); // buffer hit

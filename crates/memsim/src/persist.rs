@@ -186,7 +186,7 @@ impl PersistMem {
     /// so a scripted `CrashPoint` power-fails the domain at exactly the
     /// scripted boundary.
     #[cfg(feature = "fault-injection")]
-    pub fn set_fault_cell(&mut self, cell: Arc<dialga_faultkit::FaultCell>) {
+    pub fn attach_fault_cell(&mut self, cell: Arc<dialga_faultkit::FaultCell>) {
         self.fault = Some(cell);
     }
 

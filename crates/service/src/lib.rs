@@ -3,10 +3,8 @@
 //! `dialga-service` — a sharded stripe-service front end over the DIALGA
 //! encode pool.
 //!
-//! The adaptive scheduling in [`dialga::coordinator`] only pays off under
-//! sustained, concurrent stripe traffic; this crate is the serving layer
-//! that produces such traffic shapes from many independent clients. The
-//! dispatcher follows the master/slave `Prefetcher` organisation of AIFM
+//! This crate is the serving layer that turns many independent clients'
+//! stripe traffic into pool submissions. The dispatcher follows the master/slave `Prefetcher` organisation of AIFM
 //! (SNIPPETS.md §1): per shard, one **master** thread turns queued client
 //! requests into fused batch tasks, and the shard's [`EncodePool`] workers
 //! are the bounded **slave** pool that executes them. A fixed 256-entry
@@ -15,10 +13,9 @@
 //!
 //! Architecture, per shard:
 //!
-//! * its **own** [`EncodePool`] and (optionally) its own [`Coordinator`] —
-//!   shards tune their prefetch policy independently for their own
-//!   traffic, the NUMA-style worker/buffer partitioning of the paper's
-//!   multi-instance deployments;
+//! * its **own** [`EncodePool`] — the NUMA-style worker partitioning of the
+//!   paper's multi-instance deployments; every chunk runs the service
+//!   coder's schedule;
 //! * a **bounded admission queue** ([`ServiceConfig::queue_depth`]) of
 //!   per-tenant FIFOs; [`StripeService::submit_encode`] and friends return
 //!   [`ServiceError::Rejected`] when the shard is full instead of blocking
@@ -45,11 +42,9 @@ mod shard;
 
 pub use shard::{OpKind, TraceEntry};
 
-use dialga::coordinator::Coordinator;
 use dialga::encoder::Dialga;
 use dialga::pool::{EncodePool, PoolStats};
 use dialga_ec::EcError;
-use dialga_memsim::MachineConfig;
 use dialga_store::{PmImage, RecoveryReport, StoreError, StripeStore};
 use shard::{Done, OpPayload, Pending, Reply, Shard};
 use std::cell::RefCell;
@@ -65,7 +60,7 @@ use dialga_faultkit::FaultPlan;
 /// Configuration for a [`StripeService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Number of shards (each with its own pool + coordinator); at least 1.
+    /// Number of shards (each with its own pool); at least 1.
     pub shards: usize,
     /// Encode-pool workers per shard; at least 1.
     pub threads_per_shard: usize,
@@ -73,8 +68,9 @@ pub struct ServiceConfig {
     pub k: usize,
     /// Parity blocks per stripe.
     pub m: usize,
-    /// Nominal block size fed to each shard's coordinator (the access
-    /// pattern it tunes for); actual requests may vary around it.
+    /// Read by nothing: requests carry their own block size. The field
+    /// stays only because the benchmark still sets it; ROADMAP.md item 1e
+    /// deletes that write, and then this field.
     pub block_bytes: u64,
     /// Maximum queued requests per shard; admission beyond this returns
     /// [`ServiceError::Rejected`].
@@ -86,8 +82,6 @@ pub struct ServiceConfig {
     /// Queue-occupancy fraction of `queue_depth` above which shard
     /// selection spills to the (less-loaded) neighbour shard.
     pub spill_occupancy: f64,
-    /// Attach a per-shard [`Coordinator`] driving live knob updates.
-    pub coordinated: bool,
 }
 
 impl Default for ServiceConfig {
@@ -102,7 +96,6 @@ impl Default for ServiceConfig {
             batch_limit: 16,
             quantum_bytes: 1 << 20,
             spill_occupancy: 0.75,
-            coordinated: true,
         }
     }
 }
@@ -414,8 +407,8 @@ pub struct StripeService {
 
 impl StripeService {
     /// Build the service: `cfg.shards` shards, each with its own
-    /// [`EncodePool`] (and coordinator when `cfg.coordinated`), plus one
-    /// master thread per shard running admission → DRR → fused dispatch.
+    /// [`EncodePool`], plus one master thread per shard running admission →
+    /// DRR → fused dispatch.
     pub fn new(cfg: ServiceConfig) -> Result<StripeService, EcError> {
         let mut cfg = cfg;
         cfg.shards = cfg.shards.max(1);
@@ -425,22 +418,10 @@ impl StripeService {
         cfg.quantum_bytes = cfg.quantum_bytes.max(1);
         let coder = Arc::new(Dialga::new(cfg.k, cfg.m)?);
         let counters = Arc::new(ServiceCounters::default());
-        let machine = MachineConfig::pm();
         let mut shards = Vec::with_capacity(cfg.shards);
         let mut masters = Vec::with_capacity(cfg.shards);
         for index in 0..cfg.shards {
-            let pool = if cfg.coordinated {
-                let coordinator = Coordinator::new(
-                    cfg.k,
-                    cfg.m,
-                    cfg.block_bytes,
-                    cfg.threads_per_shard,
-                    &machine,
-                );
-                EncodePool::with_coordinator(cfg.threads_per_shard, coordinator)
-            } else {
-                EncodePool::new(cfg.threads_per_shard)
-            };
+            let pool = EncodePool::new(cfg.threads_per_shard);
             let shard = Arc::new(Shard::new(
                 index,
                 pool,
@@ -786,12 +767,12 @@ impl StripeService {
         self.shards.get(shard).map(|s| s.traces())
     }
 
-    /// Coordinator snapshot of one shard's pool (`None` if out of range
-    /// or the shard runs uncoordinated).
-    pub fn shard_coordinator(&self, shard: usize) -> Option<dialga::CoordinatorSnapshot> {
-        self.shards
-            .get(shard)
-            .and_then(|s| s.coordinator_snapshot())
+    /// Always `None`: no shard runs a coordinator (its pools run the
+    /// coder's schedule). The method stays only because the benchmark
+    /// still calls it; ROADMAP.md item 1e deletes that call, and then this
+    /// method.
+    pub fn shard_coordinator(&self, _shard: usize) -> Option<dialga::CoordinatorSnapshot> {
+        None
     }
 
     /// Arm a deterministic fault plan inside one shard's pool; other
@@ -863,7 +844,6 @@ mod tests {
             threads_per_shard: 1,
             k: 4,
             m: 2,
-            block_bytes: 4096,
             ..ServiceConfig::default()
         }
     }

@@ -354,10 +354,6 @@ impl Shard {
         self.pool.stats()
     }
 
-    pub(crate) fn coordinator_snapshot(&self) -> Option<dialga::CoordinatorSnapshot> {
-        self.pool.coordinator_snapshot()
-    }
-
     pub(crate) fn traces(&self) -> Vec<TraceEntry> {
         self.traces
             .lock()

@@ -32,7 +32,7 @@ fn main() {
     println!();
 
     // What the coordinator decides statically for this pattern (§4.1).
-    let coord = Coordinator::new(k, m, block, threads, &cfg);
+    let coord = Coordinator::new(k, threads, &cfg);
     let policy = coord.policy();
     println!("DIALGA initial policy:");
     println!(

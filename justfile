@@ -16,6 +16,12 @@ lint:
 doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+# The benchmark package (benchmark/) built against this tree with its lock
+# file frozen: a renamed item it uses, or a dependency change that would
+# rewrite benchmark/Cargo.lock, fails here (a stage of `just lint`)
+bench-check:
+    cargo check --offline --locked --manifest-path benchmark/Cargo.toml --all-targets
+
 # Self-tests of the in-tree static analyzer (fixtures + live-workspace scan)
 lint-fixtures:
     cargo test -q -p dialga-lint

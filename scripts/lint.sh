@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
-# Tier-1.5 verify, twelve stages, every one hard-failing: formatting,
-# clippy, rustdoc, the in-tree static analyzer, the race / chaos / crash
-# smokes, the core, locate-sweep, tier-sweep and workspace test runs, and
-# the figure record check. Run from the repository root (or via `just lint`).
+# Tier-1.5 verify, thirteen stages, every one hard-failing: formatting,
+# clippy, rustdoc, the locked benchmark build check, the in-tree static
+# analyzer, the race / chaos / crash smokes, the core, locate-sweep,
+# tier-sweep and workspace test runs, and the figure record check. Run from
+# the repository root (or via `just lint`).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -15,6 +16,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo doc (workspace, -D warnings: no link to a private, renamed or deleted item) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
+echo "== benchmark build check (benchmark/ against this tree, lock file frozen) =="
+# The benchmark is its own package over path dependencies: a renamed item
+# it uses, or a dependency change that would make cargo rewrite
+# benchmark/Cargo.lock, fails here instead of in the benchmark run.
+cargo check --offline --locked --manifest-path benchmark/Cargo.toml --all-targets
 
 echo "== dialga-lint (unsafe surface, atomic/lock/latch protocols, panic paths, const drift) =="
 cargo run -q -p dialga-lint

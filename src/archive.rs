@@ -298,7 +298,6 @@ pub fn encode_file_sharded(
         threads_per_shard: threads.max(1),
         k,
         m,
-        block_bytes: seg_len as u64,
         ..ServiceConfig::default()
     })?;
 

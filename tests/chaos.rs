@@ -21,7 +21,7 @@
 use dialga_faultkit::{flip_byte, Fault, FaultPlan};
 use dialga_repro::ec::EcError;
 use dialga_repro::scheduler::encoder::Dialga;
-use dialga_repro::scheduler::{Coordinator, EncodePool};
+use dialga_repro::scheduler::EncodePool;
 use dialga_repro::service::{ServiceConfig, ServiceError, StripeService};
 
 const K: usize = 6;
@@ -135,30 +135,6 @@ fn scripted_worker_exit_is_healed_and_counted() {
     assert_recovered(&pool, &coder, &refs, &parity);
 }
 
-#[test]
-fn coordinator_sample_spike_does_not_change_bytes() {
-    // A scripted latency spike on an early coordinator sample provokes
-    // policy churn (the §4.1 fluctuation path); the knobs may move but
-    // the bytes must not.
-    let cfg = dialga_repro::memsim::MachineConfig::pm();
-    let mut coord = Coordinator::new(K, M, 4096, 2, &cfg);
-    coord.set_sample_interval(5_000.0);
-    let pool = EncodePool::with_coordinator(2, coord);
-    pool.arm_faults(&FaultPlan::new().with(Fault::SampleSpike {
-        nth_sample: 1,
-        factor: 64.0,
-    }));
-    let coder = Dialga::new(K, M).unwrap();
-    let data = make_data(23);
-    let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-    let parity = coder.encode_vec(&refs).unwrap();
-    for _ in 0..50 {
-        assert_eq!(pool.encode_vec(&coder, &refs).unwrap(), parity);
-    }
-    assert!(pool.coordinator_samples() > 0, "the coordinator ticked");
-    assert_recovered(&pool, &coder, &refs, &parity);
-}
-
 /// Pool fault plans armed on every shard of a service: a scrub of a
 /// corrupted stripe resolves to an error (`Corrupt` naming the victim, or
 /// the fault's own typed error) and never to `Ok`; a clean one is never
@@ -182,7 +158,6 @@ fn chaos_armed_scrubs_never_pass_a_corrupted_stripe() {
         threads_per_shard: 2,
         k: K,
         m: M,
-        block_bytes: LEN as u64,
         ..ServiceConfig::default()
     })
     .unwrap();

@@ -53,7 +53,7 @@ fn crashed_cycle(k: usize, m: usize, crash_at: Option<u64>, seed: u64) -> (Image
     let geo = Geometry::new(k, m, SHARD, 2).unwrap();
     let mut mem = PersistMem::with_seed(geo.image_len(), seed);
     let cell = Arc::new(FaultCell::new());
-    mem.set_fault_cell(cell.clone());
+    mem.attach_fault_cell(cell.clone());
 
     // Format runs unarmed: its persist boundary is not enumerated.
     let mut store = StripeStore::format(mem, geo).unwrap();

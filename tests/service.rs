@@ -43,7 +43,6 @@ fn cfg(shards: usize) -> ServiceConfig {
         threads_per_shard: 2,
         k: K,
         m: M,
-        block_bytes: 4096,
         ..ServiceConfig::default()
     }
 }
@@ -109,7 +108,6 @@ fn light_tenant_is_served_fairly_under_saturation() {
         threads_per_shard: 1,
         k: K,
         m: M,
-        block_bytes: len as u64,
         queue_depth: 64,
         batch_limit: 4,
         quantum_bytes: cost,
