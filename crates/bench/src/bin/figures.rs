@@ -7,7 +7,8 @@
 //! * `--check`: regenerate the simulated tables at their default size,
 //!   compare each with its committed `results/<name>.csv` byte for byte,
 //!   print the rows that differ and exit 1 if any does (host-timed tables
-//!   have no committed CSV and are left out);
+//!   have no committed CSV and are left out); each table's verdict and host
+//!   milliseconds go to stderr as it finishes;
 //! * `--bytes N` sets the per-thread footprint, `--quick` caps it at 1 MiB
 //!   (neither combines with `--check`: the record is at the default size).
 
@@ -36,10 +37,13 @@ fn csv_path(fig: &Figure) -> String {
     format!("results/{}.csv", fig.name)
 }
 
-/// Compare a fresh run with the committed CSV; prints what differs.
+/// Compare a fresh run with the committed CSV; prints what differs, and
+/// the table's host time to stderr.
 fn matches_record(fig: &Figure) -> bool {
     let path = csv_path(fig);
+    let started = Instant::now();
     let fresh = csv(fig.header, &fig.rows(fig.default_bytes));
+    let ms = started.elapsed().as_millis();
     let committed = match std::fs::read_to_string(&path) {
         Ok(text) => text,
         Err(e) => {
@@ -48,8 +52,10 @@ fn matches_record(fig: &Figure) -> bool {
         }
     };
     if committed == fresh {
+        eprintln!("{}: OK [{ms} ms]", fig.name);
         return true;
     }
+    eprintln!("{}: differs [{ms} ms]", fig.name);
     println!("{}: {path} differs from a fresh run", fig.name);
     let (old, new): (Vec<&str>, Vec<&str>) = (committed.lines().collect(), fresh.lines().collect());
     for i in 0..old.len().max(new.len()) {

@@ -1202,7 +1202,7 @@ mod tests {
     /// 137 k candidates: a debug build skips the cases whose search passes
     /// 2 000 (4..=8 corrupt shards of (12,8); (3,6) reaches the same depth
     /// on 9 shards). `scripts/lint.sh` runs them all in release
-    /// (`just locate-sweep`).
+    /// (`just release-sweep`).
     #[test]
     fn locate_is_the_reference_search_on_every_erasure_and_corruption_shape() {
         let budget = if cfg!(debug_assertions) {

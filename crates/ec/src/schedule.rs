@@ -11,7 +11,8 @@ use crate::{EcError, GfMatrix};
 use dialga_gf::bitmatrix::{BitMatrix, W};
 use dialga_gf::Gf8;
 use dialga_testkit::Rng;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Source operand of a XOR op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -226,44 +227,91 @@ impl Schedule {
 
 /// Greedy pairwise common-subexpression elimination over operand rows (the
 /// scheduling family of Zerasure and Uezato [SC'21] in its classic form):
-/// repeatedly hoist the operand pair that co-occurs in the most rows into a
-/// fresh temp and rewrite. Rows are mutated in place; returns the hoisted
+/// repeatedly hoist the operand pair that co-occurs in the most rows (ties
+/// to the smallest pair) into a fresh temp and rewrite. Rows hold distinct
+/// `Data` / `Parity` operands and are mutated in place; returns the hoisted
 /// pair definitions (temp `i` = `defs[i].0 ^ defs[i].1`).
+///
+/// Pair counts are kept across hoists rather than recounted: hoisting
+/// `(a, b)` into `t` changes only the rows holding both, where the pairs
+/// with `a` and with `b` lose one and the pairs with `t` gain one. Operands
+/// get dense ids in `Src` order (temps after every initial operand, in
+/// definition order), so the count table is a triangle of plain arrays and
+/// the ties break exactly as on `Src`.
 fn cse_rows(rows: &mut [Vec<Src>]) -> Vec<(Src, Src)> {
-    let mut temp_defs: Vec<(Src, Src)> = Vec::new();
-    loop {
-        // Count co-occurring operand pairs across rows.
-        let mut pair_count: HashMap<(Src, Src), usize> = HashMap::new();
-        for row in rows.iter() {
-            for i in 0..row.len() {
-                for j in (i + 1)..row.len() {
-                    let key = if row[i] <= row[j] {
-                        (row[i], row[j])
-                    } else {
-                        (row[j], row[i])
-                    };
-                    *pair_count.entry(key).or_insert(0) += 1;
-                }
+    let mut srcs: Vec<Src> = rows.iter().flatten().copied().collect();
+    srcs.sort_unstable();
+    srcs.dedup();
+    debug_assert!(!srcs.iter().any(|s| matches!(s, Src::Temp(_))));
+    // Every operand was collected into `srcs`, so the search finds it.
+    let id_of = |s: &Src| match srcs.binary_search(s) {
+        Ok(i) | Err(i) => i as u32,
+    };
+    let mut id_rows: Vec<Vec<u32>> = rows.iter().map(|r| r.iter().map(id_of).collect()).collect();
+
+    // counts[hi][lo]: rows holding both operands, `lo < hi`.
+    let mut counts: Vec<Vec<u32>> = (0..srcs.len()).map(|hi| vec![0; hi]).collect();
+    let key = |x: u32, y: u32| if x < y { (x, y) } else { (y, x) };
+    for row in &id_rows {
+        for (i, &x) in row.iter().enumerate() {
+            for &y in &row[i + 1..] {
+                let (lo, hi) = key(x, y);
+                counts[hi as usize][lo as usize] += 1;
             }
         }
-        let best = pair_count
-            .into_iter()
-            .max_by_key(|&(p, c)| (c, std::cmp::Reverse(p)));
-        let Some(((a, b), count)) = best else { break };
-        if count < 2 {
-            break;
+    }
+    // Max-heap of (count, smallest pair first); an entry whose count is no
+    // longer the pair's is stale and skipped. Only counts >= 2 are pushed:
+    // a pair below that can never be hoisted.
+    let mut heap: BinaryHeap<(u32, Reverse<(u32, u32)>)> = BinaryHeap::new();
+    for (hi, row) in counts.iter().enumerate() {
+        for (lo, &c) in row.iter().enumerate() {
+            if c >= 2 {
+                heap.push((c, Reverse((lo as u32, hi as u32))));
+            }
+        }
+    }
+
+    let mut temp_defs: Vec<(Src, Src)> = Vec::new();
+    let mut changed: Vec<(u32, u32)> = Vec::new();
+    while let Some((c, Reverse((a, b)))) = heap.pop() {
+        if counts[b as usize][a as usize] != c {
+            continue;
         }
         // Hoist (a, b) into a new temp and rewrite the rows using it.
-        let t = Src::Temp(temp_defs.len());
-        temp_defs.push((a, b));
-        for row in rows.iter_mut() {
-            let has_a = row.contains(&a);
-            let has_b = row.contains(&b);
-            if has_a && has_b {
-                row.retain(|&s| s != a && s != b);
-                row.push(t);
+        let t = srcs.len() as u32;
+        srcs.push(Src::Temp(temp_defs.len()));
+        temp_defs.push((srcs[a as usize], srcs[b as usize]));
+        counts.push(vec![0; t as usize]);
+        changed.clear();
+        for row in &mut id_rows {
+            if !(row.contains(&a) && row.contains(&b)) {
+                continue;
+            }
+            row.retain(|&s| s != a && s != b);
+            counts[b as usize][a as usize] -= 1;
+            for &x in row.iter() {
+                for y in [a, b] {
+                    let (lo, hi) = key(x, y);
+                    counts[hi as usize][lo as usize] -= 1;
+                    changed.push((lo, hi));
+                }
+                counts[t as usize][x as usize] += 1;
+                changed.push((x, t));
+            }
+            row.push(t);
+        }
+        changed.sort_unstable();
+        changed.dedup();
+        for &(lo, hi) in &changed {
+            let c = counts[hi as usize][lo as usize];
+            if c >= 2 {
+                heap.push((c, Reverse((lo, hi))));
             }
         }
+    }
+    for (row, ids) in rows.iter_mut().zip(&id_rows) {
+        *row = ids.iter().map(|&i| srcs[i as usize]).collect();
     }
     temp_defs
 }
@@ -518,6 +566,75 @@ fn search_xy(
 mod tests {
     use super::*;
     use dialga_gf::bitmatrix::BitMatrix;
+    use std::collections::HashMap;
+
+    /// Greedy CSE by full recount: rebuilds every row's pair counts on
+    /// every hoist. The oracle for [`cse_rows`]' result.
+    fn cse_rows_recount(rows: &mut [Vec<Src>]) -> Vec<(Src, Src)> {
+        let mut temp_defs: Vec<(Src, Src)> = Vec::new();
+        loop {
+            // Count co-occurring operand pairs across rows.
+            let mut pair_count: HashMap<(Src, Src), usize> = HashMap::new();
+            for row in rows.iter() {
+                for i in 0..row.len() {
+                    for j in (i + 1)..row.len() {
+                        let key = if row[i] <= row[j] {
+                            (row[i], row[j])
+                        } else {
+                            (row[j], row[i])
+                        };
+                        *pair_count.entry(key).or_insert(0) += 1;
+                    }
+                }
+            }
+            let best = pair_count
+                .into_iter()
+                .max_by_key(|&(p, c)| (c, std::cmp::Reverse(p)));
+            let Some(((a, b), count)) = best else { break };
+            if count < 2 {
+                break;
+            }
+            // Hoist (a, b) into a new temp and rewrite the rows using it.
+            let t = Src::Temp(temp_defs.len());
+            temp_defs.push((a, b));
+            for row in rows.iter_mut() {
+                let has_a = row.contains(&a);
+                let has_b = row.contains(&b);
+                if has_a && has_b {
+                    row.retain(|&s| s != a && s != b);
+                    row.push(t);
+                }
+            }
+        }
+        temp_defs
+    }
+
+    #[test]
+    fn incremental_cse_matches_the_full_recount() {
+        dialga_testkit::run_cases(96, |rng| {
+            let (n_rows, n_cols) = (rng.range(1, 24), rng.range(1, 48));
+            let density = rng.range_f64(0.05, 0.9);
+            let mut rows: Vec<Vec<Src>> = (0..n_rows)
+                .map(|_| {
+                    let mut row: Vec<Src> = (0..n_cols)
+                        .filter(|_| rng.bool_with(density))
+                        .map(Src::Data)
+                        .collect();
+                    // Bitmatrix rows arrive ascending; the CSE must not
+                    // depend on it.
+                    if rng.bool() {
+                        rng.shuffle(&mut row);
+                    }
+                    row
+                })
+                .collect();
+            let mut oracle_rows = rows.clone();
+            let defs = cse_rows(&mut rows);
+            let oracle_defs = cse_rows_recount(&mut oracle_rows);
+            assert_eq!(defs, oracle_defs);
+            assert_eq!(rows, oracle_rows);
+        });
+    }
 
     fn bm_for(k: usize, m: usize) -> BitMatrix {
         let p = GfMatrix::cauchy_parity(k, m);

@@ -399,6 +399,37 @@ mod tests {
         assert!(cer.schedule().op_count() < plain.schedule().op_count());
     }
 
+    /// The schedules the figures simulate, pinned: any change to the
+    /// matrix searches or the CSE moves these before it moves a table.
+    #[test]
+    fn paper_shape_schedules_are_pinned() {
+        for (k, m, flavor, ops, temps) in [
+            (12, 8, XorFlavor::Cerasure, 1530, 372),
+            (12, 8, XorFlavor::Zerasure, 1559, 376),
+            (28, 24, XorFlavor::Cerasure, 9483, 2328),
+            (28, 24, XorFlavor::Zerasure, 9514, 2318),
+        ] {
+            let code = XorCode::new(k, m, flavor).unwrap();
+            let s = code.schedule();
+            assert_eq!(
+                (s.op_count(), s.n_temps),
+                (ops, temps),
+                "({k}, {m}) {flavor:?}"
+            );
+        }
+    }
+
+    /// The widest figure code's schedule builds in well under the time a
+    /// figure table takes to simulate.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "a release-build time bound")]
+    fn wide_zerasure_builds_in_two_seconds() {
+        let started = std::time::Instant::now();
+        XorCode::new(28, 24, XorFlavor::Zerasure).unwrap();
+        let took = started.elapsed();
+        assert!(took.as_secs_f64() < 2.0, "(28, 24) Zerasure took {took:?}");
+    }
+
     #[test]
     fn decode_schedule_denser_than_encode() {
         // The §5.4 effect: decode bitmatrices are dense, schedules long.

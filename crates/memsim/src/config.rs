@@ -44,7 +44,7 @@ pub enum MemKind {
 pub struct PmConfig {
     /// Media access granularity in bytes (the "implicit load" unit):
     /// 256 B XPLines on Optane; larger DRAM-buffered flash units on
-    /// CMM-H-class devices (§6). Must be a multiple of 64, at most 4096.
+    /// CMM-H-class devices (§6). A power of two from 64 to 4096.
     pub unit_bytes: u64,
     /// Media read latency for a media-unit fetch, ns.
     pub media_latency_ns: f64,
@@ -133,7 +133,8 @@ pub struct MachineConfig {
     pub llc: CacheConfig,
     /// Memory channels (DIMMs).
     pub channels: usize,
-    /// Address-interleave granularity across channels, bytes.
+    /// Address-interleave granularity across channels, bytes (a power of
+    /// two).
     pub interleave_bytes: u64,
     /// Which device backs the data.
     pub mem: MemKind,

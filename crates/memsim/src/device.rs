@@ -11,13 +11,84 @@ use crate::config::MachineConfig;
 use crate::counters::Counters;
 use crate::CACHELINE;
 
-/// One media-unit slot in the on-DIMM read buffer.
-#[derive(Debug, Clone, Copy)]
-struct BufSlot {
-    xp: u64,
-    /// Which cachelines of the unit have been read since the fetch
-    /// (units hold at most 64 lines).
-    used_mask: u64,
+/// Exact index from media-unit number to read-buffer slot: open
+/// addressing with linear probing over a power-of-two table kept at most a
+/// quarter full, and backward-shift deletion (no tombstones).
+#[derive(Debug, Clone, Default)]
+struct SlotIndex {
+    /// Unit number per bucket, `EMPTY` when free.
+    keys: Vec<u64>,
+    /// Buffer slot per bucket.
+    slots: Vec<u32>,
+}
+
+const EMPTY: u64 = u64::MAX;
+
+impl SlotIndex {
+    fn with_capacity(slots: usize) -> Self {
+        let buckets = (4 * slots).next_power_of_two();
+        SlotIndex {
+            keys: vec![EMPTY; buckets],
+            slots: vec![0; buckets],
+        }
+    }
+
+    #[inline]
+    fn home(&self, xp: u64) -> usize {
+        (xp.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & (self.keys.len() - 1)
+    }
+
+    /// The bucket holding `xp`, or the free bucket where it would go.
+    #[inline]
+    fn bucket(&self, xp: u64) -> usize {
+        let mask = self.keys.len() - 1;
+        let mut b = self.home(xp);
+        while self.keys[b] != xp && self.keys[b] != EMPTY {
+            b = (b + 1) & mask;
+        }
+        b
+    }
+
+    #[inline]
+    fn get(&self, xp: u64) -> Option<usize> {
+        let b = self.bucket(xp);
+        (self.keys[b] == xp).then(|| self.slots[b] as usize)
+    }
+
+    /// Map `xp` to `slot`, inserting or overwriting.
+    fn set(&mut self, xp: u64, slot: usize) {
+        let b = self.bucket(xp);
+        self.keys[b] = xp;
+        self.slots[b] = slot as u32;
+    }
+
+    fn remove(&mut self, xp: u64) {
+        let mask = self.keys.len() - 1;
+        let mut hole = self.bucket(xp);
+        debug_assert_eq!(self.keys[hole], xp, "removing an unindexed unit");
+        // Pull back every later entry of the run whose home is not
+        // cyclically inside (hole, b].
+        let mut b = hole;
+        loop {
+            b = (b + 1) & mask;
+            let key = self.keys[b];
+            if key == EMPTY {
+                break;
+            }
+            let home = self.home(key);
+            let stays = if hole <= b {
+                hole < home && home <= b
+            } else {
+                hole < home || home <= b
+            };
+            if !stays {
+                self.keys[hole] = key;
+                self.slots[hole] = self.slots[b];
+                hole = b;
+            }
+        }
+        self.keys[hole] = EMPTY;
+    }
 }
 
 #[derive(Debug, Clone, Default)]
@@ -33,13 +104,21 @@ struct Channel {
     /// Media access slots (PM only): each entry is the time its current
     /// access finishes occupying the slot.
     media_slots: Vec<f64>,
-    /// Read-buffer slots (PM only).
-    buffer: Vec<BufSlot>,
+    /// Read-buffer slots (PM only) as two parallel arrays: the media unit
+    /// each holds, and which of its cachelines have been read since the
+    /// fetch (units hold at most 64 lines).
+    buffer_xp: Vec<u64>,
+    buffer_used: Vec<u64>,
+    /// Where each buffered unit sits in the two arrays above.
+    buffer_index: SlotIndex,
     /// XPLine fetches currently in flight, as `(xpline, completion time)`.
     /// Merges concurrent reads of one XPLine into one media fetch. Entries
     /// are unique per XPLine and retired as soon as their completion time
     /// has passed, so there are only ever a few: a scan beats hashing.
     inflight: Vec<(u64, f64)>,
+    /// The earliest completion time in `inflight` (infinite when empty):
+    /// a read before it has nothing to retire.
+    inflight_first_done: f64,
     tick: u64,
 }
 
@@ -74,6 +153,9 @@ pub struct MemorySystem {
     cfg: MachineConfig,
     channels: Vec<Channel>,
     buffer_slots_per_channel: usize,
+    /// log2 of `cfg.interleave_bytes` and of `cfg.pm.unit_bytes`.
+    interleave_shift: u32,
+    unit_shift: u32,
     /// Deterministic fault cell: scripted media-latency spikes (an Optane
     /// DIMM stalling on internal maintenance) land on the XPLine fetch
     /// path. Disarmed cost is one atomic load per media fetch.
@@ -85,15 +167,23 @@ impl MemorySystem {
     /// Build from the machine config.
     pub fn new(cfg: &MachineConfig) -> Self {
         let slots = cfg.buffer_xplines_per_channel();
+        assert!(
+            cfg.interleave_bytes.is_power_of_two() && cfg.pm.unit_bytes.is_power_of_two(),
+            "interleave and media-unit sizes must be powers of two"
+        );
         MemorySystem {
             cfg: cfg.clone(),
             channels: (0..cfg.channels)
                 .map(|_| Channel {
                     media_slots: vec![0.0; cfg.pm.media_slots],
+                    inflight_first_done: f64::INFINITY,
+                    buffer_index: SlotIndex::with_capacity(slots),
                     ..Channel::default()
                 })
                 .collect(),
             buffer_slots_per_channel: slots,
+            interleave_shift: cfg.interleave_bytes.trailing_zeros(),
+            unit_shift: cfg.pm.unit_bytes.trailing_zeros(),
             #[cfg(feature = "fault-injection")]
             fault: None,
         }
@@ -108,7 +198,9 @@ impl MemorySystem {
 
     #[inline]
     fn channel_of(&self, byte_addr: u64) -> usize {
-        ((byte_addr / self.cfg.interleave_bytes) % self.cfg.channels as u64) as usize
+        // The modulo keeps the full 64-bit interleave-unit number: a
+        // truncated one would remap channels above 2^44 bytes.
+        ((byte_addr >> self.interleave_shift) % self.cfg.channels as u64) as usize
     }
 
     /// Standing queue a read issued now would see at the memory controller
@@ -147,23 +239,32 @@ impl MemorySystem {
         let slots = self.buffer_slots_per_channel;
         let lines_per_unit = pm.unit_bytes / CACHELINE;
         let c = &mut self.channels[ch_idx];
-        let xp = addr / pm.unit_bytes;
-        let line_in_xp = (addr / CACHELINE) % lines_per_unit;
+        let xp = addr >> self.unit_shift;
+        let line_in_xp = (addr / CACHELINE) & (lines_per_unit - 1);
         c.tick += 1;
 
+        // Retire finished fetches (only once the earliest has finished:
+        // until then the pass would keep every entry), then look for one
+        // of this XPLine.
+        if now_ns >= c.inflight_first_done {
+            c.inflight.retain(|&(_, done)| done > now_ns);
+            c.inflight_first_done = c.inflight.iter().fold(f64::INFINITY, |m, e| m.min(e.1));
+        }
+        let merged = c.inflight.iter().find(|e| e.0 == xp).map(|e| e.1);
+        let buffered = c.buffer_index.get(xp);
+
         // Merge with an in-flight fetch of the same XPLine.
-        c.inflight.retain(|&(_, done)| done > now_ns);
-        if let Some(&(_, done)) = c.inflight.iter().find(|&&(x, _)| x == xp) {
-            if let Some(slot) = c.buffer.iter_mut().find(|s| s.xp == xp) {
-                slot.used_mask |= 1 << line_in_xp;
+        if let Some(done) = merged {
+            if let Some(b) = buffered {
+                c.buffer_used[b] |= 1 << line_in_xp;
             }
             ctr.buffer_hits += 1;
             return done.max(now_ns) + pm.buffer_bus_ns;
         }
 
         // Read-buffer hit: a 64 B transfer over the bus at buffer latency.
-        if let Some(slot) = c.buffer.iter_mut().find(|s| s.xp == xp) {
-            slot.used_mask |= 1 << line_in_xp;
+        if let Some(b) = buffered {
+            c.buffer_used[b] |= 1 << line_in_xp;
             let delay = c.bus_access(now_ns, pm.buffer_bus_ns);
             ctr.buffer_hits += 1;
             return now_ns + delay + pm.buffer_hit_ns;
@@ -172,13 +273,15 @@ impl MemorySystem {
         // Media fetch: implicit load of the whole XPLine. Takes the
         // earliest media slot plus a bus delivery.
         let bus_delay = c.bus_access(now_ns, pm.media_bus_ns);
-        let (slot_idx, slot_free) = c
-            .media_slots
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("media slots configured");
+        // The first earliest slot (free times are finite and positive, so
+        // `<` orders them as `total_cmp` would).
+        let mut slot_idx = 0;
+        for (i, &free) in c.media_slots.iter().enumerate().skip(1) {
+            if free < c.media_slots[slot_idx] {
+                slot_idx = i;
+            }
+        }
+        let slot_free = c.media_slots[slot_idx];
         let start = (now_ns + bus_delay).max(slot_free);
         // Scripted fault: this media fetch stalls for extra nanoseconds
         // (an Optane DIMM on internal maintenance); the occupied slot and
@@ -196,29 +299,40 @@ impl MemorySystem {
         ctr.media_read_bytes += pm.unit_bytes;
         ctr.xpline_fetches += 1;
         c.inflight.push((xp, done));
+        c.inflight_first_done = c.inflight_first_done.min(done);
 
         // Install into the buffer. Replacement is pseudo-random (xorshift
         // on the access tick): round-robin scans over a working set just
         // past capacity then degrade gracefully instead of falling off the
         // LRU cliff — matching the progressive thrashing the paper
         // measures (Fig. 19's +66 % media amplification, not a collapse).
-        if c.buffer.len() >= slots {
+        if c.buffer_xp.len() >= slots {
             let mut x = c.tick ^ (xp << 1) ^ 0x9E37_79B9;
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let idx = (x % c.buffer.len() as u64) as usize;
-            let victim = c.buffer.swap_remove(idx);
-            let unused = lines_per_unit - victim.used_mask.count_ones() as u64;
+            // The buffer is full here, so its length is `slots`: a mask
+            // when that is a power of two, the same value either way.
+            let idx = if slots.is_power_of_two() {
+                x as usize & (slots - 1)
+            } else {
+                (x % slots as u64) as usize
+            };
+            let victim = c.buffer_xp.swap_remove(idx);
+            c.buffer_index.remove(victim);
+            if let Some(&moved) = c.buffer_xp.get(idx) {
+                c.buffer_index.set(moved, idx);
+            }
+            let used = c.buffer_used.swap_remove(idx);
+            let unused = lines_per_unit - used.count_ones() as u64;
             if unused > 0 {
                 ctr.buffer_evicted_unused += 1;
                 ctr.buffer_unused_lines += unused;
             }
         }
-        c.buffer.push(BufSlot {
-            xp,
-            used_mask: 1 << line_in_xp,
-        });
+        c.buffer_index.set(xp, c.buffer_xp.len());
+        c.buffer_xp.push(xp);
+        c.buffer_used.push(1 << line_in_xp);
         done
     }
 
@@ -263,6 +377,29 @@ mod tests {
 
     fn pm_sys() -> (MemorySystem, Counters) {
         (MemorySystem::new(&MachineConfig::pm()), Counters::default())
+    }
+
+    #[test]
+    fn slot_index_matches_a_map_through_inserts_and_removals() {
+        dialga_testkit::run_cases(64, |rng| {
+            let mut index = SlotIndex::with_capacity(16);
+            let mut map = std::collections::HashMap::new();
+            for _ in 0..rng.range(1, 600) {
+                // Few distinct keys with clustered homes: long probe runs.
+                let xp = rng.below(48) * 64 + rng.below(2);
+                if map.contains_key(&xp) && rng.bool() {
+                    index.remove(xp);
+                    map.remove(&xp);
+                } else if map.len() < 16 || map.contains_key(&xp) {
+                    let slot = rng.range(0, 16);
+                    index.set(xp, slot);
+                    map.insert(xp, slot);
+                }
+                for probe in (0..48 * 64).step_by(64).flat_map(|x| [x, x + 1]) {
+                    assert_eq!(index.get(probe), map.get(&probe).copied(), "unit {probe}");
+                }
+            }
+        });
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! threads by earliest local clock, so all cross-thread contention (shared
 //! LLC, channel queues, PM read buffer) is deterministic.
 
-use crate::cache::{Cache, Probe};
+use crate::cache::{Cache, Evicted, Probe};
 use crate::config::MachineConfig;
 use crate::counters::Counters;
 use crate::device::MemorySystem;
@@ -250,7 +250,7 @@ impl Engine {
         for &addr in &task.cached_stores {
             t += st_issue;
             let line = addr / CACHELINE;
-            self.fill_llc(line, t, false);
+            let _ = self.llc.insert(line, t, false);
             self.fill_l2(tid, line, t, false);
         }
 
@@ -310,14 +310,14 @@ impl Engine {
                 Probe::Hit { ready_ns, .. } => {
                     self.counters.llc_hits += 1;
                     let done = ready_ns.max(t + self.cfg.llc.hit_ns);
-                    self.fill_l2(tid, line, done, false);
+                    self.install_l2(tid, line, done, false);
                     done
                 }
                 Probe::Miss => {
                     self.counters.demand_misses += 1;
                     let done = self.mem.read_line(line, t, &mut self.counters);
-                    self.fill_llc(line, done, false);
-                    self.fill_l2(tid, line, done, false);
+                    self.llc.install(line, done, false);
+                    self.install_l2(tid, line, done, false);
                     done
                 }
             },
@@ -349,22 +349,32 @@ impl Engine {
         } else {
             self.counters.sw_prefetches += 1;
         }
+        // Both caches just missed `line` and the read fills neither, so
+        // the fills skip the presence check.
         let done = self.mem.read_line(line, t, &mut self.counters);
-        self.fill_llc(line, done, true);
-        self.fill_l2(tid, line, done, true);
+        self.llc.install(line, done, true);
+        self.install_l2(tid, line, done, true);
     }
 
-    fn fill_l2(&mut self, tid: usize, line: u64, ready: f64, prefetched: bool) {
-        if let Some(ev) = self.l2[tid].insert(line, ready, prefetched) {
-            if ev.useless_prefetch {
-                self.counters.useless_prefetches += 1;
-            }
+    /// Count an L2 eviction of an unconsumed prefetch. (LLC evictions of
+    /// prefetched lines are already counted at L2, so LLC fills drop
+    /// theirs.)
+    fn count_eviction(&mut self, evicted: Option<Evicted>) {
+        if evicted.is_some_and(|ev| ev.useless_prefetch) {
+            self.counters.useless_prefetches += 1;
         }
     }
 
-    fn fill_llc(&mut self, line: u64, ready: f64, prefetched: bool) {
-        // LLC evictions of prefetched lines are already counted at L2.
-        let _ = self.llc.insert(line, ready, prefetched);
+    /// Fill a line that may already be resident in `tid`'s L2.
+    fn fill_l2(&mut self, tid: usize, line: u64, ready: f64, prefetched: bool) {
+        let evicted = self.l2[tid].insert(line, ready, prefetched);
+        self.count_eviction(evicted);
+    }
+
+    /// Fill a line that `tid`'s L2 has just missed.
+    fn install_l2(&mut self, tid: usize, line: u64, ready: f64, prefetched: bool) {
+        let evicted = self.l2[tid].install(line, ready, prefetched);
+        self.count_eviction(evicted);
     }
 }
 
@@ -682,5 +692,62 @@ mod tests {
     fn dram_vs_pm_kind_exposed() {
         let eng = Engine::new(MachineConfig::dram(), 1);
         assert_eq!(eng.config().mem, MemKind::Dram);
+    }
+
+    /// Loads and NT stores above 2^44 bytes, where an interleave-unit
+    /// number no longer fits 32 bits: the digest of the run is pinned, so
+    /// an address truncation anywhere in the model (a `u32` channel
+    /// modulo, a narrowed set index) fails here rather than in a figure.
+    #[test]
+    fn high_addresses_keep_their_digest() {
+        struct HighSrc {
+            row: Vec<u64>,
+        }
+        impl TaskSource for HighSrc {
+            fn next_task(
+                &mut self,
+                tid: usize,
+                _n: f64,
+                _c: &Counters,
+                task: &mut RowTask,
+            ) -> bool {
+                let r = self.row[tid];
+                if r >= 600 {
+                    return false;
+                }
+                let base = (1u64 << 44) + ((tid as u64) << 41) + 0x1234_5000;
+                for j in 0..6u64 {
+                    // Six sequential blocks 1 MiB + 4 KiB apart, plus one
+                    // strided line that skips across channels.
+                    task.loads.push(base + j * ((1 << 20) + 4096) + r * 64);
+                }
+                task.loads.push(base + (1 << 30) + r * 4160);
+                task.compute_cycles = 12.0;
+                task.stores
+                    .push((1u64 << 45) + ((tid as u64) << 40) + r * 64);
+                task.stores.push((1u64 << 47) + r * 4096);
+                self.row[tid] = r + 1;
+                true
+            }
+            fn data_bytes(&self) -> u64 {
+                2 * 600 * 7 * 64
+            }
+        }
+        // FNV-1a over the exact (round-tripping) debug text of the run.
+        let digest = |cfg: MachineConfig| {
+            let r = Engine::new(cfg, 2).run(&mut HighSrc { row: vec![0; 2] });
+            let text = format!("{:?}", (r.elapsed_ns.to_bits(), r.counters));
+            let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+            });
+            (hash, text)
+        };
+        for (name, cfg, want) in [
+            ("pm", MachineConfig::pm(), 9_824_959_477_808_933_536),
+            ("cmm_h", MachineConfig::cmm_h(), 1_128_110_518_477_504_022),
+        ] {
+            let (hash, text) = digest(cfg);
+            assert_eq!(hash, want, "{name}: {text}");
+        }
     }
 }

@@ -17,8 +17,6 @@ use crate::PAGE;
 
 #[derive(Debug, Clone, Copy)]
 struct Stream {
-    /// Page number (line address / 64).
-    page: u64,
     /// Last line accessed within the page.
     last: u64,
     /// Detector confidence.
@@ -34,6 +32,9 @@ struct Stream {
 pub struct StreamPrefetcher {
     cfg: PrefetcherConfig,
     streams: Vec<Stream>,
+    /// Page number (line address / 64) of each stream, kept in step with
+    /// `streams`: the per-access lookup scans this dense array.
+    pages: Vec<u64>,
     tick: u64,
     /// Streams evicted due to capacity (Obs. 3 signal).
     pub evictions: u64,
@@ -44,6 +45,7 @@ impl StreamPrefetcher {
     pub fn new(cfg: PrefetcherConfig) -> Self {
         StreamPrefetcher {
             streams: Vec::with_capacity(cfg.streams),
+            pages: Vec::with_capacity(cfg.streams),
             cfg,
             tick: 0,
             evictions: 0,
@@ -56,6 +58,7 @@ impl StreamPrefetcher {
         self.cfg.enabled = enabled;
         if !enabled {
             self.streams.clear();
+            self.pages.clear();
         }
     }
 
@@ -75,7 +78,8 @@ impl StreamPrefetcher {
         let page = line / (PAGE / crate::CACHELINE);
         let page_last_line = (page + 1) * (PAGE / crate::CACHELINE) - 1;
 
-        if let Some(s) = self.streams.iter_mut().find(|s| s.page == page) {
+        if let Some(i) = self.pages.iter().position(|&p| p == page) {
+            let s = &mut self.streams[i];
             s.lru = tick;
             if line == s.last + 1 {
                 s.confidence = (s.confidence + 1).min(self.cfg.max_confidence);
@@ -108,10 +112,11 @@ impl StreamPrefetcher {
                 .min_by_key(|(_, s)| s.lru)
                 .expect("nonempty table");
             self.streams.swap_remove(idx);
+            self.pages.swap_remove(idx);
             self.evictions += 1;
         }
+        self.pages.push(page);
         self.streams.push(Stream {
-            page,
             last: line,
             confidence: 0,
             head: line + 1,

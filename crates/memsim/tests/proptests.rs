@@ -53,31 +53,43 @@ impl RefCache {
 }
 
 /// The cache must agree hit-for-hit with a reference LRU model under
-/// arbitrary interleavings of demand probes and inserts.
+/// arbitrary interleavings of demand probes, presence checks and inserts,
+/// on a small 4-way cache, the LLC's 11-way non-power-of-two set count and
+/// the L2's 16-way power-of-two one. (Evictions and `invalidate` are
+/// checked against a tick-LRU reference in `cache.rs`'s unit tests.)
 #[test]
 fn cache_matches_reference_lru() {
-    run_cases(64, |rng| {
-        let n_ops = rng.range(1, 400);
+    for (sets, ways) in [(4usize, 4usize), (6, 11), (4, 16)] {
         let cfg = CacheConfig {
-            bytes: 16 * 64,
-            ways: 4,
+            bytes: (sets * ways) as u64 * 64,
+            ways,
             hit_ns: 1.0,
-        }; // 4 sets x 4 ways
-        let mut cache = Cache::new(&cfg);
-        let mut reference = RefCache::new(cfg.sets(), cfg.ways);
-        for _ in 0..n_ops {
-            let is_insert = rng.bool();
-            let line = rng.below(64);
-            if is_insert {
-                cache.insert(line, 0.0, false);
-                reference.insert(line);
-            } else {
-                let got = matches!(cache.probe_demand(line), Probe::Hit { .. });
-                let want = reference.probe(line);
-                assert_eq!(got, want, "line {line}");
+        };
+        run_cases(64, |rng| {
+            let n_ops = rng.range(1, 400 * ways);
+            let mut cache = Cache::new(&cfg);
+            let mut reference = RefCache::new(cfg.sets(), cfg.ways);
+            for _ in 0..n_ops {
+                let line = rng.below((4 * sets * ways) as u64);
+                match rng.below(4) {
+                    0 | 1 => {
+                        cache.insert(line, 0.0, false);
+                        reference.insert(line);
+                    }
+                    2 => {
+                        let got = matches!(cache.probe_demand(line), Probe::Hit { .. });
+                        let want = reference.probe(line);
+                        assert_eq!(got, want, "{ways}-way: probe {line}");
+                    }
+                    _ => {
+                        let want = reference.sets_v.get(&(line as usize % sets));
+                        let want = want.is_some_and(|set| set.contains(&line));
+                        assert_eq!(cache.contains(line), want, "{ways}-way: contains {line}");
+                    }
+                }
             }
-        }
-    });
+        });
+    }
 }
 
 /// Completion times never precede request times, and identical request

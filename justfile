@@ -43,11 +43,13 @@ chaos:
 core-test:
     cargo test -q -p dialga --features fault-injection
 
-# Dialga::locate against the erase-decode-reverify reference in release,
-# the deep (12,8) / (3,6) cases a debug build skips included (~25 s with
+# The release-only tests: Dialga::locate against the erase-decode-reverify
+# reference, the deep (12,8) / (3,6) cases a debug build skips included,
+# and the XOR scheduler's 2 s bound on the widest figure code (~25 s with
 # the build; a stage of `just lint`)
-locate-sweep:
+release-sweep:
     cargo test -q --release -p dialga --lib locate_is_the_reference
+    cargo test -q --release -p dialga-ec --lib wide_zerasure_builds_in_two_seconds -- --include-ignored
 
 # Every GF kernel tier this CPU has, against the scalar reference and end
 # to end through core; prints which tiers ran and which the CPU lacks
@@ -70,13 +72,12 @@ crash:
     CRASH_SEEDS=16 cargo test -q --test crash
 
 # Regenerate every figure table (crates/bench/src/figures.rs) and rewrite
-# results/*.csv (~3 min; name tables after `--csv` to run only those)
+# results/*.csv (~20 s; name tables after `--csv` to run only those)
 figures:
     cargo run --release -p dialga-bench --bin figures -- --csv
 
 # Regenerate every simulated table at its default size and compare with
-# the committed results/*.csv byte for byte (~2 min, 111 s measured on the
-# 2-vCPU box; a stage of `just lint` runs all but the six slow ones,
-# fig10-fig15)
+# the committed results/*.csv byte for byte (~20 s on a 2-vCPU host; the
+# last stage of `just lint`)
 figures-check:
     cargo run --release -p dialga-bench --bin figures -- --check

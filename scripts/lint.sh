@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Tier-1.5 verify, thirteen stages, every one hard-failing: formatting,
 # clippy, rustdoc, the locked benchmark build check, the in-tree static
-# analyzer, the race / chaos / crash smokes, the core, locate-sweep,
-# tier-sweep and workspace test runs, and the figure record check. Run from
-# the repository root (or via `just lint`).
+# analyzer, the race / chaos / crash smokes, the core, release-sweep,
+# tier-sweep and workspace test runs, and the figure record check over all
+# 21 tables. Run from the repository root (or via `just lint`).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -38,10 +38,13 @@ cargo test -q --test chaos --test integrity
 echo "== core tests (pool, coordinator, encoder; fault hooks compiled in) =="
 cargo test -q -p dialga --features fault-injection
 
-echo "== locate sweep (Dialga::locate against the erase-decode-reverify reference, every case; release) =="
+echo "== release sweeps (Dialga::locate against the erase-decode-reverify reference, every case; the XOR scheduler's time bound) =="
 # A debug build skips the cases whose reference search passes 2 000
 # candidates — the deep (12,8) and (3,6) ones; only this stage runs them.
 cargo test -q --release -p dialga --lib locate_is_the_reference
+# The widest figure code's schedule must build in under 2 s: a time bound
+# a debug build cannot hold, so it is ignored there and run here.
+cargo test -q --release -p dialga-ec --lib wide_zerasure_builds_in_two_seconds -- --include-ignored
 
 echo "== kernel tier sweep (every GF tier this CPU has against the scalar reference, then end to end; prints the tiers run / skipped) =="
 # A green gate on a CPU without GFNI must say so rather than pass the top
@@ -57,13 +60,10 @@ echo "== crash smoke (every (4,2) persist boundary, sampled wide-code sweeps) ==
 # small default here. `just crash` runs the widened sweep.
 cargo test -q --test crash
 
-echo "== figures --check (15 of the 21 simulated tables against results/*.csv) =="
+echo "== figures --check (all 21 simulated tables against results/*.csv) =="
 # Byte-for-byte: a model change that moves a committed number fails here
-# until results/ and EXPERIMENTS.md are regenerated. Every table here takes
-# under 2 s; `just figures-check` covers the six slow ones (fig10-fig15,
-# 12-90 s each) as well: all 21 in ~2 min (111 s on a 2-vCPU host).
-cargo run -q --release -p dialga-bench --bin figures -- --check \
-    fig03 fig04 fig05 fig06 fig07 fig16 fig17 fig18 fig19 generality \
-    ablation_switch ablation_eq1 ablation_distance update_path repair_path
+# until results/ and EXPERIMENTS.md are regenerated. About 20 s on a
+# 2-vCPU host; each table's host milliseconds go to stderr.
+cargo run -q --release -p dialga-bench --bin figures -- --check
 
 echo "lint OK"
