@@ -180,17 +180,17 @@ impl<T> ReadSpan<T> {
         ReadSpan { ptr, len }
     }
 
-    /// Sub-span `[start, start + len)` of this span.
+    /// The part of this span at `r`.
     ///
     /// # Safety
-    /// `start + len <= self.len` (the chunker derives both from
-    /// [`split_ranges`] over the job's common block length).
-    unsafe fn sub(self, start: usize, len: usize) -> Self {
-        debug_assert!(start + len <= self.len);
+    /// `r.start <= r.end <= self.len` (the chunker passes a
+    /// [`split_ranges`] range over the job's common block length).
+    unsafe fn sub(self, r: &Range<usize>) -> Self {
+        debug_assert!(r.start <= r.end && r.end <= self.len);
         // SAFETY: in-bounds offset within the span's allocation per the
         // caller contract.
-        let ptr = unsafe { NonNull::new_unchecked(self.ptr.as_ptr().add(start)) };
-        ReadSpan { ptr, len }
+        let ptr = unsafe { NonNull::new_unchecked(self.ptr.as_ptr().add(r.start)) };
+        ReadSpan { ptr, len: r.len() }
     }
 
     /// Rebuild the slice on the executor.
@@ -207,10 +207,10 @@ impl<T> ReadSpan<T> {
 
 /// `Send`-able mutable view of one output block (or a chunk of it).
 /// Exclusivity is structural: [`split_ranges`] yields non-overlapping
-/// ranges, and the chunker derives every `OutSpan` of one output block
-/// from exactly one range each — so no two chunks (hence no two executors)
-/// ever hold spans over the same bytes, and the submitting thread touches
-/// the output borrows only through the chunks it runs itself.
+/// ranges, and the chunker hands each range, as is, to exactly one chunk's
+/// `sub` calls — so no two chunks (hence no two executors) ever hold spans
+/// over the same bytes, and the submitting thread touches the output
+/// borrows only through the chunks it runs itself.
 #[derive(Clone, Copy)]
 struct OutSpan {
     ptr: NonNull<u8>,
@@ -230,18 +230,19 @@ impl OutSpan {
         OutSpan { ptr, len }
     }
 
-    /// Sub-span `[start, start + len)` of this span.
+    /// The part of this span at `r`.
     ///
     /// # Safety
-    /// `start + len <= self.len`, and the caller must hand each resulting
-    /// sub-span to at most one chunk (disjointness comes from using
-    /// [`split_ranges`] output as the only source of ranges).
-    unsafe fn sub(self, start: usize, len: usize) -> Self {
-        debug_assert!(start + len <= self.len);
+    /// `r.start <= r.end <= self.len`, and the caller must hand each
+    /// resulting sub-span to at most one chunk (disjointness comes from
+    /// passing [`split_ranges`] output, one range per chunk, as the only
+    /// ranges).
+    unsafe fn sub(self, r: &Range<usize>) -> Self {
+        debug_assert!(r.start <= r.end && r.end <= self.len);
         // SAFETY: in-bounds offset within the span's allocation per the
         // caller contract.
-        let ptr = unsafe { NonNull::new_unchecked(self.ptr.as_ptr().add(start)) };
-        OutSpan { ptr, len }
+        let ptr = unsafe { NonNull::new_unchecked(self.ptr.as_ptr().add(r.start)) };
+        OutSpan { ptr, len: r.len() }
     }
 
     /// Rebuild the mutable output slice on the executor.
@@ -366,29 +367,20 @@ fn out_spans(shards: &mut [Option<Vec<u8>>], idx: &[usize]) -> Result<Vec<OutSpa
 /// (the submitting thread's own chunks stay plain [`Work`]s; their result
 /// is a local of [`EncodePool::run_jobs_once`]).
 ///
-/// Every chunk reports to its latch exactly once: through [`Chunk::finish`]
-/// after running, or through `Drop` (as a failure) if it never runs — a
-/// failed send, a queue torn down by an exiting worker. Without the `Drop`
-/// path those chunks would vanish and the submitter would block forever.
+/// A chunk reports to its latch in one place, its `Drop`, and a value is
+/// dropped exactly once — so every chunk completes its seat exactly once,
+/// on every path: a clean run, a kernel panic (caught in [`run_chunk`]), a
+/// scripted exit, a failed send, a queue torn down by an exiting worker.
+/// Only a clean run on a worker sets `ok`.
 struct Chunk {
     work: Work,
     batch: Arc<BatchState>,
-    finished: bool,
-}
-
-impl Chunk {
-    /// Report this chunk's kernel result to the batch latch.
-    fn finish(mut self, result: Result<(), ChunkFailed>) {
-        self.finished = true;
-        self.batch.complete(result.is_ok());
-    }
+    ok: bool,
 }
 
 impl Drop for Chunk {
     fn drop(&mut self) {
-        if !self.finished {
-            self.batch.complete(false);
-        }
+        self.batch.complete(self.ok);
     }
 }
 
@@ -430,11 +422,11 @@ impl BatchState {
     /// elapses ([`BatchWait::TimedOut`]).
     ///
     /// On `Clean`/`Failed` the batch is fully quiesced: every chunk
-    /// reported through `finish` or `Drop`, so the caller's borrows are
-    /// safe to release (and `Failed` batches safe to retry — the kernel
-    /// overwrites outputs). `TimedOut` means a chunk was *lost* — neither
-    /// run nor dropped — which the latch/Drop protocol rules out on every
-    /// known path; the watchdog turns a regression there into an error
+    /// reported through its `Drop`, so the caller's borrows are safe to
+    /// release (and `Failed` batches safe to retry — the kernel overwrites
+    /// outputs). `TimedOut` means a chunk was *lost* — never dropped —
+    /// which the Drop-only completion rules out on every known path; the
+    /// watchdog turns a regression there into an error
     /// instead of a hang. A stuck worker could then still hold spans, so
     /// the caller must surface the error and must NOT retry.
     fn wait_with_deadline(&self, watchdog: Option<Duration>) -> BatchWait {
@@ -972,20 +964,13 @@ impl EncodePool {
                 // SAFETY: `r` came from `split_ranges(job.len, _)`, so it
                 // lies within `[0, job.len)`; every source and output of a
                 // job spans `job.len` bytes (checked by `RawJob::new`); and
-                // each range goes to exactly one chunk, which gives every
-                // output sub-span exactly one owner.
+                // `split_ranges` ranges are pairwise disjoint, each passed
+                // unchanged to exactly one chunk, which gives every output
+                // sub-span exactly one owner.
                 let part = unsafe {
                     Work {
-                        sources: whole
-                            .sources
-                            .iter()
-                            .map(|s| s.sub(r.start, r.len()))
-                            .collect(),
-                        outputs: whole
-                            .outputs
-                            .iter()
-                            .map(|o| o.sub(r.start, r.len()))
-                            .collect(),
+                        sources: whole.sources.iter().map(|s| s.sub(&r)).collect(),
+                        outputs: whole.outputs.iter().map(|o| o.sub(&r)).collect(),
                         ..*whole
                     }
                 };
@@ -1009,7 +994,7 @@ impl EncodePool {
                 let chunk = Chunk {
                     work,
                     batch: Arc::clone(latch),
-                    finished: false,
+                    ok: false,
                 };
                 // Scripted fault: drop this send as if the queue were gone.
                 #[cfg(feature = "fault-injection")]
@@ -1116,20 +1101,21 @@ fn run_chunk(shared: &PoolShared, executor: usize, work: &Work) -> Result<(), Ch
 /// per-executor counters live in the shared [`FaultCell`], not here).
 fn worker_loop(executor: usize, rx: Receiver<Msg>, shared: Arc<PoolShared>) {
     while let Ok(msg) = rx.recv() {
-        let chunk = match msg {
+        let mut chunk = match msg {
             Msg::Run(chunk) => chunk,
             // Liveness probe from `heal_workers`; nothing to do.
             Msg::Ping => continue,
         };
         let result = run_chunk(&shared, executor, &chunk.work);
         // Leaving without running the chunk drops it (and everything still
-        // queued), which completes the latch with a failure — exactly like
-        // a worker that died between recv and finish.
+        // queued) with `ok` unset, which fails the latch — exactly like a
+        // worker that died between recv and run.
         #[cfg(feature = "fault-injection")]
         if matches!(result, Err(ChunkFailed::Exit)) {
             return;
         }
-        chunk.finish(result);
+        // The chunk completes its latch seat as it drops, here.
+        chunk.ok = result.is_ok();
     }
 }
 
@@ -1178,6 +1164,34 @@ mod tests {
         let stats = pool.stats();
         assert_eq!((stats.chunks, stats.batch_retries), (1, 0));
         assert_eq!((stats.worker_deaths, stats.worker_respawns), (0, 0));
+    }
+
+    #[test]
+    fn chunks_dealt_to_dead_workers_fail_the_batch_before_the_watchdog() {
+        // Both workers of a 3-executor pool are dead, so the sends of the
+        // two chunks dealt to them fail. Each returned chunk's `Drop` must
+        // complete its latch seat as a failure: a lost seat would leave the
+        // wait to the watchdog, and a different error.
+        let pool = EncodePool::new(3);
+        kill_worker(&pool, 0);
+        kill_worker(&pool, 1);
+        let watchdog = Duration::from_secs(2);
+        pool.set_watchdog(Some(watchdog));
+        let coder = Dialga::new(4, 2).unwrap();
+        let len = 3 * CHUNK_ALIGN;
+        let data = make_data(4, len);
+        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+        let mut parity = vec![vec![0u8; len]; 2];
+        let mut outs: Vec<&mut [u8]> = parity.iter_mut().map(|p| p.as_mut_slice()).collect();
+        let job = RawJob::encode(&coder, &refs, &mut outs).unwrap();
+        assert_eq!(split_ranges(job.len, pool.threads()).len(), 3);
+        let started = Instant::now();
+        let got = pool.run_jobs(&[job], 0);
+        assert!(started.elapsed() < watchdog / 4, "{:?}", started.elapsed());
+        match got {
+            Err(EcError::Internal { what }) => assert!(what.contains("exited mid-batch"), "{what}"),
+            other => panic!("expected the mid-batch failure, got {other:?}"),
+        }
     }
 
     #[test]

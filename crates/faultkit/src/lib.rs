@@ -13,8 +13,8 @@
 //!
 //! # Hot-path contract
 //!
-//! The cell reuses the workspace's knob-word atomic protocol (lint rule
-//! R3): a packed `AtomicU64` generation word written with
+//! The cell publishes through a hand-off flag (a `flag` in lint rule R9's
+//! role table): a packed `AtomicU64` generation word written with
 //! `Ordering::Release` on [`FaultCell::arm`]/[`FaultCell::disarm`] and
 //! read with `Ordering::Acquire` by every hook. While the cell is
 //! disarmed — always, in production; almost always, in tests — a hook
@@ -187,7 +187,7 @@ pub struct FaultCell {
     /// Generation word: `0` = disarmed; any other value = armed with the
     /// plan behind `armed`. Published with `Release`, observed with
     /// `Acquire` so a hook that sees generation `g` also sees the plan
-    /// stored before `g` (the knob-word protocol, lint rule R3).
+    /// stored before `g` (the `flag` role, lint rule R9).
     fault_word: AtomicU64,
     armed: Mutex<Option<Armed>>,
     /// Monotonic generation source so re-arming is always visible.

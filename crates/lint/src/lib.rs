@@ -21,14 +21,16 @@
 //! | R4 | `panic-path` | no `unwrap()`/`expect()`/`panic!` on library paths of `core`, `ec`, `gf`, `pipeline` (tests/benches/bins exempt) |
 //! | R5 | `raw-ptr` | raw-pointer arithmetic and `from_raw_parts` only in whitelisted kernel modules |
 //! | R6 | `const-drift` | no bare `256` (`CHUNK_ALIGN`/`XPLINE`) or `64` (`CACHELINE`) literals in geometry-bearing library code outside the constants' defining modules |
-//! | R7 | `chunk-provenance` | raw-span `.sub(start, len)` calls in the chunk dispatch files take `<range>.start`/`<range>.len()` of a binder traced to `split_ranges` output (directly, or via a pushed proto buffer) — one site today, the chunker in `EncodePool::run_jobs_once` |
 //! | R8 | `lock-order` | the declared Mutex acquisition graph is acyclic across the workspace; no channel `send`/`recv` under a held lock, directly or through same-file calls; every acquisition in the pool/service/fault paths resolves to a declared lock |
 //! | R9 | `atomic-protocol` | every atomic in protocol scope has a declared role — `knob` (store Release / load Acquire), `counter` (Relaxed only), `latch` (fetch_add/fetch_sub AcqRel\|Release + load Acquire), `flag` (store Release / load Acquire / RMW Acquire\|Release\|AcqRel) — and each op follows its role; the knob arm is checked in every scanned file, tests included |
-//! | R10 | `latch-complete` | batch-latch participants complete exactly once: every `.complete(..)` routes through `finish()` or the type's `Drop`, `finish()` flips the completion guard, `Drop` consults it — one participant (`Chunk`, a worker-run chunk; the submitting thread's own chunks never sit on the latch) |
 //!
-//! Rule ids are stable: R3 (`atomic-order`, the knob-word check) was one
-//! arm of R9's role table and is folded into it, and nothing was
-//! renumbered.
+//! Rule ids are stable, and nothing was renumbered when a rule left:
+//! R3 (`atomic-order`, the knob-word check) was one arm of R9's role
+//! table and is folded into it. R7 (span-range provenance) and R10 (latch
+//! completion) each guarded one site in the pool, and the pool's own
+//! structure now makes their checks true: the chunker passes its
+//! `split_ranges` range straight to the span's `sub`, and a worker chunk
+//! completes its latch seat only in its `Drop`.
 //!
 //! Per-site suppressions use `// lint:allow(<key>): <justification>` on the
 //! finding's line or the line above; the justification lives in the source
@@ -50,8 +52,8 @@ pub mod rules;
 pub mod scan;
 
 pub use rules::{
-    check_source, check_sources, AtomicDecl, AtomicRole, Config, Finding, LatchDecl, LiteralGuard,
-    LockDecl, Rule,
+    check_source, check_sources, AtomicDecl, AtomicRole, Config, Finding, LiteralGuard, LockDecl,
+    Rule,
 };
 
 use std::io;
@@ -211,8 +213,8 @@ pub fn workspace_config() -> Config {
         ]),
         // The R8 lock graph: every Mutex in the pool/service/fault paths,
         // named once, with the receivers and helper methods that acquire
-        // it. No live batch latch appears here — `BatchState` is a
-        // Mutex+Condvar pair (`inner`), which is exactly why R10 exists.
+        // it. The pool's batch latch is a Mutex+Condvar pair (`inner`);
+        // `Chunk`'s `Drop` is its only completer.
         locks: vec![
             LockDecl {
                 name: "slots".to_string(),
@@ -254,17 +256,6 @@ pub fn workspace_config() -> Config {
             "crates/service/src/",
             "crates/faultkit/src/",
         ]),
-        // R10: the pool's one latch participant, a chunk handed to a
-        // worker. `Chunk::finish` flips `finished` and completes; `Drop`
-        // completes with an error exactly when `finished` is still false.
-        // Chunks the submitting thread runs itself hold no latch seat.
-        latches: vec![LatchDecl {
-            file: "crates/core/src/pool.rs".to_string(),
-            type_name: "Chunk".to_string(),
-            guard_field: "finished".to_string(),
-            finish_method: "finish".to_string(),
-            complete_method: "complete".to_string(),
-        }],
         literal_guards: vec![
             LiteralGuard {
                 value: 256,
@@ -287,10 +278,6 @@ pub fn workspace_config() -> Config {
                 defining_modules: s(&["crates/gf/src/lib.rs", "crates/memsim/src/lib.rs"]),
             },
         ],
-        // R7: the pool's chunker (`run_jobs_once`) is the one place
-        // raw-span `.sub` offsets are minted; every offset must trace to
-        // `split_ranges` output.
-        provenance_files: s(&["crates/core/src/pool.rs"]),
     }
 }
 

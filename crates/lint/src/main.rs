@@ -20,7 +20,14 @@ fn main() -> ExitCode {
         }
     };
     if findings.is_empty() {
-        println!("dialga-lint: {files} files scanned, clean (rules R1–R10)");
+        let ids: Vec<&str> = dialga_lint::Rule::ALL
+            .iter()
+            .filter_map(|r| r.id().split(' ').next())
+            .collect();
+        println!(
+            "dialga-lint: {files} files scanned, clean (rules {})",
+            ids.join(", ")
+        );
         return ExitCode::SUCCESS;
     }
     for f in &findings {

@@ -1,5 +1,5 @@
-//! The rule engine: R1–R10 (R3 is folded into R9) over scanned source
-//! files, with per-rule inline allow directives.
+//! The rule engine: R1, R2, R4–R6, R8 and R9 over scanned source files,
+//! with per-rule inline allow directives.
 //!
 //! Every rule reports `file:line`, a rule id and a rationale. A finding may
 //! be suppressed at a specific site with a justification comment on the
@@ -11,9 +11,8 @@
 //! ```
 //!
 //! The directive names the rule key (`safety-comment`, `unsafe-confine`,
-//! `panic-path`, `raw-ptr`, `const-drift`, `chunk-provenance`,
-//! `lock-order`, `atomic-protocol`, `latch-complete`), never a
-//! blanket "allow all" — suppressions stay per-rule and per-site, and the
+//! `panic-path`, `raw-ptr`, `const-drift`, `lock-order`,
+//! `atomic-protocol`), never a blanket "allow all" — suppressions stay per-rule and per-site, and the
 //! justification text travels with the site in the source.
 //!
 //! R8 is the only cross-file rule: each file contributes lock-acquisition
@@ -46,12 +45,6 @@ pub enum Rule {
     /// (`CHUNK_ALIGN`/`XPLINE` = 256, `CACHELINE` = 64) outside the
     /// constants' defining modules.
     ConstDrift,
-    /// R7: every raw-span `.sub(start, len)` call in the configured chunk
-    /// dispatch files takes `<range>.start` / `<range>.len()` of a range
-    /// binder whose provenance traces to `split_ranges` — directly
-    /// (bound by a `for` over a `split_ranges(..)` expression) or through
-    /// a carrier collection fed only by such binders.
-    ChunkProvenance,
     /// R8: the declared Mutex acquisition graph is acyclic, no channel
     /// `send`/`recv` happens while a lock is held, and every acquisition
     /// in the scoped crates resolves to a declared lock.
@@ -62,15 +55,20 @@ pub enum Rule {
     /// knob arm (formerly R3 `atomic-order`) applies in every scanned
     /// file, not only in protocol scope.
     AtomicProtocol,
-    /// R10: batch-latch participants complete exactly once — every
-    /// `.complete(..)` call on the latch lives inside the participant
-    /// type's `finish()` or its `Drop`, `finish()` sets the completion
-    /// guard, and `Drop` consults it (the PR 3 use-after-free class,
-    /// enforced statically).
-    LatchComplete,
 }
 
 impl Rule {
+    /// Every rule, in id order: what the analyzer runs and reports.
+    pub const ALL: [Rule; 7] = [
+        Rule::SafetyComment,
+        Rule::UnsafeConfine,
+        Rule::PanicPath,
+        Rule::RawPtr,
+        Rule::ConstDrift,
+        Rule::LockOrder,
+        Rule::AtomicProtocol,
+    ];
+
     /// Display id, e.g. `R9 atomic-protocol`.
     pub fn id(self) -> &'static str {
         match self {
@@ -79,10 +77,8 @@ impl Rule {
             Rule::PanicPath => "R4 panic-path",
             Rule::RawPtr => "R5 raw-ptr",
             Rule::ConstDrift => "R6 const-drift",
-            Rule::ChunkProvenance => "R7 chunk-provenance",
             Rule::LockOrder => "R8 lock-order",
             Rule::AtomicProtocol => "R9 atomic-protocol",
-            Rule::LatchComplete => "R10 latch-complete",
         }
     }
 
@@ -94,10 +90,8 @@ impl Rule {
             Rule::PanicPath => "panic-path",
             Rule::RawPtr => "raw-ptr",
             Rule::ConstDrift => "const-drift",
-            Rule::ChunkProvenance => "chunk-provenance",
             Rule::LockOrder => "lock-order",
             Rule::AtomicProtocol => "atomic-protocol",
-            Rule::LatchComplete => "latch-complete",
         }
     }
 }
@@ -166,16 +160,9 @@ pub struct Config {
     /// Path prefixes where R8 runs: the pool/service/shard paths whose
     /// lock discipline the acquisition graph models.
     pub lock_scope_prefixes: Vec<String>,
-    /// Batch-latch participant types whose completion protocol R10
-    /// checks (complete exactly once, via `finish()` or `Drop`).
-    pub latches: Vec<LatchDecl>,
     /// Guarded geometry constants: integer literals equal to a guard's
     /// value are flagged inside its scope (R6).
     pub literal_guards: Vec<LiteralGuard>,
-    /// Files whose raw-span `.sub(start, len)` calls must take offsets
-    /// traced to `split_ranges` output (R7): the chunk dispatch sites
-    /// where an untraced offset would alias or escape a span.
-    pub provenance_files: Vec<String>,
 }
 
 /// Protocol role of a declared atomic (R9). Each role is an ordering
@@ -222,25 +209,6 @@ pub struct LockDecl {
     /// `lock_slots`); listed separately from receivers so a field and an
     /// unrelated method sharing a name cannot alias each other.
     pub helpers: Vec<String>,
-}
-
-/// One batch-latch participant type whose completion protocol R10 pins.
-/// The check is skipped when `file` does not define `struct <type_name>`
-/// (so fixtures under a virtual path only opt in by defining the type).
-#[derive(Debug, Clone, Default)]
-pub struct LatchDecl {
-    /// File (workspace-relative) hosting the participant type.
-    pub file: String,
-    /// The participant type (e.g. `Chunk`).
-    pub type_name: String,
-    /// Completion guard field `finish()` must set and `Drop` must
-    /// consult (e.g. `finished`).
-    pub guard_field: String,
-    /// The happy-path completion method (e.g. `finish`).
-    pub finish_method: String,
-    /// The latch's completion call every site must route through
-    /// `finish()`/`Drop` (e.g. `complete`).
-    pub complete_method: String,
 }
 
 /// One R6 guard: a named geometry constant whose raw value must not be
@@ -347,10 +315,8 @@ fn check_one(
     rule_panic_path(path, &s, cfg, &test_regions, &mut out);
     rule_raw_ptr(path, &s, whitelisted, &unsafe_regions, &mut out);
     rule_const_drift(path, &s, cfg, &test_regions, &mut out);
-    rule_chunk_provenance(path, &s, cfg, &mut out);
     rule_lock_order(path, &s, cfg, &test_regions, &allows, &mut out, edges);
     rule_atomic_protocol(path, &s, cfg, &test_regions, &mut out);
-    rule_latch_complete(path, &s, cfg, &test_regions, &mut out);
 
     apply_allow_directives(&allows, &mut out);
     out.sort_by_key(|f| f.line);
@@ -671,193 +637,6 @@ fn rule_const_drift(
     }
 }
 
-/// R7: raw-span `.sub(start, len)` provenance in the chunk dispatch files.
-///
-/// The pool's span types make exclusivity *structural*: a `.sub(..)`
-/// offset is sound exactly when it is a range produced by
-/// [`split_ranges`], because those ranges are in-bounds and pairwise
-/// disjoint. This rule pins that provenance lexically:
-///
-/// 1. the argument list must be literally `<r>.start, <r>.len()` for a
-///    single binder `<r>` — no arithmetic, no raw integers;
-/// 2. `<r>` must be bound by a `for` pattern whose iterated expression
-///    mentions `split_ranges`, or mentions a *carrier* — a collection
-///    that only ever receives `push(..)`es containing an already-provenant
-///    binder (the proto-buffering idiom: `protos.push((j, r))` inside the
-///    `split_ranges` loop, then `for (j, r) in protos`).
-///
-/// Carrier membership is computed to a fixed point so chains of
-/// buffering hops resolve in any textual order. Like R9, resolution is
-/// lexer-grade: rebinding a range to a fresh name through anything other
-/// than a `for` pattern or a `push` escapes the trace and is flagged —
-/// the fix is to keep the dispatch idiom direct, or justify the site with
-/// `// lint:allow(chunk-provenance): <why>`.
-fn rule_chunk_provenance(path: &str, s: &Scanned, cfg: &Config, out: &mut Vec<Finding>) {
-    if !cfg.provenance_files.iter().any(|f| matches_path(path, f)) {
-        return;
-    }
-
-    // Collect every `for <pat> in <expr> {` as (pattern idents, expr
-    // idents, line). The pattern is everything up to the first `in`; the
-    // expression runs to the body's `{` (a lexer-grade cut: struct
-    // literals in loop headers are not workspace idiom).
-    let mut loops: Vec<(Vec<String>, Vec<String>, u32)> = Vec::new();
-    for i in 0..s.tokens.len() {
-        if !s.is_ident(i, "for") {
-            continue;
-        }
-        let mut j = i + 1;
-        let mut pat = Vec::new();
-        while j < s.tokens.len() && !s.is_ident(j, "in") {
-            if let Some(id) = s.ident(j) {
-                pat.push(id.to_string());
-            }
-            j += 1;
-        }
-        let mut expr = Vec::new();
-        j += 1;
-        while j < s.tokens.len() && !s.is_punct(j, '{') {
-            if let Some(id) = s.ident(j) {
-                expr.push(id.to_string());
-            }
-            j += 1;
-        }
-        if !pat.is_empty() && !expr.is_empty() {
-            loops.push((pat, expr, s.tokens[i].line));
-        }
-    }
-
-    // Fixed point: seed with loops over `split_ranges(..)`, then fold in
-    // carriers (collections pushed provenant binders) and the loops that
-    // iterate them, until nothing new is learned. Each binder/carrier
-    // carries the reason it was admitted, so a failing site can print the
-    // full assignment chain.
-    let mut provenant: Vec<(String, String)> = Vec::new();
-    let mut carriers: Vec<(String, String)> = Vec::new();
-    loop {
-        let mut grew = false;
-        for (pat, expr, line) in &loops {
-            let via = if expr.iter().any(|e| e == "split_ranges") {
-                Some("`split_ranges(..)`".to_string())
-            } else {
-                expr.iter()
-                    .find(|e| carriers.iter().any(|(c, _)| c == *e))
-                    .map(|c| format!("carrier `{c}`"))
-            };
-            if let Some(via) = via {
-                for p in pat {
-                    if !provenant.iter().any(|(n, _)| n == p) {
-                        provenant.push((
-                            p.clone(),
-                            format!("bound by `for` over {via} at line {line}"),
-                        ));
-                        grew = true;
-                    }
-                }
-            }
-        }
-        for i in 0..s.tokens.len() {
-            if !s.is_ident(i, "push") || i < 2 || !s.is_punct(i - 1, '.') || !s.is_punct(i + 1, '(')
-            {
-                continue;
-            }
-            let Some(recv) = s.ident(i - 2) else { continue };
-            let mut depth = 0i64;
-            let mut j = i + 1;
-            let mut pushed: Option<String> = None;
-            while j < s.tokens.len() {
-                match &s.tokens[j].kind {
-                    TokKind::Punct('(') => depth += 1,
-                    TokKind::Punct(')') => {
-                        depth -= 1;
-                        if depth <= 0 {
-                            break;
-                        }
-                    }
-                    TokKind::Ident(t) if provenant.iter().any(|(p, _)| p == t) => {
-                        pushed = Some(t.clone());
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            if let Some(p) = pushed {
-                if !carriers.iter().any(|(c, _)| c == recv) {
-                    let line = s.tokens[i].line;
-                    carriers.push((
-                        recv.to_string(),
-                        format!("receives `.push(..)` of traced binder `{p}` at line {line}"),
-                    ));
-                    grew = true;
-                }
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
-
-    // Check every `.sub(` call site against the traced shape.
-    for i in 0..s.tokens.len() {
-        if !s.is_ident(i, "sub") || i < 2 || !s.is_punct(i - 1, '.') || !s.is_punct(i + 1, '(') {
-            continue;
-        }
-        // Exact argument shape: Ident(r) . start , Ident(r) . len ( ) )
-        let binder = s.ident(i + 2).filter(|_| {
-            s.is_punct(i + 3, '.')
-                && s.is_ident(i + 4, "start")
-                && s.is_punct(i + 5, ',')
-                && s.ident(i + 6) == s.ident(i + 2)
-                && s.is_punct(i + 7, '.')
-                && s.is_ident(i + 8, "len")
-                && s.is_punct(i + 9, '(')
-                && s.is_punct(i + 10, ')')
-                && s.is_punct(i + 11, ')')
-        });
-        let ok = matches!(binder, Some(b) if provenant.iter().any(|(p, _)| p == b));
-        if !ok {
-            // Binder trace: say why the trace broke, then print the chain
-            // of bindings the fixed point *did* establish, so the fix
-            // (route through the traced idiom) is visible from the
-            // diagnostic alone.
-            let mut notes = Vec::new();
-            match binder {
-                Some(b) => notes.push(format!(
-                    "binder `{b}` has no provenance trace to `split_ranges`"
-                )),
-                None => notes.push(
-                    "arguments must be exactly `<r>.start, <r>.len()` of one binder — \
-                     arithmetic or raw integers defeat the trace"
-                        .to_string(),
-                ),
-            }
-            if provenant.is_empty() {
-                notes.push(
-                    "no traced binders in this file (no `for` over `split_ranges(..)`)".to_string(),
-                );
-            }
-            for (name, why) in &provenant {
-                notes.push(format!("traced binder `{name}`: {why}"));
-            }
-            for (name, why) in &carriers {
-                notes.push(format!("carrier `{name}`: {why}"));
-            }
-            out.push(Finding {
-                path: path.to_string(),
-                line: s.tokens[i].line,
-                rule: Rule::ChunkProvenance,
-                message: "`.sub(..)` offsets without `split_ranges` provenance — pass \
-                          `<range>.start, <range>.len()` of a range bound from \
-                          `split_ranges` output (directly or via a pushed proto \
-                          buffer), or justify with \
-                          `// lint:allow(chunk-provenance): <why>`"
-                    .to_string(),
-                notes,
-            });
-        }
-    }
-}
-
 /// One lock-acquisition edge for the R8 graph: `acquired` was taken while
 /// `held` was already held. Site info survives into cycle diagnostics.
 #[derive(Debug, Clone)]
@@ -991,7 +770,7 @@ fn channel_reaching_fns<'a>(
 /// losing track of its stack), the walk tracks which declared locks are
 /// held. Acquisitions are `<receiver>.lock()` / `<receiver>.try_lock()`
 /// on a declared receiver, or a call of a declared helper method. Guard
-/// lifetime is binder-traced like R7: a `let`-bound guard lives until
+/// lifetime is binder-traced: a `let`-bound guard lives until
 /// `drop(binder)` or the end of its block; a temporary (any acquisition
 /// whose call chain does not end the statement) dies at its statement's
 /// `;`. `Condvar::wait(guard)` keeps the guard held — the wait reacquires
@@ -1465,182 +1244,6 @@ fn rule_atomic_protocol(
             });
         }
     }
-}
-
-/// R10: latch-completion discipline for each declared participant type.
-/// Skipped unless the file defines `struct <type_name>` (fixtures under a
-/// virtual path opt in by defining the type). Checks: a `finish` method
-/// exists and sets the completion guard; an `impl Drop for <type>` exists
-/// and consults the guard; and every `.complete(..)` call outside tests
-/// lives inside one of those two bodies.
-fn rule_latch_complete(
-    path: &str,
-    s: &Scanned,
-    cfg: &Config,
-    test_regions: &[(u32, u32)],
-    out: &mut Vec<Finding>,
-) {
-    for decl in &cfg.latches {
-        if !matches_path(path, &decl.file) {
-            continue;
-        }
-        let Some(struct_line) = (0..s.tokens.len())
-            .find(|&i| s.is_ident(i, "struct") && s.is_ident(i + 1, &decl.type_name))
-            .map(|i| s.tokens[i].line)
-        else {
-            continue;
-        };
-        // Line regions of every `fn <finish_method>` body, and of the
-        // `fn drop` body inside `impl … Drop for … <type_name>`.
-        let mut finish_regions: Vec<(u32, u32)> = Vec::new();
-        for i in 0..s.tokens.len() {
-            if s.is_ident(i, "fn") && s.is_ident(i + 1, &decl.finish_method) {
-                if let Some((open, close)) = body_after_fn(s, i) {
-                    finish_regions.push((s.tokens[open].line, s.tokens[close].line));
-                }
-            }
-        }
-        let mut drop_region: Option<(usize, usize)> = None;
-        for i in 0..s.tokens.len() {
-            if !s.is_ident(i, "impl") {
-                continue;
-            }
-            let mut j = i + 1;
-            let (mut saw_drop, mut saw_type) = (false, false);
-            while j < s.tokens.len() && !s.is_punct(j, '{') {
-                saw_drop |= s.is_ident(j, "Drop");
-                saw_type |= s.is_ident(j, &decl.type_name);
-                j += 1;
-            }
-            if !(saw_drop && saw_type) || j >= s.tokens.len() {
-                continue;
-            }
-            let Some(close) = s.matching_brace(j) else {
-                continue;
-            };
-            drop_region = (j..close)
-                .find(|&k| s.is_ident(k, "fn") && s.is_ident(k + 1, "drop"))
-                .and_then(|k| body_after_fn(s, k));
-            break;
-        }
-        if finish_regions.is_empty() {
-            out.push(Finding {
-                path: path.to_string(),
-                line: struct_line,
-                rule: Rule::LatchComplete,
-                message: format!(
-                    "latch participant `{}` has no `fn {}` — the happy completion \
-                     path must be an audited method that marks the participant done",
-                    decl.type_name, decl.finish_method
-                ),
-                notes: Vec::new(),
-            });
-        }
-        match drop_region {
-            None => out.push(Finding {
-                path: path.to_string(),
-                line: struct_line,
-                rule: Rule::LatchComplete,
-                message: format!(
-                    "no `impl Drop for {}` — a participant dropped on an error path \
-                     (worker death, failed send) would never complete the batch \
-                     latch and the submitter would hang (the PR 3 class)",
-                    decl.type_name
-                ),
-                notes: Vec::new(),
-            }),
-            Some((open, close)) => {
-                let mentions_guard = (open..close).any(|k| s.is_ident(k, &decl.guard_field));
-                if !mentions_guard {
-                    out.push(Finding {
-                        path: path.to_string(),
-                        line: s.tokens[open].line,
-                        rule: Rule::LatchComplete,
-                        message: format!(
-                            "`Drop for {}` does not consult `{}` — an unconditional \
-                             drop-completion double-completes after `{}()`",
-                            decl.type_name, decl.guard_field, decl.finish_method
-                        ),
-                        notes: Vec::new(),
-                    });
-                }
-            }
-        }
-        // `finish()` must set the guard (`<guard> = true`) so Drop's
-        // check actually observes completion.
-        for &(a, b) in &finish_regions {
-            let sets_guard = (0..s.tokens.len()).any(|k| {
-                s.tokens[k].line >= a
-                    && s.tokens[k].line <= b
-                    && s.is_ident(k, &decl.guard_field)
-                    && s.is_punct(k + 1, '=')
-                    && !s.is_punct(k + 2, '=')
-                    && s.is_ident(k + 2, "true")
-            });
-            if !sets_guard {
-                out.push(Finding {
-                    path: path.to_string(),
-                    line: a,
-                    rule: Rule::LatchComplete,
-                    message: format!(
-                        "`{}()` does not set `{} = true` — without the guard flip, \
-                         `Drop` completes the latch a second time",
-                        decl.finish_method, decl.guard_field
-                    ),
-                    notes: Vec::new(),
-                });
-            }
-        }
-        let drop_lines = drop_region.map(|(o, c)| (s.tokens[o].line, s.tokens[c].line));
-        for i in 0..s.tokens.len() {
-            if !s.is_ident(i, &decl.complete_method)
-                || !s.is_punct(i.wrapping_sub(1), '.')
-                || !s.is_punct(i + 1, '(')
-            {
-                continue;
-            }
-            let line = s.tokens[i].line;
-            if in_any_region(line, test_regions)
-                || in_any_region(line, &finish_regions)
-                || drop_lines.is_some_and(|(a, b)| line >= a && line <= b)
-            {
-                continue;
-            }
-            out.push(Finding {
-                path: path.to_string(),
-                line,
-                rule: Rule::LatchComplete,
-                message: format!(
-                    "`.{}(..)` outside `{}()`/`Drop` — latch completion must route \
-                     through the two audited paths so every participant completes \
-                     exactly once; justify exceptions with \
-                     `// lint:allow(latch-complete): <why>`",
-                    decl.complete_method, decl.finish_method
-                ),
-                notes: Vec::new(),
-            });
-        }
-    }
-}
-
-/// Token range `(open_brace, close_brace)` of the body of the `fn` whose
-/// keyword sits at token `i`.
-fn body_after_fn(s: &Scanned, i: usize) -> Option<(usize, usize)> {
-    let mut j = i + 2;
-    let mut nest = 0i64;
-    while j < s.tokens.len() {
-        match s.tokens[j].kind {
-            TokKind::Punct('(') | TokKind::Punct('[') => nest += 1,
-            TokKind::Punct(')') | TokKind::Punct(']') => nest -= 1,
-            TokKind::Punct('{') if nest == 0 => {
-                return s.matching_brace(j).map(|c| (j, c));
-            }
-            TokKind::Punct(';') if nest == 0 => return None,
-            _ => {}
-        }
-        j += 1;
-    }
-    None
 }
 
 /// Collect every `lint:allow(<key>)` directive as `(comment end line,

@@ -205,28 +205,7 @@ fn r6_accepts_named_constants_tests_near_misses_and_allows() {
     assert!(!fired.contains(&Rule::ConstDrift), "{fired:?}");
 }
 
-#[test]
-fn r7_fires_on_untraced_sub_offsets() {
-    // Raw integer offsets + arithmetic on a traced range + a range from a
-    // hand-rolled chunker: three findings in the provenance-checked file.
-    let findings = findings_for(KERNEL, "r7_bad.rs");
-    let r7 = findings
-        .iter()
-        .filter(|f| f.rule == Rule::ChunkProvenance)
-        .count();
-    assert_eq!(r7, 3, "{findings:?}");
-    // Outside the configured dispatch files the same content is silent.
-    let fired = rules_fired(LIB_EC, "r7_bad.rs");
-    assert!(!fired.contains(&Rule::ChunkProvenance), "{fired:?}");
-}
-
-#[test]
-fn r7_accepts_traced_buffered_and_justified_sub_calls() {
-    let fired = rules_fired(KERNEL, "r7_good.rs");
-    assert!(!fired.contains(&Rule::ChunkProvenance), "{fired:?}");
-}
-
-// ---------------------------------------------------------------- R8–R10
+// ---------------------------------------------------------------- R8, R9
 
 /// Virtual path inside the R8/R9 scope prefixes (service crate).
 const LIB_SVC: &str = "crates/service/src/fixture.rs";
@@ -327,8 +306,8 @@ fn r8_findings_carry_held_lock_trace() {
 /// Workspace config extended with a latch-role atomic of the fixtures'
 /// own: the live workspace's only latch-role atomics are the service's
 /// two retirement tallies, which never `fetch_sub` (the pool's batch latch
-/// is a Mutex+Condvar pair, R10's department), so the whole latch leg of
-/// the role taxonomy is exercised here.
+/// is a Mutex+Condvar pair), so the whole latch leg of the role taxonomy
+/// is exercised here.
 fn cfg_with_latch_atomic() -> dialga_lint::Config {
     let mut cfg = workspace_config();
     cfg.atomics.push(dialga_lint::AtomicDecl {
@@ -414,79 +393,40 @@ fn r9_respects_per_site_allow_directive() {
 }
 
 #[test]
-fn r10_fires_on_completion_protocol_violations() {
-    let findings = findings_for(KERNEL, "r10_bad.rs");
-    let r10: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == Rule::LatchComplete)
-        .collect();
-    assert_eq!(r10.len(), 3, "{findings:?}");
-    let messages: Vec<&str> = r10.iter().map(|f| f.message.as_str()).collect();
-    assert!(
-        messages
+fn every_rule_fires_on_a_bad_fixture_and_every_bad_fixture_fires() {
+    // Every `*_bad*.rs` fixture under every virtual path the tests above
+    // use: a rule with no bad fixture left, or a bad fixture whose rule
+    // is gone, fails here.
+    let paths = [
+        KERNEL,
+        LIB_EC,
+        LIB_SVC,
+        "crates/core/src/fixture.rs",
+        "crates/memsim/src/engine.rs",
+        "crates/ec/src/lib.rs",
+    ];
+    let dir = format!("{}/fixtures", env!("CARGO_MANIFEST_DIR"));
+    let mut fired: Vec<Rule> = Vec::new();
+    for entry in std::fs::read_dir(&dir).expect("read fixtures dir") {
+        let name = entry.expect("fixture entry").file_name();
+        let name = name.to_string_lossy();
+        if !name.contains("_bad") {
+            continue;
+        }
+        let source = fixture(&name);
+        let here: Vec<Rule> = paths
             .iter()
-            .any(|m| m.contains("does not set `finished = true`")),
-        "{messages:?}"
-    );
-    assert!(
-        messages
-            .iter()
-            .any(|m| m.contains("does not consult `finished`")),
-        "{messages:?}"
-    );
-    assert!(
-        messages
-            .iter()
-            .any(|m| m.contains("outside `finish()`/`Drop`")),
-        "{messages:?}"
-    );
-}
-
-#[test]
-fn r10_fires_on_missing_drop_impl() {
-    let findings = findings_for(KERNEL, "r10_bad_nodrop.rs");
-    let r10: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == Rule::LatchComplete)
-        .collect();
-    assert_eq!(r10.len(), 1, "{findings:?}");
-    assert!(
-        r10[0].message.contains("no `impl Drop for Chunk`"),
-        "{}",
-        r10[0].message
-    );
-}
-
-#[test]
-fn r10_accepts_the_audited_protocol() {
-    let fired = rules_fired(KERNEL, "r10_good.rs");
-    assert!(!fired.contains(&Rule::LatchComplete), "{fired:?}");
-}
-
-#[test]
-fn r10_respects_per_site_allow_directive() {
-    let fired = rules_fired(KERNEL, "r10_allowed.rs");
-    assert!(!fired.contains(&Rule::LatchComplete), "{fired:?}");
-}
-
-#[test]
-fn r10_skips_files_not_defining_the_latch_type() {
-    // Same virtual path, but the fixture never defines `struct Chunk`:
-    // the completion checks must not demand a Drop impl of r1's fixture.
-    let fired = rules_fired(KERNEL, "r1_good.rs");
-    assert!(!fired.contains(&Rule::LatchComplete), "{fired:?}");
-}
-
-#[test]
-fn r7_findings_carry_binder_trace_notes() {
-    // Satellite: R7 diagnostics explain the provenance chain the fixed
-    // point established, so the fix is visible from the diagnostic.
-    let findings = findings_for(KERNEL, "r7_bad.rs");
-    let r7 = findings
-        .iter()
-        .find(|f| f.rule == Rule::ChunkProvenance)
-        .expect("r7 finding");
-    let rendered = r7.to_string();
-    assert!(rendered.contains("= note:"), "{rendered}");
-    assert!(rendered.contains("split_ranges"), "{rendered}");
+            .flat_map(|p| check_source(p, &source, &cfg_with_latch_atomic()))
+            .map(|f| f.rule)
+            .collect();
+        assert!(!here.is_empty(), "{name} fires no rule under any path");
+        fired.extend(here);
+    }
+    for rule in Rule::ALL {
+        assert!(
+            fired.contains(&rule),
+            "{} fires on no bad fixture",
+            rule.id()
+        );
+    }
 }

@@ -1,4 +1,4 @@
-//! Integration test: the live workspace is clean under rules R1–R5.
+//! Integration test: the live workspace is clean under every rule.
 //!
 //! This is the same scan `scripts/lint.sh` runs as the tier-1.5 gate, so a
 //! regression that introduces a bare `unsafe`, a knob-word ordering

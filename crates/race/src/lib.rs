@@ -5,7 +5,9 @@
 //!
 //! The workspace's concurrency protocols (the pool's batch latch, worker
 //! healing, the shard admission queue) are pinned statically by
-//! `dialga-lint` rules R8–R10; this crate pins them *dynamically*: small
+//! `dialga-lint` rules R8 and R9 and, for the latch's exactly-once
+//! completion, by the type itself (a pool chunk completes only in its
+//! `Drop`); this crate pins them *dynamically*: small
 //! models of those protocols written against shim sync primitives
 //! ([`Mutex`], [`Condvar`], [`channel`], [`AtomicU64`] & friends,
 //! [`spawn`]) run under a scheduler that serializes every sync operation

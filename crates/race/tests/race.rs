@@ -94,40 +94,31 @@ impl Batch {
 }
 
 /// One unit of latched work (mirrors pool.rs `Chunk`): completes exactly
-/// once, via `finish` on the happy path or `Drop` on every other path —
-/// the contract lint R10 enforces statically.
+/// once because it completes only in its `Drop`, which the type runs once
+/// on every path; a worker sets `ok` after a clean run.
 struct Chunk {
     batch: Arc<Batch>,
-    finished: bool,
+    ok: bool,
 }
 
 impl Chunk {
     fn new(batch: &Arc<Batch>) -> Chunk {
         Chunk {
             batch: Arc::clone(batch),
-            finished: false,
+            ok: false,
         }
-    }
-
-    fn finish(mut self, ok: bool) {
-        self.finished = true;
-        self.batch.complete(ok);
     }
 }
 
 impl Drop for Chunk {
     fn drop(&mut self) {
-        if !self.finished {
-            self.batch.complete(false);
-        }
+        self.batch.complete(self.ok);
     }
 }
 
 impl std::fmt::Debug for Chunk {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Chunk")
-            .field("finished", &self.finished)
-            .finish()
+        f.debug_struct("Chunk").field("ok", &self.ok).finish()
     }
 }
 
@@ -155,12 +146,12 @@ fn pool_latch_model(wait_before_free: bool) {
 
     let frame_a = Arc::clone(&frame);
     let worker_a = spawn(move || {
-        let chunk = rx_a.recv().expect("worker A receives its chunk");
+        let mut chunk = rx_a.recv().expect("worker A receives its chunk");
         assert!(
             frame_a.load(Ordering::Acquire),
             "worker touched freed frame"
         );
-        chunk.finish(true);
+        chunk.ok = true;
     });
 
     if let Err(dead) = tx_b.send(Chunk::new(&batch)) {
@@ -213,9 +204,8 @@ fn bug_model_lost_completion_deadlocks() {
         drop(rx_b);
 
         let worker_a = spawn(move || {
-            rx_a.recv()
-                .expect("worker A receives its chunk")
-                .finish(true);
+            let mut chunk = rx_a.recv().expect("worker A receives its chunk");
+            chunk.ok = true;
         });
 
         if let Err(dead) = tx_b.send(Chunk::new(&batch)) {
@@ -242,8 +232,8 @@ fn bug_model_panic_escalation_is_caught() {
         let batch = Batch::new(1);
         let (tx, rx) = channel::<Chunk>();
         let worker = spawn(move || {
-            // Worker hits a decode error: completes with failure.
-            rx.recv().expect("worker receives its chunk").finish(false);
+            // Worker hits a decode error: drops the chunk with `ok` unset.
+            drop(rx.recv().expect("worker receives its chunk"));
         });
         tx.send(Chunk::new(&batch)).expect("worker is alive");
         batch.wait_panicky();
@@ -305,7 +295,7 @@ fn heal_respawn_model_clean() {
                     while let Ok(msg) = rx.recv() {
                         match msg {
                             Msg::Ping => {}
-                            Msg::Work(chunk) => chunk.finish(true),
+                            Msg::Work(mut chunk) => chunk.ok = true,
                         }
                     }
                 });
@@ -706,7 +696,8 @@ fn exhaustive_covers_single_worker_latch() {
         let batch = Batch::new(1);
         let (tx, rx) = channel::<Chunk>();
         let worker = spawn(move || {
-            rx.recv().expect("worker receives its chunk").finish(true);
+            let mut chunk = rx.recv().expect("worker receives its chunk");
+            chunk.ok = true;
         });
         tx.send(Chunk::new(&batch)).expect("worker is alive");
         assert!(batch.wait(), "single clean chunk");

@@ -34,9 +34,10 @@
 //!   already complete. Everything else is the master's.
 //!
 //! Shard selection hashes `(tenant, seq)`; when the hashed shard's queue
-//! occupancy crosses [`ServiceConfig::spill_occupancy`], the request
-//! spills to the neighbouring shard if it is less loaded (load-aware
-//! admission in the spirit of DSPatch's bandwidth-aware dual policies).
+//! occupancy crosses three quarters of [`ServiceConfig::queue_depth`], the
+//! request spills to the neighbouring shard if it is less loaded
+//! (load-aware admission in the spirit of DSPatch's bandwidth-aware dual
+//! policies).
 
 mod shard;
 
@@ -79,10 +80,11 @@ pub struct ServiceConfig {
     pub batch_limit: usize,
     /// Deficit-round-robin quantum in bytes added per tenant visit.
     pub quantum_bytes: usize,
-    /// Queue-occupancy fraction of `queue_depth` above which shard
-    /// selection spills to the (less-loaded) neighbour shard.
-    pub spill_occupancy: f64,
 }
+
+/// Queue-occupancy fraction of [`ServiceConfig::queue_depth`] above which
+/// shard selection spills to the (less-loaded) neighbour shard.
+const SPILL_OCCUPANCY: f64 = 0.75;
 
 impl Default for ServiceConfig {
     fn default() -> Self {
@@ -95,7 +97,6 @@ impl Default for ServiceConfig {
             queue_depth: 256,
             batch_limit: 16,
             quantum_bytes: 1 << 20,
-            spill_occupancy: 0.75,
         }
     }
 }
@@ -211,7 +212,8 @@ impl Ticket {
 const LAT_BUCKETS: usize = 128;
 
 /// Lock-free log-scale latency histogram: two buckets per octave, pure
-/// `Relaxed` tallies by the same protocol as the pool counters (lint R3).
+/// `Relaxed` tallies by the same protocol as the pool counters (lint R9's
+/// `counter` role).
 /// Quantiles resolve to the *upper bound* of the crossing bucket, so a
 /// reported p99 over-estimates by at most one half-octave (≤ 50 %) —
 /// ample resolution for the per-class quantiles [`StripeService::stats`]
@@ -396,8 +398,8 @@ pub struct StripeService {
     counters: Arc<ServiceCounters>,
     /// True while the construction-time store recovery is still running.
     /// Store-`Release` by the recovery thread after the result is
-    /// published, load-`Acquire` on the submit path (knob-word protocol,
-    /// lint R9): a submitter that observes `false` also observes the
+    /// published, load-`Acquire` on the submit path (a `flag` in lint R9's
+    /// role table): a submitter that observes `false` also observes the
     /// recovered store behind `recovered`.
     recovering: Arc<AtomicBool>,
     /// The recovered store (or the recovery failure), published by the
@@ -615,11 +617,18 @@ impl StripeService {
         deadline: Option<Duration>,
     ) -> Result<Ticket, ServiceError> {
         let want = self.cfg.k + self.cfg.m;
-        if shards.len() != want || target >= want {
-            return Err(ServiceError::Coding(EcError::BlockCount {
+        let counts = |got| {
+            ServiceError::Coding(EcError::BlockCount {
                 expected: want,
-                got: shards.len().max(target),
-            }));
+                got,
+            })
+        };
+        // The count first, then the target: each error names its own number.
+        if shards.len() != want {
+            return Err(counts(shards.len()));
+        }
+        if target >= want {
+            return Err(counts(target));
         }
         self.submit(tenant, OpPayload::Repair { shards, target }, deadline)
     }
@@ -707,7 +716,7 @@ impl StripeService {
         if n == 1 {
             return (primary, false);
         }
-        let threshold = ((self.cfg.queue_depth as f64) * self.cfg.spill_occupancy) as usize;
+        let threshold = ((self.cfg.queue_depth as f64) * SPILL_OCCUPANCY) as usize;
         let occ = self.shards[primary].occupancy();
         if occ > threshold {
             let neighbour = (primary + 1) % n;
@@ -928,11 +937,71 @@ mod tests {
     }
 
     #[test]
+    fn repair_geometry_errors_name_the_wrong_number() {
+        let svc = StripeService::new(small_cfg()).unwrap();
+        let counts = |got| {
+            Err(ServiceError::Coding(EcError::BlockCount {
+                expected: 6,
+                got,
+            }))
+        };
+        // Wrong count, in-range target: the count is what is wrong.
+        let reply = svc.submit_repair(1, vec![None; 3], 2, None).map(|_| ());
+        assert_eq!(reply, counts(3));
+        // Wrong count *and* out-of-range target: still the count.
+        let reply = svc.submit_repair(1, vec![None; 3], 9, None).map(|_| ());
+        assert_eq!(reply, counts(3));
+        // Right count, out-of-range target: the target.
+        let reply = svc.submit_repair(1, vec![None; 6], 9, None).map(|_| ());
+        assert_eq!(reply, counts(9));
+        assert_eq!(svc.stats().submitted, 0);
+    }
+
+    #[test]
+    fn a_crowded_hashed_shard_spills_to_its_less_loaded_neighbour() {
+        let svc = StripeService::new(ServiceConfig {
+            queue_depth: 8,
+            ..small_cfg()
+        })
+        .unwrap();
+        svc.set_paused(true);
+        let tenant = 7u32;
+        // Advance the service's sequence to the next number whose
+        // `(tenant, seq)` hashes to shard 0.
+        let hashed = |seq: u64| mix64((u64::from(tenant) << 32) ^ seq) % 2;
+        let next_on_shard_0 = || {
+            while hashed(svc.seq.load(Ordering::Relaxed)) != 0 {
+                svc.seq.fetch_add(1, Ordering::Relaxed);
+            }
+        };
+        // Fill shard 0 past 75 % of its queue (6 of 8) with one tenant.
+        let mut tickets = Vec::new();
+        for salt in 0..7 {
+            next_on_shard_0();
+            let ticket = svc.submit_encode(tenant, make_stripe(4, 1024, salt), None);
+            tickets.push(ticket.unwrap());
+        }
+        assert!(tickets.iter().all(|t| t.shard() == 0));
+        let stats = svc.stats();
+        assert_eq!((stats.shard_occupancy, stats.spilled), (vec![7, 0], 0));
+        // The next request hashed to shard 0 lands on its neighbour.
+        next_on_shard_0();
+        let spilled = svc.submit_encode(tenant, make_stripe(4, 1024, 7), None);
+        tickets.push(spilled.unwrap());
+        assert_eq!(tickets[7].shard(), 1);
+        let stats = svc.stats();
+        assert_eq!((stats.shard_occupancy, stats.spilled), (vec![7, 1], 1));
+        svc.set_paused(false);
+        for t in tickets {
+            assert!(t.wait().is_ok());
+        }
+    }
+
+    #[test]
     fn paused_service_fills_then_rejects() {
         let cfg = ServiceConfig {
             shards: 1,
             queue_depth: 3,
-            spill_occupancy: 2.0, // spill disabled: single shard anyway
             ..small_cfg()
         };
         let svc = StripeService::new(cfg).unwrap();

@@ -23,7 +23,7 @@ echo "== benchmark build check (benchmark/ against this tree, lock file frozen) 
 # benchmark/Cargo.lock, fails here instead of in the benchmark run.
 cargo check --offline --locked --manifest-path benchmark/Cargo.toml --all-targets
 
-echo "== dialga-lint (unsafe surface, atomic/lock/latch protocols, panic paths, const drift) =="
+echo "== dialga-lint (unsafe surface, atomic/lock protocols, panic paths, const drift) =="
 cargo run -q -p dialga-lint
 
 echo "== race smoke (seeded interleaving models, bounded schedule budget) =="
