@@ -242,9 +242,11 @@ pub fn workspace_config() -> Config {
                 helpers: s(&["lock_armed"]),
             },
             // The service's recovery hand-off slot: the recovery thread
-            // publishes the opened store under it before releasing the
-            // `recovering` flag; accessors take it only after observing
-            // the flag clear, so it never nests inside another lock.
+            // publishes the opened store and clears the `recovering` flag
+            // under it, then notifies its condvar; `wait_recovered` waits on
+            // that condvar under it, and the other accessors take it only
+            // after observing the flag clear. It never nests inside
+            // another lock.
             LockDecl {
                 name: "recovered".to_string(),
                 receivers: s(&["recovered"]),

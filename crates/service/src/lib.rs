@@ -51,7 +51,7 @@ use shard::{Done, OpPayload, Pending, Reply, Shard};
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -385,6 +385,16 @@ pub struct ServiceStats {
 /// [`StripeService::with_store`] recovers and owns.
 pub type BoxedStore = StripeStore<Box<dyn PmImage + Send>>;
 
+/// The construction-time recovery hand-off between the recovery thread
+/// and [`StripeService::wait_recovered`].
+struct Recovery {
+    /// The recovered store (or the recovery failure). The recovery thread
+    /// publishes it and clears the service's `recovering` flag under this
+    /// lock, then notifies `ready`.
+    recovered: Mutex<Option<Result<BoxedStore, StoreError>>>,
+    ready: Condvar,
+}
+
 /// The sharded stripe-service front end. See the crate docs for the
 /// architecture; construct with [`StripeService::new`], submit with
 /// [`StripeService::submit_encode`] /
@@ -400,11 +410,9 @@ pub struct StripeService {
     /// Store-`Release` by the recovery thread after the result is
     /// published, load-`Acquire` on the submit path (a `flag` in lint R9's
     /// role table): a submitter that observes `false` also observes the
-    /// recovered store behind `recovered`.
+    /// recovered store behind `recovery`.
     recovering: Arc<AtomicBool>,
-    /// The recovered store (or the recovery failure), published by the
-    /// recovery thread before it clears `recovering`.
-    recovered: Arc<Mutex<Option<Result<BoxedStore, StoreError>>>>,
+    recovery: Arc<Recovery>,
 }
 
 impl StripeService {
@@ -452,7 +460,10 @@ impl StripeService {
             seq: AtomicU64::new(0),
             counters,
             recovering: Arc::new(AtomicBool::new(false)),
-            recovered: Arc::new(Mutex::new(None)),
+            recovery: Arc::new(Recovery {
+                recovered: Mutex::new(None),
+                ready: Condvar::new(),
+            }),
         })
     }
 
@@ -460,7 +471,7 @@ impl StripeService {
     /// immediately, a dedicated thread runs [`StripeStore::open`]
     /// (rollback/forward + boot scrub) on `image`, and until it finishes
     /// every submission is refused with [`ServiceError::Recovering`] —
-    /// backpressure, never blocking. Poll with
+    /// backpressure, never blocking. Wait with
     /// [`wait_recovered`](Self::wait_recovered); inspect the outcome with
     /// [`recovery_report`](Self::recovery_report) and reach the store
     /// through [`with_store_mut`](Self::with_store_mut).
@@ -471,15 +482,23 @@ impl StripeService {
         let mut svc = StripeService::new(cfg)?;
         svc.recovering.store(true, Ordering::Release);
         let recovering = Arc::clone(&svc.recovering);
-        let recovered = Arc::clone(&svc.recovered);
+        let recovery = Arc::clone(&svc.recovery);
         let handle = std::thread::Builder::new()
             .name("dialga-svc-recover".to_string())
             .spawn(move || {
                 let result = StripeStore::open(image);
-                *recovered.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+                let mut recovered = recovery
+                    .recovered
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                *recovered = Some(result);
                 // Release-publish *after* the store is visible behind the
-                // mutex: a submitter seeing `false` finds it there.
+                // mutex, so a submitter seeing `false` finds it there; and
+                // while holding it, so a waiter that checked the flag under
+                // the lock is already waiting when `ready` is notified.
                 recovering.store(false, Ordering::Release);
+                drop(recovered);
+                recovery.ready.notify_all();
             })
             // Mirrors the shard-master spawn below: no thread, no service.
             // lint:allow(panic-path): unrecoverable at service build
@@ -493,18 +512,20 @@ impl StripeService {
         self.recovering.load(Ordering::Acquire)
     }
 
-    /// Poll until recovery finishes or `timeout` elapses; returns `true`
+    /// Block until recovery finishes or `timeout` elapses; returns `true`
     /// once the service is out of the recovering state. A plain
     /// [`StripeService::new`] service is never recovering.
     pub fn wait_recovered(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while self.recovering() {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        true
+        let recovered = self
+            .recovery
+            .recovered
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let waited = self
+            .recovery
+            .ready
+            .wait_timeout_while(recovered, timeout, |_| self.recovering());
+        !waited.unwrap_or_else(PoisonError::into_inner).1.timed_out()
     }
 
     /// What recovery found and did — `None` while still recovering, if
@@ -515,6 +536,7 @@ impl StripeService {
             return None;
         }
         let guard = self
+            .recovery
             .recovered
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
@@ -531,6 +553,7 @@ impl StripeService {
             return None;
         }
         let guard = self
+            .recovery
             .recovered
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
@@ -547,6 +570,7 @@ impl StripeService {
             return None;
         }
         let mut guard = self
+            .recovery
             .recovered
             .lock()
             .unwrap_or_else(PoisonError::into_inner);

@@ -25,7 +25,7 @@
 //! Every stripe write goes to the *inactive* slot (A/B shadow pair):
 //!
 //! 1. store the `k+m` shard payloads and the slot footer (magic, stripe,
-//!    sequence, XXH64 payload hash, checksum), then **persist** the slot
+//!    sequence, payload hash, checksum), then **persist** the slot
 //!    — persist boundary #1;
 //! 2. store the stripe's 8-byte commit word — sequence + slot bit,
 //!    checksummed and mixed with the stripe index — then **persist** it —
@@ -53,11 +53,15 @@
 //!
 //! # Payload hash and layout version
 //!
-//! The footer's payload hash is XXH64 (seed 0) over the slot's `k+m`
-//! shards in order, covering every payload byte: four independent 64-bit
-//! lanes over 32-byte stripes, so hashing runs at memory speed instead of
-//! one dependent multiply per byte. Layout **version 2** marks it; a
-//! version-1 image (FNV-1a footers) is refused at
+//! The footer's payload hash is one 8-byte hash over the slot's `k+m`
+//! shards in order, covering every payload byte. It has XXH3's long-input
+//! shape (not XXH3's digests): eight 64-bit lanes over 64-byte stripes,
+//! each step a 32×32→64 multiply that a baseline x86-64 build runs two
+//! lanes to an SSE2 register, and a lane scramble every 1 KiB. A put
+//! moves each shard into the image in 4 KiB pieces and hashes each piece
+//! right after its store, while it is still in L1, so the hash rides in
+//! the copy instead of re-reading the slot. Layout **version 3** marks
+//! it; a version-1 (FNV-1a) or version-2 (XXH64) image is refused at
 //! [`open`](StripeStore::open) with
 //! [`BadSuperblock`](StoreError::BadSuperblock) `"unknown layout
 //! version"`. A get reads only the `k` data shards of the committed slot;
@@ -79,15 +83,18 @@ const SB_MAGIC: u64 = u64::from_le_bytes(*b"DIALGAST");
 const FOOTER_MAGIC: u64 = u64::from_le_bytes(*b"DLGASLOT");
 /// Commit-word domain separator mixed into the checksum.
 const COMMIT_MAGIC: u64 = 0xD1A1_6A5A_C0DE_C0DE;
-/// Layout version: 2 = XXH64 payload hash in the slot footer (1 was
-/// FNV-1a; such images are refused).
-const VERSION: u64 = 2;
+/// Layout version: 3 = the [`SlotHasher`] payload hash in the slot footer
+/// (1 was FNV-1a, 2 XXH64; such images are refused).
+const VERSION: u64 = 3;
+/// Bytes `write_stripe` moves into the image per store call: it hashes
+/// each piece right after its store, while the piece is still in L1.
+const SWEEP: usize = 4096;
 /// Largest commit sequence: the commit word carries 31 sequence bits and
 /// 0 means "never committed".
 const SEQ_MAX: u32 = 0x7FFF_FFFF;
 
 /// splitmix64 finalizer: the store's checksum mixer.
-fn mix64(mut x: u64) -> u64 {
+const fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
@@ -99,115 +106,87 @@ fn le64(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(w)
 }
 
-const XXH_P1: u64 = 0x9E37_79B1_85EB_CA87;
-const XXH_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
-const XXH_P3: u64 = 0x1656_67B1_9E37_79F9;
-const XXH_P4: u64 = 0x85EB_CA77_C2B2_AE63;
-const XXH_P5: u64 = 0x27D4_EB2F_1656_67C5;
-/// Bytes one [`PayloadHasher`] step consumes: one word per lane.
-const XXH_STRIPE: usize = 32;
-
-fn xxh_round(acc: u64, word: u64) -> u64 {
-    acc.wrapping_add(word.wrapping_mul(XXH_P2))
-        .rotate_left(31)
-        .wrapping_mul(XXH_P1)
+/// splitmix64 over a fixed seed, as a table: rows 0–15 key the sixteen
+/// 64-byte stripes of each 1 KiB block of a [`SlotHasher`] input; row 16
+/// keys the scramble that closes a block, and the final fold.
+const fn slot_hash_keys() -> [[u64; 8]; 17] {
+    let mut keys = [[0u64; 8]; 17];
+    let mut state = SB_MAGIC;
+    let mut n = 0;
+    while n < 17 * 8 {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        keys[n / 8][n % 8] = mix64(state);
+        n += 1;
+    }
+    keys
 }
 
-/// Streaming XXH64 (seed 0), the slot payload hash. The four lanes are
-/// independent multiply chains, so the loop retires a 32-byte stripe in
-/// about the latency of one multiply; whole stripes stream through
-/// [`update`](Self::update) with no buffering, and only
-/// [`finish`](Self::finish) sees a partial stripe.
-struct PayloadHasher {
-    lanes: [u64; 4],
-    /// Bytes absorbed so far (a multiple of [`XXH_STRIPE`]).
-    len: u64,
+const KEYS: [[u64; 8]; 17] = slot_hash_keys();
+/// The odd multiplier of the block scramble.
+const PRIME32: u64 = 0x9E37_79B1;
+
+/// Streaming slot payload hash in XXH3's long-input shape (not
+/// XXH3-compatible): eight 64-bit lanes, one word each per 64-byte
+/// stripe. A lane adds its word to its neighbour and the product of the
+/// keyed word's 32-bit halves to itself, so the loop is 32×32→64
+/// multiplies a baseline x86-64 build vectorizes (`pmuludq`); every 1 KiB
+/// the lanes are scrambled, so stripe order counts across blocks as the
+/// per-stripe keys make it count within one. Input is whole stripes:
+/// [`Geometry::new`] holds a shard to a multiple of 64 bytes.
+struct SlotHasher {
+    acc: [u64; 8],
+    /// Stripes absorbed so far.
+    stripes: u64,
 }
 
-impl PayloadHasher {
+impl SlotHasher {
     fn new() -> Self {
-        PayloadHasher {
-            lanes: [
-                XXH_P1.wrapping_add(XXH_P2),
-                XXH_P2,
-                0,
-                0u64.wrapping_sub(XXH_P1),
-            ],
-            len: 0,
+        SlotHasher {
+            acc: [0; 8],
+            stripes: 0,
         }
     }
 
-    /// Absorb the whole 32-byte stripes of `bytes` and return what is
-    /// left past the last one — empty for a shard, whose length
-    /// [`Geometry::new`] holds to a multiple of 64.
-    fn update<'a>(&mut self, bytes: &'a [u8]) -> &'a [u8] {
-        let stripes = bytes.chunks_exact(XXH_STRIPE);
-        let tail = stripes.remainder();
+    /// Absorb the whole 64-byte stripes of `bytes`.
+    fn update(&mut self, bytes: &[u8]) {
+        debug_assert!(bytes.len().is_multiple_of(CACHELINE as usize));
         // A local copy keeps the lanes in registers across the loop.
-        let mut lanes = self.lanes;
-        for stripe in stripes {
-            for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
-                *lane = xxh_round(*lane, le64(word));
+        let mut acc = self.acc;
+        for stripe in bytes.chunks_exact(CACHELINE as usize) {
+            let n = (self.stripes % 16) as usize;
+            for (i, (word, key)) in stripe.chunks_exact(8).zip(KEYS[n]).enumerate() {
+                let d = le64(word);
+                let dk = d ^ key;
+                acc[i ^ 1] = acc[i ^ 1].wrapping_add(d);
+                acc[i] = acc[i].wrapping_add((dk & 0xFFFF_FFFF) * (dk >> 32));
+            }
+            self.stripes += 1;
+            if n == 15 {
+                for (a, key) in acc.iter_mut().zip(KEYS[16]) {
+                    *a = (*a ^ (*a >> 47) ^ key).wrapping_mul(PRIME32);
+                }
             }
         }
-        self.lanes = lanes;
-        self.len += (bytes.len() - tail.len()) as u64;
-        tail
+        self.acc = acc;
     }
 
-    /// Close the hash over the absorbed stripes followed by `tail`, the
-    /// under-32-byte remainder the last [`update`](Self::update) returned
-    /// (empty for a slot payload).
-    fn finish(self, tail: &[u8]) -> u64 {
-        let mut h = if self.len == 0 {
-            XXH_P5
-        } else {
-            let [a, b, c, d] = self.lanes;
-            let merged = a
-                .rotate_left(1)
-                .wrapping_add(b.rotate_left(7))
-                .wrapping_add(c.rotate_left(12))
-                .wrapping_add(d.rotate_left(18));
-            self.lanes.iter().fold(merged, |h, &lane| {
-                (h ^ xxh_round(0, lane))
-                    .wrapping_mul(XXH_P1)
-                    .wrapping_add(XXH_P4)
-            })
-        };
-        h = h.wrapping_add(self.len + tail.len() as u64);
-        let words = tail.chunks_exact(8);
-        let mut rest = words.remainder();
-        for word in words {
-            h = (h ^ xxh_round(0, le64(word)))
-                .rotate_left(27)
-                .wrapping_mul(XXH_P1)
-                .wrapping_add(XXH_P4);
-        }
-        if let Some((half, bytes)) = rest.split_first_chunk::<4>() {
-            h = (h ^ (u32::from_le_bytes(*half) as u64).wrapping_mul(XXH_P1))
-                .rotate_left(23)
-                .wrapping_mul(XXH_P2)
-                .wrapping_add(XXH_P3);
-            rest = bytes;
-        }
-        for &byte in rest {
-            h = (h ^ (byte as u64).wrapping_mul(XXH_P5))
-                .rotate_left(11)
-                .wrapping_mul(XXH_P1);
-        }
-        h ^= h >> 33;
-        h = h.wrapping_mul(XXH_P2);
-        h ^= h >> 29;
-        h = h.wrapping_mul(XXH_P3);
-        h ^ (h >> 32)
+    /// Fold the lane pairs through 64×64→128 multiplies, add the byte
+    /// length, and mix.
+    fn finish(self) -> u64 {
+        let (acc, keys) = (self.acc, KEYS[16]);
+        let folded = (0..8).step_by(2).fold(self.stripes * CACHELINE, |h, i| {
+            let product = u128::from(acc[i] ^ keys[i]) * u128::from(acc[i + 1] ^ keys[i + 1]);
+            h.wrapping_add(product as u64 ^ (product >> 64) as u64)
+        });
+        mix64(folded)
     }
 }
 
-/// XXH64 (seed 0) of `bytes` in one shot.
-fn xxh64(bytes: &[u8]) -> u64 {
-    let mut h = PayloadHasher::new();
-    let tail = h.update(bytes);
-    h.finish(tail)
+/// The slot hash of `bytes` in one shot.
+fn slot_hash(bytes: &[u8]) -> u64 {
+    let mut h = SlotHasher::new();
+    h.update(bytes);
+    h.finish()
 }
 
 /// Check word over the superblock's six header words.
@@ -862,12 +841,10 @@ impl<I: PmImage> StripeStore<I> {
                 None => {
                     // Never committed — unless a first write's slot
                     // persisted and only its commit word was lost.
-                    let best = [0u8, 1]
-                        .into_iter()
-                        .filter_map(|s| match self.read_footer(stripe, s) {
-                            Ok(Some(f)) if f.stripe == stripe as u64 => Some((f, s)),
-                            _ => None,
-                        })
+                    let footers = [self.read_footer(stripe, 0)?, self.read_footer(stripe, 1)?];
+                    let best = (0u8..)
+                        .zip(footers)
+                        .filter_map(|(s, f)| Some((f.filter(|f| f.stripe == stripe as u64)?, s)))
                         .max_by_key(|(f, _)| f.seq);
                     if let Some((f, slot)) = best {
                         if self.payload_hash(stripe, slot, payload)? == f.payload_hash {
@@ -951,14 +928,14 @@ impl<I: PmImage> StripeStore<I> {
             plan.apply(&sources, out, self.coder.prefetch_distance(), false)?;
         }
         if let Some(footer) = footer {
-            let mut h = PayloadHasher::new();
+            let mut h = SlotHasher::new();
             for (i, &shard) in shards.iter().enumerate() {
                 h.update(match bad.iter().position(|&b| b == i) {
                     Some(n) => &*fixed[n],
                     None => shard,
                 });
             }
-            if h.finish(&[]) != footer.payload_hash {
+            if h.finish() != footer.payload_hash {
                 return Ok(false);
             }
         }
@@ -978,11 +955,11 @@ impl<I: PmImage> StripeStore<I> {
         Ok(Footer::decode(&bytes))
     }
 
-    /// XXH64 over a slot's whole shard payload region, read into
+    /// The slot hash of a slot's whole shard payload region, read into
     /// `payload`.
     fn payload_hash(&self, stripe: usize, slot: u8, payload: &mut [u8]) -> Result<u64, StoreError> {
         self.image.read(self.geo.slot_off(stripe, slot), payload)?;
-        Ok(xxh64(payload))
+        Ok(slot_hash(payload))
     }
 
     /// Write + persist a commit word and update the in-memory map.
@@ -1029,20 +1006,19 @@ impl<I: PmImage> StripeStore<I> {
         let mut parity: Vec<&mut [u8]> = self.parity.chunks_exact_mut(geo.shard_len).collect();
         self.coder.encode(data, &mut parity)?;
 
-        let mut h = PayloadHasher::new();
-        for (i, shard) in data
-            .iter()
-            .copied()
-            .chain(parity.iter().map(|p| &**p))
-            .enumerate()
-        {
-            self.image.store(geo.shard_off(stripe, slot, i), shard)?;
-            h.update(shard);
+        let mut h = SlotHasher::new();
+        let mut off = geo.slot_off(stripe, slot);
+        for shard in data.iter().copied().chain(parity.iter().map(|p| &**p)) {
+            for piece in shard.chunks(SWEEP) {
+                self.image.store(off, piece)?;
+                h.update(piece);
+                off += piece.len() as u64;
+            }
         }
         let footer = Footer {
             stripe: stripe as u64,
             seq,
-            payload_hash: h.finish(&[]),
+            payload_hash: h.finish(),
         };
         self.image
             .store(geo.footer_off(stripe, slot), &footer.encode())?;
@@ -1131,31 +1107,61 @@ mod tests {
     use dialga_testkit::Rng;
     use std::cell::RefCell;
 
+    /// The digests the slot hash must keep: the layout-3 format, in debug
+    /// and release codegen alike. A change here is a new layout version.
     #[test]
-    fn xxh64_matches_published_vectors() {
-        for (input, want) in [
-            ("", 0xEF46_DB37_51D8_E999u64),
-            ("a", 0xD24E_C4F1_A98C_6E5B),
-            ("abc", 0x44BC_2CF5_AD77_0999),
-            (
-                "Nobody inspects the spammish repetition",
-                0xFBCE_A83C_8A37_8BF1,
-            ),
-        ] {
-            assert_eq!(xxh64(input.as_bytes()), want, "xxh64({input:?})");
+    fn slot_hash_golden_digests_are_pinned() {
+        let digests = [64, 1024, 14 * 65536].map(|len| slot_hash(&Rng::new(0x601D).bytes(len)));
+        assert_eq!(
+            digests,
+            [
+                0x409a_4068_5526_95e6,
+                0xc60e_7571_c7f2_729e,
+                0xf916_fe05_b7d8_eabd
+            ],
+            "{digests:#018x?}"
+        );
+    }
+
+    /// Swapping two distinct 64 B lines, or two shards, moves the digest:
+    /// the accumulate is keyed by stripe position and scrambled per 1 KiB,
+    /// not a sum a permutation leaves alone.
+    #[test]
+    fn slot_hash_moves_when_lines_or_shards_swap() {
+        const LINE: usize = CACHELINE as usize;
+        let mut rng = Rng::new(0x5A4F);
+        let payload = rng.bytes(14 * 4096);
+        let want = slot_hash(&payload);
+        let lines = payload.len() / LINE;
+        for _ in 0..200 {
+            let (a, b) = (rng.range(0, lines), rng.range(0, lines));
+            if a == b {
+                continue;
+            }
+            let mut swapped = payload.clone();
+            let (lo, hi) = swapped.split_at_mut(a.max(b) * LINE);
+            lo[a.min(b) * LINE..][..LINE].swap_with_slice(&mut hi[..LINE]);
+            assert_ne!(slot_hash(&swapped), want, "lines {a} and {b}");
+        }
+        for (a, b) in [(0, 1), (2, 9), (12, 13)] {
+            let mut shards: Vec<&[u8]> = payload.chunks_exact(4096).collect();
+            shards.swap(a, b);
+            assert_ne!(slot_hash(&shards.concat()), want, "shards {a} and {b}");
         }
     }
 
+    /// Streaming in pieces of any whole-stripe size equals one shot, across
+    /// the 1 KiB scramble boundary too.
     #[test]
-    fn streaming_over_shards_equals_one_shot() {
-        let mut rng = Rng::new(0x5EED);
-        for (shards, shard_len) in [(6, 64), (9, 4096), (14, 65536)] {
-            let payload = rng.bytes(shards * shard_len);
-            let mut h = PayloadHasher::new();
-            for shard in payload.chunks_exact(shard_len) {
-                assert!(h.update(shard).is_empty());
+    fn slot_hash_streaming_equals_one_shot() {
+        let payload = Rng::new(0x5EED).bytes(14 * 5 * 1024);
+        let want = slot_hash(&payload);
+        for piece in [64, 960, 1024 + 64, SWEEP, payload.len()] {
+            let mut h = SlotHasher::new();
+            for bytes in payload.chunks(piece) {
+                h.update(bytes);
             }
-            assert_eq!(h.finish(&[]), xxh64(&payload));
+            assert_eq!(h.finish(), want, "{piece} B pieces");
         }
     }
 
@@ -1170,7 +1176,7 @@ mod tests {
             for shard_len in [64, 512, 4096, 65536] {
                 let new = rng.bytes((k + m) * shard_len);
                 let old = rng.bytes(new.len());
-                let want = xxh64(&new);
+                let want = slot_hash(&new);
                 for _ in 0..6 {
                     let at = rng.range(0, new.len() / LINE) * LINE;
                     let flipped: Vec<u8> = {
@@ -1182,7 +1188,7 @@ mod tests {
                         let mut torn = new.clone();
                         torn[at..at + LINE].copy_from_slice(line);
                         assert_ne!(
-                            xxh64(&torn),
+                            slot_hash(&torn),
                             want,
                             "({k},{m}) x {shard_len} B, line at {at}"
                         );
@@ -1242,7 +1248,14 @@ mod tests {
 
     #[test]
     fn image_calls_per_put_get_and_clean_open_are_pinned() {
-        let geo = Geometry::new(4, 3, 512, 5).unwrap();
+        // A put stores each shard in SWEEP-byte pieces: one for a short
+        // shard, three (two whole, one partial) for a long one.
+        for (shard_len, pieces) in [(512, vec![512]), (2 * SWEEP + 512, vec![SWEEP, SWEEP, 512])] {
+            image_calls_are_pinned(Geometry::new(4, 3, shard_len, 5).unwrap(), &pieces);
+        }
+    }
+
+    fn image_calls_are_pinned(geo: Geometry, pieces: &[usize]) {
         let (k, n) = (geo.k, geo.k + geo.m);
         let image = Counting::new(MemImage::new(geo.image_len()));
         let mut store = StripeStore::format(image, geo).unwrap();
@@ -1250,11 +1263,12 @@ mod tests {
         let data = stripe_data(&mut rng, &geo);
         store.image().calls.take();
 
-        // A put: k+m shards, the footer, the commit word; two boundaries.
+        // A put: k+m shards in pieces, the footer, the commit word; two
+        // boundaries.
         for stripe in [0, 1, 3, 3] {
             store.write_stripe(stripe, &refs(&data)).unwrap();
             let calls = store.image().calls.take();
-            let mut want = vec![geo.shard_len; n];
+            let mut want = pieces.repeat(n);
             want.extend([CACHELINE as usize, 8]);
             assert_eq!(calls.stores, want);
             assert_eq!(calls.persists, 2);
@@ -1379,18 +1393,74 @@ mod tests {
     }
 
     #[test]
-    fn version_1_image_is_refused() {
+    fn layout_versions_1_and_2_are_refused() {
         let geo = Geometry::new(4, 2, 64, 2).unwrap();
-        let mut image = StripeStore::format(MemImage::new(geo.image_len()), geo)
-            .unwrap()
-            .into_image();
-        forge_superblock(&mut image, 1, 1);
-        assert!(matches!(
-            StripeStore::open(image),
-            Err(StoreError::BadSuperblock {
-                why: "unknown layout version"
-            })
-        ));
+        for version in [1, 2] {
+            let mut image = StripeStore::format(MemImage::new(geo.image_len()), geo)
+                .unwrap()
+                .into_image();
+            forge_superblock(&mut image, 1, version);
+            assert!(matches!(
+                StripeStore::open(image),
+                Err(StoreError::BadSuperblock {
+                    why: "unknown layout version"
+                })
+            ));
+        }
+    }
+
+    /// An image whose every read at one offset fails with an I/O error.
+    struct FailingRead {
+        inner: MemImage,
+        at: u64,
+    }
+
+    impl PmImage for FailingRead {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn read(&self, offset: u64, out: &mut [u8]) -> Result<(), StoreError> {
+            if offset == self.at {
+                return Err(StoreError::Io(io::Error::other("injected read failure")));
+            }
+            self.inner.read(offset, out)
+        }
+        fn store(&mut self, offset: u64, bytes: &[u8]) -> Result<(), StoreError> {
+            self.inner.store(offset, bytes)
+        }
+        fn persist(&mut self, offset: u64, len: usize) -> Result<(), StoreError> {
+            self.inner.persist(offset, len)
+        }
+    }
+
+    /// A footer that cannot be read is not "no footer": for a committed
+    /// stripe's shadow slot and for both slots of a never-committed one,
+    /// `open` returns the I/O error instead of guessing.
+    #[test]
+    fn a_footer_read_error_fails_open() {
+        let geo = Geometry::new(4, 2, 64, 2).unwrap();
+        let mut store = StripeStore::format(MemImage::new(geo.image_len()), geo).unwrap();
+        let data = stripe_data(&mut Rng::new(41), &geo);
+        store.write_stripe(0, &refs(&data)).unwrap();
+        let image = store.into_image();
+        for at in [
+            geo.footer_off(0, 1),
+            geo.footer_off(1, 0),
+            geo.footer_off(1, 1),
+        ] {
+            let failing = FailingRead {
+                inner: image.clone(),
+                at,
+            };
+            assert!(
+                matches!(StripeStore::open(failing), Err(StoreError::Io(_))),
+                "read failure at {at}"
+            );
+        }
+        assert_eq!(
+            StripeStore::open(image).unwrap().read_stripe(0).unwrap(),
+            data
+        );
     }
 
     #[test]

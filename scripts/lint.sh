@@ -38,13 +38,17 @@ cargo test -q --test chaos --test integrity
 echo "== core tests (pool, coordinator, encoder; fault hooks compiled in) =="
 cargo test -q -p dialga --features fault-injection
 
-echo "== release sweeps (Dialga::locate against the erase-decode-reverify reference, every case; the XOR scheduler's time bound) =="
+echo "== release sweeps (Dialga::locate against the erase-decode-reverify reference, every case; the XOR scheduler's time bound; the store's slot hash) =="
 # A debug build skips the cases whose reference search passes 2 000
 # candidates — the deep (12,8) and (3,6) ones; only this stage runs them.
 cargo test -q --release -p dialga --lib locate_is_the_reference
 # The widest figure code's schedule must build in under 2 s: a time bound
 # a debug build cannot hold, so it is ignored there and run here.
 cargo test -q --release -p dialga-ec --lib wide_zerasure_builds_in_two_seconds -- --include-ignored
+# Only a release build vectorizes the slot hash's lane loop: the pinned
+# digests, and the hash's position and streaming properties, must hold
+# in that codegen too.
+cargo test -q --release -p dialga-store --lib hash
 
 echo "== kernel tier sweep (every GF tier this CPU has against the scalar reference, then end to end; prints the tiers run / skipped) =="
 # A green gate on a CPU without GFNI must say so rather than pass the top

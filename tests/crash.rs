@@ -19,6 +19,9 @@ use dialga_testkit::Rng;
 use std::sync::Arc;
 
 const SHARD: usize = 256;
+/// A shard a put moves into the image in three pieces: two whole 4 KiB
+/// ones and a partial one, hashed piece by piece.
+const WIDE_SHARD: usize = 2 * 4096 + 1024;
 
 fn sweep_seeds() -> u64 {
     std::env::var("CRASH_SEEDS")
@@ -27,9 +30,9 @@ fn sweep_seeds() -> u64 {
         .unwrap_or(4)
 }
 
-fn stripe_data(rng: &mut Rng, k: usize) -> Vec<Vec<u8>> {
+fn stripe_data(rng: &mut Rng, k: usize, shard: usize) -> Vec<Vec<u8>> {
     (0..k)
-        .map(|_| (0..SHARD).map(|_| rng.u8()).collect())
+        .map(|_| (0..shard).map(|_| rng.u8()).collect())
         .collect()
 }
 
@@ -49,8 +52,14 @@ enum Image {
 /// at post-arm persist boundary `crash_at` (None = run to completion)
 /// via the faultkit `CrashPoint` protocol. Returns the recovered image
 /// classification plus how many boundaries a full cycle has.
-fn crashed_cycle(k: usize, m: usize, crash_at: Option<u64>, seed: u64) -> (Image, u64) {
-    let geo = Geometry::new(k, m, SHARD, 2).unwrap();
+fn crashed_cycle(
+    k: usize,
+    m: usize,
+    shard: usize,
+    crash_at: Option<u64>,
+    seed: u64,
+) -> (Image, u64) {
+    let geo = Geometry::new(k, m, shard, 2).unwrap();
     let mut mem = PersistMem::with_seed(geo.image_len(), seed);
     let cell = Arc::new(FaultCell::new());
     mem.attach_fault_cell(cell.clone());
@@ -58,8 +67,8 @@ fn crashed_cycle(k: usize, m: usize, crash_at: Option<u64>, seed: u64) -> (Image
     // Format runs unarmed: its persist boundary is not enumerated.
     let mut store = StripeStore::format(mem, geo).unwrap();
     let mut rng = Rng::new(0xC0FFEE ^ seed);
-    let old = stripe_data(&mut rng, k);
-    let new = stripe_data(&mut rng, k);
+    let old = stripe_data(&mut rng, k, shard);
+    let new = stripe_data(&mut rng, k, shard);
 
     let mut plan = FaultPlan::new();
     if let Some(nth) = crash_at {
@@ -99,14 +108,22 @@ fn crashed_cycle(k: usize, m: usize, crash_at: Option<u64>, seed: u64) -> (Image
 }
 
 /// (4,2): enumerate every persist boundary of the cycle, across several
-/// tearing seeds, and pin the allowed outcome set per boundary.
+/// tearing seeds, and pin the allowed outcome set per boundary — with
+/// one-piece shards and with shards a put stores and hashes in several
+/// pieces (the pieces add store calls, not persist boundaries).
 #[test]
 fn every_boundary_of_a_4_2_cycle_recovers_old_or_new() {
-    let (_, total) = crashed_cycle(4, 2, None, 0);
+    for shard in [SHARD, WIDE_SHARD] {
+        every_boundary_recovers_old_or_new(shard);
+    }
+}
+
+fn every_boundary_recovers_old_or_new(shard: usize) {
+    let (_, total) = crashed_cycle(4, 2, shard, None, 0);
     assert_eq!(total, 4, "write+commit twice = four persist boundaries");
     for nth in 0..total {
         for seed in 0..8u64 {
-            let (got, _) = crashed_cycle(4, 2, Some(nth), seed);
+            let (got, _) = crashed_cycle(4, 2, shard, Some(nth), seed);
             match nth {
                 // Old slot persist torn: nothing or all of `old`.
                 0 => assert!(
@@ -168,27 +185,30 @@ fn tearing_produces_both_rollback_and_rollforward() {
 /// Seeded random sweeps on the wider geometries: a multi-stripe store
 /// takes a random write workload, power-fails at a random boundary, and
 /// every stripe must recover to its exact last-committed (or in-flight
-/// new) value.
+/// new) value. The last case's shards span several store pieces.
 #[test]
 fn seeded_sweeps_recover_exact_images_on_wide_codes() {
-    for &(k, m) in &[(6usize, 3usize), (10, 4)] {
+    for &(k, m, shard) in &[(6usize, 3usize, SHARD), (10, 4, SHARD), (6, 3, WIDE_SHARD)] {
         for seed in 0..sweep_seeds() {
-            sweep_one(k, m, seed);
+            sweep_one(k, m, shard, seed);
         }
     }
 }
 
-fn sweep_one(k: usize, m: usize, seed: u64) {
+fn sweep_one(k: usize, m: usize, shard: usize, seed: u64) {
     let stripes = 4;
     let writes = 10;
-    let geo = Geometry::new(k, m, SHARD, stripes).unwrap();
+    let geo = Geometry::new(k, m, shard, stripes).unwrap();
     let mem = PersistMem::with_seed(geo.image_len(), seed);
     let mut store = StripeStore::format(mem, geo).unwrap();
     let mut rng = Rng::new(0x5EED ^ seed);
 
     // Plan the workload up front so expectations are derivable.
     let plan: Vec<(usize, Vec<Vec<u8>>)> = (0..writes)
-        .map(|_| (rng.below(stripes as u64) as usize, stripe_data(&mut rng, k)))
+        .map(|_| {
+            let stripe = rng.below(stripes as u64) as usize;
+            (stripe, stripe_data(&mut rng, k, shard))
+        })
         .collect();
     // Each write is exactly two persist boundaries.
     let crash_at = rng.below(writes as u64 * 2);
