@@ -13,7 +13,7 @@
 
 use dialga_ec::{CodeParams, EcError, GfMatrix, ReedSolomon};
 use dialga_gf::sched::FusedSched;
-use dialga_gf::simd::{dot_prod_fused, dot_prod_syndromes};
+use dialga_gf::simd::{dot_prod_fused, dot_prod_fused_vec, dot_prod_syndromes};
 use dialga_gf::tables::NibbleTables;
 use dialga_gf::Gf8;
 
@@ -47,10 +47,10 @@ pub struct DialgaOptions {
 /// once per register-blocked output group, prefetched `sched.d` steps
 /// ahead (long/short split per `sched.d_long`).
 ///
-/// This is the one kernel every DIALGA path (encode, decode, repair —
-/// serial or pool-chunked) bottoms out in; `tables` is row-major,
-/// `outputs.len() x sources.len()`. Scheduling never changes the bytes
-/// produced.
+/// This is the kernel every serial DIALGA path into caller-owned outputs
+/// bottoms out in (fresh outputs take [`dot_prod_fused_vec`], pool chunks
+/// its write-only entry); `tables` is row-major, `outputs.len() x
+/// sources.len()`. Scheduling never changes the bytes produced.
 pub(crate) fn apply_tables(
     tables: &[NibbleTables],
     sources: &[&[u8]],
@@ -375,13 +375,12 @@ impl Dialga {
         Ok(())
     }
 
-    /// Convenience encode returning freshly allocated parity.
+    /// Convenience encode returning freshly allocated parity, which the
+    /// kernel writes once (never zero-filled first).
     pub fn encode_vec(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>, EcError> {
-        let len = self.check(data, self.params().m)?;
-        let mut parity = vec![vec![0u8; len]; self.params().m];
-        let mut refs: Vec<&mut [u8]> = parity.iter_mut().map(|p| p.as_mut_slice()).collect();
-        apply_tables(&self.tables, data, &mut refs, self.sched());
-        Ok(parity)
+        let m = self.params().m;
+        let len = self.check(data, m)?;
+        Ok(dot_prod_fused_vec(&self.tables, data, m, len, self.sched()))
     }
 
     /// Build the reconstruction plan for the erasure pattern in `shards`:
@@ -518,9 +517,8 @@ impl Dialga {
                         .map(|v| v.as_slice())
                 })
                 .collect::<Result<_, _>>()?;
-            let mut outs = vec![vec![0u8; len]; plan.lost_data().len()];
-            let mut refs: Vec<&mut [u8]> = outs.iter_mut().map(|o| o.as_mut_slice()).collect();
-            plan.apply_data(&srcs, &mut refs, self.sched())?;
+            let (tables, n) = (plan.data_tables(), plan.lost_data().len());
+            let outs = dot_prod_fused_vec(tables, &srcs, n, len, self.sched());
             for (&ld, out) in plan.lost_data().iter().zip(outs) {
                 shards[ld] = Some(out);
             }
@@ -532,9 +530,8 @@ impl Dialga {
                         .map(|v| v.as_slice())
                 })
                 .collect::<Result<_, _>>()?;
-            let mut outs = vec![vec![0u8; len]; plan.lost_parity().len()];
-            let mut refs: Vec<&mut [u8]> = outs.iter_mut().map(|o| o.as_mut_slice()).collect();
-            plan.apply_parity(&data_refs, &mut refs, self.sched())?;
+            let (tables, n) = (plan.parity_tables(), plan.lost_parity().len());
+            let outs = dot_prod_fused_vec(tables, &data_refs, n, len, self.sched());
             for (&lp, out) in plan.lost_parity().iter().zip(outs) {
                 shards[lp] = Some(out);
             }

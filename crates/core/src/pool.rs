@@ -29,12 +29,14 @@
 //! count: Reed–Solomon is independent per row, so any horizontal split is
 //! exact, and scheduling knobs never change the bytes produced.
 
-use crate::encoder::{Dialga, DEFAULT_BATCH_RETRIES};
+use crate::encoder::{DecodePlan, Dialga, DEFAULT_BATCH_RETRIES};
 use dialga_ec::{EcError, Lrc};
 #[cfg(feature = "fault-injection")]
 use dialga_faultkit::{ChunkFault, FaultCell, FaultPlan};
+use dialga_gf::simd::{dot_prod_fused_into, FreshBlock};
 use dialga_gf::tables::NibbleTables;
 use dialga_pipeline::Knobs;
+use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -205,7 +207,9 @@ impl<T> ReadSpan<T> {
     }
 }
 
-/// `Send`-able mutable view of one output block (or a chunk of it).
+/// `Send`-able write-only view of one output block (or a chunk of it):
+/// the caller's bytes, or a [`FreshBlock`] nothing has written yet. The
+/// kernel only stores through it, so either kind is sound to hand out.
 /// Exclusivity is structural: [`split_ranges`] yields non-overlapping
 /// ranges, and the chunker hands each range, as is, to exactly one chunk's
 /// `sub` calls — so no two chunks (hence no two executors) ever hold spans
@@ -213,7 +217,7 @@ impl<T> ReadSpan<T> {
 /// borrows only through the chunks it runs itself.
 #[derive(Clone, Copy)]
 struct OutSpan {
-    ptr: NonNull<u8>,
+    ptr: NonNull<MaybeUninit<u8>>,
     len: usize,
 }
 
@@ -223,11 +227,23 @@ struct OutSpan {
 unsafe impl Send for OutSpan {}
 
 impl OutSpan {
+    /// Over the caller's bytes, which the kernel overwrites.
     fn new(block: &mut [u8]) -> Self {
-        // SAFETY: slice pointers are never null.
-        let ptr = unsafe { NonNull::new_unchecked(block.as_mut_ptr()) };
         let len = block.len();
-        OutSpan { ptr, len }
+        OutSpan {
+            ptr: NonNull::from(block).cast(),
+            len,
+        }
+    }
+
+    /// Over a fresh block's unwritten bytes.
+    fn fresh(block: &mut FreshBlock) -> Self {
+        let block = block.as_uninit();
+        let len = block.len();
+        OutSpan {
+            ptr: NonNull::from(block).cast(),
+            len,
+        }
     }
 
     /// The part of this span at `r`.
@@ -245,15 +261,18 @@ impl OutSpan {
         OutSpan { ptr, len: r.len() }
     }
 
-    /// Rebuild the mutable output slice on the executor.
+    /// Rebuild the write-only output slice on the executor (never a
+    /// `&mut [u8]`: a fresh block's bytes are unwritten until the kernel
+    /// stores them).
     ///
     /// # Safety
     /// The block must still be live (submitting thread inside
     /// [`EncodePool::run_jobs_once`]) and this span's range disjoint from
     /// every other chunk's, per the construction contract above.
-    unsafe fn as_mut_slice<'a>(self) -> &'a mut [u8] {
+    unsafe fn as_uninit<'a>(self) -> &'a mut [MaybeUninit<u8>] {
         // SAFETY: caller upholds liveness and exclusive ownership of the
-        // range; bounds per construction.
+        // range; bounds per construction; `MaybeUninit<u8>` views any bytes,
+        // written or not, and the kernel stores only initialized ones.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
     }
 }
@@ -305,16 +324,16 @@ impl RawJob {
         Ok(RawJob { work, len })
     }
 
-    /// Plan: parity of one stripe from its data (also what verify
-    /// recomputes into scratch).
-    fn encode(coder: &Dialga, data: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<Self, EcError> {
+    /// Plan: parity of one stripe from its data, into the caller's
+    /// blocks or fresh ones.
+    fn encode(coder: &Dialga, data: &[&[u8]], parity: Vec<OutSpan>) -> Result<Self, EcError> {
         let params = coder.params();
         check_count(params.k, data.len())?;
         check_count(params.m, parity.len())?;
         RawJob::new(
             coder.tables(),
             data.iter().map(|d| SrcSpan::new(d)).collect(),
-            parity.iter_mut().map(|p| OutSpan::new(p)).collect(),
+            parity,
             coder.sched(),
         )
     }
@@ -353,14 +372,50 @@ fn check_target(coder: &Dialga, shards: usize, target: usize) -> Result<(), EcEr
     (target < expected).then_some(()).ok_or(out_of_stripe)
 }
 
-/// Detached mutable spans over the shards at `idx` (each must be present).
-fn out_spans(shards: &mut [Option<Vec<u8>>], idx: &[usize]) -> Result<Vec<OutSpan>, EcError> {
-    idx.iter()
-        .map(|&i| {
-            dialga_ec::present_shard_mut(shards, i, "plan output shard absent")
-                .map(|v| OutSpan::new(v))
-        })
-        .collect()
+/// The one block of a single-output operation.
+fn one_block(mut blocks: Vec<Vec<u8>>) -> Result<Vec<u8>, EcError> {
+    blocks.pop().ok_or(EcError::Internal {
+        what: "single-output pool operation returned no block",
+    })
+}
+
+/// The holes decode stage `stage` fills: lost data, then lost parity.
+fn stage_holes(plan: &DecodePlan, stage: usize) -> &[usize] {
+    match stage {
+        0 => plan.lost_data(),
+        _ => plan.lost_parity(),
+    }
+}
+
+/// `n` fresh blocks of `len` bytes.
+fn fresh_blocks(n: usize, len: usize) -> Vec<FreshBlock> {
+    (0..n).map(|_| FreshBlock::new(len)).collect()
+}
+
+/// A batch's fresh outputs, once it ended `wait`: written and given their
+/// lengths when it ran clean, dropped at length 0 when it failed, and
+/// leaked when it timed out ([`BatchWait::TimedOut`]: a lost chunk may
+/// still hold a span into them, so they are never freed).
+fn written(wait: BatchWait, fresh: Vec<FreshBlock>) -> Result<Vec<Vec<u8>>, EcError> {
+    if let Err(e) = wait.check() {
+        if let BatchWait::TimedOut = wait {
+            std::mem::forget(fresh);
+        }
+        return Err(e);
+    }
+    let written = fresh.into_iter().map(|block| {
+        // SAFETY: `Clean` (what `check` passed) means every chunk of the
+        // batch, on its last attempt, ran its kernel call to the end. The
+        // chunks of a job cover `[0, len)` of each of its outputs exactly
+        // (`split_ranges` ranges are disjoint and tile `[0, len)`), and each
+        // call stores its whole sub-span on every tier
+        // (`fused_matches_reference_for_all_tiers_and_tail_shapes`;
+        // `every_pool_operation_is_bit_exact_on_every_executor_count` runs
+        // it through the pool on ragged chunks). So every byte of every
+        // fresh block was written.
+        unsafe { block.assume_written() }
+    });
+    Ok(written.collect())
 }
 
 /// One unit of *worker* work: a [`Work`] plus its seat on the batch latch
@@ -452,6 +507,7 @@ impl BatchState {
 }
 
 /// How a batch ended (see [`BatchState::wait_with_deadline`]).
+#[derive(Clone, Copy)]
 enum BatchWait {
     /// Every chunk completed cleanly.
     Clean,
@@ -461,6 +517,18 @@ enum BatchWait {
     /// The watchdog expired with chunks unaccounted for — a lost-completion
     /// bug. NOT safe to retry (spans may still be referenced).
     TimedOut,
+}
+
+impl BatchWait {
+    /// `Ok` for a clean batch, else its typed error.
+    fn check(self) -> Result<(), EcError> {
+        let what = match self {
+            BatchWait::Clean => return Ok(()),
+            BatchWait::Failed => "encode pool worker panicked or exited mid-batch",
+            BatchWait::TimedOut => "encode pool batch watchdog expired (lost chunk completion)",
+        };
+        Err(EcError::Internal { what })
+    }
 }
 
 enum Msg {
@@ -649,23 +717,59 @@ impl EncodePool {
     ) -> Result<(), EcError> {
         let jobs: Vec<RawJob> = stripes
             .iter_mut()
-            .map(|s| RawJob::encode(coder, s.data, s.parity))
+            .map(|s| {
+                RawJob::encode(
+                    coder,
+                    s.data,
+                    s.parity.iter_mut().map(|p| OutSpan::new(p)).collect(),
+                )
+            })
             .collect::<Result<_, _>>()?;
         self.count_dispatch(stripes.len());
-        self.run_jobs(&jobs, coder.max_batch_retries())
+        self.run_jobs(&jobs, coder.max_batch_retries()).check()
     }
 
-    /// Convenience wrapper allocating the parity blocks.
+    /// [`Self::encode_batch`] into parity the pool allocates: one
+    /// submission, stripe `i`'s `m` parity blocks at index `i`. The blocks
+    /// are allocated unwritten and get their length only once the batch
+    /// ran clean — the kernel writes each byte once, nothing zero-fills.
+    pub fn encode_batch_vec(
+        &self,
+        coder: &Dialga,
+        stripes: &[&[&[u8]]],
+    ) -> Result<Vec<Vec<Vec<u8>>>, EcError> {
+        let m = coder.params().m;
+        let mut fresh: Vec<FreshBlock> = stripes
+            .iter()
+            .flat_map(|data| fresh_blocks(m, data.first().map_or(0, |d| d.len())))
+            .collect();
+        let jobs: Vec<RawJob> = stripes
+            .iter()
+            .zip(fresh.chunks_mut(m))
+            .map(|(data, parity)| {
+                RawJob::encode(coder, data, parity.iter_mut().map(OutSpan::fresh).collect())
+            })
+            .collect::<Result<_, _>>()?;
+        self.count_dispatch(stripes.len());
+        let wait = self.run_jobs(&jobs, coder.max_batch_retries());
+        let mut parity = written(wait, fresh)?.into_iter();
+        Ok(stripes
+            .iter()
+            .map(|_| parity.by_ref().take(m).collect())
+            .collect())
+    }
+
+    /// One stripe of [`Self::encode_batch_vec`].
     pub fn encode_vec(&self, coder: &Dialga, data: &[&[u8]]) -> Result<Vec<Vec<u8>>, EcError> {
-        let len = data.first().map_or(0, |d| d.len());
-        let mut parity = vec![vec![0u8; len]; coder.params().m];
-        let mut refs: Vec<&mut [u8]> = parity.iter_mut().map(|p| p.as_mut_slice()).collect();
-        self.encode(coder, data, &mut refs)?;
-        Ok(parity)
+        let parity = self.encode_batch_vec(coder, &[data])?;
+        Ok(parity.into_iter().flatten().collect())
     }
 
     /// Reconstruct missing shards in place across the pool. Blocks until
     /// the stripe is repaired; bit-exact with [`Dialga::decode`].
+    ///
+    /// A hole (`None`) is filled only once the stage that rebuilds it ran
+    /// clean: after `Err`, every hole the caller passed is still `None`.
     pub fn decode(&self, coder: &Dialga, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
         self.decode_batch(coder, &mut [DecodeJob { shards }])
     }
@@ -677,41 +781,69 @@ impl EncodePool {
     /// runs or is mutated when any stripe is malformed), then the two
     /// reconstruction stages run chunked over the executors: lost data
     /// from survivors, then lost parity rows from the completed data.
+    /// Each stage writes fresh, unwritten blocks, which go into their holes
+    /// only after the stage ran clean (stage 1's before stage 2 reads them).
+    /// After `Err`, every hole of every stripe is still `None`.
     pub fn decode_batch(
         &self,
         coder: &Dialga,
         stripes: &mut [DecodeJob<'_>],
     ) -> Result<(), EcError> {
-        let plans: Vec<crate::encoder::DecodePlan> = stripes
+        let plans: Vec<DecodePlan> = stripes
             .iter()
             .map(|s| coder.decode_plan(s.shards))
             .collect::<Result<_, _>>()?;
-        // Give every lost shard its zeroed buffer before taking pointers.
-        for (s, plan) in stripes.iter_mut().zip(&plans) {
-            for &l in plan.lost_data().iter().chain(plan.lost_parity()) {
-                s.shards[l] = Some(vec![0u8; plan.shard_len()]);
-            }
-        }
         self.count_dispatch(stripes.len());
         // Stage 1 rebuilds lost data from the k survivors; stage 2 lost
         // parity rows from the (now complete) data blocks — the stage-1
         // wait orders the reconstructed data before the stage-2 reads.
         let data_idx: Vec<usize> = (0..coder.params().k).collect();
         for stage in 0..2 {
-            let mut jobs: Vec<RawJob> = Vec::new();
+            let lost = |plan: &DecodePlan| stage_holes(plan, stage).len();
+            let mut fresh: Vec<FreshBlock> = plans
+                .iter()
+                .flat_map(|plan| fresh_blocks(lost(plan), plan.shard_len()))
+                .collect();
+            let mut blocks = fresh.iter_mut();
+            let jobs: Result<Vec<RawJob>, EcError> = stripes
+                .iter()
+                .zip(&plans)
+                .filter(|(_, plan)| lost(plan) > 0)
+                .map(|(s, plan)| {
+                    let (tables, sources) = match stage {
+                        0 => (plan.data_tables(), plan.survivors()),
+                        _ => (plan.parity_tables(), &data_idx[..]),
+                    };
+                    let outputs = blocks.by_ref().take(lost(plan)).map(OutSpan::fresh);
+                    RawJob::from_shards(coder, tables, s.shards, sources, outputs.collect())
+                })
+                .collect();
+            let wait = match &jobs {
+                Ok(jobs) => self.run_jobs(jobs, coder.max_batch_retries()),
+                Err(_) => BatchWait::Failed,
+            };
+            let mut rebuilt = match jobs.and_then(|_| written(wait, fresh)) {
+                Ok(rebuilt) => rebuilt.into_iter(),
+                Err(e) => {
+                    // Stage 1's data goes back out of its holes. On a
+                    // timeout a lost stage-2 chunk may still read it, so it
+                    // is leaked like the stage's own outputs.
+                    for (s, plan) in stripes.iter_mut().zip(&plans).filter(|_| stage > 0) {
+                        for &l in plan.lost_data() {
+                            let data = s.shards[l].take();
+                            if let BatchWait::TimedOut = wait {
+                                std::mem::forget(data);
+                            }
+                        }
+                    }
+                    return Err(e);
+                }
+            };
             for (s, plan) in stripes.iter_mut().zip(&plans) {
-                let (tables, sources, lost) = match stage {
-                    0 => (plan.data_tables(), plan.survivors(), plan.lost_data()),
-                    _ => (plan.parity_tables(), &data_idx[..], plan.lost_parity()),
-                };
-                if !lost.is_empty() {
-                    let outputs = out_spans(s.shards, lost)?;
-                    jobs.push(RawJob::from_shards(
-                        coder, tables, s.shards, sources, outputs,
-                    )?);
+                for (&l, block) in stage_holes(plan, stage).iter().zip(rebuilt.by_ref()) {
+                    s.shards[l] = Some(block);
                 }
             }
-            self.run_jobs(&jobs, coder.max_batch_retries())?;
         }
         Ok(())
     }
@@ -719,7 +851,7 @@ impl EncodePool {
     /// Single-block repair fast path (degraded read): reconstruct shard
     /// `target` from k survivors without mutating `shards` or decoding the
     /// rest of the stripe — one composed-coefficient kernel pass, chunked
-    /// across the executors.
+    /// across the executors, into a fresh block.
     pub fn repair(
         &self,
         coder: &Dialga,
@@ -746,18 +878,18 @@ impl EncodePool {
             });
         }
         let plan = coder.repair_plan(&survivors, target)?;
-        let mut out = vec![0u8; len];
-        let spare = vec![OutSpan::new(&mut out)];
+        let mut out = fresh_blocks(1, len);
+        let spare = out.iter_mut().map(OutSpan::fresh).collect();
         let job = RawJob::from_shards(coder, plan.tables(), shards, &survivors, spare)?;
         self.count_dispatch(1);
-        self.run_jobs(&[job], coder.max_batch_retries())?;
-        Ok(out)
+        let wait = self.run_jobs(&[job], coder.max_batch_retries());
+        one_block(written(wait, out)?)
     }
 
     /// LRC local-group repair across the pool: rebuild a single lost data
     /// block from its `k/l − 1` surviving peers plus the group's local
     /// parity (an XOR — identity-coefficient tables through the same
-    /// kernel). Bit-exact with [`Lrc::repair_local`].
+    /// kernel), into a fresh block. Bit-exact with [`Lrc::repair_local`].
     pub fn repair_local(
         &self,
         lrc: &Lrc,
@@ -776,17 +908,17 @@ impl EncodePool {
         // XOR is GF multiply by 1: one identity coefficient per source.
         // The local parity leads so its length is the one peers are held to.
         let tables = vec![NibbleTables::new(1); gs];
-        let mut out = vec![0u8; local_parity.len()];
+        let mut out = fresh_blocks(1, local_parity.len());
         let sources = std::iter::once(local_parity).chain(group_data.iter().copied());
         let job = RawJob::new(
             &tables,
             sources.map(SrcSpan::new).collect(),
-            vec![OutSpan::new(&mut out)],
+            out.iter_mut().map(OutSpan::fresh).collect(),
             Knobs::distance(gs as u32),
         )?;
         self.count_dispatch(1);
-        self.run_jobs(&[job], DEFAULT_BATCH_RETRIES)?;
-        Ok(out)
+        let wait = self.run_jobs(&[job], DEFAULT_BATCH_RETRIES);
+        one_block(written(wait, out)?)
     }
 
     /// Verify stripe integrity on the executors: recompute all m parity
@@ -883,25 +1015,24 @@ impl EncodePool {
     /// so no byte of it can land after (or interleave with) the retry.
     /// Watchdog timeouts are never retried ([`BatchWait::TimedOut`]).
     /// Healing runs even when `retries` is 0 or exhausted, so the pool is
-    /// back at full capacity for the *next* submission either way.
-    fn run_jobs(&self, jobs: &[RawJob], retries: u32) -> Result<(), EcError> {
+    /// back at full capacity for the *next* submission either way. Returns
+    /// how the last attempt ended: callers turn it into a result with
+    /// [`BatchWait::check`], or with [`written`] when they own fresh
+    /// outputs.
+    fn run_jobs(&self, jobs: &[RawJob], retries: u32) -> BatchWait {
         let mut attempt = 0u32;
         loop {
-            let what = match self.run_jobs_once(jobs) {
-                BatchWait::Clean => return Ok(()),
-                BatchWait::TimedOut => "encode pool batch watchdog expired (lost chunk completion)",
-                BatchWait::Failed => {
-                    self.heal_workers();
-                    if attempt < retries {
-                        attempt += 1;
-                        let stats = &self.shared.stats;
-                        stats.batch_retries.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    "encode pool worker panicked or exited mid-batch"
+            let wait = self.run_jobs_once(jobs);
+            if let BatchWait::Failed = wait {
+                self.heal_workers();
+                if attempt < retries {
+                    attempt += 1;
+                    let stats = &self.shared.stats;
+                    stats.batch_retries.fetch_add(1, Ordering::Relaxed);
+                    continue;
                 }
-            };
-            return Err(EcError::Internal { what });
+            }
+            return wait;
         }
     }
 
@@ -1075,14 +1206,14 @@ fn run_chunk(shared: &PoolShared, executor: usize, work: &Work) -> Result<(), Ch
             .map(|s| unsafe { s.as_slice() })
             .collect();
         // SAFETY: as above, plus range-exclusivity per `OutSpan`.
-        let mut outputs: Vec<&mut [u8]> = work
+        let mut outputs: Vec<&mut [MaybeUninit<u8>]> = work
             .outputs
             .iter()
-            .map(|o| unsafe { o.as_mut_slice() })
+            .map(|o| unsafe { o.as_uninit() })
             .collect();
         // SAFETY: tables outlive the batch (see `ReadSpan`).
         let tables: &[NibbleTables] = unsafe { work.tables.as_slice() };
-        crate::encoder::apply_tables(tables, &sources, &mut outputs, work.sched);
+        dot_prod_fused_into(tables, &sources, &mut outputs, work.sched);
     }));
 
     let len = work.sources.first().map_or(0, |s| s.len);
@@ -1182,11 +1313,11 @@ mod tests {
         let data = make_data(4, len);
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
         let mut parity = vec![vec![0u8; len]; 2];
-        let mut outs: Vec<&mut [u8]> = parity.iter_mut().map(|p| p.as_mut_slice()).collect();
-        let job = RawJob::encode(&coder, &refs, &mut outs).unwrap();
+        let outs = parity.iter_mut().map(|p| OutSpan::new(p)).collect();
+        let job = RawJob::encode(&coder, &refs, outs).unwrap();
         assert_eq!(split_ranges(job.len, pool.threads()).len(), 3);
         let started = Instant::now();
-        let got = pool.run_jobs(&[job], 0);
+        let got = pool.run_jobs(&[job], 0).check();
         assert!(started.elapsed() < watchdog / 4, "{:?}", started.elapsed());
         match got {
             Err(EcError::Internal { what }) => assert!(what.contains("exited mid-batch"), "{what}"),
@@ -1213,7 +1344,7 @@ mod tests {
     #[test]
     fn kernel_panic_on_any_executor_surfaces_as_internal_error() {
         // A malformed job (no tables for one output × one source) makes
-        // `apply_tables` panic in both chunks, the submitting thread's and
+        // the kernel panic in both chunks, the submitting thread's and
         // the worker's. The pool must report `EcError::Internal` — not
         // hang, not unwind the submitter — and keep serving. (The panic is
         // deterministic, so retries cannot mask it: retries = 0.)
@@ -1228,7 +1359,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            pool.run_jobs(&[job], 0),
+            pool.run_jobs(&[job], 0).check(),
             Err(EcError::Internal { .. })
         ));
         assert_eq!(pool.stats().chunks, 2, "both executors ran their chunk");

@@ -398,6 +398,18 @@ fn every_pool_operation_is_bit_exact_on_every_executor_count() {
                 let want = if i % 2 == 0 { &parity } else { &unit_parity };
                 assert_eq!(got, want, "encode_batch stripe {i} {ctx}");
             }
+            // The same batch into parity the pool allocates unwritten.
+            let stripes: Vec<&[&[u8]]> = (0..4)
+                .map(|i| {
+                    if i % 2 == 0 {
+                        &refs[..]
+                    } else {
+                        &unit_refs[..]
+                    }
+                })
+                .collect();
+            let fresh = pool.encode_batch_vec(&coder, &stripes).unwrap();
+            assert_eq!(fresh, batch_out, "encode_batch_vec {ctx}");
 
             let mut shards = holed.clone();
             pool.decode(&coder, &mut shards).unwrap();

@@ -112,18 +112,6 @@ pub fn present_shard<'a, T: AsRef<[u8]>>(
         .ok_or(EcError::Internal { what })
 }
 
-/// Mutable variant of [`present_shard`].
-pub fn present_shard_mut<'a, T: AsRef<[u8]>>(
-    shards: &'a mut [Option<T>],
-    idx: usize,
-    what: &'static str,
-) -> Result<&'a mut T, EcError> {
-    shards
-        .get_mut(idx)
-        .and_then(Option::as_mut)
-        .ok_or(EcError::Internal { what })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,30 +203,8 @@ mod tests {
     }
 
     #[test]
-    fn present_shard_mut_rejects_missing_and_out_of_range_shards() {
-        let mut shards: Vec<Option<Vec<u8>>> = vec![Some(vec![1, 2]), None];
-        assert_eq!(
-            present_shard_mut(&mut shards, 1, "shard absent").unwrap_err(),
-            EcError::Internal {
-                what: "shard absent"
-            }
-        );
-        assert_eq!(
-            present_shard_mut(&mut shards, 2, "index past stripe").unwrap_err(),
-            EcError::Internal {
-                what: "index past stripe"
-            }
-        );
-        // The happy path still hands out a usable mutable borrow.
-        present_shard_mut(&mut shards, 0, "present")
-            .unwrap()
-            .push(9);
-        assert_eq!(shards[0].as_deref(), Some(&[1, 2, 9][..]));
-    }
-
-    #[test]
     fn present_shard_surfaces_internal_error() {
-        let mut shards: Vec<Option<Vec<u8>>> = vec![Some(vec![1, 2]), None];
+        let shards: Vec<Option<Vec<u8>>> = vec![Some(vec![1, 2]), None];
         assert_eq!(present_shard(&shards, 0, "x").unwrap(), &vec![1, 2]);
         let err = present_shard(&shards, 1, "survivor absent").unwrap_err();
         assert_eq!(
@@ -250,10 +216,5 @@ mod tests {
         assert!(err.to_string().contains("survivor absent"), "{err}");
         // Out of bounds is the same invariant violation, not a panic.
         assert!(present_shard(&shards, 9, "oob").is_err());
-        assert!(present_shard_mut(&mut shards, 1, "absent").is_err());
-        present_shard_mut(&mut shards, 0, "present")
-            .unwrap()
-            .push(3);
-        assert_eq!(shards[0].as_deref(), Some(&[1, 2, 3][..]));
     }
 }

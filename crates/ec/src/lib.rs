@@ -30,7 +30,7 @@ pub mod rs;
 pub mod schedule;
 pub mod xor;
 
-pub use error::{present_shard, present_shard_mut, EcError};
+pub use error::{present_shard, EcError};
 pub use lrc::{LocalRepairPlan, Lrc};
 pub use matrix::GfMatrix;
 pub use rs::ReedSolomon;

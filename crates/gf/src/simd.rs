@@ -33,6 +33,7 @@ use crate::sched::{FusedSched, PassSched};
 use crate::slice::prefetch_read;
 use crate::tables::NibbleTables;
 use crate::CACHELINE;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -141,7 +142,8 @@ pub fn mul_add_slice_simd(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
 pub const FUSED_GROUP: usize = 6;
 
 /// Fused multi-output GF(2^8) dot product:
-/// `outputs[i] = sum_j tables[i*k + j] · sources[j]`, overwriting outputs.
+/// `outputs[i] = sum_j tables[i*k + j] · sources[j]`, overwriting outputs
+/// (a thin caller of [`dot_prod_fused_into`], which never reads them).
 ///
 /// One pass over each 64 B source cacheline accumulates into up to
 /// [`FUSED_GROUP`] outputs held in registers; more outputs split into
@@ -163,7 +165,111 @@ pub fn dot_prod_fused(
     outputs: &mut [&mut [u8]],
     sched: FusedSched,
 ) {
+    let mut outs: Vec<&mut [MaybeUninit<u8>]> = outputs.iter_mut().map(|o| write_only(o)).collect();
+    fused_on(tables, sources, &mut outs, sched, &mut ());
+}
+
+/// [`dot_prod_fused`] into write-only outputs: every output byte is
+/// stored exactly as the result and never read first, so the outputs may
+/// be memory nothing has written yet (a [`FreshBlock`], or a pool chunk's
+/// span of one). On return every byte of every output is written.
+///
+/// # Panics
+/// As [`dot_prod_fused`].
+pub fn dot_prod_fused_into(
+    tables: &[NibbleTables],
+    sources: &[&[u8]],
+    outputs: &mut [&mut [MaybeUninit<u8>]],
+    sched: FusedSched,
+) {
     fused_on(tables, sources, outputs, sched, &mut ());
+}
+
+/// [`dot_prod_fused`] into `n_out` fresh blocks of `len` bytes, allocated
+/// unwritten and filled by the one pass: no block is zero-filled first.
+///
+/// # Panics
+/// As [`dot_prod_fused`], with `len` the length every source must have.
+pub fn dot_prod_fused_vec(
+    tables: &[NibbleTables],
+    sources: &[&[u8]],
+    n_out: usize,
+    len: usize,
+    sched: FusedSched,
+) -> Vec<Vec<u8>> {
+    let mut fresh: Vec<FreshBlock> = (0..n_out).map(|_| FreshBlock::new(len)).collect();
+    let mut outs: Vec<&mut [MaybeUninit<u8>]> =
+        fresh.iter_mut().map(FreshBlock::as_uninit).collect();
+    fused_on(tables, sources, &mut outs, sched, &mut ());
+    fresh
+        .into_iter()
+        // SAFETY: `fused_on` returned, so it stored every byte of every
+        // output: the vector tiers and the portable pass each store whole
+        // rows `pass.row(0..rows)`, a bijection on `0..rows`; the tail
+        // writes `[rows * CACHELINE, len)` (zeros, then accumulates); `k ==
+        // 0` writes zeros. The gf proptest
+        // `fused_matches_reference_for_all_tiers_and_tail_shapes` holds
+        // this path to the reference on every tier and tail shape.
+        .map(|b| unsafe { b.assume_written() })
+        .collect()
+}
+
+/// A fresh output block the fused kernel fills without reading: a
+/// `Vec<u8>` with capacity for `len` bytes and length 0 until a caller that
+/// knows every byte was stored says so ([`FreshBlock::assume_written`]).
+/// Dropped unwritten it frees its allocation at length 0; no `&mut [u8]`
+/// is ever formed over its unwritten bytes.
+#[derive(Debug)]
+pub struct FreshBlock {
+    buf: Vec<u8>,
+    len: usize,
+}
+
+impl FreshBlock {
+    /// Capacity for `len` bytes, none of them written.
+    pub fn new(len: usize) -> Self {
+        FreshBlock {
+            buf: Vec::with_capacity(len),
+            len,
+        }
+    }
+
+    /// The block's `len` bytes as write-only memory.
+    pub fn as_uninit(&mut self) -> &mut [MaybeUninit<u8>] {
+        &mut self.buf.spare_capacity_mut()[..self.len]
+    }
+
+    /// The written block.
+    ///
+    /// # Safety
+    /// Every one of the block's `len` bytes has been stored since
+    /// [`FreshBlock::new`], through [`FreshBlock::as_uninit`] or a pointer
+    /// derived from it.
+    pub unsafe fn assume_written(mut self) -> Vec<u8> {
+        // SAFETY: `len <= capacity` (`Vec::with_capacity(len)`), and the
+        // caller vouches that every byte below `len` was written.
+        unsafe { self.buf.set_len(self.len) };
+        self.buf
+    }
+}
+
+/// `out` as write-only memory, for the kernel entry. Private: the kernel
+/// only ever stores initialized bytes through it, which is what keeps `out`
+/// initialized for its owner.
+fn write_only(out: &mut [u8]) -> &mut [MaybeUninit<u8>] {
+    // SAFETY: `MaybeUninit<u8>` has `u8`'s layout, and the view borrows
+    // `out` exclusively for its lifetime; every caller hands it straight to
+    // `fused_on`, which stores only initialized bytes, so `out` is still
+    // initialized when the borrow ends.
+    unsafe { std::slice::from_raw_parts_mut(out.as_mut_ptr().cast(), out.len()) }
+}
+
+/// Write zeros over `dst` and hand it back as the initialized bytes it now
+/// is.
+fn zeroed(dst: &mut [MaybeUninit<u8>]) -> &mut [u8] {
+    dst.fill(MaybeUninit::new(0));
+    // SAFETY: every byte of `dst` was written on the line above.
+    unsafe { dst.assume_init_mut() }
 }
 
 /// One access of the fused row walk: a prefetch or load of source `.0`'s
@@ -204,14 +310,17 @@ pub fn dot_prod_fused_traced(
     sched: FusedSched,
 ) -> Vec<Access> {
     let mut trace = Vec::new();
-    fused_on(tables, sources, outputs, sched, &mut trace);
+    let mut outs: Vec<&mut [MaybeUninit<u8>]> = outputs.iter_mut().map(|o| write_only(o)).collect();
+    fused_on(tables, sources, &mut outs, sched, &mut trace);
     trace
 }
 
+/// The one fused pass every entry runs: writes each output byte once,
+/// never reading it.
 fn fused_on<S: AccessSink>(
     tables: &[NibbleTables],
     sources: &[&[u8]],
-    outputs: &mut [&mut [u8]],
+    outputs: &mut [&mut [MaybeUninit<u8>]],
     sched: FusedSched,
     sink: &mut S,
 ) {
@@ -231,7 +340,7 @@ fn fused_on<S: AccessSink>(
     }
     if k == 0 {
         for o in outputs.iter_mut() {
-            o.fill(0);
+            zeroed(o);
         }
         return;
     }
@@ -268,8 +377,7 @@ fn fused_on<S: AccessSink>(
     let tail = rows * CACHELINE;
     if tail < len {
         for (i, out) in outputs.iter_mut().enumerate() {
-            let dst = &mut out[tail..];
-            dst.fill(0);
+            let dst = zeroed(&mut out[tail..]);
             for (j, src) in sources.iter().enumerate() {
                 crate::slice::mul_add_slice_tab(&tables[i * k + j], &src[tail..], dst);
             }
@@ -318,13 +426,21 @@ fn for_each_verify_window(
     }
 
     let window = VERIFY_WINDOW.min(len).max(1);
-    let mut scratch: Vec<Vec<u8>> = (0..n_out).map(|_| vec![0u8; window]).collect();
+    let mut scratch: Vec<Vec<u8>> = Vec::new();
     let mut start = 0usize;
     while start < len {
         let end = (start + window).min(len);
         let srcs: Vec<&[u8]> = sources.iter().map(|s| &s[start..end]).collect();
+        // The first window is the widest: it fills fresh scratch, and every
+        // later one overwrites a prefix of it.
+        let first = scratch.is_empty();
+        if first {
+            scratch = dot_prod_fused_vec(tables, &srcs, n_out, end - start, sched);
+        }
         let mut outs: Vec<&mut [u8]> = scratch.iter_mut().map(|b| &mut b[..end - start]).collect();
-        dot_prod_fused(tables, &srcs, &mut outs, sched);
+        if !first {
+            dot_prod_fused(tables, &srcs, &mut outs, sched);
+        }
         if !visit(start, &outs) {
             return;
         }
@@ -440,6 +556,7 @@ pub fn dot_prod_syndromes(
 mod x86 {
     use super::{prefetch_read, NibbleTables, PassSched, CACHELINE, FUSED_GROUP};
     use std::arch::x86_64::*;
+    use std::mem::MaybeUninit;
 
     /// One register width of the constant-coefficient GF(2^8) multiply; the
     /// implementing type is the register, and all-zero bytes are a valid one.
@@ -587,7 +704,8 @@ mod x86 {
 
     /// Fused `N`-output pass over the whole 64 B rows of the buffers: each
     /// source line is loaded (and split) once per group and folded into `N`
-    /// register accumulators.
+    /// register accumulators, and each output vector is stored once, never
+    /// loaded.
     ///
     /// # Safety
     /// [`Lanes`] contract for `L`; `outputs.len() == N`, `tables.len() ==
@@ -597,7 +715,7 @@ mod x86 {
     unsafe fn group_pass<L: Lanes, const N: usize>(
         tables: &[NibbleTables],
         sources: &[&[u8]],
-        outputs: &mut [&mut [u8]],
+        outputs: &mut [&mut [MaybeUninit<u8>]],
         pass: &PassSched,
         prefetch: bool,
     ) {
@@ -627,7 +745,7 @@ mod x86 {
                         }
                     }
                     for i in 0..N {
-                        acc[i].store(outputs[i].as_mut_ptr().add(at));
+                        acc[i].store(outputs[i].as_mut_ptr().cast::<u8>().add(at));
                     }
                 }
             }
@@ -655,7 +773,7 @@ mod x86 {
             pub(super) unsafe fn $fused(
                 tabs: &[NibbleTables],
                 srcs: &[&[u8]],
-                outs: &mut [&mut [u8]],
+                outs: &mut [&mut [MaybeUninit<u8>]],
                 pass: &PassSched,
                 pf: bool,
             ) {
@@ -687,7 +805,7 @@ mod x86 {
 fn group_pass_portable(
     tables: &[NibbleTables],
     sources: &[&[u8]],
-    outputs: &mut [&mut [u8]],
+    outputs: &mut [&mut [MaybeUninit<u8>]],
     out0: usize,
     pass: &PassSched,
     prefetch: bool,
@@ -712,7 +830,7 @@ fn group_pass_portable(
         }
         for (i, out) in outputs.iter_mut().enumerate() {
             sink.on(Access::Store(out0 + i, row));
-            out[line.clone()].copy_from_slice(&acc[i]);
+            out[line.clone()].write_copy_of_slice(&acc[i]);
         }
     }
 }

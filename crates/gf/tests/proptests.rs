@@ -143,8 +143,8 @@ fn bitmatrix_inverse_roundtrip() {
 
 use dialga_gf::sched::FusedSched;
 use dialga_gf::simd::{
-    dot_prod_fused, dot_prod_syndromes, dot_prod_verify, mul_add_slice_simd, selected_kernel,
-    set_kernel_override, Kernel, Support, FUSED_GROUP, VERIFY_WINDOW,
+    dot_prod_fused, dot_prod_fused_vec, dot_prod_syndromes, dot_prod_verify, mul_add_slice_simd,
+    selected_kernel, set_kernel_override, Kernel, Support, FUSED_GROUP, VERIFY_WINDOW,
 };
 use dialga_gf::tables::NibbleTables;
 
@@ -219,6 +219,14 @@ fn check_fused_case(k: usize, n_out: usize, len: usize, sched: FusedSched, skew:
     assert_eq!(
         got, want,
         "fused != reference for k={k} n_out={n_out} len={len} sched={sched:?} skew={skew}"
+    );
+    // The write-only entry into fresh, never-written blocks: the garbage
+    // above proves overwrite, this path rests on every byte being stored.
+    let fresh = dot_prod_fused_vec(&tables, &src_refs, n_out, len, sched);
+    let want_rows: Vec<&[u8]> = want.iter().map(|w| &w[skew..]).collect();
+    assert_eq!(
+        fresh, want_rows,
+        "fresh fused != reference for k={k} n_out={n_out} len={len} sched={sched:?} skew={skew}"
     );
 }
 

@@ -9,7 +9,7 @@
 
 use crate::{ServiceCounters, ServiceError};
 use dialga::encoder::Dialga;
-use dialga::pool::{DecodeJob, EncodePool, PoolStats, StripeJob};
+use dialga::pool::{DecodeJob, EncodePool, PoolStats};
 use dialga_ec::EcError;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -466,7 +466,6 @@ impl Shard {
         if reqs.is_empty() {
             return;
         }
-        let m = coder.params().m;
         let mut dones = Vec::with_capacity(reqs.len());
         let mut datas: Vec<Vec<Vec<u8>>> = Vec::with_capacity(reqs.len());
         for pending in reqs {
@@ -481,33 +480,15 @@ impl Shard {
                 dones.push((done, submitted));
             }
         }
-        let mut parities: Vec<Vec<Vec<u8>>> = datas
-            .iter()
-            .map(|d| {
-                let len = d.first().map_or(0, Vec::len);
-                vec![vec![0u8; len]; m]
-            })
-            .collect();
-        let fused_ok = {
+        let fused = {
             let data_refs: Vec<Vec<&[u8]>> = datas
                 .iter()
                 .map(|d| d.iter().map(Vec::as_slice).collect())
                 .collect();
-            let mut parity_refs: Vec<Vec<&mut [u8]>> = parities
-                .iter_mut()
-                .map(|sp| sp.iter_mut().map(Vec::as_mut_slice).collect())
-                .collect();
-            let mut jobs: Vec<StripeJob<'_, '_>> = data_refs
-                .iter()
-                .zip(parity_refs.iter_mut())
-                .map(|(d, p)| StripeJob {
-                    data: d.as_slice(),
-                    parity: p.as_mut_slice(),
-                })
-                .collect();
-            self.pool.encode_batch(coder, &mut jobs).is_ok()
+            let stripes: Vec<&[&[u8]]> = data_refs.iter().map(Vec::as_slice).collect();
+            self.pool.encode_batch_vec(coder, &stripes)
         };
-        if fused_ok {
+        if let Ok(parities) = fused {
             for ((done, submitted), parity) in dones.into_iter().zip(parities) {
                 self.complete(OpKind::Encode, submitted, &done, Ok(parity));
             }

@@ -45,13 +45,17 @@ core-test:
 
 # The release-only tests: Dialga::locate against the erase-decode-reverify
 # reference, the deep (12,8) / (3,6) cases a debug build skips included,
-# the XOR scheduler's 2 s bound on the widest figure code, and the store's
-# slot-hash tests in the codegen that vectorizes the lane loop (~25 s with
-# the build; a stage of `just lint`)
+# the XOR scheduler's 2 s bound on the widest figure code, the store's
+# slot-hash tests in the codegen that vectorizes the lane loop, and the two
+# tests the write-only outputs' `assume_written` argument rests on (the
+# fused kernel on every tier and tail shape, every pool operation on ragged
+# chunks; a stage of `just lint`)
 release-sweep:
     cargo test -q --release -p dialga --lib locate_is_the_reference
     cargo test -q --release -p dialga-ec --lib wide_zerasure_builds_in_two_seconds -- --include-ignored
     cargo test -q --release -p dialga-store --lib hash
+    cargo test -q --release -p dialga-gf --test proptests fused_matches_reference_for_all_tiers_and_tail_shapes
+    cargo test -q --release -p dialga --test proptests every_pool_operation_is_bit_exact_on_every_executor_count
 
 # Every GF kernel tier this CPU has, against the scalar reference and end
 # to end through core; prints which tiers ran and which the CPU lacks

@@ -38,7 +38,7 @@ cargo test -q --test chaos --test integrity
 echo "== core tests (pool, coordinator, encoder; fault hooks compiled in) =="
 cargo test -q -p dialga --features fault-injection
 
-echo "== release sweeps (Dialga::locate against the erase-decode-reverify reference, every case; the XOR scheduler's time bound; the store's slot hash) =="
+echo "== release sweeps (Dialga::locate against the erase-decode-reverify reference, every case; the XOR scheduler's time bound; the store's slot hash; the write-only kernel and pool outputs) =="
 # A debug build skips the cases whose reference search passes 2 000
 # candidates — the deep (12,8) and (3,6) ones; only this stage runs them.
 cargo test -q --release -p dialga --lib locate_is_the_reference
@@ -49,6 +49,12 @@ cargo test -q --release -p dialga-ec --lib wide_zerasure_builds_in_two_seconds -
 # digests, and the hash's position and streaming properties, must hold
 # in that codegen too.
 cargo test -q --release -p dialga-store --lib hash
+# Fresh outputs get their length only on the argument that every byte was
+# stored: the fused pass on every tier and tail shape, and the pool's
+# chunks tiling every output. These two tests carry that argument, so they
+# must hold in the codegen that ships, not only in a debug build.
+cargo test -q --release -p dialga-gf --test proptests fused_matches_reference_for_all_tiers_and_tail_shapes
+cargo test -q --release -p dialga --test proptests every_pool_operation_is_bit_exact_on_every_executor_count
 
 echo "== kernel tier sweep (every GF tier this CPU has against the scalar reference, then end to end; prints the tiers run / skipped) =="
 # A green gate on a CPU without GFNI must say so rather than pass the top

@@ -98,6 +98,11 @@ fn seeded_pool_faults_heal_across_threads_and_paths() {
                         "faulted decode succeeded but shard {i} diverged"
                     );
                 }
+            } else {
+                // The error contract: a failed decode fills no hole.
+                for &l in &lost {
+                    assert_eq!(shards[l], None, "failed decode filled hole {l}");
+                }
             }
             assert_recovered(&pool, &coder, &refs, &parity);
 
@@ -110,6 +115,46 @@ fn seeded_pool_faults_heal_across_threads_and_paths() {
             }
             assert_recovered(&pool, &coder, &refs, &parity);
         }
+    }
+}
+
+#[test]
+fn a_decode_that_fails_in_either_stage_fills_no_hole() {
+    // One executor, no retries: a scripted panic on the pool's chunk 0
+    // fails stage 1 (lost data); on chunk 1 it fails stage 2 (lost
+    // parity), after stage 1's data went into its hole for stage 2 to
+    // read. Either way the caller gets every hole back as `None`.
+    let opts = dialga_repro::scheduler::encoder::DialgaOptions {
+        max_batch_retries: Some(0),
+        ..Default::default()
+    };
+    let coder = Dialga::with_options(K, M, opts).unwrap();
+    let data = make_data(13);
+    let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+    let parity = coder.encode_vec(&refs).unwrap();
+    let full: Vec<Vec<u8>> = data.iter().chain(parity.iter()).cloned().collect();
+    let pool = EncodePool::new(1);
+    for nth_chunk in [0, 1] {
+        pool.arm_faults(&FaultPlan::new().with(Fault::WorkerPanic {
+            worker: 0,
+            nth_chunk,
+        }));
+        let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
+        shards[1] = None;
+        shards[K] = None;
+        assert!(matches!(
+            pool.decode(&coder, &mut shards),
+            Err(EcError::Internal { .. })
+        ));
+        assert_eq!(
+            (shards[1].as_ref(), shards[K].as_ref()),
+            (None, None),
+            "stage {nth_chunk}"
+        );
+        assert_eq!(pool.faults_injected(), 1);
+        pool.disarm_faults();
+        pool.decode(&coder, &mut shards).unwrap();
+        assert!(shards.iter().zip(&full).all(|(s, f)| s.as_ref() == Some(f)));
     }
 }
 

@@ -524,3 +524,39 @@ fn kernel_panic_during_an_inline_run_resolves_and_releases_the_shard() {
     assert_eq!(ticket.wait_timeout(Duration::ZERO), Some(Ok(r.parity)));
     assert_eq!(svc.stats().inline, 2, "the shard is idle again");
 }
+
+#[test]
+fn kernel_panic_during_an_inline_decode_never_answers_zeros() {
+    // The decode twin of the test above. The fused batch fails past its
+    // retries, so the per-request fallback decodes the same shard vectors
+    // again: their holes must still be holes. A batch that filled them
+    // before it ran handed the fallback a stripe with nothing to rebuild,
+    // and the ticket resolved `Ok` with zeros in the lost shards.
+    let coder = Dialga::new(K, M).unwrap();
+    let r = reference(&coder, 1024, 9);
+    let svc = StripeService::new(ServiceConfig {
+        threads_per_shard: 1,
+        ..cfg(1)
+    })
+    .unwrap();
+    let mut plan = FaultPlan::new();
+    for nth_chunk in 0..3 {
+        plan = plan.with(Fault::WorkerPanic {
+            worker: 0,
+            nth_chunk,
+        });
+    }
+    assert!(svc.arm_shard_faults(0, &plan));
+
+    let mut holes: Vec<Option<Vec<u8>>> = r.full.iter().cloned().map(Some).collect();
+    holes[1] = None;
+    holes[K] = None;
+    let ticket = svc.submit_decode(1, holes, None).unwrap();
+    match ticket.wait_timeout(Duration::ZERO) {
+        Some(Ok(restored)) => assert_eq!(restored, r.full, "a decode answered wrong shards"),
+        Some(Err(ServiceError::Coding(_))) => {}
+        other => panic!("inline ticket must be resolved at submit, got {other:?}"),
+    }
+    assert_eq!(svc.stats().fallbacks, 1, "the fused batch failed");
+    assert_eq!(svc.stats().inline, 1);
+}
