@@ -10,7 +10,6 @@
 
 use crate::systems::{decode_report, encode_report, lrc_report, Spec, System, FIG_SAMPLE_NS};
 use crate::table::{gbs, pct, Rows};
-use dialga::source::{DialgaSource, Variant};
 use dialga::{Dialga, EncodePool};
 use dialga_ec::Lrc;
 use dialga_gf::sched::LINES_PER_XPLINE;
@@ -19,6 +18,7 @@ use dialga_pipeline::cost::{CostModel, Simd};
 use dialga_pipeline::isal::{IsalSource, Knobs};
 use dialga_pipeline::layout::StripeLayout;
 use dialga_pipeline::runner::run_source;
+use dialga_pipeline::source::{DialgaSource, Variant};
 use dialga_pipeline::update_pat::UpdateSource;
 
 /// One regenerable table.

@@ -13,7 +13,6 @@
 //!   pattern with XOR-derived compute costs — see DESIGN.md).
 //! * **DIALGA** — the adaptive scheduler (or a pinned Fig. 18 variant).
 
-use dialga::source::{DialgaSource, Variant};
 use dialga_ec::xor::{XorCode, XorFlavor};
 use dialga_memsim::{MachineConfig, RunReport};
 use dialga_pipeline::cost::{CostModel, Simd};
@@ -22,6 +21,7 @@ use dialga_pipeline::isal::{IsalSource, Knobs};
 use dialga_pipeline::layout::StripeLayout;
 use dialga_pipeline::lrc_pat::LrcSource;
 use dialga_pipeline::runner::run_source;
+use dialga_pipeline::source::{DialgaSource, Variant};
 use dialga_pipeline::xorpat::XorSource;
 use std::collections::HashMap;
 use std::sync::Mutex;

@@ -1,46 +1,34 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(missing_docs)]
-//! DIALGA — adaptive hardware/software prefetcher scheduling for erasure
-//! coding on persistent memory.
+//! DIALGA on real bytes: the coder and the pool that runs its schedule.
 //!
-//! This crate is the paper's primary contribution. It layers three
-//! mechanisms over the table-driven Reed–Solomon substrate of `dialga-ec`:
+//! * [`encoder::Dialga`] — a functional Reed–Solomon encoder/decoder
+//!   (bit-exact with `dialga-ec`) whose fused kernels are row-pipelined and
+//!   emit the paper's software prefetches (`prefetcht0` on x86-64) from the
+//!   schedule it carries;
+//! * [`pool::EncodePool`] — the persistent executor pool (the submitting
+//!   thread plus long-lived workers, batch submission); every chunk runs its
+//!   coder's schedule.
 //!
-//! * the **adaptive coordinator** ([`coordinator`]) — samples PMU-analogue
-//!   counters at a fixed rate, tracks the I/O access pattern (k, m, block
-//!   size, thread count) and switches prefetch strategy with threshold
-//!   heuristics (110 % load-latency threshold, 150 % useless-prefetch
-//!   threshold, 12-thread concurrency threshold) plus hill climbing
-//!   ([`hillclimb`]) for the software prefetch distance — on the simulator;
-//! * the **lightweight operator** ([`operator`]) — the static shuffle
-//!   mapping that silences the L2 stream prefetcher from userspace, and the
-//!   branchless prefetch-pointer construction of Fig. 9;
-//! * **PM read-buffer-friendly prefetch** — the per-XPLine distance split
-//!   (first line at `k+4`) under low pressure, 256 B task expansion under
-//!   high pressure, and the Eq. (1) bound on the maximum prefetch distance
-//!   (all dispatched from [`coordinator::Policy`]).
-//!
-//! Two execution surfaces:
-//!
-//! * [`encoder::Dialga`] — a *functional* encoder/decoder on real bytes
-//!   (bit-exact with `dialga-ec`), whose kernels really are row-pipelined
-//!   and emit real `prefetcht0` hints on x86-64;
-//! * [`source::DialgaSource`] — the *timed* coupling to the PM simulator,
-//!   used by every figure reproduction, and the only place the coordinator
-//!   runs: it samples PMU counters on PM, and the host has neither.
-//!
-//! Multi-threaded encoding goes through the persistent executor pool of
-//! [`pool::EncodePool`] (the submitting thread plus long-lived workers,
-//! batch submission; every chunk runs its coder's schedule).
+//! The adaptive coordinator (§4.1), its hill climber, the timed DIALGA
+//! source and the Fig. 9 operator specification run on the PM simulator
+//! and live in `dialga-pipeline`: the coordinator samples PMU counters on
+//! PM, and the host has neither.
 
-pub mod coordinator;
 pub mod encoder;
-pub mod hillclimb;
-pub mod operator;
 pub mod pool;
-pub mod source;
 
-pub use coordinator::{Coordinator, CoordinatorSnapshot, Policy, PressureState};
 pub use encoder::{DecodePlan, Dialga, RepairPlan};
 pub use pool::{DecodeJob, EncodePool, PoolStats, StripeJob};
-pub use source::{DialgaSource, Variant};
+
+/// Shim: `benchmark/` still imports `dialga::source::DialgaSource`.
+/// ROADMAP.md item 1f deletes it, with [`CoordinatorSnapshot`] below and
+/// this crate's `dialga-memsim` / `dialga-pipeline` dependencies; other
+/// code uses [`dialga_pipeline::source`].
+pub mod source {
+    pub use dialga_pipeline::source::DialgaSource;
+}
+
+/// Shim for `StripeService::shard_coordinator`'s signature, which
+/// `benchmark/` calls (ROADMAP.md item 1f).
+pub use dialga_pipeline::coordinator::CoordinatorSnapshot;

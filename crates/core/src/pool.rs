@@ -19,11 +19,12 @@
 //!   through the same `run_chunk` body, and only then waits. A batch of
 //!   one chunk — and every batch on a pool of 1 — is a direct kernel
 //!   call: nothing queued, no latch allocated, no thread woken.
-//! * **The coder's schedule.** Every chunk runs the [`Knobs`] its job's
-//!   coder carries (`Dialga::sched()`); the pool has no schedule of its
-//!   own. The paper's coordinator (§4.1) retunes that schedule from PMU
-//!   counters on PM; the host has neither, so the coordinator runs on the
-//!   simulator ([`crate::source::DialgaSource`]).
+//! * **The coder's schedule.** Every chunk runs the [`FusedSched`] its
+//!   job's coder carries (`Dialga::sched()`); the pool has no schedule of
+//!   its own. The paper's coordinator (§4.1) retunes that schedule from PMU
+//!   counters on PM; the host has neither, so the coordinator
+//!   ([`dialga_pipeline::coordinator`]) runs on the simulator
+//!   ([`dialga_pipeline::source::DialgaSource`]).
 //!
 //! Results are bit-exact with serial encoding/decoding for every executor
 //! count: Reed–Solomon is independent per row, so any horizontal split is
@@ -33,9 +34,9 @@ use crate::encoder::{DecodePlan, Dialga, DEFAULT_BATCH_RETRIES};
 use dialga_ec::{EcError, Lrc};
 #[cfg(feature = "fault-injection")]
 use dialga_faultkit::{ChunkFault, FaultCell, FaultPlan};
+use dialga_gf::sched::FusedSched;
 use dialga_gf::simd::{dot_prod_fused_into, FreshBlock};
 use dialga_gf::tables::NibbleTables;
-use dialga_pipeline::Knobs;
 use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::ptr::NonNull;
@@ -285,7 +286,7 @@ struct Work {
     sources: Vec<SrcSpan>,
     outputs: Vec<OutSpan>,
     /// The coder's schedule, which every chunk of the job runs.
-    sched: Knobs,
+    sched: FusedSched,
 }
 
 /// One job over full-length blocks, before chunking. Encode, both decode
@@ -305,7 +306,7 @@ impl RawJob {
         tables: &[NibbleTables],
         sources: Vec<SrcSpan>,
         outputs: Vec<OutSpan>,
-        sched: Knobs,
+        sched: FusedSched,
     ) -> Result<Self, EcError> {
         let len = sources.first().map_or(0, |s| s.len);
         let lens = sources.iter().map(|s| s.len);
@@ -914,7 +915,7 @@ impl EncodePool {
             &tables,
             sources.map(SrcSpan::new).collect(),
             out.iter_mut().map(OutSpan::fresh).collect(),
-            Knobs::distance(gs as u32),
+            FusedSched::distance(gs as u32),
         )?;
         self.count_dispatch(1);
         let wait = self.run_jobs(&[job], DEFAULT_BATCH_RETRIES);
@@ -1355,7 +1356,7 @@ mod tests {
             &[],
             vec![SrcSpan::new(&src)],
             vec![OutSpan::new(&mut out)],
-            Knobs::distance(4),
+            FusedSched::distance(4),
         )
         .unwrap();
         assert!(matches!(

@@ -1,162 +1,12 @@
-//! Property-based tests for the scheduler and the persistent encode pool:
-//! the hill climber, the Eq. (1) bound, the prefetch-pointer construction
-//! and the coordinator must be robust to arbitrary inputs, and pool
-//! encoding must be bit-exact with serial encoding for every geometry.
+//! Property-based tests for the persistent encode pool: pool encoding must
+//! be bit-exact with serial encoding for every geometry.
 //!
 //! Randomized with the in-tree deterministic harness (`dialga-testkit`).
 
-use dialga::coordinator::{eq1_max_distance, Coordinator};
 use dialga::encoder::Dialga;
-use dialga::hillclimb::HillClimber;
-use dialga::operator::build_prefetch_ptrs;
 use dialga::pool::{split_ranges, DecodeJob, EncodePool, StripeJob, CHUNK_ALIGN};
 use dialga_ec::Lrc;
-use dialga_memsim::{Counters, MachineConfig};
 use dialga_testkit::run_cases;
-
-/// The climber's candidate never leaves its bounds, for any objective.
-#[test]
-fn hillclimber_stays_in_bounds() {
-    run_cases(64, |rng| {
-        let init = rng.range_u32(1, 500);
-        let min = rng.range_u32(1, 100);
-        let max = min + rng.range_u32(0, 400);
-        let n = rng.range(1, 120);
-        let mut hc = HillClimber::new(init, min, max);
-        for _ in 0..n {
-            let d = hc.current();
-            assert!(
-                (min..=max).contains(&d),
-                "candidate {d} out of [{min}, {max}]"
-            );
-            hc.observe(rng.range_f64(0.0, 1e6));
-        }
-    });
-}
-
-/// On a deterministic objective the climber settles in bounded time, at a
-/// point no worse than its start.
-#[test]
-fn hillclimber_settles_and_never_regresses() {
-    run_cases(64, |rng| {
-        let init = rng.range_u32(1, 256);
-        let opt = rng.range_u32(1, 256);
-        let f = |d: u32| {
-            let x = d as f64 - opt as f64;
-            10.0 + x * x
-        };
-        let mut hc = HillClimber::new(init, 1, 256);
-        let start_score = f(init);
-        for _ in 0..400 {
-            if hc.settled() {
-                break;
-            }
-            let d = hc.current();
-            hc.observe(f(d));
-        }
-        assert!(hc.settled(), "no convergence from {init} toward {opt}");
-        assert!(f(hc.current()) <= start_score + 1e-9);
-    });
-}
-
-/// Eq. (1): monotone non-increasing in threads and unit size; never below
-/// its floor (k); always a sane value.
-#[test]
-fn eq1_bound_monotone() {
-    run_cases(64, |rng| {
-        let threads = rng.range(1, 32);
-        let k = rng.range(1, 128);
-        let buffer = rng.range_u64(1, 1024) * 1024;
-        let unit = [256u64, 512, 1024][rng.range(0, 3)];
-        let d = eq1_max_distance(threads, k, buffer, unit);
-        assert!(d >= k.min(4096) as u32);
-        assert!(d <= 4096);
-        assert!(eq1_max_distance(threads + 1, k, buffer, unit) <= d);
-        assert!(eq1_max_distance(threads, k, buffer, unit * 2) <= d);
-    });
-}
-
-/// Prefetch-pointer coverage: over a whole stripe, every step except the
-/// d-length warm-up is targeted exactly once, in bounds, for any
-/// (k, rows, d, shuffle).
-#[test]
-fn prefetch_ptrs_cover_exactly_once() {
-    run_cases(64, |rng| {
-        let k = rng.range(1, 32);
-        let rows = 1u64 << rng.range(0, 7);
-        let d = rng.range_u32(1, 300);
-        let shuffled = rng.bool();
-        let total = rows * k as u64;
-        let mut seen = std::collections::HashSet::new();
-        for row in 0..rows {
-            for p in build_prefetch_ptrs(row, k, rows, d, shuffled)
-                .into_iter()
-                .flatten()
-            {
-                assert!(p.block < k);
-                assert!(p.row < rows);
-                assert!(seen.insert((p.block, p.row)), "duplicate {p:?}");
-            }
-        }
-        assert_eq!(seen.len() as u64, total.saturating_sub(d as u64));
-    });
-}
-
-/// `build_prefetch_ptrs` past the end of the stripe: when the distance
-/// exceeds the remaining steps (including d > rows * k, where the warm-up
-/// swallows the whole stripe), the pointers must be empty rather than out
-/// of bounds.
-#[test]
-fn prefetch_ptrs_beyond_stripe_are_empty() {
-    run_cases(64, |rng| {
-        let k = rng.range(1, 16);
-        let rows = rng.range_u64(1, 32);
-        let total = rows * k as u64;
-        // Distances at and beyond the stripe total.
-        let d = total as u32 + rng.range_u32(0, 1000);
-        let shuffled = rng.bool();
-        for row in 0..rows {
-            let ptrs = build_prefetch_ptrs(row, k, rows, d, shuffled);
-            assert!(
-                ptrs.into_iter().flatten().next().is_none(),
-                "d={d} >= total={total} must prefetch nothing (row {row})"
-            );
-        }
-    });
-}
-
-/// The coordinator never panics and never violates the Eq. (1) bound for
-/// arbitrary counter streams.
-#[test]
-fn coordinator_robust_to_arbitrary_counters() {
-    run_cases(64, |rng| {
-        let k = rng.range(1, 64);
-        let threads = rng.range(1, 20);
-        let steps = rng.range(1, 40);
-        let cfg = MachineConfig::pm();
-        let mut coord = Coordinator::new(k, threads, &cfg);
-        coord.set_sample_interval(100.0);
-        let mut ctr = Counters::default();
-        let mut now = 0.0;
-        for _ in 0..steps {
-            ctr.loads += rng.range_u64(1, 10_000);
-            ctr.demand_stall_ns += rng.range_f64(0.0, 1e7);
-            let useless = rng.range_u64(0, 5_000);
-            ctr.useless_prefetches += useless;
-            ctr.hw_prefetches += useless + 1;
-            now += 150.0;
-            coord.on_tick(now, &ctr);
-            let p = coord.policy();
-            if let Some(d) = p.knobs.d {
-                assert!(d <= coord.d_max(), "d {} > bound {}", d, coord.d_max());
-            }
-            // BF split and shuffle are mutually exclusive by construction.
-            if p.knobs.shuffle {
-                assert!(p.knobs.d_long.is_none());
-            }
-        }
-    });
-}
 
 /// `split_ranges` partitions exactly, aligned, and evenly for arbitrary
 /// lengths and worker counts.

@@ -4,12 +4,11 @@
 //!
 //! Production code cannot be trusted on its failure paths unless those
 //! paths can be *driven*: a worker thread that dies mid-batch, a queue
-//! send that fails, a PM read that suddenly pays a media-latency storm, a
-//! shard whose bytes rot. This
-//! crate scripts all of those as data — a [`FaultPlan`] is a plain list
-//! of [`Fault`]s, either hand-written or generated from a seed — and
-//! delivers them through a [`FaultCell`] that the instrumented crates
-//! poll from `#[cfg(feature = "fault-injection")]`-gated hooks.
+//! send that fails, a power failure at a persist boundary, a shard whose
+//! bytes rot. This crate scripts all of those as data — a [`FaultPlan`] is
+//! a plain list of [`Fault`]s, either hand-written or generated from a
+//! seed — and delivers them through a [`FaultCell`] that the instrumented
+//! crates poll from `#[cfg(feature = "fault-injection")]`-gated hooks.
 //!
 //! # Hot-path contract
 //!
@@ -66,14 +65,6 @@ pub enum Fault {
     SendFail {
         /// 0-based global send ordinal.
         nth_send: u64,
-    },
-    /// The `nth_read`-th PM media fetch (0-based; buffer hits are not
-    /// counted) pays `extra_ns` additional latency.
-    MediaSpike {
-        /// 0-based media-fetch ordinal.
-        nth_read: u64,
-        /// Additional latency in nanoseconds.
-        extra_ns: f64,
     },
     /// Power fails at the `nth_persist`-th persist boundary (0-based,
     /// counted per arm across every fence the instrumented persistence
@@ -172,7 +163,6 @@ struct Armed {
     /// Per-worker-slot chunk ordinals (index = worker slot).
     chunks_seen: Vec<u64>,
     sends_seen: u64,
-    reads_seen: u64,
     persists_seen: u64,
     injected: u64,
 }
@@ -180,7 +170,7 @@ struct Armed {
 /// The hook cell: a generation word plus the armed plan's counters.
 ///
 /// Embedded (under `#[cfg(feature = "fault-injection")]`) in the encode
-/// pool and the PM simulator. See the module docs for
+/// pool and the simulated persistence domain. See the module docs for
 /// the memory-ordering contract.
 #[derive(Debug, Default)]
 pub struct FaultCell {
@@ -216,7 +206,6 @@ impl FaultCell {
             faults: plan.faults.clone(),
             chunks_seen: vec![0; workers],
             sends_seen: 0,
-            reads_seen: 0,
             persists_seen: 0,
             injected: 0,
         });
@@ -302,26 +291,6 @@ impl FaultCell {
         hit
     }
 
-    /// Hook: the PM simulator is fetching a line from media. Returns
-    /// extra latency in nanoseconds, if this fetch is scripted.
-    pub fn on_media_read(&self) -> Option<f64> {
-        if !self.armed() {
-            return None;
-        }
-        let mut guard = self.lock_armed();
-        let armed = guard.as_mut()?;
-        let nth = armed.reads_seen;
-        armed.reads_seen += 1;
-        let extra = armed.faults.iter().find_map(|f| match *f {
-            Fault::MediaSpike { nth_read, extra_ns } if nth_read == nth => Some(extra_ns),
-            _ => None,
-        });
-        if extra.is_some() {
-            armed.injected += 1;
-        }
-        extra
-    }
-
     /// Hook: a persistence domain is about to complete a persist
     /// boundary (flush + fence). `true` means power fails *at* this
     /// boundary: the fence must not complete, and the domain should
@@ -373,7 +342,6 @@ mod tests {
         assert!(!cell.armed());
         assert_eq!(cell.on_worker_chunk(0), ChunkFault::None);
         assert!(!cell.on_send());
-        assert_eq!(cell.on_media_read(), None);
         assert!(!cell.on_persist());
         assert_eq!(cell.injected(), 0);
     }
@@ -413,18 +381,6 @@ mod tests {
         assert!(cell.on_send());
         assert!(!cell.on_send());
         assert_eq!(cell.injected(), 1);
-    }
-
-    #[test]
-    fn media_hook_returns_the_scripted_magnitude() {
-        let cell = FaultCell::new();
-        let plan = FaultPlan::new().with(Fault::MediaSpike {
-            nth_read: 0,
-            extra_ns: 900.0,
-        });
-        cell.arm(&plan, 1);
-        assert_eq!(cell.on_media_read(), Some(900.0));
-        assert_eq!(cell.on_media_read(), None);
     }
 
     #[test]

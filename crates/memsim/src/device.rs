@@ -156,11 +156,6 @@ pub struct MemorySystem {
     /// log2 of `cfg.interleave_bytes` and of `cfg.pm.unit_bytes`.
     interleave_shift: u32,
     unit_shift: u32,
-    /// Deterministic fault cell: scripted media-latency spikes (an Optane
-    /// DIMM stalling on internal maintenance) land on the XPLine fetch
-    /// path. Disarmed cost is one atomic load per media fetch.
-    #[cfg(feature = "fault-injection")]
-    fault: Option<std::sync::Arc<dialga_faultkit::FaultCell>>,
 }
 
 impl MemorySystem {
@@ -184,16 +179,7 @@ impl MemorySystem {
             buffer_slots_per_channel: slots,
             interleave_shift: cfg.interleave_bytes.trailing_zeros(),
             unit_shift: cfg.pm.unit_bytes.trailing_zeros(),
-            #[cfg(feature = "fault-injection")]
-            fault: None,
         }
-    }
-
-    /// Attach a fault cell so scripted PM media spikes reach this memory
-    /// system (see `dialga-faultkit`).
-    #[cfg(feature = "fault-injection")]
-    pub fn attach_fault_cell(&mut self, cell: std::sync::Arc<dialga_faultkit::FaultCell>) {
-        self.fault = Some(cell);
     }
 
     #[inline]
@@ -283,19 +269,8 @@ impl MemorySystem {
         }
         let slot_free = c.media_slots[slot_idx];
         let start = (now_ns + bus_delay).max(slot_free);
-        // Scripted fault: this media fetch stalls for extra nanoseconds
-        // (an Optane DIMM on internal maintenance); the occupied slot and
-        // completion time both slip, so the spike also queues behind it.
-        #[cfg(not(feature = "fault-injection"))]
-        let spike_ns = 0.0;
-        #[cfg(feature = "fault-injection")]
-        let spike_ns = self
-            .fault
-            .as_ref()
-            .and_then(|f| f.on_media_read())
-            .unwrap_or(0.0);
-        c.media_slots[slot_idx] = start + pm.media_occupancy_ns + spike_ns;
-        let done = start + pm.media_latency_ns + spike_ns;
+        c.media_slots[slot_idx] = start + pm.media_occupancy_ns;
+        let done = start + pm.media_latency_ns;
         ctr.media_read_bytes += pm.unit_bytes;
         ctr.xpline_fetches += 1;
         c.inflight.push((xp, done));
@@ -418,48 +393,6 @@ mod tests {
         );
         assert_eq!(c.xpline_fetches, 1, "no second media fetch");
         assert_eq!(c.buffer_hits, 1);
-    }
-
-    #[cfg(feature = "fault-injection")]
-    #[test]
-    fn scripted_media_spike_is_deterministic_and_slot_scoped() {
-        use dialga_faultkit::{Fault, FaultCell, FaultPlan};
-        let cell = std::sync::Arc::new(FaultCell::new());
-        // Spike the second media fetch by 10 µs; buffer hits must neither
-        // trigger nor consume it.
-        cell.arm(
-            &FaultPlan::new().with(Fault::MediaSpike {
-                nth_read: 1,
-                extra_ns: 10_000.0,
-            }),
-            1,
-        );
-        let run = |fault: Option<std::sync::Arc<FaultCell>>| {
-            let (mut m, mut c) = pm_sys();
-            if let Some(f) = fault {
-                m.attach_fault_cell(f);
-            }
-            let t0 = m.read_line(0, 0.0, &mut c); // media fetch 0
-            let tb = m.read_line(1, 500.0, &mut c); // buffer hit
-            let t1 = m.read_line(64, 1000.0, &mut c); // media fetch 1 (new XPLine, ch 1)
-            let t2 = m.read_line(128, 2000.0, &mut c); // media fetch 2
-            (t0, tb, t1, t2)
-        };
-        let clean = run(None);
-        let faulty = run(Some(std::sync::Arc::clone(&cell)));
-        assert_eq!(cell.injected(), 1, "exactly one spike fired");
-        assert!((faulty.0 - clean.0).abs() < 1e-9, "fetch 0 unaffected");
-        assert!((faulty.1 - clean.1).abs() < 1e-9, "buffer hit unaffected");
-        assert!(
-            (faulty.2 - (clean.2 + 10_000.0)).abs() < 1e-9,
-            "fetch 1 absorbs the spike: {} vs {}",
-            faulty.2,
-            clean.2
-        );
-        assert!((faulty.3 - clean.3).abs() < 1e-9, "fetch 2 unaffected");
-        // Re-running with the plan exhausted is clean again.
-        let replay = run(Some(cell));
-        assert!((replay.2 - clean.2).abs() < 1e-9, "plan fires once");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! I/O-pattern rules and the Eq. (1) distance bound.
 
 use crate::hillclimb::HillClimber;
+use crate::isal::Knobs;
 use dialga_memsim::{Counters, MachineConfig};
-use dialga_pipeline::Knobs;
 use std::collections::VecDeque;
 
 /// Latency threshold: contention is declared when the interval's average

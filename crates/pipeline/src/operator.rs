@@ -2,10 +2,10 @@
 //! control via static shuffle mapping, and branchless pipelined software
 //! prefetch pointers.
 //!
-//! The *timed* side of these mechanisms lives in `dialga-pipeline`
-//! ([`dialga_pipeline::isal::shuffle_row`] drives the simulator). The
-//! real-bytes encoder no longer materializes the pointer array: the fused
-//! kernels ([`dialga_gf::simd::dot_prod_fused`]) issue the same targets
+//! The *timed* side of these mechanisms is
+//! [`IsalSource`](crate::isal::IsalSource), whose rows [`shuffle_row`]
+//! remaps. The real-bytes encoder never materializes the pointer array: the
+//! fused kernels ([`dialga_gf::simd::dot_prod_fused`]) issue the same targets
 //! arithmetically from inside their row loop via
 //! [`dialga_gf::sched::for_each_prefetch_target`]. This module keeps
 //! [`build_prefetch_ptrs`] as the executable Fig. 9 *specification* —
@@ -13,7 +13,7 @@
 //! `d % k != 0`, order preserved under shuffle) and cross-check the fused
 //! scheduler against it.
 
-pub use dialga_pipeline::isal::shuffle_row;
+use crate::isal::shuffle_row;
 
 /// One entry of the prefetch-pointer array: which (block, row) to prefetch
 /// while executing a given step.

@@ -2,10 +2,10 @@
 //! simulator, with the Fig. 18 breakdown variants.
 
 use crate::coordinator::Coordinator;
+use crate::cost::CostModel;
+use crate::isal::{IsalSource, Knobs};
+use crate::layout::StripeLayout;
 use dialga_memsim::{Counters, MachineConfig, RowTask, TaskSource};
-use dialga_pipeline::cost::CostModel;
-use dialga_pipeline::isal::{IsalSource, Knobs};
-use dialga_pipeline::layout::StripeLayout;
 
 /// Feature selection for the Fig. 18 breakdown (each variant adds one
 /// mechanism) plus the full adaptive scheduler.
@@ -135,7 +135,7 @@ impl TaskSource for DialgaSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dialga_pipeline::run_source;
+    use crate::run_source;
 
     fn layout(k: usize, m: usize, block: u64) -> StripeLayout {
         StripeLayout::sized_for(k, m, block, 2 << 20)

@@ -26,7 +26,7 @@
 //!   cannot starve a light tenant sharing its shard;
 //! * **coalescing**: the master drains up to
 //!   [`ServiceConfig::batch_limit`] requests per sweep and dispatches them
-//!   as *fused* pool batches (`encode_batch`/`decode_batch`), amortising
+//!   as *fused* pool batches (`encode_batch_vec`/`decode_batch`), amortising
 //!   dispatch overhead exactly where small stripes lose it;
 //! * **who dispatches**: a request of at most 64 KiB admitted to an *idle*
 //!   shard (unpaused, nothing queued or in flight) is dispatched by the
@@ -173,7 +173,8 @@ enum TicketReply {
 impl Ticket {
     /// Block until the request completes. Payload by operation:
     /// encode → the `m` parity blocks; decode → all `k + m` restored
-    /// shards; repair → the single rebuilt shard.
+    /// shards; repair → the single rebuilt shard; scrub → an empty vector
+    /// when the stripe is clean.
     pub fn wait(self) -> Result<Vec<Vec<u8>>, ServiceError> {
         match self.reply {
             TicketReply::Ready(cell) => cell.into_inner(),

@@ -9,12 +9,12 @@
 //! (arguments: k m block_bytes threads — all optional)
 
 use dialga_repro::memsim::MachineConfig;
+use dialga_repro::pipeline::coordinator::Coordinator;
 use dialga_repro::pipeline::cost::CostModel;
 use dialga_repro::pipeline::isal::{IsalSource, Knobs};
 use dialga_repro::pipeline::layout::StripeLayout;
 use dialga_repro::pipeline::run_source;
-use dialga_repro::scheduler::coordinator::Coordinator;
-use dialga_repro::scheduler::DialgaSource;
+use dialga_repro::pipeline::DialgaSource;
 
 fn main() {
     let mut args = std::env::args().skip(1);

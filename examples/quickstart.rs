@@ -9,7 +9,7 @@
 //! software prefetch hints (the paper's Fig. 9 mechanism). Output is
 //! bit-exact with plain Reed–Solomon.
 
-use dialga_repro::scheduler::encoder::{Dialga, DialgaOptions};
+use dialga_repro::coder::encoder::{Dialga, DialgaOptions};
 
 fn main() {
     // RS(16, 12): 12 data blocks, 4 parity blocks -> tolerates any 4 losses.

@@ -12,7 +12,7 @@ use dialga_repro::pipeline::cost::CostModel;
 use dialga_repro::pipeline::isal::{IsalSource, Knobs};
 use dialga_repro::pipeline::layout::StripeLayout;
 use dialga_repro::pipeline::run_source;
-use dialga_repro::scheduler::DialgaSource;
+use dialga_repro::pipeline::DialgaSource;
 
 fn main() {
     let cfg = MachineConfig::pm();

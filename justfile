@@ -38,8 +38,8 @@ race:
 chaos:
     cargo test -q --test chaos --test integrity
 
-# The scheduler crate's own tests (pool, coordinator, encoder) with the
-# fault hooks compiled in (a stage of `just lint`)
+# The host coder crate's own tests (pool, encoder) with the pool's fault
+# hooks compiled in (a stage of `just lint`)
 core-test:
     cargo test -q -p dialga --features fault-injection
 

@@ -35,7 +35,7 @@ RACE_SCHEDULES=64 cargo test -q -p dialga-race
 echo "== chaos smoke (fixed-seed fault plans + stripe integrity) =="
 cargo test -q --test chaos --test integrity
 
-echo "== core tests (pool, coordinator, encoder; fault hooks compiled in) =="
+echo "== core tests (pool, encoder; fault hooks compiled in) =="
 cargo test -q -p dialga --features fault-injection
 
 echo "== release sweeps (Dialga::locate against the erase-decode-reverify reference, every case; the XOR scheduler's time bound; the store's slot hash; the write-only kernel and pool outputs) =="

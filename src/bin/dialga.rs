@@ -8,8 +8,11 @@
 //! ```
 //!
 //! `--shards N` routes the encode through the sharded stripe service
-//! (N shards, each with its own pool and coordinator) instead of the
-//! direct parallel encoder.
+//! (N shards, each with its own pool) instead of the direct parallel
+//! encoder.
+//!
+//! A flag without a value, or a numeric flag whose value is not a number,
+//! prints the usage and exits 2 before anything is written.
 
 use dialga_repro::archive;
 use std::path::PathBuf;
@@ -22,14 +25,26 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn flag(args: &mut Vec<String>, name: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == name)?;
-    if pos + 1 >= args.len() {
-        return None;
+/// Removes `name` and its value from `args`. `Err` when the flag is
+/// present without a value: last, or followed by another flag.
+fn flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>, ()> {
+    let Some(pos) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(pos + 1) {
+        Some(value) if !value.starts_with("--") => {
+            let value = args.remove(pos + 1);
+            args.remove(pos);
+            Ok(Some(value))
+        }
+        _ => Err(()),
     }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Some(value)
+}
+
+/// A numeric flag: `default` when absent, `Err` when it has no value or
+/// the value is not a number.
+fn number(args: &mut Vec<String>, name: &str, default: usize) -> Result<usize, ()> {
+    flag(args, name)?.map_or(Ok(default), |v| v.parse().map_err(drop))
 }
 
 fn main() -> ExitCode {
@@ -40,34 +55,34 @@ fn main() -> ExitCode {
     let cmd = args.remove(0);
     let result = match cmd.as_str() {
         "encode" => {
-            let out = flag(&mut args, "--out").map(PathBuf::from);
-            let k: usize = flag(&mut args, "--k")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(8);
-            let m: usize = flag(&mut args, "--m")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(2);
-            let threads: usize = flag(&mut args, "--threads")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1);
-            let shards: Option<usize> = flag(&mut args, "--shards").and_then(|v| v.parse().ok());
+            let (Ok(out), Ok(k), Ok(m), Ok(threads), Ok(shards)) = (
+                flag(&mut args, "--out"),
+                number(&mut args, "--k", 8),
+                number(&mut args, "--m", 2),
+                number(&mut args, "--threads", 1),
+                number(&mut args, "--shards", 0),
+            ) else {
+                return usage();
+            };
             let Some(file) = args.first().map(PathBuf::from) else {
                 return usage();
             };
-            let out_dir = out.unwrap_or_else(|| {
+            let out_dir = out.map(PathBuf::from).unwrap_or_else(|| {
                 file.parent()
                     .map(PathBuf::from)
                     .unwrap_or_else(|| ".".into())
             });
-            let encoded = match shards {
-                Some(n) if n > 0 => archive::encode_file_sharded(&file, &out_dir, k, m, threads, n),
-                _ => archive::encode_file(&file, &out_dir, k, m, threads),
+            let encoded = if shards > 0 {
+                archive::encode_file_sharded(&file, &out_dir, k, m, threads, shards)
+            } else {
+                archive::encode_file(&file, &out_dir, k, m, threads)
             };
             encoded.map(|p| {
-                let via = shards
-                    .filter(|&n| n > 0)
-                    .map(|n| format!(", via {n}-shard service"))
-                    .unwrap_or_default();
+                let via = if shards > 0 {
+                    format!(", via {shards}-shard service")
+                } else {
+                    String::new()
+                };
                 println!(
                     "encoded {} -> {} ({} data + {} parity shards{})",
                     file.display(),
@@ -105,11 +120,13 @@ fn main() -> ExitCode {
             archive::repair(&manifest).map(|n| println!("rebuilt {n} shard(s)"))
         }
         "restore" => {
-            let out = flag(&mut args, "--out").map(PathBuf::from);
+            let Ok(out) = flag(&mut args, "--out") else {
+                return usage();
+            };
             let Some(manifest) = args.first().map(PathBuf::from) else {
                 return usage();
             };
-            archive::restore(&manifest, out.as_deref())
+            archive::restore(&manifest, out.map(PathBuf::from).as_deref())
                 .map(|p| println!("restored {}", p.display()))
         }
         _ => return usage(),

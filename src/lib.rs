@@ -10,10 +10,12 @@
 //!   Zerasure/Cerasure-style baselines and decompose strategy).
 //! * [`memsim`] — the persistent-memory + cache-hierarchy + hardware
 //!   prefetcher simulator that substitutes for Optane hardware.
-//! * [`pipeline`] — access-pattern generators and the timed executor that
-//!   couples coding strategies to the simulator.
-//! * [`scheduler`] — the DIALGA adaptive prefetcher scheduler itself
-//!   (coordinator, lightweight operator, buffer-friendly prefetch).
+//! * [`pipeline`] — access-pattern generators, the timed executor that
+//!   couples coding strategies to the simulator, and the DIALGA scheduler
+//!   that runs there (adaptive coordinator, hill climber, buffer-friendly
+//!   prefetch, the Fig. 9 operator specification).
+//! * [`coder`] — DIALGA on real bytes: the row-pipelined coder and the
+//!   persistent encode pool that runs its schedule.
 //! * [`service`] — the sharded stripe-service front end (bounded
 //!   admission, tenant-fair scheduling, fused batch dispatch).
 //! * [`store`] — the journaled stripe store (shadow-write + atomic
@@ -21,7 +23,7 @@
 
 pub mod archive;
 
-pub use dialga as scheduler;
+pub use dialga as coder;
 pub use dialga_ec as ec;
 pub use dialga_gf as gf;
 pub use dialga_memsim as memsim;

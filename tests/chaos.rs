@@ -19,9 +19,9 @@
 //! sized to stay well under the 5 s `just chaos` budget.
 
 use dialga_faultkit::{flip_byte, Fault, FaultPlan};
+use dialga_repro::coder::encoder::Dialga;
+use dialga_repro::coder::EncodePool;
 use dialga_repro::ec::EcError;
-use dialga_repro::scheduler::encoder::Dialga;
-use dialga_repro::scheduler::EncodePool;
 use dialga_repro::service::{ServiceConfig, ServiceError, StripeService};
 
 const K: usize = 6;
@@ -124,7 +124,7 @@ fn a_decode_that_fails_in_either_stage_fills_no_hole() {
     // fails stage 1 (lost data); on chunk 1 it fails stage 2 (lost
     // parity), after stage 1's data went into its hole for stage 2 to
     // read. Either way the caller gets every hole back as `None`.
-    let opts = dialga_repro::scheduler::encoder::DialgaOptions {
+    let opts = dialga_repro::coder::encoder::DialgaOptions {
         max_batch_retries: Some(0),
         ..Default::default()
     };

@@ -2,6 +2,7 @@
 //! whole stack, and consistency between the functional and simulated
 //! surfaces.
 
+use dialga_repro::coder::encoder::{Dialga, DialgaOptions};
 use dialga_repro::ec::xor::{XorCode, XorFlavor};
 use dialga_repro::ec::{Lrc, ReedSolomon};
 use dialga_repro::gf::Gf8;
@@ -10,8 +11,7 @@ use dialga_repro::pipeline::cost::CostModel;
 use dialga_repro::pipeline::isal::{IsalSource, Knobs};
 use dialga_repro::pipeline::layout::StripeLayout;
 use dialga_repro::pipeline::run_source;
-use dialga_repro::scheduler::encoder::{Dialga, DialgaOptions};
-use dialga_repro::scheduler::DialgaSource;
+use dialga_repro::pipeline::DialgaSource;
 
 fn make_data(k: usize, len: usize, seed: usize) -> Vec<Vec<u8>> {
     (0..k)
@@ -191,4 +191,41 @@ fn simulated_traffic_is_conserved() {
         "implicit loads only add"
     );
     assert_eq!(c.encode_read_bytes, r.data_bytes);
+}
+
+/// The archive CLI refuses a numeric flag whose value is not a number, and
+/// a flag with no value: it prints the usage, exits 2 and writes nothing.
+/// The same command with a well-formed `--k` writes the archive into the
+/// same directory, so the empty directory means the refusal came first.
+#[test]
+fn cli_rejects_malformed_flags_and_writes_nothing() {
+    let dir = std::env::temp_dir().join(format!("dialga-cli-flags-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = dir.join("out");
+    std::fs::create_dir_all(&out).unwrap();
+    let input = dir.join("input.bin");
+    std::fs::write(&input, make_data(1, 4096, 7).concat()).unwrap();
+    let encode = |tail: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_dialga"))
+            .arg("encode")
+            .arg(&input)
+            .arg("--out")
+            .arg(&out)
+            .args(tail)
+            .output()
+            .unwrap()
+    };
+    for tail in [&["--k", "x"][..], &["--k"]] {
+        let run = encode(tail);
+        assert_eq!(run.status.code(), Some(2), "{tail:?}");
+        assert!(
+            String::from_utf8_lossy(&run.stderr).contains("usage"),
+            "{tail:?}"
+        );
+        assert_eq!(std::fs::read_dir(&out).unwrap().count(), 0, "{tail:?}");
+    }
+    let run = encode(&["--k", "4"]);
+    assert!(run.status.success());
+    assert!(std::fs::read_dir(&out).unwrap().count() > 0);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -5,9 +5,9 @@
 //! reported as `Corrupt` with its evidence; silent misses are zero.
 
 use dialga_faultkit::{flip_byte, truncate_shard};
+use dialga_repro::coder::encoder::Dialga;
+use dialga_repro::coder::EncodePool;
 use dialga_repro::ec::EcError;
-use dialga_repro::scheduler::encoder::Dialga;
-use dialga_repro::scheduler::EncodePool;
 use dialga_repro::store::{Geometry, MemImage, StoreError, StripeStore};
 use dialga_testkit::run_cases;
 

@@ -8,7 +8,7 @@ use dialga_repro::pipeline::cost::CostModel;
 use dialga_repro::pipeline::isal::{IsalSource, Knobs};
 use dialga_repro::pipeline::layout::StripeLayout;
 use dialga_repro::pipeline::run_source;
-use dialga_repro::scheduler::{DialgaSource, Variant};
+use dialga_repro::pipeline::{DialgaSource, Variant};
 
 const BYTES: u64 = 1 << 20;
 

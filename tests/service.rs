@@ -20,7 +20,7 @@
 //!    the shard.
 
 use dialga_faultkit::{Fault, FaultPlan};
-use dialga_repro::scheduler::encoder::Dialga;
+use dialga_repro::coder::encoder::Dialga;
 use dialga_repro::service::{ServiceConfig, ServiceError, StripeService};
 use std::time::{Duration, Instant};
 
