@@ -3,14 +3,14 @@
 //! repository root; no names means every table.
 //!
 //! * default: print the named tables;
-//! * `--csv`: also write each simulated table to `results/<name>.csv`;
-//! * `--check`: regenerate the simulated tables at their default size,
-//!   compare each with its committed `results/<name>.csv` byte for byte,
-//!   print the rows that differ and exit 1 if any does (host-timed tables
-//!   have no committed CSV and are left out); each table's verdict and host
+//! * `--csv`: also write each table to `results/<name>.csv`;
+//! * `--check`: regenerate the tables at their default size, compare each
+//!   with its committed `results/<name>.csv` byte for byte, print the rows
+//!   that differ and exit 1 if any does; each table's verdict and host
 //!   milliseconds go to stderr as it finishes;
 //! * `--bytes N` sets the per-thread footprint, `--quick` caps it at 1 MiB
-//!   (neither combines with `--check`: the record is at the default size).
+//!   (neither combines with `--csv` or `--check`: the record is at the
+//!   default size, so a CSV written at another would fail the next check).
 
 use dialga_bench::table::{csv, render};
 use dialga_bench::{Figure, FIGURES};
@@ -99,12 +99,10 @@ fn main() -> ExitCode {
         selected = FIGURES.iter().collect();
     }
 
+    if mode != Mode::Print && (bytes.is_some() || quick) {
+        return usage("the record is at the default size; --csv/--check take no --bytes/--quick");
+    }
     if mode == Mode::Check {
-        if bytes.is_some() || quick {
-            return usage("--check compares at the default size; drop --bytes/--quick");
-        }
-        // Host-timed tables vary run to run: no committed CSV to compare.
-        selected.retain(|f| !f.host_timed);
         let drifted = selected.iter().filter(|f| !matches_record(f)).count();
         if drifted > 0 {
             println!(
@@ -125,7 +123,7 @@ fn main() -> ExitCode {
         let rows = fig.rows(footprint);
         println!("{}", render(fig.name, fig.header, &rows));
         eprintln!("[{}: {:.1} s]", fig.name, started.elapsed().as_secs_f64());
-        if mode == Mode::Csv && !fig.host_timed {
+        if mode == Mode::Csv {
             if let Err(e) = std::fs::write(csv_path(fig), csv(fig.header, &rows)) {
                 eprintln!("figures: cannot write {}: {e}", csv_path(fig));
                 return ExitCode::FAILURE;

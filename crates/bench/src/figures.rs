@@ -2,16 +2,13 @@
 //! function each behind [`FIGURES`].
 //!
 //! A table function takes the per-thread data footprint in bytes and
-//! returns its rows; the column names, the default footprint and whether
-//! the numbers come from the host clock live in the registry entry. The
-//! simulated tables repeat to the byte, so their committed form
-//! (`results/<name>.csv`) is checked against a fresh run by
-//! `figures --check`; the one host-timed table is printed only.
+//! returns its rows; the column names and the default footprint live in
+//! the registry entry. Every table is simulated and repeats to the byte,
+//! so its committed form (`results/<name>.csv`) is checked against a
+//! fresh run by `figures --check`.
 
 use crate::systems::{decode_report, encode_report, lrc_report, Spec, System, FIG_SAMPLE_NS};
 use crate::table::{gbs, pct, Rows};
-use dialga::{Dialga, EncodePool};
-use dialga_ec::Lrc;
 use dialga_gf::sched::LINES_PER_XPLINE;
 use dialga_memsim::{Counters, MachineConfig, RowTask, RunReport, TaskSource};
 use dialga_pipeline::cost::{CostModel, Simd};
@@ -29,9 +26,6 @@ pub struct Figure {
     pub header: &'static [&'static str],
     /// Per-thread data footprint the committed numbers were produced at.
     pub default_bytes: u64,
-    /// Timed on the host clock: varies run to run, so it has no committed
-    /// CSV and `--check` leaves it out.
-    pub host_timed: bool,
     run: fn(u64) -> Rows,
 }
 
@@ -46,7 +40,7 @@ impl Figure {
     }
 }
 
-/// A registry entry for a simulated table.
+/// A registry entry.
 const fn table(
     name: &'static str,
     header: &'static [&'static str],
@@ -57,7 +51,6 @@ const fn table(
         name,
         header,
         default_bytes,
-        host_timed: false,
         run,
     }
 }
@@ -241,15 +234,6 @@ pub static FIGURES: &[Figure] = &[
         4 << 20,
         repair_path,
     ),
-    Figure {
-        host_timed: true,
-        ..table(
-            "repair_path_host",
-            &["task", "reads", "serial_ns", "pool_ns", "speedup"],
-            4 << 20,
-            repair_path_host,
-        )
-    },
 ];
 
 /// Throughput cell, or `-` where the system has no result at this point.
@@ -901,103 +885,6 @@ fn repair_path(bytes: u64) -> Rows {
         .collect()
 }
 
-/// Time `calls` invocations of `f`, returning ns per call after a warm-up.
-fn time_per_call(calls: u64, mut f: impl FnMut()) -> f64 {
-    f();
-    let t = std::time::Instant::now();
-    for _ in 0..calls {
-        f();
-    }
-    t.elapsed().as_nanos() as f64 / calls as f64
-}
-
-/// The repair paths on the real host: serial versus a 4-executor
-/// persistent pool on real bytes — RS(16,12) single-block repair, RS full
-/// decode (m losses), and LRC(12,4,2) local repair over the
-/// `local_repair_plan` read set, 64 KiB blocks. The footprint sets the
-/// number of timed calls (at least 5).
-fn repair_path_host(bytes: u64) -> Rows {
-    let (k, m, l, block, threads) = (12usize, 4usize, 2usize, 64 * 1024usize, 4usize);
-    let calls = (bytes / (k as u64 * block as u64)).max(5);
-    let pool = EncodePool::new(threads);
-    let data: Vec<Vec<u8>> = (0..k)
-        .map(|i| {
-            (0..block)
-                .map(|j| ((i * 41 + j * 17) % 256) as u8)
-                .collect()
-        })
-        .collect();
-    let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-
-    let coder = Dialga::new(k, m).expect("geometry");
-    let parity = coder.encode_vec(&refs).expect("encode");
-    let full: Vec<Option<Vec<u8>>> = data
-        .iter()
-        .cloned()
-        .map(Some)
-        .chain(parity.into_iter().map(Some))
-        .collect();
-    let mut one_lost = full.clone();
-    one_lost[0] = None;
-    let mut m_lost = full.clone();
-    for s in m_lost.iter_mut().take(m) {
-        *s = None;
-    }
-
-    let lrc = Lrc::new(k, m, l).expect("geometry");
-    let lrc_parity = lrc.encode_vec(&refs).expect("encode");
-    let plan = lrc.local_repair_plan(0).expect("plan");
-    let peers: Vec<&[u8]> = plan.peers.iter().map(|&i| refs[i]).collect();
-    let local = lrc_parity[plan.parity_index].as_slice();
-
-    let rows: [(&str, usize, f64, f64); 3] = [
-        (
-            "RS single-block repair",
-            k,
-            time_per_call(calls, || {
-                let mut s = one_lost.clone();
-                coder.decode(&mut s).expect("decode");
-            }),
-            time_per_call(calls, || {
-                pool.repair(&coder, &one_lost, 0).expect("repair");
-            }),
-        ),
-        (
-            "RS full decode",
-            k,
-            time_per_call(calls, || {
-                let mut s = m_lost.clone();
-                coder.decode(&mut s).expect("decode");
-            }),
-            time_per_call(calls, || {
-                let mut s = m_lost.clone();
-                pool.decode(&coder, &mut s).expect("decode");
-            }),
-        ),
-        (
-            "LRC local repair",
-            peers.len() + 1,
-            time_per_call(calls, || {
-                lrc.repair_local(0, &peers, local).expect("repair");
-            }),
-            time_per_call(calls, || {
-                pool.repair_local(&lrc, 0, &peers, local).expect("repair");
-            }),
-        ),
-    ];
-    rows.into_iter()
-        .map(|(task, reads, serial_ns, pool_ns)| {
-            vec![
-                task.into(),
-                reads.to_string(),
-                format!("{serial_ns:.0}"),
-                format!("{pool_ns:.0}"),
-                format!("{:.2}x", serial_ns / pool_ns),
-            ]
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1017,7 +904,7 @@ mod tests {
 
     #[test]
     fn every_simulated_table_has_a_committed_csv_with_its_header() {
-        for fig in FIGURES.iter().filter(|f| !f.host_timed) {
+        for fig in FIGURES {
             let path = results_dir().join(format!("{}.csv", fig.name));
             let text = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
@@ -1036,8 +923,8 @@ mod tests {
             let path = entry.expect("dir entry").path();
             let stem = path.file_stem().and_then(|s| s.to_str()).expect("utf-8");
             assert!(
-                FIGURES.iter().any(|f| f.name == stem && !f.host_timed),
-                "{} has no simulated registry entry",
+                FIGURES.iter().any(|f| f.name == stem),
+                "{} has no registry entry",
                 path.display()
             );
         }

@@ -5,42 +5,16 @@
 //! ([`dialga_gf::simd::dot_prod_fused`]) loads each 64 B source line once
 //! and accumulates it into up to `FUSED_GROUP` register-resident parity
 //! rows, with the Fig. 9 prefetch-pointer pipeline emitting real
-//! `prefetcht0` hints, the §4.3 long/short distance split, optional
-//! shuffle-mapped row order, and tail bytes reverting to the standard
-//! kernel. On non-PM hardware these mechanisms are performance-neutral;
-//! their *correctness* (identical output under any schedule) is what the
-//! tests pin down.
+//! `prefetcht0` hints `k` row steps ahead and tail bytes reverting to the
+//! standard kernel. On non-PM hardware the prefetches are
+//! performance-neutral; the kernel's tests hold every schedule (distance,
+//! §4.3 long/short split, shuffle) to identical bytes.
 
 use dialga_ec::{CodeParams, EcError, GfMatrix, ReedSolomon};
 use dialga_gf::sched::FusedSched;
 use dialga_gf::simd::{dot_prod_fused, dot_prod_fused_vec, dot_prod_syndromes};
 use dialga_gf::tables::NibbleTables;
 use dialga_gf::Gf8;
-
-/// Default bound on batch retries after a worker death/panic (see
-/// [`DialgaOptions::max_batch_retries`]).
-pub const DEFAULT_BATCH_RETRIES: u32 = 2;
-
-/// Scheduling options for the functional kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct DialgaOptions {
-    /// Software prefetch distance in row-major cacheline steps
-    /// (default: k, the paper's initial value).
-    pub prefetch_distance: Option<u32>,
-    /// §4.3 longer distance for XPLine-first cachelines (the paper's
-    /// `bf_first_distance`, initial value k+4). Only applied when
-    /// prefetching is active and `shuffle` is off.
-    pub bf_first_distance: Option<u32>,
-    /// Apply the static shuffle mapping to the row order.
-    pub shuffle: bool,
-    /// How many times the persistent pool may *retry* a batch that failed
-    /// because a worker died or panicked mid-run, after healing the dead
-    /// workers (default: [`DEFAULT_BATCH_RETRIES`]). Retries are safe:
-    /// the fused kernel overwrites its outputs, so re-running a batch is
-    /// idempotent, and the batch latch quiesces every chunk before a
-    /// retry starts. `Some(0)` disables retries (heal-only).
-    pub max_batch_retries: Option<u32>,
-}
 
 /// Row-pipelined multiply-accumulate: `outputs[i] = sum_j T[i][j] src[j]`
 /// via the fused multi-output kernel — every 64 B source line is loaded
@@ -103,10 +77,9 @@ fn check_apply(
     Ok(())
 }
 
-/// A decode/repair plan: survivor selection and decode-matrix tables,
-/// separated from kernel application so the kernel can be chunked across
-/// the persistent pool's workers (or applied serially via
-/// [`DecodePlan::apply_data`]/[`DecodePlan::apply_parity`]).
+/// A decode plan: survivor selection and decode-matrix tables, separated
+/// from kernel application so the kernel can be chunked across the
+/// persistent pool's workers ([`Dialga::decode`] runs it serially).
 ///
 /// Built by [`Dialga::decode_plan`]. Reconstruction is two stages: lost
 /// *data* blocks from the k survivors (inverted-matrix tables), then lost
@@ -156,38 +129,6 @@ impl DecodePlan {
     /// Parity-stage tables, `lost_parity.len() x k` row-major.
     pub(crate) fn parity_tables(&self) -> &[NibbleTables] {
         &self.parity_tables
-    }
-
-    /// Apply the data stage: reconstruct the lost data blocks from the
-    /// survivor slices, in plan order. Slices may be any equal-length
-    /// horizontal chunk of the shards (RS is independent per 64 B row).
-    pub fn apply_data(
-        &self,
-        survivors: &[&[u8]],
-        outputs: &mut [&mut [u8]],
-        sched: FusedSched,
-    ) -> Result<(), EcError> {
-        check_apply(
-            self.survivors.len(),
-            self.lost_data.len(),
-            survivors,
-            outputs,
-        )?;
-        apply_tables(&self.data_tables, survivors, outputs, sched);
-        Ok(())
-    }
-
-    /// Apply the parity stage: recompute the lost parity rows from the
-    /// (complete) k data slices, in plan order.
-    pub fn apply_parity(
-        &self,
-        data: &[&[u8]],
-        outputs: &mut [&mut [u8]],
-        sched: FusedSched,
-    ) -> Result<(), EcError> {
-        check_apply(self.survivors.len(), self.lost_parity.len(), data, outputs)?;
-        apply_tables(&self.parity_tables, data, outputs, sched);
-        Ok(())
     }
 }
 
@@ -239,64 +180,37 @@ impl RepairPlan {
 /// # Examples
 ///
 /// ```
-/// use dialga::encoder::{Dialga, DialgaOptions};
+/// use dialga::encoder::Dialga;
 ///
-/// let coder = Dialga::with_options(6, 2, DialgaOptions {
-///     prefetch_distance: Some(12),  // d = 2k
-///     bf_first_distance: Some(10),  // §4.3 long distance, k + 4
-///     shuffle: false,
-///     ..Default::default()
-/// }).unwrap();
+/// let coder = Dialga::new(6, 2).unwrap();
 /// let data: Vec<Vec<u8>> = (0..6).map(|i| vec![i as u8 * 7; 1024]).collect();
 /// let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
 /// let parity = coder.encode_vec(&refs).unwrap();
 /// assert_eq!(parity.len(), 2);
 ///
-/// // Scheduling options never change the bytes produced.
-/// let plain = Dialga::new(6, 2).unwrap();
-/// assert_eq!(plain.encode_vec(&refs).unwrap(), parity);
+/// // The prefetch schedule never changes the bytes produced.
+/// let rs = dialga_ec::ReedSolomon::new(6, 2).unwrap();
+/// assert_eq!(rs.encode_vec(&refs).unwrap(), parity);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dialga {
     rs: ReedSolomon,
     /// Precomputed split-nibble tables, `m x k` (ISA-L's `gf_table`).
     tables: Vec<NibbleTables>,
-    d: u32,
-    d_long: Option<u32>,
-    shuffle: bool,
-    max_batch_retries: u32,
 }
 
 impl Dialga {
-    /// Build RS(k+m, k) with default options.
+    /// Build RS(k+m, k).
     pub fn new(k: usize, m: usize) -> Result<Self, EcError> {
-        Self::with_options(k, m, DialgaOptions::default())
-    }
-
-    /// Build with explicit scheduling options.
-    pub fn with_options(k: usize, m: usize, opts: DialgaOptions) -> Result<Self, EcError> {
         let rs = ReedSolomon::new(k, m)?;
-        Ok(Self::from_rs(rs, opts))
-    }
-
-    /// Wrap an existing Reed–Solomon code.
-    pub fn from_rs(rs: ReedSolomon, opts: DialgaOptions) -> Self {
-        let params = rs.params();
         let pm = rs.parity_matrix();
-        let mut tables = Vec::with_capacity(params.m * params.k);
-        for i in 0..params.m {
-            for j in 0..params.k {
+        let mut tables = Vec::with_capacity(m * k);
+        for i in 0..m {
+            for j in 0..k {
                 tables.push(NibbleTables::new(pm[(i, j)].0));
             }
         }
-        Dialga {
-            rs,
-            tables,
-            d: opts.prefetch_distance.unwrap_or(params.k as u32),
-            d_long: opts.bf_first_distance,
-            shuffle: opts.shuffle,
-            max_batch_retries: opts.max_batch_retries.unwrap_or(DEFAULT_BATCH_RETRIES),
-        }
+        Ok(Dialga { rs, tables })
     }
 
     /// Code geometry.
@@ -304,24 +218,16 @@ impl Dialga {
         self.rs.params()
     }
 
-    /// The prefetch distance in effect.
+    /// The prefetch distance in row-major cacheline steps: `k`, the
+    /// paper's initial value.
     pub fn prefetch_distance(&self) -> u32 {
-        self.d
+        self.params().k as u32
     }
 
-    /// Bound on pool batch retries after worker death/panic healing.
-    pub fn max_batch_retries(&self) -> u32 {
-        self.max_batch_retries
-    }
-
-    /// The schedule this coder's kernels run with — serially, and on a pool
-    /// that has no coordinator to publish another.
+    /// The schedule this coder's kernels run with, serially and on the
+    /// pool: [`FusedSched::distance`] at [`Self::prefetch_distance`].
     pub(crate) fn sched(&self) -> FusedSched {
-        FusedSched {
-            d: Some(self.d),
-            d_long: self.d_long,
-            shuffle: self.shuffle,
-        }
+        FusedSched::distance(self.prefetch_distance())
     }
 
     /// The wrapped Reed–Solomon code.
@@ -870,90 +776,35 @@ mod tests {
             .collect()
     }
 
-    fn assert_matches_rs(k: usize, m: usize, len: usize, opts: DialgaOptions) {
-        let dialga = Dialga::with_options(k, m, opts).unwrap();
+    fn assert_matches_rs(k: usize, m: usize, len: usize) {
+        let dialga = Dialga::new(k, m).unwrap();
         let rs = ReedSolomon::new(k, m).unwrap();
         let data = make_data(k, len);
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
         assert_eq!(
             dialga.encode_vec(&refs).unwrap(),
             rs.encode_vec(&refs).unwrap(),
-            "k={k} m={m} len={len} opts={opts:?}"
+            "k={k} m={m} len={len}"
         );
     }
 
     #[test]
     fn encode_matches_rs_default() {
-        assert_matches_rs(4, 2, 1024, DialgaOptions::default());
-        assert_matches_rs(12, 4, 4096, DialgaOptions::default());
-    }
-
-    #[test]
-    fn encode_matches_rs_various_distances() {
-        for d in [1u32, 3, 12, 100, 10_000] {
-            assert_matches_rs(
-                6,
-                3,
-                2048,
-                DialgaOptions {
-                    prefetch_distance: Some(d),
-                    bf_first_distance: Some(d + 4),
-                    shuffle: false,
-                    ..Default::default()
-                },
-            );
-        }
-    }
-
-    #[test]
-    fn encode_matches_rs_with_shuffle() {
-        for len in [64usize, 1024, 4096, 8192] {
-            assert_matches_rs(
-                8,
-                4,
-                len,
-                DialgaOptions {
-                    prefetch_distance: Some(16),
-                    bf_first_distance: Some(20),
-                    shuffle: true,
-                    ..Default::default()
-                },
-            );
-        }
+        assert_matches_rs(4, 2, 1024);
+        assert_matches_rs(12, 4, 4096);
     }
 
     #[test]
     fn encode_handles_unaligned_tail() {
         // Lengths that are not multiples of 64 exercise the tail kernel.
         for len in [1usize, 63, 65, 127, 1000] {
-            assert_matches_rs(5, 2, len, DialgaOptions::default());
-            assert_matches_rs(
-                5,
-                2,
-                len,
-                DialgaOptions {
-                    prefetch_distance: Some(7),
-                    bf_first_distance: Some(11),
-                    shuffle: true,
-                    ..Default::default()
-                },
-            );
+            assert_matches_rs(5, 2, len);
         }
     }
 
     #[test]
     fn decode_roundtrip() {
-        let dialga = Dialga::with_options(
-            10,
-            4,
-            DialgaOptions {
-                prefetch_distance: Some(20),
-                bf_first_distance: Some(14),
-                shuffle: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let dialga = Dialga::new(10, 4).unwrap();
         let data = make_data(10, 2048);
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
         let parity = dialga.encode_vec(&refs).unwrap();
@@ -1022,37 +873,6 @@ mod tests {
         assert_eq!(plan.parity_tables().len(), 2 * 6, "lost rows only");
         dialga.decode(&mut shards).unwrap();
         assert_eq!(shards, shards_of(&data, &parity));
-    }
-
-    #[test]
-    fn decode_is_bit_exact_under_any_schedule() {
-        let data = make_data(8, 2048 + 40);
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let parity = Dialga::new(8, 3).unwrap().encode_vec(&refs).unwrap();
-        let reference = shards_of(&data, &parity);
-        // The long distance is live only without the shuffle; decode applies
-        // the coder's whole schedule, as encode does.
-        for (d, d_long, shuffle) in [
-            (1u32, None, false),
-            (8, Some(12), true),
-            (100, Some(400), false),
-            (10_000, None, true),
-        ] {
-            let opts = DialgaOptions {
-                prefetch_distance: Some(d),
-                bf_first_distance: d_long,
-                shuffle,
-                ..Default::default()
-            };
-            let dialga = Dialga::with_options(8, 3, opts).unwrap();
-            assert_eq!(dialga.sched().d_long, d_long);
-            let mut shards = shards_of(&data, &parity);
-            shards[2] = None;
-            shards[5] = None;
-            shards[9] = None;
-            dialga.decode(&mut shards).unwrap();
-            assert_eq!(shards, reference, "{opts:?}");
-        }
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! long-lived executors: at the paper's 4 KiB blocks a thread spawn — or
 //! even a queue hand-off — costs as much as the encode itself.
 //!
-//! * **Plans.** Every public operation (encode, decode, repair, LRC local
-//!   repair, verify; `_vec` / `_batch` are thin adapters) validates its
-//!   input and reduces to `RawJob`s: apply these nibble tables to these
-//!   sources, into these outputs. Nothing else differs between them.
+//! * **Plans.** Every public operation (encode, decode, repair, verify;
+//!   `_vec` / `_batch` are thin adapters) validates its input and reduces
+//!   to `RawJob`s: apply these nibble tables to these sources, into these
+//!   outputs. Nothing else differs between them.
 //! * **One submit path.** `EncodePool::run_jobs` owns everything after
 //!   that: [`split_ranges`] chunking, the detached spans, dealing, the
 //!   completion latch, the watchdog, healing and bounded retry.
@@ -28,10 +28,10 @@
 //!
 //! Results are bit-exact with serial encoding/decoding for every executor
 //! count: Reed–Solomon is independent per row, so any horizontal split is
-//! exact, and scheduling knobs never change the bytes produced.
+//! exact, and the schedule never changes the bytes produced.
 
-use crate::encoder::{DecodePlan, Dialga, DEFAULT_BATCH_RETRIES};
-use dialga_ec::{EcError, Lrc};
+use crate::encoder::{DecodePlan, Dialga};
+use dialga_ec::EcError;
 #[cfg(feature = "fault-injection")]
 use dialga_faultkit::{ChunkFault, FaultCell, FaultPlan};
 use dialga_gf::sched::FusedSched;
@@ -48,6 +48,13 @@ use std::time::{Duration, Instant};
 
 /// Chunk boundaries are multiples of this (keeps rows and XPLines intact).
 pub const CHUNK_ALIGN: usize = 256;
+
+/// How many times the pool *retries* a batch that failed because a worker
+/// died or panicked mid-run, after healing the dead workers. Retries are
+/// safe: the fused kernel overwrites its outputs, so re-running a batch is
+/// idempotent, and the batch latch quiesces every chunk before a retry
+/// starts.
+pub const BATCH_RETRIES: u32 = 2;
 
 /// Split `[0, len)` into at most `parts` ranges whose boundaries are
 /// multiples of [`CHUNK_ALIGN`], sized as evenly as the alignment allows:
@@ -134,8 +141,8 @@ pub struct PoolStats {
     pub worker_deaths: u64,
     /// Workers respawned after a death.
     pub worker_respawns: u64,
-    /// Batches re-submitted after a worker death/panic (bounded by
-    /// [`crate::encoder::DialgaOptions::max_batch_retries`]).
+    /// Batches re-submitted after a worker death/panic (at most
+    /// [`BATCH_RETRIES`] per submission).
     pub batch_retries: u64,
     /// Executors alive: the submitting thread plus every live worker
     /// (== [`EncodePool::threads`] unless a dead worker awaits its respawn).
@@ -290,8 +297,8 @@ struct Work {
 }
 
 /// One job over full-length blocks, before chunking. Encode, both decode
-/// stages, single-block repair, LRC local repair and verify all reduce to
-/// this shape, which is why the pool has exactly one submission path.
+/// stages, single-block repair and verify all reduce to this shape, which
+/// is why the pool has exactly one submission path.
 struct RawJob {
     work: Work,
     /// Common length of every source and output (checked by [`RawJob::new`]).
@@ -485,14 +492,11 @@ impl BatchState {
     /// watchdog turns a regression there into an error
     /// instead of a hang. A stuck worker could then still hold spans, so
     /// the caller must surface the error and must NOT retry.
-    fn wait_with_deadline(&self, watchdog: Option<Duration>) -> BatchWait {
+    fn wait_with_deadline(&self, watchdog: Duration) -> BatchWait {
         let start = Instant::now();
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         while inner.remaining > 0 {
-            // Without a watchdog: wake hourly, find work outstanding, wait on.
-            let left = watchdog.map_or(Duration::from_secs(3600), |limit| {
-                limit.saturating_sub(start.elapsed())
-            });
+            let left = watchdog.saturating_sub(start.elapsed());
             if left.is_zero() {
                 return BatchWait::TimedOut;
             }
@@ -573,14 +577,13 @@ pub struct EncodePool {
     /// Round-robin cursor so consecutive multi-chunk submissions start on
     /// different workers.
     next_worker: AtomicU64,
-    /// Watchdog deadline for one batch wait, in nanoseconds (so that
-    /// sub-millisecond deadlines stay exact); 0 disables the watchdog.
-    /// Not a counter: read/written with Acquire/Release.
-    watchdog_ns: AtomicU64,
+    /// Deadline for one batch wait ([`DEFAULT_WATCHDOG`] outside this
+    /// module's tests).
+    watchdog: Duration,
 }
 
-/// Default batch watchdog: a batch is chunks of at most a few MiB each, so
-/// half a minute only elapses if completions were *lost*, not merely slow.
+/// Batch watchdog: a batch is chunks of at most a few MiB each, so half a
+/// minute only elapses if completions were *lost*, not merely slow.
 const DEFAULT_WATCHDOG: Duration = Duration::from_secs(30);
 
 /// Spawn the worker thread for `executor` (≥ 1). A respawned worker reuses
@@ -598,6 +601,11 @@ impl EncodePool {
     /// plus `threads − 1` persistent workers. `new(1)` spawns nothing and
     /// every operation on it is a direct kernel call.
     pub fn new(threads: usize) -> Self {
+        Self::with_watchdog(threads, DEFAULT_WATCHDOG)
+    }
+
+    /// [`Self::new`] with another batch watchdog deadline.
+    fn with_watchdog(threads: usize, watchdog: Duration) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(PoolShared {
             stats: PoolCounters::default(),
@@ -618,7 +626,7 @@ impl EncodePool {
             slots: Mutex::new(slots),
             threads,
             next_worker: AtomicU64::new(0),
-            watchdog_ns: AtomicU64::new(DEFAULT_WATCHDOG.as_nanos() as u64),
+            watchdog,
         }
     }
 
@@ -632,22 +640,6 @@ impl EncodePool {
         // Slot state stays consistent under panic (plain Vec of handles),
         // so recover a poisoned guard rather than propagate.
         self.slots.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Set the per-batch watchdog deadline (`None` disables it; a zero
-    /// deadline clamps to 1 ns rather than reading as "disabled"). The
-    /// default, `DEFAULT_WATCHDOG`, is far above any real batch, so it
-    /// only ever fires on a lost-completion bug.
-    pub fn set_watchdog(&self, deadline: Option<Duration>) {
-        let ns = deadline.map_or(0, |d| {
-            u64::try_from(d.as_nanos()).unwrap_or(u64::MAX).max(1)
-        });
-        self.watchdog_ns.store(ns, Ordering::Release);
-    }
-
-    fn watchdog(&self) -> Option<Duration> {
-        let ns = self.watchdog_ns.load(Ordering::Acquire);
-        (ns != 0).then(|| Duration::from_nanos(ns))
     }
 
     /// Arm a deterministic fault plan against this pool, replacing any
@@ -727,7 +719,7 @@ impl EncodePool {
             })
             .collect::<Result<_, _>>()?;
         self.count_dispatch(stripes.len());
-        self.run_jobs(&jobs, coder.max_batch_retries()).check()
+        self.run_jobs(&jobs).check()
     }
 
     /// [`Self::encode_batch`] into parity the pool allocates: one
@@ -752,7 +744,7 @@ impl EncodePool {
             })
             .collect::<Result<_, _>>()?;
         self.count_dispatch(stripes.len());
-        let wait = self.run_jobs(&jobs, coder.max_batch_retries());
+        let wait = self.run_jobs(&jobs);
         let mut parity = written(wait, fresh)?.into_iter();
         Ok(stripes
             .iter()
@@ -820,7 +812,7 @@ impl EncodePool {
                 })
                 .collect();
             let wait = match &jobs {
-                Ok(jobs) => self.run_jobs(jobs, coder.max_batch_retries()),
+                Ok(jobs) => self.run_jobs(jobs),
                 Err(_) => BatchWait::Failed,
             };
             let mut rebuilt = match jobs.and_then(|_| written(wait, fresh)) {
@@ -883,42 +875,7 @@ impl EncodePool {
         let spare = out.iter_mut().map(OutSpan::fresh).collect();
         let job = RawJob::from_shards(coder, plan.tables(), shards, &survivors, spare)?;
         self.count_dispatch(1);
-        let wait = self.run_jobs(&[job], coder.max_batch_retries());
-        one_block(written(wait, out)?)
-    }
-
-    /// LRC local-group repair across the pool: rebuild a single lost data
-    /// block from its `k/l − 1` surviving peers plus the group's local
-    /// parity (an XOR — identity-coefficient tables through the same
-    /// kernel), into a fresh block. Bit-exact with [`Lrc::repair_local`].
-    pub fn repair_local(
-        &self,
-        lrc: &Lrc,
-        lost: usize,
-        group_data: &[&[u8]],
-        local_parity: &[u8],
-    ) -> Result<Vec<u8>, EcError> {
-        let gs = lrc.group_size();
-        if lost >= lrc.params().k {
-            return Err(EcError::BlockCount {
-                expected: lrc.params().k,
-                got: lost,
-            });
-        }
-        check_count(gs - 1, group_data.len())?;
-        // XOR is GF multiply by 1: one identity coefficient per source.
-        // The local parity leads so its length is the one peers are held to.
-        let tables = vec![NibbleTables::new(1); gs];
-        let mut out = fresh_blocks(1, local_parity.len());
-        let sources = std::iter::once(local_parity).chain(group_data.iter().copied());
-        let job = RawJob::new(
-            &tables,
-            sources.map(SrcSpan::new).collect(),
-            out.iter_mut().map(OutSpan::fresh).collect(),
-            FusedSched::distance(gs as u32),
-        )?;
-        self.count_dispatch(1);
-        let wait = self.run_jobs(&[job], DEFAULT_BATCH_RETRIES);
+        let wait = self.run_jobs(&[job]);
         one_block(written(wait, out)?)
     }
 
@@ -954,53 +911,6 @@ impl EncodePool {
         }
     }
 
-    /// [`Self::decode`] plus an integrity check of the completed stripe.
-    /// A corrupted *survivor* silently poisons a plain decode (the decode
-    /// matrix trusts every present byte); here [`Dialga::locate`] checks
-    /// the full stripe after reconstruction, the rebuilt shards as forced
-    /// erasures, and corrupt survivors are rejected with
-    /// [`EcError::Corrupt`] naming them (up to `m - 1 - lost`; the
-    /// mismatching parity rows as evidence beyond that). On `Err`,
-    /// reconstructed shard contents are unspecified (they were derived
-    /// from corrupt input).
-    pub fn decode_verified(
-        &self,
-        coder: &Dialga,
-        shards: &mut [Option<Vec<u8>>],
-    ) -> Result<(), EcError> {
-        let lost: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
-        self.decode(coder, shards)?;
-        let full: Vec<&[u8]> = (0..shards.len())
-            .map(|i| dialga_ec::present_shard(shards, i, "shard absent after decode"))
-            .map(|v| v.map(Vec::as_slice))
-            .collect::<Result<_, _>>()?;
-        match coder.locate(&full, &lost)? {
-            bad if bad.is_empty() => Ok(()),
-            bad => Err(EcError::Corrupt { shards: bad }),
-        }
-    }
-
-    /// [`Self::repair`] plus an integrity check: reconstruct shard
-    /// `target` *and* verify the stripe it came from, rejecting corrupt
-    /// survivors with [`EcError::Corrupt`] (a plain repair would fold one
-    /// straight into the rebuilt shard). Decodes the whole stripe to make
-    /// the cross-check possible: integrity in exchange for the fast path.
-    pub fn repair_verified(
-        &self,
-        coder: &Dialga,
-        shards: &[Option<Vec<u8>>],
-        target: usize,
-    ) -> Result<Vec<u8>, EcError> {
-        check_target(coder, shards.len(), target)?;
-        let mut trial: Vec<Option<Vec<u8>>> = shards.to_vec();
-        // Erasing a present target re-derives (and thus verifies) it too.
-        trial[target] = None;
-        self.decode_verified(coder, &mut trial)?;
-        trial[target].take().ok_or(EcError::Internal {
-            what: "repair_verified target absent after verified decode",
-        })
-    }
-
     /// Count one submission of `stripes` stripes (however many stages).
     fn count_dispatch(&self, stripes: usize) {
         let s = &self.shared.stats;
@@ -1010,23 +920,23 @@ impl EncodePool {
 
     /// Run a batch with healing and bounded retry: when
     /// [`Self::run_jobs_once`] fails (worker death, kernel panic, dropped
-    /// send), respawn any dead workers and — up to `retries` times —
-    /// resubmit the whole batch. Resubmission is idempotent: the kernel
+    /// send), respawn any dead workers and — up to [`BATCH_RETRIES`] times
+    /// — resubmit the whole batch. Resubmission is idempotent: the kernel
     /// *overwrites* its outputs and the failed attempt was fully quiesced,
     /// so no byte of it can land after (or interleave with) the retry.
     /// Watchdog timeouts are never retried ([`BatchWait::TimedOut`]).
-    /// Healing runs even when `retries` is 0 or exhausted, so the pool is
+    /// Healing runs even when the retries are exhausted, so the pool is
     /// back at full capacity for the *next* submission either way. Returns
     /// how the last attempt ended: callers turn it into a result with
     /// [`BatchWait::check`], or with [`written`] when they own fresh
     /// outputs.
-    fn run_jobs(&self, jobs: &[RawJob], retries: u32) -> BatchWait {
+    fn run_jobs(&self, jobs: &[RawJob]) -> BatchWait {
         let mut attempt = 0u32;
         loop {
             let wait = self.run_jobs_once(jobs);
             if let BatchWait::Failed = wait {
                 self.heal_workers();
-                if attempt < retries {
+                if attempt < BATCH_RETRIES {
                     attempt += 1;
                     let stats = &self.shared.stats;
                     stats.batch_retries.fetch_add(1, Ordering::Relaxed);
@@ -1143,7 +1053,7 @@ impl EncodePool {
         for work in &mine {
             failed |= run_chunk(&self.shared, 0, work).is_err();
         }
-        match latch.map_or(BatchWait::Clean, |l| l.wait_with_deadline(self.watchdog())) {
+        match latch.map_or(BatchWait::Clean, |l| l.wait_with_deadline(self.watchdog)) {
             BatchWait::Clean if failed => BatchWait::Failed,
             waited => waited,
         }
@@ -1302,13 +1212,14 @@ mod tests {
     fn chunks_dealt_to_dead_workers_fail_the_batch_before_the_watchdog() {
         // Both workers of a 3-executor pool are dead, so the sends of the
         // two chunks dealt to them fail. Each returned chunk's `Drop` must
-        // complete its latch seat as a failure: a lost seat would leave the
-        // wait to the watchdog, and a different error.
-        let pool = EncodePool::new(3);
+        // complete its latch seat as a failure, so the attempt fails at
+        // once, both workers are healed and the retry runs clean: a lost
+        // seat would leave the wait to the watchdog, which is never
+        // retried.
+        let watchdog = Duration::from_secs(2);
+        let pool = EncodePool::with_watchdog(3, watchdog);
         kill_worker(&pool, 0);
         kill_worker(&pool, 1);
-        let watchdog = Duration::from_secs(2);
-        pool.set_watchdog(Some(watchdog));
         let coder = Dialga::new(4, 2).unwrap();
         let len = 3 * CHUNK_ALIGN;
         let data = make_data(4, len);
@@ -1318,28 +1229,21 @@ mod tests {
         let job = RawJob::encode(&coder, &refs, outs).unwrap();
         assert_eq!(split_ranges(job.len, pool.threads()).len(), 3);
         let started = Instant::now();
-        let got = pool.run_jobs(&[job], 0).check();
+        pool.run_jobs(&[job]).check().unwrap();
         assert!(started.elapsed() < watchdog / 4, "{:?}", started.elapsed());
-        match got {
-            Err(EcError::Internal { what }) => assert!(what.contains("exited mid-batch"), "{what}"),
-            other => panic!("expected the mid-batch failure, got {other:?}"),
-        }
+        assert_eq!(parity, coder.encode_vec(&refs).unwrap());
+        let stats = pool.stats();
+        assert_eq!(stats.batch_retries, 1);
+        assert_eq!((stats.worker_deaths, stats.worker_respawns), (2, 2));
     }
 
     #[test]
     fn watchdog_keeps_submillisecond_deadlines() {
-        // The deadline is stored in nanoseconds: whole-millisecond storage
-        // silently rounded sub- and fractional-millisecond deadlines.
-        let pool = EncodePool::new(1);
-        pool.set_watchdog(Some(Duration::from_micros(500)));
-        assert_eq!(pool.watchdog(), Some(Duration::from_micros(500)));
-        pool.set_watchdog(Some(Duration::from_micros(2500)));
-        assert_eq!(pool.watchdog(), Some(Duration::from_micros(2500)));
-        pool.set_watchdog(None);
-        assert_eq!(pool.watchdog(), None);
-        // A zero-length deadline clamps to 1 ns: armed, not "disabled".
-        pool.set_watchdog(Some(Duration::ZERO));
-        assert_eq!(pool.watchdog(), Some(Duration::from_nanos(1)));
+        // Sub- and fractional-millisecond deadlines must not round.
+        for deadline in [Duration::from_micros(500), Duration::from_micros(2500)] {
+            assert_eq!(EncodePool::with_watchdog(1, deadline).watchdog, deadline);
+        }
+        assert_eq!(EncodePool::new(1).watchdog, DEFAULT_WATCHDOG);
     }
 
     #[test]
@@ -1348,7 +1252,7 @@ mod tests {
         // the kernel panic in both chunks, the submitting thread's and
         // the worker's. The pool must report `EcError::Internal` — not
         // hang, not unwind the submitter — and keep serving. (The panic is
-        // deterministic, so retries cannot mask it: retries = 0.)
+        // deterministic, so every retry panics too.)
         let pool = EncodePool::new(2);
         let src = vec![0u8; 1024];
         let mut out = vec![0u8; 1024];
@@ -1360,10 +1264,13 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            pool.run_jobs(&[job], 0).check(),
+            pool.run_jobs(&[job]).check(),
             Err(EcError::Internal { .. })
         ));
-        assert_eq!(pool.stats().chunks, 2, "both executors ran their chunk");
+        let attempts = u64::from(BATCH_RETRIES) + 1;
+        let stats = pool.stats();
+        assert_eq!(stats.chunks, 2 * attempts, "both executors ran every chunk");
+        assert_eq!(stats.batch_retries, attempts - 1);
         let coder = Dialga::new(4, 2).unwrap();
         let data = make_data(4, 4096);
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();

@@ -5,7 +5,7 @@
 //! the pool's private parts live in `src/pool.rs`.)
 
 use dialga::encoder::Dialga;
-use dialga::pool::{split_ranges, DecodeJob, EncodePool, StripeJob, CHUNK_ALIGN};
+use dialga::pool::{split_ranges, DecodeJob, EncodePool, StripeJob, BATCH_RETRIES, CHUNK_ALIGN};
 use dialga_ec::EcError;
 
 fn make_data(k: usize, len: usize) -> Vec<Vec<u8>> {
@@ -155,8 +155,13 @@ fn chunks_run_by_the_submitter_are_counted_like_a_workers() {
 #[cfg(feature = "fault-injection")]
 mod executor_zero_faults {
     use super::*;
-    use dialga::encoder::DialgaOptions;
     use dialga_faultkit::{Fault, FaultPlan};
+
+    /// `fault` on every attempt of one submission: the first try and all
+    /// [`BATCH_RETRIES`] retries.
+    fn on_every_attempt(fault: impl Fn(u64) -> Fault) -> FaultPlan {
+        (0..=u64::from(BATCH_RETRIES)).fold(FaultPlan::new(), |plan, nth| plan.with(fault(nth)))
+    }
 
     /// Big enough that a worker is still inside its chunk long after the
     /// submitting thread's chunk has failed (which it does before its
@@ -170,18 +175,15 @@ mod executor_zero_faults {
         // other two to workers that have not even woken yet. `run_jobs`
         // must not report the failure until those two are done: their
         // spans point into this frame (the PR 3 use-after-free window).
-        // Retries are off, so what we read back is that single attempt.
-        let opts = DialgaOptions {
-            max_batch_retries: Some(0),
-            ..Default::default()
-        };
-        let coder = Dialga::with_options(4, 2, opts).unwrap();
+        // The panic is scripted on every attempt, so what we read back is
+        // the last one.
+        let coder = Dialga::new(4, 2).unwrap();
         let data = make_data(4, LEN);
         let expected = coder.encode_vec(&refs(&data)).unwrap();
         let pool = EncodePool::new(3);
-        pool.arm_faults(&FaultPlan::new().with(Fault::WorkerPanic {
+        pool.arm_faults(&on_every_attempt(|nth_chunk| Fault::WorkerPanic {
             worker: 0,
-            nth_chunk: 0,
+            nth_chunk,
         }));
         let mut parity = vec![vec![0u8; LEN]; 2];
         let mut outs: Vec<&mut [u8]> = parity.iter_mut().map(|p| p.as_mut_slice()).collect();
@@ -190,9 +192,15 @@ mod executor_zero_faults {
             Err(EcError::Internal { .. })
         ));
         let stats = pool.stats();
-        assert_eq!(pool.faults_injected(), 1);
-        assert_eq!(stats.chunks, 3, "every chunk accounted for on return");
-        assert_eq!((stats.batch_retries, stats.worker_deaths), (0, 0));
+        let attempts = u64::from(BATCH_RETRIES) + 1;
+        assert_eq!(pool.faults_injected(), attempts);
+        assert_eq!(
+            stats.chunks,
+            3 * attempts,
+            "every chunk accounted for on return"
+        );
+        assert_eq!(stats.batch_retries, attempts - 1);
+        assert_eq!(stats.worker_deaths, 0);
         let ranges = split_ranges(LEN, 3);
         for (row, want) in parity.iter().zip(&expected) {
             assert!(
@@ -227,21 +235,27 @@ mod executor_zero_faults {
         assert_eq!(stats.workers_alive, 2, "executor 1 respawned");
         assert_eq!((stats.worker_deaths, stats.worker_respawns), (1, 1));
         assert_eq!(stats.batch_retries, 1);
-        // With retries disabled the same failure surfaces as an error —
-        // but the pool must still heal for the *next* submission.
-        let opts = DialgaOptions {
-            max_batch_retries: Some(0),
-            ..Default::default()
-        };
-        let coder0 = Dialga::with_options(4, 2, opts).unwrap();
-        let pool0 = EncodePool::new(2);
-        pool0.arm_faults(&exit);
+        // An exit on every attempt surfaces as an error — but the pool
+        // must still heal for the *next* submission.
+        let pool = EncodePool::new(2);
+        pool.arm_faults(&on_every_attempt(|nth_chunk| Fault::WorkerExit {
+            worker: 1,
+            nth_chunk,
+        }));
         assert!(matches!(
-            pool0.encode_vec(&coder0, &refs(&data)),
+            pool.encode_vec(&coder, &refs(&data)),
             Err(EcError::Internal { .. })
         ));
-        assert_eq!(pool0.encode_vec(&coder0, &refs(&data)).unwrap(), expected);
-        assert_eq!(pool0.stats().workers_alive, 2);
+        let attempts = u64::from(BATCH_RETRIES) + 1;
+        assert_eq!(pool.faults_injected(), attempts);
+        let stats = pool.stats();
+        assert_eq!(
+            (stats.worker_deaths, stats.worker_respawns),
+            (attempts, attempts)
+        );
+        assert_eq!(stats.batch_retries, attempts - 1);
+        assert_eq!(pool.encode_vec(&coder, &refs(&data)).unwrap(), expected);
+        assert_eq!(pool.stats().workers_alive, 2);
     }
 
     #[test]

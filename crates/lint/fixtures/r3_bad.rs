@@ -1,12 +1,12 @@
 // Fixture (never compiled): three atomic-ordering protocol violations.
-fn publish(shared: &Shared, deadline_ns: u64) {
+fn publish(tier: u8) {
     // Knob stores must be Release.
-    shared.watchdog_ns.store(deadline_ns, Ordering::Relaxed);
+    KERNEL_OVERRIDE.store(tier, Ordering::Relaxed);
 }
 
-fn consume(shared: &Shared) -> u64 {
+fn consume() -> u8 {
     // Knob loads must be Acquire.
-    shared.watchdog_ns.load(Ordering::Relaxed)
+    KERNEL_OVERRIDE.load(Ordering::Relaxed)
 }
 
 fn count(shared: &Shared) {

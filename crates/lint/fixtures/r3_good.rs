@@ -1,12 +1,12 @@
 // Fixture (never compiled): the documented knob/counter protocol, plus
 // non-atomic look-alikes that must not be flagged.
-fn publish(shared: &Shared, deadline_ns: u64) {
-    shared.watchdog_ns.store(deadline_ns, Ordering::Release);
+fn publish(shared: &Shared, tier: u8) {
+    KERNEL_OVERRIDE.store(tier, Ordering::Release);
     shared.chunks.fetch_add(1, Ordering::Relaxed);
 }
 
-fn consume(shared: &Shared) -> u64 {
-    shared.watchdog_ns.load(Ordering::Acquire)
+fn consume() -> u8 {
+    KERNEL_OVERRIDE.load(Ordering::Acquire)
 }
 
 fn look_alikes(v: &mut Vec<u8>, engine: &mut Engine) {

@@ -132,9 +132,6 @@ pub fn workspace_config() -> Config {
                 role: AtomicRole::Latch,
             };
             let mut v = vec![
-                // The pool's watchdog deadline word: published by
-                // set_watchdog, consumed by dispatch.
-                knob("watchdog_ns"),
                 // GF kernel-dispatch override (dialga-gf::simd).
                 knob("KERNEL_OVERRIDE"),
                 // dialga-faultkit's arm word: Release on arm/disarm,

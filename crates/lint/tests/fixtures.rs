@@ -98,7 +98,9 @@ fn r9_knob_arm_is_not_scope_limited() {
             .map(|f| f.message.as_str())
             .collect();
         assert_eq!(messages.len(), 2, "{findings:?}");
-        assert!(messages.iter().all(|m| m.contains("knob `watchdog_ns`")));
+        assert!(messages
+            .iter()
+            .all(|m| m.contains("knob `KERNEL_OVERRIDE`")));
     }
 }
 

@@ -25,8 +25,9 @@ const TRACE_CAP: usize = 256;
 /// Largest request (payload bytes) a submitter serves itself on an idle
 /// shard: `gen.wake_rtt_us` (≈ 4 µs, the hop it saves) × `gf.fused_gibs`
 /// (13–22 GiB/s) ≈ 64 KiB, the payload whose compute equals one wake.
-/// Above it the queue hands `submit` back before the work is done, which
-/// fan-out clients (`archive::encode_file_sharded`) rely on. DESIGN §7.
+/// Above it the queue hands `submit` back before the work is done, so a
+/// client that submits several large requests before waiting on any
+/// overlaps them across shards. DESIGN §7.
 const INLINE_MAX_BYTES: usize = 64 * 1024;
 
 /// What a request resolves to.

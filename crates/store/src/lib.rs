@@ -1358,6 +1358,36 @@ mod tests {
         assert_eq!(store.into_image().inner.into_bytes(), found);
     }
 
+    /// A committed slot whose footer does not decode cannot vouch for a
+    /// repair either way: the parity check stands alone, so a localized
+    /// torn shard is still repaired, and the committed data reads back.
+    #[test]
+    fn a_torn_footer_leaves_the_parity_check_to_vouch_for_a_repair() {
+        let geo = Geometry::new(4, 2, 512, 2).unwrap();
+        let mut store = StripeStore::format(MemImage::new(geo.image_len()), geo).unwrap();
+        let mut rng = Rng::new(29);
+        let data = stripe_data(&mut rng, &geo);
+        store.write_stripe(0, &refs(&data)).unwrap();
+        let mut image = store.into_image();
+        let bytes = image.bytes_mut();
+        let at = geo.footer_off(0, 0) as usize;
+        bytes[at + 24] ^= 0x01;
+        assert_eq!(Footer::decode(&bytes[at..]), None);
+        let at = geo.shard_off(0, 0, 1) as usize;
+        rng.fill(&mut bytes[at..at + CACHELINE as usize]);
+
+        let store = StripeStore::open(image).unwrap();
+        let report = store.recovery_report();
+        assert_eq!(report.repaired, vec![(0, vec![1])]);
+        assert!(report.corrupt.is_empty());
+        assert_eq!(store.read_stripe(0).unwrap(), data);
+        let store = StripeStore::open(store.into_image()).unwrap();
+        let report = store.recovery_report();
+        assert!(report.repaired.is_empty() && report.corrupt.is_empty());
+        assert_eq!((report.rolled_back, report.rolled_forward), (0, 0));
+        assert_eq!(store.read_stripe(0).unwrap(), data);
+    }
+
     /// Overwrite one superblock header word and re-seal the check word, as
     /// anyone holding the image can (mix64 is not a secret).
     fn forge_superblock(image: &mut MemImage, word: usize, value: u64) {

@@ -6,25 +6,15 @@
 //!
 //! This exercises the *functional* API on real bytes: a DIALGA encoder is
 //! a table-driven Reed–Solomon coder whose kernels are row-pipelined with
-//! software prefetch hints (the paper's Fig. 9 mechanism). Output is
-//! bit-exact with plain Reed–Solomon.
+//! software prefetch hints `k` rows ahead (the paper's Fig. 9 mechanism).
+//! Output is bit-exact with plain Reed–Solomon.
 
-use dialga_repro::coder::encoder::{Dialga, DialgaOptions};
+use dialga_repro::coder::encoder::Dialga;
 
 fn main() {
     // RS(16, 12): 12 data blocks, 4 parity blocks -> tolerates any 4 losses.
     let (k, m) = (12, 4);
-    let coder = Dialga::with_options(
-        k,
-        m,
-        DialgaOptions {
-            prefetch_distance: Some(2 * k as u32), // or None for d = k
-            bf_first_distance: Some(k as u32 + 4), // §4.3 long distance
-            shuffle: false,
-            ..Default::default()
-        },
-    )
-    .expect("valid geometry");
+    let coder = Dialga::new(k, m).expect("valid geometry");
 
     // Some application data: 12 blocks of 4 KiB.
     let data: Vec<Vec<u8>> = (0..k)

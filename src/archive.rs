@@ -11,7 +11,6 @@
 
 use dialga::encoder::Dialga;
 use dialga::pool::EncodePool;
-use dialga_service::{ServiceConfig, StripeService};
 use std::ffi::OsStr;
 use std::fmt;
 use std::fs;
@@ -34,8 +33,6 @@ pub enum ArchiveError {
         /// Fault tolerance m.
         tolerance: usize,
     },
-    /// The stripe service refused or failed a routed request.
-    Service(String),
 }
 
 impl fmt::Display for ArchiveError {
@@ -47,7 +44,6 @@ impl fmt::Display for ArchiveError {
             ArchiveError::Unrecoverable { lost, tolerance } => {
                 write!(f, "{lost} shards unusable, tolerance is {tolerance}")
             }
-            ArchiveError::Service(msg) => write!(f, "service error: {msg}"),
         }
     }
 }
@@ -261,66 +257,6 @@ pub fn encode_file(
     let data: Vec<&[u8]> = padded.chunks(shard_len as usize).collect();
     let coder = Dialga::new(k, m)?;
     let parity = EncodePool::new(threads).encode_vec(&coder, &data)?;
-    write_archive(
-        out_dir,
-        &manifest_for(input, k, m, file_len, shard_len),
-        &data,
-        &parity,
-    )
-}
-
-/// Encode `input` through a [`StripeService`] with `shards` shards
-/// (`dialga encode --shards N`): the stripe is cut into 64 B-aligned
-/// segments and each segment is submitted as an independent encode
-/// request, fanned across the shards. Reed–Solomon parity is
-/// byte-position-local, so the concatenated segment parity is bit-exact
-/// with whole-stripe encoding — verified by the end-to-end tests.
-pub fn encode_file_sharded(
-    input: &Path,
-    out_dir: &Path,
-    k: usize,
-    m: usize,
-    threads: usize,
-    shards: usize,
-) -> Result<PathBuf, ArchiveError> {
-    let (padded, file_len, shard_len) = read_padded(input, k)?;
-    let data: Vec<&[u8]> = padded.chunks(shard_len as usize).collect();
-    let shards = shards.max(1);
-
-    // Enough segments to occupy every shard, each 64 B-aligned.
-    let shard_len_us = shard_len as usize;
-    let seg_len = shard_len_us
-        .div_ceil(shards * 2)
-        .next_multiple_of(64)
-        .max(64);
-    let service = StripeService::new(ServiceConfig {
-        shards,
-        threads_per_shard: threads.max(1),
-        k,
-        m,
-        ..ServiceConfig::default()
-    })?;
-
-    let mut tickets = Vec::new();
-    let mut offset = 0;
-    while offset < shard_len_us {
-        let end = (offset + seg_len).min(shard_len_us);
-        let segment: Vec<Vec<u8>> = data.iter().map(|d| d[offset..end].to_vec()).collect();
-        let ticket = service
-            .submit_encode(0, segment, None)
-            .map_err(|e| ArchiveError::Service(e.to_string()))?;
-        tickets.push(ticket);
-        offset = end;
-    }
-    let mut parity: Vec<Vec<u8>> = vec![Vec::with_capacity(shard_len_us); m];
-    for ticket in tickets {
-        let segment_parity = ticket
-            .wait()
-            .map_err(|e| ArchiveError::Service(e.to_string()))?;
-        for (out, seg) in parity.iter_mut().zip(segment_parity) {
-            out.extend_from_slice(&seg);
-        }
-    }
     write_archive(
         out_dir,
         &manifest_for(input, k, m, file_len, shard_len),

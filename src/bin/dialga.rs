@@ -1,18 +1,17 @@
 //! `dialga` — erasure-coded file archives from the command line.
 //!
 //! ```text
-//! dialga encode <file> [--out DIR] [--k N] [--m N] [--threads N] [--shards N]
+//! dialga encode <file> [--out DIR] [--k N] [--m N] [--threads N]
 //! dialga verify <manifest.dialga>
 //! dialga repair <manifest.dialga>
 //! dialga restore <manifest.dialga> [--out FILE]
 //! ```
 //!
-//! `--shards N` routes the encode through the sharded stripe service
-//! (N shards, each with its own pool) instead of the direct parallel
-//! encoder.
+//! `--threads N` splits the stripe over a pool of N executors.
 //!
-//! A flag without a value, or a numeric flag whose value is not a number,
-//! prints the usage and exits 2 before anything is written.
+//! A flag without a value, a numeric flag whose value is not a number, an
+//! unknown flag, a missing path or a second one prints the usage and exits
+//! 2 before anything is written.
 
 use dialga_repro::archive;
 use std::path::PathBuf;
@@ -20,7 +19,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  dialga encode <file> [--out DIR] [--k N] [--m N] [--threads N] [--shards N]\n  dialga verify <manifest.dialga>\n  dialga repair <manifest.dialga>\n  dialga restore <manifest.dialga> [--out FILE]"
+        "usage:\n  dialga encode <file> [--out DIR] [--k N] [--m N] [--threads N]\n  dialga verify <manifest.dialga>\n  dialga repair <manifest.dialga>\n  dialga restore <manifest.dialga> [--out FILE]"
     );
     ExitCode::from(2)
 }
@@ -47,6 +46,15 @@ fn number(args: &mut Vec<String>, name: &str, default: usize) -> Result<usize, (
     flag(args, name)?.map_or(Ok(default), |v| v.parse().map_err(drop))
 }
 
+/// The one path left once the known flags are removed: `None` when
+/// nothing, more than one argument, or an unknown flag is left.
+fn only_path(args: &[String]) -> Option<PathBuf> {
+    match args {
+        [path] if !path.starts_with("--") => Some(PathBuf::from(path)),
+        _ => None,
+    }
+}
+
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -55,16 +63,15 @@ fn main() -> ExitCode {
     let cmd = args.remove(0);
     let result = match cmd.as_str() {
         "encode" => {
-            let (Ok(out), Ok(k), Ok(m), Ok(threads), Ok(shards)) = (
+            let (Ok(out), Ok(k), Ok(m), Ok(threads)) = (
                 flag(&mut args, "--out"),
                 number(&mut args, "--k", 8),
                 number(&mut args, "--m", 2),
                 number(&mut args, "--threads", 1),
-                number(&mut args, "--shards", 0),
             ) else {
                 return usage();
             };
-            let Some(file) = args.first().map(PathBuf::from) else {
+            let Some(file) = only_path(&args) else {
                 return usage();
             };
             let out_dir = out.map(PathBuf::from).unwrap_or_else(|| {
@@ -72,29 +79,16 @@ fn main() -> ExitCode {
                     .map(PathBuf::from)
                     .unwrap_or_else(|| ".".into())
             });
-            let encoded = if shards > 0 {
-                archive::encode_file_sharded(&file, &out_dir, k, m, threads, shards)
-            } else {
-                archive::encode_file(&file, &out_dir, k, m, threads)
-            };
-            encoded.map(|p| {
-                let via = if shards > 0 {
-                    format!(", via {shards}-shard service")
-                } else {
-                    String::new()
-                };
+            archive::encode_file(&file, &out_dir, k, m, threads).map(|p| {
                 println!(
-                    "encoded {} -> {} ({} data + {} parity shards{})",
+                    "encoded {} -> {} ({k} data + {m} parity shards)",
                     file.display(),
                     p.display(),
-                    k,
-                    m,
-                    via
                 );
             })
         }
         "verify" => {
-            let Some(manifest) = args.first().map(PathBuf::from) else {
+            let Some(manifest) = only_path(&args) else {
                 return usage();
             };
             match archive::verify(&manifest) {
@@ -114,7 +108,7 @@ fn main() -> ExitCode {
             }
         }
         "repair" => {
-            let Some(manifest) = args.first().map(PathBuf::from) else {
+            let Some(manifest) = only_path(&args) else {
                 return usage();
             };
             archive::repair(&manifest).map(|n| println!("rebuilt {n} shard(s)"))
@@ -123,7 +117,7 @@ fn main() -> ExitCode {
             let Ok(out) = flag(&mut args, "--out") else {
                 return usage();
             };
-            let Some(manifest) = args.first().map(PathBuf::from) else {
+            let Some(manifest) = only_path(&args) else {
                 return usage();
             };
             archive::restore(&manifest, out.map(PathBuf::from).as_deref())

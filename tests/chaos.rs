@@ -20,6 +20,7 @@
 
 use dialga_faultkit::{flip_byte, Fault, FaultPlan};
 use dialga_repro::coder::encoder::Dialga;
+use dialga_repro::coder::pool::BATCH_RETRIES;
 use dialga_repro::coder::EncodePool;
 use dialga_repro::ec::EcError;
 use dialga_repro::service::{ServiceConfig, ServiceError, StripeService};
@@ -120,25 +121,27 @@ fn seeded_pool_faults_heal_across_threads_and_paths() {
 
 #[test]
 fn a_decode_that_fails_in_either_stage_fills_no_hole() {
-    // One executor, no retries: a scripted panic on the pool's chunk 0
-    // fails stage 1 (lost data); on chunk 1 it fails stage 2 (lost
-    // parity), after stage 1's data went into its hole for stage 2 to
-    // read. Either way the caller gets every hole back as `None`.
-    let opts = dialga_repro::coder::encoder::DialgaOptions {
-        max_batch_retries: Some(0),
-        ..Default::default()
-    };
-    let coder = Dialga::with_options(K, M, opts).unwrap();
+    // One executor, so each stage attempt is one chunk on it: scripted
+    // panics on every attempt of stage 1 (chunks 0..=BATCH_RETRIES) fail
+    // the lost-data stage; starting one chunk later they fail stage 2
+    // (lost parity), after stage 1's data went into its hole for stage 2
+    // to read. Either way the caller gets every hole back as `None`.
+    let coder = Dialga::new(K, M).unwrap();
     let data = make_data(13);
     let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
     let parity = coder.encode_vec(&refs).unwrap();
     let full: Vec<Vec<u8>> = data.iter().chain(parity.iter()).cloned().collect();
     let pool = EncodePool::new(1);
-    for nth_chunk in [0, 1] {
-        pool.arm_faults(&FaultPlan::new().with(Fault::WorkerPanic {
-            worker: 0,
-            nth_chunk,
-        }));
+    let attempts = u64::from(BATCH_RETRIES) + 1;
+    for stage in [0, 1] {
+        let plan = (stage..stage + attempts).fold(FaultPlan::new(), |plan, nth_chunk| {
+            plan.with(Fault::WorkerPanic {
+                worker: 0,
+                nth_chunk,
+            })
+        });
+        pool.arm_faults(&plan);
+        let chunks = pool.stats().chunks;
         let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
         shards[1] = None;
         shards[K] = None;
@@ -149,9 +152,11 @@ fn a_decode_that_fails_in_either_stage_fills_no_hole() {
         assert_eq!(
             (shards[1].as_ref(), shards[K].as_ref()),
             (None, None),
-            "stage {nth_chunk}"
+            "stage {stage}"
         );
-        assert_eq!(pool.faults_injected(), 1);
+        assert_eq!(pool.faults_injected(), attempts);
+        // Stage 1's clean chunk (when stage 2 failed), then every attempt.
+        assert_eq!(pool.stats().chunks - chunks, stage + attempts);
         pool.disarm_faults();
         pool.decode(&coder, &mut shards).unwrap();
         assert!(shards.iter().zip(&full).all(|(s, f)| s.as_ref() == Some(f)));

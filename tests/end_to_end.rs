@@ -2,7 +2,7 @@
 //! whole stack, and consistency between the functional and simulated
 //! surfaces.
 
-use dialga_repro::coder::encoder::{Dialga, DialgaOptions};
+use dialga_repro::coder::encoder::Dialga;
 use dialga_repro::ec::xor::{XorCode, XorFlavor};
 use dialga_repro::ec::{Lrc, ReedSolomon};
 use dialga_repro::gf::Gf8;
@@ -24,36 +24,19 @@ fn make_data(k: usize, len: usize, seed: usize) -> Vec<Vec<u8>> {
 }
 
 /// The DIALGA functional encoder and the plain RS substrate must agree on
-/// every geometry/option combination — scheduling must never change bytes.
+/// every geometry — the prefetch schedule must never change bytes.
 #[test]
 fn dialga_encoder_is_bit_exact_with_rs() {
     for (k, m) in [(4usize, 2usize), (12, 4), (28, 4), (48, 4)] {
         let rs = ReedSolomon::new(k, m).unwrap();
         let data = make_data(k, 1024, k + m);
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let expect = rs.encode_vec(&refs).unwrap();
-        for opts in [
-            DialgaOptions::default(),
-            DialgaOptions {
-                prefetch_distance: Some(3 * k as u32 + 1),
-                bf_first_distance: Some(k as u32 + 4),
-                shuffle: false,
-                ..Default::default()
-            },
-            DialgaOptions {
-                prefetch_distance: Some(k as u32),
-                bf_first_distance: None,
-                shuffle: true,
-                ..Default::default()
-            },
-        ] {
-            let coder = Dialga::with_options(k, m, opts).unwrap();
-            assert_eq!(
-                coder.encode_vec(&refs).unwrap(),
-                expect,
-                "k={k} m={m} {opts:?}"
-            );
-        }
+        let coder = Dialga::new(k, m).unwrap();
+        assert_eq!(
+            coder.encode_vec(&refs).unwrap(),
+            rs.encode_vec(&refs).unwrap(),
+            "k={k} m={m}"
+        );
     }
 }
 
@@ -193,10 +176,12 @@ fn simulated_traffic_is_conserved() {
     assert_eq!(c.encode_read_bytes, r.data_bytes);
 }
 
-/// The archive CLI refuses a numeric flag whose value is not a number, and
-/// a flag with no value: it prints the usage, exits 2 and writes nothing.
-/// The same command with a well-formed `--k` writes the archive into the
-/// same directory, so the empty directory means the refusal came first.
+/// The archive CLI refuses a numeric flag whose value is not a number, a
+/// flag with no value, an unknown flag (`--shards` among them: its sharded
+/// encode is gone) and a second path: it prints the usage, exits 2 and
+/// writes nothing. The same command with a well-formed `--k` writes the
+/// archive into the same directory, so the empty directory means the
+/// refusal came first. The other subcommands refuse leftovers too.
 #[test]
 fn cli_rejects_malformed_flags_and_writes_nothing() {
     let dir = std::env::temp_dir().join(format!("dialga-cli-flags-{}", std::process::id()));
@@ -215,7 +200,14 @@ fn cli_rejects_malformed_flags_and_writes_nothing() {
             .output()
             .unwrap()
     };
-    for tail in [&["--k", "x"][..], &["--k"]] {
+    let refused: [&[&str]; 5] = [
+        &["--k", "x"],
+        &["--k"],
+        &["--bogus", "1"],
+        &["--shards", "4"],
+        &["second.bin"],
+    ];
+    for tail in refused {
         let run = encode(tail);
         assert_eq!(run.status.code(), Some(2), "{tail:?}");
         assert!(
@@ -227,5 +219,24 @@ fn cli_rejects_malformed_flags_and_writes_nothing() {
     let run = encode(&["--k", "4"]);
     assert!(run.status.success());
     assert!(std::fs::read_dir(&out).unwrap().count() > 0);
+    let manifest = out.join("input.dialga");
+    let restored = dir.join("restored.bin");
+    for (cmd, tail) in [
+        ("verify", &["--bogus"][..]),
+        ("repair", &["second.dialga"]),
+        (
+            "restore",
+            &["--out", restored.to_str().unwrap(), "--k", "4"],
+        ),
+    ] {
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_dialga"))
+            .arg(cmd)
+            .arg(&manifest)
+            .args(tail)
+            .output()
+            .unwrap();
+        assert_eq!(run.status.code(), Some(2), "{cmd} {tail:?}");
+        assert!(!restored.exists(), "{cmd} {tail:?}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

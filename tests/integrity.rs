@@ -1,6 +1,7 @@
 //! End-to-end stripe integrity: `Dialga::verify` / `Dialga::scrub`
-//! localization sweeps, the pool's verified decode/repair paths
-//! (acceptance criteria of the robustness PR), and the stripe store's
+//! localization sweeps, decode followed by `Dialga::locate` over the
+//! rebuilt stripe (acceptance criteria of the robustness PR), and the
+//! stripe store's
 //! boot scrub — every torn-shard pattern must be repaired in place or
 //! reported as `Corrupt` with its evidence; silent misses are zero.
 
@@ -69,7 +70,21 @@ fn erasure_sets(n: usize, size: usize) -> Vec<Vec<usize>> {
     sets
 }
 
-/// The pool's verified decode must reject a corrupted survivor with
+/// Decode the holes in `shards`, then localize corruption in the completed
+/// stripe with the rebuilt shards as forced erasures: a corrupt survivor
+/// comes back as `EcError::Corrupt` naming it (the mismatching parity rows
+/// as evidence when it cannot be named).
+fn decode_then_locate(coder: &Dialga, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
+    let lost: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
+    coder.decode(shards)?;
+    let full: Vec<&[u8]> = shards.iter().flatten().map(Vec::as_slice).collect();
+    match coder.locate(&full, &lost)? {
+        bad if bad.is_empty() => Ok(()),
+        bad => Err(EcError::Corrupt { shards: bad }),
+    }
+}
+
+/// A decode then `locate` must reject a corrupted survivor with
 /// `EcError::Corrupt` naming exactly that shard: every single erasure ×
 /// every corrupt survivor on (6,3) and (10,4), and every erased pair ×
 /// every corrupt survivor on (10,4) — |E| + 2 <= m leaves the spare
@@ -79,8 +94,7 @@ fn erasure_sets(n: usize, size: usize) -> Vec<Vec<usize>> {
 /// corrupt survivors that decoded `Ok`, `wrong` any other answer; both
 /// must end at zero.
 #[test]
-fn decode_verified_names_the_corrupt_survivor() {
-    let pool = EncodePool::new(4);
+fn decode_then_locate_names_the_corrupt_survivor() {
     let (mut missed, mut wrong) = (Vec::new(), Vec::new());
     for (k, m) in [(6usize, 3usize), (10, 4)] {
         let coder = Dialga::new(k, m).unwrap();
@@ -98,7 +112,7 @@ fn decode_verified_names_the_corrupt_survivor() {
                     if let Some(s) = shards[corrupt].as_mut() {
                         flip_byte(s, 1000, 0x20);
                     }
-                    let got = pool.decode_verified(&coder, &mut shards);
+                    let got = decode_then_locate(&coder, &mut shards);
                     let want = if localizable {
                         Err(EcError::Corrupt {
                             shards: vec![corrupt],
@@ -125,33 +139,34 @@ fn decode_verified_names_the_corrupt_survivor() {
     let mut shards: Vec<Option<Vec<u8>>> = clean.iter().cloned().map(Some).collect();
     shards[0] = None;
     shards[7] = None;
-    pool.decode_verified(&coder, &mut shards).unwrap();
+    decode_then_locate(&coder, &mut shards).unwrap();
     for (i, s) in shards.iter().enumerate() {
         assert_eq!(s.as_deref(), Some(clean[i].as_slice()), "shard {i}");
     }
 }
 
-/// The pool's verified repair rejects corrupt survivors and otherwise
-/// matches the fast-path repair bit-exactly.
+/// Rebuilding one shard by a decode then `locate` rejects corrupt
+/// survivors and otherwise matches the fast-path repair bit-exactly.
 #[test]
-fn repair_verified_matches_and_rejects() {
+fn decode_then_locate_repairs_one_shard_and_rejects() {
     let coder = Dialga::new(4, 2).unwrap();
     let pool = EncodePool::new(2);
     let clean = stripe(&coder, 4096, 5);
     let target = 1usize;
     let mut shards: Vec<Option<Vec<u8>>> = clean.iter().cloned().map(Some).collect();
     shards[target] = None;
-    assert_eq!(
-        pool.repair_verified(&coder, &shards, target).unwrap(),
-        clean[target]
-    );
-    // Corrupt one survivor: the verified path must refuse where the fast
+    let mut trial = shards.clone();
+    decode_then_locate(&coder, &mut trial).unwrap();
+    assert_eq!(trial[target].as_ref(), Some(&clean[target]));
+    assert_eq!(pool.repair(&coder, &shards, target).unwrap(), clean[target]);
+    // Corrupt one survivor: the located path must refuse where the fast
     // path would silently fold the corruption into the rebuilt shard.
     if let Some(s) = shards[3].as_mut() {
         flip_byte(s, 0, 0x80);
     }
+    let mut trial = shards.clone();
     assert!(matches!(
-        pool.repair_verified(&coder, &shards, target),
+        decode_then_locate(&coder, &mut trial),
         Err(EcError::Corrupt { .. })
     ));
     assert!(
