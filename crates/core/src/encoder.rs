@@ -10,6 +10,9 @@
 //! performance-neutral; the kernel's tests hold every schedule (distance,
 //! §4.3 long/short split, shuffle) to identical bytes.
 
+use std::borrow::Cow;
+use std::sync::OnceLock;
+
 use dialga_ec::{CodeParams, EcError, GfMatrix, ReedSolomon};
 use dialga_gf::sched::FusedSched;
 use dialga_gf::simd::{dot_prod_fused, dot_prod_fused_vec, dot_prod_syndromes};
@@ -197,6 +200,10 @@ pub struct Dialga {
     rs: ReedSolomon,
     /// Precomputed split-nibble tables, `m x k` (ISA-L's `gf_table`).
     tables: Vec<NibbleTables>,
+    /// One slot per shard index: the repair plan for that target from the
+    /// first k other shards, built on first use and kept for the coder's
+    /// life (see [`Self::repair_plan`]).
+    repair_plans: Box<[OnceLock<RepairPlan>]>,
 }
 
 impl Dialga {
@@ -210,7 +217,12 @@ impl Dialga {
                 tables.push(NibbleTables::new(pm[(i, j)].0));
             }
         }
-        Ok(Dialga { rs, tables })
+        let repair_plans = (0..k + m).map(|_| OnceLock::new()).collect();
+        Ok(Dialga {
+            rs,
+            tables,
+            repair_plans,
+        })
     }
 
     /// Code geometry.
@@ -358,15 +370,24 @@ impl Dialga {
         })
     }
 
-    /// Build a single-block repair plan: reconstruct block `target` from
-    /// the given k survivors (the degraded-read fast path — one kernel
-    /// pass, no full-stripe decode).
+    /// The single-block repair plan that rebuilds block `target` from the
+    /// given k survivors (the degraded-read fast path — one kernel pass,
+    /// no full-stripe decode).
     ///
     /// For a data target this is one row of the inverted decode matrix;
     /// for a parity target the parity row is composed with the decode
     /// matrix, so it works even when some data blocks are among the
     /// erasures.
-    pub fn repair_plan(&self, survivors: &[usize], target: usize) -> Result<RepairPlan, EcError> {
+    ///
+    /// The plan for the first k shards other than `target` — the set a
+    /// one-hole repair reads — is built once per coder and target and
+    /// borrowed from then on, so a repeated single-erasure repair inverts
+    /// no matrix. Any other survivor set is built on each call.
+    pub fn repair_plan(
+        &self,
+        survivors: &[usize],
+        target: usize,
+    ) -> Result<Cow<'_, RepairPlan>, EcError> {
         let params = self.params();
         let (k, m) = (params.k, params.m);
         if target >= k + m {
@@ -381,6 +402,25 @@ impl Dialga {
                 got: target,
             });
         }
+        // The first k others are k distinct in-range indices without the
+        // target, so a request that matches them is valid.
+        let first_others = (0..k + m).filter(|&i| i != target).take(k);
+        if !survivors.iter().copied().eq(first_others) {
+            return self.build_repair_plan(survivors, target).map(Cow::Owned);
+        }
+        let slot = &self.repair_plans[target];
+        if let Some(plan) = slot.get() {
+            return Ok(Cow::Borrowed(plan));
+        }
+        let plan = self.build_repair_plan(survivors, target)?;
+        Ok(Cow::Borrowed(slot.get_or_init(|| plan)))
+    }
+
+    /// Invert the decode matrix for `survivors` and compose `target`'s row
+    /// ([`Self::repair_plan`]'s arithmetic; `target` is checked in range
+    /// and outside `survivors`).
+    fn build_repair_plan(&self, survivors: &[usize], target: usize) -> Result<RepairPlan, EcError> {
+        let k = self.params().k;
         let dec = self.rs.decode_matrix(survivors)?;
         let mut tables = Vec::with_capacity(k);
         if target < k {
@@ -910,6 +950,114 @@ mod tests {
         assert_eq!(&out, shards[8].as_ref().unwrap());
         // The target itself can never be a survivor.
         assert!(dialga.repair_plan(&[0, 1, 2, 3, 4, 5], 3).is_err());
+    }
+
+    /// The repair tables for `target` from `survivors`, straight from
+    /// `ReedSolomon::decode_matrix` on a code of the same geometry.
+    fn reference_repair_tables(
+        k: usize,
+        m: usize,
+        survivors: &[usize],
+        target: usize,
+    ) -> Vec<NibbleTables> {
+        let rs = ReedSolomon::new(k, m).unwrap();
+        let dec = rs.decode_matrix(survivors).unwrap();
+        let pm = rs.parity_matrix();
+        (0..k)
+            .map(|col| {
+                let c = if target < k {
+                    dec[(target, col)]
+                } else {
+                    (0..k).fold(Gf8::ZERO, |acc, j| {
+                        acc + pm[(target - k, j)] * dec[(j, col)]
+                    })
+                };
+                NibbleTables::new(c.0)
+            })
+            .collect()
+    }
+
+    fn rebuild(plan: &RepairPlan, stripe: &[Vec<u8>], d: u32) -> Vec<u8> {
+        let srcs: Vec<&[u8]> = plan.survivors().iter().map(|&s| &stripe[s][..]).collect();
+        let mut out = vec![0u8; stripe[0].len()];
+        plan.apply(&srcs, &mut out, d, false).unwrap();
+        out
+    }
+
+    /// The first k others are served from the target's slot, the same plan
+    /// every time and the plan `decode_matrix` gives; any other survivor
+    /// set still gets its own plan once the slot is full.
+    #[test]
+    fn single_erasure_plans_are_built_once_and_only_for_the_first_k_others() {
+        for (k, m) in [(10usize, 4usize), (12, 8), (28, 24)] {
+            let dialga = Dialga::new(k, m).unwrap();
+            let n = k + m;
+            let stripe = encoded_stripe(&dialga, 1000);
+            for target in 0..n {
+                let first: Vec<usize> = (0..n).filter(|&i| i != target).take(k).collect();
+                let last: Vec<usize> = (0..n).rev().filter(|&i| i != target).take(k).collect();
+                let want = reference_repair_tables(k, m, &first, target);
+                let built = dialga.repair_plan(&first, target).unwrap();
+                let reused = dialga.repair_plan(&first, target).unwrap();
+                let (Cow::Borrowed(built), Cow::Borrowed(reused)) = (built, reused) else {
+                    panic!("k={k} m={m} target={target}: first-k plan not served from its slot");
+                };
+                assert!(std::ptr::eq(built, reused), "k={k} m={m} target={target}");
+                assert_eq!(built.tables(), want, "k={k} m={m} target={target}");
+                assert_eq!(built.survivors(), first);
+                assert_eq!(
+                    rebuild(built, &stripe, dialga.prefetch_distance()),
+                    stripe[target]
+                );
+
+                let other = dialga.repair_plan(&last, target).unwrap();
+                assert!(
+                    matches!(other, Cow::Owned(_)),
+                    "k={k} m={m} target={target}"
+                );
+                assert_eq!(other.tables(), reference_repair_tables(k, m, &last, target));
+                assert_eq!(other.survivors(), last);
+                assert_eq!(
+                    rebuild(&other, &stripe, dialga.prefetch_distance()),
+                    stripe[target],
+                    "k={k} m={m} target={target}: last-k survivors"
+                );
+            }
+        }
+    }
+
+    /// A rejected request returns the error it always did and fills no
+    /// slot, even when it differs from the first k others by one index.
+    #[test]
+    fn a_rejected_repair_plan_request_fills_no_slot() {
+        for (k, m) in [(10usize, 4usize), (12, 8), (28, 24)] {
+            let dialga = Dialga::new(k, m).unwrap();
+            let n = k + m;
+            let count = |expected, got| Err(EcError::BlockCount { expected, got });
+            for target in 0..n {
+                let first: Vec<usize> = (0..n).filter(|&i| i != target).take(k).collect();
+                let mut with_target = first.clone();
+                with_target[k - 1] = target;
+                let short = &first[..k - 1];
+                let mut out_of_range = first.clone();
+                out_of_range[k - 1] = n;
+                let mut doubled = first.clone();
+                doubled[k - 1] = first[0];
+                let long: Vec<usize> = (0..n).filter(|&i| i != target).take(k + 1).collect();
+                let plan = |survivors: &[usize]| dialga.repair_plan(survivors, target).map(|_| ());
+                assert_eq!(plan(&with_target), count(k, target));
+                assert_eq!(plan(short), count(k, k - 1));
+                assert_eq!(plan(&long), count(k, k + 1));
+                assert_eq!(plan(&out_of_range), count(n, n));
+                assert_eq!(plan(&doubled), Err(EcError::SingularMatrix));
+                assert!(
+                    dialga.repair_plans[target].get().is_none(),
+                    "target {target}"
+                );
+            }
+            assert_eq!(dialga.repair_plan(&[], n).map(|_| ()), count(n, n));
+            assert!(dialga.repair_plans.iter().all(|slot| slot.get().is_none()));
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Physical placement of stripes in simulated memory.
 //!
-//! Blocks are page(4 KiB)-aligned by default, matching the paper's
-//! evaluation (its Obs. 4 explicitly distinguishes 4 KiB-aligned blocks
-//! from unaligned ones), and *scattered* across each thread's region with
-//! a bijective hash, matching the paper's "random encoding" over 1 GB of
-//! pre-filled data (and keeping the 4 KiB channel interleave uniformly
-//! loaded). Each logical thread encodes its own region, as in the paper's
-//! multi-thread benchmark where threads encode disjoint data.
+//! Blocks are page(4 KiB)-aligned, matching the paper's evaluation (its
+//! Obs. 4 explicitly distinguishes 4 KiB-aligned blocks from unaligned
+//! ones), and *scattered* across each thread's region with a bijective
+//! hash, matching the paper's "random encoding" over 1 GB of pre-filled
+//! data (and keeping the 4 KiB channel interleave uniformly loaded). Each
+//! logical thread encodes its own region, as in the paper's multi-thread
+//! benchmark where threads encode disjoint data.
 
 use dialga_memsim::{CACHELINE, PAGE};
 
@@ -31,38 +31,18 @@ pub struct StripeLayout {
     block_span: u64,
     /// Address distance between consecutive threads' regions.
     thread_stride: u64,
-    /// Scatter blocks pseudo-randomly within the region.
-    scatter: bool,
 }
 
 impl StripeLayout {
-    /// Page-aligned, scattered layout (the default).
+    /// Page-aligned, scattered layout.
     pub fn new(k: usize, m: usize, block_bytes: u64, stripes_per_thread: u64) -> Self {
-        Self::with_options(k, m, block_bytes, stripes_per_thread, true, true)
-    }
-
-    /// Layout with explicit alignment/scatter choices. Unaligned packs
-    /// blocks back-to-back (used by the alignment ablation); unscattered
-    /// lays stripes out consecutively.
-    pub fn with_options(
-        k: usize,
-        m: usize,
-        block_bytes: u64,
-        stripes_per_thread: u64,
-        page_aligned: bool,
-        scatter: bool,
-    ) -> Self {
         assert!(k > 0 && m > 0 && block_bytes > 0, "degenerate layout");
         assert_eq!(
             block_bytes % CACHELINE,
             0,
             "block size must be cacheline-aligned"
         );
-        let block_span = if page_aligned {
-            block_bytes.next_multiple_of(PAGE)
-        } else {
-            block_bytes
-        };
+        let block_span = block_bytes.next_multiple_of(PAGE);
         let blocks = stripes_per_thread * (k + m) as u64;
         assert!(
             blocks < (1 << SCATTER_BITS),
@@ -76,7 +56,6 @@ impl StripeLayout {
             stripes_per_thread,
             block_span,
             thread_stride,
-            scatter,
         }
     }
 
@@ -110,11 +89,7 @@ impl StripeLayout {
 
     #[inline]
     fn block_base(&self, tid: usize, linear: u64) -> u64 {
-        let slot = if self.scatter {
-            linear.wrapping_mul(SCATTER_MUL) & ((1 << SCATTER_BITS) - 1)
-        } else {
-            linear
-        };
+        let slot = linear.wrapping_mul(SCATTER_MUL) & ((1 << SCATTER_BITS) - 1);
         tid as u64 * self.thread_stride + slot * self.block_span
     }
 
@@ -207,12 +182,6 @@ mod tests {
             }
         }
         assert!(max_t0 <= min_t1, "{max_t0} > {min_t1}");
-    }
-
-    #[test]
-    fn unscattered_unaligned_layout_packs() {
-        let l = StripeLayout::with_options(4, 2, 1024, 2, false, false);
-        assert_eq!(l.data_block(0, 0, 1) - l.data_block(0, 0, 0), 1024);
     }
 
     #[test]

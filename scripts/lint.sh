@@ -14,8 +14,18 @@ cargo fmt --check
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo doc (workspace, -D warnings: no link to a private, renamed or deleted item) =="
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+echo "== cargo doc (workspace, -D warnings: no link to a private, renamed or deleted item; no cargo warning) =="
+# RUSTDOCFLAGS only reaches rustdoc: a warning cargo itself prints (an
+# output filename collision overwriting a page) fails here instead.
+doc_log=$(RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --color never 2>&1) || {
+    printf '%s\n' "$doc_log"
+    exit 1
+}
+printf '%s\n' "$doc_log"
+if printf '%s\n' "$doc_log" | grep -q '^warning:'; then
+    echo "cargo doc printed a warning"
+    exit 1
+fi
 
 echo "== benchmark build check (benchmark/ against this tree, lock file frozen) =="
 # The benchmark is its own package over path dependencies: a renamed item
