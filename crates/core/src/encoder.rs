@@ -10,9 +10,6 @@
 //! performance-neutral; the kernel's tests hold every schedule (distance,
 //! §4.3 long/short split, shuffle) to identical bytes.
 
-use std::borrow::Cow;
-use std::sync::OnceLock;
-
 use dialga_ec::{CodeParams, EcError, GfMatrix, ReedSolomon};
 use dialga_gf::sched::FusedSched;
 use dialga_gf::simd::{dot_prod_fused, dot_prod_fused_vec, dot_prod_syndromes};
@@ -38,6 +35,15 @@ pub(crate) fn apply_tables(
         return;
     }
     dot_prod_fused(tables, sources, outputs, sched);
+}
+
+/// The split-nibble tables of every coefficient of `rows`, row-major.
+fn nibble_tables(rows: &GfMatrix) -> Vec<NibbleTables> {
+    let mut tables = Vec::with_capacity(rows.rows() * rows.cols());
+    for i in 0..rows.rows() {
+        tables.extend(rows.row(i).iter().map(|c| NibbleTables::new(c.0)));
+    }
+    tables
 }
 
 /// Check that `sources`/`outputs` agree with the table geometry and with
@@ -85,14 +91,15 @@ fn check_apply(
 /// persistent pool's workers ([`Dialga::decode`] runs it serially).
 ///
 /// Built by [`Dialga::decode_plan`]. Reconstruction is two stages: lost
-/// *data* blocks from the k survivors (inverted-matrix tables), then lost
+/// *data* blocks from the k survivors (decode-matrix rows), then lost
 /// *parity* rows from the completed data (the encode tables' subset for
 /// just those rows — never all m rows).
 #[derive(Debug, Clone)]
 pub struct DecodePlan {
     survivors: Vec<usize>,
-    lost_data: Vec<usize>,
-    lost_parity: Vec<usize>,
+    /// Lost shard indices, ascending: the first `data_lost` are data.
+    lost: Vec<usize>,
+    data_lost: usize,
     data_tables: Vec<NibbleTables>,
     parity_tables: Vec<NibbleTables>,
     len: usize,
@@ -106,12 +113,12 @@ impl DecodePlan {
 
     /// Lost data-block indices, ascending.
     pub fn lost_data(&self) -> &[usize] {
-        &self.lost_data
+        &self.lost[..self.data_lost]
     }
 
     /// Lost parity shard indices (>= k), ascending.
     pub fn lost_parity(&self) -> &[usize] {
-        &self.lost_parity
+        &self.lost[self.data_lost..]
     }
 
     /// Common shard length (validated over every present shard).
@@ -121,7 +128,7 @@ impl DecodePlan {
 
     /// Whether there is nothing to reconstruct.
     pub fn is_noop(&self) -> bool {
-        self.lost_data.is_empty() && self.lost_parity.is_empty()
+        self.lost.is_empty()
     }
 
     /// Data-stage tables, `lost_data.len() x survivors.len()` row-major.
@@ -139,8 +146,8 @@ impl DecodePlan {
 /// coefficient row over k survivors, built by [`Dialga::repair_plan`].
 ///
 /// Works for any target block — a lost *parity* target with lost data
-/// among the non-survivors composes the parity row with the decode matrix
-/// (`parity_row · dec`), so the kernel still runs once over k sources.
+/// among the non-survivors composes the parity row with those blocks'
+/// decode rows, so the kernel still runs once over k sources.
 #[derive(Debug, Clone)]
 pub struct RepairPlan {
     survivors: Vec<usize>,
@@ -200,29 +207,14 @@ pub struct Dialga {
     rs: ReedSolomon,
     /// Precomputed split-nibble tables, `m x k` (ISA-L's `gf_table`).
     tables: Vec<NibbleTables>,
-    /// One slot per shard index: the repair plan for that target from the
-    /// first k other shards, built on first use and kept for the coder's
-    /// life (see [`Self::repair_plan`]).
-    repair_plans: Box<[OnceLock<RepairPlan>]>,
 }
 
 impl Dialga {
     /// Build RS(k+m, k).
     pub fn new(k: usize, m: usize) -> Result<Self, EcError> {
         let rs = ReedSolomon::new(k, m)?;
-        let pm = rs.parity_matrix();
-        let mut tables = Vec::with_capacity(m * k);
-        for i in 0..m {
-            for j in 0..k {
-                tables.push(NibbleTables::new(pm[(i, j)].0));
-            }
-        }
-        let repair_plans = (0..k + m).map(|_| OnceLock::new()).collect();
-        Ok(Dialga {
-            rs,
-            tables,
-            repair_plans,
-        })
+        let tables = nibble_tables(rs.parity_matrix());
+        Ok(Dialga { rs, tables })
     }
 
     /// Code geometry.
@@ -303,8 +295,9 @@ impl Dialga {
 
     /// Build the reconstruction plan for the erasure pattern in `shards`:
     /// validate geometry and every present shard's length, select the k
-    /// survivors, invert the decode matrix for lost data rows and subset
-    /// the encode tables for lost parity rows.
+    /// survivors, take the lost data rows from their parity minor
+    /// ([`GfMatrix::decode_rows`]) and subset the encode tables
+    /// for lost parity rows.
     pub fn decode_plan(&self, shards: &[Option<Vec<u8>>]) -> Result<DecodePlan, EcError> {
         let params = self.params();
         let (k, m) = (params.k, params.m);
@@ -314,7 +307,8 @@ impl Dialga {
                 got: shards.len(),
             });
         }
-        let lost: Vec<usize> = (0..k + m).filter(|&i| shards[i].is_none()).collect();
+        let mut lost = Vec::with_capacity(m);
+        lost.extend((0..k + m).filter(|&i| shards[i].is_none()));
         if lost.len() > m {
             return Err(EcError::TooManyErasures {
                 lost: lost.len(),
@@ -338,32 +332,21 @@ impl Dialga {
                 });
             }
         }
-        let survivors: Vec<usize> = (0..k + m)
-            .filter(|&i| shards[i].is_some())
-            .take(k)
-            .collect();
-        let lost_data: Vec<usize> = lost.iter().copied().filter(|&i| i < k).collect();
-        let lost_parity: Vec<usize> = lost.iter().copied().filter(|&i| i >= k).collect();
+        let mut survivors = Vec::with_capacity(k);
+        survivors.extend((0..k + m).filter(|&i| shards[i].is_some()).take(k));
+        let data_lost = lost.partition_point(|&i| i < k);
+        let (lost_data, lost_parity) = lost.split_at(data_lost);
 
-        let mut data_tables = Vec::with_capacity(lost_data.len() * k);
-        if !lost_data.is_empty() {
-            let dec = self.rs.decode_matrix(&survivors)?;
-            for &ld in &lost_data {
-                for col in 0..k {
-                    data_tables.push(NibbleTables::new(dec[(ld, col)].0));
-                }
-            }
-        }
-        // Only the *lost* parity rows' tables — recomputing all m rows to
-        // keep a subset was the old path's wasted work.
+        let pm = self.rs.parity_matrix();
+        let data_tables = nibble_tables(&pm.decode_rows(&survivors, lost_data)?);
         let mut parity_tables = Vec::with_capacity(lost_parity.len() * k);
-        for &lp in &lost_parity {
+        for &lp in lost_parity {
             parity_tables.extend_from_slice(&self.tables[(lp - k) * k..(lp - k + 1) * k]);
         }
         Ok(DecodePlan {
             survivors,
-            lost_data,
-            lost_parity,
+            lost,
+            data_lost,
             data_tables,
             parity_tables,
             len,
@@ -374,20 +357,11 @@ impl Dialga {
     /// given k survivors (the degraded-read fast path — one kernel pass,
     /// no full-stripe decode).
     ///
-    /// For a data target this is one row of the inverted decode matrix;
-    /// for a parity target the parity row is composed with the decode
-    /// matrix, so it works even when some data blocks are among the
-    /// erasures.
-    ///
-    /// The plan for the first k shards other than `target` — the set a
-    /// one-hole repair reads — is built once per coder and target and
-    /// borrowed from then on, so a repeated single-erasure repair inverts
-    /// no matrix. Any other survivor set is built on each call.
-    pub fn repair_plan(
-        &self,
-        survivors: &[usize],
-        target: usize,
-    ) -> Result<Cow<'_, RepairPlan>, EcError> {
+    /// For a data target this is its row of the decode matrix; a parity
+    /// target's row is composed with the lost data's rows, so it works even
+    /// when some data blocks are among the erasures. Both come from the
+    /// parity minor ([`GfMatrix::decode_rows`]) on each call.
+    pub fn repair_plan(&self, survivors: &[usize], target: usize) -> Result<RepairPlan, EcError> {
         let params = self.params();
         let (k, m) = (params.k, params.m);
         if target >= k + m {
@@ -402,45 +376,10 @@ impl Dialga {
                 got: target,
             });
         }
-        // The first k others are k distinct in-range indices without the
-        // target, so a request that matches them is valid.
-        let first_others = (0..k + m).filter(|&i| i != target).take(k);
-        if !survivors.iter().copied().eq(first_others) {
-            return self.build_repair_plan(survivors, target).map(Cow::Owned);
-        }
-        let slot = &self.repair_plans[target];
-        if let Some(plan) = slot.get() {
-            return Ok(Cow::Borrowed(plan));
-        }
-        let plan = self.build_repair_plan(survivors, target)?;
-        Ok(Cow::Borrowed(slot.get_or_init(|| plan)))
-    }
-
-    /// Invert the decode matrix for `survivors` and compose `target`'s row
-    /// ([`Self::repair_plan`]'s arithmetic; `target` is checked in range
-    /// and outside `survivors`).
-    fn build_repair_plan(&self, survivors: &[usize], target: usize) -> Result<RepairPlan, EcError> {
-        let k = self.params().k;
-        let dec = self.rs.decode_matrix(survivors)?;
-        let mut tables = Vec::with_capacity(k);
-        if target < k {
-            for col in 0..k {
-                tables.push(NibbleTables::new(dec[(target, col)].0));
-            }
-        } else {
-            let pm = self.rs.parity_matrix();
-            let row = target - k;
-            for col in 0..k {
-                let mut c = Gf8::ZERO;
-                for j in 0..k {
-                    c += pm[(row, j)] * dec[(j, col)];
-                }
-                tables.push(NibbleTables::new(c.0));
-            }
-        }
+        let rows = self.rs.parity_matrix().decode_rows(survivors, &[target])?;
         Ok(RepairPlan {
             survivors: survivors.to_vec(),
-            tables,
+            tables: nibble_tables(&rows),
         })
     }
 
@@ -626,14 +565,8 @@ impl Dialga {
         let d = data.len();
         let free: Vec<usize> = (0..m).filter(|r| !parity.contains(&(k + r))).collect();
         let (solve, check) = free.split_at(d);
-        let mut square = GfMatrix::zero(d, d);
-        for (i, &r) in solve.iter().enumerate() {
-            for (c, &j) in data.iter().enumerate() {
-                square[(i, c)] = coeff[(r, j)];
-            }
-        }
         // Not MDS (a caller-supplied matrix): nothing to solve with.
-        let Ok(inv) = square.inverse() else {
+        let Ok(inv) = coeff.minor_inverse(solve, data) else {
             return false;
         };
 
@@ -984,11 +917,10 @@ mod tests {
         out
     }
 
-    /// The first k others are served from the target's slot, the same plan
-    /// every time and the plan `decode_matrix` gives; any other survivor
-    /// set still gets its own plan once the slot is full.
+    /// Every target's plan, from the first k others and from the last k
+    /// others, is the plan `decode_matrix` gives and rebuilds the target.
     #[test]
-    fn single_erasure_plans_are_built_once_and_only_for_the_first_k_others() {
+    fn single_erasure_plans_match_the_decode_matrix_for_any_survivors() {
         for (k, m) in [(10usize, 4usize), (12, 8), (28, 24)] {
             let dialga = Dialga::new(k, m).unwrap();
             let n = k + m;
@@ -996,40 +928,23 @@ mod tests {
             for target in 0..n {
                 let first: Vec<usize> = (0..n).filter(|&i| i != target).take(k).collect();
                 let last: Vec<usize> = (0..n).rev().filter(|&i| i != target).take(k).collect();
-                let want = reference_repair_tables(k, m, &first, target);
-                let built = dialga.repair_plan(&first, target).unwrap();
-                let reused = dialga.repair_plan(&first, target).unwrap();
-                let (Cow::Borrowed(built), Cow::Borrowed(reused)) = (built, reused) else {
-                    panic!("k={k} m={m} target={target}: first-k plan not served from its slot");
-                };
-                assert!(std::ptr::eq(built, reused), "k={k} m={m} target={target}");
-                assert_eq!(built.tables(), want, "k={k} m={m} target={target}");
-                assert_eq!(built.survivors(), first);
-                assert_eq!(
-                    rebuild(built, &stripe, dialga.prefetch_distance()),
-                    stripe[target]
-                );
-
-                let other = dialga.repair_plan(&last, target).unwrap();
-                assert!(
-                    matches!(other, Cow::Owned(_)),
-                    "k={k} m={m} target={target}"
-                );
-                assert_eq!(other.tables(), reference_repair_tables(k, m, &last, target));
-                assert_eq!(other.survivors(), last);
-                assert_eq!(
-                    rebuild(&other, &stripe, dialga.prefetch_distance()),
-                    stripe[target],
-                    "k={k} m={m} target={target}: last-k survivors"
-                );
+                for survivors in [first, last] {
+                    let ctx = format!("k={k} m={m} target={target} survivors={survivors:?}");
+                    let plan = dialga.repair_plan(&survivors, target).unwrap();
+                    let want = reference_repair_tables(k, m, &survivors, target);
+                    assert_eq!(plan.tables(), want, "{ctx}");
+                    assert_eq!(plan.survivors(), survivors);
+                    let d = dialga.prefetch_distance();
+                    assert_eq!(rebuild(&plan, &stripe, d), stripe[target], "{ctx}");
+                }
             }
         }
     }
 
-    /// A rejected request returns the error it always did and fills no
-    /// slot, even when it differs from the first k others by one index.
+    /// A malformed request returns the error it always did, even when it
+    /// differs from the first k others by one index.
     #[test]
-    fn a_rejected_repair_plan_request_fills_no_slot() {
+    fn a_rejected_repair_plan_request_returns_its_error() {
         for (k, m) in [(10usize, 4usize), (12, 8), (28, 24)] {
             let dialga = Dialga::new(k, m).unwrap();
             let n = k + m;
@@ -1050,13 +965,8 @@ mod tests {
                 assert_eq!(plan(&long), count(k, k + 1));
                 assert_eq!(plan(&out_of_range), count(n, n));
                 assert_eq!(plan(&doubled), Err(EcError::SingularMatrix));
-                assert!(
-                    dialga.repair_plans[target].get().is_none(),
-                    "target {target}"
-                );
             }
             assert_eq!(dialga.repair_plan(&[], n).map(|_| ()), count(n, n));
-            assert!(dialga.repair_plans.iter().all(|slot| slot.get().is_none()));
         }
     }
 

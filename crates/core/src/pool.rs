@@ -770,7 +770,7 @@ impl EncodePool {
     /// Decode a batch of stripes across the pool in one submission.
     ///
     /// All stripes are planned and validated up front (survivor selection,
-    /// per-present-shard length checks, decode-matrix inversion — nothing
+    /// per-present-shard length checks, the parity minor's inversion — nothing
     /// runs or is mutated when any stripe is malformed), then the two
     /// reconstruction stages run chunked over the executors: lost data
     /// from survivors, then lost parity rows from the completed data.
@@ -854,10 +854,9 @@ impl EncodePool {
         check_target(coder, shards.len(), target)?;
         let params = coder.params();
         let (k, m) = (params.k, params.m);
-        let survivors: Vec<usize> = (0..k + m)
-            .filter(|&i| i != target && shards[i].is_some())
-            .take(k)
-            .collect();
+        let mut survivors = Vec::with_capacity(k);
+        let present = (0..k + m).filter(|&i| i != target && shards[i].is_some());
+        survivors.extend(present.take(k));
         if survivors.len() < k {
             let lost = shards.iter().filter(|s| s.is_none()).count().max(1);
             return Err(EcError::TooManyErasures { lost, tolerance: m });

@@ -152,45 +152,6 @@ fn chunks_run_by_the_submitter_are_counted_like_a_workers() {
     assert!(stats.busy_ns > 0);
 }
 
-#[test]
-fn racing_first_repairs_of_one_shard_both_rebuild_it() {
-    // Two threads repair the same shard of a fresh coder at once, so both
-    // may find its plan slot empty and build the plan; either way each
-    // gets the shard's bytes back.
-    let (k, m) = (12usize, 8usize);
-    let data = make_data(k, 1024 + 40);
-    let stripe: Vec<Vec<u8>> = {
-        let parity = Dialga::new(k, m).unwrap().encode_vec(&refs(&data)).unwrap();
-        data.into_iter().chain(parity).collect()
-    };
-    let pool = EncodePool::new(1);
-    for target in 0..k + m {
-        let coder = std::sync::Arc::new(Dialga::new(k, m).unwrap());
-        let mut holed: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-        holed[target] = None;
-        let start = std::sync::Barrier::new(2);
-        std::thread::scope(|s| {
-            let racers: Vec<_> = (0..2)
-                .map(|_| {
-                    let coder = std::sync::Arc::clone(&coder);
-                    let (pool, holed, start) = (&pool, &holed, &start);
-                    s.spawn(move || {
-                        start.wait();
-                        pool.repair(&coder, holed, target)
-                    })
-                })
-                .collect();
-            for racer in racers {
-                assert_eq!(
-                    racer.join().unwrap().unwrap(),
-                    stripe[target],
-                    "target {target}"
-                );
-            }
-        });
-    }
-}
-
 #[cfg(feature = "fault-injection")]
 mod executor_zero_faults {
     use super::*;

@@ -195,6 +195,8 @@ fn every_pool_operation_is_bit_exact_on_every_executor_count() {
         let mut holed = full.clone();
         holed[1] = None; // data
         holed[k + 1] = None; // parity, so both decode stages run
+        let mut wider = holed.clone();
+        wider[0] = None; // two lost data shards: a 2 x 2 parity minor
 
         for pool in &pools {
             let ctx = format!("len={len} threads={}", pool.threads());
@@ -244,11 +246,12 @@ fn every_pool_operation_is_bit_exact_on_every_executor_count() {
             let fresh = pool.encode_batch_vec(&coder, &stripes).unwrap();
             assert_eq!(fresh, batch_out, "encode_batch_vec {ctx}");
 
-            let mut shards = holed.clone();
-            pool.decode(&coder, &mut shards).unwrap();
-            assert_eq!(shards, full, "decode {ctx}");
-            let mut batch = [holed.clone(), full.clone(), holed.clone()];
-            batch[2][0] = None;
+            for holes in [&holed, &wider] {
+                let mut shards = holes.clone();
+                pool.decode(&coder, &mut shards).unwrap();
+                assert_eq!(shards, full, "decode {ctx}");
+            }
+            let mut batch = [holed.clone(), full.clone(), wider.clone()];
             {
                 let mut jobs: Vec<DecodeJob<'_>> = batch
                     .iter_mut()
@@ -259,8 +262,10 @@ fn every_pool_operation_is_bit_exact_on_every_executor_count() {
             assert!(batch.iter().all(|s| *s == full), "decode_batch {ctx}");
 
             for target in [1, k + 1, 0] {
-                let got = pool.repair(&coder, &holed, target).unwrap();
-                assert_eq!(Some(&got), full[target].as_ref(), "repair {target} {ctx}");
+                for holes in [&holed, &wider] {
+                    let got = pool.repair(&coder, holes, target).unwrap();
+                    assert_eq!(Some(&got), full[target].as_ref(), "repair {target} {ctx}");
+                }
             }
             pool.verify(&coder, &all[..k], &all[k..]).unwrap();
             if len > 0 {

@@ -21,15 +21,6 @@ impl GfMatrix {
         }
     }
 
-    /// Identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zero(n, n);
-        for i in 0..n {
-            m[(i, i)] = Gf8::ONE;
-        }
-        m
-    }
-
     /// Build from nested vectors (rows of equal length).
     pub fn from_rows(rows: Vec<Vec<Gf8>>) -> Self {
         let r = rows.len();
@@ -164,31 +155,8 @@ impl GfMatrix {
     /// invertible.
     pub fn inverse(&self) -> Result<GfMatrix, EcError> {
         assert_eq!(self.rows, self.cols, "inverse of non-square matrix");
-        let n = self.rows;
-        let mut a = self.clone();
-        let mut inv = Self::identity(n);
-        for col in 0..n {
-            let pivot = (col..n)
-                .find(|&r| a[(r, col)] != Gf8::ZERO)
-                .ok_or(EcError::SingularMatrix)?;
-            if pivot != col {
-                a.swap_rows(pivot, col);
-                inv.swap_rows(pivot, col);
-            }
-            let f = a[(col, col)].inv();
-            if f != Gf8::ONE {
-                a.scale_row(col, f);
-                inv.scale_row(col, f);
-            }
-            for r in 0..n {
-                if r != col && a[(r, col)] != Gf8::ZERO {
-                    let factor = a[(r, col)];
-                    a.sub_scaled_row(col, r, factor);
-                    inv.sub_scaled_row(col, r, factor);
-                }
-            }
-        }
-        Ok(inv)
+        let all: Vec<usize> = (0..self.rows).collect();
+        self.minor_inverse(&all, &all)
     }
 
     /// Matrix product.
@@ -219,6 +187,107 @@ impl GfMatrix {
             }
         }
         out
+    }
+
+    /// Invert the minor `self[rows, cols]` (rows and columns in the order
+    /// listed) by Gauss–Jordan on `[minor | I]`, in one allocation. A minor
+    /// that is not square, or is singular, is [`EcError::SingularMatrix`].
+    pub fn minor_inverse(&self, rows: &[usize], cols: &[usize]) -> Result<GfMatrix, EcError> {
+        let n = rows.len();
+        if cols.len() != n {
+            return Err(EcError::SingularMatrix);
+        }
+        let mut a = Self::zero(n, 2 * n);
+        for (i, &r) in rows.iter().enumerate() {
+            for (c, &j) in cols.iter().enumerate() {
+                a[(i, c)] = self[(r, j)];
+            }
+            a[(i, n + i)] = Gf8::ONE;
+        }
+        for col in 0..n {
+            let pivot = (col..n)
+                .find(|&r| a[(r, col)] != Gf8::ZERO)
+                .ok_or(EcError::SingularMatrix)?;
+            a.swap_rows(pivot, col);
+            a.scale_row(col, a[(col, col)].inv());
+            for r in 0..n {
+                let factor = a[(r, col)];
+                if r != col && factor != Gf8::ZERO {
+                    a.sub_scaled_row(col, r, factor);
+                }
+            }
+        }
+        // `[I | minor⁻¹]`: keep the right half.
+        for r in 0..n {
+            a.data.copy_within((2 * r + 1) * n..(2 * r + 2) * n, r * n);
+        }
+        a.data.truncate(n * n);
+        a.cols = n;
+        Ok(a)
+    }
+
+    /// Rows `targets` of `G · G[survivors]⁻¹`, where `self` is the `m x k`
+    /// parity matrix `P` of the systematic code `G = [I; P]`: the
+    /// coefficients that rebuild each target from the `k` survivors, in
+    /// survivor order (for data targets,
+    /// `ReedSolomon::decode_matrix(survivors)?.select_rows(targets)`).
+    ///
+    /// Only the minor `A = P[R, L]` is inverted, `R` the parity survivors
+    /// and `L` the lost data (`G[survivors]` is invertible exactly when `A`
+    /// is): `P[R, L] · x_L = p_R + P[R, D] · x_D` over the data survivors
+    /// `D`, so target `t` weighs `R` by `y = G[t, L] · A⁻¹` and `j ∈ D` by
+    /// `G[t, j] + y · P[R, j]`. Errors are `decode_matrix`'s, a target
+    /// `>= k + m` included; a repeated survivor makes `A` singular.
+    pub fn decode_rows(&self, survivors: &[usize], targets: &[usize]) -> Result<GfMatrix, EcError> {
+        let (m, k) = (self.rows, self.cols);
+        if survivors.len() != k {
+            return Err(EcError::BlockCount {
+                expected: k,
+                got: survivors.len(),
+            });
+        }
+        if let Some(&i) = survivors.iter().chain(targets).find(|&&i| i >= k + m) {
+            return Err(EcError::BlockCount {
+                expected: k + m,
+                got: i,
+            });
+        }
+        // `A`'s rows (the parity survivors), then its columns (the lost data).
+        let mut minor = Vec::with_capacity(2 * m.min(k));
+        minor.extend(survivors.iter().filter_map(|s| s.checked_sub(k)));
+        let e = minor.len();
+        minor.extend((0..k).filter(|j| !survivors.contains(j)));
+        let (parity, lost) = minor.split_at(e);
+        let inv = self.minor_inverse(parity, lost)?;
+        let mut rows = Self::zero(targets.len(), k);
+        for (i, &t) in targets.iter().enumerate() {
+            // `y = G[t, L] · A⁻¹`: a lost data target's row of `A⁻¹`, none
+            // for a surviving one.
+            let weights: GfMatrix;
+            let y = match (t.checked_sub(k), lost.iter().position(|&l| l == t)) {
+                (Some(r), _) => {
+                    let p = lost.iter().map(|&l| self[(r, l)]).collect();
+                    weights = Self::from_rows(vec![p]).matmul(&inv);
+                    weights.row(0)
+                }
+                (None, Some(a)) => inv.row(a),
+                (None, None) => &[],
+            };
+            let g = |j: usize| match t.checked_sub(k) {
+                Some(r) => self[(r, j)],
+                None => Gf8((j == t).into()),
+            };
+            let on_data = survivors.iter().enumerate().filter(|&(_, &s)| s < k);
+            for (c, &s) in on_data {
+                let terms = parity.iter().zip(y);
+                rows[(i, c)] = terms.fold(g(s), |acc, (&r, &w)| acc + w * self[(r, s)]);
+            }
+            let on_parity = survivors.iter().enumerate().filter(|&(_, &s)| s >= k);
+            for ((c, _), &w) in on_parity.zip(y) {
+                rows[(i, c)] = w;
+            }
+        }
+        Ok(rows)
     }
 
     fn swap_rows(&mut self, r1: usize, r2: usize) {
@@ -340,8 +409,10 @@ mod tests {
     fn inverse_roundtrip() {
         let p = GfMatrix::cauchy_parity(4, 4);
         let inv = p.inverse().unwrap();
-        assert_eq!(p.matmul(&inv), GfMatrix::identity(4));
-        assert_eq!(inv.matmul(&p), GfMatrix::identity(4));
+        let mut id = GfMatrix::zero(4, 4);
+        (0..4).for_each(|i| id[(i, i)] = Gf8::ONE);
+        assert_eq!(p.matmul(&inv), id);
+        assert_eq!(inv.matmul(&p), id);
     }
 
     #[test]

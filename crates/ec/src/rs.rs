@@ -3,8 +3,8 @@
 //! Encoding reads each data block exactly once and accumulates into the m
 //! parity blocks with `mul_add_slice` — the memory access pattern the
 //! paper's §3 analysis is built on ("ISA-L only needs to load each data
-//! block once during encoding"). Decoding selects k surviving blocks,
-//! inverts the corresponding generator rows, and runs the same kernel.
+//! block once during encoding"). Decoding inverts the k surviving generator
+//! rows and runs the same kernel ([`GfMatrix::decode_rows`] inverts a minor).
 
 use crate::{CodeParams, EcError, GfMatrix};
 use dialga_gf::simd::mul_add_slice_simd;
@@ -162,10 +162,10 @@ impl ReedSolomon {
     }
 
     /// Build the k x k decode matrix for a set of surviving block indices
-    /// (0..k are data blocks, k..k+m parity). Exposed for the timing model
-    /// and for the XOR baseline (which expands it to a dense bitmatrix).
-    /// A survivor outside the stripe (`>= k + m`) is
-    /// [`EcError::BlockCount`].
+    /// (0..k are data blocks, k..k+m parity) by inverting it whole: what
+    /// [`Self::decode`] runs, and the reference the tests hold
+    /// [`GfMatrix::decode_rows`] to. A survivor outside the stripe
+    /// (`>= k + m`) is [`EcError::BlockCount`].
     pub fn decode_matrix(&self, survivors: &[usize]) -> Result<GfMatrix, EcError> {
         if survivors.len() != self.params.k {
             return Err(EcError::BlockCount {

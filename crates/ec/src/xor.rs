@@ -7,7 +7,7 @@
 //! behaviour the paper shows is a liability on PM.
 
 use crate::schedule::{Dst, Src};
-use crate::{CodeParams, EcError, GfMatrix, ReedSolomon, Schedule};
+use crate::{CodeParams, EcError, GfMatrix, Schedule};
 use dialga_gf::bitmatrix::{BitMatrix, W};
 use dialga_gf::slice::xor_slice;
 
@@ -204,10 +204,10 @@ impl XorCode {
     }
 
     /// Build the decode schedule for a survivor set. As the paper's §5.4
-    /// explains, the decode bitmatrix is *derived* (inverse of the survivor
-    /// generator rows) and cannot be optimized like the encode matrix — it
-    /// is dense, so the schedule is long. We still apply smart scheduling,
-    /// mirroring what the libraries do, but the density dominates.
+    /// explains, the decode bitmatrix is *derived* ([`GfMatrix::decode_rows`])
+    /// and cannot be optimized like the encode matrix — it is dense, so the
+    /// schedule is long. We still apply smart scheduling, mirroring what the
+    /// libraries do, but the density dominates.
     ///
     /// Every `lost` index must name a data block (`< k`) — parity is
     /// re-encoded, not scheduled — and every survivor a block of the stripe
@@ -225,19 +225,14 @@ impl XorCode {
                 got: l,
             });
         }
-        let rs = ReedSolomon::from_parity_matrix(self.parity_matrix.clone())?;
         // Refuses a survivor outside the stripe.
-        let dec = rs.decode_matrix(survivors)?;
-        // Rows of `dec` reconstruct data blocks from survivors; select the
-        // lost data rows.
-        let rows: Vec<Vec<dialga_gf::Gf8>> = lost.iter().map(|&l| dec.row(l).to_vec()).collect();
-        let sub = GfMatrix::from_rows(rows);
-        let bm = BitMatrix::from_gf_matrix(&sub.to_rows());
+        let rows = self.parity_matrix.decode_rows(survivors, lost)?;
+        let bm = BitMatrix::from_gf_matrix(&rows.to_rows());
         Ok(Schedule::smart_from_bitmatrix(&bm, k, lost.len()))
     }
 
     /// Reconstruct missing blocks in place (same contract as
-    /// [`ReedSolomon::decode`]).
+    /// [`ReedSolomon::decode`](crate::ReedSolomon::decode)).
     pub fn decode(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
         let (k, m) = (self.params.k, self.params.m);
         if shards.len() != k + m {

@@ -4,6 +4,7 @@
 //! Randomized with the in-tree deterministic harness (`dialga-testkit`).
 
 use dialga_ec::decompose::DecomposedRs;
+use dialga_ec::rs::MatrixKind;
 use dialga_ec::xor::XorFlavor;
 use dialga_ec::{Lrc, ReedSolomon, XorCode};
 use dialga_testkit::run_cases;
@@ -253,4 +254,76 @@ fn lrc_local_repair_plan_recovers_any_data_block() {
             .unwrap();
         assert_eq!(out, data[lost]);
     });
+}
+
+/// `GfMatrix::decode_rows` from the parity minor against the whole `k x k`
+/// inversion: data targets (lost, and surviving ones' unit rows) are
+/// `decode_matrix(survivors).select_rows(targets)`, parity targets their
+/// parity rows times it, and a singular minor, a malformed survivor list
+/// or a target outside the stripe the same `Err`. Both matrix kinds; every
+/// erasure pattern of (6,3) and (10,4) with survivors the first and the
+/// last k present; seeded k-subsets, in seeded order, of (12,8) and
+/// (28,24).
+#[test]
+fn decode_rows_are_the_decode_matrix_rows() {
+    fn check(rs: &ReedSolomon, kind: MatrixKind, survivors: &[usize], targets: &[usize]) {
+        let k = rs.params().k;
+        let pm = rs.parity_matrix();
+        let (data, parity): (Vec<usize>, Vec<usize>) = targets.iter().partition(|&&t| t < k);
+        let parity_rows: Vec<usize> = parity.iter().map(|&t| t - k).collect();
+        let dec = rs.decode_matrix(survivors);
+        let ctx = format!("{kind:?} k={k} survivors={survivors:?}");
+        assert_eq!(
+            pm.decode_rows(survivors, &data),
+            dec.clone().map(|d| d.select_rows(&data)),
+            "{ctx} data targets {data:?}"
+        );
+        assert_eq!(
+            pm.decode_rows(survivors, &parity),
+            dec.map(|d| pm.select_rows(&parity_rows).matmul(&d)),
+            "{ctx} parity targets {parity:?}"
+        );
+    }
+    for kind in [MatrixKind::Cauchy, MatrixKind::Vandermonde] {
+        for (k, m) in [(6usize, 3usize), (10, 4)] {
+            let rs = ReedSolomon::with_matrix(k, m, kind).unwrap();
+            let n = k + m;
+            let every: Vec<usize> = (0..n).collect();
+            for lost in (0u32..1 << n).filter(|l| l.count_ones() as usize <= m) {
+                let present: Vec<usize> = (0..n).filter(|&i| lost >> i & 1 == 0).collect();
+                check(&rs, kind, &present[..k], &every);
+                check(&rs, kind, &present[present.len() - k..], &every);
+            }
+        }
+        for (k, m) in [(12usize, 8usize), (28, 24)] {
+            let rs = ReedSolomon::with_matrix(k, m, kind).unwrap();
+            let n = k + m;
+            run_cases(64, |rng| {
+                let mut order: Vec<usize> = (0..n).collect();
+                rng.shuffle(&mut order);
+                let survivors = &order[..k];
+                let mut targets: Vec<usize> = (0..n).collect();
+                rng.shuffle(&mut targets);
+                targets.truncate(rng.range(1, n + 1));
+                check(&rs, kind, survivors, &targets);
+
+                let mut doubled = survivors.to_vec();
+                doubled[rng.range(0, k)] = survivors[rng.range(0, k)];
+                let mut outside = survivors.to_vec();
+                outside[rng.range(0, k)] = rng.range(n, 2 * n);
+                for bad in [&doubled[..], &outside, &order[..k - 1], &order[..k + 1]] {
+                    check(&rs, kind, bad, &targets);
+                }
+                let pm = rs.parity_matrix();
+                let far = rng.range(n, 2 * n);
+                assert_eq!(
+                    pm.decode_rows(survivors, &[0, far]),
+                    Err(dialga_ec::EcError::BlockCount {
+                        expected: n,
+                        got: far
+                    })
+                );
+            });
+        }
+    }
 }
