@@ -205,16 +205,14 @@ impl RepairPlan {
 #[derive(Debug, Clone)]
 pub struct Dialga {
     rs: ReedSolomon,
-    /// Precomputed split-nibble tables, `m x k` (ISA-L's `gf_table`).
-    tables: Vec<NibbleTables>,
 }
 
 impl Dialga {
     /// Build RS(k+m, k).
     pub fn new(k: usize, m: usize) -> Result<Self, EcError> {
-        let rs = ReedSolomon::new(k, m)?;
-        let tables = nibble_tables(rs.parity_matrix());
-        Ok(Dialga { rs, tables })
+        Ok(Dialga {
+            rs: ReedSolomon::new(k, m)?,
+        })
     }
 
     /// Code geometry.
@@ -265,9 +263,10 @@ impl Dialga {
         Ok(len)
     }
 
-    /// The precomputed `m x k` encode tables (row-major per parity row).
+    /// The precomputed `m x k` encode tables (row-major per parity row),
+    /// the wrapped code's own.
     pub(crate) fn tables(&self) -> &[NibbleTables] {
-        &self.tables
+        self.rs.tables()
     }
 
     /// Encode the k data blocks into the m parity blocks.
@@ -281,7 +280,7 @@ impl Dialga {
                 });
             }
         }
-        apply_tables(&self.tables, data, parity, self.sched());
+        apply_tables(self.tables(), data, parity, self.sched());
         Ok(())
     }
 
@@ -290,7 +289,13 @@ impl Dialga {
     pub fn encode_vec(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>, EcError> {
         let m = self.params().m;
         let len = self.check(data, m)?;
-        Ok(dot_prod_fused_vec(&self.tables, data, m, len, self.sched()))
+        Ok(dot_prod_fused_vec(
+            self.tables(),
+            data,
+            m,
+            len,
+            self.sched(),
+        ))
     }
 
     /// Build the reconstruction plan for the erasure pattern in `shards`:
@@ -341,7 +346,7 @@ impl Dialga {
         let data_tables = nibble_tables(&pm.decode_rows(&survivors, lost_data)?);
         let mut parity_tables = Vec::with_capacity(lost_parity.len() * k);
         for &lp in lost_parity {
-            parity_tables.extend_from_slice(&self.tables[(lp - k) * k..(lp - k + 1) * k]);
+            parity_tables.extend_from_slice(&self.tables()[(lp - k) * k..(lp - k + 1) * k]);
         }
         Ok(DecodePlan {
             survivors,
@@ -441,7 +446,7 @@ impl Dialga {
             }
         }
         Ok(dialga_gf::simd::dot_prod_verify(
-            &self.tables,
+            self.tables(),
             data,
             parity,
             self.sched(),
@@ -515,7 +520,7 @@ impl Dialga {
         let corrupt = || EcError::Corrupt {
             shards: syndromes.iter().map(|&r| k + r).collect(),
         };
-        let support = dot_prod_syndromes(&self.tables, data, parity, self.sched());
+        let support = dot_prod_syndromes(self.tables(), data, parity, self.sched());
         let (forced, rest): (Vec<usize>, Vec<usize>) = (0..k + m).partition(|i| erased.contains(i));
         // The empty set never explains a non-zero syndrome.
         for t in forced.len().max(1)..=m.saturating_sub(1).max(1) {

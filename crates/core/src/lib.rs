@@ -1,5 +1,17 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! DIALGA on real bytes: the coder and the pool that runs its schedule.
 //!
 //! * [`encoder::Dialga`] — a functional Reed–Solomon encoder/decoder

@@ -612,13 +612,12 @@ impl EncodePool {
             #[cfg(feature = "fault-injection")]
             fault: Arc::new(FaultCell::new()),
         });
+        // A host that cannot spawn threads cannot make progress anyway;
+        // submission tolerates dead workers (`run_jobs`).
+        #[allow(clippy::expect_used, reason = "no Result channel at construction")]
         let slots = (1..threads)
             .map(|executor| {
-                spawn_worker(executor, Arc::clone(&shared))
-                    // A host that cannot spawn threads cannot make progress
-                    // anyway; submission tolerates dead workers (`run_jobs`).
-                    // lint:allow(panic-path): no Result channel at construction
-                    .expect("spawn encode worker")
+                spawn_worker(executor, Arc::clone(&shared)).expect("spawn encode worker")
             })
             .collect();
         EncodePool {
@@ -1102,8 +1101,8 @@ fn run_chunk(shared: &PoolShared, executor: usize, work: &Work) -> Result<(), Ch
         // Scripted fault: die exactly where a kernel bug would, inside
         // the catch_unwind that guards real kernel panics.
         #[cfg(feature = "fault-injection")]
+        #[allow(clippy::panic, reason = "deliberate scripted executor fault")]
         if scripted_panic {
-            // lint:allow(panic-path): deliberate scripted executor fault
             panic!("injected executor panic (executor {executor})");
         }
         // SAFETY: the submitting thread stays inside `run_jobs_once`

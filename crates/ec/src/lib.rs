@@ -1,5 +1,16 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! Erasure codes for the DIALGA reproduction.
 //!
 //! This crate implements every coding system the paper evaluates:

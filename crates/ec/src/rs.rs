@@ -96,10 +96,10 @@ impl ReedSolomon {
         &self.parity
     }
 
-    /// Number of GF multiply-accumulate slice passes an encode performs
-    /// (k * m — the compute-cost input for the timing model).
-    pub fn encode_mul_ops(&self) -> usize {
-        self.params.k * self.params.m
+    /// The precomputed split-nibble tables of the parity matrix, `m x k`
+    /// row-major: the coefficient tables every encode kernel reads.
+    pub fn tables(&self) -> &[NibbleTables] {
+        &self.tables
     }
 
     fn check_blocks(&self, count_expected: usize, blocks: &[&[u8]]) -> Result<usize, EcError> {

@@ -1,5 +1,16 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! Deterministic fault injection for the DIALGA workspace.
 //!
 //! Production code cannot be trusted on its failure paths unless those

@@ -1,5 +1,17 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! GF(2^8) finite-field arithmetic for erasure coding.
 //!
 //! This crate is the arithmetic substrate of the DIALGA reproduction. It

@@ -121,13 +121,15 @@ pub fn selected_kernel() -> Kernel {
 pub fn mul_add_slice_simd(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
     assert_eq!(src.len(), dst.len(), "mul_add_slice_simd length mismatch");
     match selected_kernel() {
-        // SAFETY (all three arms): `selected_kernel` returns a tier only when
+        // SAFETY: `selected_kernel` returns a tier only when
         // `is_x86_feature_detected!` confirmed every feature its entry point
         // enables (overrides only lower it); lengths were asserted equal.
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx512Gfni => unsafe { x86::mul_add_gfni(t, src, dst) },
+        // SAFETY: as for the GFNI arm.
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 => unsafe { x86::mul_add_avx2(t, src, dst) },
+        // SAFETY: as for the GFNI arm.
         #[cfg(target_arch = "x86_64")]
         Kernel::Ssse3 => unsafe { x86::mul_add_ssse3(t, src, dst) },
         _ => crate::slice::mul_add_slice_tab(t, src, dst),
@@ -358,15 +360,17 @@ fn fused_on<S: AccessSink>(
         // lines the first pass already pulled in.
         let prefetch = g == 0 && sched.d.is_some();
         match kern {
-            // SAFETY (all three arms): `selected_kernel` returns a tier only
-            // when runtime detection confirmed every feature its entry point
-            // enables (overrides only lower it); `tabs` holds `outs.len() * k`
+            // SAFETY: `selected_kernel` returns a tier only when runtime
+            // detection confirmed every feature its entry point enables
+            // (overrides only lower it); `tabs` holds `outs.len() * k`
             // tables, `outs.len() <= FUSED_GROUP`, and every source/output
             // was asserted to hold the pass's `rows * CACHELINE` bytes above.
             #[cfg(target_arch = "x86_64")]
             Kernel::Avx512Gfni => unsafe { x86::fused_gfni(tabs, sources, outs, &pass, prefetch) },
+            // SAFETY: as for the GFNI arm.
             #[cfg(target_arch = "x86_64")]
             Kernel::Avx2 => unsafe { x86::fused_avx2(tabs, sources, outs, &pass, prefetch) },
+            // SAFETY: as for the GFNI arm.
             #[cfg(target_arch = "x86_64")]
             Kernel::Ssse3 => unsafe { x86::fused_ssse3(tabs, sources, outs, &pass, prefetch) },
             _ => group_pass_portable(tabs, sources, outs, g * FUSED_GROUP, &pass, prefetch, sink),
@@ -564,13 +568,27 @@ mod x86 {
     /// # Safety
     /// Every method compiles to its tier's instructions: call them only
     /// from (code inlined into) that tier's `#[target_feature]` entry point.
-    /// `load`/`store` touch `WIDTH` bytes at `p`, which must lie inside a
-    /// live allocation; no alignment is required.
     trait Lanes: Copy {
+        /// Reads `WIDTH` bytes at `p`.
+        ///
+        /// # Safety
+        /// The tier's features are on, and the `WIDTH` bytes at `p` lie
+        /// inside a live allocation; no alignment is required.
         unsafe fn load(p: *const u8) -> Self;
+        /// Writes `WIDTH` bytes at `p`.
+        ///
+        /// # Safety
+        /// As for `load`, and the bytes are writable.
         unsafe fn store(self, p: *mut u8);
+        /// The loaded source vector in the form `mul_acc` consumes.
+        ///
+        /// # Safety
+        /// The tier's features are on.
         unsafe fn split(self) -> Self::Src;
         /// `self ^ c · s` bytewise, `c` the coefficient `t` was prepared for.
+        ///
+        /// # Safety
+        /// The tier's features are on.
         unsafe fn mul_acc(self, t: &NibbleTables, s: Self::Src) -> Self;
         /// Bytes per vector; divides `CACHELINE`.
         const WIDTH: usize;
@@ -583,13 +601,14 @@ mod x86 {
     impl Lanes for __m128i {
         const WIDTH: usize = CACHELINE / 4;
         type Src = (__m128i, __m128i);
-        // SAFETY (load, store): 16 accessible bytes at `p` (trait contract).
         #[inline(always)]
         unsafe fn load(p: *const u8) -> Self {
+            // SAFETY: 16 accessible bytes at `p` (trait contract).
             unsafe { _mm_loadu_si128(p as *const __m128i) }
         }
         #[inline(always)]
         unsafe fn store(self, p: *mut u8) {
+            // SAFETY: 16 writable bytes at `p` (trait contract).
             unsafe { _mm_storeu_si128(p as *mut __m128i, self) }
         }
         #[inline(always)]
@@ -618,13 +637,14 @@ mod x86 {
     impl Lanes for __m256i {
         const WIDTH: usize = CACHELINE / 2;
         type Src = (__m256i, __m256i);
-        // SAFETY (load, store): 32 accessible bytes at `p` (trait contract).
         #[inline(always)]
         unsafe fn load(p: *const u8) -> Self {
+            // SAFETY: 32 accessible bytes at `p` (trait contract).
             unsafe { _mm256_loadu_si256(p as *const __m256i) }
         }
         #[inline(always)]
         unsafe fn store(self, p: *mut u8) {
+            // SAFETY: 32 writable bytes at `p` (trait contract).
             unsafe { _mm256_storeu_si256(p as *mut __m256i, self) }
         }
         #[inline(always)]
@@ -658,22 +678,23 @@ mod x86 {
     impl Lanes for __m512i {
         const WIDTH: usize = CACHELINE;
         type Src = __m512i;
-        // SAFETY (load, store): 64 accessible bytes at `p` (trait contract).
         #[inline(always)]
         unsafe fn load(p: *const u8) -> Self {
+            // SAFETY: 64 accessible bytes at `p` (trait contract).
             unsafe { _mm512_loadu_si512(p as *const __m512i) }
         }
         #[inline(always)]
         unsafe fn store(self, p: *mut u8) {
+            // SAFETY: 64 writable bytes at `p` (trait contract).
             unsafe { _mm512_storeu_si512(p as *mut __m512i, self) }
         }
         #[inline(always)]
         unsafe fn split(self) -> Self {
             self
         }
-        // SAFETY: AVX-512F and GFNI are on (trait contract); register-only.
         #[inline(always)]
         unsafe fn mul_acc(self, t: &NibbleTables, s: Self) -> Self {
+            // SAFETY: AVX-512F and GFNI are on (trait contract); register-only.
             unsafe {
                 let matrix = _mm512_set1_epi64(t.affine as i64);
                 _mm512_xor_si512(self, _mm512_gf2p8affine_epi64_epi8::<0>(s, matrix))

@@ -1,19 +1,19 @@
-//! The rule engine: R1, R2, R4–R6, R8 and R9 over scanned source files,
-//! with per-rule inline allow directives.
+//! The rule engine: R2, R6, R8 and R9 over scanned source files, with
+//! per-rule inline allow directives.
 //!
 //! Every rule reports `file:line`, a rule id and a rationale. A finding may
 //! be suppressed at a specific site with a justification comment on the
 //! same line or the line above:
 //!
 //! ```text
-//! // lint:allow(panic-path): spawn failure at pool construction is
-//! // unrecoverable; callers build pools at startup.
+//! // lint:allow(lock-order): non-blocking probe on an unbounded
+//! // channel; the receiver never takes this lock.
 //! ```
 //!
-//! The directive names the rule key (`safety-comment`, `unsafe-confine`,
-//! `panic-path`, `raw-ptr`, `const-drift`, `lock-order`,
-//! `atomic-protocol`), never a blanket "allow all" — suppressions stay per-rule and per-site, and the
-//! justification text travels with the site in the source.
+//! The directive names the rule key (`unsafe-confine`, `const-drift`,
+//! `lock-order`, `atomic-protocol`), never a blanket "allow all" —
+//! suppressions stay per-rule and per-site, and the justification text
+//! travels with the site in the source.
 //!
 //! R8 is the only cross-file rule: each file contributes lock-acquisition
 //! edges, and cycle detection runs over the whole batch passed to
@@ -23,24 +23,13 @@
 
 use crate::scan::{scan, Scanned, TokKind};
 
-/// How many lines above an `unsafe` keyword a `SAFETY:` comment may sit
-/// (R1). Large enough for a multi-line invariant, small enough that a
-/// comment cannot accidentally license a distant site.
-pub const SAFETY_WINDOW: u32 = 10;
-
 /// The rule set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
-    /// R1: every `unsafe` block/fn/impl carries a `SAFETY:` comment.
-    SafetyComment,
     /// R2: `unsafe` confined to whitelisted kernel modules; other crate
     /// roots carry `#![forbid(unsafe_code)]` (whitelisted crates carry
     /// `#![deny(unsafe_op_in_unsafe_fn)]`).
     UnsafeConfine,
-    /// R4: no `unwrap()`/`expect()`/`panic!` on library code paths.
-    PanicPath,
-    /// R5: raw-pointer arithmetic only inside whitelisted kernel modules.
-    RawPtr,
     /// R6: integer literals shadowing guarded geometry constants
     /// (`CHUNK_ALIGN`/`XPLINE` = 256, `CACHELINE` = 64) outside the
     /// constants' defining modules.
@@ -59,11 +48,8 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in id order: what the analyzer runs and reports.
-    pub const ALL: [Rule; 7] = [
-        Rule::SafetyComment,
+    pub const ALL: [Rule; 4] = [
         Rule::UnsafeConfine,
-        Rule::PanicPath,
-        Rule::RawPtr,
         Rule::ConstDrift,
         Rule::LockOrder,
         Rule::AtomicProtocol,
@@ -72,10 +58,7 @@ impl Rule {
     /// Display id, e.g. `R9 atomic-protocol`.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::SafetyComment => "R1 safety-comment",
             Rule::UnsafeConfine => "R2 unsafe-confine",
-            Rule::PanicPath => "R4 panic-path",
-            Rule::RawPtr => "R5 raw-ptr",
             Rule::ConstDrift => "R6 const-drift",
             Rule::LockOrder => "R8 lock-order",
             Rule::AtomicProtocol => "R9 atomic-protocol",
@@ -85,10 +68,7 @@ impl Rule {
     /// Key used by `lint:allow(<key>)` directives.
     pub fn key(self) -> &'static str {
         match self {
-            Rule::SafetyComment => "safety-comment",
             Rule::UnsafeConfine => "unsafe-confine",
-            Rule::PanicPath => "panic-path",
-            Rule::RawPtr => "raw-ptr",
             Rule::ConstDrift => "const-drift",
             Rule::LockOrder => "lock-order",
             Rule::AtomicProtocol => "atomic-protocol",
@@ -134,18 +114,14 @@ impl std::fmt::Display for Finding {
 /// with forward slashes.
 #[derive(Debug, Clone, Default)]
 pub struct Config {
-    /// Files allowed to contain `unsafe` and raw-pointer arithmetic (R2,
-    /// R5): the kernel modules whose unsafety is the point.
+    /// Files allowed to contain `unsafe` (R2): the kernel modules whose
+    /// unsafety is the point.
     pub unsafe_whitelist: Vec<String>,
     /// Crate roots that must carry `#![forbid(unsafe_code)]` (R2).
     pub forbid_roots: Vec<String>,
     /// Crate roots that must carry `#![deny(unsafe_op_in_unsafe_fn)]`
     /// (R2) — the crates hosting whitelisted kernel modules.
     pub deny_unsafe_op_roots: Vec<String>,
-    /// Path prefixes whose library code must be panic-free (R4). Tests,
-    /// benches, examples and bins are exempt by construction: only `src/`
-    /// library paths are listed, and `#[cfg(test)]` items are skipped.
-    pub panic_free_prefixes: Vec<String>,
     /// Every declared atomic in the workspace, with its protocol role
     /// (R9: `Knob` members are checked everywhere, the rest in scope,
     /// where every atomic op must also resolve to a declaration).
@@ -246,22 +222,6 @@ const ATOMIC_OPS: &[&str] = &[
     "compare_exchange_weak",
 ];
 
-/// Pointer-arithmetic methods R5 looks for inside unsafe regions.
-const PTR_ARITH: &[&str] = &[
-    "add",
-    "sub",
-    "offset",
-    "byte_add",
-    "byte_sub",
-    "byte_offset",
-    "wrapping_add",
-    "wrapping_sub",
-    "wrapping_offset",
-];
-
-/// Panic macros R4 rejects on library paths.
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
 // Paths are workspace-relative on both sides, so matching is exact — a
 // suffix match would let the facade root `src/lib.rs` claim every crate's
 // `lib.rs`.
@@ -307,13 +267,9 @@ fn check_one(
     let mut out = Vec::new();
     let whitelisted = cfg.unsafe_whitelist.iter().any(|w| matches_path(path, w));
     let test_regions = s.cfg_test_regions();
-    let unsafe_regions = s.unsafe_regions();
     let allows = collect_allows(&s);
 
-    rule_safety_comment(path, &s, &mut out);
     rule_unsafe_confine(path, &s, cfg, whitelisted, &mut out);
-    rule_panic_path(path, &s, cfg, &test_regions, &mut out);
-    rule_raw_ptr(path, &s, whitelisted, &unsafe_regions, &mut out);
     rule_const_drift(path, &s, cfg, &test_regions, &mut out);
     rule_lock_order(path, &s, cfg, &test_regions, &allows, &mut out, edges);
     rule_atomic_protocol(path, &s, cfg, &test_regions, &mut out);
@@ -321,33 +277,6 @@ fn check_one(
     apply_allow_directives(&allows, &mut out);
     out.sort_by_key(|f| f.line);
     findings.append(&mut out);
-}
-
-/// R1: every `unsafe` keyword needs a comment containing `SAFETY` (case
-/// insensitive, so `# Safety` doc sections on `unsafe fn` count) ending
-/// within [`SAFETY_WINDOW`] lines above the keyword, or on its line.
-fn rule_safety_comment(path: &str, s: &Scanned, out: &mut Vec<Finding>) {
-    for site in s.unsafe_sites() {
-        let line = s.tokens[site].line;
-        let documented = s.comments.iter().any(|c| {
-            c.end_line <= line
-                && c.end_line + SAFETY_WINDOW >= line
-                && c.text.to_ascii_lowercase().contains("safety")
-        });
-        if !documented {
-            out.push(Finding {
-                path: path.to_string(),
-                line,
-                rule: Rule::SafetyComment,
-                message: format!(
-                    "`unsafe` without a `// SAFETY:` comment within the preceding \
-                     {SAFETY_WINDOW} lines — state the invariant (alignment, length, \
-                     liveness, CPU feature) that makes this sound"
-                ),
-                notes: Vec::new(),
-            });
-        }
-    }
 }
 
 /// R2: `unsafe` keywords outside the whitelist, and missing crate-root
@@ -476,92 +405,6 @@ fn atomic_call_at(s: &Scanned, i: usize) -> Option<(String, String, Vec<String>,
         return None; // not an atomic call (no explicit Ordering argument)
     }
     Some((op.to_string(), recv, orderings, s.tokens[i].line))
-}
-
-/// R4: `unwrap()`, `expect()` and panic macros on library code paths.
-fn rule_panic_path(
-    path: &str,
-    s: &Scanned,
-    cfg: &Config,
-    test_regions: &[(u32, u32)],
-    out: &mut Vec<Finding>,
-) {
-    if !cfg
-        .panic_free_prefixes
-        .iter()
-        .any(|p| path.starts_with(p.as_str()))
-    {
-        return;
-    }
-    for i in 0..s.tokens.len() {
-        let Some(id) = s.ident(i) else { continue };
-        let line = s.tokens[i].line;
-        if in_any_region(line, test_regions) {
-            continue;
-        }
-        let what = if (id == "unwrap" || id == "expect")
-            && i >= 1
-            && s.is_punct(i - 1, '.')
-            && s.is_punct(i + 1, '(')
-        {
-            format!("`.{id}()`")
-        } else if PANIC_MACROS.contains(&id) && s.is_punct(i + 1, '!') {
-            format!("`{id}!`")
-        } else {
-            continue;
-        };
-        out.push(Finding {
-            path: path.to_string(),
-            line,
-            rule: Rule::PanicPath,
-            message: format!(
-                "{what} on a library code path — return an `EcError` (e.g. \
-                 `EcError::Internal`) instead, or justify with \
-                 `// lint:allow(panic-path): <why>`"
-            ),
-            notes: Vec::new(),
-        });
-    }
-}
-
-/// R5: raw-pointer arithmetic (`.add(`, `.offset(`, … inside unsafe
-/// regions) and `from_raw_parts{,_mut}` anywhere, outside the whitelist.
-fn rule_raw_ptr(
-    path: &str,
-    s: &Scanned,
-    whitelisted: bool,
-    unsafe_regions: &[(u32, u32)],
-    out: &mut Vec<Finding>,
-) {
-    if whitelisted {
-        return;
-    }
-    for i in 0..s.tokens.len() {
-        let Some(id) = s.ident(i) else { continue };
-        let line = s.tokens[i].line;
-        let what = if id == "from_raw_parts" || id == "from_raw_parts_mut" {
-            format!("`{id}`")
-        } else if PTR_ARITH.contains(&id)
-            && i >= 1
-            && s.is_punct(i - 1, '.')
-            && s.is_punct(i + 1, '(')
-            && in_any_region(line, unsafe_regions)
-        {
-            format!("raw-pointer `.{id}(` arithmetic")
-        } else {
-            continue;
-        };
-        out.push(Finding {
-            path: path.to_string(),
-            line,
-            rule: Rule::RawPtr,
-            message: format!(
-                "{what} outside the kernel whitelist — raw-slice surgery belongs in \
-                 the whitelisted kernel modules where its invariants are checked"
-            ),
-            notes: Vec::new(),
-        });
-    }
 }
 
 /// Parse an integer literal's value from its raw text: `_` separators,

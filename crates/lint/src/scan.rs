@@ -371,29 +371,6 @@ impl Scanned {
             .collect()
     }
 
-    /// Inclusive line ranges covered by unsafe bodies: for each `unsafe`
-    /// keyword, the braced region that follows it (block body, fn body,
-    /// impl body). Bodyless declarations contribute nothing.
-    pub fn unsafe_regions(&self) -> Vec<(u32, u32)> {
-        let mut out = Vec::new();
-        for site in self.unsafe_sites() {
-            let mut j = site + 1;
-            while j < self.tokens.len() {
-                match self.tokens[j].kind {
-                    TokKind::Punct('{') => {
-                        if let Some(close) = self.matching_brace(j) {
-                            out.push((self.tokens[site].line, self.tokens[close].line));
-                        }
-                        break;
-                    }
-                    TokKind::Punct(';') => break,
-                    _ => j += 1,
-                }
-            }
-        }
-        out
-    }
-
     /// Inclusive line ranges of items gated behind `#[cfg(test)]` (or any
     /// `cfg(...)` attribute mentioning `test`, e.g. `cfg(all(test, …))`).
     pub fn cfg_test_regions(&self) -> Vec<(u32, u32)> {
@@ -571,13 +548,6 @@ let y = r#"panic!"#; /* unsafe
             })
             .collect();
         assert_eq!(nums, vec!["256", "0xFF_u32", "1.5", "0"]);
-    }
-
-    #[test]
-    fn unsafe_regions_cover_block_lines() {
-        let src = "fn f() {\n    unsafe {\n        work();\n    }\n}\n";
-        let s = scan(src);
-        assert_eq!(s.unsafe_regions(), vec![(2, 4)]);
     }
 
     #[test]

@@ -1,5 +1,16 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! Access-pattern generation and timed execution.
 //!
 //! This crate couples the coding strategies of `dialga-ec` to the memory

@@ -1,5 +1,16 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! `dialga-service` — a sharded stripe-service front end over the DIALGA
 //! encode pool.
 //!
@@ -442,13 +453,13 @@ impl StripeService {
             let master_shard = Arc::clone(&shard);
             let master_coder = Arc::clone(&coder);
             let (batch_limit, quantum) = (cfg.batch_limit, cfg.quantum_bytes);
+            // Mirrors pool construction: a host that cannot spawn a thread
+            // cannot serve anyway, and there is no Result channel at
+            // construction.
+            #[allow(clippy::expect_used, reason = "unrecoverable at service build")]
             let handle = std::thread::Builder::new()
                 .name(format!("dialga-svc-{index}"))
                 .spawn(move || shard::master_loop(master_shard, master_coder, batch_limit, quantum))
-                // Mirrors pool construction: a host that cannot spawn a
-                // thread cannot serve anyway, and there is no Result
-                // channel at construction.
-                // lint:allow(panic-path): unrecoverable at service build
                 .expect("spawn shard master");
             shards.push(shard);
             masters.push(handle);
@@ -484,6 +495,8 @@ impl StripeService {
         svc.recovering.store(true, Ordering::Release);
         let recovering = Arc::clone(&svc.recovering);
         let recovery = Arc::clone(&svc.recovery);
+        // Mirrors the shard-master spawn below: no thread, no service.
+        #[allow(clippy::expect_used, reason = "unrecoverable at service build")]
         let handle = std::thread::Builder::new()
             .name("dialga-svc-recover".to_string())
             .spawn(move || {
@@ -501,8 +514,6 @@ impl StripeService {
                 drop(recovered);
                 recovery.ready.notify_all();
             })
-            // Mirrors the shard-master spawn below: no thread, no service.
-            // lint:allow(panic-path): unrecoverable at service build
             .expect("spawn recovery thread");
         svc.masters.push(handle);
         Ok(svc)

@@ -11,7 +11,7 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== cargo clippy (workspace, all targets, -D warnings) =="
+echo "== cargo clippy (workspace, all targets, -D warnings; the crate-root lints carry R1 SAFETY comments and R4 library panic paths) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo doc (workspace, -D warnings: no link to a private, renamed or deleted item; no cargo warning) =="
@@ -33,7 +33,7 @@ echo "== benchmark build check (benchmark/ against this tree, lock file frozen) 
 # benchmark/Cargo.lock, fails here instead of in the benchmark run.
 cargo check --offline --locked --manifest-path benchmark/Cargo.toml --all-targets
 
-echo "== dialga-lint (unsafe surface, atomic/lock protocols, panic paths, const drift) =="
+echo "== dialga-lint (unsafe confinement, const drift, lock order, atomic protocols) =="
 cargo run -q -p dialga-lint
 
 echo "== race smoke (seeded interleaving models, bounded schedule budget) =="
