@@ -10,7 +10,7 @@
 //! performance-neutral; the kernel's tests hold every schedule (distance,
 //! §4.3 long/short split, shuffle) to identical bytes.
 
-use dialga_ec::{CodeParams, EcError, GfMatrix, ReedSolomon};
+use dialga_ec::{check_blocks, CodeParams, EcError, GfMatrix, ReedSolomon};
 use dialga_gf::sched::FusedSched;
 use dialga_gf::simd::{dot_prod_fused, dot_prod_fused_vec, dot_prod_syndromes};
 use dialga_gf::tables::NibbleTables;
@@ -237,30 +237,16 @@ impl Dialga {
         &self.rs
     }
 
-    fn check(&self, data: &[&[u8]], parity_len: usize) -> Result<usize, EcError> {
+    /// The common length of a stripe's `data` and `parity` blocks,
+    /// through [`check_blocks`]: data, then parity against the data.
+    pub(crate) fn stripe_len<B: AsRef<[u8]>>(
+        &self,
+        data: &[&[u8]],
+        parity: &[B],
+    ) -> Result<usize, EcError> {
         let params = self.params();
-        if data.len() != params.k {
-            return Err(EcError::BlockCount {
-                expected: params.k,
-                got: data.len(),
-            });
-        }
-        if parity_len != params.m {
-            return Err(EcError::BlockCount {
-                expected: params.m,
-                got: parity_len,
-            });
-        }
-        let len = data[0].len();
-        for b in data {
-            if b.len() != len {
-                return Err(EcError::BlockLength {
-                    expected: len,
-                    got: b.len(),
-                });
-            }
-        }
-        Ok(len)
+        let len = check_blocks(data, params.k, None)?;
+        check_blocks(parity, params.m, Some(len))
     }
 
     /// The precomputed `m x k` encode tables (row-major per parity row),
@@ -271,15 +257,7 @@ impl Dialga {
 
     /// Encode the k data blocks into the m parity blocks.
     pub fn encode(&self, data: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<(), EcError> {
-        let len = self.check(data, parity.len())?;
-        for p in parity.iter() {
-            if p.len() != len {
-                return Err(EcError::BlockLength {
-                    expected: len,
-                    got: p.len(),
-                });
-            }
-        }
+        self.stripe_len(data, parity)?;
         apply_tables(self.tables(), data, parity, self.sched());
         Ok(())
     }
@@ -287,8 +265,8 @@ impl Dialga {
     /// Convenience encode returning freshly allocated parity, which the
     /// kernel writes once (never zero-filled first).
     pub fn encode_vec(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>, EcError> {
-        let m = self.params().m;
-        let len = self.check(data, m)?;
+        let CodeParams { k, m } = self.params();
+        let len = check_blocks(data, k, None)?;
         Ok(dot_prod_fused_vec(
             self.tables(),
             data,
@@ -430,21 +408,13 @@ impl Dialga {
     }
 
     /// Which parity rows disagree with parity recomputed from `data`
-    /// (sorted ascending, window-early-exit via the fused verification
-    /// kernel). Empty means the stripe is consistent. A corrupt *data*
-    /// shard mismatches every row (all MDS parity coefficients are
-    /// nonzero); a corrupt parity shard mismatches only its own row —
-    /// the localization signal [`Self::scrub`] is built on.
+    /// (sorted ascending; one fused check pass, no scratch). Empty means
+    /// the stripe is consistent. A corrupt *data* shard mismatches every
+    /// row (all MDS parity coefficients are nonzero); a corrupt parity
+    /// shard mismatches only its own row — the localization signal
+    /// [`Self::scrub`] is built on.
     fn parity_syndromes(&self, data: &[&[u8]], parity: &[&[u8]]) -> Result<Vec<usize>, EcError> {
-        let len = self.check(data, parity.len())?;
-        for p in parity.iter() {
-            if p.len() != len {
-                return Err(EcError::BlockLength {
-                    expected: len,
-                    got: p.len(),
-                });
-            }
-        }
+        self.stripe_len(data, parity)?;
         Ok(dialga_gf::simd::dot_prod_verify(
             self.tables(),
             data,
@@ -453,9 +423,11 @@ impl Dialga {
         ))
     }
 
-    /// Verify stripe integrity: recompute all m parity rows from `data`
-    /// through the fused kernel (windowed, early-exit — no full parity
-    /// allocation) and compare against the stored `parity`.
+    /// Verify stripe integrity: one fused pass over `data` folds every
+    /// parity line onto its stored line in `parity` and tests the result
+    /// for zero in registers — nothing recomputed is stored, and nothing
+    /// is allocated for a clean stripe
+    /// ([`dialga_gf::simd::dot_prod_verify`]).
     ///
     /// On mismatch returns [`EcError::Corrupt`] naming the disagreeing
     /// *parity rows* (indices `k..k+m`). A mismatch proves the stripe is

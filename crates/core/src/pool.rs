@@ -885,15 +885,7 @@ impl EncodePool {
     /// corrupt data shard trips every row; see [`Dialga::scrub`]).
     pub fn verify(&self, coder: &Dialga, data: &[&[u8]], parity: &[&[u8]]) -> Result<(), EcError> {
         let k = coder.params().k;
-        check_count(k, data.len())?;
-        check_count(coder.params().m, parity.len())?;
-        let len = data.first().map_or(0, |d| d.len());
-        if let Some(bad) = data.iter().chain(parity).find(|b| b.len() != len) {
-            return Err(EcError::BlockLength {
-                expected: len,
-                got: bad.len(),
-            });
-        }
+        coder.stripe_len(data, parity)?;
         let recomputed = self.encode_vec(coder, data)?;
         let bad: Vec<usize> = recomputed
             .iter()
@@ -1149,9 +1141,11 @@ fn worker_loop(executor: usize, rx: Receiver<Msg>, shared: Arc<PoolShared>) {
         let result = run_chunk(&shared, executor, &chunk.work);
         // Leaving without running the chunk drops it (and everything still
         // queued) with `ok` unset, which fails the latch — exactly like a
-        // worker that died between recv and run.
+        // worker that died between recv and run. The queue closes first, so
+        // the heal the failed latch wakes cannot find this worker alive.
         #[cfg(feature = "fault-injection")]
         if matches!(result, Err(ChunkFailed::Exit)) {
+            drop(rx);
             return;
         }
         // The chunk completes its latch seat as it drops, here.

@@ -98,6 +98,33 @@ impl fmt::Display for EcError {
 
 impl std::error::Error for EcError {}
 
+/// The one geometry check of a set of blocks: there must be `count` of
+/// them ([`EcError::BlockCount`] otherwise), each `len` bytes long — the
+/// first block's length when `len` is `None` — ([`EcError::BlockLength`]
+/// naming the first that is not). Returns that length.
+///
+/// A stripe is checked data first, each set count before lengths, then its
+/// parity against the data's length:
+/// `check_blocks(parity, m, Some(check_blocks(data, k, None)?))`.
+pub fn check_blocks<B: AsRef<[u8]>>(
+    blocks: &[B],
+    count: usize,
+    len: Option<usize>,
+) -> Result<usize, EcError> {
+    if blocks.len() != count {
+        return Err(EcError::BlockCount {
+            expected: count,
+            got: blocks.len(),
+        });
+    }
+    let mut lens = blocks.iter().map(|b| b.as_ref().len());
+    let len = len.or_else(|| lens.clone().next()).unwrap_or(0);
+    match lens.find(|&got| got != len) {
+        Some(got) => Err(EcError::BlockLength { expected: len, got }),
+        None => Ok(len),
+    }
+}
+
 /// Borrow a shard the caller has already proven present (e.g. by a decode
 /// plan or an erasure check), turning an absent shard into
 /// [`EcError::Internal`] instead of a panic.
@@ -183,6 +210,20 @@ mod tests {
         let boxed: Box<dyn std::error::Error> = Box::new(err);
         assert_eq!(boxed.to_string(), rendered);
         assert!(boxed.source().is_none(), "leaf error, no source");
+    }
+
+    #[test]
+    fn check_blocks_checks_the_count_then_each_length() {
+        let (a, b, c) = ([0u8; 4], [0u8; 4], [0u8; 3]);
+        let count = |expected, got| Err(EcError::BlockCount { expected, got });
+        let length = |expected, got| Err(EcError::BlockLength { expected, got });
+        assert_eq!(check_blocks(&[&a[..], &b], 2, None), Ok(4));
+        assert_eq!(check_blocks(&[&a[..], &b], 2, Some(4)), Ok(4));
+        assert_eq!(check_blocks::<&[u8]>(&[], 0, None), Ok(0));
+        // A wrong count wins over a wrong length.
+        assert_eq!(check_blocks(&[&a[..], &c], 3, None), count(3, 2));
+        assert_eq!(check_blocks(&[&a[..], &c, &b], 3, None), length(4, 3));
+        assert_eq!(check_blocks(&[&a[..], &b], 2, Some(3)), length(3, 4));
     }
 
     #[test]

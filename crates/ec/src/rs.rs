@@ -6,7 +6,7 @@
 //! block once during encoding"). Decoding inverts the k surviving generator
 //! rows and runs the same kernel ([`GfMatrix::decode_rows`] inverts a minor).
 
-use crate::{CodeParams, EcError, GfMatrix};
+use crate::{check_blocks, CodeParams, EcError, GfMatrix};
 use dialga_gf::simd::mul_add_slice_simd;
 use dialga_gf::slice::mul_add_slice;
 use dialga_gf::tables::NibbleTables;
@@ -102,45 +102,13 @@ impl ReedSolomon {
         &self.tables
     }
 
-    fn check_blocks(&self, count_expected: usize, blocks: &[&[u8]]) -> Result<usize, EcError> {
-        if blocks.len() != count_expected {
-            return Err(EcError::BlockCount {
-                expected: count_expected,
-                got: blocks.len(),
-            });
-        }
-        let len = blocks.first().map_or(0, |b| b.len());
-        for b in blocks {
-            if b.len() != len {
-                return Err(EcError::BlockLength {
-                    expected: len,
-                    got: b.len(),
-                });
-            }
-        }
-        Ok(len)
-    }
-
     /// Encode: compute all m parity blocks from the k data blocks.
     ///
     /// `parity` buffers are overwritten and must all match the data block
     /// length.
     pub fn encode(&self, data: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<(), EcError> {
-        let len = self.check_blocks(self.params.k, data)?;
-        if parity.len() != self.params.m {
-            return Err(EcError::BlockCount {
-                expected: self.params.m,
-                got: parity.len(),
-            });
-        }
-        for p in parity.iter() {
-            if p.len() != len {
-                return Err(EcError::BlockLength {
-                    expected: len,
-                    got: p.len(),
-                });
-            }
-        }
+        let len = check_blocks(data, self.params.k, None)?;
+        check_blocks(parity, self.params.m, Some(len))?;
         for (i, p) in parity.iter_mut().enumerate() {
             p.fill(0);
             for (j, d) in data.iter().enumerate() {
@@ -154,7 +122,7 @@ impl ReedSolomon {
 
     /// Convenience encode returning freshly allocated parity blocks.
     pub fn encode_vec(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>, EcError> {
-        let len = self.check_blocks(self.params.k, data)?;
+        let len = check_blocks(data, self.params.k, None)?;
         let mut parity = vec![vec![0u8; len]; self.params.m];
         let mut refs: Vec<&mut [u8]> = parity.iter_mut().map(|p| p.as_mut_slice()).collect();
         self.encode(data, &mut refs)?;

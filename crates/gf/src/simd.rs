@@ -8,7 +8,7 @@
 //! per instruction — or one 8x8 bit-matrix product per byte, which
 //! `vgf2p8affineqb` does for a whole 64 B cacheline at once. Every tier is
 //! one impl of the private `Lanes` trait; the multiply-accumulate and the
-//! fused group pass are each written once over it.
+//! fused row loop are each written once over it.
 //!
 //! ## Fused kernels
 //!
@@ -22,6 +22,12 @@
 //! rules. The per-row path (`mul_add_slice_simd` per (output, source)
 //! pair) remains as the reference and as the tail kernel.
 //!
+//! [`dot_prod_verify`] and [`dot_prod_syndromes`] check stored parity with
+//! the same row loop and end it differently: each accumulator starts from
+//! the stored parity line instead of zero, so the fold is the syndrome,
+//! and it is tested for zero in registers instead of stored. The stored
+//! rows ride the prefetch-pointer array beside the sources.
+//!
 //! Feature detection runs once per process ([`detected_kernel`] caches in
 //! a `OnceLock`); [`set_kernel_override`] can force an equal-or-*lower*
 //! tier so every lower path stays coverable on the widest host.
@@ -34,6 +40,7 @@ use crate::slice::prefetch_read;
 use crate::tables::NibbleTables;
 use crate::CACHELINE;
 use std::mem::MaybeUninit;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -206,10 +213,11 @@ pub fn dot_prod_fused_vec(
     fresh
         .into_iter()
         // SAFETY: `fused_on` returned, so it stored every byte of every
-        // output: the vector tiers and the portable pass each store whole
-        // rows `pass.row(0..rows)`, a bijection on `0..rows`; the tail
-        // writes `[rows * CACHELINE, len)` (zeros, then accumulates); `k ==
-        // 0` writes zeros. The gf proptest
+        // output: through the `Store` end, the vector tiers and the
+        // portable pass each store whole rows `pass.row(0..rows)`, a
+        // bijection on `0..rows`, of every group's outputs (with `k == 0`
+        // the zero seed); the tail writes `[rows * CACHELINE, len)` (zeros,
+        // then accumulates). The gf proptest
         // `fused_matches_reference_for_all_tiers_and_tail_shapes` holds
         // this path to the reference on every tier and tail shape.
         .map(|b| unsafe { b.assume_written() })
@@ -317,7 +325,28 @@ pub fn dot_prod_fused_traced(
     trace
 }
 
-/// The one fused pass every entry runs: writes each output byte once,
+/// The common length of a pass's rows, asserting the pass's geometry
+/// (`entry` names the public entry in the panic); `None` when there are
+/// no output rows, so nothing to do.
+fn pass_len(
+    entry: &str,
+    tables: &[NibbleTables],
+    sources: &[&[u8]],
+    mut rows: impl ExactSizeIterator<Item = usize>,
+) -> Option<usize> {
+    assert_eq!(
+        tables.len(),
+        sources.len() * rows.len(),
+        "{entry} table geometry mismatch"
+    );
+    let len = rows.next()?;
+    for l in rows.chain(sources.iter().map(|s| s.len())) {
+        assert_eq!(l, len, "{entry} length mismatch");
+    }
+    Some(len)
+}
+
+/// The one fused encode every entry runs: writes each output byte once,
 /// never reading it.
 fn fused_on<S: AccessSink>(
     tables: &[NibbleTables],
@@ -326,60 +355,25 @@ fn fused_on<S: AccessSink>(
     sched: FusedSched,
     sink: &mut S,
 ) {
-    let k = sources.len();
-    let n_out = outputs.len();
-    assert_eq!(
-        tables.len(),
-        k * n_out,
-        "dot_prod_fused table geometry mismatch"
-    );
-    if n_out == 0 {
+    let lens = outputs.iter().map(|o| o.len());
+    let Some(len) = pass_len("dot_prod_fused", tables, sources, lens) else {
         return;
-    }
-    let len = outputs[0].len();
-    for o in outputs.iter() {
-        assert_eq!(o.len(), len, "dot_prod_fused length mismatch");
-    }
-    if k == 0 {
-        for o in outputs.iter_mut() {
-            zeroed(o);
-        }
-        return;
-    }
-    for s in sources {
-        assert_eq!(s.len(), len, "dot_prod_fused length mismatch");
-    }
-
+    };
     let rows = len / CACHELINE;
-    let kern = S::TIER.unwrap_or_else(selected_kernel);
-    let pass = PassSched::new(k, rows as u64, &sched);
-    for (g, outs) in outputs.chunks_mut(FUSED_GROUP).enumerate() {
-        let base = g * FUSED_GROUP * k;
-        let tabs = &tables[base..base + outs.len() * k];
-        // Prefetches ride the first group's pass only: later groups re-walk
-        // lines the first pass already pulled in.
-        let prefetch = g == 0 && sched.d.is_some();
-        match kern {
-            // SAFETY: `selected_kernel` returns a tier only when runtime
-            // detection confirmed every feature its entry point enables
-            // (overrides only lower it); `tabs` holds `outs.len() * k`
-            // tables, `outs.len() <= FUSED_GROUP`, and every source/output
-            // was asserted to hold the pass's `rows * CACHELINE` bytes above.
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx512Gfni => unsafe { x86::fused_gfni(tabs, sources, outs, &pass, prefetch) },
-            // SAFETY: as for the GFNI arm.
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => unsafe { x86::fused_avx2(tabs, sources, outs, &pass, prefetch) },
-            // SAFETY: as for the GFNI arm.
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Ssse3 => unsafe { x86::fused_ssse3(tabs, sources, outs, &pass, prefetch) },
-            _ => group_pass_portable(tabs, sources, outs, g * FUSED_GROUP, &pass, prefetch, sink),
-        }
-    }
+    groups_on(
+        tables,
+        sources,
+        outputs.len(),
+        rows,
+        sched,
+        &mut Store(outputs),
+        sink,
+    );
 
     // Tail: the partial final cacheline reverts to the standard kernel.
     let tail = rows * CACHELINE;
     if tail < len {
+        let k = sources.len();
         for (i, out) in outputs.iter_mut().enumerate() {
             let dst = zeroed(&mut out[tail..]);
             for (j, src) in sources.iter().enumerate() {
@@ -389,83 +383,211 @@ fn fused_on<S: AccessSink>(
     }
 }
 
-/// Scratch window for [`dot_prod_verify`]: 256 cachelines (16 KiB) per
-/// output row — large enough that the fused kernels run at full stride
-/// with the §4.2/§4.3 prefetch schedule live, small enough that the
-/// scratch stays cache-resident instead of re-materializing whole parity
-/// rows.
-pub const VERIFY_WINDOW: usize = 256 * CACHELINE;
+/// The group loop of the fused pass over the `rows` whole 64 B rows:
+/// outputs in groups of at most [`FUSED_GROUP`], each group one row loop
+/// on the selected tier that streams every source once, `end` deciding
+/// where each group's accumulators start and what becomes of them.
+fn groups_on<E: PassEnd, S: AccessSink>(
+    tables: &[NibbleTables],
+    sources: &[&[u8]],
+    n_out: usize,
+    rows: usize,
+    sched: FusedSched,
+    end: &mut E,
+    sink: &mut S,
+) {
+    let k = sources.len();
+    let kern = S::TIER.unwrap_or_else(selected_kernel);
+    let pass = PassSched::new(k, rows as u64, &sched);
+    for first in (0..n_out).step_by(FUSED_GROUP) {
+        let group = first..n_out.min(first + FUSED_GROUP);
+        let tabs = &tables[group.start * k..group.end * k];
+        // Prefetches ride the first group's pass only: later groups re-walk
+        // lines the first pass already pulled in.
+        let prefetch = first == 0 && sched.d.is_some();
+        match kern {
+            // SAFETY: `selected_kernel` returns a tier only when runtime
+            // detection confirmed every feature its entry point enables
+            // (overrides only lower it); `group` is 1..=FUSED_GROUP of
+            // `end`'s rows, `tabs` holds their `k` tables each, and the
+            // caller asserted (`pass_len`) that every source and every row
+            // of `end` holds the pass's `rows * CACHELINE` bytes.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512Gfni => unsafe {
+                x86::fused_gfni(tabs, sources, end, group, &pass, prefetch)
+            },
+            // SAFETY: as for the GFNI arm.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => unsafe { x86::fused_avx2(tabs, sources, end, group, &pass, prefetch) },
+            // SAFETY: as for the GFNI arm.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ssse3 => unsafe {
+                x86::fused_ssse3(tabs, sources, end, group, &pass, prefetch)
+            },
+            _ => group_pass_portable(tabs, sources, end, group, &pass, prefetch, sink),
+        }
+    }
+}
 
-/// The window loop behind [`dot_prod_verify`] and [`dot_prod_syndromes`]:
-/// recompute `sum_j tables[i*k + j] · sources[j]` one [`VERIFY_WINDOW`] at
-/// a time through [`dot_prod_fused`] and hand `visit` each window's start
-/// offset and recomputed rows; `visit` returns `false` to stop the scan.
+/// The two ends of the one fused row loop: where each output line's
+/// accumulators start, and what becomes of the folded line.
 ///
-/// # Panics
-/// Panics when `tables.len() != sources.len() * expected.len()` or any
-/// source/expected length differs from the first expected row's.
-fn for_each_verify_window(
+/// [`Store`] (every encode) seeds zero and stores the line. [`Check`]
+/// seeds the *stored* parity line, so the fold is the syndrome and a
+/// consistent line folds to zero; it is tested for zero in registers and
+/// nothing is stored. Output indices are over all the pass's rows, not
+/// one group's. This is the portable tier's side; the vector tiers'
+/// is `x86::LaneEnd`.
+trait RowEnd {
+    /// Prefetch what rides beside source `block`'s line at `row` in the
+    /// §4.2 pointer array of a `k`-source pass.
+    fn prefetch_beside(&self, k: usize, block: usize, row: u64);
+    /// Output `i`'s accumulator seed for the 64 B `line`.
+    fn seed_line(&self, i: usize, line: Range<usize>) -> [u8; CACHELINE];
+    /// Takes output `i`'s folded `line`.
+    fn end_line(&mut self, i: usize, line: Range<usize>, acc: &[u8; CACHELINE]);
+}
+
+/// The bound [`groups_on`] puts on an end: every tier's side of it.
+#[cfg(target_arch = "x86_64")]
+use x86::LaneEnd as PassEnd;
+#[cfg(not(target_arch = "x86_64"))]
+use RowEnd as PassEnd;
+
+/// The encode pass's end: each output line is stored, never read.
+struct Store<'a, 'b>(&'a mut [&'b mut [MaybeUninit<u8>]]);
+
+impl RowEnd for Store<'_, '_> {
+    #[inline(always)]
+    fn prefetch_beside(&self, _: usize, _: usize, _: u64) {}
+    #[inline(always)]
+    fn seed_line(&self, _: usize, _: Range<usize>) -> [u8; CACHELINE] {
+        [0; CACHELINE]
+    }
+    #[inline(always)]
+    fn end_line(&mut self, i: usize, line: Range<usize>, acc: &[u8; CACHELINE]) {
+        self.0[i][line].write_copy_of_slice(acc);
+    }
+}
+
+/// The check pass's end: each accumulator starts from the stored parity
+/// line, and a line whose syndrome is not zero goes to `dirty(row, line
+/// start)`, the cold path. The stored rows ride the prefetch-pointer array
+/// beside the sources: row `i`'s line with source `i mod k`'s, so each is
+/// prefetched once, as far ahead as a source line.
+struct Check<'a, 'b> {
+    stored: &'a [&'b [u8]],
+    dirty: &'a mut dyn FnMut(usize, usize),
+}
+
+impl RowEnd for Check<'_, '_> {
+    #[inline(always)]
+    fn prefetch_beside(&self, k: usize, block: usize, row: u64) {
+        let mut i = block;
+        while i < self.stored.len() {
+            // A hint cannot fault: no bounds check on the hot path.
+            prefetch_read(
+                self.stored[i]
+                    .as_ptr()
+                    .wrapping_add(row as usize * CACHELINE),
+            );
+            i += k;
+        }
+    }
+    #[inline(always)]
+    fn seed_line(&self, i: usize, line: Range<usize>) -> [u8; CACHELINE] {
+        let mut seed = [0; CACHELINE];
+        seed.copy_from_slice(&self.stored[i][line]);
+        seed
+    }
+    #[inline(always)]
+    fn end_line(&mut self, i: usize, line: Range<usize>, acc: &[u8; CACHELINE]) {
+        if acc.iter().any(|&s| s != 0) {
+            (self.dirty)(i, line.start);
+        }
+    }
+}
+
+/// The check behind [`dot_prod_verify`] and [`dot_prod_syndromes`]: one
+/// fused pass with the [`Check`] end, then the partial tail line by the
+/// table kernel ([`line_syndrome`]). Calls `dirty(i, line)` for every row
+/// `i` whose syndrome is non-zero somewhere in the line starting at byte
+/// `line`: whole lines in the pass's order and maybe more than once
+/// (once per vector of the line), the tail last.
+fn check_on(
     tables: &[NibbleTables],
     sources: &[&[u8]],
     expected: &[&[u8]],
     sched: FusedSched,
-    mut visit: impl FnMut(usize, &[&mut [u8]]) -> bool,
+    dirty: &mut dyn FnMut(usize, usize),
 ) {
-    let k = sources.len();
-    let n_out = expected.len();
-    assert_eq!(
-        tables.len(),
-        k * n_out,
-        "dot_prod_verify table geometry mismatch"
-    );
-    if n_out == 0 {
+    let lens = expected.iter().map(|e| e.len());
+    let Some(len) = pass_len("dot_prod_verify", tables, sources, lens) else {
         return;
-    }
-    let len = expected[0].len();
-    for e in expected.iter() {
-        assert_eq!(e.len(), len, "dot_prod_verify length mismatch");
-    }
-    for s in sources {
-        assert_eq!(s.len(), len, "dot_prod_verify length mismatch");
-    }
-
-    let window = VERIFY_WINDOW.min(len).max(1);
-    let mut scratch: Vec<Vec<u8>> = Vec::new();
-    let mut start = 0usize;
-    while start < len {
-        let end = (start + window).min(len);
-        let srcs: Vec<&[u8]> = sources.iter().map(|s| &s[start..end]).collect();
-        // The first window is the widest: it fills fresh scratch, and every
-        // later one overwrites a prefix of it.
-        let first = scratch.is_empty();
-        if first {
-            scratch = dot_prod_fused_vec(tables, &srcs, n_out, end - start, sched);
+    };
+    let rows = len / CACHELINE;
+    let mut end = Check {
+        stored: expected,
+        dirty: &mut *dirty,
+    };
+    groups_on(
+        tables,
+        sources,
+        expected.len(),
+        rows,
+        sched,
+        &mut end,
+        &mut (),
+    );
+    let tail = rows * CACHELINE;
+    if tail < len {
+        let mut syndrome = [0; CACHELINE];
+        for i in 0..expected.len() {
+            let s = line_syndrome(tables, sources, expected, i, tail, &mut syndrome);
+            if s.iter().any(|&s| s != 0) {
+                dirty(i, tail);
+            }
         }
-        let mut outs: Vec<&mut [u8]> = scratch.iter_mut().map(|b| &mut b[..end - start]).collect();
-        if !first {
-            dot_prod_fused(tables, &srcs, &mut outs, sched);
-        }
-        if !visit(start, &outs) {
-            return;
-        }
-        start = end;
     }
 }
 
-/// Syndrome check on the fused path: recompute
-/// `sum_j tables[i*k + j] · sources[j]` window-by-window through
-/// [`dot_prod_fused`] and compare against `expected[i]`, returning the
-/// indices of the rows that mismatch (sorted ascending; empty = clean).
+/// Row `i`'s syndrome `expected[i] ^ sum_j tables[i*k + j] · sources[j]`
+/// over the line starting at byte `at` (64 bytes, or fewer at the end), by
+/// the table kernel into the front of `out`.
+fn line_syndrome<'o>(
+    tables: &[NibbleTables],
+    sources: &[&[u8]],
+    expected: &[&[u8]],
+    i: usize,
+    at: usize,
+    out: &'o mut [u8; CACHELINE],
+) -> &'o [u8] {
+    let k = sources.len();
+    let line = at..expected[i].len().min(at + CACHELINE);
+    let out = &mut out[..line.len()];
+    out.copy_from_slice(&expected[i][line.clone()]);
+    for (j, src) in sources.iter().enumerate() {
+        crate::slice::mul_add_slice_tab(&tables[i * k + j], &src[line.clone()], out);
+    }
+    out
+}
+
+/// Syndrome check on the fused path: which rows `i` have `expected[i] !=
+/// sum_j tables[i*k + j] · sources[j]`, sorted ascending (empty = clean).
 ///
 /// This is the integrity primitive behind `Dialga::verify`/`scrub`:
 /// `sources` are the data shards, `expected` the stored parity rows, and
 /// a returned index is a *syndrome* — evidence that some shard feeding
 /// that parity row (or the row itself) is corrupt. Scheduling never
-/// changes the bytes produced, so any `sched` gives the same verdict.
+/// changes the verdict.
 ///
-/// A row already known corrupt is still recomputed (the window loop needs
-/// its group pass anyway) but compared no further; once every row has
-/// mismatched the scan stops early.
+/// One fused pass, as [`dot_prod_fused`] but storing nothing: each
+/// accumulator starts from the stored parity line, the sources fold in as
+/// in the encode, and the result — the syndrome — is tested for zero in
+/// registers. The stored rows ride the prefetch-pointer array beside the
+/// sources. The partial tail line takes the table kernel. Nothing is
+/// allocated but the result, and nothing at all for a clean stripe; the
+/// pass always runs to the end.
 ///
 /// # Panics
 /// Panics when `tables.len() != sources.len() * expected.len()` or any
@@ -476,19 +598,14 @@ pub fn dot_prod_verify(
     expected: &[&[u8]],
     sched: FusedSched,
 ) -> Vec<usize> {
-    let mut bad = vec![false; expected.len()];
-    for_each_verify_window(tables, sources, expected, sched, |start, outs| {
-        for (i, out) in outs.iter().enumerate() {
-            if !bad[i] && out[..] != expected[i][start..start + out.len()] {
-                bad[i] = true;
-            }
+    let mut bad = Vec::new();
+    check_on(tables, sources, expected, sched, &mut |i, _| {
+        if !bad.contains(&i) {
+            bad.push(i);
         }
-        !bad.iter().all(|&b| b)
     });
-    bad.iter()
-        .enumerate()
-        .filter_map(|(i, &b)| b.then_some(i))
-        .collect()
+    bad.sort_unstable();
+    bad
 }
 
 /// Where a stripe's syndromes are non-zero, and what they are there: the
@@ -502,15 +619,17 @@ pub struct Support {
     pub syndromes: Vec<u8>,
 }
 
-/// The collecting form of [`dot_prod_verify`]: the same kernel over the
-/// same windows with no early exit, returning the *support* of the
+/// The collecting form of [`dot_prod_verify`]: the *support* of the
 /// syndromes `S_i = expected[i] ^ sum_j tables[i*k + j] · sources[j]` —
 /// every byte position where some `S_i` is non-zero — and all
 /// `expected.len()` syndrome bytes at each. An empty support is a clean
 /// stripe; a torn cacheline is at most 64 columns.
 ///
-/// The support is all a locator needs: which shards are corrupt, and by
-/// what, is decided on these small columns instead of on the payload.
+/// The same fused pass as [`dot_prod_verify`] finds the dirty 64 B lines;
+/// only those are recomputed, byte by byte, by the table kernel that the
+/// partial tail line takes. The support is all a locator needs: which
+/// shards are corrupt, and by what, is decided on these small columns
+/// instead of on the payload.
 ///
 /// # Panics
 /// As [`dot_prod_verify`].
@@ -520,37 +639,29 @@ pub fn dot_prod_syndromes(
     expected: &[&[u8]],
     sched: FusedSched,
 ) -> Support {
-    let mut support = Support::default();
-    for_each_verify_window(tables, sources, expected, sched, |start, outs| {
-        let end = start + outs[0].len();
-        let differs = |from: usize, to: usize| {
-            outs.iter()
-                .zip(expected)
-                .any(|(out, exp)| out[from - start..to - start] != exp[from..to])
-        };
-        if !differs(start, end) {
-            return true;
+    let mut lines = Vec::new();
+    check_on(tables, sources, expected, sched, &mut |_, line| {
+        if lines.last() != Some(&line) {
+            lines.push(line);
         }
-        // Narrow a dirty window to its dirty cachelines before going byte
-        // by byte: a tear dirties one line of the 256.
-        for line in (start..end).step_by(CACHELINE) {
-            let line_end = (line + CACHELINE).min(end);
-            if !differs(line, line_end) {
-                continue;
-            }
-            for at in line..line_end {
-                let column = outs
-                    .iter()
-                    .zip(expected)
-                    .map(|(o, e)| o[at - start] ^ e[at]);
-                if column.clone().any(|s| s != 0) {
-                    support.positions.push(at);
-                    support.syndromes.extend(column);
-                }
-            }
-        }
-        true
     });
+    lines.sort_unstable();
+    lines.dedup();
+    let mut support = Support::default();
+    let mut rows = vec![[0; CACHELINE]; if lines.is_empty() { 0 } else { expected.len() }];
+    for line in lines {
+        let mut width = 0;
+        for (i, row) in rows.iter_mut().enumerate() {
+            width = line_syndrome(tables, sources, expected, i, line, row).len();
+        }
+        for at in 0..width {
+            let column = rows.iter().map(|row| row[at]);
+            if column.clone().any(|s| s != 0) {
+                support.positions.push(line + at);
+                support.syndromes.extend(column);
+            }
+        }
+    }
     support
 }
 
@@ -558,9 +669,11 @@ pub fn dot_prod_syndromes(
 /// over the trait, and the `#[target_feature]` frames they inline into.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{prefetch_read, NibbleTables, PassSched, CACHELINE, FUSED_GROUP};
+    use super::{
+        prefetch_read, Check, NibbleTables, PassSched, RowEnd, Store, CACHELINE, FUSED_GROUP,
+    };
     use std::arch::x86_64::*;
-    use std::mem::MaybeUninit;
+    use std::ops::Range;
 
     /// One register width of the constant-coefficient GF(2^8) multiply; the
     /// implementing type is the register, and all-zero bytes are a valid one.
@@ -568,7 +681,7 @@ mod x86 {
     /// # Safety
     /// Every method compiles to its tier's instructions: call them only
     /// from (code inlined into) that tier's `#[target_feature]` entry point.
-    trait Lanes: Copy {
+    pub(super) trait Lanes: Copy {
         /// Reads `WIDTH` bytes at `p`.
         ///
         /// # Safety
@@ -590,6 +703,16 @@ mod x86 {
         /// # Safety
         /// The tier's features are on.
         unsafe fn mul_acc(self, t: &NibbleTables, s: Self::Src) -> Self;
+        /// `self | other` bytewise.
+        ///
+        /// # Safety
+        /// The tier's features are on.
+        unsafe fn or(self, other: Self) -> Self;
+        /// Whether every byte is zero.
+        ///
+        /// # Safety
+        /// The tier's features are on.
+        unsafe fn is_zero(self) -> bool;
         /// Bytes per vector; divides `CACHELINE`.
         const WIDTH: usize;
         /// A source vector in the form the multiply consumes, so work shared
@@ -629,6 +752,17 @@ mod x86 {
                 let hi = _mm_shuffle_epi8(Self::load(t.high.as_ptr()), hi);
                 _mm_xor_si128(self, _mm_xor_si128(lo, hi))
             }
+        }
+        #[inline(always)]
+        unsafe fn or(self, other: Self) -> Self {
+            // SAFETY: SSE2 is baseline x86_64; register-only.
+            unsafe { _mm_or_si128(self, other) }
+        }
+        #[inline(always)]
+        unsafe fn is_zero(self) -> bool {
+            // SAFETY: SSE2 is baseline x86_64; register-only. (`ptest` is
+            // SSE4.1, above this tier.)
+            unsafe { _mm_movemask_epi8(_mm_cmpeq_epi8(self, _mm_setzero_si128())) == 0xFFFF }
         }
     }
 
@@ -670,6 +804,16 @@ mod x86 {
                 _mm256_xor_si256(self, prod)
             }
         }
+        #[inline(always)]
+        unsafe fn or(self, other: Self) -> Self {
+            // SAFETY: AVX2 is on (trait contract); register-only.
+            unsafe { _mm256_or_si256(self, other) }
+        }
+        #[inline(always)]
+        unsafe fn is_zero(self) -> bool {
+            // SAFETY: AVX2 (so AVX) is on (trait contract); register-only.
+            unsafe { _mm256_testz_si256(self, self) != 0 }
+        }
     }
 
     /// 64-byte `vgf2p8affineqb` lanes (AVX-512F + GFNI): a whole cacheline
@@ -700,6 +844,113 @@ mod x86 {
                 _mm512_xor_si512(self, _mm512_gf2p8affine_epi64_epi8::<0>(s, matrix))
             }
         }
+        #[inline(always)]
+        unsafe fn or(self, other: Self) -> Self {
+            // SAFETY: AVX-512F is on (trait contract); register-only.
+            unsafe { _mm512_or_si512(self, other) }
+        }
+        #[inline(always)]
+        unsafe fn is_zero(self) -> bool {
+            // SAFETY: AVX-512F is on (trait contract); register-only.
+            unsafe { _mm512_test_epi64_mask(self, self) == 0 }
+        }
+    }
+
+    /// The vector tiers' side of a [`RowEnd`]: each accumulator's seed, and
+    /// what becomes of a group's folded vectors.
+    pub(super) trait LaneEnd: RowEnd {
+        /// Where a row's vectors are read or written: its first byte.
+        type Base: Copy;
+        /// Row `i`'s base. A group pass takes its rows' bases once, so the
+        /// row loop keeps them in registers instead of reloading them
+        /// around every store or call.
+        fn base(&mut self, i: usize) -> Self::Base;
+        /// The accumulator seed for the vector at byte `at` of the row at
+        /// `base`.
+        ///
+        /// # Safety
+        /// [`Lanes`] contract for `L`; `base` is one of the end's rows,
+        /// and `at + L::WIDTH` is within it.
+        unsafe fn seed<L: Lanes>(base: Self::Base, at: usize) -> L;
+        /// Takes the folded vectors at byte `at` of the group's rows
+        /// (`bases`, outputs `first..first + N`), in the 64 B line starting
+        /// at byte `line`.
+        ///
+        /// # Safety
+        /// As for `seed`, for each of those rows.
+        unsafe fn end<L: Lanes, const N: usize>(
+            &mut self,
+            bases: &[Self::Base; N],
+            first: usize,
+            at: usize,
+            acc: &[L; N],
+            line: usize,
+        );
+    }
+
+    impl LaneEnd for Store<'_, '_> {
+        type Base = *mut u8;
+        #[inline(always)]
+        fn base(&mut self, i: usize) -> *mut u8 {
+            self.0[i].as_mut_ptr().cast()
+        }
+        #[inline(always)]
+        unsafe fn seed<L: Lanes>(_: *mut u8, _: usize) -> L {
+            // SAFETY: all-zero is a valid `L` (trait contract).
+            unsafe { std::mem::zeroed() }
+        }
+        #[inline(always)]
+        unsafe fn end<L: Lanes, const N: usize>(
+            &mut self,
+            bases: &[*mut u8; N],
+            _: usize,
+            at: usize,
+            acc: &[L; N],
+            _: usize,
+        ) {
+            for (base, a) in bases.iter().zip(acc) {
+                // SAFETY: `at + WIDTH` is within the output at `base`
+                // (method contract), which the kernel may write.
+                unsafe { a.store(base.add(at)) }
+            }
+        }
+    }
+
+    impl LaneEnd for Check<'_, '_> {
+        type Base = *const u8;
+        #[inline(always)]
+        fn base(&mut self, i: usize) -> *const u8 {
+            self.stored[i].as_ptr()
+        }
+        #[inline(always)]
+        unsafe fn seed<L: Lanes>(base: *const u8, at: usize) -> L {
+            // SAFETY: `at + WIDTH` is within the stored row at `base`
+            // (method contract).
+            unsafe { L::load(base.add(at)) }
+        }
+        #[inline(always)]
+        unsafe fn end<L: Lanes, const N: usize>(
+            &mut self,
+            _: &[*const u8; N],
+            first: usize,
+            _: usize,
+            acc: &[L; N],
+            line: usize,
+        ) {
+            // SAFETY: the tier's features are on (method contract);
+            // register-only.
+            unsafe {
+                let any = acc.iter().fold(acc[0], |any, &a| any.or(a));
+                if any.is_zero() {
+                    return;
+                }
+                for (i, a) in acc.iter().enumerate() {
+                    if !a.is_zero() {
+                        (self.dirty)(first + i, line);
+                    }
+                }
+            }
+        }
     }
 
     /// `dst[i] ^= c · src[i]`: whole vectors through `L`, the rest through
@@ -725,49 +976,55 @@ mod x86 {
 
     /// Fused `N`-output pass over the whole 64 B rows of the buffers: each
     /// source line is loaded (and split) once per group and folded into `N`
-    /// register accumulators, and each output vector is stored once, never
-    /// loaded.
+    /// register accumulators seeded by `end`, which then takes each
+    /// group's folded vectors: the row loop of the encode and of the check.
     ///
     /// # Safety
-    /// [`Lanes`] contract for `L`; `outputs.len() == N`, `tables.len() ==
-    /// N * sources.len()`, and every source/output holds at least
-    /// `pass.rows() * CACHELINE` bytes.
+    /// [`Lanes`] contract for `L`; `tables.len() == N * sources.len()`,
+    /// `end` has rows `first..first + N`, and every source and each of
+    /// those rows holds at least `pass.rows() * CACHELINE` bytes.
     #[inline(always)]
-    unsafe fn group_pass<L: Lanes, const N: usize>(
+    unsafe fn group_pass<L: Lanes, const N: usize, E: LaneEnd>(
         tables: &[NibbleTables],
         sources: &[&[u8]],
-        outputs: &mut [&mut [MaybeUninit<u8>]],
+        end: &mut E,
+        first: usize,
         pass: &PassSched,
         prefetch: bool,
     ) {
-        debug_assert_eq!(outputs.len(), N);
         let (k, rows) = (sources.len(), pass.rows());
+        let bases: [E::Base; N] = std::array::from_fn(|i| end.base(first + i));
         for vr in 0..rows {
             let off = pass.row(vr) as usize * CACHELINE;
             if prefetch {
                 // §4.2/§4.3 pointers: a hint cannot fault, the slicing checks.
                 pass.for_each_target(vr, |b, r| {
-                    prefetch_read(sources[b][r as usize * CACHELINE..].as_ptr())
+                    prefetch_read(sources[b][r as usize * CACHELINE..].as_ptr());
+                    end.prefetch_beside(k, b, r);
                 });
             }
             for lane in 0..CACHELINE / L::WIDTH {
                 let at = off + lane * L::WIDTH;
                 // SAFETY: `pass.row` is a bijection on `0..rows`, so `at +
-                // WIDTH <= off + CACHELINE <= rows * CACHELINE <= len` of
-                // every source and output (caller contract): each vector
-                // access stays inside its slice. CPU features: the caller's.
-                // All-zero is a valid `L` (trait contract).
+                // WIDTH <= off + CACHELINE <= rows * CACHELINE`, within every
+                // source and every row of `end` the pass touches (caller
+                // contract): each vector access stays inside its slice. `i <
+                // N` and `j < k`, so `i * k + j < N * k == tables.len()`
+                // (caller contract): unchecked, because the bounds tests'
+                // registers cost the inner loop a spill. CPU features: the
+                // caller's. All-zero is a valid `L` (trait contract).
                 unsafe {
                     let mut acc = [std::mem::zeroed::<L>(); N];
+                    for (acc, &base) in acc.iter_mut().zip(&bases) {
+                        *acc = E::seed(base, at);
+                    }
                     for (j, src) in sources.iter().enumerate() {
                         let s = L::load(src.as_ptr().add(at)).split();
-                        for i in 0..N {
-                            acc[i] = acc[i].mul_acc(&tables[i * k + j], s);
+                        for (i, acc) in acc.iter_mut().enumerate() {
+                            *acc = acc.mul_acc(tables.get_unchecked(i * k + j), s);
                         }
                     }
-                    for i in 0..N {
-                        acc[i].store(outputs[i].as_mut_ptr().cast::<u8>().add(at));
-                    }
+                    end.end(&bases, first, at, &acc, off);
                 }
             }
         }
@@ -788,26 +1045,29 @@ mod x86 {
             }
 
             /// # Safety
-            /// This tier's CPU features; `outs.len() <= FUSED_GROUP`, and
-            /// the rest of [`group_pass`]'s contract for `N = outs.len()`.
+            /// This tier's CPU features; `group` is 1 to `FUSED_GROUP` rows
+            /// of `end`, and the rest of [`group_pass`]'s contract for
+            /// `first = group.start`, `N = group.len()`.
             #[target_feature(enable = $features)]
-            pub(super) unsafe fn $fused(
+            pub(super) unsafe fn $fused<E: LaneEnd>(
                 tabs: &[NibbleTables],
                 srcs: &[&[u8]],
-                outs: &mut [&mut [MaybeUninit<u8>]],
+                end: &mut E,
+                group: Range<usize>,
                 pass: &PassSched,
                 pf: bool,
             ) {
-                debug_assert!(outs.len() <= FUSED_GROUP);
-                // SAFETY: this function's contract, `N` the matched length.
+                debug_assert!((1..=FUSED_GROUP).contains(&group.len()));
+                let first = group.start;
+                // SAFETY: this function's contract, `N` the matched width.
                 unsafe {
-                    match outs.len() {
-                        1 => group_pass::<$lanes, 1>(tabs, srcs, outs, pass, pf),
-                        2 => group_pass::<$lanes, 2>(tabs, srcs, outs, pass, pf),
-                        3 => group_pass::<$lanes, 3>(tabs, srcs, outs, pass, pf),
-                        4 => group_pass::<$lanes, 4>(tabs, srcs, outs, pass, pf),
-                        5 => group_pass::<$lanes, 5>(tabs, srcs, outs, pass, pf),
-                        _ => group_pass::<$lanes, 6>(tabs, srcs, outs, pass, pf),
+                    match group.len() {
+                        1 => group_pass::<$lanes, 1, E>(tabs, srcs, end, first, pass, pf),
+                        2 => group_pass::<$lanes, 2, E>(tabs, srcs, end, first, pass, pf),
+                        3 => group_pass::<$lanes, 3, E>(tabs, srcs, end, first, pass, pf),
+                        4 => group_pass::<$lanes, 4, E>(tabs, srcs, end, first, pass, pf),
+                        5 => group_pass::<$lanes, 5, E>(tabs, srcs, end, first, pass, pf),
+                        _ => group_pass::<$lanes, 6, E>(tabs, srcs, end, first, pass, pf),
                     }
                 }
             }
@@ -820,38 +1080,43 @@ mod x86 {
 
 /// Portable fused pass: same row walk, shuffle and prefetch schedule as the
 /// vector passes (so scheduling is exercised on every tier) and the same
-/// shape — each source line folded once into the group's accumulators, each
-/// output line stored once — the per-line multiply done by the table
-/// kernel. `out0` is the group's first output, for the sink.
+/// shape — each source line folded once into the group's accumulators,
+/// which `end` seeds and then takes — the per-line multiply done by the
+/// table kernel. `group` is the outputs of this pass.
 fn group_pass_portable(
     tables: &[NibbleTables],
     sources: &[&[u8]],
-    outputs: &mut [&mut [MaybeUninit<u8>]],
-    out0: usize,
+    end: &mut impl RowEnd,
+    group: Range<usize>,
     pass: &PassSched,
     prefetch: bool,
     sink: &mut impl AccessSink,
 ) {
     let (k, rows) = (sources.len(), pass.rows());
+    let (first, n) = (group.start, group.len());
     for vr in 0..rows {
         let row = pass.row(vr);
         let line = row as usize * CACHELINE..(row as usize + 1) * CACHELINE;
         if prefetch {
             pass.for_each_target(vr, |b, r| {
                 sink.on(Access::Prefetch(b, r));
-                prefetch_read(sources[b][r as usize * CACHELINE..].as_ptr())
+                prefetch_read(sources[b][r as usize * CACHELINE..].as_ptr());
+                end.prefetch_beside(k, b, r);
             });
         }
         let mut acc = [[0u8; CACHELINE]; FUSED_GROUP];
+        for (i, acc) in acc[..n].iter_mut().enumerate() {
+            *acc = end.seed_line(first + i, line.clone());
+        }
         for (j, src) in sources.iter().enumerate() {
             sink.on(Access::Load(j, row));
-            for (i, acc) in acc[..outputs.len()].iter_mut().enumerate() {
+            for (i, acc) in acc[..n].iter_mut().enumerate() {
                 crate::slice::mul_add_slice_tab(&tables[i * k + j], &src[line.clone()], acc);
             }
         }
-        for (i, out) in outputs.iter_mut().enumerate() {
-            sink.on(Access::Store(out0 + i, row));
-            out[line.clone()].write_copy_of_slice(&acc[i]);
+        for (i, acc) in acc[..n].iter().enumerate() {
+            sink.on(Access::Store(first + i, row));
+            end.end_line(first + i, line.clone(), acc);
         }
     }
 }
@@ -996,10 +1261,11 @@ mod tests {
 
     #[test]
     fn verify_accepts_clean_rows_and_localizes_flipped_ones() {
-        // Lengths straddle one window, several windows, and a ragged tail.
+        // One ragged line, whole lines only, and many lines with a ragged
+        // tail.
         let k = 4;
         let n_out = 3;
-        for len in [96usize, VERIFY_WINDOW, 2 * VERIFY_WINDOW + 200] {
+        for len in [96usize, 16_384, 32_968] {
             let data: Vec<Vec<u8>> = (0..k).map(|j| pattern(len, j as u8 + 11)).collect();
             let sources: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
             let tables: Vec<NibbleTables> = (0..n_out * k)
@@ -1018,8 +1284,7 @@ mod tests {
                 dot_prod_verify(&tables, &sources, &clean, sched),
                 Vec::<usize>::new()
             );
-            // Flip one byte in row 1 — deep in the last window, so the
-            // early-out must not skip it.
+            // Flip one byte in row 1, in the last byte of the pass.
             let mut dirty = rows.clone();
             dirty[1][len - 1] ^= 0x40;
             let exp: Vec<&[u8]> = dirty.iter().map(|r| r.as_slice()).collect();
@@ -1028,7 +1293,7 @@ mod tests {
                 vec![1],
                 "len={len}"
             );
-            // Corrupt every row: all condemned, scan may stop early.
+            // Corrupt every row: all condemned.
             let mut all = rows.clone();
             for r in all.iter_mut() {
                 r[0] ^= 1;
@@ -1043,13 +1308,13 @@ mod tests {
 
     #[test]
     fn syndromes_collect_exactly_the_nonzero_columns() {
-        // A ragged length spanning three windows; damage in the first and
-        // the last window, in a row and in a source, plus one position hit
-        // twice — and one source byte whose syndromes the row flips cancel
-        // back to zero, which must not appear.
+        // A ragged length of many lines; damage in the first line and the
+        // tail, in a row and in a source, plus one position hit twice — and
+        // one source byte whose syndromes the row flips cancel back to
+        // zero, which must not appear.
         let k = 4;
         let n_out = 3;
-        let len = 2 * VERIFY_WINDOW + 200;
+        let len = 32_968;
         let data: Vec<Vec<u8>> = (0..k).map(|j| pattern(len, j as u8 + 11)).collect();
         let tables: Vec<NibbleTables> = (0..n_out * k)
             .map(|i| NibbleTables::new((i as u8).wrapping_mul(31).wrapping_add(7)))
@@ -1078,7 +1343,7 @@ mod tests {
         bad_data[2][5] ^= 0x03;
         bad_data[0][len - 1] ^= 0x80;
         // Cancelled: every row absorbs what the source flip adds to it.
-        let at = VERIFY_WINDOW + 9;
+        let at = 16_393;
         bad_data[3][at] ^= 0x55;
         for (i, row) in bad_rows.iter_mut().enumerate() {
             row[at] ^= tables[i * k + 3].mul(0x55);
@@ -1093,7 +1358,7 @@ mod tests {
         want[1] ^= 0x40;
         want.extend(column(0, 0x80));
         assert_eq!(got.syndromes, want);
-        // Same rows condemned as the early-exit form, on any schedule.
+        // Same rows condemned as the verdict form, on any schedule.
         assert_eq!(
             dot_prod_verify(&tables, &sources, &expected, sched),
             vec![0, 1, 2]

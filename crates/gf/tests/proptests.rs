@@ -144,7 +144,7 @@ fn bitmatrix_inverse_roundtrip() {
 use dialga_gf::sched::FusedSched;
 use dialga_gf::simd::{
     dot_prod_fused, dot_prod_fused_vec, dot_prod_syndromes, dot_prod_verify, mul_add_slice_simd,
-    selected_kernel, set_kernel_override, Kernel, Support, FUSED_GROUP, VERIFY_WINDOW,
+    selected_kernel, set_kernel_override, Kernel, Support, FUSED_GROUP,
 };
 use dialga_gf::tables::NibbleTables;
 
@@ -251,55 +251,98 @@ fn check_mul_add_all_coefficients() {
     }
 }
 
-/// `dot_prod_verify` / `dot_prod_syndromes` over three windows with a
-/// ragged tail, damage in the first and the last window, in a stored row
-/// and in a source — against syndromes worked out by the scalar reference.
+/// `dot_prod_verify` / `dot_prod_syndromes` against syndromes worked out
+/// by the scalar reference: two output groups, lengths from one byte to
+/// many lines with a ragged tail, every shard cut from one buffer at a
+/// 4 KiB-multiple stride (the store's payload layout). Damage to a stored
+/// row in each group and in the last byte, then to a source as well; the
+/// rows the verdict names are exactly the rows with a non-zero syndrome.
 fn check_verify_and_syndromes() {
-    let (k, n_out, len) = (4usize, 3usize, 2 * VERIFY_WINDOW + 200);
+    let (k, n_out) = (4usize, FUSED_GROUP + 2);
     let tables: Vec<NibbleTables> = (0..n_out * k)
         .map(|i| NibbleTables::new((i as u8).wrapping_mul(31).wrapping_add(7)))
         .collect();
-    let mut data: Vec<Vec<u8>> = (0..k)
-        .map(|j| (0..len).map(|i| (i * 37 + j + 11) as u8).collect())
-        .collect();
-    let mut stored = vec![vec![0u8; len]; n_out];
-    let reference = |data: &[Vec<u8>], rows: &mut [Vec<u8>]| {
-        let srcs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let mut refs: Vec<&mut [u8]> = rows.iter_mut().map(|o| o.as_mut_slice()).collect();
-        reference_dot_prod(&tables, &srcs, &mut refs);
-    };
-    reference(&data, &mut stored);
-    let sched = FusedSched {
-        d: Some(7),
-        d_long: Some(13),
-        shuffle: false,
-    };
-    let run = |data: &[Vec<u8>], stored: &[Vec<u8>]| {
-        let srcs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let exp: Vec<&[u8]> = stored.iter().map(|r| r.as_slice()).collect();
-        (
-            dot_prod_verify(&tables, &srcs, &exp, sched),
-            dot_prod_syndromes(&tables, &srcs, &exp, sched),
-        )
-    };
-    assert_eq!(run(&data, &stored), (vec![], Support::default()));
-
-    stored[1][5] ^= 0x40;
-    data[2][5] ^= 0x03;
-    data[0][len - 1] ^= 0x80;
-    stored[2][VERIFY_WINDOW + 9] ^= 0x01;
-    let mut recomputed = vec![vec![0u8; len]; n_out];
-    reference(&data, &mut recomputed);
-    let mut want = Support::default();
-    for at in 0..len {
-        let column = (0..n_out).map(|i| stored[i][at] ^ recomputed[i][at]);
-        if column.clone().any(|s| s != 0) {
-            want.positions.push(at);
-            want.syndromes.extend(column);
+    let scheds = [
+        FusedSched {
+            d: Some(7),
+            d_long: Some(13),
+            shuffle: false,
+        },
+        FusedSched {
+            d: Some(3),
+            d_long: None,
+            shuffle: true,
+        },
+    ];
+    for len in [1usize, 63, 64, 4096, 32_968] {
+        let stride = len.div_ceil(4096) * 4096;
+        let mut payload: Vec<u8> = (0..(k + n_out) * stride)
+            .map(|i| (i * 37 + 11) as u8)
+            .collect();
+        let reference = |payload: &mut [u8]| {
+            let (data, parity) = payload.split_at_mut(k * stride);
+            let srcs: Vec<&[u8]> = data.chunks_exact(stride).map(|d| &d[..len]).collect();
+            let mut rows: Vec<&mut [u8]> = parity
+                .chunks_exact_mut(stride)
+                .map(|p| &mut p[..len])
+                .collect();
+            reference_dot_prod(&tables, &srcs, &mut rows);
+        };
+        reference(&mut payload);
+        let run = |payload: &[u8], sched: FusedSched| {
+            let shards: Vec<&[u8]> = payload.chunks_exact(stride).map(|s| &s[..len]).collect();
+            let (srcs, exp) = shards.split_at(k);
+            (
+                dot_prod_verify(&tables, srcs, exp, sched),
+                dot_prod_syndromes(&tables, srcs, exp, sched),
+            )
+        };
+        let byte = |shard: usize, at: usize| shard * stride + at;
+        let stored_damage = [(1, 0), (FUSED_GROUP + 1, len / 2), (3, len - 1)];
+        let source_damage = (2, len / 3);
+        for with_source in [false, true] {
+            let mut dirty = payload.clone();
+            if with_source {
+                dirty[byte(source_damage.0, source_damage.1)] ^= 0x03;
+            }
+            for &(row, at) in &stored_damage {
+                dirty[byte(k + row, at)] ^= 0x40;
+            }
+            let mut recomputed = dirty.clone();
+            reference(&mut recomputed);
+            let mut want = Support::default();
+            for at in 0..len {
+                let column =
+                    (0..n_out).map(|i| dirty[byte(k + i, at)] ^ recomputed[byte(k + i, at)]);
+                if column.clone().any(|s| s != 0) {
+                    want.positions.push(at);
+                    want.syndromes.extend(column);
+                }
+            }
+            // The damage is all the reference sees.
+            let mut damaged: Vec<usize> = stored_damage.iter().map(|&(_, at)| at).collect();
+            if with_source {
+                damaged.push(source_damage.1);
+            }
+            damaged.sort_unstable();
+            damaged.dedup();
+            assert_eq!(want.positions, damaged, "len={len}");
+            for sched in scheds {
+                let ctx = format!("len={len} with_source={with_source} {sched:?}");
+                assert_eq!(run(&payload, sched), (vec![], Support::default()), "{ctx}");
+                let (verdict, support) = run(&dirty, sched);
+                assert_eq!(support, want, "{ctx}");
+                let columns = || support.syndromes.chunks_exact(n_out);
+                let named: Vec<usize> = (0..n_out)
+                    .filter(|&i| columns().any(|c| c[i] != 0))
+                    .collect();
+                assert_eq!(verdict, named, "{ctx}");
+                if !with_source {
+                    assert_eq!(verdict, vec![1, 3, FUSED_GROUP + 1], "{ctx}");
+                }
+            }
         }
     }
-    assert_eq!(want.positions, vec![5, VERIFY_WINDOW + 9, len - 1]);
-    assert_eq!(run(&data, &stored), (vec![0, 1, 2], want));
 }
 
 /// Run `body` under every tier this CPU has, lowest first, and say which
