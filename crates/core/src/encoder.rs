@@ -46,6 +46,20 @@ fn nibble_tables(rows: &GfMatrix) -> Vec<NibbleTables> {
     tables
 }
 
+/// The common length of every present shard — not just the survivors': a
+/// mismatched survivor would otherwise reach the kernel and panic, and a
+/// mismatched non-survivor silently corrupt a later parity recompute.
+fn present_len(shards: &[Option<Vec<u8>>]) -> Result<usize, EcError> {
+    let len = shards.iter().flatten().next().map_or(0, Vec::len);
+    match shards.iter().flatten().find(|s| s.len() != len) {
+        Some(bad) => Err(EcError::BlockLength {
+            expected: len,
+            got: bad.len(),
+        }),
+        None => Ok(len),
+    }
+}
+
 /// Check that `sources`/`outputs` agree with the table geometry and with
 /// each other in length (the apply kernels index without bounds slack).
 fn check_apply(
@@ -239,9 +253,9 @@ impl Dialga {
 
     /// The common length of a stripe's `data` and `parity` blocks,
     /// through [`check_blocks`]: data, then parity against the data.
-    pub(crate) fn stripe_len<B: AsRef<[u8]>>(
+    pub(crate) fn stripe_len<D: AsRef<[u8]>, B: AsRef<[u8]>>(
         &self,
-        data: &[&[u8]],
+        data: &[D],
         parity: &[B],
     ) -> Result<usize, EcError> {
         let params = self.params();
@@ -298,23 +312,7 @@ impl Dialga {
                 tolerance: m,
             });
         }
-        // Every present shard must agree on length — not just the first
-        // survivor. A mismatched survivor would otherwise reach the kernel
-        // and panic (or a mismatched non-survivor would silently corrupt a
-        // later parity recompute).
-        let mut len = 0usize;
-        let mut first = true;
-        for s in shards.iter().flatten() {
-            if first {
-                len = s.len();
-                first = false;
-            } else if s.len() != len {
-                return Err(EcError::BlockLength {
-                    expected: len,
-                    got: s.len(),
-                });
-            }
-        }
+        let len = present_len(shards)?;
         let mut survivors = Vec::with_capacity(k);
         survivors.extend((0..k + m).filter(|&i| shards[i].is_some()).take(k));
         let data_lost = lost.partition_point(|&i| i < k);
@@ -334,6 +332,36 @@ impl Dialga {
             parity_tables,
             len,
         })
+    }
+
+    /// The repair plan for block `target` of the full stripe `shards`
+    /// (holes `None`), and the stripe's shard length: validate geometry
+    /// and every present shard's length, as [`Self::decode_plan`] does, and
+    /// plan over the first k present shards other than `target`.
+    pub(crate) fn stripe_repair_plan(
+        &self,
+        shards: &[Option<Vec<u8>>],
+        target: usize,
+    ) -> Result<(RepairPlan, usize), EcError> {
+        let CodeParams { k, m } = self.params();
+        let wrong_count = (shards.len() != k + m).then_some(shards.len());
+        if let Some(got) = wrong_count.or((target >= k + m).then_some(target)) {
+            return Err(EcError::BlockCount {
+                expected: k + m,
+                got,
+            });
+        }
+        let mut survivors = Vec::with_capacity(k);
+        let present = (0..k + m).filter(|&i| i != target && shards[i].is_some());
+        survivors.extend(present.take(k));
+        if survivors.len() < k {
+            let lost = shards.iter().filter(|s| s.is_none()).count().max(1);
+            return Err(EcError::TooManyErasures { lost, tolerance: m });
+        }
+        let len = present_len(shards)?;
+        let rows = self.rs.parity_matrix().decode_rows(&survivors, &[target])?;
+        let tables = nibble_tables(&rows);
+        Ok((RepairPlan { survivors, tables }, len))
     }
 
     /// The single-block repair plan that rebuilds block `target` from the

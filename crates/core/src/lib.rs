@@ -31,7 +31,7 @@ pub mod encoder;
 pub mod pool;
 
 pub use encoder::{DecodePlan, Dialga, RepairPlan};
-pub use pool::{DecodeJob, EncodePool, PoolStats, StripeJob};
+pub use pool::{EncodePool, PoolStats, StripeJob};
 
 /// Shim: `benchmark/` still imports `dialga::source::DialgaSource`.
 /// ROADMAP.md item 1f deletes it, with [`CoordinatorSnapshot`] below and

@@ -9,7 +9,8 @@
 //! * **Plans.** Every public operation (encode, decode, repair, verify;
 //!   `_vec` / `_batch` are thin adapters) validates its input and reduces
 //!   to `RawJob`s: apply these nibble tables to these sources, into these
-//!   outputs. Nothing else differs between them.
+//!   outputs (or, for a verify, checked against these stored rows).
+//!   Nothing else differs between them.
 //! * **One submit path.** `EncodePool::run_jobs` owns everything after
 //!   that: [`split_ranges`] chunking, the detached spans, dealing, the
 //!   completion latch, the watchdog, healing and bounded retry.
@@ -18,7 +19,10 @@
 //!   the submitting thread sends the workers their shares, runs its own
 //!   through the same `run_chunk` body, and only then waits. A batch of
 //!   one chunk — and every batch on a pool of 1 — is a direct kernel
-//!   call: nothing queued, no latch allocated, no thread woken.
+//!   call: nothing queued, no latch, no thread woken, nothing allocated
+//!   but the operation's fresh outputs and its plan (a decode or repair
+//!   inverts a parity minor): the spans live in storage the pool keeps,
+//!   and a chunk gathers its slices on the stack.
 //! * **The coder's schedule.** Every chunk runs the [`FusedSched`] its
 //!   job's coder carries (`Dialga::sched()`); the pool has no schedule of
 //!   its own. The paper's coordinator (§4.1) retunes that schedule from PMU
@@ -35,7 +39,7 @@ use dialga_ec::EcError;
 #[cfg(feature = "fault-injection")]
 use dialga_faultkit::{ChunkFault, FaultCell, FaultPlan};
 use dialga_gf::sched::FusedSched;
-use dialga_gf::simd::{dot_prod_fused_into, FreshBlock};
+use dialga_gf::simd::{dot_prod_fused_into, dot_prod_verify, FreshBlock};
 use dialga_gf::tables::NibbleTables;
 use std::mem::MaybeUninit;
 use std::ops::Range;
@@ -56,31 +60,25 @@ pub const CHUNK_ALIGN: usize = 256;
 /// starts.
 pub const BATCH_RETRIES: u32 = 2;
 
+/// Most blocks one side of a job has: a GF(2^8) stripe has at most 255.
+const MAX_BLOCKS: usize = 255;
+
 /// Split `[0, len)` into at most `parts` ranges whose boundaries are
 /// multiples of [`CHUNK_ALIGN`], sized as evenly as the alignment allows:
 /// every range length differs from every other by at most `CHUNK_ALIGN`
 /// bytes. The surplus alignment units go to the *last* ranges, so the
 /// sub-unit tail shortfall offsets one of them instead of compounding the
 /// imbalance (rounding `len / parts` up instead leaves executors idle).
-pub fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
-    if len == 0 || parts == 0 {
-        return Vec::new();
-    }
+pub fn split_ranges(len: usize, parts: usize) -> impl Iterator<Item = Range<usize>> + Clone {
     let units = len.div_ceil(CHUNK_ALIGN);
     let n = parts.min(units);
-    let base = units / n;
-    let extra = units % n;
-    let mut ranges = Vec::with_capacity(n);
-    let mut start = 0usize;
-    for i in 0..n {
+    let (base, extra) = (units / n.max(1), units % n.max(1));
+    (0..n).scan(0usize, move |start, i| {
         // The last `extra` ranges carry one surplus unit each.
         let units_here = base + usize::from(i >= n - extra);
-        let end = (start + units_here * CHUNK_ALIGN).min(len);
-        ranges.push(start..end);
-        start = end;
-    }
-    debug_assert_eq!(start, len);
-    ranges
+        let end = (*start + units_here * CHUNK_ALIGN).min(len);
+        Some(std::mem::replace(start, end)..end)
+    })
 }
 
 /// One stripe of a batch submission: `k` data blocks in, `m` parity blocks
@@ -90,13 +88,6 @@ pub struct StripeJob<'d, 'p> {
     pub data: &'d [&'d [u8]],
     /// The m parity blocks (overwritten; same length as the data blocks).
     pub parity: &'d mut [&'p mut [u8]],
-}
-
-/// One stripe of a decode batch: `k + m` shards with `None` marking
-/// erasures, repaired in place (the [`Dialga::decode`] contract).
-pub struct DecodeJob<'a> {
-    /// The stripe's shards; every entry is `Some` on success.
-    pub shards: &'a mut [Option<Vec<u8>>],
 }
 
 /// Live counters the pool accumulates (what [`PoolStats`] snapshots).
@@ -158,8 +149,11 @@ struct PoolShared {
     fault: Arc<FaultCell>,
 }
 
-/// `Send`-able read-only view of a borrowed `&[T]`: one source block (or a
-/// chunk of it), or the nibble tables every chunk of a job shares.
+/// `Send`-able view of a borrowed `&[T]`, detached from its lifetime: one
+/// source block, the nibble tables every chunk of a job shares, a
+/// submission's [`Spans`] — or, as an [`OutSpan`], an output block the
+/// kernel only stores into: the caller's bytes, or a [`FreshBlock`] nothing
+/// has written yet, so either kind is sound to hand out.
 ///
 /// The submission protocol is what makes the detached lifetime sound:
 /// [`EncodePool::run_jobs_once`] neither returns nor unwinds between
@@ -167,46 +161,55 @@ struct PoolShared {
 /// accounted for, so the slice a span was built from (borrowed by, or owned
 /// by a frame of, the public operation) outlives every worker dereference;
 /// the submitting thread's own chunks are dereferenced inside that frame.
+/// Write exclusivity is structural: [`split_ranges`] yields
+/// non-overlapping ranges, each chunk of a job `sub`s every output at its
+/// own range only, and no output span is in two jobs — so no two chunks
+/// (hence no two executors) ever write the same bytes.
 #[derive(Clone, Copy)]
-struct ReadSpan<T> {
+struct Span<T> {
     ptr: NonNull<T>,
     len: usize,
 }
 
-type SrcSpan = ReadSpan<u8>;
-type TabSpan = ReadSpan<NibbleTables>;
+type SrcSpan = Span<u8>;
+type TabSpan = Span<NibbleTables>;
+type OutSpan = Span<MaybeUninit<u8>>;
 
-// SAFETY: a read-only view (workers only ever build `&[T]` from it, hence
-// `T: Sync`); the referent outlives all dereferences per the submission
-// protocol documented on the type.
-unsafe impl<T: Sync> Send for ReadSpan<T> {}
+// SAFETY: executors build only `&[T]` from a span (hence `T: Sync`), or,
+// from an `OutSpan`, the write-only slice of a range no other chunk has;
+// the referent outlives every dereference per the protocol on the type. A
+// shared `&Span` reaches the bytes only through the same `unsafe` methods.
+unsafe impl<T: Sync> Send for Span<T> {}
+// SAFETY: as for `Send`.
+unsafe impl<T: Sync> Sync for Span<T> {}
 
-impl<T> ReadSpan<T> {
+impl<T> Span<T> {
     fn new(slice: &[T]) -> Self {
         // SAFETY: slice pointers are never null (empty slices use a
         // dangling, still non-null pointer).
         let ptr = unsafe { NonNull::new_unchecked(slice.as_ptr().cast_mut()) };
         let len = slice.len();
-        ReadSpan { ptr, len }
+        Span { ptr, len }
     }
 
     /// The part of this span at `r`.
     ///
     /// # Safety
-    /// `r.start <= r.end <= self.len` (the chunker passes a
-    /// [`split_ranges`] range over the job's common block length).
+    /// `r.start <= r.end <= self.len`; for an output, the caller hands the
+    /// result to one chunk only (a chunk passes its own [`split_ranges`]
+    /// range over the job's common block length).
     unsafe fn sub(self, r: &Range<usize>) -> Self {
         debug_assert!(r.start <= r.end && r.end <= self.len);
         // SAFETY: in-bounds offset within the span's allocation per the
         // caller contract.
         let ptr = unsafe { NonNull::new_unchecked(self.ptr.as_ptr().add(r.start)) };
-        ReadSpan { ptr, len: r.len() }
+        Span { ptr, len: r.len() }
     }
 
     /// Rebuild the slice on the executor.
     ///
     /// # Safety
-    /// The slice passed to [`ReadSpan::new`] must still be live, i.e. the
+    /// The slice passed to [`Span::new`] must still be live, i.e. the
     /// submitting thread still inside [`EncodePool::run_jobs_once`].
     unsafe fn as_slice<'a>(&self) -> &'a [T] {
         // SAFETY: caller upholds liveness; `ptr`/`len` came from a real
@@ -215,58 +218,20 @@ impl<T> ReadSpan<T> {
     }
 }
 
-/// `Send`-able write-only view of one output block (or a chunk of it):
-/// the caller's bytes, or a [`FreshBlock`] nothing has written yet. The
-/// kernel only stores through it, so either kind is sound to hand out.
-/// Exclusivity is structural: [`split_ranges`] yields non-overlapping
-/// ranges, and the chunker hands each range, as is, to exactly one chunk's
-/// `sub` calls — so no two chunks (hence no two executors) ever hold spans
-/// over the same bytes, and the submitting thread touches the output
-/// borrows only through the chunks it runs itself.
-#[derive(Clone, Copy)]
-struct OutSpan {
-    ptr: NonNull<MaybeUninit<u8>>,
-    len: usize,
-}
-
-// SAFETY: liveness per the submission protocol (see [`ReadSpan`]) and
-// write-exclusivity per the disjoint-range construction documented on the
-// type: each span's byte range is owned by exactly one chunk.
-unsafe impl Send for OutSpan {}
-
 impl OutSpan {
     /// Over the caller's bytes, which the kernel overwrites.
-    fn new(block: &mut [u8]) -> Self {
+    fn over(block: &mut [u8]) -> Self {
         let len = block.len();
-        OutSpan {
-            ptr: NonNull::from(block).cast(),
-            len,
-        }
+        let ptr = NonNull::from(block).cast();
+        Span { ptr, len }
     }
 
     /// Over a fresh block's unwritten bytes.
     fn fresh(block: &mut FreshBlock) -> Self {
         let block = block.as_uninit();
         let len = block.len();
-        OutSpan {
-            ptr: NonNull::from(block).cast(),
-            len,
-        }
-    }
-
-    /// The part of this span at `r`.
-    ///
-    /// # Safety
-    /// `r.start <= r.end <= self.len`, and the caller must hand each
-    /// resulting sub-span to at most one chunk (disjointness comes from
-    /// passing [`split_ranges`] output, one range per chunk, as the only
-    /// ranges).
-    unsafe fn sub(self, r: &Range<usize>) -> Self {
-        debug_assert!(r.start <= r.end && r.end <= self.len);
-        // SAFETY: in-bounds offset within the span's allocation per the
-        // caller contract.
-        let ptr = unsafe { NonNull::new_unchecked(self.ptr.as_ptr().add(r.start)) };
-        OutSpan { ptr, len: r.len() }
+        let ptr = NonNull::from(block).cast();
+        Span { ptr, len }
     }
 
     /// Rebuild the write-only output slice on the executor (never a
@@ -276,7 +241,7 @@ impl OutSpan {
     /// # Safety
     /// The block must still be live (submitting thread inside
     /// [`EncodePool::run_jobs_once`]) and this span's range disjoint from
-    /// every other chunk's, per the construction contract above.
+    /// every other chunk's, per the construction contract on [`Span`].
     unsafe fn as_uninit<'a>(self) -> &'a mut [MaybeUninit<u8>] {
         // SAFETY: caller upholds liveness and exclusive ownership of the
         // range; bounds per construction; `MaybeUninit<u8>` views any bytes,
@@ -285,165 +250,182 @@ impl OutSpan {
     }
 }
 
-/// The work of one job, or of one chunk of it:
-/// `outputs[i] = sum_j tables[i * sources.len() + j] * sources[j]`.
-/// `Send` because the spans are (they carry the safety argument).
-struct Work {
-    tables: TabSpan,
-    sources: Vec<SrcSpan>,
-    outputs: Vec<OutSpan>,
-    /// The coder's schedule, which every chunk of the job runs.
-    sched: FusedSched,
+/// Where a job's folded lines go.
+enum Outputs {
+    /// Stored into these of the submission's output spans.
+    Write(Range<usize>),
+    /// Checked against the stored rows at these of its source spans; the
+    /// rows that differ anywhere go into the submission's dirty set.
+    Check(Range<usize>),
 }
 
-/// One job over full-length blocks, before chunking. Encode, both decode
-/// stages, single-block repair and verify all reduce to this shape, which
-/// is why the pool has exactly one submission path.
+/// One job over full-length blocks, before chunking:
+/// `outputs[i] = sum_j tables[i * sources.len() + j] * sources[j]`, its
+/// blocks given as positions in the submission's [`Spans`]. Encode, both
+/// decode stages, single-block repair and verify all reduce to this shape,
+/// which is why the pool has exactly one submission path.
 struct RawJob {
-    work: Work,
-    /// Common length of every source and output (checked by [`RawJob::new`]).
+    tables: TabSpan,
+    sources: Range<usize>,
+    outputs: Outputs,
+    /// The coder's schedule, which every chunk of the job runs.
+    sched: FusedSched,
+    /// Common length of every source and output (checked by [`Spans::job`]).
     len: usize,
 }
 
-impl RawJob {
-    /// The one constructor the plan builders use. Checks the fact every
-    /// `.sub` in [`EncodePool::run_jobs_once`] relies on — all sources and
-    /// outputs span exactly `len` bytes — so no entry point can forget it.
-    fn new(
+/// A submission's spans, jobs and fresh outputs. The pool keeps one, boxed,
+/// between submissions ([`EncodePool::spans`] / [`EncodePool::finish`]),
+/// emptied but not freed, so a warm pool plans without allocating; a chunk
+/// points into the box, never into a submitter's frame.
+#[derive(Default)]
+struct Spans {
+    sources: Vec<SrcSpan>,
+    outputs: Vec<OutSpan>,
+    jobs: Vec<RawJob>,
+    /// The blocks behind the fresh outputs, in planning order.
+    fresh: Vec<FreshBlock>,
+    /// The rows a check found differing (a retried chunk adds its again);
+    /// the verify takes them.
+    dirty: Mutex<Vec<usize>>,
+}
+
+impl Spans {
+    /// The one job constructor the plans use: `tables` over the sources at
+    /// `sources`. Checks the fact every `sub` in [`run_chunk`] relies on —
+    /// all of the job's spans cover one length — so no plan can forget it.
+    fn job(
+        &mut self,
         tables: &[NibbleTables],
-        sources: Vec<SrcSpan>,
-        outputs: Vec<OutSpan>,
+        sources: Range<usize>,
+        outputs: Outputs,
         sched: FusedSched,
-    ) -> Result<Self, EcError> {
-        let len = sources.first().map_or(0, |s| s.len);
-        let lens = sources.iter().map(|s| s.len);
-        if let Some(got) = lens
-            .chain(outputs.iter().map(|o| o.len))
-            .find(|&l| l != len)
-        {
+    ) -> Result<(), EcError> {
+        let (outs, stored) = match &outputs {
+            Outputs::Write(o) => (&self.outputs[o.clone()], &[][..]),
+            Outputs::Check(s) => (&[][..], &self.sources[s.clone()]),
+        };
+        let srcs = &self.sources[sources.clone()];
+        let len = srcs.first().map_or(0, |s| s.len);
+        let lens = srcs.iter().chain(stored).map(|s| s.len);
+        if let Some(got) = lens.chain(outs.iter().map(|o| o.len)).find(|&l| l != len) {
             return Err(EcError::BlockLength { expected: len, got });
         }
-        let work = Work {
+        self.jobs.push(RawJob {
             tables: TabSpan::new(tables),
             sources,
             outputs,
             sched,
-        };
-        Ok(RawJob { work, len })
+            len,
+        });
+        Ok(())
+    }
+
+    /// Push `blocks` as sources; their positions.
+    fn sources<'b>(&mut self, blocks: impl IntoIterator<Item = &'b [u8]>) -> Range<usize> {
+        pushed(&mut self.sources, blocks.into_iter().map(SrcSpan::new))
+    }
+
+    /// Push `n` fresh blocks of `len` bytes as outputs.
+    fn fresh(&mut self, n: usize, len: usize) -> Outputs {
+        let first = self.fresh.len();
+        self.fresh.extend((0..n).map(|_| FreshBlock::new(len)));
+        let blocks = self.fresh[first..].iter_mut().map(OutSpan::fresh);
+        Outputs::Write(pushed(&mut self.outputs, blocks))
     }
 
     /// Plan: parity of one stripe from its data, into the caller's
-    /// blocks or fresh ones.
-    fn encode(coder: &Dialga, data: &[&[u8]], parity: Vec<OutSpan>) -> Result<Self, EcError> {
-        let params = coder.params();
-        check_count(params.k, data.len())?;
-        check_count(params.m, parity.len())?;
-        RawJob::new(
-            coder.tables(),
-            data.iter().map(|d| SrcSpan::new(d)).collect(),
-            parity,
-            coder.sched(),
-        )
+    /// blocks or (`None`) fresh ones.
+    fn encode<D: AsRef<[u8]>>(
+        &mut self,
+        coder: &Dialga,
+        data: &[D],
+        parity: Option<&mut [&mut [u8]]>,
+    ) -> Result<(), EcError> {
+        let outputs = match parity {
+            Some(parity) => {
+                coder.stripe_len(data, parity)?;
+                let blocks = parity.iter_mut().map(|p| OutSpan::over(p));
+                Outputs::Write(pushed(&mut self.outputs, blocks))
+            }
+            None => {
+                let len = dialga_ec::check_blocks(data, coder.params().k, None)?;
+                self.fresh(coder.params().m, len)
+            }
+        };
+        let sources = self.sources(data.iter().map(AsRef::as_ref));
+        self.job(coder.tables(), sources, outputs, coder.sched())
     }
 
-    /// Plan: the shards at `outputs` from the shards at `sources` (one
-    /// decode stage, or a single-block repair into `spare`).
-    fn from_shards(
+    /// Plan: `holes` fresh blocks of `len` bytes from the shards at
+    /// `sources` (one decode stage, or a single-block repair).
+    fn rebuild(
+        &mut self,
         coder: &Dialga,
         tables: &[NibbleTables],
         shards: &[Option<Vec<u8>>],
-        sources: &[usize],
-        outputs: Vec<OutSpan>,
-    ) -> Result<Self, EcError> {
-        let sources = sources
-            .iter()
-            .map(|&i| dialga_ec::present_shard(shards, i, "plan source shard absent"))
-            .map(|v| v.map(|v| SrcSpan::new(v)))
-            .collect::<Result<_, _>>()?;
-        RawJob::new(tables, sources, outputs, coder.sched())
+        sources: impl IntoIterator<Item = usize>,
+        (holes, len): (usize, usize),
+    ) -> Result<(), EcError> {
+        let outputs = self.fresh(holes, len);
+        // The plan named present shards; were one absent, its empty span
+        // would fail the job's length check.
+        let blocks = sources
+            .into_iter()
+            .map(|i| shards[i].as_deref().unwrap_or_default());
+        let sources = self.sources(blocks);
+        self.job(tables, sources, outputs, coder.sched())
+    }
+
+    /// The fresh outputs, in planning order, once their batch ran clean
+    /// (`wait`). After anything else they stay here, to be dropped at
+    /// length 0 or, on a timeout, leaked ([`EncodePool::finish`]).
+    fn written(&mut self, wait: BatchWait) -> Result<impl Iterator<Item = Vec<u8>> + '_, EcError> {
+        wait.check()?;
+        Ok(self.fresh.drain(..).map(|block| {
+            // SAFETY: `Clean` (what `check` passed) means every chunk of the
+            // batch, on its last attempt, ran its kernel call to the end. The
+            // chunks of a job cover `[0, len)` of each of its outputs exactly
+            // (`split_ranges` ranges are disjoint and tile `[0, len)`), and
+            // each call stores its whole sub-span on every tier
+            // (`fused_matches_reference_for_all_tiers_and_tail_shapes`;
+            // `every_pool_operation_is_bit_exact_on_every_executor_count`
+            // runs it through the pool on ragged chunks). So every byte of
+            // every fresh block was written.
+            unsafe { block.assume_written() }
+        }))
     }
 }
 
-fn check_count(expected: usize, got: usize) -> Result<(), EcError> {
-    let counts = EcError::BlockCount { expected, got };
-    (expected == got).then_some(()).ok_or(counts)
+/// Push `items` onto `list`; their positions.
+fn pushed<T>(list: &mut Vec<T>, items: impl IntoIterator<Item = T>) -> Range<usize> {
+    let start = list.len();
+    list.extend(items);
+    start..list.len()
 }
 
-/// `shards` must be a full stripe and `target` one of its indices.
-fn check_target(coder: &Dialga, shards: usize, target: usize) -> Result<(), EcError> {
-    let expected = coder.params().k + coder.params().m;
-    check_count(expected, shards)?;
-    let out_of_stripe = EcError::BlockCount {
-        expected,
-        got: target,
-    };
-    (target < expected).then_some(()).ok_or(out_of_stripe)
-}
-
-/// The one block of a single-output operation.
-fn one_block(mut blocks: Vec<Vec<u8>>) -> Result<Vec<u8>, EcError> {
-    blocks.pop().ok_or(EcError::Internal {
-        what: "single-output pool operation returned no block",
-    })
-}
-
-/// The holes decode stage `stage` fills: lost data, then lost parity.
-fn stage_holes(plan: &DecodePlan, stage: usize) -> &[usize] {
-    match stage {
-        0 => plan.lost_data(),
-        _ => plan.lost_parity(),
-    }
-}
-
-/// `n` fresh blocks of `len` bytes.
-fn fresh_blocks(n: usize, len: usize) -> Vec<FreshBlock> {
-    (0..n).map(|_| FreshBlock::new(len)).collect()
-}
-
-/// A batch's fresh outputs, once it ended `wait`: written and given their
-/// lengths when it ran clean, dropped at length 0 when it failed, and
-/// leaked when it timed out ([`BatchWait::TimedOut`]: a lost chunk may
-/// still hold a span into them, so they are never freed).
-fn written(wait: BatchWait, fresh: Vec<FreshBlock>) -> Result<Vec<Vec<u8>>, EcError> {
-    if let Err(e) = wait.check() {
-        if let BatchWait::TimedOut = wait {
-            std::mem::forget(fresh);
-        }
-        return Err(e);
-    }
-    let written = fresh.into_iter().map(|block| {
-        // SAFETY: `Clean` (what `check` passed) means every chunk of the
-        // batch, on its last attempt, ran its kernel call to the end. The
-        // chunks of a job cover `[0, len)` of each of its outputs exactly
-        // (`split_ranges` ranges are disjoint and tile `[0, len)`), and each
-        // call stores its whole sub-span on every tier
-        // (`fused_matches_reference_for_all_tiers_and_tail_shapes`;
-        // `every_pool_operation_is_bit_exact_on_every_executor_count` runs
-        // it through the pool on ragged chunks). So every byte of every
-        // fresh block was written.
-        unsafe { block.assume_written() }
-    });
-    Ok(written.collect())
-}
-
-/// One unit of *worker* work: a [`Work`] plus its seat on the batch latch
-/// (the submitting thread's own chunks stay plain [`Work`]s; their result
-/// is a local of [`EncodePool::run_jobs_once`]).
+/// One chunk: the blocks of job `job` of a submission over `range`, and a
+/// worker's seat on the batch latch (executor 0's chunks have none). `Send`
+/// because the spans are.
 ///
 /// A chunk reports to its latch in one place, its `Drop`, and a value is
-/// dropped exactly once — so every chunk completes its seat exactly once,
-/// on every path: a clean run, a kernel panic (caught in [`run_chunk`]), a
-/// scripted exit, a failed send, a queue torn down by an exiting worker.
-/// Only a clean run on a worker sets `ok`.
+/// dropped exactly once — so every worker chunk completes its seat exactly
+/// once, on every path: a clean run, a kernel panic (caught in
+/// [`run_chunk`]), a scripted exit, a failed send, a queue torn down by an
+/// exiting worker. Only a clean run on a worker sets `ok`.
 struct Chunk {
-    work: Work,
-    batch: Arc<BatchState>,
+    spans: Span<Spans>,
+    job: usize,
+    range: Range<usize>,
+    batch: Option<Arc<BatchState>>,
     ok: bool,
 }
 
 impl Drop for Chunk {
     fn drop(&mut self) {
-        self.batch.complete(self.ok);
+        if let Some(batch) = &self.batch {
+            batch.complete(self.ok);
+        }
     }
 }
 
@@ -493,20 +475,14 @@ impl BatchState {
     /// instead of a hang. A stuck worker could then still hold spans, so
     /// the caller must surface the error and must NOT retry.
     fn wait_with_deadline(&self, watchdog: Duration) -> BatchWait {
-        let start = Instant::now();
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        while inner.remaining > 0 {
-            let left = watchdog.saturating_sub(start.elapsed());
-            if left.is_zero() {
-                return BatchWait::TimedOut;
-            }
-            let woken = self.done.wait_timeout(inner, left);
-            inner = woken.unwrap_or_else(PoisonError::into_inner).0;
-        }
-        if inner.failed {
-            BatchWait::Failed
-        } else {
-            BatchWait::Clean
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let waited = self
+            .done
+            .wait_timeout_while(inner, watchdog, |b| b.remaining > 0);
+        match &*waited.unwrap_or_else(PoisonError::into_inner).0 {
+            BatchInner { remaining: 1.., .. } => BatchWait::TimedOut,
+            BatchInner { failed: true, .. } => BatchWait::Failed,
+            BatchInner { failed: false, .. } => BatchWait::Clean,
         }
     }
 }
@@ -572,6 +548,8 @@ pub struct EncodePool {
     /// Submission clones the senders out under this lock; healing replaces
     /// dead slots in place under it (executor indices survive respawns).
     slots: Mutex<Vec<WorkerSlot>>,
+    /// Span storage a submission plans into, kept between submissions.
+    spans: Mutex<Option<Box<Spans>>>,
     /// Executor count: the submitting thread plus the worker slots.
     threads: usize,
     /// Round-robin cursor so consecutive multi-chunk submissions start on
@@ -623,6 +601,7 @@ impl EncodePool {
         EncodePool {
             shared,
             slots: Mutex::new(slots),
+            spans: Mutex::default(),
             threads,
             next_worker: AtomicU64::new(0),
             watchdog,
@@ -639,6 +618,32 @@ impl EncodePool {
         // Slot state stays consistent under panic (plain Vec of handles),
         // so recover a poisoned guard rather than propagate.
         self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The pool's span storage, empty, for one submission to plan into (a
+    /// concurrent submission finds it taken and plans into new storage).
+    fn spans(&self) -> Box<Spans> {
+        let mut kept = self.spans.lock().unwrap_or_else(PoisonError::into_inner);
+        kept.take().unwrap_or_default()
+    }
+
+    /// Run a planned submission, take what `done` makes of how it ended,
+    /// and keep its storage: emptied — fresh outputs nobody took drop at
+    /// length 0 — or, after a timeout, leaked whole, since a lost chunk may
+    /// still read its spans or write a fresh block ([`BatchWait::TimedOut`]).
+    fn finish<R>(&self, mut spans: Box<Spans>, done: impl FnOnce(&mut Spans, BatchWait) -> R) -> R {
+        let wait = self.run_jobs(&spans);
+        let out = done(&mut spans, wait);
+        if let BatchWait::TimedOut = wait {
+            std::mem::forget(spans);
+            return out;
+        }
+        spans.sources.clear();
+        spans.outputs.clear();
+        spans.jobs.clear();
+        spans.fresh.clear();
+        *self.spans.lock().unwrap_or_else(PoisonError::into_inner) = Some(spans);
+        out
     }
 
     /// Arm a deterministic fault plan against this pool, replacing any
@@ -707,54 +712,43 @@ impl EncodePool {
         coder: &Dialga,
         stripes: &mut [StripeJob<'_, '_>],
     ) -> Result<(), EcError> {
-        let jobs: Vec<RawJob> = stripes
-            .iter_mut()
-            .map(|s| {
-                RawJob::encode(
-                    coder,
-                    s.data,
-                    s.parity.iter_mut().map(|p| OutSpan::new(p)).collect(),
-                )
-            })
-            .collect::<Result<_, _>>()?;
+        let mut spans = self.spans();
+        for s in stripes.iter_mut() {
+            spans.encode(coder, s.data, Some(&mut *s.parity))?;
+        }
         self.count_dispatch(stripes.len());
-        self.run_jobs(&jobs).check()
+        self.finish(spans, |_, wait| wait.check())
     }
 
     /// [`Self::encode_batch`] into parity the pool allocates: one
     /// submission, stripe `i`'s `m` parity blocks at index `i`. The blocks
     /// are allocated unwritten and get their length only once the batch
     /// ran clean — the kernel writes each byte once, nothing zero-fills.
-    pub fn encode_batch_vec(
+    pub fn encode_batch_vec<'a, D: AsRef<[u8]> + 'a>(
         &self,
         coder: &Dialga,
-        stripes: &[&[&[u8]]],
+        stripes: impl IntoIterator<Item = &'a [D]>,
     ) -> Result<Vec<Vec<Vec<u8>>>, EcError> {
-        let m = coder.params().m;
-        let mut fresh: Vec<FreshBlock> = stripes
-            .iter()
-            .flat_map(|data| fresh_blocks(m, data.first().map_or(0, |d| d.len())))
-            .collect();
-        let jobs: Vec<RawJob> = stripes
-            .iter()
-            .zip(fresh.chunks_mut(m))
-            .map(|(data, parity)| {
-                RawJob::encode(coder, data, parity.iter_mut().map(OutSpan::fresh).collect())
-            })
-            .collect::<Result<_, _>>()?;
-        self.count_dispatch(stripes.len());
-        let wait = self.run_jobs(&jobs);
-        let mut parity = written(wait, fresh)?.into_iter();
-        Ok(stripes
-            .iter()
-            .map(|_| parity.by_ref().take(m).collect())
-            .collect())
+        let mut spans = self.spans();
+        for data in stripes {
+            spans.encode(coder, data, None)?;
+        }
+        let (n, m) = (spans.jobs.len(), coder.params().m);
+        self.count_dispatch(n);
+        self.finish(spans, |spans, wait| {
+            let mut blocks = spans.written(wait)?;
+            Ok((0..n).map(|_| blocks.by_ref().take(m).collect()).collect())
+        })
     }
 
     /// One stripe of [`Self::encode_batch_vec`].
-    pub fn encode_vec(&self, coder: &Dialga, data: &[&[u8]]) -> Result<Vec<Vec<u8>>, EcError> {
-        let parity = self.encode_batch_vec(coder, &[data])?;
-        Ok(parity.into_iter().flatten().collect())
+    pub fn encode_vec<D: AsRef<[u8]>>(
+        &self,
+        coder: &Dialga,
+        data: &[D],
+    ) -> Result<Vec<Vec<u8>>, EcError> {
+        let mut parity = self.encode_batch_vec(coder, [data])?;
+        Ok(parity.pop().unwrap_or_default())
     }
 
     /// Reconstruct missing shards in place across the pool. Blocks until
@@ -763,10 +757,12 @@ impl EncodePool {
     /// A hole (`None`) is filled only once the stage that rebuilds it ran
     /// clean: after `Err`, every hole the caller passed is still `None`.
     pub fn decode(&self, coder: &Dialga, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
-        self.decode_batch(coder, &mut [DecodeJob { shards }])
+        self.decode_batch(coder, &mut [shards])
     }
 
-    /// Decode a batch of stripes across the pool in one submission.
+    /// Decode a batch of stripes across the pool in one submission: each
+    /// stripe is its `k + m` shards with `None` marking erasures, repaired in
+    /// place (the [`Dialga::decode`] contract).
     ///
     /// All stripes are planned and validated up front (survivor selection,
     /// per-present-shard length checks, the parity minor's inversion — nothing
@@ -779,63 +775,57 @@ impl EncodePool {
     pub fn decode_batch(
         &self,
         coder: &Dialga,
-        stripes: &mut [DecodeJob<'_>],
+        stripes: &mut [impl AsMut<[Option<Vec<u8>>]>],
     ) -> Result<(), EcError> {
         let plans: Vec<DecodePlan> = stripes
-            .iter()
-            .map(|s| coder.decode_plan(s.shards))
+            .iter_mut()
+            .map(|s| coder.decode_plan(s.as_mut()))
             .collect::<Result<_, _>>()?;
         self.count_dispatch(stripes.len());
         // Stage 1 rebuilds lost data from the k survivors; stage 2 lost
         // parity rows from the (now complete) data blocks — the stage-1
         // wait orders the reconstructed data before the stage-2 reads.
-        let data_idx: Vec<usize> = (0..coder.params().k).collect();
-        for stage in 0..2 {
-            let lost = |plan: &DecodePlan| stage_holes(plan, stage).len();
-            let mut fresh: Vec<FreshBlock> = plans
-                .iter()
-                .flat_map(|plan| fresh_blocks(lost(plan), plan.shard_len()))
-                .collect();
-            let mut blocks = fresh.iter_mut();
-            let jobs: Result<Vec<RawJob>, EcError> = stripes
-                .iter()
-                .zip(&plans)
-                .filter(|(_, plan)| lost(plan) > 0)
-                .map(|(s, plan)| {
-                    let (tables, sources) = match stage {
-                        0 => (plan.data_tables(), plan.survivors()),
-                        _ => (plan.parity_tables(), &data_idx[..]),
-                    };
-                    let outputs = blocks.by_ref().take(lost(plan)).map(OutSpan::fresh);
-                    RawJob::from_shards(coder, tables, s.shards, sources, outputs.collect())
-                })
-                .collect();
-            let wait = match &jobs {
-                Ok(jobs) => self.run_jobs(jobs),
-                Err(_) => BatchWait::Failed,
-            };
-            let mut rebuilt = match jobs.and_then(|_| written(wait, fresh)) {
-                Ok(rebuilt) => rebuilt.into_iter(),
-                Err(e) => {
-                    // Stage 1's data goes back out of its holes. On a
-                    // timeout a lost stage-2 chunk may still read it, so it
-                    // is leaked like the stage's own outputs.
-                    for (s, plan) in stripes.iter_mut().zip(&plans).filter(|_| stage > 0) {
-                        for &l in plan.lost_data() {
-                            let data = s.shards[l].take();
-                            if let BatchWait::TimedOut = wait {
-                                std::mem::forget(data);
-                            }
+        let k = coder.params().k;
+        let stages: [fn(&DecodePlan) -> &[usize]; 2] =
+            [DecodePlan::lost_data, DecodePlan::lost_parity];
+        for (stage, holes_of) in stages.into_iter().enumerate() {
+            let mut spans = self.spans();
+            let planned = stripes.iter_mut().zip(&plans).try_for_each(|(s, plan)| {
+                let holes = (holes_of(plan).len(), plan.shard_len());
+                match stage {
+                    _ if holes.0 == 0 => Ok(()),
+                    0 => {
+                        let survivors = plan.survivors().iter().copied();
+                        spans.rebuild(coder, plan.data_tables(), s.as_mut(), survivors, holes)
+                    }
+                    _ => spans.rebuild(coder, plan.parity_tables(), s.as_mut(), 0..k, holes),
+                }
+            });
+            let mut timed_out = false;
+            let placed = planned.and_then(|()| {
+                self.finish(spans, |spans, wait| {
+                    timed_out = matches!(wait, BatchWait::TimedOut);
+                    let mut rebuilt = spans.written(wait)?;
+                    for (s, plan) in stripes.iter_mut().zip(&plans) {
+                        for (&l, block) in holes_of(plan).iter().zip(rebuilt.by_ref()) {
+                            s.as_mut()[l] = Some(block);
                         }
                     }
-                    return Err(e);
-                }
-            };
-            for (s, plan) in stripes.iter_mut().zip(&plans) {
-                for (&l, block) in stage_holes(plan, stage).iter().zip(rebuilt.by_ref()) {
-                    s.shards[l] = Some(block);
+                    Ok(())
+                })
+            });
+            // On failure stage 1's data goes back out of its holes. On a
+            // timeout a lost stage-2 chunk may still read it, so it is
+            // leaked like the stage's own outputs.
+            for (s, plan) in stripes.iter_mut().zip(&plans).filter(|_| placed.is_err()) {
+                for &l in plan.lost_data().iter().filter(|_| stage > 0) {
+                    let data = s.as_mut()[l].take();
+                    if timed_out {
+                        std::mem::forget(data);
+                    }
                 }
             }
+            placed?;
         }
         Ok(())
     }
@@ -850,55 +840,50 @@ impl EncodePool {
         shards: &[Option<Vec<u8>>],
         target: usize,
     ) -> Result<Vec<u8>, EcError> {
-        check_target(coder, shards.len(), target)?;
-        let params = coder.params();
-        let (k, m) = (params.k, params.m);
-        let mut survivors = Vec::with_capacity(k);
-        let present = (0..k + m).filter(|&i| i != target && shards[i].is_some());
-        survivors.extend(present.take(k));
-        if survivors.len() < k {
-            let lost = shards.iter().filter(|s| s.is_none()).count().max(1);
-            return Err(EcError::TooManyErasures { lost, tolerance: m });
-        }
-        // Every present shard must agree on length, not just the survivors.
-        let len = shards.iter().flatten().next().map_or(0, Vec::len);
-        if let Some(bad) = shards.iter().flatten().find(|s| s.len() != len) {
-            return Err(EcError::BlockLength {
-                expected: len,
-                got: bad.len(),
-            });
-        }
-        let plan = coder.repair_plan(&survivors, target)?;
-        let mut out = fresh_blocks(1, len);
-        let spare = out.iter_mut().map(OutSpan::fresh).collect();
-        let job = RawJob::from_shards(coder, plan.tables(), shards, &survivors, spare)?;
+        let (plan, len) = coder.stripe_repair_plan(shards, target)?;
+        let mut spans = self.spans();
+        let survivors = plan.survivors().iter().copied();
+        spans.rebuild(coder, plan.tables(), shards, survivors, (1, len))?;
         self.count_dispatch(1);
-        let wait = self.run_jobs(&[job]);
-        one_block(written(wait, out)?)
+        self.finish(spans, |spans, wait| {
+            Ok(spans.written(wait)?.next().unwrap_or_default())
+        })
     }
 
-    /// Verify stripe integrity on the executors: recompute all m parity
-    /// rows from `data` (chunked across the pool like an encode) and
-    /// compare against the stored `parity`. On mismatch returns
+    /// Verify stripe integrity on the executors: fold `data` onto the
+    /// stored `parity` in one fused check pass per chunk (chunked across
+    /// the pool like an encode, nothing stored, nothing allocated for a
+    /// clean stripe; [`dot_prod_verify`]). On mismatch returns
     /// [`EcError::Corrupt`] naming the disagreeing parity rows (indices
     /// `k..k+m`) — evidence of inconsistency, not a localization (a
     /// corrupt data shard trips every row; see [`Dialga::scrub`]).
-    pub fn verify(&self, coder: &Dialga, data: &[&[u8]], parity: &[&[u8]]) -> Result<(), EcError> {
-        let k = coder.params().k;
+    pub fn verify<D: AsRef<[u8]>, P: AsRef<[u8]>>(
+        &self,
+        coder: &Dialga,
+        data: &[D],
+        parity: &[P],
+    ) -> Result<(), EcError> {
         coder.stripe_len(data, parity)?;
-        let recomputed = self.encode_vec(coder, data)?;
-        let bad: Vec<usize> = recomputed
-            .iter()
-            .zip(parity)
-            .enumerate()
-            .filter(|(_, (got, want))| got.as_slice() != **want)
-            .map(|(r, _)| k + r)
-            .collect();
-        if bad.is_empty() {
-            Ok(())
-        } else {
-            Err(EcError::Corrupt { shards: bad })
-        }
+        let mut spans = self.spans();
+        let sources = spans.sources(data.iter().map(AsRef::as_ref));
+        let stored = spans.sources(parity.iter().map(AsRef::as_ref));
+        let check = Outputs::Check(stored);
+        spans.job(coder.tables(), sources, check, coder.sched())?;
+        self.count_dispatch(1);
+        self.finish(spans, |spans, wait| {
+            // Taken before the verdict, so no row outlives its submission.
+            let mut dirty =
+                std::mem::take(spans.dirty.get_mut().unwrap_or_else(|p| p.into_inner()));
+            wait.check()?;
+            if dirty.is_empty() {
+                return Ok(());
+            }
+            dirty.sort_unstable();
+            dirty.dedup();
+            let k = coder.params().k;
+            let shards = dirty.into_iter().map(|r| k + r).collect();
+            Err(EcError::Corrupt { shards })
+        })
     }
 
     /// Count one submission of `stripes` stripes (however many stages).
@@ -918,12 +903,12 @@ impl EncodePool {
     /// Healing runs even when the retries are exhausted, so the pool is
     /// back at full capacity for the *next* submission either way. Returns
     /// how the last attempt ended: callers turn it into a result with
-    /// [`BatchWait::check`], or with [`written`] when they own fresh
+    /// [`BatchWait::check`], or with [`Spans::written`] when they own fresh
     /// outputs.
-    fn run_jobs(&self, jobs: &[RawJob]) -> BatchWait {
+    fn run_jobs(&self, spans: &Spans) -> BatchWait {
         let mut attempt = 0u32;
         loop {
-            let wait = self.run_jobs_once(jobs);
+            let wait = self.run_jobs_once(spans);
             if let BatchWait::Failed = wait {
                 self.heal_workers();
                 if attempt < BATCH_RETRIES {
@@ -987,33 +972,24 @@ impl EncodePool {
     /// A batch whose chunks all land on executor 0 — any one-chunk batch,
     /// anything on a pool of 1 — never reaches the send half: no latch, no
     /// sender clone, no worker index.
-    fn run_jobs_once(&self, jobs: &[RawJob]) -> BatchWait {
-        let mut mine: Vec<Work> = Vec::new();
-        let mut theirs: Vec<Work> = Vec::new();
-        for job in jobs {
-            for r in split_ranges(job.len, self.threads) {
-                let (whole, dealt) = (&job.work, mine.len() + theirs.len());
-                // SAFETY: `r` came from `split_ranges(job.len, _)`, so it
-                // lies within `[0, job.len)`; every source and output of a
-                // job spans `job.len` bytes (checked by `RawJob::new`); and
-                // `split_ranges` ranges are pairwise disjoint, each passed
-                // unchanged to exactly one chunk, which gives every output
-                // sub-span exactly one owner.
-                let part = unsafe {
-                    Work {
-                        sources: whole.sources.iter().map(|s| s.sub(&r)).collect(),
-                        outputs: whole.outputs.iter().map(|o| o.sub(&r)).collect(),
-                        ..*whole
-                    }
-                };
-                if dealt.is_multiple_of(self.threads) {
-                    mine.push(part);
-                } else {
-                    theirs.push(part);
-                }
-            }
-        }
-        let latch = (!theirs.is_empty()).then(|| BatchState::new(theirs.len()));
+    fn run_jobs_once(&self, spans: &Spans) -> BatchWait {
+        let threads = self.threads;
+        let chunks =
+            spans.jobs.iter().enumerate().flat_map(|(job, raw)| {
+                split_ranges(raw.len, threads).map(move |range| (job, range))
+            });
+        let chunk = |(job, range), batch| Chunk {
+            spans: Span::new(std::slice::from_ref(spans)),
+            job,
+            range,
+            batch,
+            ok: false,
+        };
+        // Chunk `i` of the batch is executor 0's when `i % threads == 0`.
+        let dealt = |mine| move |(i, _): &(usize, _)| usize::is_multiple_of(*i, threads) == mine;
+        let theirs = chunks.clone().enumerate().filter(dealt(false));
+        let n = theirs.clone().count();
+        let latch = (n > 0).then(|| BatchState::new(n));
         if let Some(latch) = &latch {
             // Senders are cloned out so the slot lock is not held across
             // the batch (healing and other submitters stay unblocked). A
@@ -1022,12 +998,8 @@ impl EncodePool {
             let senders: Vec<Sender<Msg>> =
                 self.lock_slots().iter().map(|s| s.sender.clone()).collect();
             let start = self.next_worker.fetch_add(1, Ordering::Relaxed) as usize;
-            for (i, work) in theirs.into_iter().enumerate() {
-                let chunk = Chunk {
-                    work,
-                    batch: Arc::clone(latch),
-                    ok: false,
-                };
+            for (i, (_, part)) in theirs.enumerate() {
+                let chunk = chunk(part, Some(Arc::clone(latch)));
                 // Scripted fault: drop this send as if the queue were gone.
                 #[cfg(feature = "fault-injection")]
                 if self.shared.fault.on_send() {
@@ -1040,8 +1012,8 @@ impl EncodePool {
             }
         }
         let mut failed = false;
-        for work in &mine {
-            failed |= run_chunk(&self.shared, 0, work).is_err();
+        for (_, part) in chunks.enumerate().filter(dealt(true)) {
+            failed |= run_chunk(&self.shared, 0, &chunk(part, None)).is_err();
         }
         match latch.map_or(BatchWait::Clean, |l| l.wait_with_deadline(self.watchdog)) {
             BatchWait::Clean if failed => BatchWait::Failed,
@@ -1074,11 +1046,27 @@ enum ChunkFailed {
     Exit,
 }
 
+/// `f` over the views `view` makes of `spans`, gathered on the stack: a
+/// chunk's slices of slices cost no allocation. A job has at most
+/// [`MAX_BLOCKS`] blocks a side; a longer list is cut there, and the
+/// kernel's table-geometry check then fails the chunk.
+fn gather<S, T, R>(spans: &[S], view: impl Fn(&S) -> T, f: impl FnOnce(&mut [T]) -> R) -> R {
+    let mut buf = [const { MaybeUninit::<T>::uninit() }; MAX_BLOCKS];
+    let n = spans.len().min(MAX_BLOCKS);
+    for (slot, span) in buf.iter_mut().zip(spans) {
+        slot.write(view(span));
+    }
+    // SAFETY: the first `n` slots were written above (the zip stops at the
+    // shorter side); what they hold is never dropped, and the views here
+    // are references, which need no drop.
+    f(unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast::<T>(), n) })
+}
+
 /// The chunk body every executor runs — workers from [`worker_loop`], the
 /// submitting thread from [`EncodePool::run_jobs_once`]: fault hook, the
-/// kernel under `catch_unwind` with the job's schedule, loads/busy
-/// accounting. Never unwinds.
-fn run_chunk(shared: &PoolShared, executor: usize, work: &Work) -> Result<(), ChunkFailed> {
+/// kernel (or the check) under `catch_unwind` with the job's schedule,
+/// loads/busy accounting. Never unwinds.
+fn run_chunk(shared: &PoolShared, executor: usize, chunk: &Chunk) -> Result<(), ChunkFailed> {
     #[cfg(not(feature = "fault-injection"))]
     let _ = executor;
     #[cfg(feature = "fault-injection")]
@@ -1088,6 +1076,11 @@ fn run_chunk(shared: &PoolShared, executor: usize, work: &Work) -> Result<(), Ch
         ChunkFault::Exit => return Err(ChunkFailed::Exit),
     };
 
+    // SAFETY: the submitting thread stays inside `run_jobs_once` until this
+    // chunk (and its whole batch) completes, so the submission's spans, the
+    // tables and every block they view are live.
+    let spans = unsafe { &chunk.spans.as_slice()[0] };
+    let (job, r) = (&spans.jobs[chunk.job], &chunk.range);
     let started = Instant::now();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         // Scripted fault: die exactly where a kernel bug would, inside
@@ -1097,29 +1090,36 @@ fn run_chunk(shared: &PoolShared, executor: usize, work: &Work) -> Result<(), Ch
         if scripted_panic {
             panic!("injected executor panic (executor {executor})");
         }
-        // SAFETY: the submitting thread stays inside `run_jobs_once`
-        // until this chunk (and its whole batch) completes, so all spans
-        // are live; output sub-spans of distinct chunks never alias (see
-        // `OutSpan`).
-        let sources: Vec<&[u8]> = work
-            .sources
-            .iter()
-            .map(|s| unsafe { s.as_slice() })
-            .collect();
-        // SAFETY: as above, plus range-exclusivity per `OutSpan`.
-        let mut outputs: Vec<&mut [MaybeUninit<u8>]> = work
-            .outputs
-            .iter()
-            .map(|o| unsafe { o.as_uninit() })
-            .collect();
-        // SAFETY: tables outlive the batch (see `ReadSpan`).
-        let tables: &[NibbleTables] = unsafe { work.tables.as_slice() };
-        dot_prod_fused_into(tables, &sources, &mut outputs, work.sched);
+        // SAFETY: live as above.
+        let tables = unsafe { job.tables.as_slice() };
+        let (srcs, outs) = (&spans.sources, &spans.outputs);
+        // SAFETY: (every `sub` here) `r` is a `split_ranges(job.len, _)`
+        // range, so it lies within `[0, job.len)`, and every span of a job
+        // covers `job.len` bytes (`Spans::job` checked it); the chunk passes
+        // its own range, which no other chunk of the job has, so each
+        // output sub-span has exactly one owner (see `OutSpan`).
+        let read = |s: &SrcSpan| unsafe { s.sub(r).as_slice() };
+        gather(&srcs[job.sources.clone()], read, |sources| {
+            match &job.outputs {
+                Outputs::Write(o) => gather(
+                    &outs[o.clone()],
+                    // SAFETY: as above, plus range-exclusivity per `OutSpan`.
+                    |o| unsafe { o.sub(r).as_uninit() },
+                    |outputs| dot_prod_fused_into(tables, sources, outputs, job.sched),
+                ),
+                Outputs::Check(s) => gather(&srcs[s.clone()], read, |stored| {
+                    let bad = dot_prod_verify(tables, sources, stored, job.sched);
+                    if !bad.is_empty() {
+                        let dirty = spans.dirty.lock();
+                        dirty.unwrap_or_else(PoisonError::into_inner).extend(bad);
+                    }
+                }),
+            }
+        });
     }));
 
-    let len = work.sources.first().map_or(0, |s| s.len);
     // `div_ceil`: a ragged tail still touches a full cache line.
-    let rows = len.div_ceil(dialga_gf::CACHELINE) as u64 * work.sources.len() as u64;
+    let rows = r.len().div_ceil(dialga_gf::CACHELINE) as u64 * job.sources.len() as u64;
     let s = &shared.stats;
     s.loads.fetch_add(rows, Ordering::Relaxed);
     s.busy_ns
@@ -1138,7 +1138,7 @@ fn worker_loop(executor: usize, rx: Receiver<Msg>, shared: Arc<PoolShared>) {
             // Liveness probe from `heal_workers`; nothing to do.
             Msg::Ping => continue,
         };
-        let result = run_chunk(&shared, executor, &chunk.work);
+        let result = run_chunk(&shared, executor, &chunk);
         // Leaving without running the chunk drops it (and everything still
         // queued) with `ok` unset, which fails the latch — exactly like a
         // worker that died between recv and run. The queue closes first, so
@@ -1217,12 +1217,14 @@ mod tests {
         let data = make_data(4, len);
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
         let mut parity = vec![vec![0u8; len]; 2];
-        let outs = parity.iter_mut().map(|p| OutSpan::new(p)).collect();
-        let job = RawJob::encode(&coder, &refs, outs).unwrap();
-        assert_eq!(split_ranges(job.len, pool.threads()).len(), 3);
+        let mut outs: Vec<&mut [u8]> = parity.iter_mut().map(|p| p.as_mut_slice()).collect();
+        let mut spans = Spans::default();
+        spans.encode(&coder, &refs, Some(&mut outs)).unwrap();
+        assert_eq!(split_ranges(len, pool.threads()).count(), 3);
         let started = Instant::now();
-        pool.run_jobs(&[job]).check().unwrap();
+        pool.run_jobs(&spans).check().unwrap();
         assert!(started.elapsed() < watchdog / 4, "{:?}", started.elapsed());
+        drop(outs);
         assert_eq!(parity, coder.encode_vec(&refs).unwrap());
         let stats = pool.stats();
         assert_eq!(stats.batch_retries, 1);
@@ -1248,15 +1250,15 @@ mod tests {
         let pool = EncodePool::new(2);
         let src = vec![0u8; 1024];
         let mut out = vec![0u8; 1024];
-        let job = RawJob::new(
-            &[],
-            vec![SrcSpan::new(&src)],
-            vec![OutSpan::new(&mut out)],
-            FusedSched::distance(4),
-        )
-        .unwrap();
+        let mut spans = Spans::default();
+        let sources = spans.sources([&src[..]]);
+        spans.outputs.push(OutSpan::over(&mut out));
+        let outputs = Outputs::Write(0..1);
+        spans
+            .job(&[], sources, outputs, FusedSched::distance(4))
+            .unwrap();
         assert!(matches!(
-            pool.run_jobs(&[job]).check(),
+            pool.run_jobs(&spans).check(),
             Err(EcError::Internal { .. })
         ));
         let attempts = u64::from(BATCH_RETRIES) + 1;

@@ -5,7 +5,7 @@
 //! the pool's private parts live in `src/pool.rs`.)
 
 use dialga::encoder::Dialga;
-use dialga::pool::{split_ranges, DecodeJob, EncodePool, StripeJob, BATCH_RETRIES, CHUNK_ALIGN};
+use dialga::pool::{split_ranges, EncodePool, StripeJob, CHUNK_ALIGN};
 use dialga_ec::EcError;
 
 fn make_data(k: usize, len: usize) -> Vec<Vec<u8>> {
@@ -20,12 +20,12 @@ fn refs(blocks: &[Vec<u8>]) -> Vec<&[u8]> {
 
 #[test]
 fn split_ranges_edge_shapes() {
-    assert!(split_ranges(0, 4).is_empty());
-    assert!(split_ranges(100, 0).is_empty());
-    assert_eq!(split_ranges(100, 4), vec![0..100]);
+    assert_eq!(split_ranges(0, 4).count(), 0);
+    assert_eq!(split_ranges(100, 0).count(), 0);
+    assert_eq!(split_ranges(100, 4).collect::<Vec<_>>(), vec![0..100]);
     // Rounding `len / parts` up to the alignment left 3 of 8 executors
     // idle here (chunks of 512 B); every executor must get a chunk.
-    let ranges = split_ranges(8 * CHUNK_ALIGN + 52, 8);
+    let ranges: Vec<_> = split_ranges(8 * CHUNK_ALIGN + 52, 8).collect();
     assert_eq!(ranges.len(), 8);
     assert!(ranges.iter().all(|r| !r.is_empty()));
 }
@@ -101,13 +101,7 @@ fn a_batch_is_one_dispatch_of_its_stripes_on_any_pool() {
             s[i] = None; // data
             s[6 + i % 3] = None; // parity: both decode stages run
         }
-        {
-            let mut jobs: Vec<DecodeJob<'_>> = shards
-                .iter_mut()
-                .map(|shards| DecodeJob { shards })
-                .collect();
-            pool.decode_batch(&coder, &mut jobs).unwrap();
-        }
+        pool.decode_batch(&coder, &mut shards).unwrap();
         assert_eq!(shards, full, "threads={threads}");
         let stats = pool.stats();
         assert_eq!((stats.stripes, stats.dispatches), (10, 2));
@@ -155,6 +149,7 @@ fn chunks_run_by_the_submitter_are_counted_like_a_workers() {
 #[cfg(feature = "fault-injection")]
 mod executor_zero_faults {
     use super::*;
+    use dialga::pool::BATCH_RETRIES;
     use dialga_faultkit::{Fault, FaultPlan};
 
     /// `fault` on every attempt of one submission: the first try and all
@@ -201,7 +196,7 @@ mod executor_zero_faults {
         );
         assert_eq!(stats.batch_retries, attempts - 1);
         assert_eq!(stats.worker_deaths, 0);
-        let ranges = split_ranges(LEN, 3);
+        let ranges: Vec<_> = split_ranges(LEN, 3).collect();
         for (row, want) in parity.iter().zip(&expected) {
             assert!(
                 row[ranges[0].clone()].iter().all(|&b| b == 0),

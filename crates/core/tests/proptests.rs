@@ -4,7 +4,7 @@
 //! Randomized with the in-tree deterministic harness (`dialga-testkit`).
 
 use dialga::encoder::Dialga;
-use dialga::pool::{split_ranges, DecodeJob, EncodePool, StripeJob, CHUNK_ALIGN};
+use dialga::pool::{split_ranges, EncodePool, StripeJob, CHUNK_ALIGN};
 use dialga_testkit::run_cases;
 
 /// `split_ranges` partitions exactly, aligned, and evenly for arbitrary
@@ -14,7 +14,7 @@ fn split_ranges_partitions_evenly() {
     run_cases(128, |rng| {
         let len = rng.range(1, 1 << 20);
         let parts = rng.range(1, 33);
-        let ranges = split_ranges(len, parts);
+        let ranges: Vec<_> = split_ranges(len, parts).collect();
         assert!(!ranges.is_empty());
         assert!(ranges.len() <= parts);
         assert_eq!(ranges[0].start, 0);
@@ -243,7 +243,9 @@ fn every_pool_operation_is_bit_exact_on_every_executor_count() {
                     }
                 })
                 .collect();
-            let fresh = pool.encode_batch_vec(&coder, &stripes).unwrap();
+            let fresh = pool
+                .encode_batch_vec(&coder, stripes.iter().copied())
+                .unwrap();
             assert_eq!(fresh, batch_out, "encode_batch_vec {ctx}");
 
             for holes in [&holed, &wider] {
@@ -252,13 +254,7 @@ fn every_pool_operation_is_bit_exact_on_every_executor_count() {
                 assert_eq!(shards, full, "decode {ctx}");
             }
             let mut batch = [holed.clone(), full.clone(), wider.clone()];
-            {
-                let mut jobs: Vec<DecodeJob<'_>> = batch
-                    .iter_mut()
-                    .map(|shards| DecodeJob { shards })
-                    .collect();
-                pool.decode_batch(&coder, &mut jobs).unwrap();
-            }
+            pool.decode_batch(&coder, &mut batch).unwrap();
             assert!(batch.iter().all(|s| *s == full), "decode_batch {ctx}");
 
             for target in [1, k + 1, 0] {
@@ -269,13 +265,16 @@ fn every_pool_operation_is_bit_exact_on_every_executor_count() {
             }
             pool.verify(&coder, &all[..k], &all[k..]).unwrap();
             if len > 0 {
-                let mut bad = parity[1].clone();
+                // Row 2 differs in the first chunk, row 1 in the last: the
+                // chunks' rows merge, in order, once each.
+                let (mut bad, mut first) = (parity[1].clone(), parity[2].clone());
                 bad[len - 1] ^= 0x40;
-                let stored: Vec<&[u8]> = vec![&parity[0], &bad, &parity[2]];
+                first[0] ^= 0x01;
+                let stored: Vec<&[u8]> = vec![&parity[0], &bad, &first];
                 assert_eq!(
                     pool.verify(&coder, &refs, &stored),
                     Err(dialga_ec::EcError::Corrupt {
-                        shards: vec![k + 1]
+                        shards: vec![k + 1, k + 2]
                     }),
                     "verify {ctx}"
                 );

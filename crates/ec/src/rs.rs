@@ -111,22 +111,30 @@ impl ReedSolomon {
         check_blocks(parity, self.params.m, Some(len))?;
         for (i, p) in parity.iter_mut().enumerate() {
             p.fill(0);
-            for (j, d) in data.iter().enumerate() {
-                // Precomputed tables through the SIMD dispatcher — the
-                // ec_init_tables + vect_mad structure of ISA-L.
-                mul_add_slice_simd(&self.tables[i * self.params.k + j], d, p);
-            }
+            self.accumulate(i, data, p);
         }
         Ok(())
     }
 
-    /// Convenience encode returning freshly allocated parity blocks.
+    /// Convenience encode returning freshly allocated parity blocks: each
+    /// allocated zeroed once, and accumulated into.
     pub fn encode_vec(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>, EcError> {
         let len = check_blocks(data, self.params.k, None)?;
-        let mut parity = vec![vec![0u8; len]; self.params.m];
-        let mut refs: Vec<&mut [u8]> = parity.iter_mut().map(|p| p.as_mut_slice()).collect();
-        self.encode(data, &mut refs)?;
-        Ok(parity)
+        let parity = (0..self.params.m).map(|i| {
+            let mut p = vec![0u8; len];
+            self.accumulate(i, data, &mut p);
+            p
+        });
+        Ok(parity.collect())
+    }
+
+    /// Fold parity row `i` of `data` into `p`.
+    fn accumulate(&self, i: usize, data: &[&[u8]], p: &mut [u8]) {
+        for (j, d) in data.iter().enumerate() {
+            // Precomputed tables through the SIMD dispatcher — the
+            // ec_init_tables + vect_mad structure of ISA-L.
+            mul_add_slice_simd(&self.tables[i * self.params.k + j], d, p);
+        }
     }
 
     /// Build the k x k decode matrix for a set of surviving block indices

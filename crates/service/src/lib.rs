@@ -42,7 +42,10 @@
 //! * **who dispatches**: a request of at most 64 KiB admitted to an *idle*
 //!   shard (unpaused, nothing queued or in flight) is dispatched by the
 //!   thread that submitted it — same code, no thread hop, a ticket that is
-//!   already complete. Everything else is the master's.
+//!   already complete. It runs the master's dispatch over a batch of one on
+//!   its own stack, and the reply comes back in the request itself, so the
+//!   op allocates its reply (and a decode's or repair's plan) and nothing
+//!   else. Everything else is the master's.
 //!
 //! Shard selection hashes `(tenant, seq)`; when the hashed shard's queue
 //! occupancy crosses three quarters of [`ServiceConfig::queue_depth`], the
@@ -62,7 +65,7 @@ use shard::{Done, OpPayload, Pending, Reply, Shard};
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -716,12 +719,16 @@ impl StripeService {
         };
         let reply = if let Some(_active) = shard.claim_idle(cost) {
             // This thread is the dispatcher: the master's own body, a batch
-            // of one; `_active` releases the shard even if it unwinds.
-            let slot = Arc::new(OnceLock::new());
-            shard.dispatch(&self.coder, vec![pending(Done::Inline(Arc::clone(&slot)))]);
-            TicketReply::Ready(RefCell::new(
-                Arc::into_inner(slot).and_then(OnceLock::into_inner),
-            ))
+            // of one on this stack; `_active` releases the shard even if it
+            // unwinds. The reply comes back in the request itself.
+            let mut one = [pending(Done::Inline(None))];
+            shard.dispatch(&self.coder, &mut one);
+            let [Pending { done, .. }] = one;
+            let reply = match done {
+                Done::Inline(reply) => reply,
+                Done::Queued(_) => None,
+            };
+            TicketReply::Ready(RefCell::new(reply))
         } else {
             let (tx, rx) = mpsc::channel();
             if let Err(depth) = shard.admit(pending(Done::Queued(tx))) {
@@ -1075,28 +1082,47 @@ mod tests {
     fn idle_small_request_is_served_by_its_submitter() {
         let svc = one_shard();
         let coder = Dialga::new(4, 2).unwrap();
+        // Each round is one request of every class, in `OpKind::ALL` order.
         for salt in 0..5 {
             let data = make_stripe(4, 1024, salt);
             let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-            let expected = coder.encode_vec(&refs).unwrap();
-            let ticket = svc.submit_encode(1, data, None).unwrap();
-            // Complete before `submit_encode` returned: no waiting at all.
-            assert_eq!(ticket.wait_timeout(Duration::ZERO), Some(Ok(expected)));
-            // …and handed out exactly once.
-            assert_eq!(
-                ticket.wait_timeout(Duration::ZERO),
-                Some(Err(ServiceError::Disconnected))
-            );
+            let parity = coder.encode_vec(&refs).unwrap();
+            let full: Vec<Vec<u8>> = data.iter().chain(&parity).cloned().collect();
+            let mut holed: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
+            holed[1] = None;
+            let requests = [
+                (svc.submit_encode(1, data, None), parity),
+                (svc.submit_decode(1, holed.clone(), None), full.clone()),
+                (svc.submit_repair(1, holed, 1, None), vec![full[1].clone()]),
+                (svc.submit_scrub(1, full, None), Vec::new()),
+            ];
+            for (ticket, expected) in requests {
+                let ticket = ticket.unwrap();
+                // Complete before `submit_*` returned: no waiting at all.
+                assert_eq!(ticket.wait_timeout(Duration::ZERO), Some(Ok(expected)));
+                // …and handed out exactly once.
+                assert_eq!(
+                    ticket.wait_timeout(Duration::ZERO),
+                    Some(Err(ServiceError::Disconnected))
+                );
+            }
         }
         let stats = svc.stats();
-        assert_eq!((stats.submitted, stats.completed, stats.inline), (5, 5, 5));
-        assert_eq!(stats.batches, stats.inline, "the master dispatched nothing");
-        assert_eq!(stats.coalesced, 5, "an inline run is a batch of one");
-        assert_eq!(stats.shard_queue_peak, vec![0], "nothing was ever queued");
         assert_eq!(
-            svc.shard_traces(0).unwrap().len(),
-            5,
-            "inline runs are traced"
+            (stats.submitted, stats.completed, stats.inline),
+            (20, 20, 20)
+        );
+        assert_eq!(stats.batches, stats.inline, "the master dispatched nothing");
+        assert_eq!(stats.coalesced, 20, "an inline run is a batch of one");
+        assert_eq!(stats.shard_queue_peak, vec![0], "nothing was ever queued");
+        for class in &stats.classes {
+            assert_eq!(class.count, 5, "{} completions in its histogram", class.op);
+        }
+        let traced: Vec<OpKind> = svc.shard_traces(0).unwrap().iter().map(|t| t.op).collect();
+        assert_eq!(
+            traced,
+            OpKind::ALL.repeat(5),
+            "inline runs are traced, in order"
         );
     }
 

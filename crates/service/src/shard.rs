@@ -9,11 +9,11 @@
 
 use crate::{ServiceCounters, ServiceError};
 use dialga::encoder::Dialga;
-use dialga::pool::{DecodeJob, EncodePool, PoolStats};
+use dialga::pool::{EncodePool, PoolStats};
 use dialga_ec::EcError;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 #[cfg(feature = "fault-injection")]
@@ -37,18 +37,18 @@ pub(crate) type Reply = Result<Vec<Vec<u8>>, ServiceError>;
 pub(crate) enum Done {
     /// Queued request: the ticket's channel.
     Queued(mpsc::Sender<Reply>),
-    /// Request served by its submitter, which reads the slot back as soon
-    /// as its own `dispatch` returns — no channel is built.
-    Inline(Arc<OnceLock<Reply>>),
+    /// Request served by its submitter, which takes the reply out of its
+    /// own `Pending` once `dispatch` returns: nothing built, nothing shared.
+    Inline(Option<Reply>),
 }
 
 impl Done {
-    fn send(&self, reply: Reply) {
-        // A ticket dropped before its reply arrives is not an error.
-        let _delivered = match self {
-            Done::Queued(tx) => tx.send(reply).is_ok(),
-            Done::Inline(slot) => slot.set(reply).is_ok(),
-        };
+    fn send(&mut self, reply: Reply) {
+        match self {
+            // A ticket dropped before its reply arrives is not an error.
+            Done::Queued(tx) => drop(tx.send(reply)),
+            Done::Inline(slot) => *slot = Some(reply),
+        }
     }
 }
 
@@ -148,6 +148,22 @@ impl OpPayload {
         }
     }
 
+    /// An encode's data blocks or a scrub's stripe; empty for the others.
+    fn blocks(&self) -> &[Vec<u8>] {
+        match self {
+            OpPayload::Encode { data: blocks } | OpPayload::Scrub { shards: blocks } => blocks,
+            OpPayload::Decode { .. } | OpPayload::Repair { .. } => &[],
+        }
+    }
+
+    /// A decode's shards, holes and all.
+    fn holed(&mut self) -> Option<&mut Vec<Option<Vec<u8>>>> {
+        match self {
+            OpPayload::Decode { shards } => Some(shards),
+            _ => None,
+        }
+    }
+
     /// Bytes of payload the request carries — the DRR cost unit.
     pub(crate) fn cost_bytes(&self) -> usize {
         match self {
@@ -170,6 +186,14 @@ pub(crate) struct Pending {
     pub(crate) submitted: Instant,
     pub(crate) deadline: Option<Duration>,
     pub(crate) done: Done,
+}
+
+/// A decode's shards, holes and all — what a fused decode batch repairs in
+/// place (empty for the other classes, which never join one).
+impl AsMut<[Option<Vec<u8>>]> for Pending {
+    fn as_mut(&mut self) -> &mut [Option<Vec<u8>>] {
+        self.op.holed().map_or(&mut [], Vec::as_mut_slice)
+    }
 }
 
 /// Per-tenant FIFO plus its deficit-round-robin credit.
@@ -260,7 +284,7 @@ impl Shard {
             queue_depth,
             counters,
             traces: Mutex::new(TraceRing {
-                slots: Vec::new(),
+                slots: Vec::with_capacity(TRACE_CAP),
                 head: 0,
             }),
         }
@@ -413,29 +437,35 @@ impl Shard {
     /// Complete one request: record its per-class service latency
     /// (submit → response) in the shared histogram, bump the completion
     /// tally, and deliver the result.
-    fn complete(&self, class: OpKind, submitted: Instant, done: &Done, result: Reply) {
+    fn complete(&self, pending: &mut Pending, result: Reply) {
         self.counters.completed.fetch_add(1, Ordering::Release);
         self.counters
-            .class(class)
-            .record(submitted.elapsed().as_nanos() as u64);
-        done.send(result);
+            .class(pending.op.kind())
+            .record(pending.submitted.elapsed().as_nanos() as u64);
+        pending.done.send(result);
     }
 
-    /// Expire, trace, partition by operation, and dispatch one batch — on
-    /// the master, or (a batch of one) on a submitter that holds
+    /// Expire, trace, group by operation, and dispatch one batch — on the
+    /// master, or (a batch of one on its stack) on a submitter that holds
     /// [`Shard::claim_idle`]'s guard. Never with `queue` held (lint R8).
-    pub(crate) fn dispatch(&self, coder: &Dialga, batch: Vec<Pending>) {
-        let mut live = Vec::with_capacity(batch.len());
-        for pending in batch {
+    /// Every request is answered through its `done`.
+    pub(crate) fn dispatch(&self, coder: &Dialga, batch: &mut [Pending]) {
+        // Expired requests answer at once; the live ones are traced and
+        // move to the front, in submission order.
+        let mut live = 0;
+        for i in 0..batch.len() {
+            let pending = &mut batch[i];
             let waited = pending.submitted.elapsed();
             if pending.deadline.is_some_and(|d| waited > d) {
                 self.counters.expired.fetch_add(1, Ordering::Release);
                 pending.done.send(Err(ServiceError::Expired { waited }));
                 continue;
             }
-            self.record_trace(&pending, waited);
-            live.push(pending);
+            self.record_trace(pending, waited);
+            batch.swap(live, i);
+            live += 1;
         }
+        let live = &mut batch[..live];
         if live.is_empty() {
             return;
         }
@@ -443,173 +473,97 @@ impl Shard {
         self.counters
             .coalesced
             .fetch_add(live.len() as u64, Ordering::Relaxed);
-        let mut encodes = Vec::new();
-        let mut decodes = Vec::new();
-        let mut repairs = Vec::new();
-        let mut scrubs = Vec::new();
-        for pending in live {
-            match pending.op.kind() {
-                OpKind::Encode => encodes.push(pending),
-                OpKind::Decode => decodes.push(pending),
-                OpKind::Repair => repairs.push(pending),
-                OpKind::Scrub => scrubs.push(pending),
+        // One run per class, in `OpKind::ALL` order, each in submission order.
+        live.sort_by_key(|p| p.op.kind().index());
+        for run in live.chunk_by_mut(|a, b| a.op.kind() == b.op.kind()) {
+            match run[0].op.kind() {
+                OpKind::Encode => self.dispatch_encodes(coder, run),
+                OpKind::Decode => self.dispatch_decodes(coder, run),
+                OpKind::Repair => self.dispatch_repairs(coder, run),
+                OpKind::Scrub => self.dispatch_scrubs(coder, run),
             }
         }
-        self.dispatch_encodes(coder, encodes);
-        self.dispatch_decodes(coder, decodes);
-        self.dispatch_repairs(coder, repairs);
-        self.dispatch_scrubs(coder, scrubs);
     }
 
     /// Fused encode dispatch; on batch failure, fall back to per-request
     /// submission so one bad stripe cannot poison its batch neighbours.
-    fn dispatch_encodes(&self, coder: &Dialga, reqs: Vec<Pending>) {
-        if reqs.is_empty() {
+    fn dispatch_encodes(&self, coder: &Dialga, reqs: &mut [Pending]) {
+        let stripes = reqs.iter().map(|p| p.op.blocks());
+        if let Ok(parities) = self.pool.encode_batch_vec(coder, stripes) {
+            for (pending, parity) in reqs.iter_mut().zip(parities) {
+                self.complete(pending, Ok(parity));
+            }
             return;
         }
-        let mut dones = Vec::with_capacity(reqs.len());
-        let mut datas: Vec<Vec<Vec<u8>>> = Vec::with_capacity(reqs.len());
+        self.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
         for pending in reqs {
-            let Pending {
-                op,
-                done,
-                submitted,
-                ..
-            } = pending;
-            if let OpPayload::Encode { data } = op {
-                datas.push(data);
-                dones.push((done, submitted));
-            }
-        }
-        let fused = {
-            let data_refs: Vec<Vec<&[u8]>> = datas
-                .iter()
-                .map(|d| d.iter().map(Vec::as_slice).collect())
-                .collect();
-            let stripes: Vec<&[&[u8]]> = data_refs.iter().map(Vec::as_slice).collect();
-            self.pool.encode_batch_vec(coder, &stripes)
-        };
-        if let Ok(parities) = fused {
-            for ((done, submitted), parity) in dones.into_iter().zip(parities) {
-                self.complete(OpKind::Encode, submitted, &done, Ok(parity));
-            }
-        } else {
-            self.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
-            for ((done, submitted), data) in dones.into_iter().zip(datas) {
-                let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
-                let result = self
-                    .pool
-                    .encode_vec(coder, &refs)
-                    .map_err(ServiceError::Coding);
-                self.complete(OpKind::Encode, submitted, &done, result);
-            }
+            let result = self.pool.encode_vec(coder, pending.op.blocks());
+            self.complete(pending, result.map_err(ServiceError::Coding));
         }
     }
 
-    /// Fused decode dispatch with the same per-request fallback.
-    fn dispatch_decodes(&self, coder: &Dialga, reqs: Vec<Pending>) {
-        if reqs.is_empty() {
-            return;
+    /// Fused decode dispatch with the same per-request fallback. A restored
+    /// stripe is the request's own shard vector, its holes filled.
+    fn dispatch_decodes(&self, coder: &Dialga, reqs: &mut [Pending]) {
+        let fused = self.pool.decode_batch(coder, reqs).is_ok();
+        if !fused {
+            self.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
         }
-        let mut dones = Vec::with_capacity(reqs.len());
-        let mut vecs: Vec<Vec<Option<Vec<u8>>>> = Vec::with_capacity(reqs.len());
         for pending in reqs {
-            let Pending {
-                op,
-                done,
-                submitted,
-                ..
-            } = pending;
-            if let OpPayload::Decode { shards } = op {
-                vecs.push(shards);
-                dones.push((done, submitted));
-            }
-        }
-        let fused_ok = {
-            let mut jobs: Vec<DecodeJob<'_>> = vecs
-                .iter_mut()
-                .map(|s| DecodeJob {
-                    shards: s.as_mut_slice(),
-                })
-                .collect();
-            self.pool.decode_batch(coder, &mut jobs).is_ok()
-        };
-        if fused_ok {
-            for ((done, submitted), restored) in dones.into_iter().zip(vecs) {
-                let full: Vec<Vec<u8>> = restored
+            let Some(shards) = pending.op.holed() else {
+                continue;
+            };
+            let decoded = if fused {
+                Ok(())
+            } else {
+                self.pool.decode(coder, shards)
+            };
+            let full = |()| {
+                std::mem::take(shards)
                     .into_iter()
                     .map(Option::unwrap_or_default)
-                    .collect();
-                self.complete(OpKind::Decode, submitted, &done, Ok(full));
-            }
-        } else {
-            self.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
-            for ((done, submitted), mut shards) in dones.into_iter().zip(vecs) {
-                let result = self
-                    .pool
-                    .decode(coder, &mut shards)
-                    .map(|()| {
-                        shards
-                            .into_iter()
-                            .map(Option::unwrap_or_default)
-                            .collect::<Vec<Vec<u8>>>()
-                    })
-                    .map_err(ServiceError::Coding);
-                self.complete(OpKind::Decode, submitted, &done, result);
-            }
+            };
+            let result = decoded.map(full).map(Iterator::collect);
+            self.complete(pending, result.map_err(ServiceError::Coding));
         }
     }
 
     /// Repairs run per-request (the composed-coefficient fast path is
     /// already a single fused kernel pass per stripe).
-    fn dispatch_repairs(&self, coder: &Dialga, reqs: Vec<Pending>) {
+    fn dispatch_repairs(&self, coder: &Dialga, reqs: &mut [Pending]) {
         for pending in reqs {
-            let Pending {
-                op,
-                done,
-                submitted,
-                ..
-            } = pending;
-            if let OpPayload::Repair { shards, target } = op {
-                let result = self
-                    .pool
-                    .repair(coder, &shards, target)
-                    .map(|rebuilt| vec![rebuilt])
-                    .map_err(ServiceError::Coding);
-                self.complete(OpKind::Repair, submitted, &done, result);
-            }
+            let OpPayload::Repair { shards, target } = &pending.op else {
+                continue;
+            };
+            let result = self.pool.repair(coder, shards, *target);
+            let result = result.map(|rebuilt| vec![rebuilt]);
+            self.complete(pending, result.map_err(ServiceError::Coding));
         }
     }
 
-    /// Scrubs run per-request as a pool verify (the parity re-encoded
-    /// across the executors, then compared). A clean stripe resolves to an
-    /// empty payload; on a mismatch [`Dialga::scrub`] localizes, and the
-    /// request resolves to [`ServiceError::Coding`] wrapping
-    /// `EcError::Corrupt` naming the corrupt shards (the mismatching
-    /// parity rows when the corruption is beyond localizing).
-    fn dispatch_scrubs(&self, coder: &Dialga, reqs: Vec<Pending>) {
+    /// Scrubs run per-request as a pool verify: one fused check pass per
+    /// chunk, in registers, nothing allocated for a clean stripe. A clean
+    /// stripe resolves to an empty payload; on a mismatch
+    /// [`Dialga::scrub`] localizes, and the request resolves to
+    /// [`ServiceError::Coding`] wrapping `EcError::Corrupt` naming the
+    /// corrupt shards (the mismatching parity rows when the corruption is
+    /// beyond localizing).
+    fn dispatch_scrubs(&self, coder: &Dialga, reqs: &mut [Pending]) {
         let k = coder.params().k;
         for pending in reqs {
-            let Pending {
-                op,
-                done,
-                submitted,
-                ..
-            } = pending;
-            if let OpPayload::Scrub { shards } = op {
-                let refs: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
-                let (data, parity) = refs.split_at(k.min(refs.len()));
-                let result = match self.pool.verify(coder, data, parity) {
-                    Ok(()) => Ok(Vec::new()),
-                    Err(EcError::Corrupt { .. }) => match coder.scrub(&refs) {
-                        Ok(shards) => Err(EcError::Corrupt { shards }),
-                        Err(e) => Err(e),
-                    },
-                    Err(e) => Err(e),
+            let shards = pending.op.blocks();
+            let (data, parity) = shards.split_at(k.min(shards.len()));
+            let result = match self.pool.verify(coder, data, parity) {
+                Ok(()) => Ok(Vec::new()),
+                Err(EcError::Corrupt { .. }) => {
+                    let refs: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
+                    coder
+                        .scrub(&refs)
+                        .and_then(|shards| Err(EcError::Corrupt { shards }))
                 }
-                .map_err(ServiceError::Coding);
-                self.complete(OpKind::Scrub, submitted, &done, result);
-            }
+                Err(e) => Err(e),
+            };
+            self.complete(pending, result.map_err(ServiceError::Coding));
         }
     }
 }
@@ -659,8 +613,8 @@ fn drr_pick(q: &mut QueueState, limit: usize, quantum: usize) -> Vec<Pending> {
 /// work, picks a DRR batch, dispatches it fused, repeats; exits when the
 /// shard shuts down and its queue has drained.
 pub(crate) fn master_loop(shard: Arc<Shard>, coder: Arc<Dialga>, limit: usize, quantum: usize) {
-    while let Some((batch, _active)) = shard.next_batch(limit, quantum) {
-        shard.dispatch(&coder, batch);
+    while let Some((mut batch, _active)) = shard.next_batch(limit, quantum) {
+        shard.dispatch(&coder, &mut batch);
     }
 }
 

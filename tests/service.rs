@@ -16,11 +16,13 @@
 //!    with both the submitter-run and the queued path taken, no `stats()`
 //!    snapshot shows a request retired before it was submitted, per-tenant
 //!    order is submission order across the two paths, and a kernel panic
-//!    inside a submitter-run dispatch resolves the ticket and releases
-//!    the shard.
+//!    inside a submitter-run dispatch of any class resolves the ticket
+//!    and releases the shard.
 
 use dialga_faultkit::{Fault, FaultPlan};
 use dialga_repro::coder::encoder::Dialga;
+use dialga_repro::coder::pool::BATCH_RETRIES;
+use dialga_repro::ec::EcError;
 use dialga_repro::service::{ServiceConfig, ServiceError, StripeService};
 use std::time::{Duration, Instant};
 
@@ -559,4 +561,54 @@ fn kernel_panic_during_an_inline_decode_never_answers_zeros() {
     }
     assert_eq!(svc.stats().fallbacks, 1, "the fused batch failed");
     assert_eq!(svc.stats().inline, 1);
+}
+
+#[test]
+fn kernel_panic_during_an_inline_repair_or_scrub_resolves_and_releases_the_shard() {
+    // The repair and scrub twins of the two tests above. Neither class has
+    // a fused batch or a per-request fallback, so three scripted panics on
+    // executor 0 (the submitting thread) fail the first attempt and both
+    // retries, and the ticket resolves to the pool's typed error at submit.
+    let coder = Dialga::new(K, M).unwrap();
+    let r = reference(&coder, 1024, 11);
+    let mut survivors: Vec<Option<Vec<u8>>> = r.full.iter().cloned().map(Some).collect();
+    survivors[2] = None;
+    let ops: [(&str, Vec<Vec<u8>>); 2] = [("repair", vec![r.full[2].clone()]), ("scrub", vec![])];
+    for (class, clean) in ops {
+        let svc = StripeService::new(ServiceConfig {
+            threads_per_shard: 1,
+            ..cfg(1)
+        })
+        .unwrap();
+        let submit = || match class {
+            "repair" => svc.submit_repair(1, survivors.clone(), 2, None),
+            _ => svc.submit_scrub(1, r.full.clone(), None),
+        };
+        let mut plan = FaultPlan::new();
+        for nth_chunk in 0..3 {
+            plan = plan.with(Fault::WorkerPanic {
+                worker: 0,
+                nth_chunk,
+            });
+        }
+        assert!(svc.arm_shard_faults(0, &plan));
+
+        let reply = submit().unwrap().wait_timeout(Duration::ZERO);
+        assert!(
+            matches!(
+                reply,
+                Some(Err(ServiceError::Coding(EcError::Internal { .. })))
+            ),
+            "{class}: {reply:?}"
+        );
+        let pool = svc.shard_pool_stats(0).unwrap();
+        assert_eq!(pool.batch_retries, u64::from(BATCH_RETRIES), "{class}");
+        let stats = svc.stats();
+        assert_eq!((stats.inline, stats.completed, stats.fallbacks), (1, 1, 0));
+
+        assert!(svc.disarm_shard_faults(0));
+        let reply = submit().unwrap().wait_timeout(Duration::ZERO);
+        assert_eq!(reply, Some(Ok(clean)), "{class}");
+        assert_eq!(svc.stats().inline, 2, "{class}: the shard is idle again");
+    }
 }
