@@ -10,32 +10,11 @@
 //! performance-neutral; the kernel's tests hold every schedule (distance,
 //! §4.3 long/short split, shuffle) to identical bytes.
 
-use dialga_ec::{check_blocks, CodeParams, EcError, GfMatrix, ReedSolomon};
+use dialga_ec::{check_blocks, check_count, CodeParams, EcError, GfMatrix, ReedSolomon};
 use dialga_gf::sched::FusedSched;
 use dialga_gf::simd::{dot_prod_fused, dot_prod_fused_vec, dot_prod_syndromes};
 use dialga_gf::tables::NibbleTables;
 use dialga_gf::Gf8;
-
-/// Row-pipelined multiply-accumulate: `outputs[i] = sum_j T[i][j] src[j]`
-/// via the fused multi-output kernel — every 64 B source line is loaded
-/// once per register-blocked output group, prefetched `sched.d` steps
-/// ahead (long/short split per `sched.d_long`).
-///
-/// This is the kernel every serial DIALGA path into caller-owned outputs
-/// bottoms out in (fresh outputs take [`dot_prod_fused_vec`], pool chunks
-/// its write-only entry); `tables` is row-major, `outputs.len() x
-/// sources.len()`. Scheduling never changes the bytes produced.
-pub(crate) fn apply_tables(
-    tables: &[NibbleTables],
-    sources: &[&[u8]],
-    outputs: &mut [&mut [u8]],
-    sched: FusedSched,
-) {
-    if outputs.is_empty() {
-        return;
-    }
-    dot_prod_fused(tables, sources, outputs, sched);
-}
 
 /// The split-nibble tables of every coefficient of `rows`, row-major.
 fn nibble_tables(rows: &GfMatrix) -> Vec<NibbleTables> {
@@ -47,141 +26,70 @@ fn nibble_tables(rows: &GfMatrix) -> Vec<NibbleTables> {
 }
 
 /// The common length of every present shard — not just the survivors': a
-/// mismatched survivor would otherwise reach the kernel and panic, and a
-/// mismatched non-survivor silently corrupt a later parity recompute.
-fn present_len(shards: &[Option<Vec<u8>>]) -> Result<usize, EcError> {
-    let len = shards.iter().flatten().next().map_or(0, Vec::len);
-    match shards.iter().flatten().find(|s| s.len() != len) {
-        Some(bad) => Err(EcError::BlockLength {
-            expected: len,
-            got: bad.len(),
-        }),
-        None => Ok(len),
-    }
+/// mismatched shard makes the stripe malformed even where no plan reads it.
+fn present_len<B: AsRef<[u8]>>(shards: &[Option<B>]) -> Result<usize, EcError> {
+    let mut present = shards.iter().flatten().map(AsRef::as_ref);
+    let first = present.next().map_or(0, <[u8]>::len);
+    present.try_fold(first, |len, shard| check_blocks(&[shard], 1, Some(len)))
 }
 
-/// Check that `sources`/`outputs` agree with the table geometry and with
-/// each other in length (the apply kernels index without bounds slack).
-fn check_apply(
-    n_src: usize,
-    n_out: usize,
-    sources: &[&[u8]],
-    outputs: &[&mut [u8]],
-) -> Result<(), EcError> {
-    if sources.len() != n_src {
-        return Err(EcError::BlockCount {
-            expected: n_src,
-            got: sources.len(),
-        });
-    }
-    if outputs.len() != n_out {
-        return Err(EcError::BlockCount {
-            expected: n_out,
-            got: outputs.len(),
-        });
-    }
-    let len = sources.first().map_or(0, |s| s.len());
-    for s in sources {
-        if s.len() != len {
-            return Err(EcError::BlockLength {
-                expected: len,
-                got: s.len(),
-            });
-        }
-    }
-    for o in outputs {
-        if o.len() != len {
-            return Err(EcError::BlockLength {
-                expected: len,
-                got: o.len(),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// A decode plan: survivor selection and decode-matrix tables, separated
+/// A reconstruction plan: the `k` survivors the kernel reads, the shards
+/// they rebuild, and the coefficient rows that rebuild them — separated
 /// from kernel application so the kernel can be chunked across the
 /// persistent pool's workers ([`Dialga::decode`] runs it serially).
 ///
-/// Built by [`Dialga::decode_plan`]. Reconstruction is two stages: lost
-/// *data* blocks from the k survivors (decode-matrix rows), then lost
-/// *parity* rows from the completed data (the encode tables' subset for
-/// just those rows — never all m rows).
+/// Built by [`Dialga::decode_plan`] (every hole of a stripe) and
+/// [`Dialga::repair_plan`] (one target from given survivors) through one
+/// routine: the lost shards' rows of a single [`GfMatrix::decode_rows`]
+/// call over the survivors. A lost parity shard is rebuilt from the
+/// survivors directly, beside the lost data, so reconstruction is one fused
+/// pass whatever was lost.
 #[derive(Debug, Clone)]
 pub struct DecodePlan {
-    survivors: Vec<usize>,
-    /// Lost shard indices, ascending: the first `data_lost` are data.
-    lost: Vec<usize>,
-    data_lost: usize,
-    data_tables: Vec<NibbleTables>,
-    parity_tables: Vec<NibbleTables>,
-    len: usize,
+    /// The `k` survivors in source order, then the lost shards.
+    blocks: Vec<usize>,
+    /// The code's `k`: how many of `blocks` are survivors.
+    k: usize,
+    /// `lost.len() x k` row-major.
+    tables: Vec<NibbleTables>,
 }
 
-impl DecodePlan {
-    /// The k survivor shard indices the data stage reads.
-    pub fn survivors(&self) -> &[usize] {
-        &self.survivors
-    }
-
-    /// Lost data-block indices, ascending.
-    pub fn lost_data(&self) -> &[usize] {
-        &self.lost[..self.data_lost]
-    }
-
-    /// Lost parity shard indices (>= k), ascending.
-    pub fn lost_parity(&self) -> &[usize] {
-        &self.lost[self.data_lost..]
-    }
-
-    /// Common shard length (validated over every present shard).
-    pub fn shard_len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether there is nothing to reconstruct.
-    pub fn is_noop(&self) -> bool {
-        self.lost.is_empty()
-    }
-
-    /// Data-stage tables, `lost_data.len() x survivors.len()` row-major.
-    pub(crate) fn data_tables(&self) -> &[NibbleTables] {
-        &self.data_tables
-    }
-
-    /// Parity-stage tables, `lost_parity.len() x k` row-major.
-    pub(crate) fn parity_tables(&self) -> &[NibbleTables] {
-        &self.parity_tables
-    }
-}
-
-/// A single-block repair plan (the degraded-read fast path): one composed
-/// coefficient row over k survivors, built by [`Dialga::repair_plan`].
+/// A single-block repair plan (the degraded-read fast path): a
+/// [`DecodePlan`] whose one lost shard is the target.
 ///
 /// Works for any target block — a lost *parity* target with lost data
 /// among the non-survivors composes the parity row with those blocks'
 /// decode rows, so the kernel still runs once over k sources.
-#[derive(Debug, Clone)]
-pub struct RepairPlan {
-    survivors: Vec<usize>,
-    tables: Vec<NibbleTables>,
-}
+pub type RepairPlan = DecodePlan;
 
-impl RepairPlan {
+impl DecodePlan {
     /// The k survivor shard indices the kernel reads, in source order.
     pub fn survivors(&self) -> &[usize] {
-        &self.survivors
+        &self.blocks[..self.k]
     }
 
-    /// The composed `1 x k` coefficient tables.
+    /// The shards the plan rebuilds, in output order: a stripe's holes
+    /// ascending, or a repair's target.
+    pub(crate) fn lost(&self) -> &[usize] {
+        &self.blocks[self.k..]
+    }
+
+    /// Lost data-block indices, ascending.
+    pub fn lost_data(&self) -> &[usize] {
+        let lost = self.lost();
+        &lost[..lost.partition_point(|&i| i < self.k)]
+    }
+
+    /// The coefficient tables, `lost.len() x k` row-major.
     pub(crate) fn tables(&self) -> &[NibbleTables] {
         &self.tables
     }
 
-    /// Reconstruct the target block (or any equal-length horizontal chunk
-    /// of it) from survivor slices in plan order, prefetching `d` steps
-    /// ahead (no §4.3 split) in natural or shuffled row order.
+    /// Rebuild the lost shards (or any equal-length horizontal chunk of
+    /// them) from survivor slices in plan order into `out`, which holds
+    /// them back to back — one lost shard's bytes for a repair plan —
+    /// prefetching `d` steps ahead (no §4.3 split) in natural or shuffled
+    /// row order. One fused pass.
     pub fn apply(
         &self,
         sources: &[&[u8]],
@@ -189,11 +97,15 @@ impl RepairPlan {
         d: u32,
         shuffle: bool,
     ) -> Result<(), EcError> {
-        let mut outputs = [out];
-        check_apply(self.survivors.len(), 1, sources, &outputs)?;
+        let len = check_blocks(sources, self.k, None)?;
+        check_blocks(&[&*out], 1, Some(self.lost().len() * len))?;
+        if len == 0 {
+            return Ok(());
+        }
+        let mut outputs: Vec<&mut [u8]> = out.chunks_exact_mut(len).collect();
         let mut sched = FusedSched::distance(d);
         sched.shuffle = shuffle;
-        apply_tables(&self.tables, sources, &mut outputs, sched);
+        dot_prod_fused(&self.tables, sources, &mut outputs, sched);
         Ok(())
     }
 }
@@ -272,7 +184,7 @@ impl Dialga {
     /// Encode the k data blocks into the m parity blocks.
     pub fn encode(&self, data: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<(), EcError> {
         self.stripe_len(data, parity)?;
-        apply_tables(self.tables(), data, parity, self.sched());
+        dot_prod_fused(self.tables(), data, parity, self.sched());
         Ok(())
     }
 
@@ -290,78 +202,56 @@ impl Dialga {
         ))
     }
 
-    /// Build the reconstruction plan for the erasure pattern in `shards`:
-    /// validate geometry and every present shard's length, select the k
-    /// survivors, take the lost data rows from their parity minor
-    /// ([`GfMatrix::decode_rows`]) and subset the encode tables
-    /// for lost parity rows.
-    pub fn decode_plan(&self, shards: &[Option<Vec<u8>>]) -> Result<DecodePlan, EcError> {
-        let params = self.params();
-        let (k, m) = (params.k, params.m);
-        if shards.len() != k + m {
-            return Err(EcError::BlockCount {
-                expected: k + m,
-                got: shards.len(),
-            });
-        }
-        let mut lost = Vec::with_capacity(m);
-        lost.extend((0..k + m).filter(|&i| shards[i].is_none()));
-        if lost.len() > m {
-            return Err(EcError::TooManyErasures {
-                lost: lost.len(),
-                tolerance: m,
-            });
-        }
-        let len = present_len(shards)?;
-        let mut survivors = Vec::with_capacity(k);
-        survivors.extend((0..k + m).filter(|&i| shards[i].is_some()).take(k));
-        let data_lost = lost.partition_point(|&i| i < k);
-        let (lost_data, lost_parity) = lost.split_at(data_lost);
-
-        let pm = self.rs.parity_matrix();
-        let data_tables = nibble_tables(&pm.decode_rows(&survivors, lost_data)?);
-        let mut parity_tables = Vec::with_capacity(lost_parity.len() * k);
-        for &lp in lost_parity {
-            parity_tables.extend_from_slice(&self.tables()[(lp - k) * k..(lp - k + 1) * k]);
-        }
+    /// The one plan builder: rebuild the shards after the first
+    /// `survivors` of `blocks` from those survivors, by the rows of one
+    /// [`GfMatrix::decode_rows`] call (its errors are this one's).
+    fn plan(&self, blocks: Vec<usize>, survivors: usize) -> Result<DecodePlan, EcError> {
+        let (from, lost) = blocks.split_at(survivors);
+        let rows = self.rs.parity_matrix().decode_rows(from, lost)?;
         Ok(DecodePlan {
-            survivors,
-            lost,
-            data_lost,
-            data_tables,
-            parity_tables,
-            len,
+            tables: nibble_tables(&rows),
+            k: survivors,
+            blocks,
         })
     }
 
-    /// The repair plan for block `target` of the full stripe `shards`
-    /// (holes `None`), and the stripe's shard length: validate geometry
-    /// and every present shard's length, as [`Self::decode_plan`] does, and
-    /// plan over the first k present shards other than `target`.
-    pub(crate) fn stripe_repair_plan(
+    /// The plan that rebuilds every hole (`None`) of the full stripe
+    /// `shards` — or, given a `target`, that block alone — from the first
+    /// k present shards other than the target, and the stripe's shard
+    /// length: validates the geometry and every present shard's length.
+    pub(crate) fn stripe_plan<B: AsRef<[u8]>>(
         &self,
-        shards: &[Option<Vec<u8>>],
-        target: usize,
-    ) -> Result<(RepairPlan, usize), EcError> {
+        shards: &[Option<B>],
+        target: Option<usize>,
+    ) -> Result<(DecodePlan, usize), EcError> {
         let CodeParams { k, m } = self.params();
-        let wrong_count = (shards.len() != k + m).then_some(shards.len());
-        if let Some(got) = wrong_count.or((target >= k + m).then_some(target)) {
-            return Err(EcError::BlockCount {
-                expected: k + m,
-                got,
-            });
+        let n = k + m;
+        check_count(shards.len() == n, n, shards.len())?;
+        if let Some(t) = target {
+            check_count(t < n, n, t)?;
         }
-        let mut survivors = Vec::with_capacity(k);
-        let present = (0..k + m).filter(|&i| i != target && shards[i].is_some());
-        survivors.extend(present.take(k));
-        if survivors.len() < k {
+        let rebuilt = |i: usize| target.map_or(shards[i].is_none(), |t| i == t);
+        let mut blocks = Vec::with_capacity(n);
+        blocks.extend(
+            (0..n)
+                .filter(|&i| !rebuilt(i) && shards[i].is_some())
+                .take(k),
+        );
+        if blocks.len() < k {
             let lost = shards.iter().filter(|s| s.is_none()).count().max(1);
             return Err(EcError::TooManyErasures { lost, tolerance: m });
         }
+        blocks.extend((0..n).filter(|&i| rebuilt(i)));
         let len = present_len(shards)?;
-        let rows = self.rs.parity_matrix().decode_rows(&survivors, &[target])?;
-        let tables = nibble_tables(&rows);
-        Ok((RepairPlan { survivors, tables }, len))
+        Ok((self.plan(blocks, k)?, len))
+    }
+
+    /// Build the reconstruction plan for the erasure pattern in `shards`:
+    /// validate geometry and every present shard's length, select the k
+    /// survivors, and take every lost shard's row over them from their
+    /// parity minor ([`GfMatrix::decode_rows`]).
+    pub fn decode_plan<B: AsRef<[u8]>>(&self, shards: &[Option<B>]) -> Result<DecodePlan, EcError> {
+        Ok(self.stripe_plan(shards, None)?.0)
     }
 
     /// The single-block repair plan that rebuilds block `target` from the
@@ -373,64 +263,33 @@ impl Dialga {
     /// when some data blocks are among the erasures. Both come from the
     /// parity minor ([`GfMatrix::decode_rows`]) on each call.
     pub fn repair_plan(&self, survivors: &[usize], target: usize) -> Result<RepairPlan, EcError> {
-        let params = self.params();
-        let (k, m) = (params.k, params.m);
-        if target >= k + m {
-            return Err(EcError::BlockCount {
-                expected: k + m,
-                got: target,
-            });
-        }
-        if survivors.contains(&target) {
-            return Err(EcError::BlockCount {
-                expected: k,
-                got: target,
-            });
-        }
-        let rows = self.rs.parity_matrix().decode_rows(survivors, &[target])?;
-        Ok(RepairPlan {
-            survivors: survivors.to_vec(),
-            tables: nibble_tables(&rows),
-        })
+        let CodeParams { k, m } = self.params();
+        check_count(target < k + m, k + m, target)?;
+        check_count(!survivors.contains(&target), k, target)?;
+        let mut blocks = Vec::with_capacity(survivors.len() + 1);
+        blocks.extend_from_slice(survivors);
+        blocks.push(target);
+        self.plan(blocks, survivors.len())
     }
 
     /// Reconstruct missing blocks in place (same contract as
-    /// [`ReedSolomon::decode`]); lost blocks are rebuilt with the
-    /// pipelined kernel — decoding shares the encode load pattern (§4.1).
+    /// [`ReedSolomon::decode`]): every lost block, data and parity, is
+    /// rebuilt from the k survivors in one pass of the pipelined kernel —
+    /// decoding shares the encode load pattern (§4.1).
     pub fn decode(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
-        let plan = self.decode_plan(shards)?;
-        if plan.is_noop() {
-            return Ok(());
-        }
-        let len = plan.shard_len();
-        let k = self.params().k;
-        if !plan.lost_data().is_empty() {
-            let srcs: Vec<&[u8]> = plan
-                .survivors()
-                .iter()
-                .map(|&s| {
-                    dialga_ec::present_shard(shards, s, "decode-plan survivor absent")
-                        .map(|v| v.as_slice())
-                })
-                .collect::<Result<_, _>>()?;
-            let (tables, n) = (plan.data_tables(), plan.lost_data().len());
-            let outs = dot_prod_fused_vec(tables, &srcs, n, len, self.sched());
-            for (&ld, out) in plan.lost_data().iter().zip(outs) {
-                shards[ld] = Some(out);
-            }
-        }
-        if !plan.lost_parity().is_empty() {
-            let data_refs: Vec<&[u8]> = (0..k)
-                .map(|i| {
-                    dialga_ec::present_shard(shards, i, "data shard absent after rebuild")
-                        .map(|v| v.as_slice())
-                })
-                .collect::<Result<_, _>>()?;
-            let (tables, n) = (plan.parity_tables(), plan.lost_parity().len());
-            let outs = dot_prod_fused_vec(tables, &data_refs, n, len, self.sched());
-            for (&lp, out) in plan.lost_parity().iter().zip(outs) {
-                shards[lp] = Some(out);
-            }
+        let (plan, len) = self.stripe_plan(shards, None)?;
+        let sources = plan
+            .survivors()
+            .iter()
+            .map(|&s| {
+                dialga_ec::present_shard(shards, s, "decode-plan survivor absent")
+                    .map(|v| v.as_slice())
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let n = plan.lost().len();
+        let rebuilt = dot_prod_fused_vec(plan.tables(), &sources, n, len, self.sched());
+        for (&l, block) in plan.lost().iter().zip(rebuilt) {
+            shards[l] = Some(block);
         }
         Ok(())
     }
@@ -500,13 +359,10 @@ impl Dialga {
     pub fn locate(&self, shards: &[&[u8]], erased: &[usize]) -> Result<Vec<usize>, EcError> {
         let params = self.params();
         let (k, m) = (params.k, params.m);
-        let outside = erased.iter().copied().find(|&e| e >= k + m);
-        if shards.len() != k + m || outside.is_some() {
-            return Err(EcError::BlockCount {
-                expected: k + m,
-                got: outside.unwrap_or(shards.len()),
-            });
+        for &e in erased {
+            check_count(e < k + m, k + m, e)?;
         }
+        check_count(shards.len() == k + m, k + m, shards.len())?;
         let (data, parity) = shards.split_at(k);
         let syndromes = self.parity_syndromes(data, parity)?;
         if syndromes.is_empty() {
@@ -836,8 +692,8 @@ mod tests {
     #[test]
     fn decode_lost_parity_only_recomputes_lost_rows() {
         // Regression: lost-parity reconstruction used to recompute all m
-        // parity rows and clone out the lost ones. The plan now carries
-        // tables for the lost rows only; output stays bit-exact.
+        // parity rows and clone out the lost ones. The plan carries tables
+        // for the lost rows only; output stays bit-exact.
         let dialga = Dialga::new(6, 4).unwrap();
         let data = make_data(6, 1000); // unaligned tail
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
@@ -847,8 +703,8 @@ mod tests {
         shards[9] = None;
         let plan = dialga.decode_plan(&shards).unwrap();
         assert!(plan.lost_data().is_empty());
-        assert_eq!(plan.lost_parity(), &[7, 9]);
-        assert_eq!(plan.parity_tables().len(), 2 * 6, "lost rows only");
+        assert_eq!(plan.lost(), &[7, 9]);
+        assert_eq!(plan.tables().len(), 2 * 6, "lost rows only");
         dialga.decode(&mut shards).unwrap();
         assert_eq!(shards, shards_of(&data, &parity));
     }

@@ -261,9 +261,9 @@ enum Outputs {
 
 /// One job over full-length blocks, before chunking:
 /// `outputs[i] = sum_j tables[i * sources.len() + j] * sources[j]`, its
-/// blocks given as positions in the submission's [`Spans`]. Encode, both
-/// decode stages, single-block repair and verify all reduce to this shape,
-/// which is why the pool has exactly one submission path.
+/// blocks given as positions in the submission's [`Spans`]. Encode,
+/// decode, single-block repair and verify all reduce to this shape, which
+/// is why the pool has exactly one submission path.
 struct RawJob {
     tables: TabSpan,
     sources: Range<usize>,
@@ -357,24 +357,24 @@ impl Spans {
         self.job(coder.tables(), sources, outputs, coder.sched())
     }
 
-    /// Plan: `holes` fresh blocks of `len` bytes from the shards at
-    /// `sources` (one decode stage, or a single-block repair).
+    /// Plan: `plan`'s lost shards, as fresh blocks of `len` bytes, from
+    /// its survivors in `shards` (a decode or a single-block repair).
     fn rebuild(
         &mut self,
         coder: &Dialga,
-        tables: &[NibbleTables],
+        plan: &DecodePlan,
         shards: &[Option<Vec<u8>>],
-        sources: impl IntoIterator<Item = usize>,
-        (holes, len): (usize, usize),
+        len: usize,
     ) -> Result<(), EcError> {
-        let outputs = self.fresh(holes, len);
+        let outputs = self.fresh(plan.lost().len(), len);
         // The plan named present shards; were one absent, its empty span
         // would fail the job's length check.
-        let blocks = sources
-            .into_iter()
-            .map(|i| shards[i].as_deref().unwrap_or_default());
+        let blocks = plan
+            .survivors()
+            .iter()
+            .map(|&i| shards[i].as_deref().unwrap_or_default());
         let sources = self.sources(blocks);
-        self.job(tables, sources, outputs, coder.sched())
+        self.job(plan.tables(), sources, outputs, coder.sched())
     }
 
     /// The fresh outputs, in planning order, once their batch ran clean
@@ -754,7 +754,7 @@ impl EncodePool {
     /// Reconstruct missing shards in place across the pool. Blocks until
     /// the stripe is repaired; bit-exact with [`Dialga::decode`].
     ///
-    /// A hole (`None`) is filled only once the stage that rebuilds it ran
+    /// A hole (`None`) is filled only once the pass that rebuilds it ran
     /// clean: after `Err`, every hole the caller passed is still `None`.
     pub fn decode(&self, coder: &Dialga, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
         self.decode_batch(coder, &mut [shards])
@@ -766,68 +766,37 @@ impl EncodePool {
     ///
     /// All stripes are planned and validated up front (survivor selection,
     /// per-present-shard length checks, the parity minor's inversion — nothing
-    /// runs or is mutated when any stripe is malformed), then the two
-    /// reconstruction stages run chunked over the executors: lost data
-    /// from survivors, then lost parity rows from the completed data.
-    /// Each stage writes fresh, unwritten blocks, which go into their holes
-    /// only after the stage ran clean (stage 1's before stage 2 reads them).
-    /// After `Err`, every hole of every stripe is still `None`.
+    /// runs or is mutated when any stripe is malformed). Each plan rebuilds
+    /// every lost shard of its stripe, data and parity, from its k
+    /// survivors, so the batch is one submission chunked over the executors.
+    /// The rebuilt blocks are fresh and unwritten, and go into their holes
+    /// only after the batch ran clean: after `Err`, every hole of every
+    /// stripe is still `None`.
     pub fn decode_batch(
         &self,
         coder: &Dialga,
         stripes: &mut [impl AsMut<[Option<Vec<u8>>]>],
     ) -> Result<(), EcError> {
-        let plans: Vec<DecodePlan> = stripes
+        let plans: Vec<(DecodePlan, usize)> = stripes
             .iter_mut()
-            .map(|s| coder.decode_plan(s.as_mut()))
+            .map(|s| coder.stripe_plan(s.as_mut(), None))
             .collect::<Result<_, _>>()?;
+        let mut spans = self.spans();
+        for (s, (plan, len)) in stripes.iter_mut().zip(&plans) {
+            if !plan.lost().is_empty() {
+                spans.rebuild(coder, plan, s.as_mut(), *len)?;
+            }
+        }
         self.count_dispatch(stripes.len());
-        // Stage 1 rebuilds lost data from the k survivors; stage 2 lost
-        // parity rows from the (now complete) data blocks — the stage-1
-        // wait orders the reconstructed data before the stage-2 reads.
-        let k = coder.params().k;
-        let stages: [fn(&DecodePlan) -> &[usize]; 2] =
-            [DecodePlan::lost_data, DecodePlan::lost_parity];
-        for (stage, holes_of) in stages.into_iter().enumerate() {
-            let mut spans = self.spans();
-            let planned = stripes.iter_mut().zip(&plans).try_for_each(|(s, plan)| {
-                let holes = (holes_of(plan).len(), plan.shard_len());
-                match stage {
-                    _ if holes.0 == 0 => Ok(()),
-                    0 => {
-                        let survivors = plan.survivors().iter().copied();
-                        spans.rebuild(coder, plan.data_tables(), s.as_mut(), survivors, holes)
-                    }
-                    _ => spans.rebuild(coder, plan.parity_tables(), s.as_mut(), 0..k, holes),
-                }
-            });
-            let mut timed_out = false;
-            let placed = planned.and_then(|()| {
-                self.finish(spans, |spans, wait| {
-                    timed_out = matches!(wait, BatchWait::TimedOut);
-                    let mut rebuilt = spans.written(wait)?;
-                    for (s, plan) in stripes.iter_mut().zip(&plans) {
-                        for (&l, block) in holes_of(plan).iter().zip(rebuilt.by_ref()) {
-                            s.as_mut()[l] = Some(block);
-                        }
-                    }
-                    Ok(())
-                })
-            });
-            // On failure stage 1's data goes back out of its holes. On a
-            // timeout a lost stage-2 chunk may still read it, so it is
-            // leaked like the stage's own outputs.
-            for (s, plan) in stripes.iter_mut().zip(&plans).filter(|_| placed.is_err()) {
-                for &l in plan.lost_data().iter().filter(|_| stage > 0) {
-                    let data = s.as_mut()[l].take();
-                    if timed_out {
-                        std::mem::forget(data);
-                    }
+        self.finish(spans, |spans, wait| {
+            let mut rebuilt = spans.written(wait)?;
+            for (s, (plan, _)) in stripes.iter_mut().zip(&plans) {
+                for (&l, block) in plan.lost().iter().zip(rebuilt.by_ref()) {
+                    s.as_mut()[l] = Some(block);
                 }
             }
-            placed?;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Single-block repair fast path (degraded read): reconstruct shard
@@ -840,10 +809,9 @@ impl EncodePool {
         shards: &[Option<Vec<u8>>],
         target: usize,
     ) -> Result<Vec<u8>, EcError> {
-        let (plan, len) = coder.stripe_repair_plan(shards, target)?;
+        let (plan, len) = coder.stripe_plan(shards, Some(target))?;
         let mut spans = self.spans();
-        let survivors = plan.survivors().iter().copied();
-        spans.rebuild(coder, plan.tables(), shards, survivors, (1, len))?;
+        spans.rebuild(coder, &plan, shards, len)?;
         self.count_dispatch(1);
         self.finish(spans, |spans, wait| {
             Ok(spans.written(wait)?.next().unwrap_or_default())
@@ -886,7 +854,7 @@ impl EncodePool {
         })
     }
 
-    /// Count one submission of `stripes` stripes (however many stages).
+    /// Count one submission of `stripes` stripes.
     fn count_dispatch(&self, stripes: usize) {
         let s = &self.shared.stats;
         s.stripes.fetch_add(stripes as u64, Ordering::Relaxed);

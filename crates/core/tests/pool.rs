@@ -99,7 +99,7 @@ fn a_batch_is_one_dispatch_of_its_stripes_on_any_pool() {
         let full = shards.clone();
         for (i, s) in shards.iter_mut().enumerate() {
             s[i] = None; // data
-            s[6 + i % 3] = None; // parity: both decode stages run
+            s[6 + i % 3] = None; // parity
         }
         pool.decode_batch(&coder, &mut shards).unwrap();
         assert_eq!(shards, full, "threads={threads}");

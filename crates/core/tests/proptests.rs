@@ -5,6 +5,7 @@
 
 use dialga::encoder::Dialga;
 use dialga::pool::{split_ranges, EncodePool, StripeJob, CHUNK_ALIGN};
+use dialga_ec::ReedSolomon;
 use dialga_testkit::run_cases;
 
 /// `split_ranges` partitions exactly, aligned, and evenly for arbitrary
@@ -161,6 +162,49 @@ fn pool_decode_bit_exact_with_serial() {
     });
 }
 
+/// The one-pass decode is the two-stage reference's: `Dialga::decode` and
+/// `EncodePool::decode` on 1, 2 and 4 executors rebuild exactly what
+/// `ReedSolomon::decode` (the `k x k` inversion, lost data, then lost
+/// parity re-encoded, all on the portable kernel) rebuilds, on every
+/// erasure pattern of up to `m` shards, at a length of whole chunk units
+/// and at one with a ragged tail.
+#[test]
+fn one_pass_decode_is_the_reference_on_every_erasure_pattern() {
+    let pools: Vec<EncodePool> = [1usize, 2, 4].map(EncodePool::new).into();
+    let mut rng = dialga_testkit::Rng::new(0x48);
+    for (k, m) in [(6usize, 3usize), (10, 4)] {
+        let (coder, rs) = (Dialga::new(k, m).unwrap(), ReedSolomon::new(k, m).unwrap());
+        let n = k + m;
+        for len in [4 * CHUNK_ALIGN, 4 * CHUNK_ALIGN + 37] {
+            let data: Vec<Vec<u8>> = (0..k).map(|_| rng.bytes(len)).collect();
+            let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+            let parity = rs.encode_vec(&refs).unwrap();
+            let full: Vec<Option<Vec<u8>>> =
+                data.iter().chain(&parity).cloned().map(Some).collect();
+            for lost in (0u32..1 << n).filter(|l| l.count_ones() as usize <= m) {
+                let mut holed = full.clone();
+                for (i, shard) in holed.iter_mut().enumerate() {
+                    if lost >> i & 1 == 1 {
+                        *shard = None;
+                    }
+                }
+                let ctx = format!("k={k} m={m} len={len} lost={lost:#b}");
+                let mut want = holed.clone();
+                rs.decode(&mut want).unwrap();
+                assert_eq!(want, full, "reference {ctx}");
+                let mut serial = holed.clone();
+                coder.decode(&mut serial).unwrap();
+                assert_eq!(serial, want, "Dialga::decode {ctx}");
+                for pool in &pools {
+                    let mut shards = holed.clone();
+                    pool.decode(&coder, &mut shards).unwrap();
+                    assert_eq!(shards, want, "{ctx} threads={}", pool.threads());
+                }
+            }
+        }
+    }
+}
+
 /// Every pool operation is bit-exact with serial `Dialga` on every
 /// executor count — including 1, where the pool owns no thread, and 3,
 /// where chunks deal unevenly — and on every length class: empty,
@@ -194,7 +238,7 @@ fn every_pool_operation_is_bit_exact_on_every_executor_count() {
         let all: Vec<&[u8]> = full.iter().flatten().map(|s| s.as_slice()).collect();
         let mut holed = full.clone();
         holed[1] = None; // data
-        holed[k + 1] = None; // parity, so both decode stages run
+        holed[k + 1] = None; // parity
         let mut wider = holed.clone();
         wider[0] = None; // two lost data shards: a 2 x 2 parity minor
 

@@ -111,17 +111,23 @@ pub fn check_blocks<B: AsRef<[u8]>>(
     count: usize,
     len: Option<usize>,
 ) -> Result<usize, EcError> {
-    if blocks.len() != count {
-        return Err(EcError::BlockCount {
-            expected: count,
-            got: blocks.len(),
-        });
-    }
+    check_count(blocks.len() == count, count, blocks.len())?;
     let mut lens = blocks.iter().map(|b| b.as_ref().len());
     let len = len.or_else(|| lens.clone().next()).unwrap_or(0);
     match lens.find(|&got| got != len) {
         Some(got) => Err(EcError::BlockLength { expected: len, got }),
         None => Ok(len),
+    }
+}
+
+/// The one builder of [`EcError::BlockCount`], beside [`check_blocks`]:
+/// `Ok` when `fits`, else the error naming the `expected` count (or, for an
+/// index, the bound it must stay below) and what was `got`.
+pub fn check_count(fits: bool, expected: usize, got: usize) -> Result<(), EcError> {
+    if fits {
+        Ok(())
+    } else {
+        Err(EcError::BlockCount { expected, got })
     }
 }
 

@@ -41,7 +41,7 @@ pub mod rs;
 pub mod schedule;
 pub mod xor;
 
-pub use error::{check_blocks, present_shard, EcError};
+pub use error::{check_blocks, check_count, present_shard, EcError};
 pub use lrc::{LocalRepairPlan, Lrc};
 pub use matrix::GfMatrix;
 pub use rs::ReedSolomon;

@@ -1,6 +1,6 @@
 //! Dense GF(2^8) matrices: generator construction and inversion.
 
-use crate::EcError;
+use crate::{check_count, EcError};
 use dialga_gf::Gf8;
 
 /// A dense matrix over GF(2^8).
@@ -240,17 +240,9 @@ impl GfMatrix {
     /// `>= k + m` included; a repeated survivor makes `A` singular.
     pub fn decode_rows(&self, survivors: &[usize], targets: &[usize]) -> Result<GfMatrix, EcError> {
         let (m, k) = (self.rows, self.cols);
-        if survivors.len() != k {
-            return Err(EcError::BlockCount {
-                expected: k,
-                got: survivors.len(),
-            });
-        }
-        if let Some(&i) = survivors.iter().chain(targets).find(|&&i| i >= k + m) {
-            return Err(EcError::BlockCount {
-                expected: k + m,
-                got: i,
-            });
+        check_count(survivors.len() == k, k, survivors.len())?;
+        for &i in survivors.iter().chain(targets) {
+            check_count(i < k + m, k + m, i)?;
         }
         // `A`'s rows (the parity survivors), then its columns (the lost data).
         let mut minor = Vec::with_capacity(2 * m.min(k));
@@ -259,32 +251,36 @@ impl GfMatrix {
         minor.extend((0..k).filter(|j| !survivors.contains(j)));
         let (parity, lost) = minor.split_at(e);
         let inv = self.minor_inverse(parity, lost)?;
+        // A row's columns: the data survivors', and the parity survivors'
+        // in `A`'s row order.
+        let on_data = || survivors.iter().enumerate().filter(|&(_, &s)| s < k);
+        let on_parity = || survivors.iter().enumerate().filter(|&(_, &s)| s >= k);
         let mut rows = Self::zero(targets.len(), k);
         for (i, &t) in targets.iter().enumerate() {
-            // `y = G[t, L] · A⁻¹`: a lost data target's row of `A⁻¹`, none
-            // for a surviving one.
-            let weights: GfMatrix;
-            let y = match (t.checked_sub(k), lost.iter().position(|&l| l == t)) {
-                (Some(r), _) => {
-                    let p = lost.iter().map(|&l| self[(r, l)]).collect();
-                    weights = Self::from_rows(vec![p]).matmul(&inv);
-                    weights.row(0)
-                }
-                (None, Some(a)) => inv.row(a),
-                (None, None) => &[],
-            };
-            let g = |j: usize| match t.checked_sub(k) {
-                Some(r) => self[(r, j)],
-                None => Gf8((j == t).into()),
-            };
-            let on_data = survivors.iter().enumerate().filter(|&(_, &s)| s < k);
-            for (c, &s) in on_data {
-                let terms = parity.iter().zip(y);
-                rows[(i, c)] = terms.fold(g(s), |acc, (&r, &w)| acc + w * self[(r, s)]);
+            // `G[t, D]` on the data survivors, then `y · P[R, D]` added on.
+            for (c, &s) in on_data() {
+                rows[(i, c)] = match t.checked_sub(k) {
+                    Some(r) => self[(r, s)],
+                    None => Gf8((s == t).into()),
+                };
             }
-            let on_parity = survivors.iter().enumerate().filter(|&(_, &s)| s >= k);
-            for ((c, _), &w) in on_parity.zip(y) {
-                rows[(i, c)] = w;
+            let lost_at = lost.iter().position(|&l| l == t);
+            for (a, (pc, &p)) in on_parity().enumerate() {
+                // `y[a]` of `y = G[t, L] · A⁻¹`: a parity target's row of
+                // `P` over `L` times `A⁻¹`, a lost data target's row of
+                // `A⁻¹`, nothing for a surviving data target.
+                let y = match (t.checked_sub(k), lost_at) {
+                    (Some(r), _) => lost
+                        .iter()
+                        .enumerate()
+                        .fold(Gf8::ZERO, |acc, (b, &l)| acc + self[(r, l)] * inv[(b, a)]),
+                    (None, Some(b)) => inv[(b, a)],
+                    (None, None) => Gf8::ZERO,
+                };
+                rows[(i, pc)] = y;
+                for (c, &s) in on_data() {
+                    rows[(i, c)] += y * self[(p - k, s)];
+                }
             }
         }
         Ok(rows)

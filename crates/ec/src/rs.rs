@@ -1,14 +1,18 @@
-//! Table-driven Reed–Solomon coding (the ISA-L style of the paper).
+//! Table-driven Reed–Solomon coding (the ISA-L style of the paper), kept
+//! portable: the scalar reference the fused kernels are held to.
 //!
-//! Encoding reads each data block exactly once and accumulates into the m
-//! parity blocks with `mul_add_slice` — the memory access pattern the
-//! paper's §3 analysis is built on ("ISA-L only needs to load each data
-//! block once during encoding"). Decoding inverts the k surviving generator
-//! rows and runs the same kernel ([`GfMatrix::decode_rows`] inverts a minor).
+//! Encoding accumulates each parity row from the k data blocks with the
+//! portable table kernel (`mul_add_slice_tab` over ISA-L's `ec_init_tables`
+//! tables). Decoding inverts the k surviving generator rows whole
+//! ([`ReedSolomon::decode_matrix`]), rebuilds the lost data from the
+//! survivors, then re-encodes the lost parity from the data. None of it
+//! shares code with the vector tiers of `dialga_gf::simd`: the coder built
+//! on this code's tables (`dialga::encoder::Dialga`) runs the fused kernel
+//! with the paper's load-once access pattern (§3), and its one-pass decode
+//! ([`GfMatrix::decode_rows`]) is checked against this two-stage one.
 
-use crate::{check_blocks, CodeParams, EcError, GfMatrix};
-use dialga_gf::simd::mul_add_slice_simd;
-use dialga_gf::slice::mul_add_slice;
+use crate::{check_blocks, check_count, CodeParams, EcError, GfMatrix};
+use dialga_gf::slice::{mul_add_slice, mul_add_slice_tab};
 use dialga_gf::tables::NibbleTables;
 use dialga_gf::Gf8;
 
@@ -47,8 +51,7 @@ pub struct ReedSolomon {
     params: CodeParams,
     /// m x k parity coefficients.
     parity: GfMatrix,
-    /// Precomputed split-nibble tables, m x k (ISA-L's `ec_init_tables`);
-    /// the encode hot path dispatches them to the fastest SIMD kernel.
+    /// Precomputed split-nibble tables, m x k (ISA-L's `ec_init_tables`).
     tables: Vec<NibbleTables>,
 }
 
@@ -128,12 +131,12 @@ impl ReedSolomon {
         Ok(parity.collect())
     }
 
-    /// Fold parity row `i` of `data` into `p`.
+    /// Fold parity row `i` of `data` into `p` with the portable table
+    /// kernel: the `ec_init_tables` + `gf_vect_mad` structure of ISA-L.
     fn accumulate(&self, i: usize, data: &[&[u8]], p: &mut [u8]) {
-        for (j, d) in data.iter().enumerate() {
-            // Precomputed tables through the SIMD dispatcher — the
-            // ec_init_tables + vect_mad structure of ISA-L.
-            mul_add_slice_simd(&self.tables[i * self.params.k + j], d, p);
+        let row = &self.tables[i * self.params.k..(i + 1) * self.params.k];
+        for (t, d) in row.iter().zip(data) {
+            mul_add_slice_tab(t, d, p);
         }
     }
 
@@ -143,26 +146,15 @@ impl ReedSolomon {
     /// [`GfMatrix::decode_rows`] to. A survivor outside the stripe
     /// (`>= k + m`) is [`EcError::BlockCount`].
     pub fn decode_matrix(&self, survivors: &[usize]) -> Result<GfMatrix, EcError> {
-        if survivors.len() != self.params.k {
-            return Err(EcError::BlockCount {
-                expected: self.params.k,
-                got: survivors.len(),
-            });
-        }
-        let mut rows = Vec::with_capacity(self.params.k);
+        let (k, n) = (self.params.k, self.params.n());
+        check_count(survivors.len() == k, k, survivors.len())?;
+        let mut rows = Vec::with_capacity(k);
         for &s in survivors {
-            if s < self.params.k {
-                let mut row = vec![Gf8::ZERO; self.params.k];
-                row[s] = Gf8::ONE;
-                rows.push(row);
-            } else if s < self.params.n() {
-                rows.push(self.parity.row(s - self.params.k).to_vec());
-            } else {
-                return Err(EcError::BlockCount {
-                    expected: self.params.n(),
-                    got: s,
-                });
-            }
+            check_count(s < n, n, s)?;
+            rows.push(match s.checked_sub(k) {
+                Some(r) => self.parity.row(r).to_vec(),
+                None => (0..k).map(|j| Gf8((j == s).into())).collect(),
+            });
         }
         GfMatrix::from_rows(rows).inverse()
     }
@@ -171,15 +163,9 @@ impl ReedSolomon {
     ///
     /// `shards` must have k+m entries; `None` marks an erasure. On success
     /// every entry is `Some` and data entries contain the original bytes.
-    #[allow(clippy::needless_range_loop)] // shards are addressed by block id
     pub fn decode(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
         let (k, m) = (self.params.k, self.params.m);
-        if shards.len() != k + m {
-            return Err(EcError::BlockCount {
-                expected: k + m,
-                got: shards.len(),
-            });
-        }
+        check_count(shards.len() == k + m, k + m, shards.len())?;
         let lost: Vec<usize> = (0..k + m).filter(|&i| shards[i].is_none()).collect();
         if lost.is_empty() {
             return Ok(());
@@ -192,36 +178,34 @@ impl ReedSolomon {
         }
         let survivors: Vec<usize> = (0..k + m).filter(|&i| shards[i].is_some()).collect();
         let survivors = &survivors[..k];
-        let len = crate::present_shard(shards, survivors[0], "RS survivor shard absent")?.len();
-        for &s in survivors {
-            let l = crate::present_shard(shards, s, "RS survivor shard absent")?.len();
-            if l != len {
-                return Err(EcError::BlockLength {
-                    expected: len,
-                    got: l,
-                });
-            }
-        }
+        let sources = survivors
+            .iter()
+            .map(|&s| crate::present_shard(shards, s, "RS survivor shard absent"))
+            .collect::<Result<Vec<_>, _>>()?;
+        let len = check_blocks(&sources, k, None)?;
         let dec = self.decode_matrix(survivors)?;
 
         // Reconstruct lost *data* blocks first.
-        let lost_data: Vec<usize> = lost.iter().copied().filter(|&i| i < k).collect();
-        for &ld in &lost_data {
-            let mut out = vec![0u8; len];
-            for (col, &s) in survivors.iter().enumerate() {
-                let src = crate::present_shard(shards, s, "RS survivor shard absent")?;
-                mul_add_slice(dec[(ld, col)].0, src, &mut out);
-            }
+        let (lost_data, lost_parity) = lost.split_at(lost.partition_point(|&i| i < k));
+        let data: Vec<Vec<u8>> = lost_data
+            .iter()
+            .map(|&ld| {
+                let mut out = vec![0u8; len];
+                for (col, src) in sources.iter().enumerate() {
+                    mul_add_slice(dec[(ld, col)].0, src, &mut out);
+                }
+                out
+            })
+            .collect();
+        for (&ld, out) in lost_data.iter().zip(data) {
             shards[ld] = Some(out);
         }
         // Then re-encode any lost parity from the (now complete) data.
-        let lost_parity: Vec<usize> = lost.iter().copied().filter(|&i| i >= k).collect();
-        for &lp in &lost_parity {
-            let row = lp - k;
+        for &lp in lost_parity {
             let mut out = vec![0u8; len];
-            for j in 0..k {
+            for (j, c) in self.parity.row(lp - k).iter().enumerate() {
                 let src = crate::present_shard(shards, j, "RS data shard absent after rebuild")?;
-                mul_add_slice(self.parity[(row, j)].0, src, &mut out);
+                mul_add_slice(c.0, src, &mut out);
             }
             shards[lp] = Some(out);
         }
@@ -239,34 +223,13 @@ impl ReedSolomon {
         new: &[u8],
         parity: &mut [&mut [u8]],
     ) -> Result<(), EcError> {
-        if idx >= self.params.k {
-            return Err(EcError::BlockCount {
-                expected: self.params.k,
-                got: idx,
-            });
-        }
-        if old.len() != new.len() {
-            return Err(EcError::BlockLength {
-                expected: old.len(),
-                got: new.len(),
-            });
-        }
-        if parity.len() != self.params.m {
-            return Err(EcError::BlockCount {
-                expected: self.params.m,
-                got: parity.len(),
-            });
-        }
+        check_count(idx < self.params.k, self.params.k, idx)?;
+        let len = check_blocks(&[old, new], 2, None)?;
+        check_blocks(parity, self.params.m, Some(len))?;
         // delta = old ^ new; parity_i ^= c_i * delta
         let mut delta = old.to_vec();
         dialga_gf::slice::xor_slice(new, &mut delta);
         for (i, p) in parity.iter_mut().enumerate() {
-            if p.len() != old.len() {
-                return Err(EcError::BlockLength {
-                    expected: old.len(),
-                    got: p.len(),
-                });
-            }
             mul_add_slice(self.parity[(i, idx)].0, &delta, p);
         }
         Ok(())

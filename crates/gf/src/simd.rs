@@ -7,8 +7,8 @@
 //! high nibble) and an XOR — `pshufb`/`vpshufb` perform 16/32 such lookups
 //! per instruction — or one 8x8 bit-matrix product per byte, which
 //! `vgf2p8affineqb` does for a whole 64 B cacheline at once. Every tier is
-//! one impl of the private `Lanes` trait; the multiply-accumulate and the
-//! fused row loop are each written once over it.
+//! one impl of the private `Lanes` trait, and the fused row loop is written
+//! once over it: it is the only vector path.
 //!
 //! ## Fused kernels
 //!
@@ -19,8 +19,7 @@
 //! sources once. The §4.2 prefetch-pointer array (two-group construction,
 //! plain-kernel tail) and the §4.3 XPLine-aware long/short distances are
 //! issued from inside the row loop — see [`crate::sched`] for the index
-//! rules. The per-row path (`mul_add_slice_simd` per (output, source)
-//! pair) remains as the reference and as the tail kernel.
+//! rules. The partial last line of a pass takes the portable table kernel.
 //!
 //! [`dot_prod_verify`] and [`dot_prod_syndromes`] check stored parity with
 //! the same row loop and end it differently: each accumulator starts from
@@ -32,8 +31,9 @@
 //! a `OnceLock`); [`set_kernel_override`] can force an equal-or-*lower*
 //! tier so every lower path stays coverable on the widest host.
 //!
-//! The portable kernels in [`crate::slice`] remain the reference; these
-//! accelerated paths are verified byte-for-byte against them.
+//! The portable kernels in [`crate::slice`] remain the reference, and share
+//! no code with the vector tiers; the fused paths are verified byte-for-byte
+//! against them on every tier.
 
 use crate::sched::{FusedSched, PassSched};
 use crate::slice::prefetch_read;
@@ -118,28 +118,6 @@ pub fn selected_kernel() -> Kernel {
     match KERNEL_OVERRIDE.load(Ordering::Acquire) {
         0 => detected,
         v => Kernel::ALL[(v - 1).min(detected.tier()) as usize],
-    }
-}
-
-/// `dst[i] ^= c_table(src[i])` with the fastest available kernel.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn mul_add_slice_simd(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
-    assert_eq!(src.len(), dst.len(), "mul_add_slice_simd length mismatch");
-    match selected_kernel() {
-        // SAFETY: `selected_kernel` returns a tier only when
-        // `is_x86_feature_detected!` confirmed every feature its entry point
-        // enables (overrides only lower it); lengths were asserted equal.
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx512Gfni => unsafe { x86::mul_add_gfni(t, src, dst) },
-        // SAFETY: as for the GFNI arm.
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => unsafe { x86::mul_add_avx2(t, src, dst) },
-        // SAFETY: as for the GFNI arm.
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Ssse3 => unsafe { x86::mul_add_ssse3(t, src, dst) },
-        _ => crate::slice::mul_add_slice_tab(t, src, dst),
     }
 }
 
@@ -953,27 +931,6 @@ mod x86 {
         }
     }
 
-    /// `dst[i] ^= c · src[i]`: whole vectors through `L`, the rest through
-    /// the table kernel.
-    ///
-    /// # Safety
-    /// [`Lanes`] contract for `L`, and `src.len() == dst.len()`.
-    #[inline(always)]
-    unsafe fn mul_add<L: Lanes>(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
-        let n = src.len() / L::WIDTH * L::WIDTH;
-        for i in (0..n).step_by(L::WIDTH) {
-            // SAFETY: `i + WIDTH <= n <= len` of both slices (equal per the
-            // caller contract), so every vector access is in bounds; the CPU
-            // features are the caller's contract.
-            unsafe {
-                let s = L::load(src.as_ptr().add(i)).split();
-                let d = L::load(dst.as_ptr().add(i));
-                d.mul_acc(t, s).store(dst.as_mut_ptr().add(i));
-            }
-        }
-        crate::slice::mul_add_slice_tab(t, &src[n..], &mut dst[n..]);
-    }
-
     /// Fused `N`-output pass over the whole 64 B rows of the buffers: each
     /// source line is loaded (and split) once per group and folded into `N`
     /// register accumulators seeded by `end`, which then takes each
@@ -1030,20 +987,11 @@ mod x86 {
         }
     }
 
-    /// The two `#[target_feature]` frames of one tier — the only place its
-    /// instructions are enabled, and what the generic bodies inline into.
+    /// The one `#[target_feature]` frame of a tier — the only place its
+    /// instructions are enabled, and what the generic body inlines into:
     /// `$fused` monomorphizes [`group_pass`] over the runtime group width.
     macro_rules! tier_entries {
-        ($lanes:ty, $features:literal, $mul_add:ident, $fused:ident) => {
-            /// # Safety
-            /// This tier's CPU features (callers establish them via
-            /// `detected_kernel`), and `src.len() == dst.len()`.
-            #[target_feature(enable = $features)]
-            pub(super) unsafe fn $mul_add(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
-                // SAFETY: this function's contract is the callee's.
-                unsafe { mul_add::<$lanes>(t, src, dst) }
-            }
-
+        ($lanes:ty, $features:literal, $fused:ident) => {
             /// # Safety
             /// This tier's CPU features; `group` is 1 to `FUSED_GROUP` rows
             /// of `end`, and the rest of [`group_pass`]'s contract for
@@ -1073,9 +1021,9 @@ mod x86 {
             }
         };
     }
-    tier_entries!(__m128i, "ssse3", mul_add_ssse3, fused_ssse3);
-    tier_entries!(__m256i, "avx2", mul_add_avx2, fused_avx2);
-    tier_entries!(__m512i, "avx512f,gfni", mul_add_gfni, fused_gfni);
+    tier_entries!(__m128i, "ssse3", fused_ssse3);
+    tier_entries!(__m256i, "avx2", fused_avx2);
+    tier_entries!(__m512i, "avx512f,gfni", fused_gfni);
 }
 
 /// Portable fused pass: same row walk, shuffle and prefetch schedule as the
@@ -1142,33 +1090,6 @@ mod tests {
     }
 
     #[test]
-    fn simd_matches_portable_all_coefficients() {
-        // Every coefficient, a length that exercises vector body + tail.
-        let src = pattern(129, 5);
-        for c in 0..=255u8 {
-            let t = NibbleTables::new(c);
-            let mut a = pattern(129, 9);
-            let mut b = a.clone();
-            mul_add_slice_tab(&t, &src, &mut a);
-            mul_add_slice_simd(&t, &src, &mut b);
-            assert_eq!(a, b, "c={c}");
-        }
-    }
-
-    #[test]
-    fn simd_handles_odd_lengths() {
-        let t = NibbleTables::new(0x8E);
-        for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 255] {
-            let src = pattern(len, 3);
-            let mut a = pattern(len, 7);
-            let mut b = a.clone();
-            mul_add_slice_tab(&t, &src, &mut a);
-            mul_add_slice_simd(&t, &src, &mut b);
-            assert_eq!(a, b, "len={len}");
-        }
-    }
-
-    #[test]
     fn kernel_detection_is_stable() {
         assert_eq!(detected_kernel(), detected_kernel());
     }
@@ -1190,15 +1111,6 @@ mod tests {
         }
         set_kernel_override(None);
         assert_eq!(selected_kernel(), detected);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn length_mismatch_panics() {
-        let t = NibbleTables::new(3);
-        let src = [0u8; 8];
-        let mut dst = [0u8; 9];
-        mul_add_slice_simd(&t, &src, &mut dst);
     }
 
     fn reference_dot(tables: &[NibbleTables], sources: &[&[u8]], outputs: &mut [&mut [u8]]) {
@@ -1257,6 +1169,18 @@ mod tests {
         let mut o = [0u8; 64];
         let mut outs: Vec<&mut [u8]> = vec![&mut o];
         dot_prod_fused(&t, &[&a, &a], &mut outs, FusedSched::plain());
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn length_mismatch_panics() {
+        // The vector tiers index without bounds checks: a short source must
+        // stop at the entry.
+        let t = vec![NibbleTables::new(3); 2];
+        let (a, b) = ([0u8; 128], [0u8; 127]);
+        let mut o = [0u8; 128];
+        let mut outs: Vec<&mut [u8]> = vec![&mut o];
+        dot_prod_fused(&t, &[&a, &b], &mut outs, FusedSched::plain());
     }
 
     #[test]

@@ -143,8 +143,8 @@ fn bitmatrix_inverse_roundtrip() {
 
 use dialga_gf::sched::FusedSched;
 use dialga_gf::simd::{
-    dot_prod_fused, dot_prod_fused_vec, dot_prod_syndromes, dot_prod_verify, mul_add_slice_simd,
-    selected_kernel, set_kernel_override, Kernel, Support, FUSED_GROUP,
+    dot_prod_fused, dot_prod_fused_vec, dot_prod_syndromes, dot_prod_verify, selected_kernel,
+    set_kernel_override, Kernel, Support, FUSED_GROUP,
 };
 use dialga_gf::tables::NibbleTables;
 
@@ -184,25 +184,36 @@ fn sched_variants(k: usize) -> Vec<FusedSched> {
     ]
 }
 
-/// One fused case against the scalar reference. Every source and output
-/// starts `skew` bytes into its allocation: a 64 B lane straddles
-/// cachelines on any `Vec<u8>`, so the kernels must not care.
-fn check_fused_case(k: usize, n_out: usize, len: usize, sched: FusedSched, skew: usize) {
+/// One fused case against the scalar reference. Every source starts
+/// `src_skew` bytes into its allocation and every output `skew`: a 64 B
+/// lane straddles cachelines on any `Vec<u8>`, and a source need not share
+/// its output's alignment, so the kernels must not care.
+///
+/// Table `i` multiplies by `(37 i + 1) mod 256` with 0 and 38 swapped — a
+/// bijection on `0..256` that puts 1 and 0 first — so `n_out * k = 256`
+/// covers every coefficient.
+fn check_fused_case(
+    k: usize,
+    n_out: usize,
+    len: usize,
+    sched: FusedSched,
+    (src_skew, skew): (usize, usize),
+) {
     let tables: Vec<NibbleTables> = (0..n_out * k)
-        .map(|i| {
-            // Deterministic coefficients including 0 and 1.
-            let c = (i as u32 * 37 + 1) % 256;
-            NibbleTables::new(if i == 1 { 0 } else { c as u8 })
+        .map(|i| match (i * 37 + 1) % 256 {
+            38 => NibbleTables::new(0),
+            0 => NibbleTables::new(38),
+            c => NibbleTables::new(c as u8),
         })
         .collect();
     let srcs: Vec<Vec<u8>> = (0..k)
         .map(|b| {
-            (0..skew + len)
+            (0..src_skew + len)
                 .map(|i| ((b * 31 + i * 7) & 0xFF) as u8)
                 .collect()
         })
         .collect();
-    let src_refs: Vec<&[u8]> = srcs.iter().map(|s| &s[skew..]).collect();
+    let src_refs: Vec<&[u8]> = srcs.iter().map(|s| &s[src_skew..]).collect();
 
     // Prefill with garbage so accumulate-instead-of-overwrite bugs show.
     let mut got: Vec<Vec<u8>> = (0..n_out)
@@ -218,7 +229,8 @@ fn check_fused_case(k: usize, n_out: usize, len: usize, sched: FusedSched, skew:
     // Whole allocations: the bytes before `skew` must be untouched.
     assert_eq!(
         got, want,
-        "fused != reference for k={k} n_out={n_out} len={len} sched={sched:?} skew={skew}"
+        "fused != reference for k={k} n_out={n_out} len={len} sched={sched:?} \
+         skews=({src_skew}, {skew})"
     );
     // The write-only entry into fresh, never-written blocks: the garbage
     // above proves overwrite, this path rests on every byte being stored.
@@ -226,29 +238,9 @@ fn check_fused_case(k: usize, n_out: usize, len: usize, sched: FusedSched, skew:
     let want_rows: Vec<&[u8]> = want.iter().map(|w| &w[skew..]).collect();
     assert_eq!(
         fresh, want_rows,
-        "fresh fused != reference for k={k} n_out={n_out} len={len} sched={sched:?} skew={skew}"
+        "fresh fused != reference for k={k} n_out={n_out} len={len} sched={sched:?} \
+         skews=({src_skew}, {skew})"
     );
-}
-
-/// `mul_add_slice_simd` against the bit-serial multiplier: every
-/// coefficient, lengths around every lane width, unaligned starts.
-fn check_mul_add_all_coefficients() {
-    let lens = [
-        0usize, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255,
-    ];
-    for c in 0..=255u8 {
-        let t = NibbleTables::new(c);
-        for (len, skew) in lens.iter().flat_map(|&l| [0usize, 1, 17].map(|s| (l, s))) {
-            let src: Vec<u8> = (0..skew + len).map(|i| (i * 37 + 5) as u8).collect();
-            let mut dst: Vec<u8> = (0..skew + len).map(|i| (i * 11 + 9) as u8).collect();
-            let mut want = dst.clone();
-            for (w, &x) in want[skew..].iter_mut().zip(&src[skew..]) {
-                *w ^= mul_notable(c, x);
-            }
-            mul_add_slice_simd(&t, &src[skew..], &mut dst[skew..]);
-            assert_eq!(dst, want, "c={c} len={len} skew={skew}");
-        }
-    }
 }
 
 /// `dot_prod_verify` / `dot_prod_syndromes` against syndromes worked out
@@ -374,26 +366,28 @@ fn for_each_available_tier(mut body: impl FnMut()) {
 /// Every kernel tier the CPU has × output counts spanning a group boundary
 /// × tail shapes (empty, sub-cacheline, exact lines, ragged tails, exactly
 /// one XPLine = 256 B) × every schedule branch × aligned and unaligned
-/// starts, then the multiply-add and the verify/syndrome scans on the same
-/// tier. Tier overrides are process global, so the whole sweep lives in one
-/// test body.
+/// starts, sources and outputs skewed alike and apart, then every
+/// coefficient and the verify/syndrome scans on the same tier. Tier
+/// overrides are process global, so the whole sweep lives in one test body.
 #[test]
 fn fused_matches_reference_for_all_tiers_and_tail_shapes() {
     let lens = [0usize, 1, 63, 64, 65, 192, 256, 257, 320, 1000];
+    let skews = [(0usize, 0usize), (1, 1), (17, 17), (1, 0), (17, 1)];
     for_each_available_tier(|| {
-        for skew in [0usize, 1, 17] {
+        for skews in skews {
             for &len in &lens {
                 for n_out in 1..=(FUSED_GROUP + 2) {
                     for sched in sched_variants(5) {
-                        check_fused_case(5, n_out, len, sched, skew);
+                        check_fused_case(5, n_out, len, sched, skews);
                     }
                 }
+                // 16 x 16 tables: all 256 coefficients, in three groups.
+                check_fused_case(16, 16, len, FusedSched::distance(16), skews);
             }
         }
         // k = 0 must zero-fill; k = 1 exercises the single-source path.
-        check_fused_case(0, 3, 256, FusedSched::plain(), 0);
-        check_fused_case(1, 2, 257, FusedSched::distance(4), 0);
-        check_mul_add_all_coefficients();
+        check_fused_case(0, 3, 256, FusedSched::plain(), (0, 0));
+        check_fused_case(1, 2, 257, FusedSched::distance(4), (0, 0));
         check_verify_and_syndromes();
     });
 }

@@ -28,13 +28,14 @@ const BLOCK: usize = 4096;
 ///
 /// An encode is its `m` parity blocks, the reply holding them and the
 /// batch's list of replies. A decode is its two rebuilt shards, the batch's
-/// list of plans, and the plan's seven: the lost shards, the survivors, the
-/// parity minor's indices, its inversion, the lost data rows, their tables
-/// and the lost parity rows' tables. A repair is its rebuilt shard, the
-/// reply and the plan's five: the survivors, the minor's indices, its
-/// inversion, the row and its tables. A clean scrub allocates nothing.
+/// list of plans, and the plan's five: the survivors and the lost shards
+/// (one list), the parity minor's indices, its inversion, every lost
+/// shard's row, data and parity alike, and their tables. A repair is its
+/// rebuilt shard, the reply and the plan's five: the survivors and the
+/// target, the minor's indices, its inversion, the row and its tables. A
+/// clean scrub allocates nothing.
 const ENCODE: u64 = M as u64 + 2;
-const DECODE: u64 = 10;
+const DECODE: u64 = 8;
 const REPAIR: u64 = 7;
 const SCRUB_CLEAN: u64 = 0;
 /// The store's put and get run no service or pool code; pinned so a

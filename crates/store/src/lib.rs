@@ -926,23 +926,22 @@ impl<I: PmImage> StripeStore<I> {
     ) -> Result<bool, StoreError> {
         let geo = self.geo;
         let footer = self.read_footer(stripe, slot)?;
-        let survivors: Vec<usize> = (0..shards.len())
-            .filter(|i| !bad.contains(i))
-            .take(geo.k)
+        // One plan and one pass for every named shard. The scrub names them
+        // ascending, the order the plan rebuilds its holes in, and fewer than
+        // `m`, so the parity scratch holds them all.
+        let holed: Vec<Option<&[u8]>> = (0..shards.len())
+            .map(|i| (!bad.contains(&i)).then_some(shards[i]))
             .collect();
-        let sources: Vec<&[u8]> = survivors.iter().map(|&s| shards[s]).collect();
-        // The scrub names fewer than `m` shards, so the parity scratch holds
-        // them all.
-        let mut fixed: Vec<&mut [u8]> = self.parity.chunks_exact_mut(geo.shard_len).collect();
-        for (&target, out) in bad.iter().zip(&mut fixed) {
-            let plan = self.coder.repair_plan(&survivors, target)?;
-            plan.apply(&sources, out, self.coder.prefetch_distance(), false)?;
-        }
+        let plan = self.coder.decode_plan(&holed)?;
+        let sources: Vec<&[u8]> = plan.survivors().iter().map(|&s| shards[s]).collect();
+        let fixed = &mut self.parity[..bad.len() * geo.shard_len];
+        plan.apply(&sources, fixed, self.coder.prefetch_distance(), false)?;
+        let fixed: Vec<&[u8]> = fixed.chunks_exact(geo.shard_len).collect();
         if let Some(footer) = footer {
             let mut h = SlotHasher::new();
             for (i, &shard) in shards.iter().enumerate() {
                 h.update(match bad.iter().position(|&b| b == i) {
-                    Some(n) => &*fixed[n],
+                    Some(n) => fixed[n],
                     None => shard,
                 });
             }

@@ -120,12 +120,11 @@ fn seeded_pool_faults_heal_across_threads_and_paths() {
 }
 
 #[test]
-fn a_decode_that_fails_in_either_stage_fills_no_hole() {
-    // One executor, so each stage attempt is one chunk on it: scripted
-    // panics on every attempt of stage 1 (chunks 0..=BATCH_RETRIES) fail
-    // the lost-data stage; starting one chunk later they fail stage 2
-    // (lost parity), after stage 1's data went into its hole for stage 2
-    // to read. Either way the caller gets every hole back as `None`.
+fn a_decode_that_fails_fills_no_hole() {
+    // One executor, so each attempt is one chunk on it: scripted panics on
+    // every attempt (chunks 0..=BATCH_RETRIES) fail the decode's one pass,
+    // which rebuilds the lost data and the lost parity together. The
+    // caller gets every hole back as `None`.
     let coder = Dialga::new(K, M).unwrap();
     let data = make_data(13);
     let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
@@ -133,34 +132,28 @@ fn a_decode_that_fails_in_either_stage_fills_no_hole() {
     let full: Vec<Vec<u8>> = data.iter().chain(parity.iter()).cloned().collect();
     let pool = EncodePool::new(1);
     let attempts = u64::from(BATCH_RETRIES) + 1;
-    for stage in [0, 1] {
-        let plan = (stage..stage + attempts).fold(FaultPlan::new(), |plan, nth_chunk| {
-            plan.with(Fault::WorkerPanic {
-                worker: 0,
-                nth_chunk,
-            })
-        });
-        pool.arm_faults(&plan);
-        let chunks = pool.stats().chunks;
-        let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-        shards[1] = None;
-        shards[K] = None;
-        assert!(matches!(
-            pool.decode(&coder, &mut shards),
-            Err(EcError::Internal { .. })
-        ));
-        assert_eq!(
-            (shards[1].as_ref(), shards[K].as_ref()),
-            (None, None),
-            "stage {stage}"
-        );
-        assert_eq!(pool.faults_injected(), attempts);
-        // Stage 1's clean chunk (when stage 2 failed), then every attempt.
-        assert_eq!(pool.stats().chunks - chunks, stage + attempts);
-        pool.disarm_faults();
-        pool.decode(&coder, &mut shards).unwrap();
-        assert!(shards.iter().zip(&full).all(|(s, f)| s.as_ref() == Some(f)));
-    }
+    let plan = (0..attempts).fold(FaultPlan::new(), |plan, nth_chunk| {
+        plan.with(Fault::WorkerPanic {
+            worker: 0,
+            nth_chunk,
+        })
+    });
+    pool.arm_faults(&plan);
+    let chunks = pool.stats().chunks;
+    let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
+    shards[1] = None;
+    shards[K] = None;
+    assert!(matches!(
+        pool.decode(&coder, &mut shards),
+        Err(EcError::Internal { .. })
+    ));
+    assert_eq!((shards[1].as_ref(), shards[K].as_ref()), (None, None));
+    assert_eq!(pool.faults_injected(), attempts);
+    // One chunk per attempt: data and parity holes are one pass.
+    assert_eq!(pool.stats().chunks - chunks, attempts);
+    pool.disarm_faults();
+    pool.decode(&coder, &mut shards).unwrap();
+    assert!(shards.iter().zip(&full).all(|(s, f)| s.as_ref() == Some(f)));
 }
 
 #[test]
